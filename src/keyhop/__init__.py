@@ -25,12 +25,6 @@ from .protocol import (
     compile_schedule,
     execute,
     run,
-    run_chain2,
-    run_chain_m,
-    run_multipath,
-    run_reach_t,
-    run_ring_v1,
-    run_ring_v2,
     trace_json,
     trace_text,
 )
@@ -41,7 +35,6 @@ from .topology import (
     build_multipath,
     build_reach_chain,
     build_ring6,
-    qkd_reachable_pairs,
 )
 from .wire import orchestrate
 
@@ -79,19 +72,12 @@ __all__ = [
     "p2p_key",
     "parse_key_oracle",
     "plan_keys",
-    "qkd_reachable_pairs",
     "random_bits",
     "rate_p2p",
     "rate_scheme",
     "rate_tf",
     "recover_bits",
     "run",
-    "run_chain2",
-    "run_chain_m",
-    "run_multipath",
-    "run_reach_t",
-    "run_ring_v1",
-    "run_ring_v2",
     "tf_key",
     "trace_json",
     "trace_text",

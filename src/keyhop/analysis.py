@@ -17,19 +17,19 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, product
 from math import log2
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .bits import BitString, SecretId, SymbolicExpr
-from .protocol import ProtocolTrace, Variant, run
+from .keyplan import Variant
+from .protocol import ProtocolTrace, run
 from .topology import NodeId, build_multipath
 
 __all__ = [
     "Status",
     "Coalition",
     "AdversaryView",
-    "RecoveryItem",
     "SecrecyVerdict",
     "final_key_expr",
     "view_of",
@@ -60,7 +60,6 @@ class Coalition:
     evaluating each member as its own singleton coalition."""
 
     members: frozenset[NodeId]
-    collaborating: bool = True
 
     @classmethod
     def of(cls, *nodes: NodeId) -> Coalition:
@@ -73,46 +72,27 @@ class Coalition:
     def describe(self) -> str:
         return "+".join(self.labels) if self.members else "(empty)"
 
-    def singletons(self) -> tuple[Coalition, ...]:
-        return tuple(Coalition.of(nd) for nd in sorted(self.members, key=lambda n: n.label))
-
 
 @dataclass(frozen=True)
 class AdversaryView:
     """What a coalition sees: all payload expressions, plus the secrets its
     members hold (keys they are an end of, nonces they own)."""
 
-    observed: tuple[tuple[str, SymbolicExpr], ...]  # (message label, expression)
-    known: tuple[SecretId, ...]
-
-
-@dataclass(frozen=True)
-class RecoveryItem:
-    """One ingredient of a recovery: a transmitted message or a held secret."""
-
-    kind: str  # "message" or "secret"
-    message_index: int | None = None
-    secret: SecretId | None = None
-
-    @property
-    def label(self) -> str:
-        if self.kind == "message":
-            return f"M{self.message_index}"
-        assert self.secret is not None
-        return self.secret.name
+    observed: tuple[SymbolicExpr, ...]  # message i's expression at position i
+    known: tuple[SecretId, ...]  # sorted by name
 
 
 @dataclass(frozen=True)
 class SecrecyVerdict:
     target: SymbolicExpr
     status: Status
-    recovery: tuple[RecoveryItem, ...] | None = None
+    recovery: tuple[int | SecretId, ...] | None = None  # message indices, then secrets
 
     @property
     def recovery_labels(self) -> tuple[str, ...] | None:
         if self.recovery is None:
             return None
-        return tuple(item.label for item in self.recovery)
+        return tuple(f"M{item}" if isinstance(item, int) else item.name for item in self.recovery)
 
 
 def final_key_expr(trace: ProtocolTrace) -> SymbolicExpr:
@@ -128,7 +108,7 @@ def view_of(trace: ProtocolTrace, coalition: Coalition) -> AdversaryView:
         if trace.topology.node(nd.label).is_endpoint:
             raise ValueError(f"{nd.label} is an endpoint, not a corruptible intermediary")
     member_labels = {nd.label for nd in coalition.members}
-    observed = tuple((f"M{msg.index}", msg.expr) for msg in trace.messages)
+    observed = tuple(msg.expr for msg in trace.messages)
     known = tuple(
         sid
         for sid in sorted(trace.store.ids(), key=lambda s: s.name)
@@ -137,22 +117,19 @@ def view_of(trace: ProtocolTrace, coalition: Coalition) -> AdversaryView:
     return AdversaryView(observed, known)
 
 
-def _eliminate(
-    rows: list[tuple[RecoveryItem, int]], ncols: int
-) -> dict[int, tuple[int, list[RecoveryItem]]]:
+def _eliminate(rows: list[int]) -> dict[int, tuple[int, int]]:
     """Row-reduce over GF(2), keeping for each pivot column the reduced row
-    and the exact combination of input rows that produced it."""
-    pivots: dict[int, tuple[int, list[RecoveryItem]]] = {}
-    for item, mask in rows:
-        combo = [item]
+    and the exact combination of input rows that produced it, as a bitmask
+    over row positions."""
+    pivots: dict[int, tuple[int, int]] = {}
+    for pos, mask in enumerate(rows):
+        combo = 1 << pos
         while mask:
             col = (mask & -mask).bit_length() - 1
             if col in pivots:
                 pmask, pcombo = pivots[col]
                 mask ^= pmask
-                combo = [it for it in combo if it not in pcombo] + [
-                    it for it in pcombo if it not in combo
-                ]
+                combo ^= pcombo
             else:
                 pivots[col] = (mask, combo)
                 break
@@ -167,7 +144,7 @@ def is_recoverable(view: AdversaryView, target: SymbolicExpr) -> SecrecyVerdict:
     secrets (by name), pivoting on the lowest remaining column.
     """
     atoms: set[SecretId] = set(target.terms)
-    for _, expr in view.observed:
+    for expr in view.observed:
         atoms |= expr.terms
     atoms |= set(view.known)
     order = {sid: i for i, sid in enumerate(sorted(atoms, key=lambda s: s.name))}
@@ -178,31 +155,24 @@ def is_recoverable(view: AdversaryView, target: SymbolicExpr) -> SecrecyVerdict:
             mask |= 1 << order[sid]
         return mask
 
-    rows: list[tuple[RecoveryItem, int]] = []
-    for label, expr in view.observed:
-        rows.append(
-            (RecoveryItem("message", message_index=int(label[1:])), mask_of(expr.terms))
-        )
-    for sid in view.known:
-        rows.append((RecoveryItem("secret", secret=sid), 1 << order[sid]))
-    pivots = _eliminate(rows, len(order))
+    # rows sit in recipe order, so the recovery set is the combination's
+    # set bits read from the lowest up
+    rows = [mask_of(expr.terms) for expr in view.observed]
+    rows += [1 << order[sid] for sid in view.known]
+    pivots = _eliminate(rows)
 
     residual = mask_of(target.terms)
-    combo: list[RecoveryItem] = []
+    combo = 0
     while residual:
         col = (residual & -residual).bit_length() - 1
         if col not in pivots:
             return SecrecyVerdict(target, Status.SECURE)
         pmask, pcombo = pivots[col]
         residual ^= pmask
-        combo = [it for it in combo if it not in pcombo] + [
-            it for it in pcombo if it not in combo
-        ]
-    ordered = sorted(
-        combo,
-        key=lambda it: (0, it.message_index) if it.kind == "message" else (1, it.label),
-    )
-    return SecrecyVerdict(target, Status.BROKEN, tuple(ordered))
+        combo ^= pcombo
+    items = (*range(len(view.observed)), *view.known)
+    recovery = tuple(item for pos, item in enumerate(items) if combo >> pos & 1)
+    return SecrecyVerdict(target, Status.BROKEN, recovery)
 
 
 def recover_bits(trace: ProtocolTrace, verdict: SecrecyVerdict) -> BitString:
@@ -212,16 +182,24 @@ def recover_bits(trace: ProtocolTrace, verdict: SecrecyVerdict) -> BitString:
         raise ValueError("nothing to recover from a SECURE verdict")
     acc = BitString.zeros(trace.n)
     for item in verdict.recovery:
-        if item.kind == "message":
-            acc = acc ^ trace.messages[item.message_index].bits
+        if isinstance(item, int):
+            acc = acc ^ trace.messages[item].bits
         else:
-            assert item.secret is not None
-            acc = acc ^ trace.store[item.secret]
+            acc = acc ^ trace.store[item]
     return acc
 
 
-def _breaks(trace: ProtocolTrace, members: frozenset[NodeId], target: SymbolicExpr) -> bool:
-    return is_recoverable(view_of(trace, Coalition(members)), target).status is Status.BROKEN
+def _subsets(trace: ProtocolTrace) -> Iterator[frozenset[NodeId]]:
+    """Every intermediary coalition's members, smallest first."""
+    inter = trace.topology.intermediaries
+    if len(inter) > ENUMERATION_CAP:
+        raise ValueError(
+            f"{len(inter)} intermediaries exceeds the exhaustive enumeration cap"
+            f" of {ENUMERATION_CAP}"
+        )
+    for size in range(len(inter) + 1):
+        for combo in combinations(inter, size):
+            yield frozenset(combo)
 
 
 def min_breaking_coalitions(
@@ -230,20 +208,12 @@ def min_breaking_coalitions(
     """All minimal intermediary coalitions that recover the target
     (final key by default), smallest first; supersets are pruned."""
     target = target if target is not None else final_key_expr(trace)
-    inter = trace.topology.intermediaries
-    if len(inter) > ENUMERATION_CAP:
-        raise ValueError(
-            f"{len(inter)} intermediaries exceeds the exhaustive enumeration cap"
-            f" of {ENUMERATION_CAP}"
-        )
     minimal: list[frozenset[NodeId]] = []
-    for size in range(len(inter) + 1):
-        for combo in combinations(inter, size):
-            members = frozenset(combo)
-            if any(found <= members for found in minimal):
-                continue
-            if _breaks(trace, members, target):
-                minimal.append(members)
+    for members in _subsets(trace):
+        if any(found <= members for found in minimal):
+            continue
+        if is_recoverable(view_of(trace, Coalition(members)), target).status is Status.BROKEN:
+            minimal.append(members)
     return [Coalition(m) for m in minimal]
 
 
@@ -252,25 +222,18 @@ def coalition_rows(
 ) -> list[tuple[str, str, str, str]]:
     """One (variant, topology, coalition, status) row per intermediary coalition."""
     target = target if target is not None else final_key_expr(trace)
-    inter = trace.topology.intermediaries
-    if len(inter) > ENUMERATION_CAP:
-        raise ValueError(
-            f"{len(inter)} intermediaries exceeds the exhaustive enumeration cap"
-            f" of {ENUMERATION_CAP}"
-        )
     rows = []
-    for size in range(len(inter) + 1):
-        for combo in combinations(inter, size):
-            coal = Coalition(frozenset(combo))
-            status = is_recoverable(view_of(trace, coal), target).status
-            rows.append(
-                (
-                    trace.variant.value,
-                    trace.topology.describe(),
-                    coal.describe(),
-                    status.value,
-                )
+    for members in _subsets(trace):
+        coal = Coalition(members)
+        status = is_recoverable(view_of(trace, coal), target).status
+        rows.append(
+            (
+                trace.variant.value,
+                trace.topology.describe(),
+                coal.describe(),
+                status.value,
             )
+        )
     return rows
 
 
@@ -307,7 +270,7 @@ def brute_force_secrecy(
         return v & np.uint64(1)
 
     view = view_of(trace, coalition)
-    components = [parity(expr.terms) for _, expr in view.observed]
+    components = [parity(expr.terms) for expr in view.observed]
     components += [parity((sid,)) for sid in view.known]
     if len(components) > 63:
         raise ValueError("view too wide to pack for the truth-table sweep")

@@ -141,16 +141,16 @@ class HardwareReport:
         ]
 
 
-def cm_report(plan: KeyPlan, topo: Topology | None = None) -> HardwareReport:
+def cm_report(plan: KeyPlan) -> HardwareReport:
     """Which nodes need a source and which need measurement hardware.
 
     Point-to-point establishment always runs endpoint-as-sender; both parties
     of a relay-established key send while the relay measures. An endpoint in
     a measuring role is a planning error and is rejected.
     """
-    topo = topo or plan.topology
-    source: dict[str, bool] = {nd.label: False for nd in topo.nodes}
-    meas: dict[str, bool] = {nd.label: False for nd in topo.nodes}
+    nodes = plan.topology.nodes
+    source: dict[str, bool] = {nd.label: False for nd in nodes}
+    meas: dict[str, bool] = {nd.label: False for nd in nodes}
     for entry in plan.entries:
         if entry.mechanism == "P2P":
             if entry.measurer.is_endpoint:

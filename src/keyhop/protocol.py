@@ -14,11 +14,10 @@ import random
 from dataclasses import dataclass
 
 from .bits import BitString, KeyStore, SecretId, SymbolicExpr, nonce
-from .keyplan import KeyPlan, Variant, check_compatible, establish, plan_keys
-from .topology import NodeId, Shape, Topology
+from .keyplan import KeyPlan, Variant, establish, plan_keys
+from .topology import NodeId, Topology
 
 __all__ = [
-    "Variant",
     "Hop",
     "AbsorbRule",
     "Schedule",
@@ -28,16 +27,7 @@ __all__ = [
     "make_store",
     "execute",
     "run",
-    "run_ring_v1",
-    "run_ring_v2",
-    "run_chain2",
-    "run_chain_m",
-    "run_reach_t",
-    "run_multipath",
-    "send_message_as_payload",
-    "trace_lines",
     "trace_text",
-    "trace_records",
     "trace_json",
 ]
 
@@ -218,52 +208,13 @@ def run(
     rng: random.Random,
     payload: BitString | None = None,
 ) -> ProtocolTrace:
+    """Plan, compile and execute one honest run; payload as in make_store."""
     plan = plan_keys(topo, variant)
     schedule = compile_schedule(plan)
     return execute(schedule, make_store(schedule, n, rng, payload))
 
 
-def run_ring_v1(topo: Topology, n: int, rng: random.Random) -> ProtocolTrace:
-    """Unpatched ring forwarding; known-broken, kept as the attack target."""
-    return run(topo, Variant.RING_V1, n, rng)
-
-
-def run_ring_v2(topo: Topology, n: int, rng: random.Random) -> ProtocolTrace:
-    """Ring forwarding with endpoint-link keys closing the leak."""
-    return run(topo, Variant.RING_V2, n, rng)
-
-
-def run_chain2(topo: Topology, n: int, rng: random.Random) -> ProtocolTrace:
-    check_compatible(topo, Variant.CHAIN2)
-    return run(topo, Variant.CHAIN2, n, rng)
-
-
-def run_chain_m(topo: Topology, n: int, rng: random.Random) -> ProtocolTrace:
-    return run(topo, Variant.CHAIN_M, n, rng)
-
-
-def run_reach_t(topo: Topology, n: int, rng: random.Random) -> ProtocolTrace:
-    return run(topo, Variant.REACH_T, n, rng)
-
-
-def run_multipath(topo: Topology, n: int, rng: random.Random) -> ProtocolTrace:
-    """All paths forward in parallel; the final key is the XOR of path nonces."""
-    return run(topo, Variant.MULTIPATH, n, rng)
-
-
-def send_message_as_payload(
-    z: BitString, topo: Topology, n: int, rng: random.Random
-) -> ProtocolTrace:
-    """Forward a chosen message z down a chain instead of a fresh nonce.
-
-    Same schedule as run_chain_m; the receiving endpoint outputs z exactly.
-    """
-    if topo.shape is not Shape.CHAIN:
-        raise ValueError("payload delivery runs on a chain")
-    return run(topo, Variant.CHAIN_M, n, rng, payload=z)
-
-
-def trace_lines(trace: ProtocolTrace) -> list[str]:
+def trace_text(trace: ProtocolTrace) -> str:
     lines = [
         f"# variant={trace.variant.value} topology={trace.topology.describe()} n={trace.n}"
     ]
@@ -274,24 +225,7 @@ def trace_lines(trace: ProtocolTrace) -> list[str]:
         )
     lines.append(f"K(A) {trace.output_a.to_hex()}")
     lines.append(f"K(B) {trace.output_b.to_hex()}")
-    return lines
-
-
-def trace_text(trace: ProtocolTrace) -> str:
-    return "\n".join(trace_lines(trace)) + "\n"
-
-
-def trace_records(trace: ProtocolTrace) -> list[dict]:
-    return [
-        {
-            "index": msg.index,
-            "sender": msg.sender.label,
-            "receiver": msg.receiver.label,
-            "hex": msg.bits.to_hex(),
-            "expr": msg.expr.text(),
-        }
-        for msg in trace.messages
-    ]
+    return "\n".join(lines) + "\n"
 
 
 def trace_json(trace: ProtocolTrace) -> str:
@@ -299,7 +233,16 @@ def trace_json(trace: ProtocolTrace) -> str:
         "variant": trace.variant.value,
         "topology": trace.topology.describe(),
         "n": trace.n,
-        "messages": trace_records(trace),
+        "messages": [
+            {
+                "index": msg.index,
+                "sender": msg.sender.label,
+                "receiver": msg.receiver.label,
+                "hex": msg.bits.to_hex(),
+                "expr": msg.expr.text(),
+            }
+            for msg in trace.messages
+        ],
         "output_a": trace.output_a.to_hex(),
         "output_b": trace.output_b.to_hex(),
         "nonces": [nid.name for nid in trace.nonce_ids],

@@ -82,22 +82,15 @@ def rate_p2p(length_km: float, params: RateParams) -> float:
     return params.c_p2p * 1.44 * eta(length_km, params)
 
 
-def rate_scheme(
-    distance_km: float, m: int, params: RateParams, n_paths: int = 1, parallel: bool = True
-) -> float:
+def rate_scheme(distance_km: float, m: int, params: RateParams) -> float:
     """End-to-end rate of forwarding over m intermediaries at distance_km.
 
     Every relay-measured segment spans 2 of the m+1 equal links, so the
-    bottleneck link rate is rate_tf(2D/(m+1)). Parallel paths forward
-    concurrently (the default); pass parallel=False to model M paths sharing
-    one clock, which divides the rate by M.
+    bottleneck link rate is rate_tf(2D/(m+1)).
     """
     if m < 2:
         raise ValueError("the scheme needs at least 2 intermediaries")
-    if n_paths < 1:
-        raise ValueError("need at least one path")
-    base = rate_tf(2 * distance_km / (m + 1), params)
-    return base if parallel else base / n_paths
+    return rate_tf(2 * distance_km / (m + 1), params)
 
 
 def is_virtually_null(rate_bps: float, params: RateParams) -> bool:

@@ -17,12 +17,10 @@ __all__ = [
     "NodeId",
     "Link",
     "Topology",
-    "ReachablePair",
     "build_ring6",
     "build_chain",
     "build_reach_chain",
     "build_multipath",
-    "qkd_reachable_pairs",
     "parse_kv",
     "parse_topology_config",
     "emit_topology_config",
@@ -44,16 +42,11 @@ class Shape(Enum):
 
 @dataclass(frozen=True)
 class NodeId:
-    """A node: label, role, position along its path, and which path it sits on.
-
-    Endpoints belong to every path; their chain_position/path_index are taken
-    from the first path. Per-path positions always come from Topology.paths.
-    """
+    """A node: label and role. Endpoints belong to every path; positions
+    along a path always come from Topology.paths."""
 
     label: str
     role: Role
-    chain_position: int
-    path_index: int = 0
 
     @property
     def is_endpoint(self) -> bool:
@@ -67,7 +60,6 @@ class NodeId:
 class Link:
     a: NodeId
     b: NodeId
-    length_km: float
 
 
 @dataclass(frozen=True)
@@ -126,10 +118,8 @@ class Topology:
         return f"multipath({inner})"
 
 
-def _endpoints(first_path_len: int) -> tuple[NodeId, NodeId]:
-    a = NodeId("A", Role.ENDPOINT_A, 0, 0)
-    b = NodeId("B", Role.ENDPOINT_B, first_path_len + 1, 0)
-    return a, b
+def _endpoints() -> tuple[NodeId, NodeId]:
+    return NodeId("A", Role.ENDPOINT_A), NodeId("B", Role.ENDPOINT_B)
 
 
 def _check_link_length(link_length_km: float) -> None:
@@ -137,25 +127,23 @@ def _check_link_length(link_length_km: float) -> None:
         raise ValueError("link length must be positive")
 
 
-def _links_along(paths: tuple[tuple[NodeId, ...], ...], length_km: float) -> tuple[Link, ...]:
-    return tuple(
-        Link(path[i], path[i + 1], length_km) for path in paths for i in range(len(path) - 1)
-    )
+def _links_along(paths: tuple[tuple[NodeId, ...], ...]) -> tuple[Link, ...]:
+    return tuple(Link(path[i], path[i + 1]) for path in paths for i in range(len(path) - 1))
 
 
 def build_ring6(link_length_km: float = 100.0) -> Topology:
     """Six nodes, six links: endpoints joined by two 2-intermediary branches."""
     _check_link_length(link_length_km)
-    a, b = _endpoints(2)
-    n1 = NodeId("N1", Role.INTERMEDIARY, 1, 0)
-    n2 = NodeId("N2", Role.INTERMEDIARY, 2, 0)
-    n3 = NodeId("N3", Role.INTERMEDIARY, 1, 1)
-    n4 = NodeId("N4", Role.INTERMEDIARY, 2, 1)
+    a, b = _endpoints()
+    n1 = NodeId("N1", Role.INTERMEDIARY)
+    n2 = NodeId("N2", Role.INTERMEDIARY)
+    n3 = NodeId("N3", Role.INTERMEDIARY)
+    n4 = NodeId("N4", Role.INTERMEDIARY)
     paths = ((a, n1, n2, b), (a, n3, n4, b))
     return Topology(
         Shape.RING6,
         (a, b, n1, n2, n3, n4),
-        _links_along(paths, link_length_km),
+        _links_along(paths),
         paths,
         link_length_km,
     )
@@ -166,12 +154,10 @@ def build_chain(m: int, link_length_km: float = 100.0) -> Topology:
     if m < 2:
         raise ValueError("a chain needs at least 2 intermediaries")
     _check_link_length(link_length_km)
-    a, b = _endpoints(m)
-    inner = tuple(NodeId(f"N{i}", Role.INTERMEDIARY, i, 0) for i in range(1, m + 1))
+    a, b = _endpoints()
+    inner = tuple(NodeId(f"N{i}", Role.INTERMEDIARY) for i in range(1, m + 1))
     path = (a, *inner, b)
-    return Topology(
-        Shape.CHAIN, (a, b, *inner), _links_along((path,), link_length_km), (path,), link_length_km
-    )
+    return Topology(Shape.CHAIN, (a, b, *inner), _links_along((path,)), (path,), link_length_km)
 
 
 def build_reach_chain(m: int, t: int, link_length_km: float = 100.0) -> Topology:
@@ -203,71 +189,21 @@ def build_multipath(
         if m < t + 1:
             raise ValueError("need m >= t+1 intermediaries on every path for reach t")
     _check_link_length(link_length_km)
-    a, b = _endpoints(lengths[0])
+    a, b = _endpoints()
     paths = []
     inner_all: list[NodeId] = []
     for p, m in enumerate(lengths, start=1):
-        inner = tuple(NodeId(f"N{j}.{p}", Role.INTERMEDIARY, j, p - 1) for j in range(1, m + 1))
+        inner = tuple(NodeId(f"N{j}.{p}", Role.INTERMEDIARY) for j in range(1, m + 1))
         inner_all.extend(inner)
         paths.append((a, *inner, b))
     return Topology(
         Shape.MULTIPATH,
         (a, b, *inner_all),
-        _links_along(tuple(paths), link_length_km),
+        _links_along(tuple(paths)),
         tuple(paths),
         link_length_km,
         t,
     )
-
-
-@dataclass(frozen=True)
-class ReachablePair:
-    """A pair of nodes that can establish a key, and by which mechanism.
-
-    mechanism is "P2P" for adjacent pairs involving an endpoint, "TF" for
-    same-path pairs bridged by an untrusted relay in the middle.
-    """
-
-    a: NodeId
-    b: NodeId
-    mechanism: str
-    relay: NodeId | None = None
-
-    @property
-    def labels(self) -> tuple[str, str]:
-        return (self.a.label, self.b.label)
-
-
-def qkd_reachable_pairs(topo: Topology, t: int | None = None) -> tuple[ReachablePair, ...]:
-    """Every pair that can establish a key on this topology.
-
-    Adjacent pairs involving an endpoint get point-to-point keys. Same-path
-    pairs at chain distance d, 2 <= d <= t+1, get relay keys measured at the
-    midpoint node (lower index on ties). t defaults to the topology's own.
-    """
-    t_eff = topo.t if t is None else t
-    if t_eff < 1:
-        raise ValueError("reach parameter must be at least 1")
-    out: list[ReachablePair] = []
-    seen: set[frozenset[str]] = set()
-
-    def emit(pair: ReachablePair) -> None:
-        key = frozenset(pair.labels)
-        if key not in seen:
-            seen.add(key)
-            out.append(pair)
-
-    for path in topo.paths:
-        for i in range(len(path) - 1):
-            u, v = path[i], path[i + 1]
-            if u.is_endpoint or v.is_endpoint:
-                emit(ReachablePair(u, v, "P2P"))
-    for path in topo.paths:
-        last = len(path) - 1
-        for i in range(last + 1):
-            for j in range(i + 2, min(i + t_eff + 1, last) + 1):
-                emit(ReachablePair(path[i], path[j], "TF", relay=path[(i + j) // 2]))
-    return tuple(out)
 
 
 def parse_kv(text: str) -> dict[str, str]:

@@ -34,9 +34,9 @@ import time
 from dataclasses import dataclass, field
 from queue import Empty, Queue
 
-from .bits import BitString
-from .keyplan import parse_key_oracle
-from .protocol import Schedule, Variant, compile_schedule, make_store, plan_keys
+from .bits import BitString, KeyStore
+from .keyplan import Variant, key_oracle_text, parse_key_oracle, plan_keys
+from .protocol import Schedule, compile_schedule, make_store
 from .topology import Topology
 
 __all__ = [
@@ -66,6 +66,7 @@ _KNOWN_TYPES = (FRAME_HELLO, FRAME_RELAY, FRAME_DONE, FRAME_ABORT)
 TAG_LEN = 32
 _MIN_BODY = 3  # type + index
 MAX_FRAME = 1 << 22
+_MAX_HOPS = 1 << 16  # hop indices travel as u16
 
 
 class FrameError(Exception):
@@ -95,14 +96,18 @@ def encode_frame(frame: Frame, auth_key: bytes) -> bytes:
     return len(blob).to_bytes(4, "big") + blob
 
 
+def _check_length(length: int) -> None:
+    if length < _MIN_BODY + TAG_LEN or length > MAX_FRAME:
+        raise FrameError("BAD_LENGTH", f"length {length}")
+
+
 def decode_frame(data: bytes, auth_key: bytes) -> Frame:
     """Decode one complete frame. The tag check precedes everything else
     about the content, including the type check."""
     if len(data) < 4:
         raise FrameError("BAD_LENGTH", "truncated length field")
     length = int.from_bytes(data[:4], "big")
-    if length < _MIN_BODY + TAG_LEN or length > MAX_FRAME:
-        raise FrameError("BAD_LENGTH", f"length {length}")
+    _check_length(length)
     if len(data) != 4 + length:
         raise FrameError("BAD_LENGTH", "frame size disagrees with length field")
     body, tag = data[4:-TAG_LEN], data[-TAG_LEN:]
@@ -172,27 +177,21 @@ class _Abort(Exception):
         self.exit_code = exit_code
 
 
-def _read_exact(sock: socket.socket, count: int) -> bytes | None:
-    buf = b""
-    while len(buf) < count:
-        chunk = sock.recv(count - len(buf))
+def _read_frame(sock: socket.socket) -> bytes | None:
+    """Read one whole frame, still unverified; None on a clean end of stream."""
+    blob, want = b"", 4
+    while len(blob) < want:
+        chunk = sock.recv(want - len(blob))
         if not chunk:
+            if blob:
+                raise FrameError("BAD_LENGTH", "stream ended mid-frame")
             return None
-        buf += chunk
-    return buf
-
-
-def _read_frame(sock: socket.socket, auth_key: bytes) -> Frame | None:
-    head = _read_exact(sock, 4)
-    if head is None:
-        return None
-    length = int.from_bytes(head, "big")
-    if length < _MIN_BODY + TAG_LEN or length > MAX_FRAME:
-        raise FrameError("BAD_LENGTH", f"length {length}")
-    rest = _read_exact(sock, length)
-    if rest is None:
-        raise FrameError("BAD_LENGTH", "stream ended mid-frame")
-    return decode_frame(head + rest, auth_key)
+        blob += chunk
+        if len(blob) == 4:
+            length = int.from_bytes(blob, "big")
+            _check_length(length)
+            want += length
+    return blob
 
 
 class _Node:
@@ -269,18 +268,15 @@ class _Node:
     def _first_frame(self, conn: socket.socket) -> tuple[Frame, str] | None:
         # The peer is unknown until its HELLO authenticates under one of our
         # inbound link keys.
-        head = _read_exact(conn, 4)
-        if head is None:
+        try:
+            blob = _read_frame(conn)
+        except FrameError:
+            raise _Abort("BAD_LENGTH") from None
+        if blob is None:
             return None
-        length = int.from_bytes(head, "big")
-        if length < _MIN_BODY + TAG_LEN or length > MAX_FRAME:
-            raise _Abort("BAD_LENGTH")
-        rest = _read_exact(conn, length)
-        if rest is None:
-            raise _Abort("BAD_LENGTH")
         for peer in self.cfg.peers_in:
             try:
-                return decode_frame(head + rest, self.cfg.link_keys[peer]), peer
+                return decode_frame(blob, self.cfg.link_keys[peer]), peer
             except FrameError:
                 continue
         raise _Abort("BAD_TAG")
@@ -324,7 +320,8 @@ class _Node:
         key = self.cfg.link_keys[peer]
         while True:
             try:
-                frame = _read_frame(conn, key)
+                blob = _read_frame(conn)
+                frame = None if blob is None else decode_frame(blob, key)
             except (FrameError, OSError) as exc:
                 self.inbox.put((peer, exc))
                 return
@@ -645,8 +642,12 @@ def orchestrate(
 
     wrong_variant_node and drop_key are fault-injection hooks for tests: the
     first gives one node a mismatched run descriptor, the second deletes one
-    line from one node's key-oracle slice.
+    (node label, secret name) entry from that node's key-oracle slice.
     """
+    # hop indices are u16; check before planning, which costs O(hops x links)
+    hops = sum(len(p) - 1 for p in topo.paths)
+    if hops > _MAX_HOPS:
+        raise ValueError(f"{hops} hops exceed the wire limit of {_MAX_HOPS}")
     plan = plan_keys(topo, variant)
     schedule = compile_schedule(plan)
     store = make_store(schedule, n, random.Random(seed))
@@ -654,16 +655,13 @@ def orchestrate(
     os.makedirs(out_dir, exist_ok=True)
     oracle_paths: dict[str, str] = {}
     for nd in topo.nodes:
-        lines = [
-            f"{sid.name}\t{store[sid].to_hex()}\n"
-            for sid in store.ids()
-            if nd.label in sid.ends
-        ]
-        if drop_key is not None and drop_key[0] == nd.label:
-            lines = [ln for ln in lines if not ln.startswith(drop_key[1] + "\t")]
+        held = KeyStore(n)
+        for sid in store.ids():
+            if sid.involves(nd.label) and (nd.label, sid.name) != drop_key:
+                held.add(sid, store[sid])
         path = f"{out_dir}/oracle_{nd.label}.tsv"
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("".join(lines))
+            fh.write(key_oracle_text(held))
         oracle_paths[nd.label] = path
 
     cfgs = _node_configs(schedule, n, base_port, out_dir, oracle_paths, tamper_index, timeout)

@@ -106,6 +106,28 @@ def test_chain_m4_has_a_nonadjacent_breaking_pair():
     assert _min_sets(trace) == [("N1", "N2"), ("N1", "N4"), ("N2", "N3"), ("N3", "N4")]
 
 
+def test_chain_minimal_coalitions_are_the_odd_distance_pairs():
+    """Chain m's minimal breaking coalitions are the pairs {Ni, Nj}, j - i odd.
+
+    Write k0 = P[A,N1], k(m+1) = P[Nm,B] and ki = K[N(i-1),N(i+1)] for
+    1 <= i <= m. Every sender folds in all its keys, so Mi = X[A] + ki + k(i+1)
+    for i = 0..m, and Ni holds exactly k(i-1) and k(i+1). Over GF(2), read
+    message Mi as the edge k(i)-k(i+1) of a path graph. An XOR of messages
+    cancels every key the coalition lacks only if all its odd-degree vertices
+    are held keys, i.e. it is a union of segments between held keys; it keeps
+    X[A] only if it has an odd number of edges, so some segment joins two held
+    keys at odd distance. Ni's keys share the parity of i+1, so a coalition
+    breaks exactly when two members lie at odd distance. Adjacent pairs are
+    among them, but from m = 4 on so are pairs such as {N1, N4}, which is why
+    acceptance criterion 4 fails.
+    """
+    for m in range(4, 15):
+        trace = _trace(build_chain(m), Variant.CHAIN_M)
+        got = {frozenset(nd.label for nd in c.members) for c in min_breaking_coalitions(trace)}
+        pairs = combinations(range(1, m + 1), 2)
+        assert got == {frozenset((f"N{i}", f"N{j}")) for i, j in pairs if (j - i) % 2}
+
+
 def test_chain_minimum_size_stays_two():
     for m in range(2, 7):
         trace = _trace(build_chain(m), Variant.CHAIN_M)

@@ -211,6 +211,21 @@ def test_wire_tamper_exits_two(tmp_path, capsys):
     assert not (tmp_path / "key_A.hex").exists()
 
 
+def test_wire_refuses_an_oversized_schedule_before_any_node_starts(
+    tmp_path, monkeypatch, capsys
+):
+    # chain m=65536 has 65537 hops, one more than a u16 hop index can number;
+    # the patch guarantees a misplaced check fails instead of starting threads
+    def no_threads(*args, **kwargs):
+        pytest.fail("a node thread was started")
+
+    monkeypatch.setattr("keyhop.wire.threading.Thread", no_threads)
+    code = main(["wire", "--shape", "chain", "--m", "65536", "--output-dir", str(tmp_path)])
+    assert code == 3
+    assert "65537 hops" in capsys.readouterr().err
+    assert not list(tmp_path.glob("oracle_*.tsv"))
+
+
 def test_config_file_round_trip(tmp_path, capsys):
     cfg = tmp_path / "topo.cfg"
     cfg.write_text("shape = chain\nm = 3\nlink_length_km = 50\n")

@@ -5,20 +5,7 @@ import pytest
 
 from keyhop.bits import BitString, nonce
 from keyhop.keyplan import Variant, plan_keys
-from keyhop.protocol import (
-    compile_schedule,
-    make_store,
-    run,
-    run_chain2,
-    run_chain_m,
-    run_multipath,
-    run_reach_t,
-    run_ring_v1,
-    run_ring_v2,
-    send_message_as_payload,
-    trace_json,
-    trace_text,
-)
+from keyhop.protocol import compile_schedule, make_store, run, trace_json, trace_text
 from keyhop.topology import build_chain, build_multipath, build_reach_chain, build_ring6
 
 
@@ -27,7 +14,7 @@ def _exprs(trace):
 
 
 def test_ring_v1_message_algebra():
-    trace = run_ring_v1(build_ring6(), 16, random.Random(0))
+    trace = run(build_ring6(), Variant.RING_V1, 16, random.Random(0))
     assert _exprs(trace) == [
         ("A->N1", "K[A,N2]+X[A]"),
         ("N1->N2", "K[A,N2]+K[N1,B]+X[A]"),
@@ -41,7 +28,7 @@ def test_ring_v1_message_algebra():
 
 
 def test_ring_v2_message_algebra():
-    trace = run_ring_v2(build_ring6(), 16, random.Random(0))
+    trace = run(build_ring6(), Variant.RING_V2, 16, random.Random(0))
     # each sender folds in every key it holds on the path, so a link key
     # shared by sender and receiver cancels out of the next message
     assert _exprs(trace) == [
@@ -56,7 +43,7 @@ def test_ring_v2_message_algebra():
 
 
 def test_chain2_message_algebra():
-    trace = run_chain2(build_chain(2), 16, random.Random(0))
+    trace = run(build_chain(2), Variant.CHAIN2, 16, random.Random(0))
     assert _exprs(trace) == [
         ("A->N1", "K[A,N2]+P[A,N1]+X[A]"),
         ("N1->N2", "K[A,N2]+K[N1,B]+X[A]"),
@@ -66,14 +53,14 @@ def test_chain2_message_algebra():
 
 
 def test_chain2_equals_chain_m_at_two():
-    t1 = run_chain2(build_chain(2), 16, random.Random(3))
-    t2 = run_chain_m(build_chain(2), 16, random.Random(3))
+    t1 = run(build_chain(2), Variant.CHAIN2, 16, random.Random(3))
+    t2 = run(build_chain(2), Variant.CHAIN_M, 16, random.Random(3))
     assert _exprs(t1) == _exprs(t2)
     assert t1.output_a == t2.output_a
 
 
 def test_reach_message_algebra():
-    trace = run_reach_t(build_reach_chain(3, 2), 16, random.Random(0))
+    trace = run(build_reach_chain(3, 2), Variant.REACH_T, 16, random.Random(0))
     assert _exprs(trace) == [
         ("A->N1", "K[A,N2]+K[A,N3]+P[A,N1]+X[A]"),
         ("N1->N2", "K[A,N2]+K[A,N3]+K[N1,B]+K[N1,N3]+X[A]"),
@@ -84,7 +71,7 @@ def test_reach_message_algebra():
 
 
 def test_multipath_final_key_folds_every_path_nonce():
-    trace = run_multipath(build_multipath([2, 3]), 16, random.Random(1))
+    trace = run(build_multipath([2, 3]), Variant.MULTIPATH, 16, random.Random(1))
     assert [s.name for s in trace.nonce_ids] == ["X[A@1]", "X[A@2]"]
     assert trace.output_a == trace.store[nonce("A", 1)] ^ trace.store[nonce("A", 2)]
     senders = [m.sender.label for m in trace.messages]
@@ -94,8 +81,8 @@ def test_multipath_final_key_folds_every_path_nonce():
 def test_ring_v2_matches_two_by_two_multipath():
     # same draw schedule, same final key; the second path runs B->A on the
     # ring and A->B on the multipath twin, so its messages come out mirrored
-    v2 = run_ring_v2(build_ring6(), 16, random.Random(9))
-    mp = run_multipath(build_multipath([2, 2]), 16, random.Random(9))
+    v2 = run(build_ring6(), Variant.RING_V2, 16, random.Random(9))
+    mp = run(build_multipath([2, 2]), Variant.MULTIPATH, 16, random.Random(9))
     assert v2.output_a == mp.output_a
     assert sorted(m.bits.to_hex() for m in v2.messages) == sorted(
         m.bits.to_hex() for m in mp.messages
@@ -104,16 +91,16 @@ def test_ring_v2_matches_two_by_two_multipath():
 
 def test_every_message_evaluates_to_its_expr():
     for trace in (
-        run_ring_v2(build_ring6(), 24, random.Random(4)),
-        run_chain_m(build_chain(5), 24, random.Random(4)),
-        run_multipath(build_multipath([2, 2, 3], t=1), 24, random.Random(4)),
+        run(build_ring6(), Variant.RING_V2, 24, random.Random(4)),
+        run(build_chain(5), Variant.CHAIN_M, 24, random.Random(4)),
+        run(build_multipath([2, 2, 3], t=1), Variant.MULTIPATH, 24, random.Random(4)),
     ):
         for msg in trace.messages:
             assert msg.bits == trace.store.evaluate(msg.expr)
 
 
 def test_intermediaries_never_touch_nonces():
-    trace = run_chain_m(build_chain(4), 8, random.Random(0))
+    trace = run(build_chain(4), Variant.CHAIN_M, 8, random.Random(0))
     sched = compile_schedule(plan_keys(trace.topology, Variant.CHAIN_M))
     for hop in sched.hops:
         assert all(sid.kind.value != "X" for sid in hop.xor_ids)
@@ -130,13 +117,13 @@ def test_run_is_deterministic():
 def test_payload_delivery_over_chain():
     topo = build_chain(3)
     z = BitString.from01("1100101011110000")
-    trace = send_message_as_payload(z, topo, 16, random.Random(6))
+    trace = run(topo, Variant.CHAIN_M, 16, random.Random(6), payload=z)
     assert trace.output_a == trace.output_b == z
 
 
 def test_payload_needs_matching_length():
     with pytest.raises(ValueError):
-        send_message_as_payload(BitString.from01("101"), build_chain(2), 16, random.Random(0))
+        run(build_chain(2), Variant.CHAIN_M, 16, random.Random(0), payload=BitString.from01("101"))
 
 
 def test_shape_variant_mismatch_rejected():
@@ -163,7 +150,7 @@ def test_make_store_covers_plan_then_nonces():
 
 
 def test_trace_text_shape():
-    trace = run_chain2(build_chain(2), 16, random.Random(0))
+    trace = run(build_chain(2), Variant.CHAIN2, 16, random.Random(0))
     lines = trace_text(trace).splitlines()
     assert lines[0] == "# variant=chain2 topology=chain(m=2) n=16"
     assert lines[1].startswith("M0 A->N1 ")
@@ -172,7 +159,7 @@ def test_trace_text_shape():
 
 
 def test_trace_json_round_trips_values():
-    trace = run_ring_v1(build_ring6(), 16, random.Random(8))
+    trace = run(build_ring6(), Variant.RING_V1, 16, random.Random(8))
     doc = json.loads(trace_json(trace))
     assert doc["variant"] == "ring-v1"
     assert doc["topology"] == "ring6"

@@ -131,13 +131,6 @@ def test_params_reject_nonpositive_values():
         RateParams(0.2, 1e6, 1e6, 0.0)
 
 
-def test_parallel_paths_do_not_cut_rate_serial_paths_do():
-    d, m = 500.0, 4
-    lone = rate_scheme(d, m, PARAMS)
-    assert rate_scheme(d, m, PARAMS, n_paths=3, parallel=True) == pytest.approx(lone)
-    assert rate_scheme(d, m, PARAMS, n_paths=3, parallel=False) == pytest.approx(lone / 3)
-
-
 def test_rate_at_zero_distance_is_the_clock():
     assert rate_tf(0.0, PARAMS) == PARAMS.c_tf
     assert rate_p2p(0.0, PARAMS) == pytest.approx(1.44 * PARAMS.c_p2p)

@@ -1,5 +1,6 @@
 import pytest
 
+from keyhop.keyplan import Variant, plan_keys
 from keyhop.topology import (
     Shape,
     build_chain,
@@ -8,7 +9,6 @@ from keyhop.topology import (
     build_ring6,
     emit_topology_config,
     parse_topology_config,
-    qkd_reachable_pairs,
 )
 
 
@@ -73,7 +73,8 @@ def test_multipath_rejects_short_or_unreachable_paths():
 
 
 def test_ring_reachable_pairs():
-    pairs = {p.labels: p.mechanism for p in qkd_reachable_pairs(build_ring6())}
+    entries = plan_keys(build_ring6(), Variant.RING_V2).entries
+    pairs = {e.secret_id.ends: e.mechanism for e in entries}
     assert pairs == {
         ("A", "N1"): "P2P",
         ("N2", "B"): "P2P",
@@ -87,9 +88,8 @@ def test_ring_reachable_pairs():
 
 
 def test_chain_reach_two_pairs_and_relays():
-    topo = build_chain(3)
-    pairs = qkd_reachable_pairs(topo, t=2)
-    by_labels = {p.labels: p for p in pairs}
+    entries = plan_keys(build_reach_chain(3, 2), Variant.REACH_T).entries
+    by_labels = {e.secret_id.ends: e for e in entries}
     tf = {lab for lab, p in by_labels.items() if p.mechanism == "TF"}
     assert tf == {("A", "N2"), ("N1", "N3"), ("N2", "B"), ("A", "N3"), ("N1", "B")}
     assert by_labels[("A", "N2")].relay.label == "N1"
@@ -100,8 +100,9 @@ def test_chain_reach_two_pairs_and_relays():
 
 
 def test_reachable_pairs_grow_with_reach():
-    topo = build_chain(5)
-    counts = [len(qkd_reachable_pairs(topo, t=t)) for t in (1, 2, 3)]
+    plans = [plan_keys(build_chain(5), Variant.CHAIN_M)]
+    plans += [plan_keys(build_reach_chain(5, t), Variant.REACH_T) for t in (2, 3)]
+    counts = [len(plan.entries) for plan in plans]
     assert counts[0] < counts[1] < counts[2]
 
 

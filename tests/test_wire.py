@@ -1,17 +1,23 @@
 import random
+import socket
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from keyhop.keyplan import Variant
 from keyhop.protocol import run
 from keyhop.topology import build_chain, build_multipath, build_ring6
 from keyhop.wire import (
     FRAME_ABORT,
+    FRAME_DONE,
     FRAME_HELLO,
     FRAME_RELAY,
+    MAX_FRAME,
+    TAG_LEN,
     Frame,
     FrameError,
-    MAX_FRAME,
+    _read_frame,
     decode_frame,
     encode_frame,
     orchestrate,
@@ -87,6 +93,89 @@ def test_malformed_lengths_rejected(blob):
 def test_oversize_payload_refused_on_encode():
     with pytest.raises(FrameError):
         encode_frame(Frame(FRAME_RELAY, 0, b"z" * MAX_FRAME), KEY)
+
+
+KNOWN_TYPES = (FRAME_HELLO, FRAME_RELAY, FRAME_DONE, FRAME_ABORT)
+MIN_LENGTH = 3 + TAG_LEN  # type + index + tag
+frames = st.builds(
+    Frame, st.sampled_from(KNOWN_TYPES), st.integers(0, 0xFFFF), st.binary(max_size=64)
+)
+bad_lengths = st.one_of(st.integers(0, MIN_LENGTH - 1), st.integers(MAX_FRAME + 1, 2**32 - 1))
+
+
+def _code(blob):
+    """decode_frame's FrameError code for blob, or None if it decodes; any
+    other exception escapes and fails the test."""
+    try:
+        decode_frame(blob, KEY)
+    except FrameError as exc:
+        return exc.code
+    return None
+
+
+@given(st.binary(max_size=128))
+def test_decode_random_bytes_raises_only_frame_error(blob):
+    _code(blob)
+
+
+@given(frames, st.data())
+def test_decode_truncated_frame_is_bad_length(frame, data):
+    blob = encode_frame(frame, KEY)
+    assert _code(blob[: data.draw(st.integers(0, len(blob) - 1))]) == "BAD_LENGTH"
+
+
+@given(frames, bad_lengths)
+def test_decode_out_of_range_length_field_is_bad_length(frame, length):
+    blob = encode_frame(frame, KEY)
+    assert _code(length.to_bytes(4, "big") + blob[4:]) == "BAD_LENGTH"
+
+
+@given(frames, st.integers(0, TAG_LEN - 1), st.integers(1, 255))
+def test_decode_flipped_tag_byte_is_bad_tag(frame, pos, flip):
+    blob = bytearray(encode_frame(frame, KEY))
+    blob[len(blob) - TAG_LEN + pos] ^= flip
+    assert _code(bytes(blob)) == "BAD_TAG"
+
+
+@given(st.integers(0, 255).filter(lambda t: t not in KNOWN_TYPES), st.binary(max_size=64))
+def test_decode_unknown_type_under_a_valid_tag(ftype, payload):
+    assert _code(encode_frame(Frame(ftype, 1, payload), KEY)) == "UNKNOWN_TYPE"
+
+
+def _stream(data):
+    """The reading end of a socket pair that carries data and then ends."""
+    sender, reader = socket.socketpair()
+    reader.settimeout(5.0)
+    with sender:
+        sender.sendall(data)
+    return reader
+
+
+def test_reader_returns_none_at_a_clean_end_of_stream():
+    blob = encode_frame(Frame(FRAME_RELAY, 2, b"payload"), KEY)
+    with _stream(blob) as sock:
+        assert _read_frame(sock) == blob
+        assert _read_frame(sock) is None
+    with _stream(b"") as sock:
+        assert _read_frame(sock) is None
+
+
+@given(frames, st.data())
+def test_reader_rejects_a_truncated_frame(frame, data):
+    blob = encode_frame(frame, KEY)
+    with _stream(blob[: data.draw(st.integers(1, len(blob) - 1))]) as sock:
+        with pytest.raises(FrameError) as err:
+            _read_frame(sock)
+    assert err.value.code == "BAD_LENGTH"
+
+
+@given(frames, bad_lengths)
+def test_reader_rejects_an_out_of_range_length_field(frame, length):
+    blob = encode_frame(frame, KEY)
+    with _stream(length.to_bytes(4, "big") + blob[4:]) as sock:
+        with pytest.raises(FrameError) as err:
+            _read_frame(sock)
+    assert err.value.code == "BAD_LENGTH"
 
 
 def _run(tmp_path, topo, variant, seed=5, n=64, **kw):
