@@ -2,12 +2,21 @@
 
 A coalition of corrupted nodes sees every transmitted payload plus the keys
 its members hold. Over GF(2) a target expression is recoverable exactly when
-it lies in the span of those observations, so secrecy is decided by
-elimination with combination tracking (which also yields the recovery
-recipe). brute_force_secrecy is the independent check: it sweeps the full
-truth table of secret assignments at n=1 and inspects the conditional
-distribution of the target given the adversary's view. The two must always
-agree; tests hold them against each other.
+it lies in the span of those observations. One elimination core, _eliminate,
+serves two paths:
+
+- explain (view_of + is_recoverable): one coalition's view, reduced with
+  combination tracking, so a BROKEN verdict carries its recovery recipe;
+- decide (min_breaking_coalitions, coalition_rows): the message, target and
+  per-intermediary key masks are built once per trace, and a coalition breaks
+  when the target, with its held keys masked out, lies in the span of the
+  messages masked the same way. Coalitions are int bitmasks over the
+  intermediaries; only the output is turned back into Coalition objects.
+
+brute_force_secrecy is the independent check: it sweeps the full truth table
+of secret assignments at n=1 and inspects the conditional distribution of the
+target given the adversary's view. The paths must always agree; tests hold
+them against each other.
 """
 
 from __future__ import annotations
@@ -18,8 +27,6 @@ from enum import Enum
 from itertools import combinations, product
 from math import log2
 from typing import Callable, Iterable, Iterator
-
-import numpy as np
 
 from .bits import BitString, SecretId, SymbolicExpr
 from .keyplan import Variant
@@ -136,6 +143,20 @@ def _eliminate(rows: list[int]) -> dict[int, tuple[int, int]]:
     return pivots
 
 
+def _reduce(pivots: dict[int, tuple[int, int]], residual: int) -> int | None:
+    """The combination of input rows whose XOR is residual, or None when
+    residual lies outside their span."""
+    combo = 0
+    while residual:
+        col = (residual & -residual).bit_length() - 1
+        if col not in pivots:
+            return None
+        pmask, pcombo = pivots[col]
+        residual ^= pmask
+        combo ^= pcombo
+    return combo
+
+
 def is_recoverable(view: AdversaryView, target: SymbolicExpr) -> SecrecyVerdict:
     """Decide whether the view linearly determines the target.
 
@@ -159,17 +180,9 @@ def is_recoverable(view: AdversaryView, target: SymbolicExpr) -> SecrecyVerdict:
     # set bits read from the lowest up
     rows = [mask_of(expr.terms) for expr in view.observed]
     rows += [1 << order[sid] for sid in view.known]
-    pivots = _eliminate(rows)
-
-    residual = mask_of(target.terms)
-    combo = 0
-    while residual:
-        col = (residual & -residual).bit_length() - 1
-        if col not in pivots:
-            return SecrecyVerdict(target, Status.SECURE)
-        pmask, pcombo = pivots[col]
-        residual ^= pmask
-        combo ^= pcombo
+    combo = _reduce(_eliminate(rows), mask_of(target.terms))
+    if combo is None:
+        return SecrecyVerdict(target, Status.SECURE)
     items = (*range(len(view.observed)), *view.known)
     recovery = tuple(item for pos, item in enumerate(items) if combo >> pos & 1)
     return SecrecyVerdict(target, Status.BROKEN, recovery)
@@ -189,17 +202,60 @@ def recover_bits(trace: ProtocolTrace, verdict: SecrecyVerdict) -> BitString:
     return acc
 
 
-def _subsets(trace: ProtocolTrace) -> Iterator[frozenset[NodeId]]:
-    """Every intermediary coalition's members, smallest first."""
-    inter = trace.topology.intermediaries
-    if len(inter) > ENUMERATION_CAP:
+def _subsets(trace: ProtocolTrace) -> Iterator[int]:
+    """Every intermediary coalition as a bitmask over
+    trace.topology.intermediaries, smallest first."""
+    count = len(trace.topology.intermediaries)
+    if count > ENUMERATION_CAP:
         raise ValueError(
-            f"{len(inter)} intermediaries exceeds the exhaustive enumeration cap"
+            f"{count} intermediaries exceeds the exhaustive enumeration cap"
             f" of {ENUMERATION_CAP}"
         )
-    for size in range(len(inter) + 1):
-        for combo in combinations(inter, size):
-            yield frozenset(combo)
+    bits = [1 << i for i in range(count)]
+    return (sum(combo) for size in range(count + 1) for combo in combinations(bits, size))
+
+
+def _decider(trace: ProtocolTrace, target: SymbolicExpr) -> Callable[[int], bool]:
+    """Build the masks once per (trace, target) and return the test of
+    whether a coalition bitmask recovers the target.
+
+    Columns are the store's secrets by name, then any other target or
+    message terms. Held keys are known outright, so masking them out of
+    every row and of the target leaves the same span question over the
+    messages alone.
+    """
+    secrets = sorted(trace.store.ids(), key=lambda s: s.name)
+    order = {sid: i for i, sid in enumerate(secrets)}
+
+    def mask_of(terms: Iterable[SecretId]) -> int:
+        mask = 0
+        for sid in terms:
+            mask |= 1 << order.setdefault(sid, len(order))
+        return mask
+
+    goal = mask_of(target.terms)
+    messages = [mask_of(msg.expr.terms) for msg in trace.messages]
+    held = [
+        mask_of(sid for sid in secrets if nd.label in sid.ends)
+        for nd in trace.topology.intermediaries
+    ]
+
+    def breaks(coalition: int) -> bool:
+        known = 0
+        while coalition:
+            low = coalition & -coalition
+            known |= held[low.bit_length() - 1]
+            coalition ^= low
+        keep = ~known
+        pivots = _eliminate([row & keep for row in messages])
+        return _reduce(pivots, goal & keep) is not None
+
+    return breaks
+
+
+def _coalition(trace: ProtocolTrace, mask: int) -> Coalition:
+    inter = trace.topology.intermediaries
+    return Coalition(frozenset(nd for i, nd in enumerate(inter) if mask >> i & 1))
 
 
 def min_breaking_coalitions(
@@ -208,13 +264,14 @@ def min_breaking_coalitions(
     """All minimal intermediary coalitions that recover the target
     (final key by default), smallest first; supersets are pruned."""
     target = target if target is not None else final_key_expr(trace)
-    minimal: list[frozenset[NodeId]] = []
-    for members in _subsets(trace):
-        if any(found <= members for found in minimal):
+    breaks = _decider(trace, target)
+    minimal: list[int] = []
+    for coal in _subsets(trace):
+        if any(found & ~coal == 0 for found in minimal):
             continue
-        if is_recoverable(view_of(trace, Coalition(members)), target).status is Status.BROKEN:
-            minimal.append(members)
-    return [Coalition(m) for m in minimal]
+        if breaks(coal):
+            minimal.append(coal)
+    return [_coalition(trace, coal) for coal in minimal]
 
 
 def coalition_rows(
@@ -222,19 +279,17 @@ def coalition_rows(
 ) -> list[tuple[str, str, str, str]]:
     """One (variant, topology, coalition, status) row per intermediary coalition."""
     target = target if target is not None else final_key_expr(trace)
-    rows = []
-    for members in _subsets(trace):
-        coal = Coalition(members)
-        status = is_recoverable(view_of(trace, coal), target).status
-        rows.append(
-            (
-                trace.variant.value,
-                trace.topology.describe(),
-                coal.describe(),
-                status.value,
-            )
+    breaks = _decider(trace, target)
+    variant, topology = trace.variant.value, trace.topology.describe()
+    return [
+        (
+            variant,
+            topology,
+            _coalition(trace, coal).describe(),
+            (Status.BROKEN if breaks(coal) else Status.SECURE).value,
         )
-    return rows
+        for coal in _subsets(trace)
+    ]
 
 
 def coalition_report_csv(rows: list[tuple[str, str, str, str]]) -> str:
@@ -252,6 +307,8 @@ def brute_force_secrecy(
     it; SECURE iff it stays perfectly balanced in every group. Linearity
     guarantees one of the two holds.
     """
+    import numpy as np  # the oracle is the package's only numpy user
+
     if trace.n != 1:
         raise ValueError("the truth-table oracle runs at n=1")
     ids = sorted(trace.store.ids(), key=lambda s: s.name)

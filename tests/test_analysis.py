@@ -2,9 +2,12 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from keyhop.analysis import (
     ACTIVE_STRATEGIES,
+    ENUMERATION_CAP,
     Coalition,
     Status,
     active_attack_leakage,
@@ -121,7 +124,7 @@ def test_chain_minimal_coalitions_are_the_odd_distance_pairs():
     among them, but from m = 4 on so are pairs such as {N1, N4}, which is why
     acceptance criterion 4 fails.
     """
-    for m in range(4, 15):
+    for m in range(4, 17):
         trace = _trace(build_chain(m), Variant.CHAIN_M)
         got = {frozenset(nd.label for nd in c.members) for c in min_breaking_coalitions(trace)}
         pairs = combinations(range(1, m + 1), 2)
@@ -239,3 +242,55 @@ def test_collusion_grid_scales_with_paths_and_reach():
     text = grid_csv(rows)
     assert text.splitlines()[0] == "paths,reach,m_per_path,min_colluding_nodes"
     assert "3,2,3,9" in text.splitlines()
+
+
+@st.composite
+def _multipath(draw):
+    t = draw(st.sampled_from((1, 2)))
+    # at most 9 intermediaries: the reference sweep over 12 takes about 3 s
+    lengths = draw(
+        st.lists(st.integers(t + 1, 4), min_size=1, max_size=3).filter(lambda ls: sum(ls) <= 9)
+    )
+    return build_multipath(lengths, 100.0, t), Variant.MULTIPATH
+
+
+@st.composite
+def _reach(draw):
+    t = draw(st.integers(2, 4))
+    return build_reach_chain(draw(st.integers(t + 1, 10)), t), Variant.REACH_T
+
+
+LAYOUTS = st.one_of(
+    _multipath(),
+    st.integers(2, 10).map(
+        lambda m: (build_chain(m), Variant.CHAIN2 if m == 2 else Variant.CHAIN_M)
+    ),
+    _reach(),
+    st.sampled_from((Variant.RING_V1, Variant.RING_V2)).map(lambda v: (build_ring6(), v)),
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(LAYOUTS, st.integers(0, 3))
+def test_fast_decider_agrees_with_the_reference_analyzer(layout, seed):
+    """coalition_rows and min_breaking_coalitions decide from masks built once
+    per trace; view_of + is_recoverable is the reference they must match."""
+    trace = _trace(*layout, seed=seed, n=1)
+    inter = trace.topology.intermediaries
+    subsets = [frozenset(c) for size in range(len(inter) + 1) for c in combinations(inter, size)]
+    views = [view_of(trace, Coalition(members)) for members in subsets]
+    for target in (final_key_expr(trace), *(SymbolicExpr.of(nid) for nid in trace.nonce_ids)):
+        statuses = [is_recoverable(view, target).status for view in views]
+        assert [row[3] for row in coalition_rows(trace, target)] == [s.value for s in statuses]
+        breaking = {m for m, s in zip(subsets, statuses) if s is Status.BROKEN}
+        minimal = [m for m in subsets if m in breaking and not any(m - {x} in breaking for x in m)]
+        assert [c.members for c in min_breaking_coalitions(trace, target)] == minimal
+
+
+def test_enumeration_cap_refuses_chain_m21():
+    trace = _trace(build_chain(ENUMERATION_CAP + 1), Variant.CHAIN_M, n=1)
+    message = "21 intermediaries exceeds the exhaustive enumeration cap of 20"
+    with pytest.raises(ValueError, match=message):
+        min_breaking_coalitions(trace)
+    with pytest.raises(ValueError, match=message):
+        coalition_rows(trace)

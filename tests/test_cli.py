@@ -73,6 +73,15 @@ def test_analyze_enumerates_and_writes_csv(tmp_path, capsys):
     assert len(lines) == 17  # header plus the 16 subsets of four nodes
 
 
+def test_analyze_past_the_enumeration_cap_exits_three(tmp_path, capsys):
+    code = main(["analyze", "--shape", "chain", "--m", "21", "--output-dir", str(tmp_path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "exceeds the exhaustive enumeration cap of 20" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "coalitions.csv").exists()
+
+
 def test_analyze_single_coalition_with_oracle(tmp_path, capsys):
     code = main(
         [

@@ -1,5 +1,8 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -13,3 +16,13 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [export for export in module.__all__ if not hasattr(module, export)]
     assert missing == []
+
+
+def test_package_import_leaves_numpy_unloaded():
+    # numpy is only needed by the truth-table oracle and loads on first use
+    code = "import sys, keyhop, keyhop.cli; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(keyhop.__file__))}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
