@@ -14,25 +14,36 @@ hop actions the schedule compiler assigned to it; the in-process engine
 executes the same schedule, which keeps wire-versus-engine equivalence a
 meaningful check of the transport rather than of one shared code path.
 
+Each node's protocol is a NodeMachine, which does no I/O: it takes one
+inbound event at a time (a frame, an end of stream, a read error, its
+deadline) and returns the frames to send. `orchestrate` runs every node of a
+run on one asyncio event loop. It binds every listener before any node
+dials, then feeds each link's frames to its node as they arrive.
+
 Termination: DONE frames are gossiped (payload = label of the node that
 finished), and nobody, endpoints especially, terminates cleanly before
 hearing every label. An endpoint therefore never writes a key unless the
 whole run succeeded; any abort floods ABORT frames instead and starves the
 gossip, so both endpoints abort. This matters on chains, where the origin
-endpoint finishes sending long before downstream tampering is detected.
+endpoint finishes sending long before downstream tampering is detected. A
+node that has not finished `timeout` seconds after the run started aborts
+with TIMEOUT.
+
+Teardown: a node that has finished, cleanly or by abort, half-closes every
+link, then reads each one until its peer half-closes too, for at most
+`timeout` seconds, and only then closes its sockets. A full close with unread
+data would make the kernel answer with a reset, and the reset destroys the
+frames the peer has not read yet, an ABORT among them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import hmac
 import os
 import random
-import socket
-import threading
-import time
 from dataclasses import dataclass, field
-from queue import Empty, Queue
 
 from .bits import BitString, KeyStore
 from .keyplan import Variant, key_oracle_text, parse_key_oracle, plan_keys
@@ -52,7 +63,7 @@ __all__ = [
     "RecvAction",
     "NodeConfig",
     "NodeResult",
-    "run_node",
+    "NodeMachine",
     "WireRun",
     "orchestrate",
 ]
@@ -85,7 +96,7 @@ class Frame:
 
 
 def _tag(body: bytes, auth_key: bytes) -> bytes:
-    return hmac.new(auth_key, body, hashlib.sha256).digest()
+    return hmac.digest(auth_key, body, "sha256")
 
 
 def encode_frame(frame: Frame, auth_key: bytes) -> bytes:
@@ -116,6 +127,23 @@ def decode_frame(data: bytes, auth_key: bytes) -> Frame:
     if body[0] not in _KNOWN_TYPES:
         raise FrameError("UNKNOWN_TYPE", f"0x{body[0]:02x}")
     return Frame(body[0], int.from_bytes(body[1:3], "big"), body[3:])
+
+
+async def _read_frame(reader) -> bytes | None:
+    """Read one whole frame from an asyncio.StreamReader, still unverified;
+    None on a clean end of stream."""
+    try:
+        head = await reader.readexactly(4)
+    except EOFError as exc:  # asyncio.IncompleteReadError
+        if exc.partial:
+            raise FrameError("BAD_LENGTH", "stream ended in the length field") from None
+        return None
+    length = int.from_bytes(head, "big")
+    _check_length(length)
+    try:
+        return head + await reader.readexactly(length)
+    except EOFError:
+        raise FrameError("BAD_LENGTH", "stream ended mid-frame") from None
 
 
 @dataclass(frozen=True)
@@ -177,50 +205,135 @@ class _Abort(Exception):
         self.exit_code = exit_code
 
 
-def _read_frame(sock: socket.socket) -> bytes | None:
-    """Read one whole frame, still unverified; None on a clean end of stream."""
-    blob, want = b"", 4
-    while len(blob) < want:
-        chunk = sock.recv(want - len(blob))
-        if not chunk:
-            if blob:
-                raise FrameError("BAD_LENGTH", "stream ended mid-frame")
-            return None
-        blob += chunk
-        if len(blob) == 4:
-            length = int.from_bytes(blob, "big")
-            _check_length(length)
-            want += length
-    return blob
+Sends = list[tuple[str, bytes]]  # (peer label, frame bytes) in send order
 
 
-class _Node:
-    def __init__(self, cfg: NodeConfig) -> None:
+class NodeMachine:
+    """One node's protocol as a state machine that does no I/O.
+
+    Its caller reports each outbound link it connects (`dialled`) and each
+    inbound event (`feed`); both return the frames to send. The first frame
+    of an inbound link names its peer (`identify`). `code` is None while the
+    node runs, then its exit code: 0 success, 2 protocol abort, 3
+    configuration error (a key missing from the oracle slice). After a
+    success, `output` holds an endpoint's key. Events that arrive after the
+    node finished are ignored.
+    """
+
+    def __init__(self, cfg: NodeConfig, values: dict[str, BitString]) -> None:
         self.cfg = cfg
+        self.values = values  # secret name -> value, from the key-oracle slice
         self.transcript: list[str] = []
-        self.sockets: dict[str, socket.socket] = {}
-        self.inbox: Queue = Queue()
-        self.aborted = False
-        self.server: socket.socket | None = None
-        self.values: dict[str, BitString] = {}
+        self.code: int | None = None
+        self.output: BitString | None = None
+        self.labels = set(cfg.all_labels)
+        self.peers = set(cfg.peers_in) | set(cfg.peers_out)
+        self.links: set[str] = set()  # peers greeted by us or by an authentic HELLO
+        self.pc = 0  # index of the next schedule action
         self.received: dict[int, BitString] = {}
         self.finished: set[str] = set()  # labels whose DONE gossip arrived
         self.eof_peers: set[str] = set()
         self.expected_relays = {
             (act.peer, act.hop_index) for act in cfg.actions if isinstance(act, RecvAction)
         }
+        self._sends: Sends = []
 
     def log(self, line: str) -> None:
         self.transcript.append(f"{self.cfg.label}: {line}")
 
-    # -- setup ------------------------------------------------------------
+    # -- events -----------------------------------------------------------
 
-    def load_oracle(self) -> None:
-        with open(self.cfg.oracle_path, encoding="utf-8") as fh:
-            parsed = parse_key_oracle(fh.read(), self.cfg.n, self.cfg.label)
-        self.values = {sid.name: value for sid, value in parsed.items()}
+    def identify(self, blob: bytes) -> str:
+        """The inbound peer whose link key authenticates blob, the first
+        frame of a new inbound link; FrameError(BAD_TAG) if none does."""
+        for peer in self.cfg.peers_in:
+            try:
+                decode_frame(blob, self.cfg.link_keys[peer])
+            except FrameError:
+                continue
+            return peer
+        raise FrameError("BAD_TAG")
 
-    def needed_names(self) -> set[str]:
+    def dialled(self, peer: str) -> Sends:
+        """The outbound link to peer connected: greet it."""
+        return self._step(self._greet, peer)
+
+    def feed(self, peer: str | None, event: bytes | FrameError | TimeoutError | None) -> Sends:
+        """Take one inbound event: a whole frame from peer, None for peer's
+        end of stream, the FrameError that stopped a read, or TimeoutError
+        for the node's deadline. peer is None for the deadline and for an
+        inbound link whose first frame did not authenticate."""
+        return self._step(self._dispatch, peer, event)
+
+    def _step(self, handler, *args) -> Sends:
+        if self.code is None:
+            try:
+                handler(*args)
+                self._advance()
+            except _Abort as exc:
+                self.code = exc.exit_code
+                self.log(f"ABORT {exc.reason}")
+                self._broadcast(FRAME_ABORT, exc.reason.encode())
+        sends, self._sends = self._sends, []
+        return sends
+
+    def _greet(self, peer: str) -> None:
+        hello = f"{self.cfg.descriptor}|{self.cfg.label}->{peer}"
+        self._send(peer, Frame(FRAME_HELLO, 0, hello.encode()))
+        self.log(f"HELLO -> {peer} sent")
+        self._link_up(peer)
+
+    def _dispatch(self, peer: str | None, event: bytes | FrameError | TimeoutError | None) -> None:
+        if isinstance(event, TimeoutError):
+            raise _Abort("TIMEOUT")
+        if isinstance(event, FrameError):
+            raise _Abort(event.code)
+        if event is None:
+            # nobody may leave while protocol frames are pending; a peer that
+            # announced its completion may, its gossip went out before its FIN
+            if self.pc < len(self.cfg.actions) or peer not in self.finished:
+                raise _Abort("PEER_LOST")
+            self.eof_peers.add(peer)
+            if self.eof_peers == self.peers:
+                raise _Abort("PEER_LOST")
+            return
+        assert peer is not None
+        try:
+            frame = decode_frame(event, self.cfg.link_keys[peer])
+        except FrameError as exc:
+            raise _Abort(exc.code) from None
+        if peer not in self.links:
+            self._accept_hello(peer, frame)
+        elif frame.ftype == FRAME_ABORT:
+            raise _Abort(_peer_abort_reason(frame.payload))
+        elif frame.ftype == FRAME_DONE:
+            self._note_done(frame.payload.decode("utf-8", "replace"))
+        elif frame.ftype == FRAME_RELAY:
+            self._accept_relay(peer, frame)
+        else:
+            raise _Abort("POSITION_MISMATCH")
+
+    # -- protocol ---------------------------------------------------------
+
+    def _accept_hello(self, peer: str, frame: Frame) -> None:
+        want = f"{self.cfg.descriptor}|{peer}->{self.cfg.label}"
+        if frame.ftype != FRAME_HELLO or frame.payload.decode("utf-8", "replace") != want:
+            self.links.add(peer)  # the HELLO authenticated, so the refusal can too
+            raise _Abort("POSITION_MISMATCH")
+        self.log(f"HELLO <- {peer} ok")
+        self._link_up(peer)
+
+    def _link_up(self, peer: str) -> None:
+        self.links.add(peer)
+        if self.links != self.peers:
+            return
+        if self._needed_names() - set(self.values):
+            raise _Abort("MISSING_KEY", exit_code=3)
+        # gossip heard before the last link came up, announced now to all
+        for origin in sorted(self.finished):
+            self._broadcast(FRAME_DONE, origin.encode())
+
+    def _needed_names(self) -> set[str]:
         names: set[str] = set(self.cfg.own_nonce_names)
         for act in self.cfg.actions:
             if isinstance(act, SendAction):
@@ -231,147 +344,44 @@ class _Node:
             names.update(strips)
         return names
 
-    def serve(self) -> None:
-        if not self.cfg.peers_in:
+    def _advance(self) -> None:
+        """Run the schedule as far as the relays received so far allow, then
+        announce completion; finish once every label's DONE has arrived."""
+        if self.links != self.peers:
             return
-        self.server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self.server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self.server.bind(self.cfg.listen)
-        self.server.listen(len(self.cfg.peers_in))
-        self.server.settimeout(self.cfg.timeout)
-
-    def accept_all(self) -> None:
-        if self.server is None:
-            return
-        expected = set(self.cfg.peers_in)
-        while expected:
-            conn, _ = self.server.accept()
-            conn.settimeout(self.cfg.timeout)
-            pair = None
-            try:
-                pair = self._first_frame(conn)
-                peer = self.validate_hello(pair, expected)
-            except _Abort as exc:
-                if pair is not None:
-                    # the hello authenticated, so the refusal can too;
-                    # without it the peer would sit out its whole timeout
-                    frame = Frame(FRAME_ABORT, 0, exc.reason.encode())
-                    try:
-                        conn.sendall(encode_frame(frame, self.cfg.link_keys[pair[1]]))
-                    except OSError:
-                        pass
-                raise
-            expected.discard(peer)
-            self.sockets[peer] = conn
-            self.log(f"HELLO <- {peer} ok")
-
-    def _first_frame(self, conn: socket.socket) -> tuple[Frame, str] | None:
-        # The peer is unknown until its HELLO authenticates under one of our
-        # inbound link keys.
-        try:
-            blob = _read_frame(conn)
-        except FrameError:
-            raise _Abort("BAD_LENGTH") from None
-        if blob is None:
-            return None
-        for peer in self.cfg.peers_in:
-            try:
-                return decode_frame(blob, self.cfg.link_keys[peer]), peer
-            except FrameError:
-                continue
-        raise _Abort("BAD_TAG")
-
-    def validate_hello(self, pair: tuple[Frame, str] | None, expected: set[str]) -> str:
-        if pair is None:
-            raise _Abort("PEER_LOST")
-        frame, peer = pair
-        if frame.ftype != FRAME_HELLO:
-            raise _Abort("POSITION_MISMATCH")
-        want = f"{self.cfg.descriptor}|{peer}->{self.cfg.label}"
-        if peer not in expected or frame.payload.decode("utf-8", "replace") != want:
-            raise _Abort("POSITION_MISMATCH")
-        return peer
-
-    def dial_all(self) -> None:
-        deadline = time.monotonic() + self.cfg.timeout
-        for peer in self.cfg.peers_out:
-            addr = self.cfg.peer_addrs[peer]
-            while True:
-                try:
-                    conn = socket.create_connection(addr, timeout=self.cfg.timeout)
-                    break
-                except OSError:
-                    if time.monotonic() > deadline:
-                        raise _Abort("TIMEOUT") from None
-                    time.sleep(0.01)
-            conn.settimeout(self.cfg.timeout)
-            hello = f"{self.cfg.descriptor}|{self.cfg.label}->{peer}"
-            conn.sendall(
-                encode_frame(Frame(FRAME_HELLO, 0, hello.encode()), self.cfg.link_keys[peer])
-            )
-            self.sockets[peer] = conn
-            self.log(f"HELLO -> {peer} sent")
-
-    def start_readers(self) -> None:
-        for peer, conn in self.sockets.items():
-            threading.Thread(target=self._reader, args=(peer, conn), daemon=True).start()
-
-    def _reader(self, peer: str, conn: socket.socket) -> None:
-        key = self.cfg.link_keys[peer]
-        while True:
-            try:
-                blob = _read_frame(conn)
-                frame = None if blob is None else decode_frame(blob, key)
-            except (FrameError, OSError) as exc:
-                self.inbox.put((peer, exc))
+        actions = self.cfg.actions
+        while self.pc < len(actions):
+            act = actions[self.pc]
+            if isinstance(act, SendAction):
+                self._relay(act)
+            elif act.hop_index not in self.received:
                 return
-            self.inbox.put((peer, frame))
-            if frame is None or frame.ftype == FRAME_ABORT:
-                return
+            self.pc += 1
+        self._note_done(self.cfg.label)
+        if self.finished == self.labels:
+            self.code = 0
+            self.output = self._output()
 
-    # -- protocol ---------------------------------------------------------
-
-    def value_of(self, name: str) -> BitString:
-        try:
-            return self.values[name]
-        except KeyError:
-            raise _Abort("MISSING_KEY", exit_code=3) from None
-
-    def do_send(self, act: SendAction) -> None:
+    def _relay(self, act: SendAction) -> None:
         if act.origin_name is not None:
-            bits = self.value_of(act.origin_name)
+            bits = self.values[act.origin_name]
         else:
-            assert act.prev_hop is not None
             bits = self.received[act.prev_hop]
         for name in act.xor_names:
-            bits = bits ^ self.value_of(name)
+            bits = bits ^ self.values[name]
         blob = encode_frame(
             Frame(FRAME_RELAY, act.hop_index, bits.to_bytes()), self.cfg.link_keys[act.peer]
         )
         if act.hop_index == self.cfg.tamper_index:
             blob = blob[:7] + bytes((blob[7] ^ 0x01,)) + blob[8:]  # test hook
             self.log(f"TAMPER M{act.hop_index}")
-        try:
-            self.sockets[act.peer].sendall(blob)
-        except OSError:
-            raise _Abort("PEER_LOST") from None
+        self._sends.append((act.peer, blob))
         self.log(f"SEND M{act.hop_index} -> {act.peer} ({len(blob)}B)")
 
-    def note_done(self, origin: str) -> None:
-        if origin in self.finished or origin not in self.cfg.all_labels:
-            return
-        self.finished.add(origin)
-        self.broadcast(FRAME_DONE, origin.encode())
-
-    def _next_item(self, deadline: float) -> tuple[str, object]:
-        try:
-            return self.inbox.get(timeout=max(0.0, deadline - time.monotonic()))
-        except Empty:
-            raise _Abort("TIMEOUT") from None
-
-    def accept_relay(self, peer: str, frame: Frame) -> None:
+    def _accept_relay(self, peer: str, frame: Frame) -> None:
         # the frame must sit at one of this node's scheduled receive
-        # positions on exactly this link, and must not be a replay
+        # positions on exactly this link, and must not be a replay; frames
+        # from different paths may arrive in any relative order
         if (peer, frame.index) not in self.expected_relays or frame.index in self.received:
             raise _Abort("POSITION_MISMATCH")
         if len(frame.payload) != (self.cfg.n + 7) // 8:
@@ -379,166 +389,158 @@ class _Node:
         self.received[frame.index] = BitString.from_bytes(frame.payload, self.cfg.n)
         self.log(f"RECV M{frame.index} <- {peer}")
 
-    def do_recv(self, act: RecvAction) -> None:
-        # frames from different paths may arrive in any relative order, so
-        # accept and stash every scheduled one until the awaited slot fills
-        deadline = time.monotonic() + self.cfg.timeout
-        while act.hop_index not in self.received:
-            peer, item = self._next_item(deadline)
-            if isinstance(item, FrameError):
-                raise _Abort(item.code)
-            if item is None or isinstance(item, OSError):
-                # nobody may leave while protocol frames are pending
-                raise _Abort("PEER_LOST")
-            assert isinstance(item, Frame)
-            if item.ftype == FRAME_ABORT:
-                raise _Abort(_peer_abort_reason(item.payload))
-            if item.ftype == FRAME_DONE:
-                self.note_done(item.payload.decode("utf-8", "replace"))
-                continue
-            if item.ftype != FRAME_RELAY:
-                raise _Abort("POSITION_MISMATCH")
-            self.accept_relay(peer, item)
-
-    def collect_finished(self) -> None:
-        """Block until every label's DONE gossip has arrived."""
-        deadline = time.monotonic() + self.cfg.timeout
-        want = set(self.cfg.all_labels)
-        while self.finished != want:
-            peer, item = self._next_item(deadline)
-            if isinstance(item, FrameError):
-                raise _Abort(item.code)
-            if item is None or isinstance(item, OSError):
-                # a peer that already announced its completion may leave;
-                # its gossip was flushed to us before the FIN
-                if peer not in self.finished:
-                    raise _Abort("PEER_LOST")
-                self.eof_peers.add(peer)
-                if self.eof_peers == set(self.sockets):
-                    raise _Abort("PEER_LOST")
-                continue
-            assert isinstance(item, Frame)
-            if item.ftype == FRAME_ABORT:
-                raise _Abort(_peer_abort_reason(item.payload))
-            if item.ftype == FRAME_DONE:
-                self.note_done(item.payload.decode("utf-8", "replace"))
-            else:
-                raise _Abort("POSITION_MISMATCH")
-
-    def retire(self) -> None:
-        """Half-close every link, then drain until the peers leave too.
-
-        A full close would turn any late gossip write from a slower peer
-        into a reset that destroys frames it has not read yet; the FIN from
-        a shutdown leaves its inbound side intact.
-        """
-        for conn in self.sockets.values():
-            try:
-                conn.shutdown(socket.SHUT_WR)
-            except OSError:
-                pass
-        deadline = time.monotonic() + self.cfg.timeout
-        remaining = set(self.sockets) - self.eof_peers
-        while remaining:
-            try:
-                peer, item = self.inbox.get(timeout=max(0.0, deadline - time.monotonic()))
-            except Empty:
-                return
-            terminal = item is None or isinstance(item, (FrameError, OSError))
-            if terminal or (isinstance(item, Frame) and item.ftype == FRAME_ABORT):
-                remaining.discard(peer)
-
-    def write_output(self) -> None:
-        if self.cfg.output_path is None:
+    def _note_done(self, origin: str) -> None:
+        if origin in self.finished or origin not in self.labels:
             return
+        self.finished.add(origin)
+        if self.links == self.peers:
+            self._broadcast(FRAME_DONE, origin.encode())
+
+    def _output(self) -> BitString | None:
+        if self.cfg.output_path is None:
+            return None
         acc = BitString.zeros(self.cfg.n)
         for name in self.cfg.own_nonce_names:
-            acc = acc ^ self.value_of(name)
+            acc = acc ^ self.values[name]
         for hop_index, strips in self.cfg.absorb_rules:
             share = self.received[hop_index]
             for name in strips:
-                share = share ^ self.value_of(name)
+                share = share ^ self.values[name]
             acc = acc ^ share
-        with open(self.cfg.output_path, "w", encoding="utf-8") as fh:
-            fh.write(acc.to_hex() + "\n")
-        self.log(f"OUTPUT written ({self.cfg.n} bits)")
+        return acc
 
-    # -- teardown ---------------------------------------------------------
+    def _send(self, peer: str, frame: Frame) -> None:
+        self._sends.append((peer, encode_frame(frame, self.cfg.link_keys[peer])))
 
-    def broadcast(self, ftype: int, payload: bytes) -> None:
-        for peer, conn in self.sockets.items():
-            try:
-                conn.sendall(encode_frame(Frame(ftype, 0, payload), self.cfg.link_keys[peer]))
-            except OSError:
-                pass
+    def _broadcast(self, ftype: int, payload: bytes) -> None:
+        for peer in sorted(self.links):
+            self._send(peer, Frame(ftype, 0, payload))
 
-    def abort(self, reason: str) -> None:
-        if not self.aborted:
-            self.aborted = True
-            self.log(f"ABORT {reason}")
-            self.broadcast(FRAME_ABORT, reason.encode())
 
-    def close_all(self) -> None:
-        for conn in self.sockets.values():
-            try:
-                conn.close()
-            except OSError:
-                pass
+class _NodeRunner:
+    """Connects one NodeMachine to its TCP links on the running event loop."""
+
+    def __init__(self, machine: NodeMachine, loop) -> None:
+        self.m = machine
+        self.loop = loop
+        self.server = None
+        self.routes: dict = {}  # peer label -> StreamWriter of its link
+        self.writers: list = []  # every link's StreamWriter, identified or not
+        self.tasks: list = []  # one reading task per link
+        self.finished = loop.create_future()
+        self.closed = False
+
+    async def run(self) -> NodeResult:
+        import asyncio
+
+        cfg = self.m.cfg
+        timer = self.loop.call_later(
+            cfg.timeout, lambda: self._emit(self.m.feed(None, TimeoutError()))
+        )
+        for peer in cfg.peers_out:
+            self.tasks.append(self.loop.create_task(self._dial(peer)))
+        await self.finished
+        timer.cancel()
+        if self.m.output is not None:
+            with open(cfg.output_path, "w", encoding="utf-8") as fh:
+                fh.write(self.m.output.to_hex() + "\n")
+            self.m.log(f"OUTPUT written ({cfg.n} bits)")
+        # the drain: each link is read until its peer half-closes as well
+        with contextlib.suppress(asyncio.TimeoutError):
+            await asyncio.wait_for(asyncio.gather(*self.tasks), cfg.timeout)
+        self.closed = True
+        for writer in self.writers:
+            writer.close()
+            with contextlib.suppress(OSError):  # the peer reset the link
+                await writer.wait_closed()
         if self.server is not None:
+            await self.server.wait_closed()
+        return NodeResult(cfg.label, self.m.code, self.m.transcript)
+
+    def _emit(self, sends: Sends) -> None:
+        for peer, blob in sends:
+            self.routes[peer].write(blob)
+        # stop listening once every inbound peer has linked, as a stray
+        # connection must not end a run that no longer accepts peers
+        if self.server is not None and (
+            self.m.code is not None or self.m.links.issuperset(self.m.cfg.peers_in)
+        ):
             self.server.close()
+        if self.m.code is not None and not self.finished.done():
+            self.finished.set_result(None)
+            for writer in self.writers:
+                self._half_close(writer)
 
+    def _attach(self, writer) -> None:
+        self.writers.append(writer)
+        if self.finished.done():
+            self._half_close(writer)
 
-def run_node(cfg: NodeConfig) -> NodeResult:
-    """Run one protocol node to completion over real sockets.
+    @staticmethod
+    def _half_close(writer) -> None:
+        with contextlib.suppress(OSError):  # the peer already reset the link
+            writer.write_eof()
 
-    Exit codes: 0 success, 2 protocol abort, 3 configuration error (bad
-    oracle slice, missing key, unusable listen address).
-    """
-    node = _Node(cfg)
-    try:
+    def accept(self, reader, writer) -> None:
+        if self.closed:  # connected after teardown began
+            writer.close()
+            return
+        self._attach(writer)
+        self.tasks.append(self.loop.create_task(self._link(reader, writer, None)))
+
+    async def _dial(self, peer: str) -> None:
+        import asyncio
+
         try:
-            node.load_oracle()
-            node.serve()
-        except (OSError, ValueError) as exc:
-            node.log(f"CONFIG {exc}")
-            return NodeResult(cfg.label, 3, node.transcript)
-        accept_err: list[_Abort] = []
+            reader, writer = await asyncio.open_connection(*self.m.cfg.peer_addrs[peer])
+        except OSError:  # every listener was bound first: the peer is gone
+            self._emit(self.m.feed(peer, None))
+            return
+        self._attach(writer)
+        self.routes[peer] = writer
+        self._emit(self.m.dialled(peer))
+        await self._link(reader, writer, peer)
 
-        def accept_side() -> None:
+    async def _link(self, reader, writer, peer: str | None) -> None:
+        """Feed the link's events to the machine until its stream ends. An
+        inbound link (peer None) is identified by its first frame."""
+        while True:
             try:
-                node.accept_all()
-            except _Abort as exc:
-                accept_err.append(exc)
-            except OSError:
-                accept_err.append(_Abort("TIMEOUT"))
+                event = await _read_frame(reader)
+                if peer is None and event is not None:
+                    peer = self.m.identify(event)
+                    self.routes.setdefault(peer, writer)
+            except FrameError as exc:
+                event = exc
+            except OSError:  # a reset reads as the peer leaving
+                event = None
+            self._emit(self.m.feed(peer, event))
+            if not isinstance(event, bytes):
+                return
 
-        th = threading.Thread(target=accept_side, daemon=True)
-        th.start()
-        node.dial_all()
-        th.join(cfg.timeout + 1.0)
-        if th.is_alive():
-            raise _Abort("TIMEOUT")
-        if accept_err:
-            raise accept_err[0]
-        node.start_readers()
-        missing = node.needed_names() - set(node.values)
-        if missing:
-            raise _Abort("MISSING_KEY", exit_code=3)
-        for act in cfg.actions:
-            if isinstance(act, SendAction):
-                node.do_send(act)
-            else:
-                node.do_recv(act)
-        node.note_done(cfg.label)
-        node.collect_finished()
-        node.write_output()
-        node.retire()
-        return NodeResult(cfg.label, 0, node.transcript)
-    except _Abort as exc:
-        node.abort(exc.reason)
-        return NodeResult(cfg.label, exc.exit_code, node.transcript)
-    finally:
-        node.close_all()
+
+async def _run_nodes(cfgs: list[NodeConfig]) -> dict[str, NodeResult]:
+    """Run every node on the running event loop; every listener is bound
+    before any node dials."""
+    import asyncio
+
+    loop = asyncio.get_running_loop()
+    results: dict[str, NodeResult] = {}
+    runners: list[_NodeRunner] = []
+    for cfg in cfgs:
+        try:
+            with open(cfg.oracle_path, encoding="utf-8") as fh:
+                parsed = parse_key_oracle(fh.read(), cfg.n, cfg.label)
+            runner = _NodeRunner(NodeMachine(cfg, {s.name: v for s, v in parsed.items()}), loop)
+            if cfg.peers_in:
+                runner.server = await asyncio.start_server(runner.accept, *cfg.listen)
+        except (OSError, ValueError) as exc:
+            results[cfg.label] = NodeResult(cfg.label, 3, [f"{cfg.label}: CONFIG {exc}"])
+            continue
+        runners.append(runner)
+    for res in await asyncio.gather(*(runner.run() for runner in runners)):
+        results[res.label] = res
+    return results
 
 
 def _node_configs(
@@ -638,7 +640,8 @@ def orchestrate(
     drop_key: tuple[str, str] | None = None,
 ) -> WireRun:
     """Set up keys exactly as the in-process engine would, hand each node its
-    slice, run all nodes concurrently, and collect the endpoint outputs.
+    slice, run all nodes on one event loop, and collect the endpoint outputs.
+    Node i listens on base_port + i of 127.0.0.1.
 
     wrong_variant_node and drop_key are fault-injection hooks for tests: the
     first gives one node a mismatched run descriptor, the second deletes one
@@ -668,19 +671,9 @@ def orchestrate(
     if wrong_variant_node is not None:
         cfgs[wrong_variant_node].descriptor = "mismatched|" + cfgs[wrong_variant_node].descriptor
 
-    results: dict[str, NodeResult] = {}
-    lock = threading.Lock()
+    import asyncio
 
-    def runner(cfg: NodeConfig) -> None:
-        res = run_node(cfg)
-        with lock:
-            results[cfg.label] = res
-
-    threads = [threading.Thread(target=runner, args=(cfg,)) for cfg in cfgs.values()]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join(timeout + 5.0)
+    results = asyncio.run(_run_nodes(list(cfgs.values())))
 
     def read_output(label: str) -> BitString | None:
         path = cfgs[label].output_path
@@ -692,12 +685,10 @@ def orchestrate(
             return None
 
     a_label, b_label = topo.endpoint_a.label, topo.endpoint_b.label
-    ok_a = a_label in results and results[a_label].code == 0
-    ok_b = b_label in results and results[b_label].code == 0
-    out_a = read_output(a_label) if ok_a else None
-    out_b = read_output(b_label) if ok_b else None
+    out_a = read_output(a_label) if results[a_label].code == 0 else None
+    out_b = read_output(b_label) if results[b_label].code == 0 else None
 
-    codes = [results[lab].code if lab in results else 2 for lab in cfgs]
+    codes = [results[lab].code for lab in cfgs]
     code = 3 if 3 in codes else (2 if any(c != 0 for c in codes) else 0)
     if code == 0 and (out_a is None or out_b is None or out_a != out_b):
         code = 2
@@ -706,10 +697,8 @@ def orchestrate(
     else:
         causes = []
         for lab in sorted(cfgs):
-            res = results.get(lab)
-            if res is None:
-                causes.append(f"{lab}: did not finish")
-            elif res.code != 0:
+            res = results[lab]
+            if res.code != 0:
                 last = res.transcript[-1] if res.transcript else "no transcript"
                 causes.append(f"{lab}: exit {res.code}, {last}")
         report = f"run failed (exit {code}); " + "; ".join(causes)

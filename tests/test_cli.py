@@ -224,11 +224,11 @@ def test_wire_refuses_an_oversized_schedule_before_any_node_starts(
     tmp_path, monkeypatch, capsys
 ):
     # chain m=65536 has 65537 hops, one more than a u16 hop index can number;
-    # the patch guarantees a misplaced check fails instead of starting threads
-    def no_threads(*args, **kwargs):
-        pytest.fail("a node thread was started")
+    # the patch guarantees a misplaced check fails instead of starting nodes
+    def no_nodes(*args, **kwargs):
+        pytest.fail("the node runner was started")
 
-    monkeypatch.setattr("keyhop.wire.threading.Thread", no_threads)
+    monkeypatch.setattr("keyhop.wire._run_nodes", no_nodes)
     code = main(["wire", "--shape", "chain", "--m", "65536", "--output-dir", str(tmp_path)])
     assert code == 3
     assert "65537 hops" in capsys.readouterr().err

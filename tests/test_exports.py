@@ -19,10 +19,11 @@ def test_every_exported_name_resolves(name):
 
 
 def test_package_import_leaves_numpy_unloaded():
-    # numpy is only needed by the truth-table oracle and loads on first use
-    code = "import sys, keyhop, keyhop.cli; print('numpy' in sys.modules)"
+    # numpy is only needed by the truth-table oracle and asyncio only by a
+    # wire run; each loads on first use
+    code = "import sys, keyhop, keyhop.cli; print('numpy' in sys.modules, 'asyncio' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(keyhop.__file__))}
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"

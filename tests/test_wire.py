@@ -1,12 +1,17 @@
+import asyncio
+import gc
 import random
-import socket
+import threading
+import time
+import warnings
+from collections import deque
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from keyhop.keyplan import Variant
-from keyhop.protocol import run
+from keyhop.keyplan import Variant, plan_keys
+from keyhop.protocol import compile_schedule, make_store, run
 from keyhop.topology import build_chain, build_multipath, build_ring6
 from keyhop.wire import (
     FRAME_ABORT,
@@ -17,6 +22,8 @@ from keyhop.wire import (
     TAG_LEN,
     Frame,
     FrameError,
+    NodeMachine,
+    _node_configs,
     _read_frame,
     decode_frame,
     encode_frame,
@@ -24,7 +31,8 @@ from keyhop.wire import (
 )
 
 KEY = b"k" * 32
-PORTS = iter(range(20000, 23000, 40))
+PORTS = iter(range(20000, 22800, 40))
+LONG_CHAIN_PORT = 22800  # chain m=100 listens on 22800..22901
 
 
 def test_frame_round_trip():
@@ -142,39 +150,37 @@ def test_decode_unknown_type_under_a_valid_tag(ftype, payload):
     assert _code(encode_frame(Frame(ftype, 1, payload), KEY)) == "UNKNOWN_TYPE"
 
 
-def _stream(data):
-    """The reading end of a socket pair that carries data and then ends."""
-    sender, reader = socket.socketpair()
-    reader.settimeout(5.0)
-    with sender:
-        sender.sendall(data)
-    return reader
+def _read(data, count=1):
+    """The first `count` reads from a stream that carries data and then ends."""
+
+    async def reads():
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        return [await _read_frame(reader) for _ in range(count)]
+
+    return asyncio.run(reads())
 
 
 def test_reader_returns_none_at_a_clean_end_of_stream():
     blob = encode_frame(Frame(FRAME_RELAY, 2, b"payload"), KEY)
-    with _stream(blob) as sock:
-        assert _read_frame(sock) == blob
-        assert _read_frame(sock) is None
-    with _stream(b"") as sock:
-        assert _read_frame(sock) is None
+    assert _read(blob, count=2) == [blob, None]
+    assert _read(b"") == [None]
 
 
 @given(frames, st.data())
 def test_reader_rejects_a_truncated_frame(frame, data):
     blob = encode_frame(frame, KEY)
-    with _stream(blob[: data.draw(st.integers(1, len(blob) - 1))]) as sock:
-        with pytest.raises(FrameError) as err:
-            _read_frame(sock)
+    with pytest.raises(FrameError) as err:
+        _read(blob[: data.draw(st.integers(1, len(blob) - 1))])
     assert err.value.code == "BAD_LENGTH"
 
 
 @given(frames, bad_lengths)
 def test_reader_rejects_an_out_of_range_length_field(frame, length):
     blob = encode_frame(frame, KEY)
-    with _stream(length.to_bytes(4, "big") + blob[4:]) as sock:
-        with pytest.raises(FrameError) as err:
-            _read_frame(sock)
+    with pytest.raises(FrameError) as err:
+        _read(length.to_bytes(4, "big") + blob[4:])
     assert err.value.code == "BAD_LENGTH"
 
 
@@ -256,3 +262,139 @@ def test_reruns_on_fresh_ports_agree(tmp_path):
     second = _run(tmp_path / "two", topo, Variant.CHAIN2, seed=2)
     assert first.code == second.code == 0
     assert first.output_a == second.output_a
+
+
+@pytest.mark.parametrize("seed", [31, 32])
+def test_tampering_any_hop_of_a_long_chain_aborts_well_inside_the_timeout(tmp_path, seed):
+    # a full close with unread gossip resets the link, the reset destroys an
+    # ABORT the neighbour has not read, and the neighbour waits out the timeout
+    topo = build_chain(10)
+    for hop in range(11):
+        out = tmp_path / f"hop{hop}"
+        start = time.perf_counter()
+        result = _run(out, topo, Variant.CHAIN_M, seed=seed, n=128, tamper_index=hop, timeout=1.0)
+        elapsed = time.perf_counter() - start
+        assert result.code == 2, result.report
+        assert not list(out.glob("key_*.hex"))
+        assert elapsed < 0.5, f"hop {hop} took {elapsed:.3f} s"
+
+
+def test_failed_runs_close_every_socket_transport_and_loop(tmp_path):
+    topo = build_chain(2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        missing = _run(
+            tmp_path / "missing", topo, Variant.CHAIN2, seed=3, drop_key=("N1", "K[N1,B]")
+        )
+        tampered = _run(tmp_path / "tampered", topo, Variant.CHAIN2, seed=3, tamper_index=1)
+        refused = _run(tmp_path / "refused", topo, Variant.CHAIN2, seed=3, wrong_variant_node="N1")
+        gc.collect()
+    assert (missing.code, tampered.code, refused.code) == (3, 2, 2)
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+@pytest.mark.parametrize(
+    "topo, variant, port",
+    [
+        (build_ring6(), Variant.RING_V2, None),
+        (build_chain(10), Variant.CHAIN_M, None),
+        (build_chain(100), Variant.CHAIN_M, LONG_CHAIN_PORT),
+    ],
+    ids=["ring6", "chain10", "chain100"],
+)
+def test_a_run_matches_the_engine_on_the_calling_thread_alone(
+    tmp_path, monkeypatch, topo, variant, port
+):
+    counts = []
+    feed = NodeMachine.feed
+
+    def counting_feed(self, *args):
+        counts.append(threading.active_count())
+        return feed(self, *args)
+
+    monkeypatch.setattr(NodeMachine, "feed", counting_feed)
+    before = threading.active_count()
+    result = orchestrate(topo, variant, 128, 17, port or next(PORTS), str(tmp_path))
+    assert result.code == 0, result.report
+    reference = run(topo, variant, 128, random.Random(17))
+    assert result.output_a == result.output_b == reference.output_a
+    assert counts and set(counts) == {before}
+    assert threading.active_count() == before
+
+
+# -- delivery orders, with no sockets -----------------------------------------
+
+
+def _deliver(topo, variant, seed, order, tamper_index=None, n=64):
+    """Run every node's NodeMachine in-process. Each direction of each link
+    is a FIFO queue, as TCP keeps order within a stream; `order` picks the
+    next step: a node dials one of its links, or a link delivers its next
+    frame. A node that finishes half-closes its links: its peers read the
+    end of stream after its last frame. Deadlines never fire, so a run that
+    needs one to end leaves a node unfinished."""
+    schedule = compile_schedule(plan_keys(topo, variant))
+    store = make_store(schedule, n, random.Random(seed))
+    labels = [nd.label for nd in topo.nodes]
+    cfgs = _node_configs(schedule, n, 0, "", {lab: "" for lab in labels}, tamper_index, 1.0)
+    nodes = {
+        lab: NodeMachine(cfg, {sid.name: store[sid] for sid in store.ids() if sid.involves(lab)})
+        for lab, cfg in cfgs.items()
+    }
+    queues = {}
+    for lab, cfg in cfgs.items():
+        for peer in cfg.peers_out:
+            queues[(lab, peer)] = deque()
+            queues[(peer, lab)] = deque()
+    closed = set()
+
+    def send(lab, sends):
+        for peer, blob in sends:
+            queues[(lab, peer)].append(blob)
+        if nodes[lab].code is not None and lab not in closed:
+            closed.add(lab)
+            for (sender, _), queue in queues.items():
+                if sender == lab:
+                    queue.append(None)
+
+    dials = [(lab, peer) for lab, cfg in cfgs.items() for peer in cfg.peers_out]
+    while True:
+        ready = sorted(link for link, queue in queues.items() if queue)
+        if not ready and not dials:
+            return nodes
+        pick = order.randrange(len(dials) + len(ready))
+        if pick < len(dials):
+            lab, peer = dials.pop(pick)
+            send(lab, nodes[lab].dialled(peer))
+        else:
+            sender, receiver = ready[pick - len(dials)]
+            send(receiver, nodes[receiver].feed(sender, queues[(sender, receiver)].popleft()))
+
+
+DELIVERY_LAYOUTS = [
+    (build_ring6(), Variant.RING_V2),
+    (build_chain(4), Variant.CHAIN_M),
+    (build_multipath([2, 2]), Variant.MULTIPATH),
+]
+DELIVERY_IDS = ["ring6", "chain4", "multipath22"]
+
+
+@pytest.mark.parametrize("topo, variant", DELIVERY_LAYOUTS, ids=DELIVERY_IDS)
+@settings(max_examples=30)
+@given(order=st.randoms(use_true_random=False), seed=st.integers(0, 2**32 - 1))
+def test_any_delivery_order_gives_both_endpoints_the_engine_key(topo, variant, order, seed):
+    nodes = _deliver(topo, variant, seed, order)
+    assert {lab: node.code for lab, node in nodes.items()} == {lab: 0 for lab in nodes}
+    key = run(topo, variant, 64, random.Random(seed)).output_a
+    assert nodes[topo.endpoint_a.label].output == key
+    assert nodes[topo.endpoint_b.label].output == key
+
+
+@pytest.mark.parametrize("topo, variant", DELIVERY_LAYOUTS, ids=DELIVERY_IDS)
+@settings(max_examples=30)
+@given(order=st.randoms(use_true_random=False), data=st.data())
+def test_any_delivery_order_aborts_every_node_on_a_tampered_relay(topo, variant, order, data):
+    hops = sum(len(path) - 1 for path in topo.paths)
+    tamper = data.draw(st.integers(0, hops - 1), label="tampered hop")
+    nodes = _deliver(topo, variant, 7, order, tamper_index=tamper)
+    assert {lab: node.code for lab, node in nodes.items()} == {lab: 2 for lab in nodes}
+    assert all(node.output is None for node in nodes.values())
