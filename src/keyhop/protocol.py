@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .bits import BitString, KeyStore, SecretId, SymbolicExpr, nonce
 from .keyplan import KeyPlan, Variant, establish, plan_keys
-from .topology import NodeId, Topology
+from .topology import NodeId, Shape, Topology
 
 __all__ = [
     "Hop",
@@ -69,13 +69,14 @@ class Schedule:
         return tuple(nid for lab, nid in self.nonce_owners if lab == label)
 
 
-def _path_runs(topo: Topology, variant: Variant) -> list[tuple[tuple[NodeId, ...], SecretId]]:
-    """Per path: the node sequence in sending order and the nonce that seeds it."""
+def _path_runs(topo: Topology) -> list[tuple[tuple[NodeId, ...], SecretId]]:
+    """Per path: the node sequence in sending order and the nonce that seeds
+    it. The shape alone decides; plan_keys has checked the variant against it."""
     a, b = topo.endpoint_a, topo.endpoint_b
-    if variant in (Variant.RING_V1, Variant.RING_V2):
+    if topo.shape is Shape.RING6:
         upper, lower = topo.paths
         return [(upper, nonce(a.label)), (tuple(reversed(lower)), nonce(b.label))]
-    if variant is Variant.MULTIPATH:
+    if topo.shape is Shape.MULTIPATH:
         return [
             (path, nonce(a.label, p)) for p, path in enumerate(topo.paths, start=1)
         ]
@@ -88,7 +89,7 @@ def compile_schedule(plan: KeyPlan) -> Schedule:
     absorbs: list[tuple[str, AbsorbRule]] = []
     owners: list[tuple[str, SecretId]] = []
     nonce_ids: list[SecretId] = []
-    for path_pos, (seq, nonce_id) in enumerate(_path_runs(topo, variant)):
+    for path_pos, (seq, nonce_id) in enumerate(_path_runs(topo)):
         labels = {nd.label for nd in seq}
         path_keys = [
             sid for sid in plan.secret_ids if all(end in labels for end in sid.ends)

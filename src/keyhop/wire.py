@@ -8,11 +8,12 @@ Frame layout, integers big-endian:
     payload bytes raw bitstring bytes for RELAY, UTF-8 text otherwise
     tag     32B   HMAC-SHA256 over type+index+payload with the link key
 
-A frame's tag is verified before any payload byte is acted on. Each node
-runs from its own NodeConfig and key-oracle slice and executes exactly the
-hop actions the schedule compiler assigned to it; the in-process engine
-executes the same schedule, which keeps wire-versus-engine equivalence a
-meaningful check of the transport rather than of one shared code path.
+A frame's tag is verified before any payload byte is acted on. Each node is
+handed the compiled Schedule the in-process engine executes and walks the
+hops that name it, in schedule order, with only its own key-oracle slice.
+Its XOR fold and output fold stay separate code from the engine's, so
+wire-versus-engine equivalence checks the transport against the engine as a
+reference rather than one shared code path against itself.
 
 Each node's protocol is a NodeMachine, which does no I/O: it takes one
 inbound event at a time (a frame, an end of stream, a read error, its
@@ -41,13 +42,14 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import hmac
+import math
 import os
 import random
 from dataclasses import dataclass, field
 
-from .bits import BitString, KeyStore
+from .bits import BitString, KeyStore, SecretId
 from .keyplan import Variant, key_oracle_text, parse_key_oracle, plan_keys
-from .protocol import Schedule, compile_schedule, make_store
+from .protocol import Hop, Schedule, compile_schedule, make_store
 from .topology import Topology
 
 __all__ = [
@@ -59,8 +61,6 @@ __all__ = [
     "FrameError",
     "encode_frame",
     "decode_frame",
-    "SendAction",
-    "RecvAction",
     "NodeConfig",
     "NodeResult",
     "NodeMachine",
@@ -146,38 +146,18 @@ async def _read_frame(reader) -> bytes | None:
         raise FrameError("BAD_LENGTH", "stream ended mid-frame") from None
 
 
-@dataclass(frozen=True)
-class SendAction:
-    hop_index: int
-    peer: str
-    origin_name: str | None  # start from this nonce, else from prev_hop's payload
-    prev_hop: int | None
-    xor_names: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class RecvAction:
-    hop_index: int
-    peer: str
-
-
 @dataclass
 class NodeConfig:
-    """Everything one node needs: addresses, link keys, its key-oracle slice,
-    and its slice of the schedule."""
+    """Everything one node needs beside the compiled schedule it runs:
+    addresses, link keys and its key-oracle slice."""
 
     label: str
+    schedule: Schedule
     n: int
     listen: tuple[str, int]
     peer_addrs: dict[str, tuple[str, int]]
-    peers_in: tuple[str, ...]
-    peers_out: tuple[str, ...]
     link_keys: dict[str, bytes]  # peer label -> HMAC key for that link
     oracle_path: str
-    actions: tuple[SendAction | RecvAction, ...]
-    absorb_rules: tuple[tuple[int, tuple[str, ...]], ...]  # (hop, keys to strip)
-    own_nonce_names: tuple[str, ...]
-    all_labels: tuple[str, ...]
     descriptor: str  # run descriptor announced and expected in HELLO
     output_path: str | None = None
     tamper_index: int | None = None
@@ -220,22 +200,29 @@ class NodeMachine:
     node finished are ignored.
     """
 
-    def __init__(self, cfg: NodeConfig, values: dict[str, BitString]) -> None:
+    def __init__(self, cfg: NodeConfig, values: dict[SecretId, BitString]) -> None:
         self.cfg = cfg
-        self.values = values  # secret name -> value, from the key-oracle slice
+        self.values = values  # the key-oracle slice
         self.transcript: list[str] = []
         self.code: int | None = None
         self.output: BitString | None = None
-        self.labels = set(cfg.all_labels)
-        self.peers = set(cfg.peers_in) | set(cfg.peers_out)
+        label, schedule = cfg.label, cfg.schedule
+        # the schedule's hops that name this node, in schedule order
+        self.hops = [h for h in schedule.hops if label in (h.sender.label, h.receiver.label)]
+        inbound = [h for h in self.hops if h.receiver.label == label]
+        outbound = [h for h in self.hops if h.sender.label == label]
+        self.peers_in = tuple(sorted({h.sender.label for h in inbound}))
+        self.peers_out = tuple(sorted({h.receiver.label for h in outbound}))
+        self.peers = {*self.peers_in, *self.peers_out}
+        self.expected_relays = {(h.sender.label, h.index) for h in inbound}
+        self.absorbs = schedule.absorbs_for(label)
+        self.nonces = schedule.nonces_of(label)
+        self.labels = {nd.label for nd in schedule.topology.nodes}
         self.links: set[str] = set()  # peers greeted by us or by an authentic HELLO
-        self.pc = 0  # index of the next schedule action
+        self.pc = 0  # index of the next hop in self.hops
         self.received: dict[int, BitString] = {}
         self.finished: set[str] = set()  # labels whose DONE gossip arrived
         self.eof_peers: set[str] = set()
-        self.expected_relays = {
-            (act.peer, act.hop_index) for act in cfg.actions if isinstance(act, RecvAction)
-        }
         self._sends: Sends = []
 
     def log(self, line: str) -> None:
@@ -246,7 +233,7 @@ class NodeMachine:
     def identify(self, blob: bytes) -> str:
         """The inbound peer whose link key authenticates blob, the first
         frame of a new inbound link; FrameError(BAD_TAG) if none does."""
-        for peer in self.cfg.peers_in:
+        for peer in self.peers_in:
             try:
                 decode_frame(blob, self.cfg.link_keys[peer])
             except FrameError:
@@ -291,7 +278,7 @@ class NodeMachine:
         if event is None:
             # nobody may leave while protocol frames are pending; a peer that
             # announced its completion may, its gossip went out before its FIN
-            if self.pc < len(self.cfg.actions) or peer not in self.finished:
+            if self.pc < len(self.hops) or peer not in self.finished:
                 raise _Abort("PEER_LOST")
             self.eof_peers.add(peer)
             if self.eof_peers == self.peers:
@@ -327,34 +314,22 @@ class NodeMachine:
         self.links.add(peer)
         if self.links != self.peers:
             return
-        if self._needed_names() - set(self.values):
+        if {*self.cfg.schedule.plan.keys_of(self.cfg.label), *self.nonces} - set(self.values):
             raise _Abort("MISSING_KEY", exit_code=3)
         # gossip heard before the last link came up, announced now to all
         for origin in sorted(self.finished):
             self._broadcast(FRAME_DONE, origin.encode())
 
-    def _needed_names(self) -> set[str]:
-        names: set[str] = set(self.cfg.own_nonce_names)
-        for act in self.cfg.actions:
-            if isinstance(act, SendAction):
-                names.update(act.xor_names)
-                if act.origin_name:
-                    names.add(act.origin_name)
-        for _, strips in self.cfg.absorb_rules:
-            names.update(strips)
-        return names
-
     def _advance(self) -> None:
-        """Run the schedule as far as the relays received so far allow, then
-        announce completion; finish once every label's DONE has arrived."""
+        """Walk this node's hops as far as the relays received so far allow,
+        then announce completion; finish once every label's DONE has arrived."""
         if self.links != self.peers:
             return
-        actions = self.cfg.actions
-        while self.pc < len(actions):
-            act = actions[self.pc]
-            if isinstance(act, SendAction):
-                self._relay(act)
-            elif act.hop_index not in self.received:
+        while self.pc < len(self.hops):
+            hop = self.hops[self.pc]
+            if hop.sender.label == self.cfg.label:
+                self._relay(hop)
+            elif hop.index not in self.received:
                 return
             self.pc += 1
         self._note_done(self.cfg.label)
@@ -362,21 +337,18 @@ class NodeMachine:
             self.code = 0
             self.output = self._output()
 
-    def _relay(self, act: SendAction) -> None:
-        if act.origin_name is not None:
-            bits = self.values[act.origin_name]
-        else:
-            bits = self.received[act.prev_hop]
-        for name in act.xor_names:
-            bits = bits ^ self.values[name]
-        blob = encode_frame(
-            Frame(FRAME_RELAY, act.hop_index, bits.to_bytes()), self.cfg.link_keys[act.peer]
-        )
-        if act.hop_index == self.cfg.tamper_index:
+    def _relay(self, hop: Hop) -> None:
+        # a path's hops are consecutive, so hop index - 1 carried its payload here
+        bits = self.values[hop.origin] if hop.origin is not None else self.received[hop.index - 1]
+        for sid in hop.xor_ids:
+            bits = bits ^ self.values[sid]
+        peer = hop.receiver.label
+        blob = encode_frame(Frame(FRAME_RELAY, hop.index, bits.to_bytes()), self.cfg.link_keys[peer])
+        if hop.index == self.cfg.tamper_index:
             blob = blob[:7] + bytes((blob[7] ^ 0x01,)) + blob[8:]  # test hook
-            self.log(f"TAMPER M{act.hop_index}")
-        self._sends.append((act.peer, blob))
-        self.log(f"SEND M{act.hop_index} -> {act.peer} ({len(blob)}B)")
+            self.log(f"TAMPER M{hop.index}")
+        self._sends.append((peer, blob))
+        self.log(f"SEND M{hop.index} -> {peer} ({len(blob)}B)")
 
     def _accept_relay(self, peer: str, frame: Frame) -> None:
         # the frame must sit at one of this node's scheduled receive
@@ -400,12 +372,12 @@ class NodeMachine:
         if self.cfg.output_path is None:
             return None
         acc = BitString.zeros(self.cfg.n)
-        for name in self.cfg.own_nonce_names:
-            acc = acc ^ self.values[name]
-        for hop_index, strips in self.cfg.absorb_rules:
-            share = self.received[hop_index]
-            for name in strips:
-                share = share ^ self.values[name]
+        for nid in self.nonces:
+            acc = acc ^ self.values[nid]
+        for rule in self.absorbs:
+            share = self.received[rule.hop_index]
+            for sid in rule.strip_ids:
+                share = share ^ self.values[sid]
             acc = acc ^ share
         return acc
 
@@ -437,7 +409,7 @@ class _NodeRunner:
         timer = self.loop.call_later(
             cfg.timeout, lambda: self._emit(self.m.feed(None, TimeoutError()))
         )
-        for peer in cfg.peers_out:
+        for peer in self.m.peers_out:
             self.tasks.append(self.loop.create_task(self._dial(peer)))
         await self.finished
         timer.cancel()
@@ -463,7 +435,7 @@ class _NodeRunner:
         # stop listening once every inbound peer has linked, as a stray
         # connection must not end a run that no longer accepts peers
         if self.server is not None and (
-            self.m.code is not None or self.m.links.issuperset(self.m.cfg.peers_in)
+            self.m.code is not None or self.m.links.issuperset(self.m.peers_in)
         ):
             self.server.close()
         if self.m.code is not None and not self.finished.done():
@@ -531,8 +503,8 @@ async def _run_nodes(cfgs: list[NodeConfig]) -> dict[str, NodeResult]:
         try:
             with open(cfg.oracle_path, encoding="utf-8") as fh:
                 parsed = parse_key_oracle(fh.read(), cfg.n, cfg.label)
-            runner = _NodeRunner(NodeMachine(cfg, {s.name: v for s, v in parsed.items()}), loop)
-            if cfg.peers_in:
+            runner = _NodeRunner(NodeMachine(cfg, parsed), loop)
+            if runner.m.peers_in:
                 runner.server = await asyncio.start_server(runner.accept, *cfg.listen)
         except (OSError, ValueError) as exc:
             results[cfg.label] = NodeResult(cfg.label, 3, [f"{cfg.label}: CONFIG {exc}"])
@@ -557,59 +529,27 @@ def _node_configs(
     addr = {lab: ("127.0.0.1", base_port + i) for i, lab in enumerate(labels)}
     descriptor = f"{schedule.variant.value}|{topo.describe()}|{n}"
 
-    sends: dict[str, dict[int, SendAction]] = {lab: {} for lab in labels}
-    recvs: dict[str, dict[int, RecvAction]] = {lab: {} for lab in labels}
-    order: dict[str, list[tuple[int, str]]] = {lab: [] for lab in labels}
-    peers_out: dict[str, set[str]] = {lab: set() for lab in labels}
-    peers_in: dict[str, set[str]] = {lab: set() for lab in labels}
     link_keys: dict[str, dict[str, bytes]] = {lab: {} for lab in labels}
     for hop in schedule.hops:
         s, r = hop.sender.label, hop.receiver.label
-        sends[s][hop.index] = SendAction(
-            hop.index,
-            r,
-            hop.origin.name if hop.origin else None,
-            None if hop.origin else hop.index - 1,
-            tuple(sid.name for sid in hop.xor_ids),
-        )
-        recvs[r][hop.index] = RecvAction(hop.index, s)
-        order[s].append((hop.index, "send"))
-        order[r].append((hop.index, "recv"))
-        peers_out[s].add(r)
-        peers_in[r].add(s)
         key = hashlib.sha256(f"link|{descriptor}|{min(s, r)}|{max(s, r)}".encode()).digest()
-        link_keys[s][r] = key
-        link_keys[r][s] = key
-
-    cfgs: dict[str, NodeConfig] = {}
-    for lab in labels:
-        actions = tuple(
-            sends[lab][idx] if kind == "send" else recvs[lab][idx]
-            for idx, kind in sorted(order[lab])
-        )
-        absorb = tuple(
-            (rule.hop_index, tuple(sid.name for sid in rule.strip_ids))
-            for rule in schedule.absorbs_for(lab)
-        )
-        cfgs[lab] = NodeConfig(
+        link_keys[s][r] = link_keys[r][s] = key
+    return {
+        lab: NodeConfig(
             label=lab,
+            schedule=schedule,
             n=n,
             listen=addr[lab],
-            peer_addrs={p: addr[p] for p in peers_out[lab] | peers_in[lab]},
-            peers_in=tuple(sorted(peers_in[lab])),
-            peers_out=tuple(sorted(peers_out[lab])),
+            peer_addrs={p: addr[p] for p in link_keys[lab]},
             link_keys=link_keys[lab],
             oracle_path=oracle_paths[lab],
-            actions=actions,
-            absorb_rules=absorb,
-            own_nonce_names=tuple(nid.name for nid in schedule.nonces_of(lab)),
-            all_labels=tuple(labels),
             descriptor=descriptor,
             output_path=f"{out_dir}/key_{lab}.hex" if topo.node(lab).is_endpoint else None,
             tamper_index=tamper_index,
             timeout=timeout,
         )
-    return cfgs
+        for lab in labels
+    }
 
 
 @dataclass
@@ -651,6 +591,11 @@ def orchestrate(
     hops = sum(len(p) - 1 for p in topo.paths)
     if hops > _MAX_HOPS:
         raise ValueError(f"{hops} hops exceed the wire limit of {_MAX_HOPS}")
+    last_port = base_port + len(topo.nodes) - 1
+    if base_port < 1 or last_port > 65535:
+        raise ValueError(f"ports {base_port}..{last_port} fall outside 1..65535")
+    if not (math.isfinite(timeout) and timeout > 0):
+        raise ValueError(f"timeout must be a positive number of seconds, got {timeout}")
     plan = plan_keys(topo, variant)
     schedule = compile_schedule(plan)
     store = make_store(schedule, n, random.Random(seed))

@@ -235,6 +235,29 @@ def test_wire_refuses_an_oversized_schedule_before_any_node_starts(
     assert not list(tmp_path.glob("oracle_*.tsv"))
 
 
+@pytest.mark.parametrize("port", ["0", "65534"])
+def test_wire_refuses_ports_outside_the_tcp_range_before_any_node_starts(
+    tmp_path, monkeypatch, capsys, port
+):
+    # chain m=2 needs four ports: 0..3 starts at zero, 65534..65537 runs past 65535
+    def no_nodes(*args, **kwargs):
+        pytest.fail("the node runner was started")
+
+    monkeypatch.setattr("keyhop.wire._run_nodes", no_nodes)
+    argv = ["wire", "--shape", "chain", "--m", "2", "--base-port", port]
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 3
+    assert "fall outside 1..65535" in capsys.readouterr().err
+    assert not list(tmp_path.glob("oracle_*.tsv"))
+
+
+@pytest.mark.parametrize("timeout", ["nan", "0", "-1"])
+def test_wire_refuses_a_timeout_that_is_not_a_positive_number(tmp_path, capsys, timeout):
+    argv = ["wire", "--shape", "chain", "--m", "2", "--base-port", str(next(PORTS))]
+    assert main(argv + ["--timeout", timeout, "--output-dir", str(tmp_path)]) == 3
+    assert "timeout must be a positive number" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_config_file_round_trip(tmp_path, capsys):
     cfg = tmp_path / "topo.cfg"
     cfg.write_text("shape = chain\nm = 3\nlink_length_km = 50\n")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from keyhop.keyplan import Variant, plan_keys
 from keyhop.protocol import compile_schedule, make_store, run
-from keyhop.topology import build_chain, build_multipath, build_ring6
+from keyhop.topology import build_chain, build_multipath, build_reach_chain, build_ring6
 from keyhop.wire import (
     FRAME_ABORT,
     FRAME_DONE,
@@ -244,6 +244,14 @@ def test_missing_oracle_entry_is_a_config_failure(tmp_path):
     assert not (tmp_path / "key_B.hex").exists()
 
 
+def test_missing_own_nonce_is_a_config_failure(tmp_path):
+    topo = build_chain(2)
+    result = _run(tmp_path, topo, Variant.CHAIN2, seed=3, timeout=5.0, drop_key=("A", "X[A]"))
+    assert result.code == 3
+    assert any(line.startswith("A: ABORT MISSING_KEY") for line in result.transcript())
+    assert not list(tmp_path.glob("key_*.hex"))
+
+
 def test_transcripts_never_leak_key_material(tmp_path):
     topo = build_ring6()
     result = _run(tmp_path, topo, Variant.RING_V2, seed=21)
@@ -297,10 +305,12 @@ def test_failed_runs_close_every_socket_transport_and_loop(tmp_path):
     "topo, variant, port",
     [
         (build_ring6(), Variant.RING_V2, None),
+        (build_ring6(), Variant.RING_V1, None),
+        (build_reach_chain(5, 2), Variant.REACH_T, None),
         (build_chain(10), Variant.CHAIN_M, None),
         (build_chain(100), Variant.CHAIN_M, LONG_CHAIN_PORT),
     ],
-    ids=["ring6", "chain10", "chain100"],
+    ids=["ring6", "ring6v1", "reach52", "chain10", "chain100"],
 )
 def test_a_run_matches_the_engine_on_the_calling_thread_alone(
     tmp_path, monkeypatch, topo, variant, port
@@ -337,12 +347,12 @@ def _deliver(topo, variant, seed, order, tamper_index=None, n=64):
     labels = [nd.label for nd in topo.nodes]
     cfgs = _node_configs(schedule, n, 0, "", {lab: "" for lab in labels}, tamper_index, 1.0)
     nodes = {
-        lab: NodeMachine(cfg, {sid.name: store[sid] for sid in store.ids() if sid.involves(lab)})
+        lab: NodeMachine(cfg, {sid: store[sid] for sid in store.ids() if sid.involves(lab)})
         for lab, cfg in cfgs.items()
     }
     queues = {}
-    for lab, cfg in cfgs.items():
-        for peer in cfg.peers_out:
+    for lab, node in nodes.items():
+        for peer in node.peers_out:
             queues[(lab, peer)] = deque()
             queues[(peer, lab)] = deque()
     closed = set()
@@ -356,7 +366,7 @@ def _deliver(topo, variant, seed, order, tamper_index=None, n=64):
                 if sender == lab:
                     queue.append(None)
 
-    dials = [(lab, peer) for lab, cfg in cfgs.items() for peer in cfg.peers_out]
+    dials = [(lab, peer) for lab, node in nodes.items() for peer in node.peers_out]
     while True:
         ready = sorted(link for link, queue in queues.items() if queue)
         if not ready and not dials:
@@ -372,10 +382,14 @@ def _deliver(topo, variant, seed, order, tamper_index=None, n=64):
 
 DELIVERY_LAYOUTS = [
     (build_ring6(), Variant.RING_V2),
+    (build_ring6(), Variant.RING_V1),
+    (build_chain(2), Variant.CHAIN2),
     (build_chain(4), Variant.CHAIN_M),
+    (build_reach_chain(5, 2), Variant.REACH_T),
     (build_multipath([2, 2]), Variant.MULTIPATH),
+    (build_multipath([3, 3], t=2), Variant.MULTIPATH),
 ]
-DELIVERY_IDS = ["ring6", "chain4", "multipath22"]
+DELIVERY_IDS = ["ring6", "ring6v1", "chain2", "chain4", "reach52", "multipath22", "multipath33t2"]
 
 
 @pytest.mark.parametrize("topo, variant", DELIVERY_LAYOUTS, ids=DELIVERY_IDS)
