@@ -3,7 +3,7 @@
 plan_keys derives the exact key set from the protocol schedule for a
 (topology, variant) pair, establish draws the bits, and cm_report summarizes
 which nodes need photon sources versus measurement hardware. Endpoints only
-ever send in point-to-point establishment; relays only measure.
+ever send; each key's measuring node measures.
 """
 
 from __future__ import annotations
@@ -29,43 +29,51 @@ __all__ = [
 
 
 class Variant(Enum):
-    """The relay protocol being run."""
+    """The relay protocol being run: a shape, whether its two endpoint links
+    carry point-to-point keys, and the intermediary count it fixes, if any.
+    The value is the CLI name."""
 
-    RING_V1 = "ring-v1"
-    RING_V2 = "ring-v2"
-    CHAIN2 = "chain2"
-    CHAIN_M = "chain-m"
-    REACH_T = "reach-t"
-    MULTIPATH = "multipath"
+    RING_V1 = ("ring-v1", Shape.RING6, False)
+    RING_V2 = ("ring-v2", Shape.RING6, True)
+    CHAIN2 = ("chain2", Shape.CHAIN, True, 2)
+    CHAIN_M = ("chain-m", Shape.CHAIN, True)
+    REACH_T = ("reach-t", Shape.REACH, True)
+    MULTIPATH = ("multipath", Shape.MULTIPATH, True)
 
+    def __new__(cls, value: str, shape: Shape, endpoint_links: bool, m: int | None = None):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.shape = shape
+        member.endpoint_links = endpoint_links
+        member.m = m
+        return member
 
-_SHAPE_FOR = {
-    Variant.RING_V1: Shape.RING6,
-    Variant.RING_V2: Shape.RING6,
-    Variant.CHAIN2: Shape.CHAIN,
-    Variant.CHAIN_M: Shape.CHAIN,
-    Variant.REACH_T: Shape.REACH,
-    Variant.MULTIPATH: Shape.MULTIPATH,
-}
+    @classmethod
+    def default_for(cls, shape: Shape) -> Variant:
+        """The variant of this shape with keyed endpoint links and no fixed m."""
+        return next(v for v in cls if v.shape is shape and v.endpoint_links and v.m is None)
 
 
 def check_compatible(topo: Topology, variant: Variant) -> None:
-    want = _SHAPE_FOR[variant]
-    if topo.shape is not want:
-        raise ValueError(f"variant {variant.value} needs shape {want.value}, got {topo.shape.value}")
-    if variant is Variant.CHAIN2 and topo.m != 2:
-        raise ValueError("chain2 runs on exactly 2 intermediaries")
+    if topo.shape is not variant.shape:
+        raise ValueError(
+            f"variant {variant.value} needs shape {variant.shape.value}, got {topo.shape.value}"
+        )
+    if variant.m is not None and topo.m != variant.m:
+        raise ValueError(f"{variant.value} runs on exactly {variant.m} intermediaries")
 
 
 @dataclass(frozen=True)
 class PlanEntry:
-    """One key to establish: its id, mechanism, and the hardware roles."""
+    """One key to establish: its id and the node that measures it. Every
+    other end of the key sends."""
 
     secret_id: SecretId
-    mechanism: str  # "P2P" or "TF"
-    sender: NodeId
     measurer: NodeId
-    relay: NodeId | None = None
+
+    @property
+    def mechanism(self) -> str:
+        return "P2P" if self.secret_id.kind is SecretKind.P2P_KEY else "TF"
 
 
 @dataclass(frozen=True)
@@ -95,22 +103,10 @@ def plan_keys(topo: Topology, variant: Variant) -> KeyPlan:
         last = len(path) - 1
         for i in range(last + 1):
             for j in range(i + 2, min(i + topo.t + 1, last) + 1):
-                relay = path[(i + j) // 2]
-                entries.append(
-                    PlanEntry(
-                        tf_key(path[i].label, path[j].label),
-                        "TF",
-                        sender=path[i],
-                        measurer=relay,
-                        relay=relay,
-                    )
-                )
-        if variant is not Variant.RING_V1:
+                entries.append(PlanEntry(tf_key(path[i].label, path[j].label), path[(i + j) // 2]))
+        if variant.endpoint_links:
             for u, v in ((path[0], path[1]), (path[last - 1], path[last])):
-                endpoint, other = (u, v) if u.is_endpoint else (v, u)
-                entries.append(
-                    PlanEntry(p2p_key(u.label, v.label), "P2P", sender=endpoint, measurer=other)
-                )
+                entries.append(PlanEntry(p2p_key(u.label, v.label), v if u.is_endpoint else u))
     return KeyPlan(topo, variant, tuple(entries))
 
 
@@ -144,27 +140,22 @@ class HardwareReport:
 def cm_report(plan: KeyPlan) -> HardwareReport:
     """Which nodes need a source and which need measurement hardware.
 
-    Point-to-point establishment always runs endpoint-as-sender; both parties
-    of a relay-established key send while the relay measures. An endpoint in
-    a measuring role is a planning error and is rejected.
+    Every end of a key other than its measurer sends; the measurer measures.
+    An endpoint in a measuring role is a planning error and is rejected.
     """
     nodes = plan.topology.nodes
     source: dict[str, bool] = {nd.label: False for nd in nodes}
     meas: dict[str, bool] = {nd.label: False for nd in nodes}
     for entry in plan.entries:
-        if entry.mechanism == "P2P":
-            if entry.measurer.is_endpoint:
-                raise ValueError(
-                    f"endpoint {entry.measurer.label} may not measure in point-to-point"
-                    f" establishment of {entry.secret_id}"
-                )
-            source[entry.sender.label] = True
-            meas[entry.measurer.label] = True
-        else:
-            for label in entry.secret_id.ends:
+        if entry.measurer.is_endpoint:
+            raise ValueError(
+                f"endpoint {entry.measurer.label} may not measure in the establishment"
+                f" of {entry.secret_id}"
+            )
+        for label in entry.secret_id.ends:
+            if label != entry.measurer.label:
                 source[label] = True
-            assert entry.relay is not None
-            meas[entry.relay.label] = True
+        meas[entry.measurer.label] = True
     return HardwareReport(tuple((lab, source[lab], meas[lab]) for lab in source))
 
 

@@ -54,13 +54,14 @@ class AbsorbRule:
 
 @dataclass(frozen=True)
 class Schedule:
-    variant: Variant
-    topology: Topology
     plan: KeyPlan
     hops: tuple[Hop, ...]
-    nonce_ids: tuple[SecretId, ...]
     absorbs: tuple[tuple[str, AbsorbRule], ...]  # (endpoint label, rule)
     nonce_owners: tuple[tuple[str, SecretId], ...]  # (owner label, nonce)
+
+    @property
+    def nonce_ids(self) -> tuple[SecretId, ...]:
+        return tuple(nid for _, nid in self.nonce_owners)
 
     def absorbs_for(self, label: str) -> tuple[AbsorbRule, ...]:
         return tuple(rule for lab, rule in self.absorbs if lab == label)
@@ -84,11 +85,10 @@ def _path_runs(topo: Topology) -> list[tuple[tuple[NodeId, ...], SecretId]]:
 
 
 def compile_schedule(plan: KeyPlan) -> Schedule:
-    topo, variant = plan.topology, plan.variant
+    topo = plan.topology
     hops: list[Hop] = []
     absorbs: list[tuple[str, AbsorbRule]] = []
     owners: list[tuple[str, SecretId]] = []
-    nonce_ids: list[SecretId] = []
     for path_pos, (seq, nonce_id) in enumerate(_path_runs(topo)):
         labels = {nd.label for nd in seq}
         path_keys = [
@@ -112,8 +112,7 @@ def compile_schedule(plan: KeyPlan) -> Schedule:
             (dest.label, AbsorbRule(hops[-1].index, tuple(k for k in path_keys if dest.label in k.ends)))
         )
         owners.append((seq[0].label, nonce_id))
-        nonce_ids.append(nonce_id)
-    return Schedule(variant, topo, plan, tuple(hops), tuple(nonce_ids), tuple(absorbs), tuple(owners))
+    return Schedule(plan, tuple(hops), tuple(absorbs), tuple(owners))
 
 
 def make_store(
@@ -193,12 +192,12 @@ def execute(schedule: Schedule, store: KeyStore) -> ProtocolTrace:
             acc = acc ^ share
         return acc
 
-    topo = schedule.topology
-    out_a = output_of(topo.endpoint_a.label)
-    out_b = output_of(topo.endpoint_b.label)
+    plan = schedule.plan
+    out_a = output_of(plan.topology.endpoint_a.label)
+    out_b = output_of(plan.topology.endpoint_b.label)
     assert out_a == out_b, "honest run must agree on the final key"
     return ProtocolTrace(
-        schedule.variant, topo, tuple(messages), out_a, out_b, schedule.nonce_ids, store
+        plan.variant, plan.topology, tuple(messages), out_a, out_b, schedule.nonce_ids, store
     )
 
 

@@ -41,7 +41,15 @@ CALIBRATION_BPS = 1000.0
 
 def _calibrated_clock(alpha_db_per_km: float) -> float:
     # c * sqrt(eta(300)) = 1000 fixes the clock for a given fiber loss.
-    return CALIBRATION_BPS / math.sqrt(10 ** (-alpha_db_per_km * CALIBRATION_KM / 10))
+    if not alpha_db_per_km > 0:
+        raise ValueError("alpha_db_per_km must be positive")
+    eta_cal = 10 ** (-alpha_db_per_km * CALIBRATION_KM / 10)
+    if eta_cal == 0:
+        raise ValueError(
+            f"alpha_db_per_km {alpha_db_per_km:g} is too lossy to calibrate:"
+            f" transmittance at {CALIBRATION_KM:g} km underflows to 0"
+        )
+    return CALIBRATION_BPS / math.sqrt(eta_cal)
 
 
 @dataclass(frozen=True)

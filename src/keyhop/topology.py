@@ -15,7 +15,6 @@ __all__ = [
     "Role",
     "Shape",
     "NodeId",
-    "Link",
     "Topology",
     "build_ring6",
     "build_chain",
@@ -57,16 +56,9 @@ class NodeId:
 
 
 @dataclass(frozen=True)
-class Link:
-    a: NodeId
-    b: NodeId
-
-
-@dataclass(frozen=True)
 class Topology:
     shape: Shape
     nodes: tuple[NodeId, ...]
-    links: tuple[Link, ...]
     paths: tuple[tuple[NodeId, ...], ...]
     link_length_km: float
     t: int = 1
@@ -101,9 +93,13 @@ class Topology:
             raise ValueError("paths have differing lengths; use path_lengths")
         return next(iter(lengths))
 
+    @property
+    def links(self) -> tuple[tuple[NodeId, NodeId], ...]:
+        """Consecutive node pairs along every path."""
+        return tuple(pair for path in self.paths for pair in zip(path, path[1:]))
+
     def adjacent(self, u: NodeId, v: NodeId) -> bool:
-        pair = {u, v}
-        return any({lk.a, lk.b} == pair for lk in self.links)
+        return (u, v) in self.links or (v, u) in self.links
 
     def describe(self) -> str:
         if self.shape is Shape.RING6:
@@ -127,10 +123,6 @@ def _check_link_length(link_length_km: float) -> None:
         raise ValueError("link length must be positive")
 
 
-def _links_along(paths: tuple[tuple[NodeId, ...], ...]) -> tuple[Link, ...]:
-    return tuple(Link(path[i], path[i + 1]) for path in paths for i in range(len(path) - 1))
-
-
 def build_ring6(link_length_km: float = 100.0) -> Topology:
     """Six nodes, six links: endpoints joined by two 2-intermediary branches."""
     _check_link_length(link_length_km)
@@ -140,13 +132,7 @@ def build_ring6(link_length_km: float = 100.0) -> Topology:
     n3 = NodeId("N3", Role.INTERMEDIARY)
     n4 = NodeId("N4", Role.INTERMEDIARY)
     paths = ((a, n1, n2, b), (a, n3, n4, b))
-    return Topology(
-        Shape.RING6,
-        (a, b, n1, n2, n3, n4),
-        _links_along(paths),
-        paths,
-        link_length_km,
-    )
+    return Topology(Shape.RING6, (a, b, n1, n2, n3, n4), paths, link_length_km)
 
 
 def build_chain(m: int, link_length_km: float = 100.0) -> Topology:
@@ -157,7 +143,7 @@ def build_chain(m: int, link_length_km: float = 100.0) -> Topology:
     a, b = _endpoints()
     inner = tuple(NodeId(f"N{i}", Role.INTERMEDIARY) for i in range(1, m + 1))
     path = (a, *inner, b)
-    return Topology(Shape.CHAIN, (a, b, *inner), _links_along((path,)), (path,), link_length_km)
+    return Topology(Shape.CHAIN, (a, b, *inner), (path,), link_length_km)
 
 
 def build_reach_chain(m: int, t: int, link_length_km: float = 100.0) -> Topology:
@@ -171,7 +157,7 @@ def build_reach_chain(m: int, t: int, link_length_km: float = 100.0) -> Topology
     if m < t + 1:
         raise ValueError("need m >= t+1 intermediaries for reach t")
     base = build_chain(m, link_length_km)
-    return Topology(Shape.REACH, base.nodes, base.links, base.paths, link_length_km, t)
+    return Topology(Shape.REACH, base.nodes, base.paths, link_length_km, t)
 
 
 def build_multipath(
@@ -196,14 +182,7 @@ def build_multipath(
         inner = tuple(NodeId(f"N{j}.{p}", Role.INTERMEDIARY) for j in range(1, m + 1))
         inner_all.extend(inner)
         paths.append((a, *inner, b))
-    return Topology(
-        Shape.MULTIPATH,
-        (a, b, *inner_all),
-        _links_along(tuple(paths)),
-        tuple(paths),
-        link_length_km,
-        t,
-    )
+    return Topology(Shape.MULTIPATH, (a, b, *inner_all), tuple(paths), link_length_km, t)
 
 
 def parse_kv(text: str) -> dict[str, str]:

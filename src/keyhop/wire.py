@@ -217,7 +217,7 @@ class NodeMachine:
         self.expected_relays = {(h.sender.label, h.index) for h in inbound}
         self.absorbs = schedule.absorbs_for(label)
         self.nonces = schedule.nonces_of(label)
-        self.labels = {nd.label for nd in schedule.topology.nodes}
+        self.labels = {nd.label for nd in schedule.plan.topology.nodes}
         self.links: set[str] = set()  # peers greeted by us or by an authentic HELLO
         self.pc = 0  # index of the next hop in self.hops
         self.received: dict[int, BitString] = {}
@@ -524,10 +524,10 @@ def _node_configs(
     tamper_index: int | None,
     timeout: float,
 ) -> dict[str, NodeConfig]:
-    topo = schedule.topology
+    topo = schedule.plan.topology
     labels = [nd.label for nd in topo.nodes]
     addr = {lab: ("127.0.0.1", base_port + i) for i, lab in enumerate(labels)}
-    descriptor = f"{schedule.variant.value}|{topo.describe()}|{n}"
+    descriptor = f"{schedule.plan.variant.value}|{topo.describe()}|{n}"
 
     link_keys: dict[str, dict[str, bytes]] = {lab: {} for lab in labels}
     for hop in schedule.hops:

@@ -161,6 +161,44 @@ def test_rate_anchors_and_csv(tmp_path, capsys):
     assert len(lines) == 1 + 8 * 7  # 8 distances, 7 default families
 
 
+@pytest.mark.parametrize(
+    "source, alpha, message",
+    [
+        ("flag", "50", "too lossy to calibrate"),
+        ("params", "60", "too lossy to calibrate"),
+        ("flag", "-20", "alpha_db_per_km must be positive"),
+    ],
+)
+def test_rate_refuses_a_fiber_loss_it_cannot_calibrate(tmp_path, capsys, source, alpha, message):
+    # at 50 or 60 dB/km the transmittance over the 300 km anchor underflows
+    # to 0; at -20 it would overflow
+    if source == "flag":
+        argv = ["rate", "--alpha", alpha]
+    else:
+        cfg = tmp_path / "rate.cfg"
+        cfg.write_text(f"alpha_db_per_km = {alpha}\n")
+        argv = ["rate", "--params", str(cfg)]
+    out_dir = tmp_path / "out"
+    assert main(argv + ["--output-dir", str(out_dir)]) == 3
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_rate_params_file_replaces_the_alpha_flag(tmp_path, capsys):
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text("alpha_db_per_km = 0.2\n")
+    argv = ["rate", "--alpha", "50", "--params", str(cfg), "--to-km", "0"]
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.count("PASS") == 5
+
+
+def test_rate_anchor_with_no_rate_left_fails_instead_of_crashing(tmp_path, capsys):
+    # at 8 dB/km the anchors past 300 km underflow to 0 bps
+    assert main(["rate", "--alpha", "8", "--to-km", "0", "--output-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL single relay link at 500 km close to 6 bps: 0 bps (reference 6, factor inf)" in out
+
+
 def test_rate_max_range(tmp_path, capsys):
     code = main(
         ["rate", "--to-km", "0", "--max-range-m", "2", "--output-dir", str(tmp_path)]
@@ -256,6 +294,33 @@ def test_wire_refuses_a_timeout_that_is_not_a_positive_number(tmp_path, capsys, 
     assert main(argv + ["--timeout", timeout, "--output-dir", str(tmp_path)]) == 3
     assert "timeout must be a positive number" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "flag", [["--base-port", "0"], ["--timeout", "0", "--base-port", "9000"]], ids=["port", "timeout"]
+)
+def test_wire_usage_error_leaves_no_output_dir(tmp_path, capsys, flag):
+    out_dir = tmp_path / "fresh" / "out"
+    argv = ["wire", "--shape", "chain", "--m", "2", *flag, "--output-dir", str(out_dir)]
+    assert main(argv) == 3
+    capsys.readouterr()
+    assert not (tmp_path / "fresh").exists()
+
+
+@pytest.mark.parametrize(
+    "layout, variant",
+    [
+        (["--shape", "ring6"], "ring-v2"),
+        (["--shape", "chain", "--m", "3"], "chain-m"),
+        (["--shape", "reach", "--m", "3"], "reach-t"),
+        (["--shape", "multipath", "--paths", "2,2"], "multipath"),
+    ],
+)
+def test_each_shape_has_a_default_variant(tmp_path, capsys, layout, variant):
+    assert main(["simulate", *layout, "--output-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    header = (tmp_path / "trace.txt").read_text().splitlines()[0]
+    assert header.startswith(f"# variant={variant} ")
 
 
 def test_config_file_round_trip(tmp_path, capsys):

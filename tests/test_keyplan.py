@@ -1,9 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from keyhop.bits import nonce, p2p_key, tf_key
+from keyhop.bits import BitString, nonce, p2p_key, tf_key
 from keyhop.keyplan import (
+    KeyPlan,
+    PlanEntry,
     Variant,
     check_compatible,
     cm_report,
@@ -12,6 +16,7 @@ from keyhop.keyplan import (
     parse_key_oracle,
     plan_keys,
 )
+from keyhop.protocol import run
 from keyhop.topology import build_chain, build_multipath, build_reach_chain, build_ring6
 
 
@@ -87,12 +92,35 @@ def test_keys_of_lists_only_holders():
     }
 
 
-def test_variant_topology_compatibility():
-    with pytest.raises(ValueError):
-        check_compatible(build_chain(3), Variant.CHAIN2)
-    with pytest.raises(ValueError):
-        check_compatible(build_ring6(), Variant.CHAIN_M)
-    check_compatible(build_chain(2), Variant.CHAIN2)
+# the variants each layout accepts, written out rather than read off Variant
+_ACCEPTED = {
+    "ring6": {Variant.RING_V1, Variant.RING_V2},
+    "chain(m=2)": {Variant.CHAIN2, Variant.CHAIN_M},
+    "chain(m=3)": {Variant.CHAIN_M},
+    "reach(m=3,t=2)": {Variant.REACH_T},
+    "multipath(2,2)": {Variant.MULTIPATH},
+}
+_LAYOUTS = [
+    build_ring6(),
+    build_chain(2),
+    build_chain(3),
+    build_reach_chain(3, 2),
+    build_multipath([2, 2]),
+]
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+@pytest.mark.parametrize("topo", _LAYOUTS, ids=lambda t: t.describe())
+def test_variant_topology_compatibility(topo, variant):
+    if variant in _ACCEPTED[topo.describe()]:
+        check_compatible(topo, variant)
+    elif topo.shape is variant.shape:
+        with pytest.raises(ValueError, match="^chain2 runs on exactly 2 intermediaries$"):
+            check_compatible(topo, variant)
+    else:
+        want = f"^variant {variant.value} needs shape {variant.shape.value}, got {topo.shape.value}$"
+        with pytest.raises(ValueError, match=want):
+            check_compatible(topo, variant)
 
 
 def test_establish_is_deterministic_and_plan_ordered():
@@ -121,6 +149,14 @@ def test_hardware_report_reach_relays_measure():
     assert not report.needs_measurement("B")
 
 
+@pytest.mark.parametrize("key", [tf_key("A", "N2"), p2p_key("A", "N1")], ids=str)
+def test_hardware_report_rejects_an_endpoint_measurer(key):
+    topo = build_chain(2)
+    plan = KeyPlan(topo, Variant.CHAIN_M, (PlanEntry(key, topo.node("A")),))
+    with pytest.raises(ValueError, match="endpoint A may not measure"):
+        cm_report(plan)
+
+
 def test_oracle_text_round_trip_and_filtering():
     plan = plan_keys(build_ring6(), Variant.RING_V2)
     store = establish(plan, 16, random.Random(2))
@@ -147,3 +183,43 @@ def test_oracle_text_sorted_by_name():
     store.sample(nonce("A"), random.Random(1))
     names = [line.split("\t")[0] for line in key_oracle_text(store).splitlines()]
     assert names == sorted(names)
+
+
+@st.composite
+def _layouts(draw):
+    """ring6 v1/v2, chain, reach or multipath, with at most 12 intermediaries."""
+    kind = draw(st.sampled_from(("ring6", "chain", "reach", "multipath")))
+    if kind == "ring6":
+        return build_ring6(), draw(st.sampled_from((Variant.RING_V1, Variant.RING_V2)))
+    if kind == "chain":
+        m = draw(st.integers(2, 12))
+        variants = (Variant.CHAIN2, Variant.CHAIN_M) if m == 2 else (Variant.CHAIN_M,)
+        return build_chain(m), draw(st.sampled_from(variants))
+    if kind == "reach":
+        t = draw(st.integers(2, 5))
+        return build_reach_chain(draw(st.integers(t + 1, 12)), t), Variant.REACH_T
+    t = draw(st.integers(1, 3))
+    lengths = draw(
+        st.lists(st.integers(max(2, t + 1), 6), min_size=1, max_size=4).filter(
+            lambda ls: sum(ls) <= 12
+        )
+    )
+    return build_multipath(lengths, 100.0, t), Variant.MULTIPATH
+
+
+@settings(max_examples=60, deadline=None)
+@given(_layouts(), st.integers(0, 2**32 - 1))
+def test_generated_layouts_fold_nonces_and_measure_only_at_intermediaries(layout, seed):
+    topo, variant = layout
+    trace = run(topo, variant, 24, random.Random(seed))
+    fold = BitString.zeros(24)
+    for nid in trace.nonce_ids:
+        fold = fold ^ trace.store[nid]
+    assert trace.output_a == trace.output_b == fold
+
+    plan = plan_keys(topo, variant)
+    measurers = {entry.measurer.label for entry in plan.entries}
+    assert not {nd.label for nd in topo.nodes if nd.is_endpoint} & measurers
+    report = cm_report(plan)
+    for nd in topo.nodes:
+        assert report.needs_measurement(nd.label) == (nd.label in measurers)

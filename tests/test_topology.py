@@ -92,9 +92,9 @@ def test_chain_reach_two_pairs_and_relays():
     by_labels = {e.secret_id.ends: e for e in entries}
     tf = {lab for lab, p in by_labels.items() if p.mechanism == "TF"}
     assert tf == {("A", "N2"), ("N1", "N3"), ("N2", "B"), ("A", "N3"), ("N1", "B")}
-    assert by_labels[("A", "N2")].relay.label == "N1"
-    assert by_labels[("A", "N3")].relay.label == "N1"  # midpoint ties go low
-    assert by_labels[("N1", "B")].relay.label == "N2"
+    assert by_labels[("A", "N2")].measurer.label == "N1"
+    assert by_labels[("A", "N3")].measurer.label == "N1"  # midpoint ties go low
+    assert by_labels[("N1", "B")].measurer.label == "N2"
     p2p = {lab for lab, p in by_labels.items() if p.mechanism == "P2P"}
     assert p2p == {("A", "N1"), ("N3", "B")}
 
