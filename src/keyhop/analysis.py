@@ -15,7 +15,9 @@ serves two paths:
 
 brute_force_secrecy is the independent check: it sweeps the full truth table
 of secret assignments at n=1 and inspects the conditional distribution of the
-target given the adversary's view. The paths must always agree; tests hold
+target given the adversary's view. It builds that table by doubling (each
+secret's column of view bits is XORed onto the half of the table where it is
+set) and uses no rank or elimination. The paths must always agree; tests hold
 them against each other.
 """
 
@@ -306,6 +308,13 @@ def brute_force_secrecy(
     target's conditional distribution. BROKEN iff the view always determines
     it; SECURE iff it stays perfectly balanced in every group. Linearity
     guarantees one of the two holds.
+
+    Assignment a sets secret i (in name order) to bit i of a. The view and
+    target tables are filled by doubling: secret i has a column (bit k set
+    when it appears in view component k, observed messages first, then held
+    secrets) and a target bit, and entries 2^i..2^(i+1)-1 are entries
+    0..2^i-1 XORed with them. Each entry costs one XOR; no rank or
+    elimination is involved.
     """
     import numpy as np  # the oracle is the package's only numpy user
 
@@ -314,31 +323,24 @@ def brute_force_secrecy(
     ids = sorted(trace.store.ids(), key=lambda s: s.name)
     if len(ids) > 24:
         raise ValueError("too many secrets for a full truth-table sweep")
-    pos = {sid: i for i, sid in enumerate(ids)}
-    assignments = np.arange(1 << len(ids), dtype=np.uint64)
-
-    def parity(terms: Iterable[SecretId]) -> np.ndarray:
-        mask = np.uint64(0)
-        for sid in terms:
-            mask |= np.uint64(1 << pos[sid])
-        v = assignments & mask
-        for shift in (32, 16, 8, 4, 2, 1):
-            v ^= v >> np.uint64(shift)
-        return v & np.uint64(1)
-
     view = view_of(trace, coalition)
-    components = [parity(expr.terms) for expr in view.observed]
-    components += [parity((sid,)) for sid in view.known]
+    components = [expr.terms for expr in view.observed]
+    components += [{sid} for sid in view.known]
     if len(components) > 63:
         raise ValueError("view too wide to pack for the truth-table sweep")
-    view_id = np.zeros_like(assignments)
-    for k, comp in enumerate(components):
-        view_id |= comp << np.uint64(k)
-    target_bit = parity(target.terms)
+
+    size = 1 << len(ids)
+    view_id = np.zeros(size, dtype=np.uint64)
+    target_bit = np.zeros(size, dtype=np.uint8)
+    for i, sid in enumerate(ids):
+        column = sum(1 << k for k, comp in enumerate(components) if sid in comp)
+        low, high = 1 << i, 2 << i
+        np.bitwise_xor(view_id[:low], np.uint64(column), out=view_id[low:high])
+        np.bitwise_xor(target_bit[:low], np.uint8(sid in target.terms), out=target_bit[low:high])
 
     _, inverse = np.unique(view_id, return_inverse=True)
     group_size = np.bincount(inverse)
-    group_ones = np.bincount(inverse, weights=target_bit.astype(np.float64)).astype(np.int64)
+    group_ones = np.bincount(inverse, weights=target_bit).astype(np.int64)
     if np.all((group_ones == 0) | (group_ones == group_size)):
         return Status.BROKEN
     if np.all(2 * group_ones == group_size):

@@ -12,6 +12,7 @@ abort on the wire; 3 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import random
@@ -167,7 +168,9 @@ def cmd_rate(args: argparse.Namespace) -> int:
         with open(args.params, encoding="utf-8") as fh:
             params = ratemodel.parse_rate_config(fh.read())
     else:
-        params = ratemodel.RateParams.calibrated(args.alpha, args.threshold)
+        params = ratemodel.RateParams.calibrated(args.alpha)
+    if args.threshold is not None:
+        params = dataclasses.replace(params, threshold_bps=args.threshold)
     families = (
         [f.strip() for f in args.families.split(",")] if args.families else list(ratemodel.DEFAULT_FAMILIES)
     )
@@ -276,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_rate = sub.add_parser("rate", help="rate-versus-distance curves and anchors")
     p_rate.add_argument("--alpha", type=float, default=0.2, help="fiber loss in dB/km")
-    p_rate.add_argument("--threshold", type=float, default=1.0, help="usefulness floor in bps")
+    p_rate.add_argument("--threshold", type=float, help="usefulness floor in bps")
     p_rate.add_argument("--params", help="rate config file overriding the calibration")
     p_rate.add_argument("--families", help="comma-separated curve families")
     p_rate.add_argument("--from-km", type=int, default=0)

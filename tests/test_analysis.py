@@ -2,7 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from keyhop.analysis import (
@@ -207,6 +207,58 @@ def test_truth_table_needs_single_bit_traces():
     trace = _trace(build_ring6(), Variant.RING_V1, n=2)
     with pytest.raises(ValueError):
         brute_force_secrecy(trace, Coalition(frozenset()), final_key_expr(trace))
+
+
+def test_truth_table_sweeps_multipath_444_at_21_secrets():
+    # the widest layout the benchmark's oracle check runs
+    trace = run(build_multipath([4, 4, 4]), Variant.MULTIPATH, 1, random.Random(0))
+    assert len(trace.store.ids()) == 21
+    target = final_key_expr(trace)
+    whole_paths = [[nd.label for nd in path[1:-1]] for path in trace.topology.paths]
+    adjacent_per_path = [label for path in whole_paths for label in path[:2]]
+    cases = [(path, Status.SECURE) for path in whole_paths] + [(adjacent_per_path, Status.BROKEN)]
+    for labels, want in cases:
+        coal = _coalition(trace, *labels)
+        assert is_recoverable(view_of(trace, coal), target).status is want
+        assert brute_force_secrecy(trace, coal, target) is want
+    wide = run(build_multipath([4, 4, 4]), Variant.MULTIPATH, 2, random.Random(0))
+    with pytest.raises(ValueError, match="the truth-table oracle runs at n=1"):
+        brute_force_secrecy(wide, Coalition(frozenset()), final_key_expr(wide))
+
+
+@st.composite
+def _oracle_cases(draw):
+    """An n=1 trace of ring6 v1/v2 or a chain, reach or multipath layout with
+    at most 12 intermediaries and 18 secrets, and a coalition drawn from its
+    intermediaries."""
+    kind = draw(st.sampled_from(("ring6", "chain", "reach", "multipath")))
+    if kind == "ring6":
+        topo, variant = build_ring6(), draw(st.sampled_from((Variant.RING_V1, Variant.RING_V2)))
+    elif kind == "chain":
+        m = draw(st.integers(2, 12))
+        variants = (Variant.CHAIN2, Variant.CHAIN_M) if m == 2 else (Variant.CHAIN_M,)
+        topo, variant = build_chain(m), draw(st.sampled_from(variants))
+    elif kind == "reach":
+        t = draw(st.integers(2, 3))
+        topo, variant = build_reach_chain(draw(st.integers(t + 1, 8)), t), Variant.REACH_T
+    else:
+        t = draw(st.integers(1, 2))
+        lengths = draw(
+            st.lists(st.integers(t + 1, 6), min_size=1, max_size=4).filter(lambda ls: sum(ls) <= 12)
+        )
+        topo, variant = build_multipath(lengths, 100.0, t), Variant.MULTIPATH
+    trace = run(topo, variant, 1, random.Random(draw(st.integers(0, 2**32 - 1))))
+    assume(len(trace.store.ids()) <= 18)
+    labels = [nd.label for nd in topo.intermediaries]
+    return trace, _coalition(trace, *draw(st.sets(st.sampled_from(labels))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_oracle_cases())
+def test_generated_layouts_analyzer_agrees_with_truth_table(case):
+    trace, coal = case
+    target = final_key_expr(trace)
+    assert is_recoverable(view_of(trace, coal), target).status is brute_force_secrecy(trace, coal, target)
 
 
 def test_coalition_csv_covers_the_powerset():

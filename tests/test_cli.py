@@ -105,6 +105,14 @@ def test_analyze_single_coalition_with_oracle(tmp_path, capsys):
     assert "truth-table oracle: BROKEN (agree)" in out
 
 
+def test_analyze_oracle_refuses_a_chain_too_wide_to_sweep(tmp_path, capsys):
+    argv = ["analyze", "--shape", "chain", "--m", "30", "--coalition", "N1,N2", "--oracle"]
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "too many secrets for a full truth-table sweep" in err
+    assert "Traceback" not in err
+
+
 def test_analyze_grid(tmp_path, capsys):
     code = main(
         [
@@ -190,6 +198,30 @@ def test_rate_params_file_replaces_the_alpha_flag(tmp_path, capsys):
     argv = ["rate", "--alpha", "50", "--params", str(cfg), "--to-km", "0"]
     assert main(argv + ["--output-dir", str(tmp_path)]) == 0
     assert capsys.readouterr().out.count("PASS") == 5
+
+
+@pytest.mark.parametrize(
+    "flags, want",
+    [
+        ([], "at 1 bps threshold: 900 km"),
+        (["--threshold", "5"], "at 5 bps threshold: 795.154 km"),
+    ],
+)
+def test_rate_threshold_flag_replaces_the_params_file_value(tmp_path, capsys, flags, want):
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text("alpha_db_per_km = 0.2\n")
+    argv = ["rate", "--params", str(cfg), "--to-km", "0", "--max-range-m", "2", *flags]
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 0
+    assert want in capsys.readouterr().out
+
+
+def test_rate_threshold_flag_is_validated_with_a_params_file(tmp_path, capsys):
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text("threshold_bps = 5\n")
+    argv = ["rate", "--params", str(cfg), "--threshold", "0", "--output-dir", str(tmp_path / "out")]
+    assert main(argv) == 3
+    assert "threshold_bps must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_rate_anchor_with_no_rate_left_fails_instead_of_crashing(tmp_path, capsys):
