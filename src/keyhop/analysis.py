@@ -15,10 +15,11 @@ serves two paths:
 
 brute_force_secrecy is the independent check: it sweeps the full truth table
 of secret assignments at n=1 and inspects the conditional distribution of the
-target given the adversary's view. It builds that table by doubling (each
-secret's column of view bits is XORed onto the half of the table where it is
-set) and uses no rank or elimination. The paths must always agree; tests hold
-them against each other.
+target given the adversary's view. Each entry packs the target bit under
+the view bits; the table is built by doubling (each secret's column is XORed
+onto the half of the table where it is set) and sorted in place, so equal
+views sit together. It uses no rank or elimination. The paths must always
+agree; tests hold them against each other.
 """
 
 from __future__ import annotations
@@ -309,11 +310,13 @@ def brute_force_secrecy(
     it; SECURE iff it stays perfectly balanced in every group. Linearity
     guarantees one of the two holds.
 
-    Assignment a sets secret i (in name order) to bit i of a. The view and
-    target tables are filled by doubling: secret i has a column (bit k set
-    when it appears in view component k, observed messages first, then held
-    secrets) and a target bit, and entries 2^i..2^(i+1)-1 are entries
-    0..2^i-1 XORed with them. Each entry costs one XOR; no rank or
+    Assignment a sets secret i (in name order) to bit i of a. Entry a of one
+    packed table holds the target bit in bit 0 and view component k in bit
+    k+1 (observed messages first, then held secrets). The table is filled
+    by doubling: secret i has a column (its target bit, plus bit k+1 when it
+    appears in component k), and entries 2^i..2^(i+1)-1 are entries
+    0..2^i-1 XORed with it. Each entry costs one XOR; one in-place sort then
+    brings equal views together, target 0 before target 1. No rank or
     elimination is involved.
     """
     import numpy as np  # the oracle is the package's only numpy user
@@ -326,24 +329,35 @@ def brute_force_secrecy(
     view = view_of(trace, coalition)
     components = [expr.terms for expr in view.observed]
     components += [{sid} for sid in view.known]
-    if len(components) > 63:
+    if len(components) > 63:  # 63 view bits and the target bit fill a uint64
         raise ValueError("view too wide to pack for the truth-table sweep")
 
-    size = 1 << len(ids)
-    view_id = np.zeros(size, dtype=np.uint64)
-    target_bit = np.zeros(size, dtype=np.uint8)
+    table = np.zeros(1 << len(ids), dtype=np.uint64)
     for i, sid in enumerate(ids):
-        column = sum(1 << k for k, comp in enumerate(components) if sid in comp)
+        column = sum(2 << k for k, comp in enumerate(components) if sid in comp)
+        column |= sid in target.terms
         low, high = 1 << i, 2 << i
-        np.bitwise_xor(view_id[:low], np.uint64(column), out=view_id[low:high])
-        np.bitwise_xor(target_bit[:low], np.uint8(sid in target.terms), out=target_bit[low:high])
+        np.bitwise_xor(table[:low], np.uint64(column), out=table[low:high])
+    table.sort()
+    return _grouped_verdict(table)
 
-    _, inverse = np.unique(view_id, return_inverse=True)
-    group_size = np.bincount(inverse)
-    group_ones = np.bincount(inverse, weights=target_bit).astype(np.int64)
-    if np.all((group_ones == 0) | (group_ones == group_size)):
+
+def _grouped_verdict(table) -> Status:
+    """The verdict from a sorted packed table (target bit in bit 0, view
+    above it). Equal views sit together, so a group starts wherever an
+    entry differs from the one before it above bit 0. BROKEN iff every
+    group's target is fixed; SECURE iff every group is balanced."""
+    import numpy as np
+
+    first = np.empty(table.size, dtype=bool)
+    first[0] = True
+    np.greater(table[1:] ^ table[:-1], 1, out=first[1:])
+    starts = np.flatnonzero(first)
+    sizes = np.diff(starts, append=table.size)
+    ones = np.add.reduceat(table & np.uint64(1), starts)
+    if np.all((ones == 0) | (ones == sizes)):
         return Status.BROKEN
-    if np.all(2 * group_ones == group_size):
+    if np.all(2 * ones == sizes):
         return Status.SECURE
     raise AssertionError("conditional distribution is neither fixed nor balanced")
 

@@ -114,10 +114,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if args.oracle and args.coalition is None:
+        raise ValueError("--oracle checks one coalition; give --coalition")
     if args.grid:
-        rows = analysis.collusion_grid(
-            _parse_int_list(args.grid_paths), _parse_int_list(args.grid_reach), args.link_km
-        )
+        path_counts, reaches = _parse_int_list(args.grid_paths), _parse_int_list(args.grid_reach)
+        if not path_counts or not reaches:
+            raise ValueError("--grid-paths and --grid-reach each need at least one number")
+        rows = analysis.collusion_grid(path_counts, reaches, args.link_km)
         csv_text = analysis.grid_csv(rows)
         path = _out_path(args, "collusion_grid.csv")
         with open(path, "w", encoding="utf-8") as fh:

@@ -1,15 +1,18 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from keyhop import analysis
 from keyhop.analysis import (
     ACTIVE_STRATEGIES,
     ENUMERATION_CAP,
     Coalition,
     Status,
+    _grouped_verdict,
     active_attack_leakage,
     brute_force_secrecy,
     coalition_report_csv,
@@ -224,6 +227,61 @@ def test_truth_table_sweeps_multipath_444_at_21_secrets():
     wide = run(build_multipath([4, 4, 4]), Variant.MULTIPATH, 2, random.Random(0))
     with pytest.raises(ValueError, match="the truth-table oracle runs at n=1"):
         brute_force_secrecy(wide, Coalition(frozenset()), final_key_expr(wide))
+
+
+def test_truth_table_sweeps_multipath_3333_at_24_secrets():
+    # the widest sweep the oracle accepts: 2^24 assignments
+    trace = run(build_multipath([3, 3, 3, 3]), Variant.MULTIPATH, 1, random.Random(0))
+    assert len(trace.store.ids()) == 24
+    target = final_key_expr(trace)
+    coal = _coalition(trace, *(nd.label for nd in trace.topology.paths[0][1:-1]))
+    assert is_recoverable(view_of(trace, coal), target).status is Status.SECURE
+    assert brute_force_secrecy(trace, coal, target) is Status.SECURE
+
+
+def test_truth_table_uses_no_elimination_or_rank(monkeypatch):
+    trace = run(build_chain(4), Variant.CHAIN_M, 1, random.Random(0))
+    target = final_key_expr(trace)
+    inter = [nd.label for nd in trace.topology.intermediaries]
+    coalitions = [
+        _coalition(trace, *c) for size in range(len(inter) + 1) for c in combinations(inter, size)
+    ]
+    want = [is_recoverable(view_of(trace, coal), target).status for coal in coalitions]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the truth-table oracle must stay independent of elimination")
+
+    for name in ("_eliminate", "_reduce", "_decider"):
+        monkeypatch.setattr(analysis, name, refuse)
+    monkeypatch.setattr(np.linalg, "matrix_rank", refuse)
+    assert [brute_force_secrecy(trace, coal, target) for coal in coalitions] == want
+
+
+def _packed(*entries):
+    """A sorted packed table from (view, target bit) pairs."""
+    return np.sort(np.array([view << 1 | bit for view, bit in entries], dtype=np.uint64))
+
+
+def test_grouped_verdict_fixed_groups_are_broken():
+    table = _packed((0, 1), (0, 1), (1, 0), (5, 1), (5, 1), (5, 1))
+    assert _grouped_verdict(table) is Status.BROKEN
+
+
+def test_grouped_verdict_balanced_groups_are_secure():
+    table = _packed((0, 0), (0, 1), (1, 1), (1, 0), (7, 0), (7, 1), (7, 1), (7, 0))
+    assert _grouped_verdict(table) is Status.SECURE
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [(0, 0), (0, 1), (3, 0), (3, 1), (3, 1), (3, 1)],  # one group split 3:1
+        [(0, 0), (0, 1), (2, 1), (2, 1)],  # one balanced group, one fixed
+    ],
+)
+def test_grouped_verdict_rejects_a_group_neither_fixed_nor_balanced(entries):
+    with pytest.raises(AssertionError, match="neither fixed nor balanced"):
+        _grouped_verdict(_packed(*entries))
 
 
 @st.composite

@@ -105,6 +105,26 @@ def test_analyze_single_coalition_with_oracle(tmp_path, capsys):
     assert "truth-table oracle: BROKEN (agree)" in out
 
 
+def test_analyze_oracle_without_a_coalition_is_a_usage_error(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    argv = ["analyze", "--shape", "ring6", "--oracle", "--output-dir", str(out_dir)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "--oracle checks one coalition; give --coalition" in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("flag", ["--grid-paths", "--grid-reach"])
+def test_analyze_grid_with_no_numbers_exits_three(tmp_path, capsys, flag):
+    out_dir = tmp_path / "out"
+    assert main(["analyze", "--grid", flag, ",", "--output-dir", str(out_dir)]) == 3
+    err = capsys.readouterr().err
+    assert "--grid-paths and --grid-reach each need at least one number" in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
 def test_analyze_oracle_refuses_a_chain_too_wide_to_sweep(tmp_path, capsys):
     argv = ["analyze", "--shape", "chain", "--m", "30", "--coalition", "N1,N2", "--oracle"]
     assert main(argv + ["--output-dir", str(tmp_path)]) == 3
