@@ -84,6 +84,16 @@ def _pick_variant(args: argparse.Namespace, topo: Topology) -> Variant:
     return Variant.default_for(topo.shape)
 
 
+_LAYOUT_FLAGS = ("shape", "config", "m", "paths", "t", "variant")
+
+
+def _refuse_ignored(args: argparse.Namespace, mode: str, names: tuple[str, ...]) -> None:
+    """A usage error for each flag in names that was given but mode ignores."""
+    given = [f"--{name}" for name in names if getattr(args, name) not in (None, False)]
+    if given:
+        raise ValueError(f"{mode} ignores {', '.join(given)}")
+
+
 def _out_path(args: argparse.Namespace, name: str) -> str:
     os.makedirs(args.output_dir, exist_ok=True)
     return os.path.join(args.output_dir, name)
@@ -114,9 +124,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    if args.oracle and args.coalition is None:
-        raise ValueError("--oracle checks one coalition; give --coalition")
     if args.grid:
+        _refuse_ignored(args, "--grid", ("coalition", "oracle", *_LAYOUT_FLAGS))
         path_counts, reaches = _parse_int_list(args.grid_paths), _parse_int_list(args.grid_reach)
         if not path_counts or not reaches:
             raise ValueError("--grid-paths and --grid-reach each need at least one number")
@@ -128,6 +137,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(csv_text, end="")
         print(f"wrote {path}")
         return 0
+    if args.oracle and args.coalition is None:
+        raise ValueError("--oracle checks one coalition; give --coalition")
     topo = _build_topology(args)
     variant = _pick_variant(args, topo)
     trace = run(topo, variant, args.n, random.Random(args.seed))
@@ -167,6 +178,8 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def cmd_rate(args: argparse.Namespace) -> int:
+    if args.from_km > args.to_km or args.step_km < 1:
+        raise ValueError("rate needs --from-km <= --to-km and --step-km >= 1")
     if args.params:
         with open(args.params, encoding="utf-8") as fh:
             params = ratemodel.parse_rate_config(fh.read())
@@ -207,6 +220,7 @@ def cmd_rate(args: argparse.Namespace) -> int:
 
 def cmd_attack(args: argparse.Namespace) -> int:
     if args.active:
+        _refuse_ignored(args, "--active", ("coalition", *_LAYOUT_FLAGS))
         worst, per = analysis.max_active_attack_leakage()
         for name, bits in sorted(per.items()):
             print(f"substitution {name}: leakage {bits:.6g} bits")

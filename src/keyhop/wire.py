@@ -5,7 +5,7 @@ Frame layout, integers big-endian:
     length  u32   byte count of everything after this field
     type    u8    0x01 HELLO, 0x02 RELAY, 0x03 DONE, 0x04 ABORT
     index   u16   hop index (0 for HELLO/DONE/ABORT)
-    payload bytes raw bitstring bytes for RELAY, UTF-8 text otherwise
+    payload bytes raw bitstring bytes for RELAY, empty for DONE, UTF-8 text otherwise
     tag     32B   HMAC-SHA256 over type+index+payload with the link key
 
 A frame's tag is verified before any payload byte is acted on. Each node is
@@ -21,14 +21,18 @@ deadline) and returns the frames to send. `orchestrate` runs every node of a
 run on one asyncio event loop. It binds every listener before any node
 dials, then feeds each link's frames to its node as they arrive.
 
-Termination: DONE frames are gossiped (payload = label of the node that
-finished), and nobody, endpoints especially, terminates cleanly before
-hearing every label. An endpoint therefore never writes a key unless the
-whole run succeeded; any abort floods ABORT frames instead and starves the
-gossip, so both endpoints abort. This matters on chains, where the origin
-endpoint finishes sending long before downstream tampering is detected. A
-node that has not finished `timeout` seconds after the run started aborts
-with TIMEOUT.
+Termination: every layout is a set of A-to-B paths, and two waves of DONE
+frames run along them, one per link direction. A node's up peers are its
+neighbours one step nearer A. Wave 1: a node that has walked its hops and
+heard DONE from every up peer sends DONE to its other peers. Wave 2: a node
+that has heard DONE from every peer sends DONE to its up peers and
+succeeds. B, with no peer nearer B, succeeds first, once every node has
+finished; A succeeds last. An endpoint therefore never writes a key unless
+the whole run succeeded; any abort floods ABORT frames instead and stops
+the waves, so both endpoints abort. This matters on chains, where the
+origin endpoint finishes sending long before downstream tampering is
+detected. A node that has not finished `timeout` seconds after the run
+started aborts with TIMEOUT.
 
 Teardown: a node that has finished, cleanly or by abort, half-closes every
 link, then reads each one until its peer half-closes too, for at most
@@ -214,15 +218,15 @@ class NodeMachine:
         self.peers_in = tuple(sorted({h.sender.label for h in inbound}))
         self.peers_out = tuple(sorted({h.receiver.label for h in outbound}))
         self.peers = {*self.peers_in, *self.peers_out}
+        self.up = {u.label for u, v in schedule.plan.topology.links if v.label == label}
         self.expected_relays = {(h.sender.label, h.index) for h in inbound}
         self.absorbs = schedule.absorbs_for(label)
         self.nonces = schedule.nonces_of(label)
-        self.labels = {nd.label for nd in schedule.plan.topology.nodes}
         self.links: set[str] = set()  # peers greeted by us or by an authentic HELLO
         self.pc = 0  # index of the next hop in self.hops
         self.received: dict[int, BitString] = {}
-        self.finished: set[str] = set()  # labels whose DONE gossip arrived
-        self.eof_peers: set[str] = set()
+        self.done: set[str] = set()  # peers whose DONE arrived
+        self.announced = False  # wave 1 sent
         self._sends: Sends = []
 
     def log(self, line: str) -> None:
@@ -260,7 +264,7 @@ class NodeMachine:
             except _Abort as exc:
                 self.code = exc.exit_code
                 self.log(f"ABORT {exc.reason}")
-                self._broadcast(FRAME_ABORT, exc.reason.encode())
+                self._broadcast(self.links, FRAME_ABORT, exc.reason.encode())
         sends, self._sends = self._sends, []
         return sends
 
@@ -276,12 +280,8 @@ class NodeMachine:
         if isinstance(event, FrameError):
             raise _Abort(event.code)
         if event is None:
-            # nobody may leave while protocol frames are pending; a peer that
-            # announced its completion may, its gossip went out before its FIN
-            if self.pc < len(self.hops) or peer not in self.finished:
-                raise _Abort("PEER_LOST")
-            self.eof_peers.add(peer)
-            if self.eof_peers == self.peers:
+            # a peer may leave only after its DONE arrived
+            if peer not in self.done:
                 raise _Abort("PEER_LOST")
             return
         assert peer is not None
@@ -294,7 +294,7 @@ class NodeMachine:
         elif frame.ftype == FRAME_ABORT:
             raise _Abort(_peer_abort_reason(frame.payload))
         elif frame.ftype == FRAME_DONE:
-            self._note_done(frame.payload.decode("utf-8", "replace"))
+            self.done.add(peer)
         elif frame.ftype == FRAME_RELAY:
             self._accept_relay(peer, frame)
         else:
@@ -316,13 +316,12 @@ class NodeMachine:
             return
         if {*self.cfg.schedule.plan.keys_of(self.cfg.label), *self.nonces} - set(self.values):
             raise _Abort("MISSING_KEY", exit_code=3)
-        # gossip heard before the last link came up, announced now to all
-        for origin in sorted(self.finished):
-            self._broadcast(FRAME_DONE, origin.encode())
 
     def _advance(self) -> None:
-        """Walk this node's hops as far as the relays received so far allow,
-        then announce completion; finish once every label's DONE has arrived."""
+        """Walk this node's hops as far as the relays received so far allow.
+        Then, once DONE has arrived from every up peer, send DONE on to the
+        other peers (wave 1); once it has arrived from every peer, send DONE
+        back to the up peers and succeed (wave 2)."""
         if self.links != self.peers:
             return
         while self.pc < len(self.hops):
@@ -332,8 +331,13 @@ class NodeMachine:
             elif hop.index not in self.received:
                 return
             self.pc += 1
-        self._note_done(self.cfg.label)
-        if self.finished == self.labels:
+        if not self.up <= self.done:
+            return
+        if not self.announced:
+            self.announced = True
+            self._broadcast(self.peers - self.up, FRAME_DONE, b"")
+        if self.done == self.peers:
+            self._broadcast(self.up, FRAME_DONE, b"")
             self.code = 0
             self.output = self._output()
 
@@ -361,13 +365,6 @@ class NodeMachine:
         self.received[frame.index] = BitString.from_bytes(frame.payload, self.cfg.n)
         self.log(f"RECV M{frame.index} <- {peer}")
 
-    def _note_done(self, origin: str) -> None:
-        if origin in self.finished or origin not in self.labels:
-            return
-        self.finished.add(origin)
-        if self.links == self.peers:
-            self._broadcast(FRAME_DONE, origin.encode())
-
     def _output(self) -> BitString | None:
         if self.cfg.output_path is None:
             return None
@@ -384,8 +381,8 @@ class NodeMachine:
     def _send(self, peer: str, frame: Frame) -> None:
         self._sends.append((peer, encode_frame(frame, self.cfg.link_keys[peer])))
 
-    def _broadcast(self, ftype: int, payload: bytes) -> None:
-        for peer in sorted(self.links):
+    def _broadcast(self, peers: set[str], ftype: int, payload: bytes) -> None:
+        for peer in sorted(peers):
             self._send(peer, Frame(ftype, 0, payload))
 
 
@@ -596,6 +593,8 @@ def orchestrate(
         raise ValueError(f"ports {base_port}..{last_port} fall outside 1..65535")
     if not (math.isfinite(timeout) and timeout > 0):
         raise ValueError(f"timeout must be a positive number of seconds, got {timeout}")
+    if tamper_index is not None and not 0 <= tamper_index < hops:
+        raise ValueError(f"tamper index {tamper_index} names no hop; hops are 0..{hops - 1}")
     plan = plan_keys(topo, variant)
     schedule = compile_schedule(plan)
     store = make_store(schedule, n, random.Random(seed))

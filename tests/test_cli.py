@@ -392,11 +392,22 @@ def test_config_file_round_trip(tmp_path, capsys):
         ["analyze", "--shape", "ring6", "--coalition", "Z9"],
         ["analyze", "--shape", "ring6", "--coalition", "A"],  # endpoints can't collude
         ["simulate", "--config", "/nonexistent/topo.cfg"],
+        ["analyze", "--grid", "--coalition", "N1"],  # flags --grid ignores
+        ["analyze", "--grid", "--coalition", "N1", "--oracle"],
+        ["analyze", "--grid", "--shape", "ring6"],
+        ["attack", "--active", "--coalition", "N1"],  # flags --active ignores
+        ["attack", "--active", "--shape", "chain", "--m", "3"],
+        ["rate", "--from-km", "10", "--to-km", "0"],  # no distances
+        ["rate", "--step-km", "0"],
+        ["wire", "--shape", "chain", "--m", "2", "--tamper", "999"],  # hops are 0..2
+        ["wire", "--shape", "chain", "--m", "2", "--tamper", "-1"],
     ],
 )
 def test_usage_errors_exit_three(tmp_path, argv, capsys):
-    assert main(argv + ["--output-dir", str(tmp_path)]) == 3
-    capsys.readouterr()
+    out_dir = tmp_path / "out"
+    assert main(argv + ["--output-dir", str(out_dir)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_bad_flag_exits_three(tmp_path, capsys):

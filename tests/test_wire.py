@@ -274,7 +274,7 @@ def test_reruns_on_fresh_ports_agree(tmp_path):
 
 @pytest.mark.parametrize("seed", [31, 32])
 def test_tampering_any_hop_of_a_long_chain_aborts_well_inside_the_timeout(tmp_path, seed):
-    # a full close with unread gossip resets the link, the reset destroys an
+    # a full close with unread frames resets the link, the reset destroys an
     # ABORT the neighbour has not read, and the neighbour waits out the timeout
     topo = build_chain(10)
     for hop in range(11):
@@ -335,31 +335,39 @@ def test_a_run_matches_the_engine_on_the_calling_thread_alone(
 # -- delivery orders, with no sockets -----------------------------------------
 
 
+def _machines(topo, variant, seed, tamper_index=None, n=64):
+    """Every node's NodeMachine, keyed by label, with its key-oracle slice."""
+    schedule = compile_schedule(plan_keys(topo, variant))
+    store = make_store(schedule, n, random.Random(seed))
+    labels = [nd.label for nd in topo.nodes]
+    cfgs = _node_configs(schedule, n, 0, "", {lab: "" for lab in labels}, tamper_index, 1.0)
+    return {
+        lab: NodeMachine(cfg, {sid: store[sid] for sid in store.ids() if sid.involves(lab)})
+        for lab, cfg in cfgs.items()
+    }
+
+
 def _deliver(topo, variant, seed, order, tamper_index=None, n=64):
-    """Run every node's NodeMachine in-process. Each direction of each link
+    """Run every node's NodeMachine in-process and return the machines and
+    the DONE frames sent on each directed link. Each direction of each link
     is a FIFO queue, as TCP keeps order within a stream; `order` picks the
     next step: a node dials one of its links, or a link delivers its next
     frame. A node that finishes half-closes its links: its peers read the
     end of stream after its last frame. Deadlines never fire, so a run that
     needs one to end leaves a node unfinished."""
-    schedule = compile_schedule(plan_keys(topo, variant))
-    store = make_store(schedule, n, random.Random(seed))
-    labels = [nd.label for nd in topo.nodes]
-    cfgs = _node_configs(schedule, n, 0, "", {lab: "" for lab in labels}, tamper_index, 1.0)
-    nodes = {
-        lab: NodeMachine(cfg, {sid: store[sid] for sid in store.ids() if sid.involves(lab)})
-        for lab, cfg in cfgs.items()
-    }
+    nodes = _machines(topo, variant, seed, tamper_index, n)
     queues = {}
     for lab, node in nodes.items():
         for peer in node.peers_out:
             queues[(lab, peer)] = deque()
             queues[(peer, lab)] = deque()
+    dones = dict.fromkeys(queues, 0)
     closed = set()
 
     def send(lab, sends):
         for peer, blob in sends:
             queues[(lab, peer)].append(blob)
+            dones[(lab, peer)] += blob[4] == FRAME_DONE
         if nodes[lab].code is not None and lab not in closed:
             closed.add(lab)
             for (sender, _), queue in queues.items():
@@ -370,7 +378,7 @@ def _deliver(topo, variant, seed, order, tamper_index=None, n=64):
     while True:
         ready = sorted(link for link, queue in queues.items() if queue)
         if not ready and not dials:
-            return nodes
+            return nodes, dones
         pick = order.randrange(len(dials) + len(ready))
         if pick < len(dials):
             lab, peer = dials.pop(pick)
@@ -396,8 +404,9 @@ DELIVERY_IDS = ["ring6", "ring6v1", "chain2", "chain4", "reach52", "multipath22"
 @settings(max_examples=30)
 @given(order=st.randoms(use_true_random=False), seed=st.integers(0, 2**32 - 1))
 def test_any_delivery_order_gives_both_endpoints_the_engine_key(topo, variant, order, seed):
-    nodes = _deliver(topo, variant, seed, order)
+    nodes, dones = _deliver(topo, variant, seed, order)
     assert {lab: node.code for lab, node in nodes.items()} == {lab: 0 for lab in nodes}
+    assert dones == dict.fromkeys(dones, 1)
     key = run(topo, variant, 64, random.Random(seed)).output_a
     assert nodes[topo.endpoint_a.label].output == key
     assert nodes[topo.endpoint_b.label].output == key
@@ -409,6 +418,21 @@ def test_any_delivery_order_gives_both_endpoints_the_engine_key(topo, variant, o
 def test_any_delivery_order_aborts_every_node_on_a_tampered_relay(topo, variant, order, data):
     hops = sum(len(path) - 1 for path in topo.paths)
     tamper = data.draw(st.integers(0, hops - 1), label="tampered hop")
-    nodes = _deliver(topo, variant, 7, order, tamper_index=tamper)
+    nodes, _ = _deliver(topo, variant, 7, order, tamper_index=tamper)
     assert {lab: node.code for lab, node in nodes.items()} == {lab: 2 for lab in nodes}
     assert all(node.output is None for node in nodes.values())
+
+
+def test_a_peer_that_leaves_before_its_done_is_lost():
+    nodes = _machines(build_chain(2), Variant.CHAIN2, 7)
+    a, n1 = nodes["A"], nodes["N1"]
+    hello, relay, done = (blob for _, blob in a.dialled("N1"))
+    assert done[4] == FRAME_DONE
+    assert n1.identify(hello) == "A"
+    n1.feed("A", hello)
+    n1.dialled("N2")
+    n1.feed("A", relay)
+    sends = n1.feed("A", None)  # A's end of stream, with its DONE lost
+    assert n1.code == 2 and n1.output is None
+    assert n1.transcript[-1] == "N1: ABORT PEER_LOST"
+    assert [(peer, blob[4]) for peer, blob in sends] == [("A", FRAME_ABORT), ("N2", FRAME_ABORT)]
