@@ -7,11 +7,11 @@ serves two paths:
 
 - explain (view_of + is_recoverable): one coalition's view, reduced with
   combination tracking, so a BROKEN verdict carries its recovery recipe;
-- decide (min_breaking_coalitions, coalition_rows): the message, target and
-  per-intermediary key masks are built once per trace, and a coalition breaks
-  when the target, with its held keys masked out, lies in the span of the
-  messages masked the same way. Coalitions are int bitmasks over the
-  intermediaries; only the output is turned back into Coalition objects.
+- decide (min_breaking_coalitions, coalition_rows): one pruned sweep,
+  smallest first, finds the minimal breaking coalitions, testing each by
+  masking its held keys out of the trace's message and target masks.
+  Breaking is monotone, so a coalition breaks iff it contains a minimal one.
+  Coalitions stay int bitmasks over the intermediaries until output.
 
 brute_force_secrecy is the independent check: it sweeps the full truth table
 of secret assignments at n=1 and inspects the conditional distribution of the
@@ -80,7 +80,12 @@ class Coalition:
         return tuple(sorted(nd.label for nd in self.members))
 
     def describe(self) -> str:
-        return "+".join(self.labels) if self.members else "(empty)"
+        return _describe(nd.label for nd in self.members)
+
+
+def _describe(labels: Iterable[str]) -> str:
+    """A coalition's printed name, as in coalitions.csv and on stdout."""
+    return "+".join(sorted(labels)) or "(empty)"
 
 
 @dataclass(frozen=True)
@@ -160,6 +165,14 @@ def _reduce(pivots: dict[int, tuple[int, int]], residual: int) -> int | None:
     return combo
 
 
+def _mask(order: dict[SecretId, int], terms: Iterable[SecretId]) -> int:
+    """The column bitmask of terms."""
+    mask = 0
+    for sid in terms:
+        mask |= 1 << order[sid]
+    return mask
+
+
 def is_recoverable(view: AdversaryView, target: SymbolicExpr) -> SecrecyVerdict:
     """Decide whether the view linearly determines the target.
 
@@ -167,23 +180,13 @@ def is_recoverable(view: AdversaryView, target: SymbolicExpr) -> SecrecyVerdict:
     found by reducing messages first (in transmission order), then held
     secrets (by name), pivoting on the lowest remaining column.
     """
-    atoms: set[SecretId] = set(target.terms)
-    for expr in view.observed:
-        atoms |= expr.terms
-    atoms |= set(view.known)
+    atoms = {*target.terms, *view.known}.union(*(expr.terms for expr in view.observed))
     order = {sid: i for i, sid in enumerate(sorted(atoms, key=lambda s: s.name))}
-
-    def mask_of(terms: Iterable[SecretId]) -> int:
-        mask = 0
-        for sid in terms:
-            mask |= 1 << order[sid]
-        return mask
-
     # rows sit in recipe order, so the recovery set is the combination's
     # set bits read from the lowest up
-    rows = [mask_of(expr.terms) for expr in view.observed]
+    rows = [_mask(order, expr.terms) for expr in view.observed]
     rows += [1 << order[sid] for sid in view.known]
-    combo = _reduce(_eliminate(rows), mask_of(target.terms))
+    combo = _reduce(_eliminate(rows), _mask(order, target.terms))
     if combo is None:
         return SecrecyVerdict(target, Status.SECURE)
     items = (*range(len(view.observed)), *view.known)
@@ -220,26 +223,16 @@ def _subsets(trace: ProtocolTrace) -> Iterator[int]:
 
 def _decider(trace: ProtocolTrace, target: SymbolicExpr) -> Callable[[int], bool]:
     """Build the masks once per (trace, target) and return the test of
-    whether a coalition bitmask recovers the target.
-
-    Columns are the store's secrets by name, then any other target or
-    message terms. Held keys are known outright, so masking them out of
-    every row and of the target leaves the same span question over the
-    messages alone.
-    """
-    secrets = sorted(trace.store.ids(), key=lambda s: s.name)
-    order = {sid: i for i, sid in enumerate(secrets)}
-
-    def mask_of(terms: Iterable[SecretId]) -> int:
-        mask = 0
-        for sid in terms:
-            mask |= 1 << order.setdefault(sid, len(order))
-        return mask
-
-    goal = mask_of(target.terms)
-    messages = [mask_of(msg.expr.terms) for msg in trace.messages]
+    whether a coalition bitmask recovers the target. Held keys are known
+    outright, so masking them out of every row and of the target leaves the
+    same span question over the messages alone."""
+    secrets = trace.store.ids()
+    atoms = {*secrets, *target.terms}.union(*(msg.expr.terms for msg in trace.messages))
+    order = {sid: i for i, sid in enumerate(sorted(atoms, key=lambda s: s.name))}
+    goal = _mask(order, target.terms)
+    messages = [_mask(order, msg.expr.terms) for msg in trace.messages]
     held = [
-        mask_of(sid for sid in secrets if nd.label in sid.ends)
+        _mask(order, (sid for sid in secrets if nd.label in sid.ends))
         for nd in trace.topology.intermediaries
     ]
 
@@ -256,9 +249,22 @@ def _decider(trace: ProtocolTrace, target: SymbolicExpr) -> Callable[[int], bool
     return breaks
 
 
-def _coalition(trace: ProtocolTrace, mask: int) -> Coalition:
-    inter = trace.topology.intermediaries
-    return Coalition(frozenset(nd for i, nd in enumerate(inter) if mask >> i & 1))
+def _minimal_masks(trace: ProtocolTrace, target: SymbolicExpr) -> list[int]:
+    """The minimal breaking coalitions as bitmasks, smallest first; only
+    coalitions with no minimal one inside them are decided."""
+    breaks = _decider(trace, target)
+    minimal: list[int] = []
+    for coal in _subsets(trace):
+        if any(found & ~coal == 0 for found in minimal):
+            continue
+        if breaks(coal):
+            minimal.append(coal)
+    return minimal
+
+
+def _members(items: tuple, coal: int) -> list:
+    """The items at the coalition bitmask's set bits, in order."""
+    return [item for i, item in enumerate(items) if coal >> i & 1]
 
 
 def min_breaking_coalitions(
@@ -267,30 +273,22 @@ def min_breaking_coalitions(
     """All minimal intermediary coalitions that recover the target
     (final key by default), smallest first; supersets are pruned."""
     target = target if target is not None else final_key_expr(trace)
-    breaks = _decider(trace, target)
-    minimal: list[int] = []
-    for coal in _subsets(trace):
-        if any(found & ~coal == 0 for found in minimal):
-            continue
-        if breaks(coal):
-            minimal.append(coal)
-    return [_coalition(trace, coal) for coal in minimal]
+    inter = trace.topology.intermediaries
+    return [Coalition(frozenset(_members(inter, coal))) for coal in _minimal_masks(trace, target)]
 
 
 def coalition_rows(
     trace: ProtocolTrace, target: SymbolicExpr | None = None
 ) -> list[tuple[str, str, str, str]]:
-    """One (variant, topology, coalition, status) row per intermediary coalition."""
+    """One (variant, topology, coalition, status) row per intermediary
+    coalition; a row is BROKEN iff it contains a minimal breaking one."""
     target = target if target is not None else final_key_expr(trace)
-    breaks = _decider(trace, target)
-    variant, topology = trace.variant.value, trace.topology.describe()
+    minimal = _minimal_masks(trace, target)
+    labels = tuple(nd.label for nd in trace.topology.intermediaries)
+    head = (trace.variant.value, trace.topology.describe())
+    status = (Status.SECURE.value, Status.BROKEN.value)
     return [
-        (
-            variant,
-            topology,
-            _coalition(trace, coal).describe(),
-            (Status.BROKEN if breaks(coal) else Status.SECURE).value,
-        )
+        (*head, _describe(_members(labels, coal)), status[any(f & ~coal == 0 for f in minimal)])
         for coal in _subsets(trace)
     ]
 

@@ -23,6 +23,7 @@ from .bits import SymbolicExpr
 from .keyplan import Variant, cm_report, plan_keys
 from .protocol import run, trace_json, trace_text
 from .topology import (
+    _SHAPE_KEYS,
     Shape,
     Topology,
     build_chain,
@@ -56,12 +57,26 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output-dir", default=".")
 
 
+_SHAPE_FLAGS = ("m", "paths", "t")  # the layout keys of topology._SHAPE_KEYS
+_LAYOUT_FLAGS = ("shape", "config", *_SHAPE_FLAGS, "variant")
+
+
+def _refuse_ignored(args: argparse.Namespace, mode: str, names: tuple[str, ...]) -> None:
+    """A usage error for each flag in names that was given but mode ignores."""
+    given = [f"--{n}" for n in names if (v := getattr(args, n)) is not None and v is not False]
+    if given:
+        raise ValueError(f"{mode} ignores {', '.join(given)}")
+
+
 def _build_topology(args: argparse.Namespace) -> Topology:
     if args.config:
+        _refuse_ignored(args, "--config", ("shape", *_SHAPE_FLAGS))
         with open(args.config, encoding="utf-8") as fh:
             return parse_topology_config(fh.read())
     if not args.shape:
         raise ValueError("give --shape or --config")
+    ignored = tuple(k for k in _SHAPE_FLAGS if k not in _SHAPE_KEYS[Shape(args.shape)])
+    _refuse_ignored(args, f"--shape {args.shape}", ignored)
     if args.shape == "ring6":
         return build_ring6(args.link_km)
     if args.shape == "chain":
@@ -82,16 +97,6 @@ def _pick_variant(args: argparse.Namespace, topo: Topology) -> Variant:
     if args.variant:
         return Variant(args.variant)
     return Variant.default_for(topo.shape)
-
-
-_LAYOUT_FLAGS = ("shape", "config", "m", "paths", "t", "variant")
-
-
-def _refuse_ignored(args: argparse.Namespace, mode: str, names: tuple[str, ...]) -> None:
-    """A usage error for each flag in names that was given but mode ignores."""
-    given = [f"--{name}" for name in names if getattr(args, name) not in (None, False)]
-    if given:
-        raise ValueError(f"{mode} ignores {', '.join(given)}")
 
 
 def _out_path(args: argparse.Namespace, name: str) -> str:

@@ -90,13 +90,13 @@ def compile_schedule(plan: KeyPlan) -> Schedule:
     absorbs: list[tuple[str, AbsorbRule]] = []
     owners: list[tuple[str, SecretId]] = []
     for path_pos, (seq, nonce_id) in enumerate(_path_runs(topo)):
-        labels = {nd.label for nd in seq}
-        path_keys = [
-            sid for sid in plan.secret_ids if all(end in labels for end in sid.ends)
-        ]
-        for i in range(len(seq) - 1):
-            sender, receiver = seq[i], seq[i + 1]
-            assert topo.adjacent(sender, receiver)
+        # each node's keys on this path, in plan order
+        keys: dict[str, list[SecretId]] = {nd.label: [] for nd in seq}
+        for sid in plan.secret_ids:
+            if all(end in keys for end in sid.ends):
+                for end in sid.ends:
+                    keys[end].append(sid)
+        for i, (sender, receiver) in enumerate(zip(seq, seq[1:])):
             hops.append(
                 Hop(
                     index=len(hops),
@@ -104,13 +104,11 @@ def compile_schedule(plan: KeyPlan) -> Schedule:
                     sender=sender,
                     receiver=receiver,
                     origin=nonce_id if i == 0 else None,
-                    xor_ids=tuple(k for k in path_keys if sender.label in k.ends),
+                    xor_ids=tuple(keys[sender.label]),
                 )
             )
         dest = seq[-1]
-        absorbs.append(
-            (dest.label, AbsorbRule(hops[-1].index, tuple(k for k in path_keys if dest.label in k.ends)))
-        )
+        absorbs.append((dest.label, AbsorbRule(hops[-1].index, tuple(keys[dest.label]))))
         owners.append((seq[0].label, nonce_id))
     return Schedule(plan, tuple(hops), tuple(absorbs), tuple(owners))
 

@@ -98,9 +98,6 @@ class Topology:
         """Consecutive node pairs along every path."""
         return tuple(pair for path in self.paths for pair in zip(path, path[1:]))
 
-    def adjacent(self, u: NodeId, v: NodeId) -> bool:
-        return (u, v) in self.links or (v, u) in self.links
-
     def describe(self) -> str:
         if self.shape is Shape.RING6:
             return "ring6"
@@ -202,20 +199,27 @@ def parse_kv(text: str) -> dict[str, str]:
     return out
 
 
-_TOPOLOGY_KEYS = {"shape", "link_length_km", "m", "t", "paths"}
+# the layout keys each shape reads, beside shape and link_length_km; the
+# config file and the CLI's layout flags share them
+_SHAPE_KEYS = {
+    Shape.RING6: (),
+    Shape.CHAIN: ("m",),
+    Shape.REACH: ("m", "t"),
+    Shape.MULTIPATH: ("paths", "t"),
+}
 
 
 def parse_topology_config(text: str) -> Topology:
     kv = parse_kv(text)
-    unknown = set(kv) - _TOPOLOGY_KEYS
-    if unknown:
-        raise ValueError(f"unknown topology keys: {sorted(unknown)}")
     try:
         shape = Shape(kv["shape"])
     except KeyError:
         raise ValueError("missing 'shape'") from None
     except ValueError:
         raise ValueError(f"unknown shape {kv['shape']!r}") from None
+    ignored = set(kv) - {"shape", "link_length_km", *_SHAPE_KEYS[shape]}
+    if ignored:
+        raise ValueError(f"shape {shape.value!r} does not read {sorted(ignored)}")
     link = float(kv.get("link_length_km", "100"))
 
     def need(key: str) -> str:

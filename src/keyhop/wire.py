@@ -490,11 +490,12 @@ class _NodeRunner:
 
 async def _run_nodes(cfgs: list[NodeConfig]) -> dict[str, NodeResult]:
     """Run every node on the running event loop; every listener is bound
-    before any node dials."""
+    before any node dials. If one node's config step fails (its oracle
+    slice or its listener bind), no node starts: the listeners bound so far
+    are closed and only that node's result comes back."""
     import asyncio
 
     loop = asyncio.get_running_loop()
-    results: dict[str, NodeResult] = {}
     runners: list[_NodeRunner] = []
     for cfg in cfgs:
         try:
@@ -504,12 +505,13 @@ async def _run_nodes(cfgs: list[NodeConfig]) -> dict[str, NodeResult]:
             if runner.m.peers_in:
                 runner.server = await asyncio.start_server(runner.accept, *cfg.listen)
         except (OSError, ValueError) as exc:
-            results[cfg.label] = NodeResult(cfg.label, 3, [f"{cfg.label}: CONFIG {exc}"])
-            continue
+            for bound in runners:
+                if bound.server is not None:
+                    bound.server.close()
+                    await bound.server.wait_closed()
+            return {cfg.label: NodeResult(cfg.label, 3, [f"{cfg.label}: CONFIG {exc}"])}
         runners.append(runner)
-    for res in await asyncio.gather(*(runner.run() for runner in runners)):
-        results[res.label] = res
-    return results
+    return {res.label: res for res in await asyncio.gather(*(r.run() for r in runners))}
 
 
 def _node_configs(
@@ -584,7 +586,7 @@ def orchestrate(
     first gives one node a mismatched run descriptor, the second deletes one
     (node label, secret name) entry from that node's key-oracle slice.
     """
-    # hop indices are u16; check before planning, which costs O(hops x links)
+    # hop indices are u16; refuse an oversized schedule before building it
     hops = sum(len(p) - 1 for p in topo.paths)
     if hops > _MAX_HOPS:
         raise ValueError(f"{hops} hops exceed the wire limit of {_MAX_HOPS}")
@@ -622,17 +624,16 @@ def orchestrate(
     def read_output(label: str) -> BitString | None:
         path = cfgs[label].output_path
         assert path is not None
+        if label not in results or results[label].code != 0:
+            return None  # the node failed, or never started
         try:
             with open(path, encoding="utf-8") as fh:
                 return BitString.from_hex(fh.read().strip(), n)
         except (OSError, ValueError):
             return None
 
-    a_label, b_label = topo.endpoint_a.label, topo.endpoint_b.label
-    out_a = read_output(a_label) if results[a_label].code == 0 else None
-    out_b = read_output(b_label) if results[b_label].code == 0 else None
-
-    codes = [results[lab].code for lab in cfgs]
+    out_a, out_b = read_output(topo.endpoint_a.label), read_output(topo.endpoint_b.label)
+    codes = [res.code for res in results.values()]
     code = 3 if 3 in codes else (2 if any(c != 0 for c in codes) else 0)
     if code == 0 and (out_a is None or out_b is None or out_a != out_b):
         code = 2
@@ -640,7 +641,7 @@ def orchestrate(
         report = f"all {len(cfgs)} nodes completed; endpoint keys match"
     else:
         causes = []
-        for lab in sorted(cfgs):
+        for lab in sorted(results):
             res = results[lab]
             if res.code != 0:
                 last = res.transcript[-1] if res.transcript else "no transcript"

@@ -397,6 +397,20 @@ def test_fast_decider_agrees_with_the_reference_analyzer(layout, seed):
         assert [c.members for c in min_breaking_coalitions(trace, target)] == minimal
 
 
+def test_coalition_rows_eliminate_only_in_the_minimal_sweep(monkeypatch):
+    """coalition_rows reads every verdict off the minimal breaking sets, so it
+    runs exactly the eliminations of min_breaking_coalitions' sweep, not one
+    per row (chain m=10 has 1024 rows)."""
+    trace = _trace(build_chain(10), Variant.CHAIN_M, n=1)
+    calls = []
+    eliminate = analysis._eliminate
+    monkeypatch.setattr(analysis, "_eliminate", lambda rows: calls.append(rows) or eliminate(rows))
+    min_breaking_coalitions(trace)
+    sweep = len(calls)
+    assert len(coalition_rows(trace)) == 1024
+    assert sweep == len(calls) - sweep == 88
+
+
 def test_enumeration_cap_refuses_chain_m21():
     trace = _trace(build_chain(ENUMERATION_CAP + 1), Variant.CHAIN_M, n=1)
     message = "21 intermediaries exceeds the exhaustive enumeration cap of 20"

@@ -383,6 +383,9 @@ def test_config_file_round_trip(tmp_path, capsys):
     assert "chain(m=3)" in capsys.readouterr().out
 
 
+_CONFIGS = {"chain.cfg": "shape = chain\nm = 3\n", "ring6-m5.cfg": "shape = ring6\nm = 5\n"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -401,9 +404,19 @@ def test_config_file_round_trip(tmp_path, capsys):
         ["rate", "--step-km", "0"],
         ["wire", "--shape", "chain", "--m", "2", "--tamper", "999"],  # hops are 0..2
         ["wire", "--shape", "chain", "--m", "2", "--tamper", "-1"],
+        ["simulate", "--shape", "chain", "--m", "4", "--t", "3"],  # layout flags the shape ignores
+        ["simulate", "--shape", "ring6", "--m", "5"],
+        ["simulate", "--shape", "ring6", "--m", "0"],
+        ["simulate", "--shape", "multipath", "--paths", "3,3", "--m", "9"],
+        ["simulate", "--config", "chain.cfg", "--shape", "ring6"],  # a config states the layout
+        ["simulate", "--config", "chain.cfg", "--t", "2"],
+        ["simulate", "--config", "ring6-m5.cfg"],  # a key the config's shape ignores
     ],
 )
 def test_usage_errors_exit_three(tmp_path, argv, capsys):
+    for name, text in _CONFIGS.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / arg) if arg in _CONFIGS else arg for arg in argv]
     out_dir = tmp_path / "out"
     assert main(argv + ["--output-dir", str(out_dir)]) == 3
     assert "Traceback" not in capsys.readouterr().err

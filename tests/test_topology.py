@@ -24,10 +24,10 @@ def test_ring_has_six_nodes_and_six_links():
 def test_ring_adjacency_follows_both_arcs():
     topo = build_ring6()
     node = topo.node
-    assert topo.adjacent(node("A"), node("N1"))
-    assert topo.adjacent(node("A"), node("N3"))
-    assert not topo.adjacent(node("A"), node("B"))
-    assert not topo.adjacent(node("N1"), node("N3"))
+    assert (node("A"), node("N1")) in topo.links
+    assert (node("A"), node("N3")) in topo.links
+    assert {(node("A"), node("B")), (node("B"), node("A"))}.isdisjoint(topo.links)
+    assert {(node("N1"), node("N3")), (node("N3"), node("N1"))}.isdisjoint(topo.links)
 
 
 def test_chain_counts_scale_with_m():
@@ -131,3 +131,13 @@ def test_link_length_must_be_positive():
         build_chain(2, 0.0)
     with pytest.raises(ValueError):
         build_ring6(-5.0)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["shape = ring6\nm = 5\n", "shape = chain\nm = 3\nt = 2\n", "shape = multipath\npaths = 3,3\nm = 9\n"],
+    ids=["ring6-m", "chain-t", "multipath-m"],
+)
+def test_config_rejects_keys_its_shape_ignores(text):
+    with pytest.raises(ValueError, match="does not read"):
+        parse_topology_config(text)

@@ -1,6 +1,7 @@
 import asyncio
 import gc
 import random
+import socket
 import threading
 import time
 import warnings
@@ -250,6 +251,23 @@ def test_missing_own_nonce_is_a_config_failure(tmp_path):
     assert result.code == 3
     assert any(line.startswith("A: ABORT MISSING_KEY") for line in result.transcript())
     assert not list(tmp_path.glob("key_*.hex"))
+
+
+def test_a_port_in_use_ends_the_run_at_once(tmp_path):
+    topo = build_chain(3)  # A, B, N1, N2, N3 listen on base .. base+4
+    base = next(PORTS)
+    with socket.socket() as held:
+        held.bind(("127.0.0.1", base + 4))
+        held.listen()
+        start = time.perf_counter()
+        result = orchestrate(topo, Variant.CHAIN_M, 64, 5, base, str(tmp_path), timeout=5)
+        elapsed = time.perf_counter() - start
+    assert result.code == 3
+    assert "N3: exit 3, N3: CONFIG" in result.report
+    assert elapsed < 0.5, f"took {elapsed:.3f} s"
+    assert not list(tmp_path.glob("key_*.hex"))
+    with socket.socket() as again:  # the listeners bound before N3's are closed
+        again.bind(("127.0.0.1", base + 1))
 
 
 def test_transcripts_never_leak_key_material(tmp_path):
