@@ -22,16 +22,7 @@ from . import analysis, ratemodel, wire
 from .bits import SymbolicExpr
 from .keyplan import Variant, cm_report, plan_keys
 from .protocol import run, trace_json, trace_text
-from .topology import (
-    _SHAPE_KEYS,
-    Shape,
-    Topology,
-    build_chain,
-    build_multipath,
-    build_reach_chain,
-    build_ring6,
-    parse_topology_config,
-)
+from .topology import Shape, Topology, build_topology, parse_topology_config
 
 __all__ = ["main"]
 
@@ -57,7 +48,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output-dir", default=".")
 
 
-_SHAPE_FLAGS = ("m", "paths", "t")  # the layout keys of topology._SHAPE_KEYS
+_SHAPE_FLAGS = ("m", "paths", "t")  # the layout keys build_topology reads
 _LAYOUT_FLAGS = ("shape", "config", *_SHAPE_FLAGS, "variant")
 
 
@@ -68,35 +59,22 @@ def _refuse_ignored(args: argparse.Namespace, mode: str, names: tuple[str, ...])
         raise ValueError(f"{mode} ignores {', '.join(given)}")
 
 
-def _build_topology(args: argparse.Namespace) -> Topology:
+def _layout(args: argparse.Namespace) -> tuple[Topology, Variant]:
+    """The layout the flags or the config file name, and the variant to run
+    on it: --variant, else the shape's default."""
     if args.config:
         _refuse_ignored(args, "--config", ("shape", *_SHAPE_FLAGS))
         with open(args.config, encoding="utf-8") as fh:
-            return parse_topology_config(fh.read())
-    if not args.shape:
+            topo = parse_topology_config(fh.read())
+    elif not args.shape:
         raise ValueError("give --shape or --config")
-    ignored = tuple(k for k in _SHAPE_FLAGS if k not in _SHAPE_KEYS[Shape(args.shape)])
-    _refuse_ignored(args, f"--shape {args.shape}", ignored)
-    if args.shape == "ring6":
-        return build_ring6(args.link_km)
-    if args.shape == "chain":
-        if args.m is None:
-            raise ValueError("--shape chain needs --m")
-        return build_chain(args.m, args.link_km)
-    if args.shape == "reach":
-        if args.m is None:
-            raise ValueError("--shape reach needs --m")
-        return build_reach_chain(args.m, args.t if args.t is not None else 2, args.link_km)
-    if not args.paths:
-        raise ValueError("--shape multipath needs --paths")
-    lengths = tuple(int(v) for v in args.paths.split(","))
-    return build_multipath(lengths, args.link_km, args.t if args.t is not None else 1)
-
-
-def _pick_variant(args: argparse.Namespace, topo: Topology) -> Variant:
-    if args.variant:
-        return Variant(args.variant)
-    return Variant.default_for(topo.shape)
+    else:
+        keys = {k: str(v) for k in _SHAPE_FLAGS if (v := getattr(args, k)) is not None}
+        if args.shape == Shape.REACH.value:
+            keys.setdefault("t", "2")
+        topo = build_topology(Shape(args.shape), keys, args.link_km)
+    variant = Variant(args.variant) if args.variant else Variant.default_for(topo.shape)
+    return topo, variant
 
 
 def _out_path(args: argparse.Namespace, name: str) -> str:
@@ -110,8 +88,7 @@ def _parse_coalition(trace, text: str) -> analysis.Coalition:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    topo = _build_topology(args)
-    variant = _pick_variant(args, topo)
+    topo, variant = _layout(args)
     trace = run(topo, variant, args.n, random.Random(args.seed))
     text = trace_text(trace)
     with open(_out_path(args, "trace.txt"), "w", encoding="utf-8") as fh:
@@ -144,8 +121,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return 0
     if args.oracle and args.coalition is None:
         raise ValueError("--oracle checks one coalition; give --coalition")
-    topo = _build_topology(args)
-    variant = _pick_variant(args, topo)
+    topo, variant = _layout(args)
     trace = run(topo, variant, args.n, random.Random(args.seed))
     target = analysis.final_key_expr(trace)
     if args.coalition is not None:
@@ -231,8 +207,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
             print(f"substitution {name}: leakage {bits:.6g} bits")
         print(f"max leakage over deterministic substitutions: {worst:.6g} bits")
         return 0
-    topo = _build_topology(args)
-    variant = _pick_variant(args, topo)
+    topo, variant = _layout(args)
     trace = run(topo, variant, args.n, random.Random(args.seed))
     coal = (
         _parse_coalition(trace, args.coalition)
@@ -259,8 +234,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 
 def cmd_wire(args: argparse.Namespace) -> int:
-    topo = _build_topology(args)
-    variant = _pick_variant(args, topo)
+    topo, variant = _layout(args)
     result = wire.orchestrate(
         topo,
         variant,

@@ -86,9 +86,6 @@ class KeyPlan:
     def secret_ids(self) -> tuple[SecretId, ...]:
         return tuple(e.secret_id for e in self.entries)
 
-    def keys_of(self, label: str) -> tuple[SecretId, ...]:
-        return tuple(e.secret_id for e in self.entries if e.secret_id.involves(label))
-
 
 def plan_keys(topo: Topology, variant: Variant) -> KeyPlan:
     """Derive the key set the variant's schedule consumes.

@@ -34,10 +34,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Hop:
-    """One message emission: sender folds xor_ids into the running payload."""
+    """One message emission: sender folds xor_ids into the running payload.
+    A path's hops are consecutive, so a hop without an origin continues the
+    payload of the hop just before it."""
 
     index: int
-    path_pos: int
     sender: NodeId
     receiver: NodeId
     origin: SecretId | None  # the nonce, when the sender starts this path
@@ -57,17 +58,19 @@ class Schedule:
     plan: KeyPlan
     hops: tuple[Hop, ...]
     absorbs: tuple[tuple[str, AbsorbRule], ...]  # (endpoint label, rule)
-    nonce_owners: tuple[tuple[str, SecretId], ...]  # (owner label, nonce)
 
     @property
     def nonce_ids(self) -> tuple[SecretId, ...]:
-        return tuple(nid for _, nid in self.nonce_owners)
+        """Each path's nonce: the origin of its first hop."""
+        return tuple(h.origin for h in self.hops if h.origin is not None)
 
     def absorbs_for(self, label: str) -> tuple[AbsorbRule, ...]:
         return tuple(rule for lab, rule in self.absorbs if lab == label)
 
     def nonces_of(self, label: str) -> tuple[SecretId, ...]:
-        return tuple(nid for lab, nid in self.nonce_owners if lab == label)
+        return tuple(
+            h.origin for h in self.hops if h.origin is not None and h.sender.label == label
+        )
 
 
 def _path_runs(topo: Topology) -> list[tuple[tuple[NodeId, ...], SecretId]]:
@@ -88,8 +91,7 @@ def compile_schedule(plan: KeyPlan) -> Schedule:
     topo = plan.topology
     hops: list[Hop] = []
     absorbs: list[tuple[str, AbsorbRule]] = []
-    owners: list[tuple[str, SecretId]] = []
-    for path_pos, (seq, nonce_id) in enumerate(_path_runs(topo)):
+    for seq, nonce_id in _path_runs(topo):
         # each node's keys on this path, in plan order
         keys: dict[str, list[SecretId]] = {nd.label: [] for nd in seq}
         for sid in plan.secret_ids:
@@ -100,7 +102,6 @@ def compile_schedule(plan: KeyPlan) -> Schedule:
             hops.append(
                 Hop(
                     index=len(hops),
-                    path_pos=path_pos,
                     sender=sender,
                     receiver=receiver,
                     origin=nonce_id if i == 0 else None,
@@ -109,8 +110,7 @@ def compile_schedule(plan: KeyPlan) -> Schedule:
             )
         dest = seq[-1]
         absorbs.append((dest.label, AbsorbRule(hops[-1].index, tuple(keys[dest.label]))))
-        owners.append((seq[0].label, nonce_id))
-    return Schedule(plan, tuple(hops), tuple(absorbs), tuple(owners))
+    return Schedule(plan, tuple(hops), tuple(absorbs))
 
 
 def make_store(
@@ -164,20 +164,18 @@ class ProtocolTrace:
 def execute(schedule: Schedule, store: KeyStore) -> ProtocolTrace:
     """Run the schedule over concrete bits, checking every emission against
     its symbolic form."""
-    running: dict[int, tuple[BitString, SymbolicExpr]] = {}
     messages: list[Message] = []
     for hop in schedule.hops:
         if hop.origin is not None:
             bits, expr = store[hop.origin], SymbolicExpr.of(hop.origin)
         else:
-            bits, expr = running[hop.path_pos]
+            bits, expr = messages[-1].bits, messages[-1].expr
         for sid in hop.xor_ids:
             bits = bits ^ store[sid]
         expr = expr ^ SymbolicExpr.of(*hop.xor_ids)
         if store.evaluate(expr) != bits:
             raise AssertionError(f"emission {hop.index} disagrees with its expression")
         messages.append(Message(hop.index, hop.sender, hop.receiver, bits, expr))
-        running[hop.path_pos] = (bits, expr)
 
     def output_of(label: str) -> BitString:
         acc = BitString.zeros(store.n)

@@ -64,8 +64,8 @@ class RateParams:
 
     def __post_init__(self) -> None:
         for name in ("alpha_db_per_km", "c_tf", "c_p2p", "threshold_bps"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
     @classmethod
     def calibrated(cls, alpha_db_per_km: float = 0.2, threshold_bps: float = 1.0) -> RateParams:
@@ -108,8 +108,9 @@ def is_virtually_null(rate_bps: float, params: RateParams) -> bool:
 
 def max_range_tf(params: RateParams) -> float:
     """Largest single-link length whose relay-measured rate meets the
-    threshold; closed form of c * 10^(-alpha L / 20) = threshold."""
-    return (20 / params.alpha_db_per_km) * math.log10(params.c_tf / params.threshold_bps)
+    threshold; closed form of c * 10^(-alpha L / 20) = threshold, and 0
+    when not even a link of no length meets it."""
+    return max(0.0, (20 / params.alpha_db_per_km) * math.log10(params.c_tf / params.threshold_bps))
 
 
 def max_range(m: int, params: RateParams) -> float:

@@ -8,6 +8,7 @@ all protocol scheduling works from the path lists.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -20,6 +21,7 @@ __all__ = [
     "build_chain",
     "build_reach_chain",
     "build_multipath",
+    "build_topology",
     "parse_kv",
     "parse_topology_config",
     "emit_topology_config",
@@ -57,11 +59,17 @@ class NodeId:
 
 @dataclass(frozen=True)
 class Topology:
+    """A layout as its A-to-B paths; every node fact is read off them."""
+
     shape: Shape
-    nodes: tuple[NodeId, ...]
     paths: tuple[tuple[NodeId, ...], ...]
     link_length_km: float
     t: int = 1
+
+    @property
+    def nodes(self) -> tuple[NodeId, ...]:
+        """A, B, then each path's intermediaries in path order."""
+        return (self.endpoint_a, self.endpoint_b, *self.intermediaries)
 
     def node(self, label: str) -> NodeId:
         for nd in self.nodes:
@@ -71,15 +79,15 @@ class Topology:
 
     @property
     def endpoint_a(self) -> NodeId:
-        return self.nodes[0]
+        return self.paths[0][0]
 
     @property
     def endpoint_b(self) -> NodeId:
-        return self.nodes[1]
+        return self.paths[0][-1]
 
     @property
     def intermediaries(self) -> tuple[NodeId, ...]:
-        return tuple(nd for nd in self.nodes if not nd.is_endpoint)
+        return tuple(nd for path in self.paths for nd in path[1:-1])
 
     @property
     def path_lengths(self) -> tuple[int, ...]:
@@ -116,8 +124,8 @@ def _endpoints() -> tuple[NodeId, NodeId]:
 
 
 def _check_link_length(link_length_km: float) -> None:
-    if not link_length_km > 0:
-        raise ValueError("link length must be positive")
+    if not 0 < link_length_km < math.inf:
+        raise ValueError("link length must be positive and finite")
 
 
 def build_ring6(link_length_km: float = 100.0) -> Topology:
@@ -128,8 +136,7 @@ def build_ring6(link_length_km: float = 100.0) -> Topology:
     n2 = NodeId("N2", Role.INTERMEDIARY)
     n3 = NodeId("N3", Role.INTERMEDIARY)
     n4 = NodeId("N4", Role.INTERMEDIARY)
-    paths = ((a, n1, n2, b), (a, n3, n4, b))
-    return Topology(Shape.RING6, (a, b, n1, n2, n3, n4), paths, link_length_km)
+    return Topology(Shape.RING6, ((a, n1, n2, b), (a, n3, n4, b)), link_length_km)
 
 
 def build_chain(m: int, link_length_km: float = 100.0) -> Topology:
@@ -139,8 +146,7 @@ def build_chain(m: int, link_length_km: float = 100.0) -> Topology:
     _check_link_length(link_length_km)
     a, b = _endpoints()
     inner = tuple(NodeId(f"N{i}", Role.INTERMEDIARY) for i in range(1, m + 1))
-    path = (a, *inner, b)
-    return Topology(Shape.CHAIN, (a, b, *inner), (path,), link_length_km)
+    return Topology(Shape.CHAIN, ((a, *inner, b),), link_length_km)
 
 
 def build_reach_chain(m: int, t: int, link_length_km: float = 100.0) -> Topology:
@@ -154,7 +160,7 @@ def build_reach_chain(m: int, t: int, link_length_km: float = 100.0) -> Topology
     if m < t + 1:
         raise ValueError("need m >= t+1 intermediaries for reach t")
     base = build_chain(m, link_length_km)
-    return Topology(Shape.REACH, base.nodes, base.paths, link_length_km, t)
+    return Topology(Shape.REACH, base.paths, link_length_km, t)
 
 
 def build_multipath(
@@ -173,13 +179,11 @@ def build_multipath(
             raise ValueError("need m >= t+1 intermediaries on every path for reach t")
     _check_link_length(link_length_km)
     a, b = _endpoints()
-    paths = []
-    inner_all: list[NodeId] = []
-    for p, m in enumerate(lengths, start=1):
-        inner = tuple(NodeId(f"N{j}.{p}", Role.INTERMEDIARY) for j in range(1, m + 1))
-        inner_all.extend(inner)
-        paths.append((a, *inner, b))
-    return Topology(Shape.MULTIPATH, (a, b, *inner_all), tuple(paths), link_length_km, t)
+    paths = tuple(
+        (a, *(NodeId(f"N{j}.{p}", Role.INTERMEDIARY) for j in range(1, m + 1)), b)
+        for p, m in enumerate(lengths, start=1)
+    )
+    return Topology(Shape.MULTIPATH, paths, link_length_km, t)
 
 
 def parse_kv(text: str) -> dict[str, str]:
@@ -209,32 +213,39 @@ _SHAPE_KEYS = {
 }
 
 
-def parse_topology_config(text: str) -> Topology:
-    kv = parse_kv(text)
-    try:
-        shape = Shape(kv["shape"])
-    except KeyError:
-        raise ValueError("missing 'shape'") from None
-    except ValueError:
-        raise ValueError(f"unknown shape {kv['shape']!r}") from None
-    ignored = set(kv) - {"shape", "link_length_km", *_SHAPE_KEYS[shape]}
+def build_topology(shape: Shape, keys: dict[str, str], link_length_km: float = 100.0) -> Topology:
+    """The one dispatch from a shape and its layout keys (text values, as a
+    config file states them) to the shape's builder."""
+    ignored = set(keys) - set(_SHAPE_KEYS[shape])
     if ignored:
         raise ValueError(f"shape {shape.value!r} does not read {sorted(ignored)}")
-    link = float(kv.get("link_length_km", "100"))
 
     def need(key: str) -> str:
-        if key not in kv:
+        if key not in keys:
             raise ValueError(f"shape {shape.value!r} requires {key!r}")
-        return kv[key]
+        return keys[key]
 
     if shape is Shape.RING6:
-        return build_ring6(link)
+        return build_ring6(link_length_km)
     if shape is Shape.CHAIN:
-        return build_chain(int(need("m")), link)
+        return build_chain(int(need("m")), link_length_km)
     if shape is Shape.REACH:
-        return build_reach_chain(int(need("m")), int(need("t")), link)
+        return build_reach_chain(int(need("m")), int(need("t")), link_length_km)
     lengths = tuple(int(v) for v in need("paths").split(","))
-    return build_multipath(lengths, link, int(kv.get("t", "1")))
+    return build_multipath(lengths, link_length_km, int(keys.get("t", "1")))
+
+
+def parse_topology_config(text: str) -> Topology:
+    kv = parse_kv(text)
+    name = kv.pop("shape", None)
+    if name is None:
+        raise ValueError("missing 'shape'")
+    try:
+        shape = Shape(name)
+    except ValueError:
+        raise ValueError(f"unknown shape {name!r}") from None
+    link = float(kv.pop("link_length_km", "100"))
+    return build_topology(shape, kv, link)
 
 
 def emit_topology_config(topo: Topology) -> str:

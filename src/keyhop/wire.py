@@ -153,10 +153,12 @@ async def _read_frame(reader) -> bytes | None:
 @dataclass
 class NodeConfig:
     """Everything one node needs beside the compiled schedule it runs:
-    addresses, link keys and its key-oracle slice."""
+    its place in it, addresses, link keys and its key-oracle slice."""
 
     label: str
     schedule: Schedule
+    hops: tuple[Hop, ...]  # the schedule's hops that name this node, in order
+    up: set[str]  # neighbours one step nearer A
     n: int
     listen: tuple[str, int]
     peer_addrs: dict[str, tuple[str, int]]
@@ -210,18 +212,15 @@ class NodeMachine:
         self.transcript: list[str] = []
         self.code: int | None = None
         self.output: BitString | None = None
-        label, schedule = cfg.label, cfg.schedule
-        # the schedule's hops that name this node, in schedule order
-        self.hops = [h for h in schedule.hops if label in (h.sender.label, h.receiver.label)]
+        label, self.hops, self.up = cfg.label, cfg.hops, cfg.up
         inbound = [h for h in self.hops if h.receiver.label == label]
         outbound = [h for h in self.hops if h.sender.label == label]
         self.peers_in = tuple(sorted({h.sender.label for h in inbound}))
         self.peers_out = tuple(sorted({h.receiver.label for h in outbound}))
         self.peers = {*self.peers_in, *self.peers_out}
-        self.up = {u.label for u, v in schedule.plan.topology.links if v.label == label}
         self.expected_relays = {(h.sender.label, h.index) for h in inbound}
-        self.absorbs = schedule.absorbs_for(label)
-        self.nonces = schedule.nonces_of(label)
+        self.absorbs = cfg.schedule.absorbs_for(label)
+        self.nonces = tuple(h.origin for h in outbound if h.origin is not None)
         self.links: set[str] = set()  # peers greeted by us or by an authentic HELLO
         self.pc = 0  # index of the next hop in self.hops
         self.received: dict[int, BitString] = {}
@@ -314,7 +313,10 @@ class NodeMachine:
         self.links.add(peer)
         if self.links != self.peers:
             return
-        if {*self.cfg.schedule.plan.keys_of(self.cfg.label), *self.nonces} - set(self.values):
+        # the secrets this node's sends and absorbs use
+        uses = {*self.nonces, *(sid for rule in self.absorbs for sid in rule.strip_ids)}
+        uses.update(sid for h in self.hops if h.sender.label == self.cfg.label for sid in h.xor_ids)
+        if uses - self.values.keys():
             raise _Abort("MISSING_KEY", exit_code=3)
 
     def _advance(self) -> None:
@@ -524,30 +526,38 @@ def _node_configs(
     timeout: float,
 ) -> dict[str, NodeConfig]:
     topo = schedule.plan.topology
-    labels = [nd.label for nd in topo.nodes]
-    addr = {lab: ("127.0.0.1", base_port + i) for i, lab in enumerate(labels)}
+    nodes = topo.nodes
+    addr = {nd.label: ("127.0.0.1", base_port + i) for i, nd in enumerate(nodes)}
     descriptor = f"{schedule.plan.variant.value}|{topo.describe()}|{n}"
 
-    link_keys: dict[str, dict[str, bytes]] = {lab: {} for lab in labels}
+    link_keys: dict[str, dict[str, bytes]] = {nd.label: {} for nd in nodes}
+    hops: dict[str, list[Hop]] = {nd.label: [] for nd in nodes}
     for hop in schedule.hops:
         s, r = hop.sender.label, hop.receiver.label
         key = hashlib.sha256(f"link|{descriptor}|{min(s, r)}|{max(s, r)}".encode()).digest()
         link_keys[s][r] = link_keys[r][s] = key
+        hops[s].append(hop)
+        hops[r].append(hop)
+    up: dict[str, set[str]] = {nd.label: set() for nd in nodes}
+    for u, v in topo.links:
+        up[v.label].add(u.label)
     return {
-        lab: NodeConfig(
-            label=lab,
+        nd.label: NodeConfig(
+            label=nd.label,
             schedule=schedule,
+            hops=tuple(hops[nd.label]),
+            up=up[nd.label],
             n=n,
-            listen=addr[lab],
-            peer_addrs={p: addr[p] for p in link_keys[lab]},
-            link_keys=link_keys[lab],
-            oracle_path=oracle_paths[lab],
+            listen=addr[nd.label],
+            peer_addrs={p: addr[p] for p in link_keys[nd.label]},
+            link_keys=link_keys[nd.label],
+            oracle_path=oracle_paths[nd.label],
             descriptor=descriptor,
-            output_path=f"{out_dir}/key_{lab}.hex" if topo.node(lab).is_endpoint else None,
+            output_path=f"{out_dir}/key_{nd.label}.hex" if nd.is_endpoint else None,
             tamper_index=tamper_index,
             timeout=timeout,
         )
-        for lab in labels
+        for nd in nodes
     }
 
 
@@ -602,16 +612,15 @@ def orchestrate(
     store = make_store(schedule, n, random.Random(seed))
 
     os.makedirs(out_dir, exist_ok=True)
-    oracle_paths: dict[str, str] = {}
-    for nd in topo.nodes:
-        held = KeyStore(n)
-        for sid in store.ids():
-            if sid.involves(nd.label) and (nd.label, sid.name) != drop_key:
-                held.add(sid, store[sid])
-        path = f"{out_dir}/oracle_{nd.label}.tsv"
+    held = {nd.label: KeyStore(n) for nd in topo.nodes}
+    for sid in store.ids():
+        for end in sid.ends:
+            if (end, sid.name) != drop_key:
+                held[end].add(sid, store[sid])
+    oracle_paths = {lab: f"{out_dir}/oracle_{lab}.tsv" for lab in held}
+    for lab, path in oracle_paths.items():
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(key_oracle_text(held))
-        oracle_paths[nd.label] = path
+            fh.write(key_oracle_text(held[lab]))
 
     cfgs = _node_configs(schedule, n, base_port, out_dir, oracle_paths, tamper_index, timeout)
     if wrong_variant_node is not None:

@@ -244,6 +244,12 @@ def test_rate_threshold_flag_is_validated_with_a_params_file(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_rate_reach_is_never_negative(tmp_path, capsys):
+    argv = ["rate", "--threshold", "2e6", "--max-range-m", "2", "--to-km", "0"]
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 0
+    assert "at 2e+06 bps threshold: 0 km" in capsys.readouterr().out
+
+
 def test_rate_anchor_with_no_rate_left_fails_instead_of_crashing(tmp_path, capsys):
     # at 8 dB/km the anchors past 300 km underflow to 0 bps
     assert main(["rate", "--alpha", "8", "--to-km", "0", "--output-dir", str(tmp_path)]) == 0
@@ -383,7 +389,12 @@ def test_config_file_round_trip(tmp_path, capsys):
     assert "chain(m=3)" in capsys.readouterr().out
 
 
-_CONFIGS = {"chain.cfg": "shape = chain\nm = 3\n", "ring6-m5.cfg": "shape = ring6\nm = 5\n"}
+_CONFIGS = {
+    "chain.cfg": "shape = chain\nm = 3\n",
+    "ring6-m5.cfg": "shape = ring6\nm = 5\n",
+    "ring6-inf.cfg": "shape = ring6\nlink_length_km = inf\n",
+    "rate-inf.cfg": "c_tf = inf\n",
+}
 
 
 @pytest.mark.parametrize(
@@ -411,6 +422,10 @@ _CONFIGS = {"chain.cfg": "shape = chain\nm = 3\n", "ring6-m5.cfg": "shape = ring
         ["simulate", "--config", "chain.cfg", "--shape", "ring6"],  # a config states the layout
         ["simulate", "--config", "chain.cfg", "--t", "2"],
         ["simulate", "--config", "ring6-m5.cfg"],  # a key the config's shape ignores
+        ["rate", "--threshold", "inf", "--max-range-m", "3"],  # non-finite numbers
+        ["rate", "--params", "rate-inf.cfg"],
+        ["simulate", "--shape", "ring6", "--link-km", "inf"],
+        ["simulate", "--config", "ring6-inf.cfg"],
     ],
 )
 def test_usage_errors_exit_three(tmp_path, argv, capsys):

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -27,3 +28,22 @@ def test_package_import_leaves_numpy_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert out.stdout.strip() == "False False"
+
+
+def test_no_module_imports_another_modules_private_names():
+    # a name with a leading underscore is its module's own business
+    src = os.path.dirname(keyhop.__file__)
+    private = []
+    for filename in sorted(os.listdir(src)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(src, filename), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            path = (node.module or "").split(".")
+            if node.level or path[0] == "keyhop":
+                names = [*path, *(alias.name for alias in node.names)]
+                private += [f"{filename}: {name}" for name in names if name.startswith("_")]
+    assert private == []

@@ -81,17 +81,6 @@ def test_multipath_plan_is_per_path_disjoint():
     assert len(per_path[0]) == len(per_path[1]) == 4
 
 
-def test_keys_of_lists_only_holders():
-    plan = plan_keys(build_ring6(), Variant.RING_V2)
-    assert set(plan.keys_of("N1")) == {tf_key("N1", "B"), p2p_key("A", "N1")}
-    assert set(plan.keys_of("A")) == {
-        tf_key("A", "N2"),
-        tf_key("A", "N4"),
-        p2p_key("A", "N1"),
-        p2p_key("A", "N3"),
-    }
-
-
 # the variants each layout accepts, written out rather than read off Variant
 _ACCEPTED = {
     "ring6": {Variant.RING_V1, Variant.RING_V2},

@@ -1,0 +1,156 @@
+"""Generated input for the three text parsers: each call returns a value or
+raises ValueError, and a generated layout survives its config text and its
+--shape flags unchanged."""
+
+import argparse
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from keyhop import cli
+from keyhop.bits import SecretId
+from keyhop.keyplan import parse_key_oracle
+from keyhop.ratemodel import RateParams, parse_rate_config
+from keyhop.topology import (
+    Shape,
+    Topology,
+    build_chain,
+    build_multipath,
+    build_reach_chain,
+    build_ring6,
+    emit_topology_config,
+    parse_topology_config,
+)
+
+# layout integers stay small: the builders would build a chain of 10^8 nodes
+_TOKENS = ["inf", "-inf", "nan", "-0.5", "1e-300", "2,3", "3,,3", "2,", ",", "+4", "1_2", "0x3", "="]
+# free text without digits, so it cannot spell a large layout integer
+_WORDS = st.text(st.characters(exclude_categories=("Nd", "Cs")), max_size=8)
+_VALUES = st.one_of(
+    st.integers(-3, 9).map(str),
+    st.lists(st.integers(-1, 6), min_size=1, max_size=4).map(lambda xs: ",".join(map(str, xs))),
+    st.sampled_from(_TOKENS),
+    _WORDS,
+)
+_NUMBERS = st.one_of(
+    st.floats(1e-6, 1e9).map(repr), st.floats().map(repr), st.sampled_from(_TOKENS), _WORDS
+)
+
+
+def _kv_text(values):
+    """Config text: each key of values at most once, with a value drawn from
+    its strategy, then at most one stray line."""
+    lines = st.fixed_dictionaries({}, optional=values).map(
+        lambda kv: [f"{key} = {value}" for key, value in kv.items()]
+    )
+    stray = st.lists(st.one_of(st.sampled_from(["", "# note", "bogus = 1"]), _WORDS), max_size=1)
+    return st.tuples(lines, stray).map(lambda parts: "\n".join(parts[0] + parts[1]))
+
+
+def _returns_or_value_error(parse, *args):
+    try:
+        return parse(*args)
+    except ValueError:
+        return None
+
+
+@st.composite
+def layouts(draw):
+    link = draw(st.sampled_from([100.0, 0.5, 37.25, 1e-3, 12345.678]))
+    shape = draw(st.sampled_from(list(Shape)))
+    if shape is Shape.RING6:
+        return build_ring6(link)
+    if shape is Shape.CHAIN:
+        return build_chain(draw(st.integers(2, 9)), link)
+    t = draw(st.integers(2 if shape is Shape.REACH else 1, 4))
+    if shape is Shape.REACH:
+        return build_reach_chain(draw(st.integers(t + 1, t + 5)), t, link)
+    lengths = draw(st.lists(st.integers(max(2, t + 1), 6), min_size=1, max_size=4))
+    return build_multipath(lengths, link, t)
+
+
+@st.composite
+def _near_configs(draw):
+    """A generated layout's config text with at most one line dropped,
+    changed or added."""
+    lines = emit_topology_config(draw(layouts())).splitlines()
+    pos = draw(st.integers(0, len(lines)))
+    if pos < len(lines):
+        key = lines[pos].split(" = ")[0]
+    else:
+        key = draw(st.sampled_from(list(_TOPOLOGY_VALUES)))
+    edit = draw(st.sampled_from(["keep", "drop", "set"]))
+    if edit == "drop":
+        del lines[pos:pos + 1]
+    elif edit == "set":
+        lines[pos:pos + 1] = [f"{key} = {draw(_TOPOLOGY_VALUES.get(key, _VALUES))}"]
+    return "\n".join(lines)
+
+
+_TOPOLOGY_VALUES = {
+    "shape": st.one_of(st.sampled_from([shape.value for shape in Shape]), _WORDS),
+    "m": _VALUES,
+    "t": _VALUES,
+    "paths": _VALUES,
+    "link_length_km": st.one_of(st.sampled_from(["100", "0.5"]), _NUMBERS),
+}
+
+
+@settings(deadline=None)
+@given(text=st.one_of(_kv_text(_TOPOLOGY_VALUES), _near_configs()))
+def test_topology_config_parses_or_raises_value_error(text):
+    topo = _returns_or_value_error(parse_topology_config, text)
+    assert topo is None or isinstance(topo, Topology)
+
+
+_RATE_VALUES = dict.fromkeys(["alpha_db_per_km", "c_tf", "c_p2p", "threshold_bps"], _NUMBERS)
+
+
+@settings(deadline=None)
+@given(text=_kv_text(_RATE_VALUES))
+def test_rate_config_parses_or_raises_value_error(text):
+    params = _returns_or_value_error(parse_rate_config, text)
+    assert params is None or isinstance(params, RateParams)
+
+
+_NAMES = st.one_of(
+    st.sampled_from(["K[A,N2]", "P[A,N1]", "X[A]", "X[B@2]", "X[A@x]", "K[A,A]", "K[A]", "Q[A,B]"]),
+    st.text(max_size=8),
+)
+_HEX = st.one_of(st.text("0123456789abcdefABCDEF", max_size=20), st.text(max_size=6))
+_ORACLE_LINE = st.one_of(st.tuples(_NAMES, _HEX).map("\t".join), st.text(max_size=12))
+
+
+@settings(deadline=None)
+@given(
+    lines=st.lists(_ORACLE_LINE, max_size=6),
+    n=st.integers(1, 80),
+    node=st.sampled_from([None, "A", "N1"]),
+)
+def test_key_oracle_parses_or_raises_value_error(lines, n, node):
+    values = _returns_or_value_error(parse_key_oracle, "\n".join(lines), n, node)
+    assert values is None or all(
+        isinstance(sid, SecretId) and value.n == n for sid, value in values.items()
+    )
+
+
+def _shape_flags(topo):
+    """The Namespace argparse makes of the --shape flags naming topo."""
+    args = argparse.Namespace(
+        shape=topo.shape.value, m=None, paths=None, t=None, link_km=topo.link_length_km,
+        config=None, variant=None,
+    )
+    if topo.shape in (Shape.CHAIN, Shape.REACH):
+        args.m = topo.m
+    if topo.shape in (Shape.REACH, Shape.MULTIPATH):
+        args.t = topo.t
+    if topo.shape is Shape.MULTIPATH:
+        args.paths = ",".join(map(str, topo.path_lengths))
+    return args
+
+
+@settings(deadline=None)
+@given(topo=layouts())
+def test_a_layout_survives_its_config_text_and_its_shape_flags(topo):
+    assert parse_topology_config(emit_topology_config(topo)) == topo
+    assert cli._layout(_shape_flags(topo))[0] == topo

@@ -73,6 +73,15 @@ def test_more_intermediaries_extend_reach_by_half_a_link_each():
         max_range(1, PARAMS)
 
 
+@pytest.mark.parametrize(
+    "params", [RateParams(threshold_bps=2e6), RateParams(c_tf=1e-300)], ids=["threshold", "clock"]
+)
+def test_reach_is_zero_when_no_link_meets_the_threshold(params):
+    # the closed form goes negative once c_tf falls below the threshold
+    assert max_range_tf(params) == 0.0
+    assert max_range(2, params) == 0.0
+
+
 def test_rates_decrease_with_distance_and_increase_with_m():
     distances = [float(d) for d in range(0, 1501, 50)]
     rows = emit_curves(distances, DEFAULT_FAMILIES, PARAMS)

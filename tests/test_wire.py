@@ -454,3 +454,25 @@ def test_a_peer_that_leaves_before_its_done_is_lost():
     assert n1.code == 2 and n1.output is None
     assert n1.transcript[-1] == "N1: ABORT PEER_LOST"
     assert [(peer, blob[4]) for peer, blob in sends] == [("A", FRAME_ABORT), ("N2", FRAME_ABORT)]
+
+
+def test_setting_up_a_long_chain_is_linear():
+    # plan, configs, every NodeMachine and the link-up key check, with no
+    # sockets; a scan of the whole schedule per node makes this quadratic
+    start = time.perf_counter()
+    topo = build_chain(4000)
+    schedule = compile_schedule(plan_keys(topo, Variant.CHAIN_M))
+    store = make_store(schedule, 64, random.Random(3))
+    slices = {nd.label: {} for nd in topo.nodes}
+    for sid in store.ids():
+        for end in sid.ends:
+            slices[end][sid] = store[sid]
+    cfgs = _node_configs(schedule, 64, 0, "", dict.fromkeys(slices, ""), None, 1.0)
+    nodes = {lab: NodeMachine(cfg, slices[lab]) for lab, cfg in cfgs.items()}
+    for lab, node in nodes.items():
+        for peer in node.peers_out:
+            (_, hello), *_ = node.dialled(peer)
+            nodes[peer].feed(lab, hello)
+    elapsed = time.perf_counter() - start
+    assert all(node.links == node.peers and node.code is None for node in nodes.values())
+    assert elapsed < 2.0, f"setup took {elapsed:.2f} s"
