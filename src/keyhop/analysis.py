@@ -7,11 +7,12 @@ serves two paths:
 
 - explain (view_of + is_recoverable): one coalition's view, reduced with
   combination tracking, so a BROKEN verdict carries its recovery recipe;
-- decide (min_breaking_coalitions, coalition_rows): one pruned sweep,
-  smallest first, finds the minimal breaking coalitions, testing each by
-  masking its held keys out of the trace's message and target masks.
-  Breaking is monotone, so a coalition breaks iff it contains a minimal one.
-  Coalitions stay int bitmasks over the intermediaries until output.
+- decide (min_breaking_coalitions, coalition_rows): a dualize-and-advance
+  search finds the minimal breaking coalitions with a number of tests that
+  follows the answer's size, testing each coalition by masking its held
+  keys out of the trace's message and target masks. Breaking is monotone,
+  so a coalition breaks iff it contains a minimal one. Coalitions stay int
+  bitmasks over the intermediaries until output.
 
 brute_force_secrecy is the independent check: it sweeps the full truth table
 of secret assignments at n=1 and inspects the conditional distribution of the
@@ -34,7 +35,7 @@ from typing import Callable, Iterable, Iterator
 from .bits import BitString, SecretId, SymbolicExpr
 from .keyplan import Variant
 from .protocol import ProtocolTrace, run
-from .topology import NodeId, build_multipath
+from .topology import NodeId, Topology, build_multipath
 
 __all__ = [
     "Status",
@@ -47,6 +48,7 @@ __all__ = [
     "recover_bits",
     "min_breaking_coalitions",
     "coalition_rows",
+    "check_enumerable",
     "coalition_report_csv",
     "brute_force_secrecy",
     "ACTIVE_STRATEGIES",
@@ -56,7 +58,8 @@ __all__ = [
     "grid_csv",
 ]
 
-ENUMERATION_CAP = 20  # 2^20 subsets is the most exhaustive search we allow
+ENUMERATION_CAP = 20  # coalitions.csv lists 2^m rows; 2^20 is the most we allow
+GRID_CAP = 100  # intermediaries per grid cell; a 100-intermediary cell takes about 1 s
 
 
 class Status(Enum):
@@ -208,17 +211,22 @@ def recover_bits(trace: ProtocolTrace, verdict: SecrecyVerdict) -> BitString:
     return acc
 
 
-def _subsets(trace: ProtocolTrace) -> Iterator[int]:
-    """Every intermediary coalition as a bitmask over
-    trace.topology.intermediaries, smallest first."""
-    count = len(trace.topology.intermediaries)
+def check_enumerable(topo: Topology) -> None:
+    """Refuse a layout whose coalitions are too many to list one by one."""
+    count = len(topo.intermediaries)
     if count > ENUMERATION_CAP:
         raise ValueError(
             f"{count} intermediaries exceeds the exhaustive enumeration cap"
             f" of {ENUMERATION_CAP}"
         )
-    bits = [1 << i for i in range(count)]
-    return (sum(combo) for size in range(count + 1) for combo in combinations(bits, size))
+
+
+def _subsets(trace: ProtocolTrace) -> Iterator[int]:
+    """Every intermediary coalition as a bitmask over
+    trace.topology.intermediaries, smallest first."""
+    check_enumerable(trace.topology)
+    bits = [1 << i for i in range(len(trace.topology.intermediaries))]
+    return (sum(combo) for size in range(len(bits) + 1) for combo in combinations(bits, size))
 
 
 def _decider(trace: ProtocolTrace, target: SymbolicExpr) -> Callable[[int], bool]:
@@ -250,16 +258,41 @@ def _decider(trace: ProtocolTrace, target: SymbolicExpr) -> Callable[[int], bool
 
 
 def _minimal_masks(trace: ProtocolTrace, target: SymbolicExpr) -> list[int]:
-    """The minimal breaking coalitions as bitmasks, smallest first; only
-    coalitions with no minimal one inside them are decided."""
+    """The minimal breaking coalitions as bitmasks, in combinations order,
+    by dualize-and-advance (Gunopulos, Khardon, Mannila, Toivonen, PODS 1997).
+
+    A breaking set meets the complement of every non-breaking set. So the
+    smallest minimal transversal of the complements found so far that is not
+    yet known to break either breaks, and is then minimal, or grows to a
+    maximal non-breaking set whose complement joins the hypergraph by Berge
+    multiplication. The decisions follow the answer's size, not 2^m.
+    """
     breaks = _decider(trace, target)
-    minimal: list[int] = []
-    for coal in _subsets(trace):
-        if any(found & ~coal == 0 for found in minimal):
+    bits = [1 << i for i in range(len(trace.topology.intermediaries))]
+    full = sum(bits)
+    minimal: set[int] = set()
+    transversals = [0]
+    while fresh := [t for t in transversals if t not in minimal]:
+        cand = min(fresh, key=lambda t: (t.bit_count(), t))
+        if breaks(cand):
+            minimal.add(cand)
             continue
-        if breaks(coal):
-            minimal.append(coal)
-    return minimal
+        grown = cand
+        for b in bits:
+            if not grown & b and not breaks(grown | b):
+                grown |= b
+        edge = full & ~grown
+        if not edge:
+            return []
+        kept = [t for t in transversals if t & edge]
+        missed = [t for t in transversals if not t & edge]
+        transversals = list(kept)
+        # a missed t holds no bit of edge, so t | b can only contain a kept
+        # transversal through b; no two extensions coincide
+        for b in (b for b in bits if edge & b):
+            through = [k for k in kept if k & b]
+            transversals += [t | b for t in missed if all(k & ~(t | b) for k in through)]
+    return sorted(minimal, key=lambda t: (t.bit_count(), _members(range(len(bits)), t)))
 
 
 def _members(items: tuple, coal: int) -> list:
@@ -271,7 +304,7 @@ def min_breaking_coalitions(
     trace: ProtocolTrace, target: SymbolicExpr | None = None
 ) -> list[Coalition]:
     """All minimal intermediary coalitions that recover the target
-    (final key by default), smallest first; supersets are pruned."""
+    (final key by default), smallest first, then by member position."""
     target = target if target is not None else final_key_expr(trace)
     inter = trace.topology.intermediaries
     return [Coalition(frozenset(_members(inter, coal))) for coal in _minimal_masks(trace, target)]
@@ -415,18 +448,26 @@ def collusion_grid(
     """Minimum breaking-coalition size over (number of paths, reach) cells.
 
     Each cell uses paths of m = t+1 intermediaries, the smallest chain where
-    reach t keeps the endpoints out of direct range. Computed by enumeration,
-    not by formula. Returns (M, t, m per path, minimum colluding nodes) rows.
+    reach t keeps the endpoints out of direct range. Computed by search, not
+    by formula; a cell of more than GRID_CAP intermediaries is refused before
+    any cell is computed. Returns (M, t, m per path, minimum colluding nodes)
+    rows.
     """
+    cells = [(n_paths, t) for n_paths in path_counts for t in reaches]
+    for n_paths, t in cells:
+        if n_paths * (t + 1) > GRID_CAP:
+            raise ValueError(
+                f"grid cell paths={n_paths}, reach={t} has {n_paths * (t + 1)}"
+                f" intermediaries; the grid allows at most {GRID_CAP}"
+            )
     rows = []
-    for n_paths in path_counts:
-        for t in reaches:
-            m = t + 1
-            topo = build_multipath([m] * n_paths, link_length_km, t)
-            trace = run(topo, Variant.MULTIPATH, 1, random.Random(0))
-            minimal = min_breaking_coalitions(trace)
-            best = min(len(c.members) for c in minimal)
-            rows.append((n_paths, t, m, best))
+    for n_paths, t in cells:
+        m = t + 1
+        topo = build_multipath([m] * n_paths, link_length_km, t)
+        trace = run(topo, Variant.MULTIPATH, 1, random.Random(0))
+        minimal = min_breaking_coalitions(trace)
+        best = min(len(c.members) for c in minimal)
+        rows.append((n_paths, t, m, best))
     return rows
 
 

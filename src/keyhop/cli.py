@@ -138,6 +138,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             if oracle is not verdict.status:
                 return 1
         return 0
+    analysis.check_enumerable(topo)  # coalitions.csv has 2^m rows; refuse before printing
     minimal = analysis.min_breaking_coalitions(trace, target)
     if minimal:
         smallest = min(len(c.members) for c in minimal)

@@ -88,16 +88,22 @@ def _path_runs(topo: Topology) -> list[tuple[tuple[NodeId, ...], SecretId]]:
 
 
 def compile_schedule(plan: KeyPlan) -> Schedule:
-    topo = plan.topology
+    runs = _path_runs(plan.topology)
+    # each node's keys on each path, in plan order, from one pass over the
+    # plan: a key's path is found through an intermediary end (a key between
+    # the endpoints is on every path), and it counts if both ends lie on it
+    keys: list[dict[str, list[SecretId]]] = [{nd.label: [] for nd in seq} for seq, _ in runs]
+    path_of = {nd.label: keys[p] for p, (seq, _) in enumerate(runs) for nd in seq[1:-1]}
+    for sid in plan.secret_ids:
+        u, v = sid.ends
+        path = path_of.get(u) or path_of.get(v)
+        for held in (path,) if path else keys:
+            if u in held and v in held:
+                held[u].append(sid)
+                held[v].append(sid)
     hops: list[Hop] = []
     absorbs: list[tuple[str, AbsorbRule]] = []
-    for seq, nonce_id in _path_runs(topo):
-        # each node's keys on this path, in plan order
-        keys: dict[str, list[SecretId]] = {nd.label: [] for nd in seq}
-        for sid in plan.secret_ids:
-            if all(end in keys for end in sid.ends):
-                for end in sid.ends:
-                    keys[end].append(sid)
+    for (seq, nonce_id), held in zip(runs, keys):
         for i, (sender, receiver) in enumerate(zip(seq, seq[1:])):
             hops.append(
                 Hop(
@@ -105,11 +111,11 @@ def compile_schedule(plan: KeyPlan) -> Schedule:
                     sender=sender,
                     receiver=receiver,
                     origin=nonce_id if i == 0 else None,
-                    xor_ids=tuple(keys[sender.label]),
+                    xor_ids=tuple(held[sender.label]),
                 )
             )
         dest = seq[-1]
-        absorbs.append((dest.label, AbsorbRule(hops[-1].index, tuple(keys[dest.label]))))
+        absorbs.append((dest.label, AbsorbRule(hops[-1].index, tuple(held[dest.label]))))
     return Schedule(plan, tuple(hops), tuple(absorbs))
 
 

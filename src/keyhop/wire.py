@@ -8,9 +8,9 @@ Frame layout, integers big-endian:
     payload bytes raw bitstring bytes for RELAY, empty for DONE, UTF-8 text otherwise
     tag     32B   HMAC-SHA256 over type+index+payload with the link key
 
-A frame's tag is verified before any payload byte is acted on. Each node is
-handed the compiled Schedule the in-process engine executes and walks the
-hops that name it, in schedule order, with only its own key-oracle slice.
+A frame's tag is verified before any payload byte is acted on. Each node
+walks the hops of the compiled Schedule the in-process engine executes that
+name it, in schedule order, with only its own key-oracle slice.
 Its XOR fold and output fold stay separate code from the engine's, so
 wire-versus-engine equivalence checks the transport against the engine as a
 reference rather than one shared code path against itself.
@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 
 from .bits import BitString, KeyStore, SecretId
 from .keyplan import Variant, key_oracle_text, parse_key_oracle, plan_keys
-from .protocol import Hop, Schedule, compile_schedule, make_store
+from .protocol import AbsorbRule, Hop, Schedule, compile_schedule, make_store
 from .topology import Topology
 
 __all__ = [
@@ -152,12 +152,12 @@ async def _read_frame(reader) -> bytes | None:
 
 @dataclass
 class NodeConfig:
-    """Everything one node needs beside the compiled schedule it runs:
-    its place in it, addresses, link keys and its key-oracle slice."""
+    """Everything one node needs: its part of the compiled schedule,
+    addresses, link keys and its key-oracle slice."""
 
     label: str
-    schedule: Schedule
     hops: tuple[Hop, ...]  # the schedule's hops that name this node, in order
+    absorbs: tuple[AbsorbRule, ...]  # the schedule's absorbs at this node
     up: set[str]  # neighbours one step nearer A
     n: int
     listen: tuple[str, int]
@@ -219,7 +219,7 @@ class NodeMachine:
         self.peers_out = tuple(sorted({h.receiver.label for h in outbound}))
         self.peers = {*self.peers_in, *self.peers_out}
         self.expected_relays = {(h.sender.label, h.index) for h in inbound}
-        self.absorbs = cfg.schedule.absorbs_for(label)
+        self.absorbs = cfg.absorbs
         self.nonces = tuple(h.origin for h in outbound if h.origin is not None)
         self.links: set[str] = set()  # peers greeted by us or by an authentic HELLO
         self.pc = 0  # index of the next hop in self.hops
@@ -538,14 +538,17 @@ def _node_configs(
         link_keys[s][r] = link_keys[r][s] = key
         hops[s].append(hop)
         hops[r].append(hop)
+    absorbs: dict[str, list[AbsorbRule]] = {nd.label: [] for nd in nodes}
+    for label, rule in schedule.absorbs:
+        absorbs[label].append(rule)
     up: dict[str, set[str]] = {nd.label: set() for nd in nodes}
     for u, v in topo.links:
         up[v.label].add(u.label)
     return {
         nd.label: NodeConfig(
             label=nd.label,
-            schedule=schedule,
             hops=tuple(hops[nd.label]),
+            absorbs=tuple(absorbs[nd.label]),
             up=up[nd.label],
             n=n,
             listen=addr[nd.label],

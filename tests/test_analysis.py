@@ -127,7 +127,7 @@ def test_chain_minimal_coalitions_are_the_odd_distance_pairs():
     among them, but from m = 4 on so are pairs such as {N1, N4}, which is why
     acceptance criterion 4 fails.
     """
-    for m in range(4, 17):
+    for m in (*range(4, 25), 40):
         trace = _trace(build_chain(m), Variant.CHAIN_M)
         got = {frozenset(nd.label for nd in c.members) for c in min_breaking_coalitions(trace)}
         pairs = combinations(range(1, m + 1), 2)
@@ -354,6 +354,21 @@ def test_collusion_grid_scales_with_paths_and_reach():
     assert "3,2,3,9" in text.splitlines()
 
 
+def test_collusion_grid_passes_the_enumeration_cap(monkeypatch):
+    # every node of every path must collude: the grid's cells of up to 25
+    # intermediaries each need all of them
+    rows = collusion_grid(range(1, 6), range(1, 5))
+    assert [(paths, t) for paths, t, _, _ in rows] == [
+        (paths, t) for paths in range(1, 6) for t in range(1, 5)
+    ]
+    assert max(paths * m for paths, _, m, _ in rows) == 25
+    assert all(cost == paths * (t + 1) for paths, t, _, cost in rows)
+    # a cell past GRID_CAP is refused before any cell is computed
+    monkeypatch.setattr(analysis, "run", lambda *args: pytest.fail("a cell was computed"))
+    with pytest.raises(ValueError, match="paths=11, reach=9 has 110 intermediaries"):
+        collusion_grid([1, 11], [9])
+
+
 @st.composite
 def _multipath(draw):
     t = draw(st.sampled_from((1, 2)))
@@ -399,8 +414,9 @@ def test_fast_decider_agrees_with_the_reference_analyzer(layout, seed):
 
 def test_coalition_rows_eliminate_only_in_the_minimal_sweep(monkeypatch):
     """coalition_rows reads every verdict off the minimal breaking sets, so it
-    runs exactly the eliminations of min_breaking_coalitions' sweep, not one
-    per row (chain m=10 has 1024 rows)."""
+    runs exactly the eliminations of min_breaking_coalitions' search, not one
+    per row (chain m=10 has 1024 rows). The search decides 46 coalitions; a
+    search that skipped its grow step would sweep the subsets and decide 88."""
     trace = _trace(build_chain(10), Variant.CHAIN_M, n=1)
     calls = []
     eliminate = analysis._eliminate
@@ -408,13 +424,20 @@ def test_coalition_rows_eliminate_only_in_the_minimal_sweep(monkeypatch):
     min_breaking_coalitions(trace)
     sweep = len(calls)
     assert len(coalition_rows(trace)) == 1024
-    assert sweep == len(calls) - sweep == 88
+    assert sweep == len(calls) - sweep == 46
 
 
 def test_enumeration_cap_refuses_chain_m21():
     trace = _trace(build_chain(ENUMERATION_CAP + 1), Variant.CHAIN_M, n=1)
     message = "21 intermediaries exceeds the exhaustive enumeration cap of 20"
     with pytest.raises(ValueError, match=message):
-        min_breaking_coalitions(trace)
-    with pytest.raises(ValueError, match=message):
         coalition_rows(trace)
+
+
+def test_minimal_search_passes_the_enumeration_cap():
+    m = ENUMERATION_CAP + 1
+    trace = _trace(build_chain(m), Variant.CHAIN_M, n=1)
+    inter = trace.topology.intermediaries
+    pairs = combinations(range(m), 2)
+    want = [Coalition.of(inter[i], inter[j]) for i, j in pairs if (j - i) % 2]
+    assert min_breaking_coalitions(trace) == want  # in combinations order

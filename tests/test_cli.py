@@ -76,7 +76,8 @@ def test_analyze_enumerates_and_writes_csv(tmp_path, capsys):
 def test_analyze_past_the_enumeration_cap_exits_three(tmp_path, capsys):
     code = main(["analyze", "--shape", "chain", "--m", "21", "--output-dir", str(tmp_path)])
     assert code == 3
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert "exceeds the exhaustive enumeration cap of 20" in err
     assert "Traceback" not in err
     assert not (tmp_path / "coalitions.csv").exists()
@@ -409,6 +410,8 @@ _CONFIGS = {
         ["analyze", "--grid", "--coalition", "N1"],  # flags --grid ignores
         ["analyze", "--grid", "--coalition", "N1", "--oracle"],
         ["analyze", "--grid", "--shape", "ring6"],
+        ["analyze", "--grid", "--grid-paths", "11", "--grid-reach", "9"],  # 110 > GRID_CAP
+        ["analyze", "--grid", "--grid-paths", "1,9", "--grid-reach", "1,11"],
         ["attack", "--active", "--coalition", "N1"],  # flags --active ignores
         ["attack", "--active", "--shape", "chain", "--m", "3"],
         ["rate", "--from-km", "10", "--to-km", "0"],  # no distances

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -87,6 +88,16 @@ def test_ring_v2_matches_two_by_two_multipath():
     assert sorted(m.bits.to_hex() for m in v2.messages) == sorted(
         m.bits.to_hex() for m in mp.messages
     )
+
+
+def test_compiling_many_paths_is_linear():
+    # a scan of every planned key per path makes this quadratic (about 5 s)
+    plan = plan_keys(build_multipath([2] * 1000, 100.0, 1), Variant.MULTIPATH)
+    start = time.perf_counter()
+    schedule = compile_schedule(plan)
+    elapsed = time.perf_counter() - start
+    assert len(schedule.hops) == 3000 and len(schedule.absorbs) == 1000
+    assert elapsed < 1.0, f"compile took {elapsed:.2f} s"
 
 
 def test_every_message_evaluates_to_its_expr():
