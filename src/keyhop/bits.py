@@ -66,9 +66,6 @@ class SecretId:
             return f"X[{self.ends[0]}@{self.path_index}]"
         return f"{self.kind.value}[{self.ends[0]},{self.ends[1]}]"
 
-    def involves(self, label: str) -> bool:
-        return label in self.ends
-
     def __str__(self) -> str:
         return self.name
 

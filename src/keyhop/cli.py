@@ -169,6 +169,7 @@ def cmd_rate(args: argparse.Namespace) -> int:
         params = ratemodel.RateParams.calibrated(args.alpha)
     if args.threshold is not None:
         params = dataclasses.replace(params, threshold_bps=args.threshold)
+    reach = None if args.max_range_m is None else ratemodel.max_range(args.max_range_m, params)
     families = (
         [f.strip() for f in args.families.split(",")] if args.families else list(ratemodel.DEFAULT_FAMILIES)
     )
@@ -191,8 +192,7 @@ def cmd_rate(args: argparse.Namespace) -> int:
         print(f"{verdict} {label}: {got:.6g} bps (reference {want:g}, factor {factor:.3g})")
     null600 = ratemodel.is_virtually_null(ratemodel.rate_tf(600, params), params)
     print(f"{'PASS' if null600 else 'FAIL'} single relay link at 600 km at or below threshold")
-    if args.max_range_m is not None:
-        reach = ratemodel.max_range(args.max_range_m, params)
+    if reach is not None:
         print(
             f"max range with m={args.max_range_m} at {params.threshold_bps:g} bps"
             f" threshold: {reach:.6g} km"

@@ -184,6 +184,6 @@ def parse_key_oracle(
             raise ValueError(f"key oracle line {lineno}: {exc}") from None
         if sid in out:
             raise ValueError(f"key oracle line {lineno}: duplicate id {sid}")
-        if node_label is None or sid.involves(node_label):
+        if node_label is None or node_label in sid.ends:
             out[sid] = value
     return out

@@ -57,7 +57,7 @@ class AbsorbRule:
 class Schedule:
     plan: KeyPlan
     hops: tuple[Hop, ...]
-    absorbs: tuple[tuple[str, AbsorbRule], ...]  # (endpoint label, rule)
+    absorbs: tuple[AbsorbRule, ...]  # one per path, at its last hop's receiver
 
     @property
     def nonce_ids(self) -> tuple[SecretId, ...]:
@@ -65,7 +65,7 @@ class Schedule:
         return tuple(h.origin for h in self.hops if h.origin is not None)
 
     def absorbs_for(self, label: str) -> tuple[AbsorbRule, ...]:
-        return tuple(rule for lab, rule in self.absorbs if lab == label)
+        return tuple(r for r in self.absorbs if self.hops[r.hop_index].receiver.label == label)
 
     def nonces_of(self, label: str) -> tuple[SecretId, ...]:
         return tuple(
@@ -102,7 +102,7 @@ def compile_schedule(plan: KeyPlan) -> Schedule:
                 held[u].append(sid)
                 held[v].append(sid)
     hops: list[Hop] = []
-    absorbs: list[tuple[str, AbsorbRule]] = []
+    absorbs: list[AbsorbRule] = []
     for (seq, nonce_id), held in zip(runs, keys):
         for i, (sender, receiver) in enumerate(zip(seq, seq[1:])):
             hops.append(
@@ -114,8 +114,7 @@ def compile_schedule(plan: KeyPlan) -> Schedule:
                     xor_ids=tuple(held[sender.label]),
                 )
             )
-        dest = seq[-1]
-        absorbs.append((dest.label, AbsorbRule(hops[-1].index, tuple(held[dest.label]))))
+        absorbs.append(AbsorbRule(hops[-1].index, tuple(held[seq[-1].label])))
     return Schedule(plan, tuple(hops), tuple(absorbs))
 
 

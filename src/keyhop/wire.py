@@ -81,6 +81,7 @@ _KNOWN_TYPES = (FRAME_HELLO, FRAME_RELAY, FRAME_DONE, FRAME_ABORT)
 TAG_LEN = 32
 _MIN_BODY = 3  # type + index
 MAX_FRAME = 1 << 22
+_MAX_PAYLOAD = MAX_FRAME - _MIN_BODY - TAG_LEN
 _MAX_HOPS = 1 << 16  # hop indices travel as u16
 
 
@@ -104,7 +105,7 @@ def _tag(body: bytes, auth_key: bytes) -> bytes:
 
 
 def encode_frame(frame: Frame, auth_key: bytes) -> bytes:
-    if len(frame.payload) > MAX_FRAME - _MIN_BODY - TAG_LEN:
+    if len(frame.payload) > _MAX_PAYLOAD:
         raise FrameError("BAD_LENGTH", "payload too large")
     body = bytes((frame.ftype,)) + frame.index.to_bytes(2, "big") + frame.payload
     blob = body + _tag(body, auth_key)
@@ -152,22 +153,17 @@ async def _read_frame(reader) -> bytes | None:
 
 @dataclass
 class NodeConfig:
-    """Everything one node needs: its part of the compiled schedule,
-    addresses, link keys and its key-oracle slice."""
+    """One node's part of the compiled schedule and its link keys; the run
+    owns the addresses, the files and the deadline."""
 
     label: str
     hops: tuple[Hop, ...]  # the schedule's hops that name this node, in order
     absorbs: tuple[AbsorbRule, ...]  # the schedule's absorbs at this node
     up: set[str]  # neighbours one step nearer A
     n: int
-    listen: tuple[str, int]
-    peer_addrs: dict[str, tuple[str, int]]
     link_keys: dict[str, bytes]  # peer label -> HMAC key for that link
-    oracle_path: str
     descriptor: str  # run descriptor announced and expected in HELLO
-    output_path: str | None = None
     tamper_index: int | None = None
-    timeout: float = 10.0
 
 
 @dataclass
@@ -175,6 +171,7 @@ class NodeResult:
     label: str
     code: int
     transcript: list[str] = field(default_factory=list)
+    output: BitString | None = None  # an endpoint's key, after a success
 
 
 def _peer_abort_reason(payload: bytes) -> str:
@@ -202,8 +199,9 @@ class NodeMachine:
     of an inbound link names its peer (`identify`). `code` is None while the
     node runs, then its exit code: 0 success, 2 protocol abort, 3
     configuration error (a key missing from the oracle slice). After a
-    success, `output` holds an endpoint's key. Events that arrive after the
-    node finished are ignored.
+    success, `output` holds the key of a node that owns a nonce or absorbs
+    a path, which is exactly an endpoint. Events that arrive after the node
+    finished are ignored.
     """
 
     def __init__(self, cfg: NodeConfig, values: dict[SecretId, BitString]) -> None:
@@ -212,14 +210,13 @@ class NodeMachine:
         self.transcript: list[str] = []
         self.code: int | None = None
         self.output: BitString | None = None
-        label, self.hops, self.up = cfg.label, cfg.hops, cfg.up
+        label, self.hops, self.up, self.absorbs = cfg.label, cfg.hops, cfg.up, cfg.absorbs
         inbound = [h for h in self.hops if h.receiver.label == label]
         outbound = [h for h in self.hops if h.sender.label == label]
         self.peers_in = tuple(sorted({h.sender.label for h in inbound}))
         self.peers_out = tuple(sorted({h.receiver.label for h in outbound}))
         self.peers = {*self.peers_in, *self.peers_out}
         self.expected_relays = {(h.sender.label, h.index) for h in inbound}
-        self.absorbs = cfg.absorbs
         self.nonces = tuple(h.origin for h in outbound if h.origin is not None)
         self.links: set[str] = set()  # peers greeted by us or by an authentic HELLO
         self.pc = 0  # index of the next hop in self.hops
@@ -368,7 +365,7 @@ class NodeMachine:
         self.log(f"RECV M{frame.index} <- {peer}")
 
     def _output(self) -> BitString | None:
-        if self.cfg.output_path is None:
+        if not self.nonces and not self.absorbs:
             return None
         acc = BitString.zeros(self.cfg.n)
         for nid in self.nonces:
@@ -391,9 +388,12 @@ class NodeMachine:
 class _NodeRunner:
     """Connects one NodeMachine to its TCP links on the running event loop."""
 
-    def __init__(self, machine: NodeMachine, loop) -> None:
+    def __init__(self, machine: NodeMachine, loop, addrs, out_dir: str, timeout: float) -> None:
         self.m = machine
         self.loop = loop
+        self.addrs = addrs  # node label -> (host, port) of its listener
+        self.out_dir = out_dir
+        self.timeout = timeout
         self.server = None
         self.routes: dict = {}  # peer label -> StreamWriter of its link
         self.writers: list = []  # every link's StreamWriter, identified or not
@@ -406,19 +406,19 @@ class _NodeRunner:
 
         cfg = self.m.cfg
         timer = self.loop.call_later(
-            cfg.timeout, lambda: self._emit(self.m.feed(None, TimeoutError()))
+            self.timeout, lambda: self._emit(self.m.feed(None, TimeoutError()))
         )
         for peer in self.m.peers_out:
             self.tasks.append(self.loop.create_task(self._dial(peer)))
         await self.finished
         timer.cancel()
         if self.m.output is not None:
-            with open(cfg.output_path, "w", encoding="utf-8") as fh:
+            with open(f"{self.out_dir}/key_{cfg.label}.hex", "w", encoding="utf-8") as fh:
                 fh.write(self.m.output.to_hex() + "\n")
             self.m.log(f"OUTPUT written ({cfg.n} bits)")
         # the drain: each link is read until its peer half-closes as well
         with contextlib.suppress(asyncio.TimeoutError):
-            await asyncio.wait_for(asyncio.gather(*self.tasks), cfg.timeout)
+            await asyncio.wait_for(asyncio.gather(*self.tasks), self.timeout)
         self.closed = True
         for writer in self.writers:
             writer.close()
@@ -426,7 +426,7 @@ class _NodeRunner:
                 await writer.wait_closed()
         if self.server is not None:
             await self.server.wait_closed()
-        return NodeResult(cfg.label, self.m.code, self.m.transcript)
+        return NodeResult(cfg.label, self.m.code, self.m.transcript, self.m.output)
 
     def _emit(self, sends: Sends) -> None:
         for peer, blob in sends:
@@ -463,7 +463,7 @@ class _NodeRunner:
         import asyncio
 
         try:
-            reader, writer = await asyncio.open_connection(*self.m.cfg.peer_addrs[peer])
+            reader, writer = await asyncio.open_connection(*self.addrs[peer])
         except OSError:  # every listener was bound first: the peer is gone
             self._emit(self.m.feed(peer, None))
             return
@@ -490,22 +490,27 @@ class _NodeRunner:
                 return
 
 
-async def _run_nodes(cfgs: list[NodeConfig]) -> dict[str, NodeResult]:
+_ORACLE_FILE = "{}/oracle_{}.tsv"  # out_dir, node label
+
+
+async def _run_nodes(
+    cfgs: list[NodeConfig], addrs: dict[str, tuple[str, int]], out_dir: str, timeout: float
+) -> dict[str, NodeResult]:
     """Run every node on the running event loop; every listener is bound
     before any node dials. If one node's config step fails (its oracle
-    slice or its listener bind), no node starts: the listeners bound so far
-    are closed and only that node's result comes back."""
+    slice in out_dir or its listener bind), no node starts: the listeners
+    bound so far are closed and only that node's result comes back."""
     import asyncio
 
     loop = asyncio.get_running_loop()
     runners: list[_NodeRunner] = []
     for cfg in cfgs:
         try:
-            with open(cfg.oracle_path, encoding="utf-8") as fh:
+            with open(_ORACLE_FILE.format(out_dir, cfg.label), encoding="utf-8") as fh:
                 parsed = parse_key_oracle(fh.read(), cfg.n, cfg.label)
-            runner = _NodeRunner(NodeMachine(cfg, parsed), loop)
+            runner = _NodeRunner(NodeMachine(cfg, parsed), loop, addrs, out_dir, timeout)
             if runner.m.peers_in:
-                runner.server = await asyncio.start_server(runner.accept, *cfg.listen)
+                runner.server = await asyncio.start_server(runner.accept, *addrs[cfg.label])
         except (OSError, ValueError) as exc:
             for bound in runners:
                 if bound.server is not None:
@@ -517,17 +522,10 @@ async def _run_nodes(cfgs: list[NodeConfig]) -> dict[str, NodeResult]:
 
 
 def _node_configs(
-    schedule: Schedule,
-    n: int,
-    base_port: int,
-    out_dir: str,
-    oracle_paths: dict[str, str],
-    tamper_index: int | None,
-    timeout: float,
+    schedule: Schedule, n: int, tamper_index: int | None = None
 ) -> dict[str, NodeConfig]:
     topo = schedule.plan.topology
     nodes = topo.nodes
-    addr = {nd.label: ("127.0.0.1", base_port + i) for i, nd in enumerate(nodes)}
     descriptor = f"{schedule.plan.variant.value}|{topo.describe()}|{n}"
 
     link_keys: dict[str, dict[str, bytes]] = {nd.label: {} for nd in nodes}
@@ -539,8 +537,8 @@ def _node_configs(
         hops[s].append(hop)
         hops[r].append(hop)
     absorbs: dict[str, list[AbsorbRule]] = {nd.label: [] for nd in nodes}
-    for label, rule in schedule.absorbs:
-        absorbs[label].append(rule)
+    for rule in schedule.absorbs:
+        absorbs[schedule.hops[rule.hop_index].receiver.label].append(rule)
     up: dict[str, set[str]] = {nd.label: set() for nd in nodes}
     for u, v in topo.links:
         up[v.label].add(u.label)
@@ -551,14 +549,9 @@ def _node_configs(
             absorbs=tuple(absorbs[nd.label]),
             up=up[nd.label],
             n=n,
-            listen=addr[nd.label],
-            peer_addrs={p: addr[p] for p in link_keys[nd.label]},
             link_keys=link_keys[nd.label],
-            oracle_path=oracle_paths[nd.label],
             descriptor=descriptor,
-            output_path=f"{out_dir}/key_{nd.label}.hex" if nd.is_endpoint else None,
             tamper_index=tamper_index,
-            timeout=timeout,
         )
         for nd in nodes
     }
@@ -573,10 +566,7 @@ class WireRun:
     report: str
 
     def transcript(self) -> list[str]:
-        lines: list[str] = []
-        for label in sorted(self.results):
-            lines.extend(self.results[label].transcript)
-        return lines
+        return [line for label in sorted(self.results) for line in self.results[label].transcript]
 
 
 def orchestrate(
@@ -610,8 +600,9 @@ def orchestrate(
         raise ValueError(f"timeout must be a positive number of seconds, got {timeout}")
     if tamper_index is not None and not 0 <= tamper_index < hops:
         raise ValueError(f"tamper index {tamper_index} names no hop; hops are 0..{hops - 1}")
-    plan = plan_keys(topo, variant)
-    schedule = compile_schedule(plan)
+    if (n + 7) // 8 > _MAX_PAYLOAD:
+        raise ValueError(f"n={n} bits exceed the wire's frame limit of {_MAX_PAYLOAD * 8} bits")
+    schedule = compile_schedule(plan_keys(topo, variant))
     store = make_store(schedule, n, random.Random(seed))
 
     os.makedirs(out_dir, exist_ok=True)
@@ -620,43 +611,32 @@ def orchestrate(
         for end in sid.ends:
             if (end, sid.name) != drop_key:
                 held[end].add(sid, store[sid])
-    oracle_paths = {lab: f"{out_dir}/oracle_{lab}.tsv" for lab in held}
-    for lab, path in oracle_paths.items():
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(key_oracle_text(held[lab]))
+    for lab, keys in held.items():
+        with open(_ORACLE_FILE.format(out_dir, lab), "w", encoding="utf-8") as fh:
+            fh.write(key_oracle_text(keys))
 
-    cfgs = _node_configs(schedule, n, base_port, out_dir, oracle_paths, tamper_index, timeout)
+    cfgs = _node_configs(schedule, n, tamper_index)
     if wrong_variant_node is not None:
         cfgs[wrong_variant_node].descriptor = "mismatched|" + cfgs[wrong_variant_node].descriptor
+    addrs = {nd.label: ("127.0.0.1", base_port + i) for i, nd in enumerate(topo.nodes)}
 
     import asyncio
 
-    results = asyncio.run(_run_nodes(list(cfgs.values())))
-
-    def read_output(label: str) -> BitString | None:
-        path = cfgs[label].output_path
-        assert path is not None
-        if label not in results or results[label].code != 0:
-            return None  # the node failed, or never started
-        try:
-            with open(path, encoding="utf-8") as fh:
-                return BitString.from_hex(fh.read().strip(), n)
-        except (OSError, ValueError):
-            return None
-
-    out_a, out_b = read_output(topo.endpoint_a.label), read_output(topo.endpoint_b.label)
+    results = asyncio.run(_run_nodes(list(cfgs.values()), addrs, out_dir, timeout))
+    outputs = {lab: res.output for lab, res in results.items()}  # None unless it succeeded
+    out_a, out_b = outputs.get(topo.endpoint_a.label), outputs.get(topo.endpoint_b.label)
     codes = [res.code for res in results.values()]
     code = 3 if 3 in codes else (2 if any(c != 0 for c in codes) else 0)
-    if code == 0 and (out_a is None or out_b is None or out_a != out_b):
+    if code == 0 and (out_a is None or out_a != out_b):
         code = 2
     if code == 0:
         report = f"all {len(cfgs)} nodes completed; endpoint keys match"
     else:
-        causes = []
-        for lab in sorted(results):
-            res = results[lab]
-            if res.code != 0:
-                last = res.transcript[-1] if res.transcript else "no transcript"
-                causes.append(f"{lab}: exit {res.code}, {last}")
+        # a failed node's last transcript line is its ABORT or CONFIG line
+        causes = [
+            f"{lab}: exit {res.code}, {res.transcript[-1]}"
+            for lab, res in sorted(results.items())
+            if res.code != 0
+        ]
         report = f"run failed (exit {code}); " + "; ".join(causes)
     return WireRun(code, results, out_a, out_b, report)

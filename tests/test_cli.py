@@ -429,6 +429,8 @@ _CONFIGS = {
         ["rate", "--params", "rate-inf.cfg"],
         ["simulate", "--shape", "ring6", "--link-km", "inf"],
         ["simulate", "--config", "ring6-inf.cfg"],
+        ["wire", "--shape", "chain", "--m", "2", "--n", "33554153"],  # RELAY above MAX_FRAME
+        ["rate", "--max-range-m", "1"],  # the scheme needs 2 intermediaries
     ],
 )
 def test_usage_errors_exit_three(tmp_path, argv, capsys):

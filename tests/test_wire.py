@@ -31,6 +31,8 @@ from keyhop.wire import (
     orchestrate,
 )
 
+from test_keyplan import _layouts  # the generated layouts of at most 12 intermediaries
+
 KEY = b"k" * 32
 PORTS = iter(range(20000, 22800, 40))
 LONG_CHAIN_PORT = 22800  # chain m=100 listens on 22800..22901
@@ -357,11 +359,9 @@ def _machines(topo, variant, seed, tamper_index=None, n=64):
     """Every node's NodeMachine, keyed by label, with its key-oracle slice."""
     schedule = compile_schedule(plan_keys(topo, variant))
     store = make_store(schedule, n, random.Random(seed))
-    labels = [nd.label for nd in topo.nodes]
-    cfgs = _node_configs(schedule, n, 0, "", {lab: "" for lab in labels}, tamper_index, 1.0)
     return {
-        lab: NodeMachine(cfg, {sid: store[sid] for sid in store.ids() if sid.involves(lab)})
-        for lab, cfg in cfgs.items()
+        lab: NodeMachine(cfg, {sid: store[sid] for sid in store.ids() if lab in sid.ends})
+        for lab, cfg in _node_configs(schedule, n, tamper_index).items()
     }
 
 
@@ -430,6 +430,19 @@ def test_any_delivery_order_gives_both_endpoints_the_engine_key(topo, variant, o
     assert nodes[topo.endpoint_b.label].output == key
 
 
+@settings(max_examples=40, deadline=None)
+@given(_layouts(), st.randoms(use_true_random=False), st.integers(0, 2**32 - 1))
+def test_generated_layouts_give_the_engine_key_in_any_delivery_order(layout, order, seed):
+    topo, variant = layout
+    nodes, dones = _deliver(topo, variant, seed, order)
+    assert {lab: node.code for lab, node in nodes.items()} == {lab: 0 for lab in nodes}
+    assert dones == dict.fromkeys(dones, 1)
+    key = run(topo, variant, 64, random.Random(seed)).output_a
+    assert nodes[topo.endpoint_a.label].output == key
+    assert nodes[topo.endpoint_b.label].output == key
+    assert all(nodes[nd.label].output is None for nd in topo.nodes if not nd.is_endpoint)
+
+
 @pytest.mark.parametrize("topo, variant", DELIVERY_LAYOUTS, ids=DELIVERY_IDS)
 @settings(max_examples=30)
 @given(order=st.randoms(use_true_random=False), data=st.data())
@@ -467,7 +480,7 @@ def test_setting_up_a_long_chain_is_linear():
     for sid in store.ids():
         for end in sid.ends:
             slices[end][sid] = store[sid]
-    cfgs = _node_configs(schedule, 64, 0, "", dict.fromkeys(slices, ""), None, 1.0)
+    cfgs = _node_configs(schedule, 64)
     nodes = {lab: NodeMachine(cfg, slices[lab]) for lab, cfg in cfgs.items()}
     for lab, node in nodes.items():
         for peer in node.peers_out:
