@@ -14,13 +14,16 @@ serves two paths:
   so a coalition breaks iff it contains a minimal one. Coalitions stay int
   bitmasks over the intermediaries until output.
 
-brute_force_secrecy is the independent check: it sweeps the full truth table
-of secret assignments at n=1 and inspects the conditional distribution of the
-target given the adversary's view. Each entry packs the target bit under
-the view bits; the table is built by doubling (each secret's column is XORed
+brute_force_secrecy is the independent check: it splits the view into
+independent blocks (union-find over the secrets of each message and each
+held secret), sweeps the full truth table of each block that holds a target
+term at n=1, and inspects the conditional distribution of that block's part
+of the target given the block's view. Each entry packs the target bit under
+the view bits; a table is built by doubling (each secret's column is XORed
 onto the half of the table where it is set) and sorted in place, so equal
-views sit together. It uses no rank or elimination. The paths must always
-agree; tests hold them against each other.
+views sit together. It uses no rank or elimination, and reads its blocks off
+the view alone, not the layout. The paths must always agree; tests hold them
+against each other.
 """
 
 from __future__ import annotations
@@ -341,36 +344,83 @@ def brute_force_secrecy(
     it; SECURE iff it stays perfectly balanced in every group. Linearity
     guarantees one of the two holds.
 
-    Assignment a sets secret i (in name order) to bit i of a. Entry a of one
-    packed table holds the target bit in bit 0 and view component k in bit
-    k+1 (observed messages first, then held secrets). The table is filled
-    by doubling: secret i has a column (its target bit, plus bit k+1 when it
-    appears in component k), and entries 2^i..2^(i+1)-1 are entries
-    0..2^i-1 XORed with it. Each entry costs one XOR; one in-place sort then
-    brings equal views together, target 0 before target 1. No rank or
-    elimination is involved.
+    The view splits into independent blocks (_view_blocks), so the target is
+    the XOR of one part per block, and each part depends only on its block's
+    secrets and view. A block with no target term has its part fixed at 0.
+    Every other block is swept on its own: BROKEN iff every swept part is
+    fixed by its block's view, SECURE iff some part is balanced. The limits of
+    24 secrets and 63 view components apply per block, and are checked for
+    every block before any is swept.
+
+    Assignment a sets a block's secret i (in name order) to bit i of a. Entry
+    a of the block's packed table holds its target bit in bit 0 and its view
+    component k in bit k+1. The table is filled by doubling: secret i has a
+    column (its target bit, plus bit k+1 when it appears in component k), and
+    entries 2^i..2^(i+1)-1 are entries 0..2^i-1 XORed with it. Each entry
+    costs one XOR; one in-place sort then brings equal views together, target
+    0 before target 1. No rank or elimination is involved.
     """
     import numpy as np  # the oracle is the package's only numpy user
 
     if trace.n != 1:
         raise ValueError("the truth-table oracle runs at n=1")
-    ids = sorted(trace.store.ids(), key=lambda s: s.name)
-    if len(ids) > 24:
-        raise ValueError("too many secrets for a full truth-table sweep")
-    view = view_of(trace, coalition)
-    components = [expr.terms for expr in view.observed]
-    components += [{sid} for sid in view.known]
-    if len(components) > 63:  # 63 view bits and the target bit fill a uint64
-        raise ValueError("view too wide to pack for the truth-table sweep")
+    blocks = _view_blocks(trace, view_of(trace, coalition))
+    for secrets, components in blocks:
+        if len(secrets) > 24:
+            raise ValueError(
+                f"too many secrets for a full truth-table sweep: a view block"
+                f" holds {len(secrets)}, at most 24"
+            )
+        if len(components) > 63:  # 63 view bits and the target bit fill a uint64
+            raise ValueError("view too wide to pack for the truth-table sweep")
 
-    table = np.zeros(1 << len(ids), dtype=np.uint64)
+    verdicts = []
+    for secrets, components in blocks:
+        if target.terms.isdisjoint(secrets):
+            continue
+        table = np.zeros(1 << len(secrets), dtype=np.uint64)
+        for i, sid in enumerate(secrets):
+            column = sum(2 << k for k, comp in enumerate(components) if sid in comp)
+            column |= sid in target.terms
+            low, high = 1 << i, 2 << i
+            np.bitwise_xor(table[:low], np.uint64(column), out=table[low:high])
+        table.sort()
+        verdicts.append(_grouped_verdict(table))
+    return Status.SECURE if Status.SECURE in verdicts else Status.BROKEN
+
+
+def _view_blocks(
+    trace: ProtocolTrace, view: AdversaryView
+) -> list[tuple[list[SecretId], list[frozenset[SecretId]]]]:
+    """The view's independent blocks: (secrets in name order, view
+    components), blocks ordered by their first secret. A component is one
+    observed message's terms or one held secret; union-find joins the
+    secrets of each component, so no component spans two blocks and the
+    blocks' secrets, being uniform and independent, give independent block
+    views. A secret in no component is a block of its own."""
+    ids = sorted(trace.store.ids(), key=lambda s: s.name)
+    index = {sid: i for i, sid in enumerate(ids)}
+    parent = list(range(len(ids)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    components = [expr.terms for expr in view.observed]
+    components += [frozenset((sid,)) for sid in view.known]
+    for comp in components:
+        pos = [index[sid] for sid in comp]
+        for i in pos[1:]:
+            parent[root(i)] = root(pos[0])
+    blocks: dict[int, tuple[list[SecretId], list[frozenset[SecretId]]]] = {}
     for i, sid in enumerate(ids):
-        column = sum(2 << k for k, comp in enumerate(components) if sid in comp)
-        column |= sid in target.terms
-        low, high = 1 << i, 2 << i
-        np.bitwise_xor(table[:low], np.uint64(column), out=table[low:high])
-    table.sort()
-    return _grouped_verdict(table)
+        blocks.setdefault(root(i), ([], []))[0].append(sid)
+    for comp in components:
+        if comp:
+            blocks[root(index[next(iter(comp))])][1].append(comp)
+    return list(blocks.values())
 
 
 def _grouped_verdict(table) -> Status:

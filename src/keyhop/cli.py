@@ -126,13 +126,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     target = analysis.final_key_expr(trace)
     if args.coalition is not None:
         coal = _parse_coalition(trace, args.coalition)
+        if args.oracle:  # sweep first, so a refused sweep prints nothing
+            check = run(topo, variant, 1, random.Random(args.seed))
+            oracle = analysis.brute_force_secrecy(check, coal, analysis.final_key_expr(check))
         verdict = analysis.is_recoverable(analysis.view_of(trace, coal), target)
         print(f"coalition {coal.describe()}: {verdict.status.value}")
         if verdict.recovery_labels:
             print("  recovery: " + " + ".join(verdict.recovery_labels))
         if args.oracle:
-            check = run(topo, variant, 1, random.Random(args.seed))
-            oracle = analysis.brute_force_secrecy(check, coal, analysis.final_key_expr(check))
             agree = "agree" if oracle is verdict.status else "DISAGREE"
             print(f"  truth-table oracle: {oracle.value} ({agree})")
             if oracle is not verdict.status:

@@ -231,7 +231,25 @@ def test_criterion_5_eliminator_matches_the_truth_table_oracle():
                                 f"{variant.value} seed={seed} {coal.describe()}: "
                                 f"eliminator={gf.value} oracle={bf.value}"
                             )
-        assert checks >= 500
+        # multipath (4,4,4,4; t=3) has 48 secrets in four blocks of 12, each
+        # swept alone: a fixed, seeded sample of its 2^16 coalitions
+        trace = run(build_multipath([4, 4, 4, 4], 100.0, 3), Variant.MULTIPATH, 1, random.Random(0))
+        target = final_key_expr(trace)
+        inter = trace.topology.intermediaries
+        rng = random.Random(5)
+        sample = [Coalition(frozenset(rng.sample(inter, rng.randint(0, len(inter))))) for _ in range(55)]
+        # only all 16 together break it, so the sample holds them and 8 sets one short
+        full = frozenset(inter)
+        sample += [Coalition(full)] + [Coalition(full - {nd}) for nd in inter[::2]]
+        for coal in sample:
+            gf = is_recoverable(view_of(trace, coal), target).status
+            bf = brute_force_secrecy(trace, coal, target)
+            checks += 1
+            if gf is not bf:
+                disagreements.append(
+                    f"multipath(4,4,4,4;t=3) {coal.describe()}: eliminator={gf.value} oracle={bf.value}"
+                )
+        assert checks >= 500 + len(sample)
         assert not disagreements, "\n".join(disagreements)
         note["detail"] = f"{checks} coalition checks, zero disagreements"
 

@@ -13,6 +13,7 @@ from keyhop.analysis import (
     Coalition,
     Status,
     _grouped_verdict,
+    _view_blocks,
     active_attack_leakage,
     brute_force_secrecy,
     coalition_report_csv,
@@ -26,7 +27,7 @@ from keyhop.analysis import (
     recover_bits,
     view_of,
 )
-from keyhop.bits import SymbolicExpr, nonce
+from keyhop.bits import SecretKind, SymbolicExpr, nonce
 from keyhop.keyplan import Variant
 from keyhop.protocol import run
 from keyhop.topology import build_chain, build_multipath, build_reach_chain, build_ring6
@@ -230,31 +231,96 @@ def test_truth_table_sweeps_multipath_444_at_21_secrets():
 
 
 def test_truth_table_sweeps_multipath_3333_at_24_secrets():
-    # the widest sweep the oracle accepts: 2^24 assignments
+    # 24 secrets in all, but each path is its own block of 6, swept alone
     trace = run(build_multipath([3, 3, 3, 3]), Variant.MULTIPATH, 1, random.Random(0))
     assert len(trace.store.ids()) == 24
     target = final_key_expr(trace)
     coal = _coalition(trace, *(nd.label for nd in trace.topology.paths[0][1:-1]))
+    assert [len(secrets) for secrets, _ in _view_blocks(trace, view_of(trace, coal))] == [6] * 4
     assert is_recoverable(view_of(trace, coal), target).status is Status.SECURE
     assert brute_force_secrecy(trace, coal, target) is Status.SECURE
 
 
-def test_truth_table_uses_no_elimination_or_rank(monkeypatch):
-    trace = run(build_chain(4), Variant.CHAIN_M, 1, random.Random(0))
+def test_truth_table_sweeps_chain_m21_at_24_secrets():
+    # the widest sweep the oracle accepts: one block of 24 secrets, 2^24 assignments
+    trace = run(build_chain(21), Variant.CHAIN_M, 1, random.Random(0))
+    assert len(trace.store.ids()) == 24
     target = final_key_expr(trace)
-    inter = [nd.label for nd in trace.topology.intermediaries]
-    coalitions = [
-        _coalition(trace, *c) for size in range(len(inter) + 1) for c in combinations(inter, size)
-    ]
-    want = [is_recoverable(view_of(trace, coal), target).status for coal in coalitions]
+    coal = Coalition(frozenset())
+    assert is_recoverable(view_of(trace, coal), target).status is Status.SECURE
+    assert brute_force_secrecy(trace, coal, target) is Status.SECURE
+    wider = run(build_chain(22), Variant.CHAIN_M, 1, random.Random(0))
+    with pytest.raises(ValueError, match="too many secrets for a full truth-table sweep"):
+        brute_force_secrecy(wider, coal, final_key_expr(wider))
+
+
+def test_truth_table_sweeps_multipath_4444_at_48_secrets():
+    # four blocks of 12 secrets; with reach 3, t+1 = 4 adjacent nodes break a
+    # path, so on 4-node paths only every path whole breaks the key
+    trace = run(build_multipath([4, 4, 4, 4], 100.0, 3), Variant.MULTIPATH, 1, random.Random(0))
+    assert len(trace.store.ids()) == 48
+    target = final_key_expr(trace)
+    whole_paths = [[nd.label for nd in path[1:-1]] for path in trace.topology.paths]
+    adjacent_per_path = [label for path in whole_paths for label in path]
+    cases = [(path, Status.SECURE) for path in whole_paths]
+    cases += [(adjacent_per_path[:-1], Status.SECURE), (adjacent_per_path, Status.BROKEN)]
+    for labels, want in cases:
+        coal = _coalition(trace, *labels)
+        assert is_recoverable(view_of(trace, coal), target).status is want
+        assert brute_force_secrecy(trace, coal, target) is want
+
+
+@pytest.mark.parametrize(
+    "topo,variant,count",
+    [
+        (build_ring6(), Variant.RING_V2, 2),
+        (build_chain(2), Variant.CHAIN2, 1),
+        (build_chain(9), Variant.CHAIN_M, 1),
+        (build_reach_chain(8, 3), Variant.REACH_T, 1),
+        (build_multipath([4]), Variant.MULTIPATH, 1),
+        (build_multipath([2, 5, 3], 100.0, 1), Variant.MULTIPATH, 3),
+        (build_multipath([4, 4, 4, 4], 100.0, 3), Variant.MULTIPATH, 4),
+    ],
+)
+def test_truth_table_blocks_follow_the_layout(topo, variant, count):
+    # the oracle finds its blocks in the view; the layout says what they must be
+    trace = run(topo, variant, 1, random.Random(0))
+    inter = [nd.label for nd in topo.intermediaries]
+    for labels in ([], inter[:1], inter):
+        blocks = _view_blocks(trace, view_of(trace, _coalition(trace, *labels)))
+        assert len(blocks) == count
+        secrets = [sid for block, _ in blocks for sid in block]
+        assert len(secrets) == len(set(secrets)) == len(trace.store.ids())
+    if variant is Variant.MULTIPATH:
+        # each block is one path: its nonce and the keys of its intermediaries
+        path_of = {nd.label: p for p, path in enumerate(topo.paths) for nd in path[1:-1]}
+        for block, _ in blocks:
+            keys = [sid for sid in block if sid.kind is not SecretKind.NONCE]
+            assert len(block) - len(keys) == 1
+            assert len({path_of[end] for sid in keys for end in sid.ends if end in path_of}) == 1
+
+
+def test_truth_table_uses_no_elimination_or_rank(monkeypatch):
+    layouts = [(build_chain(4), Variant.CHAIN_M), (build_multipath([2, 3, 2]), Variant.MULTIPATH)]
+    cases = []
+    for topo, variant in layouts:
+        trace = run(topo, variant, 1, random.Random(0))
+        target = final_key_expr(trace)
+        inter = [nd.label for nd in trace.topology.intermediaries]
+        for size in range(len(inter) + 1):
+            for c in combinations(inter, size):
+                coal = _coalition(trace, *c)
+                want = is_recoverable(view_of(trace, coal), target).status
+                cases.append((trace, coal, target, want))
 
     def refuse(*args, **kwargs):
         raise AssertionError("the truth-table oracle must stay independent of elimination")
 
-    for name in ("_eliminate", "_reduce", "_decider"):
+    for name in ("_eliminate", "_reduce", "_decider", "_minimal_masks", "min_breaking_coalitions"):
         monkeypatch.setattr(analysis, name, refuse)
     monkeypatch.setattr(np.linalg, "matrix_rank", refuse)
-    assert [brute_force_secrecy(trace, coal, target) for coal in coalitions] == want
+    for trace, coal, target, want in cases:
+        assert brute_force_secrecy(trace, coal, target) is want
 
 
 def _packed(*entries):
@@ -284,11 +350,17 @@ def test_grouped_verdict_rejects_a_group_neither_fixed_nor_balanced(entries):
         _grouped_verdict(_packed(*entries))
 
 
+def _largest_path_secrets(trace):
+    """The most secrets one path holds: its intermediaries' keys and a nonce."""
+    inners = ({nd.label for nd in path[1:-1]} for path in trace.topology.paths)
+    return max(1 + sum(not inner.isdisjoint(sid.ends) for sid in trace.store.ids()) for inner in inners)
+
+
 @st.composite
 def _oracle_cases(draw):
-    """An n=1 trace of ring6 v1/v2 or a chain, reach or multipath layout with
-    at most 12 intermediaries and 18 secrets, and a coalition drawn from its
-    intermediaries."""
+    """An n=1 trace of ring6 v1/v2 or a chain or reach layout with at most 12
+    intermediaries, or a multipath layout with at most 20, whose largest path
+    holds at most 18 secrets, and a coalition drawn from its intermediaries."""
     kind = draw(st.sampled_from(("ring6", "chain", "reach", "multipath")))
     if kind == "ring6":
         topo, variant = build_ring6(), draw(st.sampled_from((Variant.RING_V1, Variant.RING_V2)))
@@ -300,13 +372,13 @@ def _oracle_cases(draw):
         t = draw(st.integers(2, 3))
         topo, variant = build_reach_chain(draw(st.integers(t + 1, 8)), t), Variant.REACH_T
     else:
-        t = draw(st.integers(1, 2))
+        t = draw(st.integers(1, 3))
         lengths = draw(
-            st.lists(st.integers(t + 1, 6), min_size=1, max_size=4).filter(lambda ls: sum(ls) <= 12)
+            st.lists(st.integers(t + 1, 8), min_size=1, max_size=5).filter(lambda ls: sum(ls) <= 20)
         )
         topo, variant = build_multipath(lengths, 100.0, t), Variant.MULTIPATH
     trace = run(topo, variant, 1, random.Random(draw(st.integers(0, 2**32 - 1))))
-    assume(len(trace.store.ids()) <= 18)
+    assume(_largest_path_secrets(trace) <= 18)
     labels = [nd.label for nd in topo.intermediaries]
     return trace, _coalition(trace, *draw(st.sets(st.sampled_from(labels))))
 
