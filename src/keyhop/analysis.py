@@ -2,33 +2,36 @@
 
 A coalition of corrupted nodes sees every transmitted payload plus the keys
 its members hold. Over GF(2) a target expression is recoverable exactly when
-it lies in the span of those observations. One elimination core, _eliminate,
-serves two paths:
+it lies in the span of those observations. Three routes answer that
+question; tests hold them against each other:
 
-- explain (view_of + is_recoverable): one coalition's view, reduced with
-  combination tracking, so a BROKEN verdict carries its recovery recipe;
-- decide (min_breaking_coalitions, coalition_rows): a dualize-and-advance
-  search finds the minimal breaking coalitions with a number of tests that
-  follows the answer's size, testing each coalition by masking its held
-  keys out of the trace's message and target masks. Breaking is monotone,
-  so a coalition breaks iff it contains a minimal one. Coalitions stay int
-  bitmasks over the intermediaries until output.
-
-brute_force_secrecy is the independent check: it splits the view into
-independent blocks (union-find over the secrets of each message and each
-held secret), sweeps the full truth table of each block that holds a target
-term at n=1, and inspects the conditional distribution of that block's part
-of the target given the block's view. Each entry packs the target bit under
-the view bits; a table is built by doubling (each secret's column is XORed
-onto the half of the table where it is set) and sorted in place, so equal
-views sit together. It uses no rank or elimination, and reads its blocks off
-the view alone, not the layout. The paths must always agree; tests hold them
-against each other.
+- explain (view_of + is_recoverable): one coalition's view, reduced by the
+  elimination core _eliminate with combination tracking, so a BROKEN verdict
+  carries its recovery recipe. It is the reference for the other two.
+- decide (min_breaking_coalitions, coalition_rows): a graph search. A
+  path's key graph has one edge per key folded on the path. Its messages
+  span the nonce plus the origin's keys, and each other sender's keys. With
+  the held keys dropped, the nonce lies in that span iff no remaining key
+  leaves some node set that holds the origin but not the absorber (the last
+  receiver, which never sends): iff the coalition separates the two. Paths
+  share no keys, so the minimal breaking coalitions (of the final key or
+  one nonce) are the unions of one minimal separator per path.
+- brute_force_secrecy, the independent check: it splits the view into
+  independent blocks (union-find over the secrets of each message and each
+  held secret), sweeps the full truth table of each block that holds a
+  target term at n=1, and inspects the conditional distribution of that
+  block's part of the target given the block's view. Each entry packs the
+  target bit under the view bits; a table is built by doubling (each
+  secret's column is XORed onto the half of the table where it is set) and
+  sorted in place, so equal views sit together. It uses no rank,
+  elimination or graph search, and reads its blocks off the view alone, not
+  the layout.
 """
 
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, product
@@ -62,7 +65,7 @@ __all__ = [
 ]
 
 ENUMERATION_CAP = 20  # coalitions.csv lists 2^m rows; 2^20 is the most we allow
-GRID_CAP = 100  # intermediaries per grid cell; a 100-intermediary cell takes about 1 s
+GRID_CAP = 100  # intermediaries per grid cell; a 100-intermediary cell takes about 15 ms
 
 
 class Status(Enum):
@@ -232,70 +235,65 @@ def _subsets(trace: ProtocolTrace) -> Iterator[int]:
     return (sum(combo) for size in range(len(bits) + 1) for combo in combinations(bits, size))
 
 
-def _decider(trace: ProtocolTrace, target: SymbolicExpr) -> Callable[[int], bool]:
-    """Build the masks once per (trace, target) and return the test of
-    whether a coalition bitmask recovers the target. Held keys are known
-    outright, so masking them out of every row and of the target leaves the
-    same span question over the messages alone."""
-    secrets = trace.store.ids()
-    atoms = {*secrets, *target.terms}.union(*(msg.expr.terms for msg in trace.messages))
-    order = {sid: i for i, sid in enumerate(sorted(atoms, key=lambda s: s.name))}
-    goal = _mask(order, target.terms)
-    messages = [_mask(order, msg.expr.terms) for msg in trace.messages]
-    held = [
-        _mask(order, (sid for sid in secrets if nd.label in sid.ends))
-        for nd in trace.topology.intermediaries
-    ]
+def _key_graphs(trace: ProtocolTrace, target: SymbolicExpr) -> list[tuple[dict, str, str]]:
+    """Per path whose nonce the target holds: its key graph (node label ->
+    neighbours, one edge per key in the messages holding the nonce), its
+    origin (the first such message's sender) and its absorber (the last
+    one's receiver). The target must be the final key or one nonce."""
+    nonces = [nid for nid in trace.nonce_ids if nid in target.terms]
+    if len(target.terms) != len(nonces) or len(nonces) not in {1, len(trace.nonce_ids)}:
+        raise ValueError(f"target {target.text()} is neither the final key nor one nonce")
+    graphs = []
+    for nid in nonces:
+        messages = [msg for msg in trace.messages if nid in msg.expr.terms]
+        graph: dict[str, set[str]] = defaultdict(set)
+        for u, v in (sid.ends for msg in messages for sid in msg.expr.terms if sid != nid):
+            graph[u].add(v)
+            graph[v].add(u)
+        graphs.append((graph, messages[0].sender.label, messages[-1].receiver.label))
+    return graphs
 
-    def breaks(coalition: int) -> bool:
-        known = 0
-        while coalition:
-            low = coalition & -coalition
-            known |= held[low.bit_length() - 1]
-            coalition ^= low
-        keep = ~known
-        pivots = _eliminate([row & keep for row in messages])
-        return _reduce(pivots, goal & keep) is not None
 
-    return breaks
+def _separators(graph: dict, origin: str, absorber: str) -> list[frozenset[str]]:
+    """Every minimal origin-absorber vertex separator of the graph, by the
+    closure of Kloks and Kratsch (SIAM J. Comput. 1998) in the form of Berry,
+    Bordat and Cogis (IJFCS 2000): start from the separator closest to the
+    origin, then from each separator S and each x in S not adjacent to the
+    absorber, move x to the origin's side. The cost follows the number of
+    separators. The ends are never adjacent (compile_schedule refuses a key
+    between the endpoints); disconnected ends have one separator, the empty
+    set."""
+
+    def border(removed: set[str]) -> frozenset[str]:
+        """The neighbourhood of the absorber's component in G - removed."""
+        seen, stack = {absorber}, [absorber]
+        while stack:
+            for w in graph[stack.pop()] - removed - seen:
+                seen.add(w)
+                stack.append(w)
+        return frozenset().union(*(graph[v] & removed for v in seen))
+
+    found = [border(graph[origin] | {origin})]
+    known = set(found)
+    for sep in found:  # grows as the closure finds new separators
+        for x in sep - graph[absorber]:
+            new = border(sep | graph[x] | {x})
+            if new not in known:
+                known.add(new)
+                found.append(new)
+    return found
 
 
 def _minimal_masks(trace: ProtocolTrace, target: SymbolicExpr) -> list[int]:
-    """The minimal breaking coalitions as bitmasks, in combinations order,
-    by dualize-and-advance (Gunopulos, Khardon, Mannila, Toivonen, PODS 1997).
-
-    A breaking set meets the complement of every non-breaking set. So the
-    smallest minimal transversal of the complements found so far that is not
-    yet known to break either breaks, and is then minimal, or grows to a
-    maximal non-breaking set whose complement joins the hypergraph by Berge
-    multiplication. The decisions follow the answer's size, not 2^m.
-    """
-    breaks = _decider(trace, target)
-    bits = [1 << i for i in range(len(trace.topology.intermediaries))]
-    full = sum(bits)
-    minimal: set[int] = set()
-    transversals = [0]
-    while fresh := [t for t in transversals if t not in minimal]:
-        cand = min(fresh, key=lambda t: (t.bit_count(), t))
-        if breaks(cand):
-            minimal.add(cand)
-            continue
-        grown = cand
-        for b in bits:
-            if not grown & b and not breaks(grown | b):
-                grown |= b
-        edge = full & ~grown
-        if not edge:
-            return []
-        kept = [t for t in transversals if t & edge]
-        missed = [t for t in transversals if not t & edge]
-        transversals = list(kept)
-        # a missed t holds no bit of edge, so t | b can only contain a kept
-        # transversal through b; no two extensions coincide
-        for b in (b for b in bits if edge & b):
-            through = [k for k in kept if k & b]
-            transversals += [t | b for t in missed if all(k & ~(t | b) for k in through)]
-    return sorted(minimal, key=lambda t: (t.bit_count(), _members(range(len(bits)), t)))
+    """The minimal breaking coalitions as bitmasks over the intermediaries,
+    smallest first, then by member positions: the unions of one minimal
+    separator per key graph the target needs cut."""
+    inter = trace.topology.intermediaries
+    bit = {nd.label: 1 << i for i, nd in enumerate(inter)}
+    graphs = _key_graphs(trace, target)
+    per_path = [[sum(bit[v] for v in sep) for sep in _separators(*g)] for g in graphs]
+    masks = [sum(combo) for combo in product(*per_path)]  # paths share no intermediary
+    return sorted(masks, key=lambda t: (t.bit_count(), _members(range(len(inter)), t)))
 
 
 def _members(items: tuple, coal: int) -> list:

@@ -90,17 +90,17 @@ def _path_runs(topo: Topology) -> list[tuple[tuple[NodeId, ...], SecretId]]:
 def compile_schedule(plan: KeyPlan) -> Schedule:
     runs = _path_runs(plan.topology)
     # each node's keys on each path, in plan order, from one pass over the
-    # plan: a key's path is found through an intermediary end (a key between
-    # the endpoints is on every path), and it counts if both ends lie on it
+    # plan: a key lies on the path of its intermediary end, and both its
+    # ends must be on that path (every builder keeps A and B out of range)
     keys: list[dict[str, list[SecretId]]] = [{nd.label: [] for nd in seq} for seq, _ in runs]
     path_of = {nd.label: keys[p] for p, (seq, _) in enumerate(runs) for nd in seq[1:-1]}
     for sid in plan.secret_ids:
         u, v = sid.ends
-        path = path_of.get(u) or path_of.get(v)
-        for held in (path,) if path else keys:
-            if u in held and v in held:
-                held[u].append(sid)
-                held[v].append(sid)
+        held = path_of.get(u) or path_of.get(v)
+        if held is None or u not in held or v not in held:
+            raise ValueError(f"key {sid.name} does not join an intermediary to a node of its path")
+        held[u].append(sid)
+        held[v].append(sid)
     hops: list[Hop] = []
     absorbs: list[AbsorbRule] = []
     for (seq, nonce_id), held in zip(runs, keys):

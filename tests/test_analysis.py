@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import numpy as np
@@ -314,9 +315,10 @@ def test_truth_table_uses_no_elimination_or_rank(monkeypatch):
                 cases.append((trace, coal, target, want))
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the truth-table oracle must stay independent of elimination")
+        raise AssertionError("the truth-table oracle must stay independent of the analyzer")
 
-    for name in ("_eliminate", "_reduce", "_decider", "_minimal_masks", "min_breaking_coalitions"):
+    names = ("_eliminate", "_reduce", "_key_graphs", "_separators", "_minimal_masks")
+    for name in (*names, "min_breaking_coalitions"):
         monkeypatch.setattr(analysis, name, refuse)
     monkeypatch.setattr(np.linalg, "matrix_rank", refuse)
     for trace, coal, target, want in cases:
@@ -470,8 +472,8 @@ LAYOUTS = st.one_of(
 @settings(max_examples=12, deadline=None)
 @given(LAYOUTS, st.integers(0, 3))
 def test_fast_decider_agrees_with_the_reference_analyzer(layout, seed):
-    """coalition_rows and min_breaking_coalitions decide from masks built once
-    per trace; view_of + is_recoverable is the reference they must match."""
+    """coalition_rows and min_breaking_coalitions read the key graphs;
+    view_of + is_recoverable is the reference they must match."""
     trace = _trace(*layout, seed=seed, n=1)
     inter = trace.topology.intermediaries
     subsets = [frozenset(c) for size in range(len(inter) + 1) for c in combinations(inter, size)]
@@ -484,19 +486,82 @@ def test_fast_decider_agrees_with_the_reference_analyzer(layout, seed):
         assert [c.members for c in min_breaking_coalitions(trace, target)] == minimal
 
 
-def test_coalition_rows_eliminate_only_in_the_minimal_sweep(monkeypatch):
+def test_coalition_rows_list_separators_once_and_never_eliminate(monkeypatch):
     """coalition_rows reads every verdict off the minimal breaking sets, so it
-    runs exactly the eliminations of min_breaking_coalitions' search, not one
-    per row (chain m=10 has 1024 rows). The search decides 46 coalitions; a
-    search that skipped its grow step would sweep the subsets and decide 88."""
-    trace = _trace(build_chain(10), Variant.CHAIN_M, n=1)
+    lists each path's separators once, as min_breaking_coalitions does, and
+    decides no row on its own (chain m=10 has 1024 rows). Neither search
+    eliminates: elimination serves only is_recoverable."""
+
+    def refuse(rows):
+        raise AssertionError("the minimal-set search must not eliminate")
+
     calls = []
-    eliminate = analysis._eliminate
-    monkeypatch.setattr(analysis, "_eliminate", lambda rows: calls.append(rows) or eliminate(rows))
-    min_breaking_coalitions(trace)
-    sweep = len(calls)
-    assert len(coalition_rows(trace)) == 1024
-    assert sweep == len(calls) - sweep == 46
+    separators = analysis._separators
+    monkeypatch.setattr(analysis, "_separators", lambda *a: calls.append(a) or separators(*a))
+    monkeypatch.setattr(analysis, "_eliminate", refuse)
+    layouts = ((build_chain(10), Variant.CHAIN_M), (build_multipath([3, 2, 4]), Variant.MULTIPATH))
+    for topo, variant in layouts:
+        trace = _trace(topo, variant, n=1)
+        calls.clear()
+        min_breaking_coalitions(trace)
+        assert len(calls) == len(topo.paths)
+        assert len(coalition_rows(trace)) == 2 ** len(topo.intermediaries)
+        assert len(calls) == 2 * len(topo.paths)
+
+
+def test_minimal_search_rejects_other_targets():
+    trace = _trace(build_multipath([2, 2, 2]), Variant.MULTIPATH, n=1)
+    x1, x2, _ = trace.nonce_ids
+    key = next(sid for sid in trace.store.ids() if sid.kind is not SecretKind.NONCE)
+    for target in (SymbolicExpr.of(x1, x2), SymbolicExpr.of(x1, key), SymbolicExpr.of(key)):
+        with pytest.raises(ValueError, match="neither the final key nor one nonce"):
+            min_breaking_coalitions(trace, target)
+        with pytest.raises(ValueError, match="neither the final key nor one nonce"):
+            coalition_rows(trace, target)
+
+
+@pytest.mark.parametrize(
+    "topo,variant,count",
+    [
+        (build_reach_chain(24, 3), Variant.REACH_T, 38),
+        (build_multipath([6] * 6, 100.0, 2), Variant.MULTIPATH, 15_625),
+    ],
+)
+def test_minimal_search_cost_follows_the_answer(topo, variant, count):
+    trace = _trace(topo, variant, n=1)
+    start = time.perf_counter()
+    minimal = min_breaking_coalitions(trace)
+    elapsed = time.perf_counter() - start
+    assert len(minimal) == count
+    assert elapsed < 1.0, f"search took {elapsed:.2f} s"
+
+
+@st.composite
+def _large_layouts(draw):
+    """Reach layouts of up to 16 intermediaries and multipath layouts of up
+    to 14: past the exhaustive reference sweep, but not past is_recoverable."""
+    if draw(st.booleans()):
+        t = draw(st.integers(2, 4))
+        return build_reach_chain(draw(st.integers(t + 1, 16)), t), Variant.REACH_T
+    t = draw(st.integers(1, 3))
+    lengths = draw(
+        st.lists(st.integers(t + 1, 8), min_size=1, max_size=5).filter(lambda ls: sum(ls) <= 14)
+    )
+    return build_multipath(lengths, 100.0, t), Variant.MULTIPATH
+
+
+@settings(max_examples=20, deadline=None)
+@given(_large_layouts())
+def test_minimal_sets_are_sound_and_minimal_on_large_layouts(layout):
+    """Every reported set breaks under is_recoverable, and dropping any one
+    member leaves it SECURE."""
+    trace = _trace(*layout, n=1)
+    for target in (final_key_expr(trace), *(SymbolicExpr.of(nid) for nid in trace.nonce_ids)):
+        for coal in min_breaking_coalitions(trace, target):
+            assert is_recoverable(view_of(trace, coal), target).status is Status.BROKEN
+            for member in coal.members:
+                smaller = Coalition(coal.members - {member})
+                assert is_recoverable(view_of(trace, smaller), target).status is Status.SECURE
 
 
 def test_enumeration_cap_refuses_chain_m21():

@@ -7,7 +7,16 @@ import pytest
 from keyhop.bits import BitString, nonce
 from keyhop.keyplan import Variant, plan_keys
 from keyhop.protocol import compile_schedule, make_store, run, trace_json, trace_text
-from keyhop.topology import build_chain, build_multipath, build_reach_chain, build_ring6
+from keyhop.topology import (
+    NodeId,
+    Role,
+    Shape,
+    Topology,
+    build_chain,
+    build_multipath,
+    build_reach_chain,
+    build_ring6,
+)
 
 
 def _exprs(trace):
@@ -98,6 +107,16 @@ def test_compiling_many_paths_is_linear():
     elapsed = time.perf_counter() - start
     assert len(schedule.hops) == 3000 and len(schedule.absorbs) == 1000
     assert elapsed < 1.0, f"compile took {elapsed:.2f} s"
+
+
+def test_compile_refuses_a_key_between_the_endpoints():
+    # built by hand, past the builders' m >= t+1 check: reach 2 plans K[A,B]
+    a, b = NodeId("A", Role.ENDPOINT_A), NodeId("B", Role.ENDPOINT_B)
+    path = (a, NodeId("N1", Role.INTERMEDIARY), b)
+    plan = plan_keys(Topology(Shape.CHAIN, (path,), 100.0, t=2), Variant.CHAIN_M)
+    assert "K[A,B]" in [sid.name for sid in plan.secret_ids]
+    with pytest.raises(ValueError, match="K\\[A,B\\] does not join an intermediary"):
+        compile_schedule(plan)
 
 
 def test_every_message_evaluates_to_its_expr():
