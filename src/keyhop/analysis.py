@@ -125,12 +125,13 @@ def final_key_expr(trace: ProtocolTrace) -> SymbolicExpr:
 
 
 def view_of(trace: ProtocolTrace, coalition: Coalition) -> AdversaryView:
-    topo_labels = {nd.label for nd in trace.topology.nodes}
+    topo = trace.topology
+    inter = set(topo.intermediaries)
     for nd in coalition.members:
-        if nd.label not in topo_labels:
-            raise ValueError(f"coalition member {nd.label} is not in this topology")
-        if trace.topology.node(nd.label).is_endpoint:
+        if nd in (topo.endpoint_a, topo.endpoint_b):
             raise ValueError(f"{nd.label} is an endpoint, not a corruptible intermediary")
+        if nd not in inter:
+            raise ValueError(f"coalition member {nd.label} is not in this topology")
     member_labels = {nd.label for nd in coalition.members}
     observed = tuple(msg.expr for msg in trace.messages)
     known = tuple(
@@ -423,20 +424,17 @@ def _view_blocks(
 
 def _grouped_verdict(table) -> Status:
     """The verdict from a sorted packed table (target bit in bit 0, view
-    above it). Equal views sit together, so a group starts wherever an
-    entry differs from the one before it above bit 0. BROKEN iff every
-    group's target is fixed; SECURE iff every group is balanced."""
+    above it), where equal views sit together, target 0 first. BROKEN iff no
+    two neighbours differ in the target bit alone (every view fixes the
+    target); SECURE iff the target-0 entries, with bit 0 set, equal the
+    target-1 entries (every view holds as many of each)."""
     import numpy as np
 
-    first = np.empty(table.size, dtype=bool)
-    first[0] = True
-    np.greater(table[1:] ^ table[:-1], 1, out=first[1:])
-    starts = np.flatnonzero(first)
-    sizes = np.diff(starts, append=table.size)
-    ones = np.add.reduceat(table & np.uint64(1), starts)
-    if np.all((ones == 0) | (ones == sizes)):
+    one = np.uint64(1)
+    if not np.any((table[1:] ^ table[:-1]) == one):
         return Status.BROKEN
-    if np.all(2 * ones == sizes):
+    ones = (table & one).astype(bool)
+    if np.array_equal(table[~ones] | one, table[ones]):
         return Status.SECURE
     raise AssertionError("conditional distribution is neither fixed nor balanced")
 

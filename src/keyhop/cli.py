@@ -26,6 +26,8 @@ from .topology import Shape, Topology, build_topology, parse_topology_config
 
 __all__ = ["main"]
 
+RATE_ROW_CAP = 1 << 20  # rows of rates.csv, the bound coalitions.csv has too
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the contract reserves 2 for protocol
@@ -174,7 +176,11 @@ def cmd_rate(args: argparse.Namespace) -> int:
     families = (
         [f.strip() for f in args.families.split(",")] if args.families else list(ratemodel.DEFAULT_FAMILIES)
     )
-    distances = [float(d) for d in range(args.from_km, args.to_km + 1, args.step_km)]
+    sweep = range(args.from_km, args.to_km + 1, args.step_km)
+    count = len(sweep) * len(families)  # counted before any row is built
+    if count > RATE_ROW_CAP:
+        raise ValueError(f"the sweep has {count} rows; rates.csv holds at most {RATE_ROW_CAP}")
+    distances = [float(d) for d in sweep]
     rows = ratemodel.emit_curves(distances, families, params)
     path = _out_path(args, "rates.csv")
     with open(path, "w", encoding="utf-8") as fh:

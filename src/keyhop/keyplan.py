@@ -101,9 +101,10 @@ def plan_keys(topo: Topology, variant: Variant) -> KeyPlan:
         for i in range(last + 1):
             for j in range(i + 2, min(i + topo.t + 1, last) + 1):
                 entries.append(PlanEntry(tf_key(path[i].label, path[j].label), path[(i + j) // 2]))
-        if variant.endpoint_links:
-            for u, v in ((path[0], path[1]), (path[last - 1], path[last])):
-                entries.append(PlanEntry(p2p_key(u.label, v.label), v if u.is_endpoint else u))
+        if variant.endpoint_links:  # each endpoint link's intermediary end measures
+            a, first, final, b = path[0], path[1], path[last - 1], path[last]
+            entries.append(PlanEntry(p2p_key(a.label, first.label), first))
+            entries.append(PlanEntry(p2p_key(final.label, b.label), final))
     return KeyPlan(topo, variant, tuple(entries))
 
 
@@ -140,11 +141,11 @@ def cm_report(plan: KeyPlan) -> HardwareReport:
     Every end of a key other than its measurer sends; the measurer measures.
     An endpoint in a measuring role is a planning error and is rejected.
     """
-    nodes = plan.topology.nodes
-    source: dict[str, bool] = {nd.label: False for nd in nodes}
-    meas: dict[str, bool] = {nd.label: False for nd in nodes}
+    topo = plan.topology
+    source: dict[str, bool] = {nd.label: False for nd in topo.nodes}
+    meas: dict[str, bool] = {nd.label: False for nd in topo.nodes}
     for entry in plan.entries:
-        if entry.measurer.is_endpoint:
+        if entry.measurer in (topo.endpoint_a, topo.endpoint_b):
             raise ValueError(
                 f"endpoint {entry.measurer.label} may not measure in the establishment"
                 f" of {entry.secret_id}"

@@ -64,14 +64,6 @@ class Schedule:
         """Each path's nonce: the origin of its first hop."""
         return tuple(h.origin for h in self.hops if h.origin is not None)
 
-    def absorbs_for(self, label: str) -> tuple[AbsorbRule, ...]:
-        return tuple(r for r in self.absorbs if self.hops[r.hop_index].receiver.label == label)
-
-    def nonces_of(self, label: str) -> tuple[SecretId, ...]:
-        return tuple(
-            h.origin for h in self.hops if h.origin is not None and h.sender.label == label
-        )
-
 
 def _path_runs(topo: Topology) -> list[tuple[tuple[NodeId, ...], SecretId]]:
     """Per path: the node sequence in sending order and the nonce that seeds
@@ -168,11 +160,15 @@ class ProtocolTrace:
 
 def execute(schedule: Schedule, store: KeyStore) -> ProtocolTrace:
     """Run the schedule over concrete bits, checking every emission against
-    its symbolic form."""
+    its symbolic form. A node's output is the XOR of the nonces it sends
+    and the shares it absorbs; only the endpoints do either."""
+    topo = schedule.plan.topology
+    outputs = {nd.label: BitString.zeros(store.n) for nd in (topo.endpoint_a, topo.endpoint_b)}
     messages: list[Message] = []
     for hop in schedule.hops:
         if hop.origin is not None:
             bits, expr = store[hop.origin], SymbolicExpr.of(hop.origin)
+            outputs[hop.sender.label] ^= bits
         else:
             bits, expr = messages[-1].bits, messages[-1].expr
         for sid in hop.xor_ids:
@@ -181,24 +177,16 @@ def execute(schedule: Schedule, store: KeyStore) -> ProtocolTrace:
         if store.evaluate(expr) != bits:
             raise AssertionError(f"emission {hop.index} disagrees with its expression")
         messages.append(Message(hop.index, hop.sender, hop.receiver, bits, expr))
+    for rule in schedule.absorbs:
+        share = messages[rule.hop_index].bits
+        for sid in rule.strip_ids:
+            share = share ^ store[sid]
+        outputs[messages[rule.hop_index].receiver.label] ^= share
 
-    def output_of(label: str) -> BitString:
-        acc = BitString.zeros(store.n)
-        for nid in schedule.nonces_of(label):
-            acc = acc ^ store[nid]
-        for rule in schedule.absorbs_for(label):
-            share = messages[rule.hop_index].bits
-            for sid in rule.strip_ids:
-                share = share ^ store[sid]
-            acc = acc ^ share
-        return acc
-
-    plan = schedule.plan
-    out_a = output_of(plan.topology.endpoint_a.label)
-    out_b = output_of(plan.topology.endpoint_b.label)
+    out_a, out_b = outputs[topo.endpoint_a.label], outputs[topo.endpoint_b.label]
     assert out_a == out_b, "honest run must agree on the final key"
     return ProtocolTrace(
-        plan.variant, plan.topology, tuple(messages), out_a, out_b, schedule.nonce_ids, store
+        schedule.plan.variant, topo, tuple(messages), out_a, out_b, schedule.nonce_ids, store
     )
 
 

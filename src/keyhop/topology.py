@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 __all__ = [
-    "Role",
     "Shape",
     "NodeId",
     "Topology",
@@ -28,12 +27,6 @@ __all__ = [
 ]
 
 
-class Role(Enum):
-    ENDPOINT_A = "A"
-    ENDPOINT_B = "B"
-    INTERMEDIARY = "N"
-
-
 class Shape(Enum):
     RING6 = "ring6"
     CHAIN = "chain"
@@ -43,15 +36,10 @@ class Shape(Enum):
 
 @dataclass(frozen=True)
 class NodeId:
-    """A node: label and role. Endpoints belong to every path; positions
-    along a path always come from Topology.paths."""
+    """A node is its label. The endpoints are the ends of every path;
+    positions along a path always come from Topology.paths."""
 
     label: str
-    role: Role
-
-    @property
-    def is_endpoint(self) -> bool:
-        return self.role is not Role.INTERMEDIARY
 
     def __str__(self) -> str:
         return self.label
@@ -120,7 +108,7 @@ class Topology:
 
 
 def _endpoints() -> tuple[NodeId, NodeId]:
-    return NodeId("A", Role.ENDPOINT_A), NodeId("B", Role.ENDPOINT_B)
+    return NodeId("A"), NodeId("B")
 
 
 def _check_link_length(link_length_km: float) -> None:
@@ -132,10 +120,7 @@ def build_ring6(link_length_km: float = 100.0) -> Topology:
     """Six nodes, six links: endpoints joined by two 2-intermediary branches."""
     _check_link_length(link_length_km)
     a, b = _endpoints()
-    n1 = NodeId("N1", Role.INTERMEDIARY)
-    n2 = NodeId("N2", Role.INTERMEDIARY)
-    n3 = NodeId("N3", Role.INTERMEDIARY)
-    n4 = NodeId("N4", Role.INTERMEDIARY)
+    n1, n2, n3, n4 = (NodeId(f"N{i}") for i in range(1, 5))
     return Topology(Shape.RING6, ((a, n1, n2, b), (a, n3, n4, b)), link_length_km)
 
 
@@ -145,7 +130,7 @@ def build_chain(m: int, link_length_km: float = 100.0) -> Topology:
         raise ValueError("a chain needs at least 2 intermediaries")
     _check_link_length(link_length_km)
     a, b = _endpoints()
-    inner = tuple(NodeId(f"N{i}", Role.INTERMEDIARY) for i in range(1, m + 1))
+    inner = tuple(NodeId(f"N{i}") for i in range(1, m + 1))
     return Topology(Shape.CHAIN, ((a, *inner, b),), link_length_km)
 
 
@@ -180,7 +165,7 @@ def build_multipath(
     _check_link_length(link_length_km)
     a, b = _endpoints()
     paths = tuple(
-        (a, *(NodeId(f"N{j}.{p}", Role.INTERMEDIARY) for j in range(1, m + 1)), b)
+        (a, *(NodeId(f"N{j}.{p}") for j in range(1, m + 1)), b)
         for p, m in enumerate(lengths, start=1)
     )
     return Topology(Shape.MULTIPATH, paths, link_length_km, t)

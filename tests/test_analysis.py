@@ -64,8 +64,9 @@ def test_view_includes_each_members_keys():
 
 def test_view_rejects_endpoints_and_strangers():
     trace = _trace(build_ring6(), Variant.RING_V1)
-    with pytest.raises(ValueError, match="endpoint"):
-        view_of(trace, _coalition(trace, "A"))
+    for end in ("A", "B"):
+        with pytest.raises(ValueError, match=f"{end} is an endpoint"):
+            view_of(trace, _coalition(trace, end))
     chain = _trace(build_chain(5), Variant.CHAIN_M)
     with pytest.raises(ValueError, match="not in this topology"):
         view_of(trace, _coalition(chain, "N5"))

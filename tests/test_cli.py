@@ -191,6 +191,16 @@ def test_rate_anchors_and_csv(tmp_path, capsys):
     assert len(lines) == 1 + 8 * 7  # 8 distances, 7 default families
 
 
+@pytest.mark.parametrize("to_km", ["150000", "1000000000"])
+def test_rate_refuses_a_sweep_past_the_row_cap_before_writing(tmp_path, capsys, to_km):
+    # 150,001 distances x 7 families = 1,050,007 rows, just past 2^20
+    out_dir = tmp_path / "out"
+    argv = ["rate", "--to-km", to_km, "--step-km", "1", "--output-dir", str(out_dir)]
+    assert main(argv) == 3
+    assert "rows; rates.csv holds at most 1048576" in capsys.readouterr().err
+    assert not (out_dir / "rates.csv").exists()
+
+
 @pytest.mark.parametrize(
     "source, alpha, message",
     [

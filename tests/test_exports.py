@@ -47,3 +47,13 @@ def test_no_module_imports_another_modules_private_names():
                 names = [*path, *(alias.name for alias in node.names)]
                 private += [f"{filename}: {name}" for name in names if name.startswith("_")]
     assert private == []
+
+
+def test_every_public_name_has_one_home():
+    # a name in two modules' __all__ lists, the package root included, is
+    # an alias: callers import each name from the module that defines it
+    homes = {}
+    for name in ["keyhop", *MODULES]:
+        for export in importlib.import_module(name).__all__:
+            homes.setdefault(export, []).append(name)
+    assert {export: where for export, where in homes.items() if len(where) > 1} == {}

@@ -138,11 +138,12 @@ def test_hardware_report_reach_relays_measure():
     assert not report.needs_measurement("B")
 
 
-@pytest.mark.parametrize("key", [tf_key("A", "N2"), p2p_key("A", "N1")], ids=str)
+@pytest.mark.parametrize("key", [tf_key("A", "N2"), p2p_key("A", "N1"), p2p_key("N2", "B")], ids=str)
 def test_hardware_report_rejects_an_endpoint_measurer(key):
     topo = build_chain(2)
-    plan = KeyPlan(topo, Variant.CHAIN_M, (PlanEntry(key, topo.node("A")),))
-    with pytest.raises(ValueError, match="endpoint A may not measure"):
+    end = next(label for label in key.ends if label in ("A", "B"))
+    plan = KeyPlan(topo, Variant.CHAIN_M, (PlanEntry(key, topo.node(end)),))
+    with pytest.raises(ValueError, match=f"endpoint {end} may not measure"):
         cm_report(plan)
 
 
@@ -208,7 +209,7 @@ def test_generated_layouts_fold_nonces_and_measure_only_at_intermediaries(layout
 
     plan = plan_keys(topo, variant)
     measurers = {entry.measurer.label for entry in plan.entries}
-    assert not {nd.label for nd in topo.nodes if nd.is_endpoint} & measurers
+    assert not {topo.endpoint_a.label, topo.endpoint_b.label} & measurers
     report = cm_report(plan)
     for nd in topo.nodes:
         assert report.needs_measurement(nd.label) == (nd.label in measurers)

@@ -9,7 +9,6 @@ from keyhop.keyplan import Variant, plan_keys
 from keyhop.protocol import compile_schedule, make_store, run, trace_json, trace_text
 from keyhop.topology import (
     NodeId,
-    Role,
     Shape,
     Topology,
     build_chain,
@@ -111,8 +110,7 @@ def test_compiling_many_paths_is_linear():
 
 def test_compile_refuses_a_key_between_the_endpoints():
     # built by hand, past the builders' m >= t+1 check: reach 2 plans K[A,B]
-    a, b = NodeId("A", Role.ENDPOINT_A), NodeId("B", Role.ENDPOINT_B)
-    path = (a, NodeId("N1", Role.INTERMEDIARY), b)
+    path = (NodeId("A"), NodeId("N1"), NodeId("B"))
     plan = plan_keys(Topology(Shape.CHAIN, (path,), 100.0, t=2), Variant.CHAIN_M)
     assert "K[A,B]" in [sid.name for sid in plan.secret_ids]
     with pytest.raises(ValueError, match="K\\[A,B\\] does not join an intermediary"):

@@ -6,6 +6,7 @@ import threading
 import time
 import warnings
 from collections import deque
+from itertools import cycle
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +37,9 @@ from test_keyplan import _layouts  # the generated layouts of at most 12 interme
 KEY = b"k" * 32
 PORTS = iter(range(20000, 22800, 40))
 LONG_CHAIN_PORT = 22800  # chain m=100 listens on 22800..22901
+# generated layouts have at most 14 nodes; the blocks are reused in turn, as
+# hypothesis may replay an example
+GENERATED_PORTS = cycle(range(28000, 30000, 40))
 
 
 def test_frame_round_trip():
@@ -440,7 +444,32 @@ def test_generated_layouts_give_the_engine_key_in_any_delivery_order(layout, ord
     key = run(topo, variant, 64, random.Random(seed)).output_a
     assert nodes[topo.endpoint_a.label].output == key
     assert nodes[topo.endpoint_b.label].output == key
-    assert all(nodes[nd.label].output is None for nd in topo.nodes if not nd.is_endpoint)
+    assert all(nodes[nd.label].output is None for nd in topo.intermediaries)
+
+
+@settings(max_examples=6, deadline=None)
+@given(_layouts(), st.integers(0, 2**32 - 1), st.data())
+def test_generated_layouts_over_sockets_match_the_engine_and_abort_on_tampering(
+    tmp_path_factory, layout, seed, data
+):
+    topo, variant = layout
+    honest_dir = tmp_path_factory.mktemp("honest")
+    honest = orchestrate(topo, variant, 64, seed, next(GENERATED_PORTS), str(honest_dir))
+    assert honest.code == 0, honest.report
+    key = run(topo, variant, 64, random.Random(seed)).output_a.to_hex()
+    for end in (topo.endpoint_a, topo.endpoint_b):
+        assert (honest_dir / f"key_{end.label}.hex").read_text().strip() == key
+
+    hops = sum(len(path) - 1 for path in topo.paths)
+    tamper = data.draw(st.integers(0, hops - 1), label="tampered hop")
+    tampered_dir = tmp_path_factory.mktemp("tampered")
+    tampered = orchestrate(
+        topo, variant, 64, seed, next(GENERATED_PORTS), str(tampered_dir), tamper_index=tamper
+    )
+    assert {lab: res.code for lab, res in tampered.results.items()} == {
+        nd.label: 2 for nd in topo.nodes
+    }, tampered.report
+    assert not list(tampered_dir.glob("key_*.hex"))
 
 
 @pytest.mark.parametrize("topo, variant", DELIVERY_LAYOUTS, ids=DELIVERY_IDS)
