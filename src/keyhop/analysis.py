@@ -16,6 +16,9 @@ question; tests hold them against each other:
   receiver, which never sends): iff the coalition separates the two. Paths
   share no keys, so the minimal breaking coalitions (of the final key or
   one nonce) are the unions of one minimal separator per path.
+  coalition_rows reads its 2^m rows off two tables indexed by coalition
+  bitmask in label order: the names, built by doubling, and the verdicts,
+  the minimal sets closed upward under superset by shifts of one int.
 - brute_force_secrecy, the independent check: it splits the view into
   independent blocks (union-find over the secrets of each message and each
   held secret), sweeps the full truth table of each block that holds a
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, product
 from math import log2
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .bits import BitString, SecretId, SymbolicExpr
 from .keyplan import Variant
@@ -228,14 +231,6 @@ def check_enumerable(topo: Topology) -> None:
         )
 
 
-def _subsets(trace: ProtocolTrace) -> Iterator[int]:
-    """Every intermediary coalition as a bitmask over
-    trace.topology.intermediaries, smallest first."""
-    check_enumerable(trace.topology)
-    bits = [1 << i for i in range(len(trace.topology.intermediaries))]
-    return (sum(combo) for size in range(len(bits) + 1) for combo in combinations(bits, size))
-
-
 def _key_graphs(trace: ProtocolTrace, target: SymbolicExpr) -> list[tuple[dict, str, str]]:
     """Per path whose nonce the target holds: its key graph (node label ->
     neighbours, one edge per key in the messages holding the nonce), its
@@ -294,12 +289,20 @@ def _minimal_masks(trace: ProtocolTrace, target: SymbolicExpr) -> list[int]:
     graphs = _key_graphs(trace, target)
     per_path = [[sum(bit[v] for v in sep) for sep in _separators(*g)] for g in graphs]
     masks = [sum(combo) for combo in product(*per_path)]  # paths share no intermediary
-    return sorted(masks, key=lambda t: (t.bit_count(), _members(range(len(inter)), t)))
+    # among sets of one size, the one holding the lowest differing position
+    # comes first: the one whose mask, read with bit 0 highest, is larger
+    width = len(inter)
+    return sorted(masks, key=lambda t: (t.bit_count(), -int(f"{t:0{width}b}"[::-1], 2)))
 
 
 def _members(items: tuple, coal: int) -> list:
     """The items at the coalition bitmask's set bits, in order."""
-    return [item for i, item in enumerate(items) if coal >> i & 1]
+    out = []
+    while coal:
+        low = coal & -coal
+        out.append(items[low.bit_length() - 1])
+        coal ^= low
+    return out
 
 
 def min_breaking_coalitions(
@@ -316,22 +319,53 @@ def coalition_rows(
     trace: ProtocolTrace, target: SymbolicExpr | None = None
 ) -> list[tuple[str, str, str, str]]:
     """One (variant, topology, coalition, status) row per intermediary
-    coalition; a row is BROKEN iff it contains a minimal breaking one."""
+    coalition, smallest first, then by member positions; a row is BROKEN iff
+    it contains a minimal breaking one.
+
+    Both tables are indexed by coalition bitmask over the intermediaries in
+    label order, the order a name joins them in. The names holding the r-th
+    label are the first 2^r names with it appended. The verdict bytes are 1
+    at each minimal set, closed upward one bit at a time: the entries with
+    bit r clear, moved up by 2^r entries, are ORed in."""
+    check_enumerable(trace.topology)  # before any 2^m table
     target = target if target is not None else final_key_expr(trace)
     minimal = _minimal_masks(trace, target)
-    labels = tuple(nd.label for nd in trace.topology.intermediaries)
+    inter = trace.topology.intermediaries
+    m = len(inter)
+    bit = [0] * m  # intermediary position -> its bit in label order
+    names = [""]
+    for r, i in enumerate(sorted(range(m), key=lambda i: inter[i].label)):
+        bit[i] = 1 << r
+        label = inter[i].label
+        plus = "+" + label
+        names += [n + plus if n else label for n in names]
+    names[0] = _describe(())
+
+    table = bytearray(1 << m)
+    for coal in minimal:
+        table[sum(_members(bit, coal))] = 1
+    acc = int.from_bytes(table, "little")
+    for r in range(m):
+        low = int.from_bytes((b"\x01" * (1 << r) + bytes(1 << r)) * (1 << (m - r - 1)), "little")
+        acc |= (acc & low) << (8 << r)
+    broken = acc.to_bytes(1 << m, "little")
+
     head = (trace.variant.value, trace.topology.describe())
     status = (Status.SECURE.value, Status.BROKEN.value)
     return [
-        (*head, _describe(_members(labels, coal)), status[any(f & ~coal == 0 for f in minimal)])
-        for coal in _subsets(trace)
+        (*head, names[x], status[broken[x]])
+        for size in range(m + 1)
+        for x in map(sum, combinations(bit, size))
     ]
 
 
 def coalition_report_csv(rows: list[tuple[str, str, str, str]]) -> str:
+    """The CSV text of the rows. Lines are joined 4096 rows at a time, so
+    2^20 rows never hold a million line strings beside the text."""
     out = ["variant,topology,coalition,status"]
-    out += [",".join(row) for row in rows]
-    return "\n".join(out) + "\n"
+    out += ("\n".join(map(",".join, rows[i : i + 4096])) for i in range(0, len(rows), 4096))
+    out.append("")  # the final newline, without copying the text again
+    return "\n".join(out)
 
 
 def brute_force_secrecy(

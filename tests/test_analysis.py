@@ -572,6 +572,53 @@ def test_enumeration_cap_refuses_chain_m21():
         coalition_rows(trace)
 
 
+def test_coalition_rows_refuse_before_any_search(monkeypatch):
+    """The cap is checked before the minimal sets are searched or any 2^m
+    table is built."""
+
+    def refuse(*args):
+        raise AssertionError("searched a layout past the enumeration cap")
+
+    trace = _trace(build_chain(ENUMERATION_CAP + 1), Variant.CHAIN_M, n=1)
+    monkeypatch.setattr(analysis, "_minimal_masks", refuse)
+    with pytest.raises(ValueError, match="exceeds the exhaustive enumeration cap of 20"):
+        coalition_rows(trace)
+
+
+@pytest.mark.parametrize(
+    "topo,variant",
+    [
+        (build_chain(12), Variant.CHAIN_M),  # N10 sorts before N2
+        (build_multipath([10, 2]), Variant.MULTIPATH),  # N1.2 sorts before N10.1
+    ],
+)
+def test_coalition_rows_name_members_in_label_order(topo, variant):
+    """Names join labels in label order, which here is not position order;
+    rows stay in size, then position order. Each row equals one built from
+    the combinations of the intermediaries themselves."""
+    trace = _trace(topo, variant, n=1)
+    inter = topo.intermediaries
+    assert [nd.label for nd in inter] != sorted(nd.label for nd in inter)
+    head = (variant.value, topo.describe())
+    for target in (final_key_expr(trace), *(SymbolicExpr.of(nid) for nid in trace.nonce_ids)):
+        minimal = [c.members for c in min_breaking_coalitions(trace, target)]
+        status = {False: "SECURE", True: "BROKEN"}
+        want = [
+            (*head, analysis._describe(map(str, c)), status[any(f <= {*c} for f in minimal)])
+            for size in range(len(inter) + 1)
+            for c in combinations(inter, size)
+        ]
+        assert coalition_rows(trace, target) == want
+
+
+def test_coalition_csv_joins_every_line_across_blocks():
+    rows = coalition_rows(_trace(build_chain(13), Variant.CHAIN_M, n=1))
+    assert len(rows) == 8192  # two blocks of 4096 rows
+    for part in (rows, rows[:5000], rows[:1], []):
+        want = "\n".join(["variant,topology,coalition,status", *map(",".join, part)]) + "\n"
+        assert coalition_report_csv(part) == want
+
+
 def test_minimal_search_passes_the_enumeration_cap():
     m = ENUMERATION_CAP + 1
     trace = _trace(build_chain(m), Variant.CHAIN_M, n=1)
