@@ -69,6 +69,11 @@ class SecretId:
     def __str__(self) -> str:
         return self.name
 
+    def __hash__(self) -> int:
+        # equality still compares the kind; leaving it out of the hash keeps
+        # the Python-level Enum.__hash__ off every dict and set lookup
+        return hash((self.ends, self.path_index))
+
 
 def tf_key(a: str, b: str) -> SecretId:
     return SecretId(SecretKind.TF_KEY, (a, b))
@@ -117,7 +122,7 @@ class BitString:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("bit length must be at least 1")
-        if not 0 <= self.value < (1 << self.n):
+        if not (self.value >= 0 and self.value.bit_length() <= self.n):
             raise ValueError("value out of range for bit length")
 
     @classmethod
@@ -252,7 +257,10 @@ class KeyStore:
 
     def evaluate(self, expr: SymbolicExpr) -> BitString:
         """XOR the stored values of every term; the empty expression is all zeros."""
-        acc = BitString.zeros(self.n)
-        for sid in expr.terms:
-            acc = acc ^ self[sid]
-        return acc
+        acc = 0
+        try:
+            for sid in expr.terms:
+                acc ^= self._values[sid].value
+        except KeyError:
+            raise KeyError(f"unknown secret id: {sid}") from None
+        return BitString(acc, self.n)

@@ -160,30 +160,39 @@ class ProtocolTrace:
 
 def execute(schedule: Schedule, store: KeyStore) -> ProtocolTrace:
     """Run the schedule over concrete bits, checking every emission against
-    its symbolic form. A node's output is the XOR of the nonces it sends
-    and the shares it absorbs; only the endpoints do either."""
+    an independent evaluation of its symbolic form. A node's output is the
+    XOR of the nonces it sends and the shares it absorbs; only the endpoints
+    do either. The payloads are folded as plain ints read off the store's
+    table; each message and each output becomes one BitString."""
     topo = schedule.plan.topology
-    outputs = {nd.label: BitString.zeros(store.n) for nd in (topo.endpoint_a, topo.endpoint_b)}
+    values = store._values
+    outputs = {topo.endpoint_a.label: 0, topo.endpoint_b.label: 0}
     messages: list[Message] = []
+    acc, expr = 0, SymbolicExpr()
     for hop in schedule.hops:
         if hop.origin is not None:
-            bits, expr = store[hop.origin], SymbolicExpr.of(hop.origin)
-            outputs[hop.sender.label] ^= bits
-        else:
-            bits, expr = messages[-1].bits, messages[-1].expr
-        for sid in hop.xor_ids:
-            bits = bits ^ store[sid]
+            expr = SymbolicExpr.of(hop.origin)
         expr = expr ^ SymbolicExpr.of(*hop.xor_ids)
-        if store.evaluate(expr) != bits:
+        # evaluated before the fold, so an id missing from the store is
+        # reported by name
+        bits = store.evaluate(expr)
+        if hop.origin is not None:
+            acc = values[hop.origin].value
+            outputs[hop.sender.label] ^= acc
+        for sid in hop.xor_ids:
+            acc ^= values[sid].value
+        if bits.value != acc:
             raise AssertionError(f"emission {hop.index} disagrees with its expression")
         messages.append(Message(hop.index, hop.sender, hop.receiver, bits, expr))
     for rule in schedule.absorbs:
-        share = messages[rule.hop_index].bits
+        msg = messages[rule.hop_index]
+        share = msg.bits.value
         for sid in rule.strip_ids:
-            share = share ^ store[sid]
-        outputs[messages[rule.hop_index].receiver.label] ^= share
+            share ^= values[sid].value
+        outputs[msg.receiver.label] ^= share
 
-    out_a, out_b = outputs[topo.endpoint_a.label], outputs[topo.endpoint_b.label]
+    out_a = BitString(outputs[topo.endpoint_a.label], store.n)
+    out_b = BitString(outputs[topo.endpoint_b.label], store.n)
     assert out_a == out_b, "honest run must agree on the final key"
     return ProtocolTrace(
         schedule.plan.variant, topo, tuple(messages), out_a, out_b, schedule.nonce_ids, store

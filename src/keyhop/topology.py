@@ -44,6 +44,9 @@ class NodeId:
     def __str__(self) -> str:
         return self.label
 
+    def __hash__(self) -> int:
+        return hash(self.label)
+
 
 @dataclass(frozen=True)
 class Topology:

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from keyhop.bits import (
     BitString,
     KeyStore,
+    SecretId,
+    SecretKind,
     SymbolicExpr,
     nonce,
     p2p_key,
@@ -85,6 +87,52 @@ def test_store_rejects_duplicates_and_names_missing_ids():
         store.add(sid, BitString.from01("0000"))
     with pytest.raises(KeyError, match=r"X\[A\]"):
         store[nonce("A")]
+
+
+@pytest.mark.parametrize("n", [1, 16, 65536])
+def test_bitstring_range_is_zero_to_all_ones(n):
+    assert BitString(0, n).value == 0
+    assert BitString((1 << n) - 1, n).bit(n - 1) == 1
+    for bad in (-1, 1 << n):
+        with pytest.raises(ValueError, match="out of range"):
+            BitString(bad, n)
+
+
+def test_bitstring_needs_at_least_one_bit():
+    with pytest.raises(ValueError, match="at least 1"):
+        BitString(0, 0)
+
+
+def test_evaluate_names_an_unknown_id():
+    store = _store_over_pool(8)
+    with pytest.raises(KeyError, match=r"K\[N1,N2\]"):
+        store.evaluate(SymbolicExpr.of(tf_key("A", "N2"), tf_key("N1", "N2")))
+
+
+def test_equal_ids_hash_equal_and_share_a_store_entry():
+    store = KeyStore(8)
+    store.add(tf_key("A", "N1"), BitString(5, 8))
+    store.add(nonce("A", 2), BitString(9, 8))
+    for built in (
+        tf_key("A", "N1"),
+        SecretId(SecretKind.TF_KEY, ("A", "N1")),
+        parse_secret_name("K[A,N1]"),
+    ):
+        assert built == tf_key("A", "N1") and hash(built) == hash(tf_key("A", "N1"))
+        assert store[built] == BitString(5, 8)
+    for built in (nonce("A", 2), SecretId(SecretKind.NONCE, ("A",), 2), parse_secret_name("X[A@2]")):
+        assert hash(built) == hash(nonce("A", 2))
+        assert store[built] == BitString(9, 8)
+
+
+def test_relay_and_link_keys_on_the_same_ends_stay_apart():
+    tf, p2p = tf_key("A", "N1"), p2p_key("A", "N1")
+    assert tf != p2p
+    store = KeyStore(4)
+    store.add(tf, BitString(3, 4))
+    store.add(p2p, BitString(12, 4))
+    assert len(store) == 2
+    assert store[tf] == BitString(3, 4) and store[p2p] == BitString(12, 4)
 
 
 def test_store_keeps_insertion_order():

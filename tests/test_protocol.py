@@ -1,12 +1,13 @@
+import hashlib
 import json
 import random
 import time
 
 import pytest
 
-from keyhop.bits import BitString, nonce
+from keyhop.bits import BitString, KeyStore, nonce
 from keyhop.keyplan import Variant, plan_keys
-from keyhop.protocol import compile_schedule, make_store, run, trace_json, trace_text
+from keyhop.protocol import compile_schedule, execute, make_store, run, trace_json, trace_text
 from keyhop.topology import (
     NodeId,
     Shape,
@@ -198,3 +199,79 @@ def test_trace_json_round_trips_values():
     assert doc["output_a"] == trace.output_a.to_hex()
     assert doc["output_a"] == doc["output_b"]
     assert doc["nonces"] == ["X[A]", "X[B]"]
+
+
+_GOLDEN_LAYOUTS = {
+    "ring-v1": (build_ring6, (), Variant.RING_V1),
+    "ring-v2": (build_ring6, (), Variant.RING_V2),
+    "chain2": (build_chain, (2,), Variant.CHAIN2),
+    "chain7": (build_chain, (7,), Variant.CHAIN_M),
+    "reach9t3": (build_reach_chain, (9, 3), Variant.REACH_T),
+    "multipath": (build_multipath, ((2, 3, 4), 100.0, 1), Variant.MULTIPATH),
+}
+
+# sha256 of trace_json for every variant at n = 1, 16 and 65536, key seed
+# 20 + n: any rewrite of the hop loop must reproduce the bits and the
+# expressions byte for byte
+_GOLDEN_TRACES = [
+    ("ring-v1", 1, "ced9e68d8c3b17b279e30b7e99b8e3dd03627df8a2c32f8a3c25a4398685240f"),
+    ("ring-v1", 16, "5a5574108ddfde8018c422ef3271c2e2c0f73bd0d24f7bcbbdd0ccdad97a8a60"),
+    ("ring-v1", 65536, "e0e27fb49ad1a3baee690c0c91ca1416d8a19bdc2b7953c17b5a79c04c3b98bf"),
+    ("ring-v2", 1, "c2e47f8744cc4adac31b0ad6447c57f66bc4a3159d8d4345b679f215e0ebd40a"),
+    ("ring-v2", 16, "5b7a365bcbf17e4bd2feb5f609b833423617b3e91f53f439f699de121216a3a8"),
+    ("ring-v2", 65536, "6849efe27910d88711442c78225ec0a31b68b397117151395a594044d27dc012"),
+    ("chain2", 1, "ad60e92d10afd54f05ae3354b3f7cd697b72fbbf0ccd629cca978b5bf4d649f5"),
+    ("chain2", 16, "aa0518de0319d0cfbb4a22f0e6cc6ba2589bdd13e95896a7b55a6b6efa542c7c"),
+    ("chain2", 65536, "efdc549d46e4856f30f89fe14442d7c1385898079f065e30b92eb252289d515f"),
+    ("chain7", 1, "7ba59089aa2f6c192176533358d83d4c8aef0ce0f8cd2555920cb8c61a7ae29a"),
+    ("chain7", 16, "5b106ac065d79b9790184bec1c0728762997f6dbac94d6804704d653f6c289d3"),
+    ("chain7", 65536, "937429afd89d98548b0452c82a81316e384bb3dfcb484eff5d1e2fc35084e902"),
+    ("reach9t3", 1, "b1834d372ff2a51e42ae34a5513618743e72d46f3bf4bb7373e4c64a0c83308d"),
+    ("reach9t3", 16, "7e10c7a7e33f929e3d87117b137333d60ada61ff464fea6cb12be1873a5afaab"),
+    ("reach9t3", 65536, "62c7606c1ebacfcecf38cc198b2eed52a589708313a09cd0244b9881c8704687"),
+    ("multipath", 1, "bd5ad55264b4892e06ec434d7774c7c84cf6256b9dfa43d0e2aa832acd3d472f"),
+    ("multipath", 16, "b799b286763bb4a6400cbde7899856bb07a489ed58992de0b67be1981758b1ba"),
+    ("multipath", 65536, "5817655b6bc3d8a291f25bcf19130e8966a4eb4f88b0fea96205f5e6bc7c5b4c"),
+]
+
+
+@pytest.mark.parametrize("layout,n,digest", _GOLDEN_TRACES)
+def test_trace_json_matches_the_recorded_digest(layout, n, digest):
+    build, args, variant = _GOLDEN_LAYOUTS[layout]
+    trace = run(build(*args), variant, n, random.Random(20 + n))
+    assert hashlib.sha256(trace_json(trace).encode()).hexdigest() == digest
+
+
+def _golden_schedules():
+    for build, args, variant in _GOLDEN_LAYOUTS.values():
+        yield compile_schedule(plan_keys(build(*args), variant))
+
+
+def test_execute_checks_every_emission_against_its_expression(monkeypatch):
+    honest = KeyStore.evaluate
+
+    def flipped(self, expr):
+        bits = honest(self, expr)
+        return BitString(bits.value ^ ((1 << bits.n) - 1), bits.n)
+
+    monkeypatch.setattr(KeyStore, "evaluate", flipped)
+    for schedule in _golden_schedules():
+        store = make_store(schedule, 16, random.Random(0))
+        with pytest.raises(AssertionError, match="emission 0 disagrees with its expression"):
+            execute(schedule, store)
+
+
+def test_execute_evaluates_each_hop_once(monkeypatch):
+    honest = KeyStore.evaluate
+    calls = []
+
+    def counted(self, expr):
+        calls.append(expr)
+        return honest(self, expr)
+
+    monkeypatch.setattr(KeyStore, "evaluate", counted)
+    for schedule in _golden_schedules():
+        calls.clear()
+        trace = execute(schedule, make_store(schedule, 16, random.Random(0)))
+        assert calls == [msg.expr for msg in trace.messages]
+        assert len(calls) == len(schedule.hops)

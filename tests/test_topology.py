@@ -2,6 +2,7 @@ import pytest
 
 from keyhop.keyplan import Variant, plan_keys
 from keyhop.topology import (
+    NodeId,
     Shape,
     build_chain,
     build_multipath,
@@ -19,6 +20,13 @@ def test_ring_has_six_nodes_and_six_links():
     assert topo.describe() == "ring6"
     assert [n.label for n in topo.intermediaries] == ["N1", "N2", "N3", "N4"]
     assert topo.path_lengths == (2, 2)
+
+
+def test_node_ids_are_their_labels_in_sets_and_dicts():
+    topo = build_chain(3)
+    assert NodeId("N2") == topo.node("N2") and hash(NodeId("N2")) == hash(topo.node("N2"))
+    assert {NodeId("N2"): 1}[topo.node("N2")] == 1
+    assert len({NodeId(f"N{i}") for i in (1, 2, 2, 3)}) == 3
 
 
 def test_ring_adjacency_follows_both_arcs():
