@@ -193,7 +193,8 @@ def execute(schedule: Schedule, store: KeyStore) -> ProtocolTrace:
 
     out_a = BitString(outputs[topo.endpoint_a.label], store.n)
     out_b = BitString(outputs[topo.endpoint_b.label], store.n)
-    assert out_a == out_b, "honest run must agree on the final key"
+    if out_a != out_b:
+        raise AssertionError("honest run must agree on the final key")
     return ProtocolTrace(
         schedule.plan.variant, topo, tuple(messages), out_a, out_b, schedule.nonce_ids, store
     )

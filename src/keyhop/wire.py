@@ -27,12 +27,17 @@ neighbours one step nearer A. Wave 1: a node that has walked its hops and
 heard DONE from every up peer sends DONE to its other peers. Wave 2: a node
 that has heard DONE from every peer sends DONE to its up peers and
 succeeds. B, with no peer nearer B, succeeds first, once every node has
-finished; A succeeds last. An endpoint therefore never writes a key unless
-the whole run succeeded; any abort floods ABORT frames instead and stops
+finished; A succeeds last. Any abort floods ABORT frames instead and stops
 the waves, so both endpoints abort. This matters on chains, where the
 origin endpoint finishes sending long before downstream tampering is
 detected. A node that has not finished `timeout` seconds after the run
 started aborts with TIMEOUT.
+
+Nodes write nothing. The run writes each endpoint's key file only when
+every node succeeded and the two endpoint keys agree. The protocol has no
+key confirmation, so a relay that substitutes a payload under its genuine
+link key passes every node's checks; only the run, which sees both keys,
+can tell, and it then fails with exit 2 and writes no key.
 
 Teardown: a node that has finished, cleanly or by abort, half-closes every
 link, then reads each one until its peer half-closes too, for at most
@@ -151,7 +156,7 @@ async def _read_frame(reader) -> bytes | None:
         raise FrameError("BAD_LENGTH", "stream ended mid-frame") from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class NodeConfig:
     """One node's part of the compiled schedule and its link keys; the run
     owns the addresses, the files and the deadline."""
@@ -388,11 +393,10 @@ class NodeMachine:
 class _NodeRunner:
     """Connects one NodeMachine to its TCP links on the running event loop."""
 
-    def __init__(self, machine: NodeMachine, loop, addrs, out_dir: str, timeout: float) -> None:
+    def __init__(self, machine: NodeMachine, loop, addrs, timeout: float) -> None:
         self.m = machine
         self.loop = loop
         self.addrs = addrs  # node label -> (host, port) of its listener
-        self.out_dir = out_dir
         self.timeout = timeout
         self.server = None
         self.routes: dict = {}  # peer label -> StreamWriter of its link
@@ -404,7 +408,6 @@ class _NodeRunner:
     async def run(self) -> NodeResult:
         import asyncio
 
-        cfg = self.m.cfg
         timer = self.loop.call_later(
             self.timeout, lambda: self._emit(self.m.feed(None, TimeoutError()))
         )
@@ -412,10 +415,6 @@ class _NodeRunner:
             self.tasks.append(self.loop.create_task(self._dial(peer)))
         await self.finished
         timer.cancel()
-        if self.m.output is not None:
-            with open(f"{self.out_dir}/key_{cfg.label}.hex", "w", encoding="utf-8") as fh:
-                fh.write(self.m.output.to_hex() + "\n")
-            self.m.log(f"OUTPUT written ({cfg.n} bits)")
         # the drain: each link is read until its peer half-closes as well
         with contextlib.suppress(asyncio.TimeoutError):
             await asyncio.wait_for(asyncio.gather(*self.tasks), self.timeout)
@@ -426,7 +425,7 @@ class _NodeRunner:
                 await writer.wait_closed()
         if self.server is not None:
             await self.server.wait_closed()
-        return NodeResult(cfg.label, self.m.code, self.m.transcript, self.m.output)
+        return NodeResult(self.m.cfg.label, self.m.code, self.m.transcript, self.m.output)
 
     def _emit(self, sends: Sends) -> None:
         for peer, blob in sends:
@@ -508,7 +507,7 @@ async def _run_nodes(
         try:
             with open(_ORACLE_FILE.format(out_dir, cfg.label), encoding="utf-8") as fh:
                 parsed = parse_key_oracle(fh.read(), cfg.n, cfg.label)
-            runner = _NodeRunner(NodeMachine(cfg, parsed), loop, addrs, out_dir, timeout)
+            runner = _NodeRunner(NodeMachine(cfg, parsed), loop, addrs, timeout)
             if runner.m.peers_in:
                 runner.server = await asyncio.start_server(runner.accept, *addrs[cfg.label])
         except (OSError, ValueError) as exc:
@@ -578,16 +577,12 @@ def orchestrate(
     out_dir: str,
     tamper_index: int | None = None,
     timeout: float = 10.0,
-    wrong_variant_node: str | None = None,
-    drop_key: tuple[str, str] | None = None,
 ) -> WireRun:
     """Set up keys exactly as the in-process engine would, hand each node its
     slice, run all nodes on one event loop, and collect the endpoint outputs.
-    Node i listens on base_port + i of 127.0.0.1.
-
-    wrong_variant_node and drop_key are fault-injection hooks for tests: the
-    first gives one node a mismatched run descriptor, the second deletes one
-    (node label, secret name) entry from that node's key-oracle slice.
+    Node i listens on base_port + i of 127.0.0.1. The run writes every file
+    in out_dir: each node's key-oracle slice, and the endpoint keys when the
+    run succeeds.
     """
     # hop indices are u16; refuse an oversized schedule before building it
     hops = sum(len(p) - 1 for p in topo.paths)
@@ -609,15 +604,12 @@ def orchestrate(
     held = {nd.label: KeyStore(n) for nd in topo.nodes}
     for sid in store.ids():
         for end in sid.ends:
-            if (end, sid.name) != drop_key:
-                held[end].add(sid, store[sid])
+            held[end].add(sid, store[sid])
     for lab, keys in held.items():
         with open(_ORACLE_FILE.format(out_dir, lab), "w", encoding="utf-8") as fh:
             fh.write(key_oracle_text(keys))
 
     cfgs = _node_configs(schedule, n, tamper_index)
-    if wrong_variant_node is not None:
-        cfgs[wrong_variant_node].descriptor = "mismatched|" + cfgs[wrong_variant_node].descriptor
     addrs = {nd.label: ("127.0.0.1", base_port + i) for i, nd in enumerate(topo.nodes)}
 
     import asyncio
@@ -627,16 +619,20 @@ def orchestrate(
     out_a, out_b = outputs.get(topo.endpoint_a.label), outputs.get(topo.endpoint_b.label)
     codes = [res.code for res in results.values()]
     code = 3 if 3 in codes else (2 if any(c != 0 for c in codes) else 0)
+    # a failed node's last transcript line is its ABORT or CONFIG line
+    causes = [
+        f"{lab}: exit {res.code}, {res.transcript[-1]}"
+        for lab, res in sorted(results.items())
+        if res.code != 0
+    ]
     if code == 0 and (out_a is None or out_a != out_b):
-        code = 2
-    if code == 0:
-        report = f"all {len(cfgs)} nodes completed; endpoint keys match"
-    else:
-        # a failed node's last transcript line is its ABORT or CONFIG line
-        causes = [
-            f"{lab}: exit {res.code}, {res.transcript[-1]}"
-            for lab, res in sorted(results.items())
-            if res.code != 0
-        ]
-        report = f"run failed (exit {code}); " + "; ".join(causes)
-    return WireRun(code, results, out_a, out_b, report)
+        # every node succeeded, so a relay substituted a validly tagged payload
+        code, causes = 2, ["endpoint keys differ"]
+    if code != 0:
+        return WireRun(code, results, out_a, out_b, f"run failed (exit {code}); " + "; ".join(causes))
+    for res in results.values():
+        if res.output is not None:
+            with open(f"{out_dir}/key_{res.label}.hex", "w", encoding="utf-8") as fh:
+                fh.write(res.output.to_hex() + "\n")
+            res.transcript.append(f"{res.label}: OUTPUT written ({n} bits)")
+    return WireRun(0, results, out_a, out_b, f"all {len(cfgs)} nodes completed; endpoint keys match")

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from keyhop import cli
 from keyhop.cli import main
+
+from test_wire import _insider
 
 PORTS = iter(range(23000, 26000, 40))
 
@@ -81,6 +84,18 @@ def test_analyze_past_the_enumeration_cap_exits_three(tmp_path, capsys):
     assert "exceeds the exhaustive enumeration cap of 20" in err
     assert "Traceback" not in err
     assert not (tmp_path / "coalitions.csv").exists()
+
+
+def test_analyze_refuses_past_the_cap_before_the_engine_runs(tmp_path, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("ran the engine on a layout past the enumeration cap")
+
+    monkeypatch.setattr(cli, "run", refuse)
+    code = main(["analyze", "--shape", "chain", "--m", "100000", "--output-dir", str(tmp_path)])
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "100000 intermediaries exceeds the exhaustive enumeration cap of 20" in err
 
 
 def test_analyze_single_coalition_with_oracle(tmp_path, capsys):
@@ -326,6 +341,18 @@ def test_wire_tamper_exits_two(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "BAD_TAG" in out
     assert not (tmp_path / "key_A.hex").exists()
+
+
+def test_wire_with_an_insider_exits_two_and_prints_no_key(tmp_path, monkeypatch, capsys):
+    _insider(monkeypatch, 1)  # N1 of chain m=4 substitutes M1 under its genuine link key
+    argv = ["wire", "--shape", "chain", "--m", "4", "--base-port", str(next(PORTS))]
+    code = main(argv + ["--transcripts", "--output-dir", str(tmp_path)])
+    assert code == 2
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "run failed (exit 2); endpoint keys differ"
+    assert "K(A) == K(B)" not in out
+    assert "OUTPUT written" not in out
+    assert not list(tmp_path.glob("key_*.hex"))
 
 
 def test_wire_refuses_an_oversized_schedule_before_any_node_starts(

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -57,3 +58,63 @@ def test_every_public_name_has_one_home():
         for export in importlib.import_module(name).__all__:
             homes.setdefault(export, []).append(name)
     assert {export: where for export, where in homes.items() if len(where) > 1} == {}
+
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+def _resolve(node, bound):
+    """The object a Name or an attribute chain on one names, or None when its
+    root is bound to no keyhop module or name; AttributeError if it is gone."""
+    if isinstance(node, ast.Name):
+        return bound.get(node.id)
+    if not isinstance(node, ast.Attribute):
+        return None
+    root = node
+    while isinstance(root, ast.Attribute):
+        root = root.value
+    if not (isinstance(root, ast.Name) and inspect.ismodule(bound.get(root.id))):
+        return None  # a keyhop function's or class's attributes may be instance names
+    return getattr(_resolve(node.value, bound), node.attr)
+
+
+def test_every_keyhop_name_the_benchmark_uses_resolves():
+    # the benchmark runs after the suite, on its own; a keyhop name or keyword
+    # it uses that a change removed would show up only as a failed run there
+    missing, used = [], 0
+    for filename in sorted(os.listdir(PERFBENCH)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(PERFBENCH, filename), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        bound = {}  # local name -> the keyhop module or object it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "keyhop":
+                        module = importlib.import_module(alias.name)
+                        bound[alias.asname or "keyhop"] = module if alias.asname else keyhop
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "keyhop":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    try:
+                        obj = importlib.import_module(f"{node.module}.{alias.name}")
+                    except ModuleNotFoundError:
+                        obj = getattr(module, alias.name, None)
+                    if obj is None:
+                        missing.append(f"{filename}:{node.lineno}: {node.module}.{alias.name}")
+                    bound[alias.asname or alias.name] = obj
+        for node in ast.walk(tree):
+            try:
+                _resolve(node, bound)
+                if isinstance(node, ast.Call) and callable(func := _resolve(node.func, bound)):
+                    params = inspect.signature(func).parameters
+                    missing += [
+                        f"{filename}:{node.lineno}: {ast.unparse(node.func)}({kw.arg}=)"
+                        for kw in node.keywords
+                        if kw.arg is not None and kw.arg not in params
+                    ]
+            except AttributeError:
+                missing.append(f"{filename}:{node.lineno}: {ast.unparse(node)}")
+        used += len(bound)
+    assert used and missing == []

@@ -1,13 +1,25 @@
+import dataclasses
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
 
 from keyhop.bits import BitString, KeyStore, nonce
 from keyhop.keyplan import Variant, plan_keys
-from keyhop.protocol import compile_schedule, execute, make_store, run, trace_json, trace_text
+from keyhop.protocol import (
+    AbsorbRule,
+    compile_schedule,
+    execute,
+    make_store,
+    run,
+    trace_json,
+    trace_text,
+)
 from keyhop.topology import (
     NodeId,
     Shape,
@@ -259,6 +271,31 @@ def test_execute_checks_every_emission_against_its_expression(monkeypatch):
         store = make_store(schedule, 16, random.Random(0))
         with pytest.raises(AssertionError, match="emission 0 disagrees with its expression"):
             execute(schedule, store)
+
+
+def _unstripped():
+    """chain2's schedule with absorb rules that strip nothing, and a store
+    for it: B keeps the link keys in its share, so the endpoints disagree."""
+    schedule = compile_schedule(plan_keys(build_chain(2), Variant.CHAIN2))
+    absorbs = tuple(AbsorbRule(rule.hop_index, ()) for rule in schedule.absorbs)
+    schedule = dataclasses.replace(schedule, absorbs=absorbs)
+    return schedule, make_store(schedule, 16, random.Random(0))
+
+
+def test_execute_refuses_endpoints_that_disagree():
+    with pytest.raises(AssertionError, match="honest run must agree on the final key"):
+        execute(*_unstripped())
+
+
+def test_execute_refuses_endpoints_that_disagree_under_python_O():
+    # python -O strips assert statements; the agreement check must survive it
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    code = "from test_protocol import _unstripped, execute; execute(*_unstripped())"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((src, here))}
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 1
+    assert out.stderr.splitlines()[-1] == "AssertionError: honest run must agree on the final key"
 
 
 def test_execute_evaluates_each_hop_once(monkeypatch):

@@ -1,4 +1,5 @@
 import asyncio
+import dataclasses
 import gc
 import random
 import socket
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from keyhop import wire
 from keyhop.keyplan import Variant, plan_keys
 from keyhop.protocol import compile_schedule, make_store, run
 from keyhop.topology import build_chain, build_multipath, build_reach_chain, build_ring6
@@ -195,6 +197,46 @@ def _run(tmp_path, topo, variant, seed=5, n=64, **kw):
     return orchestrate(topo, variant, n, seed, next(PORTS), str(tmp_path), **kw)
 
 
+def _mismatch_descriptor(monkeypatch, label):
+    """Give node label a run descriptor no other node expects."""
+    configs = wire._node_configs
+
+    def mismatched(*args):
+        cfgs = configs(*args)
+        cfgs[label] = dataclasses.replace(cfgs[label], descriptor="mismatched|" + cfgs[label].descriptor)
+        return cfgs
+
+    monkeypatch.setattr(wire, "_node_configs", mismatched)
+
+
+def _drop_key(monkeypatch, label, name):
+    """Delete the secret called name from node label's parsed oracle slice."""
+    parse = wire.parse_key_oracle
+
+    def dropping(text, n, owner):
+        values = parse(text, n, owner)
+        return {sid: v for sid, v in values.items() if (owner, sid.name) != (label, name)}
+
+    monkeypatch.setattr(wire, "parse_key_oracle", dropping)
+
+
+def _insider(monkeypatch, index):
+    """The sender of hop index flips one bit of the payload it relays and
+    tags the frame with its genuine link key, so every check passes."""
+    relay = NodeMachine._relay
+
+    def substituting(self, hop):
+        relay(self, hop)
+        if hop.index == index:
+            peer, blob = self._sends[-1]
+            key = self.cfg.link_keys[peer]
+            payload = decode_frame(blob, key).payload
+            frame = Frame(FRAME_RELAY, index, bytes((payload[0] ^ 0x01,)) + payload[1:])
+            self._sends[-1] = (peer, encode_frame(frame, key))
+
+    monkeypatch.setattr(NodeMachine, "_relay", substituting)
+
+
 def test_chain_run_matches_the_engine(tmp_path):
     topo = build_chain(3)
     result = _run(tmp_path, topo, Variant.CHAIN_M, seed=5)
@@ -231,29 +273,28 @@ def test_tampered_hop_aborts_everyone_without_keys(tmp_path):
     assert any("BAD_TAG" in line for line in result.transcript())
 
 
-def test_descriptor_mismatch_aborts_in_hello(tmp_path):
+def test_descriptor_mismatch_aborts_in_hello(tmp_path, monkeypatch):
     topo = build_chain(2)
-    result = _run(
-        tmp_path, topo, Variant.CHAIN2, seed=3, timeout=5.0, wrong_variant_node="N1"
-    )
+    _mismatch_descriptor(monkeypatch, "N1")
+    result = _run(tmp_path, topo, Variant.CHAIN2, seed=3, timeout=5.0)
     assert result.code == 2
     assert any("POSITION_MISMATCH" in line for line in result.transcript())
     assert not (tmp_path / "key_A.hex").exists()
 
 
-def test_missing_oracle_entry_is_a_config_failure(tmp_path):
+def test_missing_oracle_entry_is_a_config_failure(tmp_path, monkeypatch):
     topo = build_chain(2)
-    result = _run(
-        tmp_path, topo, Variant.CHAIN2, seed=3, timeout=5.0, drop_key=("N1", "K[N1,B]")
-    )
+    _drop_key(monkeypatch, "N1", "K[N1,B]")
+    result = _run(tmp_path, topo, Variant.CHAIN2, seed=3, timeout=5.0)
     assert result.code == 3
     assert any("MISSING_KEY" in line for line in result.transcript())
     assert not (tmp_path / "key_B.hex").exists()
 
 
-def test_missing_own_nonce_is_a_config_failure(tmp_path):
+def test_missing_own_nonce_is_a_config_failure(tmp_path, monkeypatch):
     topo = build_chain(2)
-    result = _run(tmp_path, topo, Variant.CHAIN2, seed=3, timeout=5.0, drop_key=("A", "X[A]"))
+    _drop_key(monkeypatch, "A", "X[A]")
+    result = _run(tmp_path, topo, Variant.CHAIN2, seed=3, timeout=5.0)
     assert result.code == 3
     assert any(line.startswith("A: ABORT MISSING_KEY") for line in result.transcript())
     assert not list(tmp_path.glob("key_*.hex"))
@@ -276,16 +317,19 @@ def test_a_port_in_use_ends_the_run_at_once(tmp_path):
         again.bind(("127.0.0.1", base + 1))
 
 
-def test_transcripts_never_leak_key_material(tmp_path):
+def test_transcripts_never_leak_key_material(tmp_path, monkeypatch):
     topo = build_ring6()
-    result = _run(tmp_path, topo, Variant.RING_V2, seed=21)
-    assert result.code == 0
+    honest = _run(tmp_path / "honest", topo, Variant.RING_V2, seed=21)
+    _insider(monkeypatch, 1)
+    mismatched = _run(tmp_path / "insider", topo, Variant.RING_V2, seed=21)
+    assert (honest.code, mismatched.code) == (0, 2)
     reference = run(topo, Variant.RING_V2, 64, random.Random(21))
     secrets = {reference.store[sid].to_hex() for sid in reference.store.ids()}
-    secrets.add(reference.output_a.to_hex())
-    joined = "\n".join(result.transcript())
-    for hexval in secrets:
-        assert hexval not in joined
+    secrets |= {reference.output_a.to_hex(), mismatched.output_a.to_hex(), mismatched.output_b.to_hex()}
+    for result in (honest, mismatched):
+        joined = "\n".join([result.report, *result.transcript()])
+        for hexval in secrets:
+            assert hexval not in joined
 
 
 def test_reruns_on_fresh_ports_agree(tmp_path):
@@ -315,11 +359,13 @@ def test_failed_runs_close_every_socket_transport_and_loop(tmp_path):
     topo = build_chain(2)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
-        missing = _run(
-            tmp_path / "missing", topo, Variant.CHAIN2, seed=3, drop_key=("N1", "K[N1,B]")
-        )
+        with pytest.MonkeyPatch.context() as mp:
+            _drop_key(mp, "N1", "K[N1,B]")
+            missing = _run(tmp_path / "missing", topo, Variant.CHAIN2, seed=3)
         tampered = _run(tmp_path / "tampered", topo, Variant.CHAIN2, seed=3, tamper_index=1)
-        refused = _run(tmp_path / "refused", topo, Variant.CHAIN2, seed=3, wrong_variant_node="N1")
+        with pytest.MonkeyPatch.context() as mp:
+            _mismatch_descriptor(mp, "N1")
+            refused = _run(tmp_path / "refused", topo, Variant.CHAIN2, seed=3)
         gc.collect()
     assert (missing.code, tampered.code, refused.code) == (3, 2, 2)
     assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
@@ -470,6 +516,39 @@ def test_generated_layouts_over_sockets_match_the_engine_and_abort_on_tampering(
         nd.label: 2 for nd in topo.nodes
     }, tampered.report
     assert not list(tampered_dir.glob("key_*.hex"))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_layouts(), st.randoms(use_true_random=False), st.integers(0, 2**32 - 1))
+def test_an_insider_at_any_hop_passes_every_node_and_splits_the_keys(layout, order, seed):
+    # no node can tell: only the run, which sees both endpoint keys, can
+    topo, variant = layout
+    for index in range(sum(len(path) - 1 for path in topo.paths)):
+        with pytest.MonkeyPatch.context() as mp:
+            _insider(mp, index)
+            nodes, _ = _deliver(topo, variant, seed, order)
+        assert {lab: node.code for lab, node in nodes.items()} == {lab: 0 for lab in nodes}
+        assert nodes[topo.endpoint_a.label].output != nodes[topo.endpoint_b.label].output
+
+
+@settings(max_examples=6, deadline=None)
+@given(_layouts(), st.integers(0, 2**32 - 1), st.data())
+def test_an_insider_on_generated_layouts_over_sockets_fails_the_run_keyless(
+    tmp_path_factory, layout, seed, data
+):
+    topo, variant = layout
+    hops = sum(len(path) - 1 for path in topo.paths)
+    index = data.draw(st.integers(0, hops - 1), label="insider hop")
+    out = tmp_path_factory.mktemp("insider")
+    with pytest.MonkeyPatch.context() as mp:
+        _insider(mp, index)
+        result = orchestrate(topo, variant, 64, seed, next(GENERATED_PORTS), str(out))
+    assert {lab: res.code for lab, res in result.results.items()} == {
+        nd.label: 0 for nd in topo.nodes
+    }
+    assert (result.code, result.report) == (2, "run failed (exit 2); endpoint keys differ")
+    assert not list(out.glob("key_*.hex"))
+    assert not any("OUTPUT written" in line for line in result.transcript())
 
 
 @pytest.mark.parametrize("topo, variant", DELIVERY_LAYOUTS, ids=DELIVERY_IDS)
