@@ -9,7 +9,6 @@ KeyStore.evaluate.
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -19,7 +18,6 @@ __all__ = [
     "tf_key",
     "p2p_key",
     "nonce",
-    "parse_secret_name",
     "BitString",
     "random_bits",
     "SymbolicExpr",
@@ -87,31 +85,6 @@ def nonce(owner: str, path_index: int | None = None) -> SecretId:
     return SecretId(SecretKind.NONCE, (owner,), path_index)
 
 
-_NAME_RE = re.compile(r"^([KPX])\[([^\[\]]+)\]$")
-
-
-def parse_secret_name(text: str) -> SecretId:
-    """Inverse of SecretId.name. Rejects anything else."""
-    m = _NAME_RE.match(text)
-    if m is None:
-        raise ValueError(f"malformed secret id: {text!r}")
-    kind = SecretKind(m.group(1))
-    inner = m.group(2)
-    if kind is SecretKind.NONCE:
-        if "," in inner:
-            raise ValueError(f"malformed secret id: {text!r}")
-        owner, sep, idx = inner.partition("@")
-        if not sep:
-            return nonce(owner)
-        if not idx.isdigit():
-            raise ValueError(f"malformed secret id: {text!r}")
-        return nonce(owner, int(idx))
-    parts = inner.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"malformed secret id: {text!r}")
-    return SecretId(kind, (parts[0], parts[1]))
-
-
 @dataclass(frozen=True)
 class BitString:
     """An n-bit string, n >= 1, stored as an int with bit i at weight 2**i."""
@@ -159,10 +132,6 @@ class BitString:
     def to_hex(self) -> str:
         return self.to_bytes().hex()
 
-    @classmethod
-    def from_hex(cls, text: str, n: int) -> BitString:
-        return cls.from_bytes(bytes.fromhex(text), n)
-
     def bit(self, i: int) -> int:
         if not 0 <= i < self.n:
             raise IndexError("bit index out of range")
@@ -177,6 +146,9 @@ class BitString:
 
     def __str__(self) -> str:
         return self.to01()
+
+
+_MAX_BITS = (1 << 31) - 1  # random.getrandbits takes a C int
 
 
 def random_bits(n: int, rng: random.Random) -> BitString:
@@ -224,6 +196,8 @@ class KeyStore:
     def __init__(self, n: int) -> None:
         if n < 1:
             raise ValueError("key length must be at least 1")
+        if n > _MAX_BITS:
+            raise ValueError(f"key length must be at most {_MAX_BITS} bits")
         self.n = n
         self._values: dict[SecretId, BitString] = {}
 

@@ -176,11 +176,11 @@ def cmd_rate(args: argparse.Namespace) -> int:
     families = (
         [f.strip() for f in args.families.split(",")] if args.families else list(ratemodel.DEFAULT_FAMILIES)
     )
-    sweep = range(args.from_km, args.to_km + 1, args.step_km)
-    count = len(sweep) * len(families)  # counted before any row is built
+    # counted by arithmetic, as len() of a range past sys.maxsize overflows
+    count = ((args.to_km - args.from_km) // args.step_km + 1) * len(families)
     if count > RATE_ROW_CAP:
         raise ValueError(f"the sweep has {count} rows; rates.csv holds at most {RATE_ROW_CAP}")
-    distances = [float(d) for d in sweep]
+    distances = [float(d) for d in range(args.from_km, args.to_km + 1, args.step_km)]
     rows = ratemodel.emit_curves(distances, families, params)
     path = _out_path(args, "rates.csv")
     with open(path, "w", encoding="utf-8") as fh:

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .bits import BitString, KeyStore, SecretId, SecretKind, p2p_key, parse_secret_name, tf_key
+from .bits import KeyStore, SecretId, SecretKind, p2p_key, tf_key
 from .topology import NodeId, Shape, Topology
 
 __all__ = [
@@ -23,8 +23,6 @@ __all__ = [
     "establish",
     "HardwareReport",
     "cm_report",
-    "key_oracle_text",
-    "parse_key_oracle",
 ]
 
 
@@ -156,35 +154,3 @@ def cm_report(plan: KeyPlan) -> HardwareReport:
         meas[entry.measurer.label] = True
     return HardwareReport(tuple((lab, source[lab], meas[lab]) for lab in source))
 
-
-def key_oracle_text(store: KeyStore) -> str:
-    """Serialize a store, one 'NAME<TAB>hex' line per secret, sorted by name."""
-    ids = sorted(store.ids(), key=lambda s: s.name)
-    return "".join(f"{sid.name}\t{store[sid].to_hex()}\n" for sid in ids)
-
-
-def parse_key_oracle(
-    text: str, n: int, node_label: str | None = None
-) -> dict[SecretId, BitString]:
-    """Parse key-oracle lines back into values.
-
-    With node_label set, keep only secrets that list the node as an endpoint
-    (for nonces, the owner). Malformed lines are rejected.
-    """
-    out: dict[SecretId, BitString] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
-        parts = raw.split("\t")
-        if len(parts) != 2:
-            raise ValueError(f"key oracle line {lineno}: expected NAME<TAB>hex")
-        sid = parse_secret_name(parts[0].strip())
-        try:
-            value = BitString.from_hex(parts[1].strip(), n)
-        except ValueError as exc:
-            raise ValueError(f"key oracle line {lineno}: {exc}") from None
-        if sid in out:
-            raise ValueError(f"key oracle line {lineno}: duplicate id {sid}")
-        if node_label is None or node_label in sid.ends:
-            out[sid] = value
-    return out

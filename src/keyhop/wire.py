@@ -10,7 +10,7 @@ Frame layout, integers big-endian:
 
 A frame's tag is verified before any payload byte is acted on. Each node
 walks the hops of the compiled Schedule the in-process engine executes that
-name it, in schedule order, with only its own key-oracle slice.
+name it, in schedule order, holding only the secrets that name it as an end.
 Its XOR fold and output fold stay separate code from the engine's, so
 wire-versus-engine equivalence checks the transport against the engine as a
 reference rather than one shared code path against itself.
@@ -57,7 +57,7 @@ import random
 from dataclasses import dataclass, field
 
 from .bits import BitString, KeyStore, SecretId
-from .keyplan import Variant, key_oracle_text, parse_key_oracle, plan_keys
+from .keyplan import Variant, plan_keys
 from .protocol import AbsorbRule, Hop, Schedule, compile_schedule, make_store
 from .topology import Topology
 
@@ -203,7 +203,7 @@ class NodeMachine:
     inbound event (`feed`); both return the frames to send. The first frame
     of an inbound link names its peer (`identify`). `code` is None while the
     node runs, then its exit code: 0 success, 2 protocol abort, 3
-    configuration error (a key missing from the oracle slice). After a
+    configuration error (a key it needs is missing from values). After a
     success, `output` holds the key of a node that owns a nonce or absorbs
     a path, which is exactly an endpoint. Events that arrive after the node
     finished are ignored.
@@ -211,7 +211,7 @@ class NodeMachine:
 
     def __init__(self, cfg: NodeConfig, values: dict[SecretId, BitString]) -> None:
         self.cfg = cfg
-        self.values = values  # the key-oracle slice
+        self.values = values  # the keys this node holds
         self.transcript: list[str] = []
         self.code: int | None = None
         self.output: BitString | None = None
@@ -489,28 +489,26 @@ class _NodeRunner:
                 return
 
 
-_ORACLE_FILE = "{}/oracle_{}.tsv"  # out_dir, node label
-
-
 async def _run_nodes(
-    cfgs: list[NodeConfig], addrs: dict[str, tuple[str, int]], out_dir: str, timeout: float
+    cfgs: list[NodeConfig],
+    keys: dict[str, dict[SecretId, BitString]],
+    addrs: dict[str, tuple[str, int]],
+    timeout: float,
 ) -> dict[str, NodeResult]:
-    """Run every node on the running event loop; every listener is bound
-    before any node dials. If one node's config step fails (its oracle
-    slice in out_dir or its listener bind), no node starts: the listeners
-    bound so far are closed and only that node's result comes back."""
+    """Run every node, with its keys, on the running event loop; every
+    listener is bound before any node dials. If one node's listener cannot
+    bind, no node starts: the listeners bound so far are closed and only
+    that node's result comes back."""
     import asyncio
 
     loop = asyncio.get_running_loop()
     runners: list[_NodeRunner] = []
     for cfg in cfgs:
+        runner = _NodeRunner(NodeMachine(cfg, keys[cfg.label]), loop, addrs, timeout)
         try:
-            with open(_ORACLE_FILE.format(out_dir, cfg.label), encoding="utf-8") as fh:
-                parsed = parse_key_oracle(fh.read(), cfg.n, cfg.label)
-            runner = _NodeRunner(NodeMachine(cfg, parsed), loop, addrs, timeout)
             if runner.m.peers_in:
                 runner.server = await asyncio.start_server(runner.accept, *addrs[cfg.label])
-        except (OSError, ValueError) as exc:
+        except OSError as exc:
             for bound in runners:
                 if bound.server is not None:
                     bound.server.close()
@@ -518,6 +516,15 @@ async def _run_nodes(
             return {cfg.label: NodeResult(cfg.label, 3, [f"{cfg.label}: CONFIG {exc}"])}
         runners.append(runner)
     return {res.label: res for res in await asyncio.gather(*(r.run() for r in runners))}
+
+
+def _node_keys(topo: Topology, store: KeyStore) -> dict[str, dict[SecretId, BitString]]:
+    """Each node's keys: the secrets that name it as an end."""
+    keys: dict[str, dict[SecretId, BitString]] = {nd.label: {} for nd in topo.nodes}
+    for sid in store.ids():
+        for end in sid.ends:
+            keys[end][sid] = store[sid]
+    return keys
 
 
 def _node_configs(
@@ -578,11 +585,11 @@ def orchestrate(
     tamper_index: int | None = None,
     timeout: float = 10.0,
 ) -> WireRun:
-    """Set up keys exactly as the in-process engine would, hand each node its
-    slice, run all nodes on one event loop, and collect the endpoint outputs.
-    Node i listens on base_port + i of 127.0.0.1. The run writes every file
-    in out_dir: each node's key-oracle slice, and the endpoint keys when the
-    run succeeds.
+    """Set up keys exactly as the in-process engine would, hand each node
+    its own keys in memory, run all nodes on one event loop, and collect the
+    endpoint outputs. Node i listens on base_port + i of 127.0.0.1. The run
+    writes only key_A.hex and key_B.hex in out_dir, and only when it
+    succeeds.
     """
     # hop indices are u16; refuse an oversized schedule before building it
     hops = sum(len(p) - 1 for p in topo.paths)
@@ -601,20 +608,12 @@ def orchestrate(
     store = make_store(schedule, n, random.Random(seed))
 
     os.makedirs(out_dir, exist_ok=True)
-    held = {nd.label: KeyStore(n) for nd in topo.nodes}
-    for sid in store.ids():
-        for end in sid.ends:
-            held[end].add(sid, store[sid])
-    for lab, keys in held.items():
-        with open(_ORACLE_FILE.format(out_dir, lab), "w", encoding="utf-8") as fh:
-            fh.write(key_oracle_text(keys))
-
     cfgs = _node_configs(schedule, n, tamper_index)
     addrs = {nd.label: ("127.0.0.1", base_port + i) for i, nd in enumerate(topo.nodes)}
 
     import asyncio
 
-    results = asyncio.run(_run_nodes(list(cfgs.values()), addrs, out_dir, timeout))
+    results = asyncio.run(_run_nodes(list(cfgs.values()), _node_keys(topo, store), addrs, timeout))
     outputs = {lab: res.output for lab, res in results.items()}  # None unless it succeeded
     out_a, out_b = outputs.get(topo.endpoint_a.label), outputs.get(topo.endpoint_b.label)
     codes = [res.code for res in results.values()]

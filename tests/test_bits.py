@@ -12,7 +12,6 @@ from keyhop.bits import (
     SymbolicExpr,
     nonce,
     p2p_key,
-    parse_secret_name,
     random_bits,
     tf_key,
 )
@@ -38,7 +37,7 @@ def test_bit_order_is_low_first():
 
 def test_hex_round_trip():
     b = BitString.from01("10110010011")
-    assert BitString.from_hex(b.to_hex(), 11) == b
+    assert BitString.from_bytes(bytes.fromhex(b.to_hex()), 11) == b
     assert BitString.from_bytes(b.to_bytes(), 11) == b
 
 
@@ -53,22 +52,11 @@ def test_random_bits_are_roughly_balanced():
     assert abs(ones / 10_000 - 0.5) < 0.02
 
 
-def test_secret_names_round_trip():
-    for sid in (tf_key("A", "N2"), p2p_key("N1", "A"), nonce("B"), nonce("A", 1)):
-        assert parse_secret_name(sid.name) == sid
-
-
 def test_key_names_preserve_end_order():
     # ends are stored in path order; the name reflects it
     assert tf_key("A", "N2").name == "K[A,N2]"
     assert tf_key("N2", "A").name == "K[N2,A]"
     assert tf_key("N2", "A") != tf_key("A", "N2")
-
-
-@pytest.mark.parametrize("bad", ["", "K[A]", "X[A,B]", "Q[A,B]", "K[A,A]", "X[A@x]", "K[A,B]extra"])
-def test_malformed_secret_names_rejected(bad):
-    with pytest.raises(ValueError):
-        parse_secret_name(bad)
 
 
 def test_expr_text_is_sorted_and_self_cancelling():
@@ -113,14 +101,10 @@ def test_equal_ids_hash_equal_and_share_a_store_entry():
     store = KeyStore(8)
     store.add(tf_key("A", "N1"), BitString(5, 8))
     store.add(nonce("A", 2), BitString(9, 8))
-    for built in (
-        tf_key("A", "N1"),
-        SecretId(SecretKind.TF_KEY, ("A", "N1")),
-        parse_secret_name("K[A,N1]"),
-    ):
+    for built in (tf_key("A", "N1"), SecretId(SecretKind.TF_KEY, ("A", "N1"))):
         assert built == tf_key("A", "N1") and hash(built) == hash(tf_key("A", "N1"))
         assert store[built] == BitString(5, 8)
-    for built in (nonce("A", 2), SecretId(SecretKind.NONCE, ("A",), 2), parse_secret_name("X[A@2]")):
+    for built in (nonce("A", 2), SecretId(SecretKind.NONCE, ("A",), 2)):
         assert hash(built) == hash(nonce("A", 2))
         assert store[built] == BitString(9, 8)
 

@@ -188,6 +188,17 @@ def test_attack_returns_one_when_secure(tmp_path, capsys):
     assert "no attack exists" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["simulate", "analyze", "attack"])
+def test_a_key_length_past_a_c_int_exits_three(tmp_path, capsys, command):
+    # random.getrandbits takes a C int, so 2^31 bits would end in an OverflowError
+    argv = [command, "--shape", "chain", "--m", "2", "--n", "2147483648"]
+    assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "key length must be at most 2147483647 bits" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_attack_active_leakage_table(capsys):
     code = main(["attack", "--active"])
     assert code == 0
@@ -214,6 +225,16 @@ def test_rate_refuses_a_sweep_past_the_row_cap_before_writing(tmp_path, capsys, 
     assert main(argv) == 3
     assert "rows; rates.csv holds at most 1048576" in capsys.readouterr().err
     assert not (out_dir / "rates.csv").exists()
+
+
+def test_rate_counts_a_sweep_past_sys_maxsize_without_overflow(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    argv = ["rate", "--to-km", "100000000000000000000", "--output-dir", str(out_dir)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "rows; rates.csv holds at most 1048576" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -367,7 +388,7 @@ def test_wire_refuses_an_oversized_schedule_before_any_node_starts(
     code = main(["wire", "--shape", "chain", "--m", "65536", "--output-dir", str(tmp_path)])
     assert code == 3
     assert "65537 hops" in capsys.readouterr().err
-    assert not list(tmp_path.glob("oracle_*.tsv"))
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("port", ["0", "65534"])
@@ -382,7 +403,7 @@ def test_wire_refuses_ports_outside_the_tcp_range_before_any_node_starts(
     argv = ["wire", "--shape", "chain", "--m", "2", "--base-port", port]
     assert main(argv + ["--output-dir", str(tmp_path)]) == 3
     assert "fall outside 1..65535" in capsys.readouterr().err
-    assert not list(tmp_path.glob("oracle_*.tsv"))
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("timeout", ["nan", "0", "-1"])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from keyhop.bits import BitString, nonce, p2p_key, tf_key
+from keyhop.bits import BitString, p2p_key, tf_key
 from keyhop.keyplan import (
     KeyPlan,
     PlanEntry,
@@ -12,8 +12,6 @@ from keyhop.keyplan import (
     check_compatible,
     cm_report,
     establish,
-    key_oracle_text,
-    parse_key_oracle,
     plan_keys,
 )
 from keyhop.protocol import run
@@ -147,34 +145,6 @@ def test_hardware_report_rejects_an_endpoint_measurer(key):
         cm_report(plan)
 
 
-def test_oracle_text_round_trip_and_filtering():
-    plan = plan_keys(build_ring6(), Variant.RING_V2)
-    store = establish(plan, 16, random.Random(2))
-    text = key_oracle_text(store)
-    full = parse_key_oracle(text, 16)
-    assert set(full) == set(store.ids())
-    assert all(full[sid] == store[sid] for sid in store.ids())
-    n1 = parse_key_oracle(text, 16, node_label="N1")
-    assert set(n1) == {tf_key("N1", "B"), p2p_key("A", "N1")}
-
-
-def test_oracle_parse_rejects_bad_lines():
-    with pytest.raises(ValueError):
-        parse_key_oracle("K[A,N2]\tzz\n", 8)
-    with pytest.raises(ValueError):
-        parse_key_oracle("K[A,N2] 00\n", 8)  # tab-separated, not space
-    with pytest.raises(ValueError):
-        parse_key_oracle("X[A@]\t00\n", 8)
-
-
-def test_oracle_text_sorted_by_name():
-    plan = plan_keys(build_ring6(), Variant.RING_V1)
-    store = establish(plan, 8, random.Random(0))
-    store.sample(nonce("A"), random.Random(1))
-    names = [line.split("\t")[0] for line in key_oracle_text(store).splitlines()]
-    assert names == sorted(names)
-
-
 @st.composite
 def _layouts(draw):
     """ring6 v1/v2, chain, reach or multipath, with at most 12 intermediaries."""
@@ -195,6 +165,15 @@ def _layouts(draw):
         )
     )
     return build_multipath(lengths, 100.0, t), Variant.MULTIPATH
+
+
+@settings(max_examples=60, deadline=None)
+@given(_layouts())
+def test_generated_layouts_name_every_secret_distinctly(layout):
+    # names label secrets in traces and views, so two ids must never share one
+    topo, variant = layout
+    ids = run(topo, variant, 8, random.Random(0)).store.ids()
+    assert len({sid.name for sid in ids}) == len(ids)
 
 
 @settings(max_examples=60, deadline=None)

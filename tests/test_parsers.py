@@ -1,4 +1,4 @@
-"""Generated input for the three text parsers: each call returns a value or
+"""Generated input for the two text parsers: each call returns a value or
 raises ValueError, and a generated layout survives its config text and its
 --shape flags unchanged."""
 
@@ -8,8 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from keyhop import cli
-from keyhop.bits import SecretId
-from keyhop.keyplan import parse_key_oracle
 from keyhop.ratemodel import RateParams, parse_rate_config
 from keyhop.topology import (
     Shape,
@@ -111,27 +109,6 @@ _RATE_VALUES = dict.fromkeys(["alpha_db_per_km", "c_tf", "c_p2p", "threshold_bps
 def test_rate_config_parses_or_raises_value_error(text):
     params = _returns_or_value_error(parse_rate_config, text)
     assert params is None or isinstance(params, RateParams)
-
-
-_NAMES = st.one_of(
-    st.sampled_from(["K[A,N2]", "P[A,N1]", "X[A]", "X[B@2]", "X[A@x]", "K[A,A]", "K[A]", "Q[A,B]"]),
-    st.text(max_size=8),
-)
-_HEX = st.one_of(st.text("0123456789abcdefABCDEF", max_size=20), st.text(max_size=6))
-_ORACLE_LINE = st.one_of(st.tuples(_NAMES, _HEX).map("\t".join), st.text(max_size=12))
-
-
-@settings(deadline=None)
-@given(
-    lines=st.lists(_ORACLE_LINE, max_size=6),
-    n=st.integers(1, 80),
-    node=st.sampled_from([None, "A", "N1"]),
-)
-def test_key_oracle_parses_or_raises_value_error(lines, n, node):
-    values = _returns_or_value_error(parse_key_oracle, "\n".join(lines), n, node)
-    assert values is None or all(
-        isinstance(sid, SecretId) and value.n == n for sid, value in values.items()
-    )
 
 
 def _shape_flags(topo):

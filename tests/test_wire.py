@@ -28,6 +28,7 @@ from keyhop.wire import (
     FrameError,
     NodeMachine,
     _node_configs,
+    _node_keys,
     _read_frame,
     decode_frame,
     encode_frame,
@@ -210,14 +211,18 @@ def _mismatch_descriptor(monkeypatch, label):
 
 
 def _drop_key(monkeypatch, label, name):
-    """Delete the secret called name from node label's parsed oracle slice."""
-    parse = wire.parse_key_oracle
+    """Delete the secret called name from the keys handed to node label."""
+    run_nodes = wire._run_nodes
 
-    def dropping(text, n, owner):
-        values = parse(text, n, owner)
-        return {sid: v for sid, v in values.items() if (owner, sid.name) != (label, name)}
+    def dropping(cfgs, keys, *args):
+        keys[label] = {sid: v for sid, v in keys[label].items() if sid.name != name}
+        return run_nodes(cfgs, keys, *args)
 
-    monkeypatch.setattr(wire, "parse_key_oracle", dropping)
+    monkeypatch.setattr(wire, "_run_nodes", dropping)
+
+
+def _files(out_dir):
+    return sorted(path.name for path in out_dir.iterdir())
 
 
 def _insider(monkeypatch, index):
@@ -245,6 +250,7 @@ def test_chain_run_matches_the_engine(tmp_path):
     assert result.output_a == reference.output_a
     assert result.output_b == reference.output_a
     assert (tmp_path / "key_A.hex").read_text().strip() == reference.output_a.to_hex()
+    assert _files(tmp_path) == ["key_A.hex", "key_B.hex"]
 
 
 def test_ring_run_matches_the_engine(tmp_path):
@@ -268,8 +274,7 @@ def test_tampered_hop_aborts_everyone_without_keys(tmp_path):
     result = _run(tmp_path, topo, Variant.CHAIN2, seed=3, tamper_index=1, timeout=5.0)
     assert result.code == 2
     assert result.output_a is None and result.output_b is None
-    assert not (tmp_path / "key_A.hex").exists()
-    assert not (tmp_path / "key_B.hex").exists()
+    assert _files(tmp_path) == []
     assert any("BAD_TAG" in line for line in result.transcript())
 
 
@@ -279,7 +284,7 @@ def test_descriptor_mismatch_aborts_in_hello(tmp_path, monkeypatch):
     result = _run(tmp_path, topo, Variant.CHAIN2, seed=3, timeout=5.0)
     assert result.code == 2
     assert any("POSITION_MISMATCH" in line for line in result.transcript())
-    assert not (tmp_path / "key_A.hex").exists()
+    assert _files(tmp_path) == []
 
 
 def test_missing_oracle_entry_is_a_config_failure(tmp_path, monkeypatch):
@@ -288,7 +293,7 @@ def test_missing_oracle_entry_is_a_config_failure(tmp_path, monkeypatch):
     result = _run(tmp_path, topo, Variant.CHAIN2, seed=3, timeout=5.0)
     assert result.code == 3
     assert any("MISSING_KEY" in line for line in result.transcript())
-    assert not (tmp_path / "key_B.hex").exists()
+    assert _files(tmp_path) == []
 
 
 def test_missing_own_nonce_is_a_config_failure(tmp_path, monkeypatch):
@@ -297,7 +302,7 @@ def test_missing_own_nonce_is_a_config_failure(tmp_path, monkeypatch):
     result = _run(tmp_path, topo, Variant.CHAIN2, seed=3, timeout=5.0)
     assert result.code == 3
     assert any(line.startswith("A: ABORT MISSING_KEY") for line in result.transcript())
-    assert not list(tmp_path.glob("key_*.hex"))
+    assert _files(tmp_path) == []
 
 
 def test_a_port_in_use_ends_the_run_at_once(tmp_path):
@@ -312,7 +317,7 @@ def test_a_port_in_use_ends_the_run_at_once(tmp_path):
     assert result.code == 3
     assert "N3: exit 3, N3: CONFIG" in result.report
     assert elapsed < 0.5, f"took {elapsed:.3f} s"
-    assert not list(tmp_path.glob("key_*.hex"))
+    assert _files(tmp_path) == []
     with socket.socket() as again:  # the listeners bound before N3's are closed
         again.bind(("127.0.0.1", base + 1))
 
@@ -351,7 +356,7 @@ def test_tampering_any_hop_of_a_long_chain_aborts_well_inside_the_timeout(tmp_pa
         result = _run(out, topo, Variant.CHAIN_M, seed=seed, n=128, tamper_index=hop, timeout=1.0)
         elapsed = time.perf_counter() - start
         assert result.code == 2, result.report
-        assert not list(out.glob("key_*.hex"))
+        assert _files(out) == []
         assert elapsed < 0.5, f"hop {hop} took {elapsed:.3f} s"
 
 
@@ -406,11 +411,11 @@ def test_a_run_matches_the_engine_on_the_calling_thread_alone(
 
 
 def _machines(topo, variant, seed, tamper_index=None, n=64):
-    """Every node's NodeMachine, keyed by label, with its key-oracle slice."""
+    """Every node's NodeMachine, keyed by label, with its own keys."""
     schedule = compile_schedule(plan_keys(topo, variant))
-    store = make_store(schedule, n, random.Random(seed))
+    keys = _node_keys(topo, make_store(schedule, n, random.Random(seed)))
     return {
-        lab: NodeMachine(cfg, {sid: store[sid] for sid in store.ids() if lab in sid.ends})
+        lab: NodeMachine(cfg, keys[lab])
         for lab, cfg in _node_configs(schedule, n, tamper_index).items()
     }
 
@@ -505,6 +510,7 @@ def test_generated_layouts_over_sockets_match_the_engine_and_abort_on_tampering(
     key = run(topo, variant, 64, random.Random(seed)).output_a.to_hex()
     for end in (topo.endpoint_a, topo.endpoint_b):
         assert (honest_dir / f"key_{end.label}.hex").read_text().strip() == key
+    assert _files(honest_dir) == ["key_A.hex", "key_B.hex"]
 
     hops = sum(len(path) - 1 for path in topo.paths)
     tamper = data.draw(st.integers(0, hops - 1), label="tampered hop")
@@ -515,7 +521,7 @@ def test_generated_layouts_over_sockets_match_the_engine_and_abort_on_tampering(
     assert {lab: res.code for lab, res in tampered.results.items()} == {
         nd.label: 2 for nd in topo.nodes
     }, tampered.report
-    assert not list(tampered_dir.glob("key_*.hex"))
+    assert _files(tampered_dir) == []
 
 
 @settings(max_examples=20, deadline=None)
@@ -547,7 +553,7 @@ def test_an_insider_on_generated_layouts_over_sockets_fails_the_run_keyless(
         nd.label: 0 for nd in topo.nodes
     }
     assert (result.code, result.report) == (2, "run failed (exit 2); endpoint keys differ")
-    assert not list(out.glob("key_*.hex"))
+    assert _files(out) == []
     assert not any("OUTPUT written" in line for line in result.transcript())
 
 
@@ -583,13 +589,9 @@ def test_setting_up_a_long_chain_is_linear():
     start = time.perf_counter()
     topo = build_chain(4000)
     schedule = compile_schedule(plan_keys(topo, Variant.CHAIN_M))
-    store = make_store(schedule, 64, random.Random(3))
-    slices = {nd.label: {} for nd in topo.nodes}
-    for sid in store.ids():
-        for end in sid.ends:
-            slices[end][sid] = store[sid]
+    keys = _node_keys(topo, make_store(schedule, 64, random.Random(3)))
     cfgs = _node_configs(schedule, 64)
-    nodes = {lab: NodeMachine(cfg, slices[lab]) for lab, cfg in cfgs.items()}
+    nodes = {lab: NodeMachine(cfg, keys[lab]) for lab, cfg in cfgs.items()}
     for lab, node in nodes.items():
         for peer in node.peers_out:
             (_, hello), *_ = node.dialled(peer)
