@@ -44,7 +44,7 @@ from typing import Callable, Iterable
 from .bits import BitString, SecretId, SymbolicExpr
 from .keyplan import Variant
 from .protocol import ProtocolTrace, run
-from .topology import NodeId, Topology, build_multipath
+from .topology import NodeId, build_multipath
 
 __all__ = [
     "Status",
@@ -221,9 +221,9 @@ def recover_bits(trace: ProtocolTrace, verdict: SecrecyVerdict) -> BitString:
     return acc
 
 
-def check_enumerable(topo: Topology) -> None:
-    """Refuse a layout whose coalitions are too many to list one by one."""
-    count = len(topo.intermediaries)
+def check_enumerable(count: int) -> None:
+    """Refuse a layout of count intermediaries, whose coalitions are too
+    many to list one by one."""
     if count > ENUMERATION_CAP:
         raise ValueError(
             f"{count} intermediaries exceeds the exhaustive enumeration cap"
@@ -327,7 +327,7 @@ def coalition_rows(
     label are the first 2^r names with it appended. The verdict bytes are 1
     at each minimal set, closed upward one bit at a time: the entries with
     bit r clear, moved up by 2^r entries, are ORed in."""
-    check_enumerable(trace.topology)  # before any 2^m table
+    check_enumerable(len(trace.topology.intermediaries))  # before any 2^m table
     target = target if target is not None else final_key_expr(trace)
     minimal = _minimal_masks(trace, target)
     inter = trace.topology.intermediaries

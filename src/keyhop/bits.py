@@ -33,9 +33,16 @@ class SecretKind(Enum):
     NONCE = "X"
 
 
-@dataclass(frozen=True)
+# Every SecretId built in this process, keyed by its fields: one entry per
+# distinct key and nonce built, never evicted. Equal ids are one object, so
+# equality and hashing are object's identity versions.
+_SECRET_IDS: dict[tuple[SecretKind, tuple[str, ...], int | None], SecretId] = {}
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class SecretId:
-    """Identity of one secret bitstring.
+    """Identity of one secret bitstring, interned: constructing it again
+    returns the first instance built with the same fields.
 
     Relay and adjacent-link keys name the two nodes that hold them, in path
     order. Nonces name their single owner, plus a path index when one owner
@@ -46,15 +53,31 @@ class SecretId:
     ends: tuple[str, ...]
     path_index: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind is SecretKind.NONCE:
-            if len(self.ends) != 1:
-                raise ValueError("a nonce has exactly one owner")
-        else:
-            if len(self.ends) != 2 or self.ends[0] == self.ends[1]:
-                raise ValueError("a key joins two distinct nodes")
-            if self.path_index is not None:
-                raise ValueError("path_index is reserved for nonces")
+    def __new__(
+        cls, kind: SecretKind, ends: tuple[str, ...], path_index: int | None = None
+    ) -> SecretId:
+        key = (kind, ends, path_index)
+        sid = _SECRET_IDS.get(key)
+        if sid is None:
+            if kind is SecretKind.NONCE:
+                if len(ends) != 1:
+                    raise ValueError("a nonce has exactly one owner")
+            else:
+                if len(ends) != 2 or ends[0] == ends[1]:
+                    raise ValueError("a key joins two distinct nodes")
+                if path_index is not None:
+                    raise ValueError("path_index is reserved for nonces")
+            sid = object.__new__(cls)
+            object.__setattr__(sid, "kind", kind)
+            object.__setattr__(sid, "ends", ends)
+            object.__setattr__(sid, "path_index", path_index)
+            _SECRET_IDS[key] = sid
+        return sid
+
+    def __reduce__(self) -> tuple:
+        # pickle and copy rebuild through the constructor, so they return the
+        # interned instance
+        return SecretId, (self.kind, self.ends, self.path_index)
 
     @property
     def name(self) -> str:
@@ -66,11 +89,6 @@ class SecretId:
 
     def __str__(self) -> str:
         return self.name
-
-    def __hash__(self) -> int:
-        # equality still compares the kind; leaving it out of the hash keeps
-        # the Python-level Enum.__hash__ off every dict and set lookup
-        return hash((self.ends, self.path_index))
 
 
 def tf_key(a: str, b: str) -> SecretId:
@@ -164,10 +182,10 @@ class SymbolicExpr:
 
     @classmethod
     def of(cls, *ids: SecretId) -> SymbolicExpr:
-        acc: frozenset[SecretId] = frozenset()
-        for sid in ids:
-            acc = acc ^ frozenset((sid,))
-        return cls(acc)
+        terms = frozenset(ids)
+        if len(terms) != len(ids):  # a repeated id cancels in pairs
+            terms = frozenset(sid for sid in terms if ids.count(sid) % 2)
+        return cls(terms)
 
     @property
     def is_zero(self) -> bool:

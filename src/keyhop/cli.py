@@ -22,7 +22,7 @@ from . import analysis, ratemodel, wire
 from .bits import SymbolicExpr
 from .keyplan import Variant, cm_report, plan_keys
 from .protocol import run, trace_json, trace_text
-from .topology import Shape, Topology, build_topology, parse_topology_config
+from .topology import Shape, Topology, build_topology, intermediary_count, parse_layout_config
 
 __all__ = ["main"]
 
@@ -61,20 +61,24 @@ def _refuse_ignored(args: argparse.Namespace, mode: str, names: tuple[str, ...])
         raise ValueError(f"{mode} ignores {', '.join(given)}")
 
 
-def _layout(args: argparse.Namespace) -> tuple[Topology, Variant]:
+def _layout(args: argparse.Namespace, enumerable: bool = False) -> tuple[Topology, Variant]:
     """The layout the flags or the config file name, and the variant to run
-    on it: --variant, else the shape's default."""
+    on it: --variant, else the shape's default. With enumerable, a layout
+    whose coalitions are too many to list is refused before it is built."""
     if args.config:
         _refuse_ignored(args, "--config", ("shape", *_SHAPE_FLAGS))
         with open(args.config, encoding="utf-8") as fh:
-            topo = parse_topology_config(fh.read())
+            shape, keys, link_km = parse_layout_config(fh.read())
     elif not args.shape:
         raise ValueError("give --shape or --config")
     else:
+        shape, link_km = Shape(args.shape), args.link_km
         keys = {k: str(v) for k in _SHAPE_FLAGS if (v := getattr(args, k)) is not None}
-        if args.shape == Shape.REACH.value:
+        if shape is Shape.REACH:
             keys.setdefault("t", "2")
-        topo = build_topology(Shape(args.shape), keys, args.link_km)
+    if enumerable:
+        analysis.check_enumerable(intermediary_count(shape, keys))
+    topo = build_topology(shape, keys, link_km)
     variant = Variant(args.variant) if args.variant else Variant.default_for(topo.shape)
     return topo, variant
 
@@ -122,9 +126,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return 0
     if args.oracle and args.coalition is None:
         raise ValueError("--oracle checks one coalition; give --coalition")
-    topo, variant = _layout(args)
-    if args.coalition is None:
-        analysis.check_enumerable(topo)  # coalitions.csv has 2^m rows; refuse before the engine runs
+    # coalitions.csv has 2^m rows; refuse before the layout is built
+    topo, variant = _layout(args, enumerable=args.coalition is None)
     trace = run(topo, variant, args.n, random.Random(args.seed))
     target = analysis.final_key_expr(trace)
     if args.coalition is not None:

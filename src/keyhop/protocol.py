@@ -86,7 +86,12 @@ def compile_schedule(plan: KeyPlan) -> Schedule:
     # ends must be on that path (every builder keeps A and B out of range)
     keys: list[dict[str, list[SecretId]]] = [{nd.label: [] for nd in seq} for seq, _ in runs]
     path_of = {nd.label: keys[p] for p, (seq, _) in enumerate(runs) for nd in seq[1:-1]}
+    listed: set[SecretId] = set()
     for sid in plan.secret_ids:
+        # execute folds a hop's keys in as one set, which holds a key once
+        if sid in listed:
+            raise ValueError(f"key {sid.name} is listed twice")
+        listed.add(sid)
         u, v = sid.ends
         held = path_of.get(u) or path_of.get(v)
         if held is None or u not in held or v not in held:
@@ -172,7 +177,8 @@ def execute(schedule: Schedule, store: KeyStore) -> ProtocolTrace:
     for hop in schedule.hops:
         if hop.origin is not None:
             expr = SymbolicExpr.of(hop.origin)
-        expr = expr ^ SymbolicExpr.of(*hop.xor_ids)
+        # compile_schedule lists each key once, so the hop's keys are one set
+        expr = SymbolicExpr(expr.terms ^ frozenset(hop.xor_ids))
         # evaluated before the fold, so an id missing from the store is
         # reported by name
         bits = store.evaluate(expr)

@@ -21,7 +21,9 @@ __all__ = [
     "build_reach_chain",
     "build_multipath",
     "build_topology",
+    "intermediary_count",
     "parse_kv",
+    "parse_layout_config",
     "parse_topology_config",
     "emit_topology_config",
 ]
@@ -34,18 +36,35 @@ class Shape(Enum):
     REACH = "reach"
 
 
-@dataclass(frozen=True)
+# Every NodeId built in this process, keyed by its label: one entry per
+# distinct label built, never evicted. Equal nodes are one object, so
+# equality and hashing are object's identity versions.
+_NODE_IDS: dict[str, NodeId] = {}
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class NodeId:
-    """A node is its label. The endpoints are the ends of every path;
-    positions along a path always come from Topology.paths."""
+    """A node is its label, interned: constructing it again returns the
+    first instance built with that label. The endpoints are the ends of
+    every path; positions along a path always come from Topology.paths."""
 
     label: str
 
+    def __new__(cls, label: str) -> NodeId:
+        node = _NODE_IDS.get(label)
+        if node is None:
+            node = object.__new__(cls)
+            object.__setattr__(node, "label", label)
+            _NODE_IDS[label] = node
+        return node
+
+    def __reduce__(self) -> tuple:
+        # pickle and copy rebuild through the constructor, so they return the
+        # interned instance
+        return NodeId, (self.label,)
+
     def __str__(self) -> str:
         return self.label
-
-    def __hash__(self) -> int:
-        return hash(self.label)
 
 
 @dataclass(frozen=True)
@@ -223,7 +242,20 @@ def build_topology(shape: Shape, keys: dict[str, str], link_length_km: float = 1
     return build_multipath(lengths, link_length_km, int(keys.get("t", "1")))
 
 
-def parse_topology_config(text: str) -> Topology:
+def intermediary_count(shape: Shape, keys: dict[str, str]) -> int:
+    """The intermediaries the layout keys ask for, read without building a
+    node, so a caller can refuse a layout before it is built. A missing key
+    counts 0; build_topology reports it."""
+    if shape is Shape.RING6:
+        return 4
+    if shape is Shape.MULTIPATH:
+        return sum(int(v) for v in keys.get("paths", "0").split(","))
+    return int(keys.get("m", "0"))
+
+
+def parse_layout_config(text: str) -> tuple[Shape, dict[str, str], float]:
+    """A config file's shape, layout keys and link length, as build_topology
+    takes them."""
     kv = parse_kv(text)
     name = kv.pop("shape", None)
     if name is None:
@@ -233,7 +265,11 @@ def parse_topology_config(text: str) -> Topology:
     except ValueError:
         raise ValueError(f"unknown shape {name!r}") from None
     link = float(kv.pop("link_length_km", "100"))
-    return build_topology(shape, kv, link)
+    return shape, kv, link
+
+
+def parse_topology_config(text: str) -> Topology:
+    return build_topology(*parse_layout_config(text))
 
 
 def emit_topology_config(topo: Topology) -> str:

@@ -1,9 +1,13 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from keyhop import bits
 from keyhop.bits import (
     BitString,
     KeyStore,
@@ -117,6 +121,72 @@ def test_relay_and_link_keys_on_the_same_ends_stay_apart():
     store.add(p2p, BitString(12, 4))
     assert len(store) == 2
     assert store[tf] == BitString(3, 4) and store[p2p] == BitString(12, 4)
+
+
+def test_secret_ids_are_interned():
+    assert tf_key("A", "N1") is SecretId(SecretKind.TF_KEY, ("A", "N1"))
+    assert p2p_key("A", "N1") is SecretId(SecretKind.P2P_KEY, ("A", "N1"))
+    assert nonce("A", 2) is SecretId(SecretKind.NONCE, ("A",), 2)
+    assert nonce("B") is SecretId(SecretKind.NONCE, ("B",))
+    assert nonce("A", 2) is not nonce("A", 3) and nonce("A") is not nonce("A", 1)
+
+
+def test_relay_and_link_keys_on_the_same_ends_are_distinct_objects():
+    assert tf_key("A", "N1") is not p2p_key("A", "N1")
+    assert len({tf_key("A", "N1"), p2p_key("A", "N1"), tf_key("A", "N1")}) == 2
+
+
+def test_secret_ids_compare_and_hash_by_identity():
+    assert "__hash__" not in vars(SecretId) and "__eq__" not in vars(SecretId)
+    assert SecretId.__hash__ is object.__hash__ and SecretId.__eq__ is object.__eq__
+    # a repeat construction returns the interned id without running an
+    # initialiser again
+    assert SecretId.__init__ is object.__init__ and not hasattr(SecretId, "__post_init__")
+
+
+_COPIES = {
+    "pickle": lambda sid: pickle.loads(pickle.dumps(sid)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "replace": dataclasses.replace,
+}
+
+
+@pytest.mark.parametrize("how", sorted(_COPIES))
+@pytest.mark.parametrize("sid", [tf_key("N1", "N3"), p2p_key("N4", "B"), nonce("A"), nonce("A", 3)])
+def test_copies_of_a_secret_id_are_the_interned_id(how, sid):
+    assert _COPIES[how](sid) is sid
+
+
+def test_replacing_a_field_returns_the_interned_id():
+    assert dataclasses.replace(tf_key("A", "N1"), ends=("A", "N2")) is tf_key("A", "N2")
+    assert dataclasses.replace(nonce("A", 1), path_index=2) is nonce("A", 2)
+    assert dataclasses.replace(tf_key("A", "N1"), kind=SecretKind.P2P_KEY) is p2p_key("A", "N1")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: tf_key("A", "A"), "two distinct nodes"),
+        (lambda: SecretId(SecretKind.NONCE, ("A", "B")), "exactly one owner"),
+        (lambda: SecretId(SecretKind.NONCE, ("A", "B"), 1), "exactly one owner"),
+        (lambda: SecretId(SecretKind.TF_KEY, ("A", "N1", "B")), "two distinct nodes"),
+        (lambda: SecretId(SecretKind.P2P_KEY, ("A", "N1"), 1), "reserved for nonces"),
+    ],
+)
+def test_an_invalid_secret_id_raises_every_time_and_is_never_interned(build, message):
+    size = len(bits._SECRET_IDS)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            build()
+        assert len(bits._SECRET_IDS) == size
+
+
+def test_a_repeated_term_cancels_in_pairs():
+    a, b = tf_key("A", "N2"), nonce("A")
+    assert SymbolicExpr.of(a, a).is_zero
+    assert SymbolicExpr.of(a, b, a) == SymbolicExpr.of(b)
+    assert SymbolicExpr.of(a, b, a, a) == SymbolicExpr.of(b, a)
 
 
 def test_store_keeps_insertion_order():

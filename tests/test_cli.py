@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import keyhop
 from keyhop import cli
 from keyhop.cli import main
 
@@ -96,6 +100,69 @@ def test_analyze_refuses_past_the_cap_before_the_engine_runs(tmp_path, monkeypat
     out, err = capsys.readouterr()
     assert out == ""
     assert "100000 intermediaries exceeds the exhaustive enumeration cap of 20" in err
+
+
+@pytest.mark.parametrize(
+    "layout, count",
+    [
+        (["--shape", "chain", "--m", "99999999999999999999"], 99999999999999999999),
+        (["--shape", "reach", "--m", "21", "--t", "3"], 21),
+        (["--shape", "multipath", "--paths", "7,7,7"], 21),
+        (["--config", "layout.cfg"], 1 << 70),
+    ],
+)
+def test_analyze_refuses_past_the_cap_before_building_the_layout(
+    tmp_path, monkeypatch, capsys, layout, count
+):
+    def refuse(*args):
+        raise AssertionError("built a layout past the enumeration cap")
+
+    monkeypatch.setattr(cli, "build_topology", refuse)
+    (tmp_path / "layout.cfg").write_text(f"shape = chain\nm = {1 << 70}\n")
+    layout = [str(tmp_path / arg) if arg.endswith(".cfg") else arg for arg in layout]
+    code = main(["analyze", *layout, "--output-dir", str(tmp_path / "out")])
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    cap = "intermediaries exceeds the exhaustive enumeration cap of 20"
+    assert err == f"keyhop: error: {count} {cap}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # ids hash by identity, so by address, and strings by the per-process
+    # seed; neither may reach stdout or a written file
+    commands = [
+        ["simulate", "--shape", "ring6", "--variant", "ring-v2"],
+        ["simulate", "--shape", "multipath", "--paths", "3,3,4", "--t", "2"],
+        ["analyze", "--coalition", "N1,N4", "--shape", "chain", "--m", "6"],
+        ["analyze", "--shape", "chain", "--m", "6"],
+        ["attack", "--shape", "chain", "--m", "4", "--coalition", "N1,N4"],
+    ]
+    script = (
+        "import json, sys\n"
+        "from keyhop.cli import main\n"
+        "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
+        "    print('exit', main([*argv, '--output-dir', f'out{i}']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(keyhop.__file__))
+    runs = {}
+    for seed in ("0", "12345"):
+        cwd = tmp_path / seed
+        cwd.mkdir()
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        out = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(commands)],
+            cwd=cwd, capture_output=True, text=True, check=True, env=env,
+        )
+        files = {p.relative_to(cwd).as_posix(): p.read_bytes() for p in cwd.rglob("*.*")}
+        runs[seed] = out.stdout, files
+    assert runs["0"][0].count("exit 0") == len(commands)
+    assert sorted(runs["0"][1]) == [
+        "out0/trace.json", "out0/trace.txt", "out1/trace.json", "out1/trace.txt",
+        "out3/coalitions.csv",
+    ]
+    assert runs["0"] == runs["12345"]
 
 
 def test_analyze_single_coalition_with_oracle(tmp_path, capsys):

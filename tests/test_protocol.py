@@ -9,8 +9,9 @@ import time
 
 import pytest
 
+from keyhop import bits, topology
 from keyhop.bits import BitString, KeyStore, nonce
-from keyhop.keyplan import Variant, plan_keys
+from keyhop.keyplan import KeyPlan, Variant, plan_keys
 from keyhop.protocol import (
     AbsorbRule,
     compile_schedule,
@@ -128,6 +129,48 @@ def test_compile_refuses_a_key_between_the_endpoints():
     assert "K[A,B]" in [sid.name for sid in plan.secret_ids]
     with pytest.raises(ValueError, match="K\\[A,B\\] does not join an intermediary"):
         compile_schedule(plan)
+
+
+def test_compile_refuses_a_plan_that_lists_a_key_twice():
+    # execute folds a hop's keys in as one set, where a listed-twice key
+    # would count once; XOR would cancel it from the output instead
+    plan = plan_keys(build_chain(3), Variant.CHAIN_M)
+    twice = KeyPlan(plan.topology, plan.variant, (*plan.entries, plan.entries[1]))
+    with pytest.raises(ValueError, match=r"key K\[N1,N3\] is listed twice"):
+        compile_schedule(twice)
+
+
+def _layout_mix(seed):
+    """A seeded mix of every shape, with a few layouts of each."""
+    rng = random.Random(seed)
+    mix = [(build_ring6(), Variant.RING_V1), (build_ring6(), Variant.RING_V2)]
+    mix += [(build_chain(rng.randint(2, 12)), Variant.CHAIN_M) for _ in range(4)]
+    for _ in range(4):
+        mix.append((build_reach_chain(rng.randint(5, 12), rng.randint(2, 4)), Variant.REACH_T))
+    for _ in range(4):
+        lengths = [rng.randint(3, 6) for _ in range(rng.randint(1, 4))]
+        mix.append((build_multipath(lengths, 100.0, rng.randint(1, 2)), Variant.MULTIPATH))
+    return mix
+
+
+def test_the_intern_tables_stop_growing_once_every_id_is_built():
+    # the tables hold one entry per distinct label and key built, so a
+    # second pass over the same layouts builds nothing new
+    def sweep():
+        ids = set()
+        for seed, (topo, variant) in enumerate(_layout_mix(23)):
+            ids.update(run(topo, variant, 16, random.Random(seed)).store.ids())
+        return ids
+
+    sizes = len(bits._SECRET_IDS), len(topology._NODE_IDS)
+    ids = sweep()
+    grown = len(bits._SECRET_IDS) - sizes[0], len(topology._NODE_IDS) - sizes[1]
+    assert grown[0] <= len(ids)
+    assert grown[1] <= len({label for sid in ids for label in sid.ends})
+    assert ids <= set(bits._SECRET_IDS.values())
+    sizes = len(bits._SECRET_IDS), len(topology._NODE_IDS)
+    assert sweep() == ids
+    assert (len(bits._SECRET_IDS), len(topology._NODE_IDS)) == sizes
 
 
 def test_every_message_evaluates_to_its_expr():

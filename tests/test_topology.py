@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from keyhop.keyplan import Variant, plan_keys
@@ -27,6 +31,31 @@ def test_node_ids_are_their_labels_in_sets_and_dicts():
     assert NodeId("N2") == topo.node("N2") and hash(NodeId("N2")) == hash(topo.node("N2"))
     assert {NodeId("N2"): 1}[topo.node("N2")] == 1
     assert len({NodeId(f"N{i}") for i in (1, 2, 2, 3)}) == 3
+
+
+def test_node_ids_are_interned():
+    topo = build_chain(3)
+    assert NodeId("N2") is topo.node("N2") is topo.paths[0][2]
+    assert build_ring6().endpoint_a is NodeId("A") is topo.endpoint_a
+    assert "__hash__" not in vars(NodeId) and "__eq__" not in vars(NodeId)
+    assert NodeId.__hash__ is object.__hash__ and NodeId.__eq__ is object.__eq__
+    assert NodeId.__init__ is object.__init__
+
+
+@pytest.mark.parametrize(
+    "how",
+    [
+        lambda nd: pickle.loads(pickle.dumps(nd)),
+        copy.copy,
+        copy.deepcopy,
+        dataclasses.replace,
+    ],
+    ids=["pickle", "copy", "deepcopy", "replace"],
+)
+def test_copies_of_a_node_id_are_the_interned_id(how):
+    node = build_multipath([2, 3]).node("N3.2")
+    assert how(node) is node
+    assert dataclasses.replace(node, label="N1.2") is NodeId("N1.2")
 
 
 def test_ring_adjacency_follows_both_arcs():
