@@ -17,6 +17,7 @@ import math
 import os
 import random
 import sys
+from collections.abc import Callable
 
 from . import analysis, ratemodel, wire
 from .bits import SymbolicExpr
@@ -61,10 +62,12 @@ def _refuse_ignored(args: argparse.Namespace, mode: str, names: tuple[str, ...])
         raise ValueError(f"{mode} ignores {', '.join(given)}")
 
 
-def _layout(args: argparse.Namespace, enumerable: bool = False) -> tuple[Topology, Variant]:
+def _layout(
+    args: argparse.Namespace, check: Callable[[int], None] | None = None
+) -> tuple[Topology, Variant]:
     """The layout the flags or the config file name, and the variant to run
-    on it: --variant, else the shape's default. With enumerable, a layout
-    whose coalitions are too many to list is refused before it is built."""
+    on it: --variant, else the shape's default. check, if given, may refuse
+    the layout's intermediary count before the layout is built."""
     if args.config:
         _refuse_ignored(args, "--config", ("shape", *_SHAPE_FLAGS))
         with open(args.config, encoding="utf-8") as fh:
@@ -76,8 +79,8 @@ def _layout(args: argparse.Namespace, enumerable: bool = False) -> tuple[Topolog
         keys = {k: str(v) for k in _SHAPE_FLAGS if (v := getattr(args, k)) is not None}
         if shape is Shape.REACH:
             keys.setdefault("t", "2")
-    if enumerable:
-        analysis.check_enumerable(intermediary_count(shape, keys))
+    if check is not None:
+        check(intermediary_count(shape, keys))
     topo = build_topology(shape, keys, link_km)
     variant = Variant(args.variant) if args.variant else Variant.default_for(topo.shape)
     return topo, variant
@@ -127,7 +130,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.oracle and args.coalition is None:
         raise ValueError("--oracle checks one coalition; give --coalition")
     # coalitions.csv has 2^m rows; refuse before the layout is built
-    topo, variant = _layout(args, enumerable=args.coalition is None)
+    topo, variant = _layout(args, analysis.check_enumerable if args.coalition is None else None)
     trace = run(topo, variant, args.n, random.Random(args.seed))
     target = analysis.final_key_expr(trace)
     if args.coalition is not None:
@@ -245,7 +248,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 
 def cmd_wire(args: argparse.Namespace) -> int:
-    topo, variant = _layout(args)
+    topo, variant = _layout(args, wire.check_runnable)
     result = wire.orchestrate(
         topo,
         variant,

@@ -30,8 +30,8 @@ succeeds. B, with no peer nearer B, succeeds first, once every node has
 finished; A succeeds last. Any abort floods ABORT frames instead and stops
 the waves, so both endpoints abort. This matters on chains, where the
 origin endpoint finishes sending long before downstream tampering is
-detected. A node that has not finished `timeout` seconds after the run
-started aborts with TIMEOUT.
+detected. The run has one deadline: every node that has not finished
+`timeout` seconds after the run started aborts with TIMEOUT.
 
 Nodes write nothing. The run writes each endpoint's key file only when
 every node succeeded and the two endpoint keys agree. The protocol has no
@@ -39,11 +39,11 @@ key confirmation, so a relay that substitutes a payload under its genuine
 link key passes every node's checks; only the run, which sees both keys,
 can tell, and it then fails with exit 2 and writes no key.
 
-Teardown: a node that has finished, cleanly or by abort, half-closes every
-link, then reads each one until its peer half-closes too, for at most
-`timeout` seconds, and only then closes its sockets. A full close with unread
-data would make the kernel answer with a reset, and the reset destroys the
-frames the peer has not read yet, an ABORT among them.
+Teardown: a finished node half-closes every link, one that attaches later
+too, so a peer still running reads every frame it was sent, an ABORT among
+them, then the end of the stream. No socket closes while a node runs, as a
+close with unread data resets the link and destroys what the peer has not
+read. Once every node has finished, the run closes every listener and socket.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ import math
 import os
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
 from .bits import BitString, KeyStore, SecretId
 from .keyplan import Variant, plan_keys
@@ -74,6 +75,7 @@ __all__ = [
     "NodeResult",
     "NodeMachine",
     "WireRun",
+    "check_runnable",
     "orchestrate",
 ]
 
@@ -253,7 +255,7 @@ class NodeMachine:
     def feed(self, peer: str | None, event: bytes | FrameError | TimeoutError | None) -> Sends:
         """Take one inbound event: a whole frame from peer, None for peer's
         end of stream, the FrameError that stopped a read, or TimeoutError
-        for the node's deadline. peer is None for the deadline and for an
+        for the run's deadline. peer is None for the deadline and for an
         inbound link whose first frame did not authenticate."""
         return self._step(self._dispatch, peer, event)
 
@@ -390,132 +392,119 @@ class NodeMachine:
             self._send(peer, Frame(ftype, 0, payload))
 
 
-class _NodeRunner:
-    """Connects one NodeMachine to its TCP links on the running event loop."""
-
-    def __init__(self, machine: NodeMachine, loop, addrs, timeout: float) -> None:
-        self.m = machine
-        self.loop = loop
-        self.addrs = addrs  # node label -> (host, port) of its listener
-        self.timeout = timeout
-        self.server = None
-        self.routes: dict = {}  # peer label -> StreamWriter of its link
-        self.writers: list = []  # every link's StreamWriter, identified or not
-        self.tasks: list = []  # one reading task per link
-        self.finished = loop.create_future()
-        self.closed = False
-
-    async def run(self) -> NodeResult:
-        import asyncio
-
-        timer = self.loop.call_later(
-            self.timeout, lambda: self._emit(self.m.feed(None, TimeoutError()))
-        )
-        for peer in self.m.peers_out:
-            self.tasks.append(self.loop.create_task(self._dial(peer)))
-        await self.finished
-        timer.cancel()
-        # the drain: each link is read until its peer half-closes as well
-        with contextlib.suppress(asyncio.TimeoutError):
-            await asyncio.wait_for(asyncio.gather(*self.tasks), self.timeout)
-        self.closed = True
-        for writer in self.writers:
-            writer.close()
-            with contextlib.suppress(OSError):  # the peer reset the link
-                await writer.wait_closed()
-        if self.server is not None:
-            await self.server.wait_closed()
-        return NodeResult(self.m.cfg.label, self.m.code, self.m.transcript, self.m.output)
-
-    def _emit(self, sends: Sends) -> None:
-        for peer, blob in sends:
-            self.routes[peer].write(blob)
-        # stop listening once every inbound peer has linked, as a stray
-        # connection must not end a run that no longer accepts peers
-        if self.server is not None and (
-            self.m.code is not None or self.m.links.issuperset(self.m.peers_in)
-        ):
-            self.server.close()
-        if self.m.code is not None and not self.finished.done():
-            self.finished.set_result(None)
-            for writer in self.writers:
-                self._half_close(writer)
-
-    def _attach(self, writer) -> None:
-        self.writers.append(writer)
-        if self.finished.done():
-            self._half_close(writer)
-
-    @staticmethod
-    def _half_close(writer) -> None:
-        with contextlib.suppress(OSError):  # the peer already reset the link
-            writer.write_eof()
-
-    def accept(self, reader, writer) -> None:
-        if self.closed:  # connected after teardown began
-            writer.close()
-            return
-        self._attach(writer)
-        self.tasks.append(self.loop.create_task(self._link(reader, writer, None)))
-
-    async def _dial(self, peer: str) -> None:
-        import asyncio
-
-        try:
-            reader, writer = await asyncio.open_connection(*self.addrs[peer])
-        except OSError:  # every listener was bound first: the peer is gone
-            self._emit(self.m.feed(peer, None))
-            return
-        self._attach(writer)
-        self.routes[peer] = writer
-        self._emit(self.m.dialled(peer))
-        await self._link(reader, writer, peer)
-
-    async def _link(self, reader, writer, peer: str | None) -> None:
-        """Feed the link's events to the machine until its stream ends. An
-        inbound link (peer None) is identified by its first frame."""
-        while True:
-            try:
-                event = await _read_frame(reader)
-                if peer is None and event is not None:
-                    peer = self.m.identify(event)
-                    self.routes.setdefault(peer, writer)
-            except FrameError as exc:
-                event = exc
-            except OSError:  # a reset reads as the peer leaving
-                event = None
-            self._emit(self.m.feed(peer, event))
-            if not isinstance(event, bytes):
-                return
-
-
 async def _run_nodes(
     cfgs: list[NodeConfig],
     keys: dict[str, dict[SecretId, BitString]],
     addrs: dict[str, tuple[str, int]],
     timeout: float,
 ) -> dict[str, NodeResult]:
-    """Run every node, with its keys, on the running event loop; every
-    listener is bound before any node dials. If one node's listener cannot
-    bind, no node starts: the listeners bound so far are closed and only
-    that node's result comes back."""
+    """Run every node, with its keys, on the running event loop, and feed
+    each link's frames to its node. Every listener is bound before any node
+    dials. If one node's listener cannot bind, no node starts: the listeners
+    bound so far are closed and only that node's result comes back."""
     import asyncio
 
     loop = asyncio.get_running_loop()
-    runners: list[_NodeRunner] = []
-    for cfg in cfgs:
-        runner = _NodeRunner(NodeMachine(cfg, keys[cfg.label]), loop, addrs, timeout)
+    machines = [NodeMachine(cfg, keys[cfg.label]) for cfg in cfgs]
+    servers: dict[NodeMachine, asyncio.Server] = {}
+    routes: dict[NodeMachine, dict] = {m: {} for m in machines}  # peer label -> StreamWriter
+    writers: dict[NodeMachine, list] = {m: [] for m in machines}  # every link's, identified or not
+    tasks: list[asyncio.Task] = []  # one reading task per link end
+    running = set(machines)
+    finished = loop.create_future()
+
+    def emit(m: NodeMachine, sends: Sends) -> None:
+        for peer, blob in sends:
+            routes[m][peer].write(blob)
+        # stop listening once every inbound peer has linked, as a stray
+        # connection must not end a run that no longer accepts peers
+        if m in servers and (m.code is not None or m.links.issuperset(m.peers_in)):
+            servers[m].close()
+        if m.code is not None and m in running:
+            running.remove(m)
+            for writer in writers[m]:
+                half_close(writer)
+            if not running:
+                finished.set_result(None)
+
+    def half_close(writer) -> None:
+        with contextlib.suppress(OSError):  # the peer already reset the link
+            writer.write_eof()
+
+    def attach(m: NodeMachine, writer) -> None:
+        writers[m].append(writer)
+        if m.code is not None:
+            half_close(writer)
+
+    def accept(m: NodeMachine, reader, writer) -> None:
+        if finished.done():  # connected after the run ended
+            writer.close()
+            return
+        attach(m, writer)
+        tasks.append(loop.create_task(link(m, reader, writer, None)))
+
+    async def dial(m: NodeMachine, peer: str) -> None:
         try:
-            if runner.m.peers_in:
-                runner.server = await asyncio.start_server(runner.accept, *addrs[cfg.label])
-        except OSError as exc:
-            for bound in runners:
-                if bound.server is not None:
-                    bound.server.close()
-                    await bound.server.wait_closed()
-            return {cfg.label: NodeResult(cfg.label, 3, [f"{cfg.label}: CONFIG {exc}"])}
-        runners.append(runner)
-    return {res.label: res for res in await asyncio.gather(*(r.run() for r in runners))}
+            reader, writer = await asyncio.open_connection(*addrs[peer])
+        except OSError:  # every listener was bound first: the peer is gone
+            emit(m, m.feed(peer, None))
+            return
+        attach(m, writer)
+        routes[m][peer] = writer
+        emit(m, m.dialled(peer))
+        await link(m, reader, writer, peer)
+
+    async def link(m: NodeMachine, reader, writer, peer: str | None) -> None:
+        """Feed the link's events to m until its stream ends. An inbound
+        link (peer None) is identified by its first frame."""
+        while True:
+            try:
+                event = await _read_frame(reader)
+                if peer is None and event is not None:
+                    peer = m.identify(event)
+                    routes[m].setdefault(peer, writer)
+            except FrameError as exc:
+                event = exc
+            except OSError:  # a reset reads as the peer leaving
+                event = None
+            emit(m, m.feed(peer, event))
+            if not isinstance(event, bytes):
+                return
+
+    for m in machines:
+        if m.peers_in:
+            try:
+                servers[m] = await asyncio.start_server(partial(accept, m), *addrs[m.cfg.label])
+            except OSError as exc:
+                for server in servers.values():
+                    server.close()
+                label = m.cfg.label
+                return {label: NodeResult(label, 3, [f"{label}: CONFIG {exc}"])}
+
+    def expire() -> None:  # the run's one deadline; a finished node ignores it
+        for m in machines:
+            emit(m, m.feed(None, TimeoutError()))
+
+    timer = loop.call_later(timeout, expire)
+    tasks.extend(loop.create_task(dial(m, peer)) for m in machines for peer in m.peers_out)
+    await finished
+    # no node reads any more, so no close can destroy a frame still wanted
+    timer.cancel()
+    for server in servers.values():
+        server.close()
+    for task in tasks:
+        task.cancel()
+    await asyncio.wait(tasks)
+    for task in tasks:  # a fault in a dial or a link surfaces here
+        if not task.cancelled():
+            task.result()
+    links = [writer for ws in writers.values() for writer in ws]
+    for writer in links:
+        writer.transport.abort()  # drops unsent bytes, which no node would read
+    for writer in links:
+        with contextlib.suppress(OSError):  # the peer reset the link first
+            await writer.wait_closed()
+    return {m.cfg.label: NodeResult(m.cfg.label, m.code, m.transcript, m.output) for m in machines}
 
 
 def _node_keys(topo: Topology, store: KeyStore) -> dict[str, dict[SecretId, BitString]]:
@@ -573,6 +562,12 @@ class WireRun:
 
     def transcript(self) -> list[str]:
         return [line for label in sorted(self.results) for line in self.results[label].transcript]
+
+
+def check_runnable(count: int) -> None:
+    """Refuse a layout of more intermediaries than the hop limit before it is built."""
+    if count > _MAX_HOPS:
+        raise ValueError(f"{count} intermediaries exceed the wire limit of {_MAX_HOPS} hops")
 
 
 def orchestrate(

@@ -458,6 +458,31 @@ def test_wire_refuses_an_oversized_schedule_before_any_node_starts(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "layout, count",
+    [
+        (["--shape", "chain", "--m", "99999999999999999999"], 99999999999999999999),
+        (["--shape", "multipath", "--paths", "2," + "9" * 30], 2 + int("9" * 30)),
+        (["--config", "layout.cfg"], 1 << 70),
+    ],
+)
+def test_wire_refuses_an_oversized_layout_before_building_it(
+    tmp_path, monkeypatch, capsys, layout, count
+):
+    def refuse(*args):
+        raise AssertionError("built a layout past the wire's hop limit")
+
+    monkeypatch.setattr(cli, "build_topology", refuse)
+    (tmp_path / "layout.cfg").write_text(f"shape = chain\nm = {1 << 70}\n")
+    layout = [str(tmp_path / arg) if arg.endswith(".cfg") else arg for arg in layout]
+    code = main(["wire", *layout, "--output-dir", str(tmp_path / "out")])
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"keyhop: error: {count} intermediaries exceed the wire limit of 65536 hops\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("port", ["0", "65534"])
 def test_wire_refuses_ports_outside_the_tcp_range_before_any_node_starts(
     tmp_path, monkeypatch, capsys, port

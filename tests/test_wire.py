@@ -43,6 +43,8 @@ LONG_CHAIN_PORT = 22800  # chain m=100 listens on 22800..22901
 # generated layouts have at most 14 nodes; the blocks are reused in turn, as
 # hypothesis may replay an example
 GENERATED_PORTS = cycle(range(28000, 30000, 40))
+STRAY_PORT = 27000  # and 27040
+TIMEOUT_PORT = 27080
 
 
 def test_frame_round_trip():
@@ -360,10 +362,65 @@ def test_tampering_any_hop_of_a_long_chain_aborts_well_inside_the_timeout(tmp_pa
         assert elapsed < 0.5, f"hop {hop} took {elapsed:.3f} s"
 
 
-def test_failed_runs_close_every_socket_transport_and_loop(tmp_path):
+def _stray_run(out_dir, monkeypatch, base):
+    """Chain m=4 at timeout=2 on ports base..base+5, with an idle socket
+    connected to N1's listener as the first link comes up; the socket is
+    closed after the run. Returns the run and its wall time."""
+    topo = build_chain(4)
+    n1_port = base + [nd.label for nd in topo.nodes].index("N1")
+    strays = []
+    dialled = NodeMachine.dialled
+
+    def dialled_with_a_stray(self, peer):
+        if not strays:
+            strays.append(socket.create_connection(("127.0.0.1", n1_port)))
+        return dialled(self, peer)
+
+    monkeypatch.setattr(NodeMachine, "dialled", dialled_with_a_stray)
+    try:
+        start = time.perf_counter()
+        result = orchestrate(topo, Variant.CHAIN_M, 64, 5, base, str(out_dir), timeout=2.0)
+        elapsed = time.perf_counter() - start
+    finally:
+        for stray in strays:
+            stray.close()
+    assert len(strays) == 1
+    return result, elapsed
+
+
+def test_a_stray_connection_does_not_delay_the_run(tmp_path, monkeypatch):
+    # the stray never sends and never closes; the run must not wait for it
+    result, elapsed = _stray_run(tmp_path, monkeypatch, STRAY_PORT)
+    assert result.code == 0, result.report
+    assert _files(tmp_path) == ["key_A.hex", "key_B.hex"]
+    assert elapsed < 0.5, f"took {elapsed:.3f} s"
+
+
+def test_a_stalled_run_times_out_at_the_deadline(tmp_path, monkeypatch):
+    # N2 drops every relay, so no node can finish before the deadline
+    accept_relay = NodeMachine._accept_relay
+
+    def dropping(self, peer, frame):
+        if self.cfg.label != "N2":
+            accept_relay(self, peer, frame)
+
+    monkeypatch.setattr(NodeMachine, "_accept_relay", dropping)
+    start = time.perf_counter()
+    result = orchestrate(build_chain(4), Variant.CHAIN_M, 64, 5, TIMEOUT_PORT, str(tmp_path), timeout=1.0)
+    elapsed = time.perf_counter() - start
+    causes = "; ".join(f"{lab}: exit 2, {lab}: ABORT TIMEOUT" for lab in ["A", "B", "N1", "N2", "N3", "N4"])
+    assert (result.code, result.report) == (2, f"run failed (exit 2); {causes}")
+    assert _files(tmp_path) == []
+    assert elapsed < 1.5, f"took {elapsed:.3f} s"
+
+
+def test_failed_runs_close_every_socket_transport_and_loop(tmp_path, caplog):
     topo = build_chain(2)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
+        honest = _run(tmp_path / "honest", topo, Variant.CHAIN2, seed=3)
+        with pytest.MonkeyPatch.context() as mp:
+            stray, _ = _stray_run(tmp_path / "stray", mp, STRAY_PORT + 40)
         with pytest.MonkeyPatch.context() as mp:
             _drop_key(mp, "N1", "K[N1,B]")
             missing = _run(tmp_path / "missing", topo, Variant.CHAIN2, seed=3)
@@ -372,8 +429,11 @@ def test_failed_runs_close_every_socket_transport_and_loop(tmp_path):
             _mismatch_descriptor(mp, "N1")
             refused = _run(tmp_path / "refused", topo, Variant.CHAIN2, seed=3)
         gc.collect()
-    assert (missing.code, tampered.code, refused.code) == (3, 2, 2)
+    assert (honest.code, stray.code, missing.code, tampered.code, refused.code) == (0, 0, 3, 2, 2)
     assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+    logged = [r.getMessage() for r in caplog.records if r.name == "asyncio"]
+    leaks = ("Task was destroyed but it is pending", "exception was never retrieved")
+    assert [msg for msg in logged if any(leak in msg for leak in leaks)] == []
 
 
 @pytest.mark.parametrize(
