@@ -57,6 +57,7 @@ __all__ = [
     "recover_bits",
     "min_breaking_coalitions",
     "coalition_rows",
+    "coalition_audit",
     "check_enumerable",
     "coalition_report_csv",
     "brute_force_secrecy",
@@ -305,14 +306,19 @@ def _members(items: tuple, coal: int) -> list:
     return out
 
 
+def _coalitions(trace: ProtocolTrace, minimal: list[int]) -> list[Coalition]:
+    """The bitmasks as coalitions of the intermediaries."""
+    inter = trace.topology.intermediaries
+    return [Coalition(frozenset(_members(inter, coal))) for coal in minimal]
+
+
 def min_breaking_coalitions(
     trace: ProtocolTrace, target: SymbolicExpr | None = None
 ) -> list[Coalition]:
     """All minimal intermediary coalitions that recover the target
     (final key by default), smallest first, then by member position."""
     target = target if target is not None else final_key_expr(trace)
-    inter = trace.topology.intermediaries
-    return [Coalition(frozenset(_members(inter, coal))) for coal in _minimal_masks(trace, target)]
+    return _coalitions(trace, _minimal_masks(trace, target))
 
 
 def coalition_rows(
@@ -320,16 +326,31 @@ def coalition_rows(
 ) -> list[tuple[str, str, str, str]]:
     """One (variant, topology, coalition, status) row per intermediary
     coalition, smallest first, then by member positions; a row is BROKEN iff
-    it contains a minimal breaking one.
+    it contains a minimal breaking one."""
+    check_enumerable(len(trace.topology.intermediaries))  # before any 2^m table
+    target = target if target is not None else final_key_expr(trace)
+    return _rows(trace, _minimal_masks(trace, target))
+
+
+def coalition_audit(
+    trace: ProtocolTrace, target: SymbolicExpr | None = None
+) -> tuple[list[Coalition], list[tuple[str, str, str, str]]]:
+    """min_breaking_coalitions and coalition_rows from one search."""
+    check_enumerable(len(trace.topology.intermediaries))  # before any 2^m table
+    target = target if target is not None else final_key_expr(trace)
+    minimal = _minimal_masks(trace, target)
+    return _coalitions(trace, minimal), _rows(trace, minimal)
+
+
+def _rows(trace: ProtocolTrace, minimal: list[int]) -> list[tuple[str, str, str, str]]:
+    """coalition_rows' rows, given the minimal breaking coalitions as
+    bitmasks over the intermediaries.
 
     Both tables are indexed by coalition bitmask over the intermediaries in
     label order, the order a name joins them in. The names holding the r-th
     label are the first 2^r names with it appended. The verdict bytes are 1
     at each minimal set, closed upward one bit at a time: the entries with
     bit r clear, moved up by 2^r entries, are ORed in."""
-    check_enumerable(len(trace.topology.intermediaries))  # before any 2^m table
-    target = target if target is not None else final_key_expr(trace)
-    minimal = _minimal_masks(trace, target)
     inter = trace.topology.intermediaries
     m = len(inter)
     bit = [0] * m  # intermediary position -> its bit in label order
@@ -411,12 +432,14 @@ def brute_force_secrecy(
     for secrets, components in blocks:
         if target.terms.isdisjoint(secrets):
             continue
-        table = np.zeros(1 << len(secrets), dtype=np.uint64)
+        # 31 components and the target bit fit 32 bits, which halves the table
+        dtype = np.uint32 if len(components) < 32 else np.uint64
+        table = np.zeros(1 << len(secrets), dtype=dtype)
         for i, sid in enumerate(secrets):
             column = sum(2 << k for k, comp in enumerate(components) if sid in comp)
             column |= sid in target.terms
             low, high = 1 << i, 2 << i
-            np.bitwise_xor(table[:low], np.uint64(column), out=table[low:high])
+            np.bitwise_xor(table[:low], dtype(column), out=table[low:high])
         table.sort()
         verdicts.append(_grouped_verdict(table))
     return Status.SECURE if Status.SECURE in verdicts else Status.BROKEN
@@ -464,7 +487,7 @@ def _grouped_verdict(table) -> Status:
     target-1 entries (every view holds as many of each)."""
     import numpy as np
 
-    one = np.uint64(1)
+    one = table.dtype.type(1)
     if not np.any((table[1:] ^ table[:-1]) == one):
         return Status.BROKEN
     ones = (table & one).astype(bool)

@@ -63,11 +63,12 @@ def _refuse_ignored(args: argparse.Namespace, mode: str, names: tuple[str, ...])
 
 
 def _layout(
-    args: argparse.Namespace, check: Callable[[int], None] | None = None
+    args: argparse.Namespace, check: Callable[[int], None] = wire.check_runnable
 ) -> tuple[Topology, Variant]:
     """The layout the flags or the config file name, and the variant to run
-    on it: --variant, else the shape's default. check, if given, may refuse
-    the layout's intermediary count before the layout is built."""
+    on it: --variant, else the shape's default. check refuses the layout's
+    intermediary count before the layout is built; every command is bound
+    by the wire's hop limit, so an absurd --m fails at once, not in memory."""
     if args.config:
         _refuse_ignored(args, "--config", ("shape", *_SHAPE_FLAGS))
         with open(args.config, encoding="utf-8") as fh:
@@ -79,8 +80,7 @@ def _layout(
         keys = {k: str(v) for k in _SHAPE_FLAGS if (v := getattr(args, k)) is not None}
         if shape is Shape.REACH:
             keys.setdefault("t", "2")
-    if check is not None:
-        check(intermediary_count(shape, keys))
+    check(intermediary_count(shape, keys))
     topo = build_topology(shape, keys, link_km)
     variant = Variant(args.variant) if args.variant else Variant.default_for(topo.shape)
     return topo, variant
@@ -130,7 +130,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.oracle and args.coalition is None:
         raise ValueError("--oracle checks one coalition; give --coalition")
     # coalitions.csv has 2^m rows; refuse before the layout is built
-    topo, variant = _layout(args, analysis.check_enumerable if args.coalition is None else None)
+    topo, variant = _layout(
+        args, analysis.check_enumerable if args.coalition is None else wire.check_runnable
+    )
     trace = run(topo, variant, args.n, random.Random(args.seed))
     target = analysis.final_key_expr(trace)
     if args.coalition is not None:
@@ -148,7 +150,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             if oracle is not verdict.status:
                 return 1
         return 0
-    minimal = analysis.min_breaking_coalitions(trace, target)
+    minimal, rows = analysis.coalition_audit(trace, target)
     if minimal:
         smallest = min(len(c.members) for c in minimal)
         print(f"minimal breaking coalitions (size {smallest} minimum):")
@@ -156,7 +158,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             print(f"  {coal.describe()} ({len(coal.members)} nodes)")
     else:
         print("no intermediary coalition breaks this run")
-    rows = analysis.coalition_rows(trace, target)
     path = _out_path(args, "coalitions.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(analysis.coalition_report_csv(rows))
@@ -248,7 +249,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 
 def cmd_wire(args: argparse.Namespace) -> int:
-    topo, variant = _layout(args, wire.check_runnable)
+    topo, variant = _layout(args)
     result = wire.orchestrate(
         topo,
         variant,
@@ -269,53 +270,72 @@ def cmd_wire(args: argparse.Namespace) -> int:
     return result.code
 
 
+def _simulate_flags(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
+    p.add_argument("--hardware", action="store_true", help="print per-node hardware needs")
+
+
+def _analyze_flags(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
+    p.add_argument("--coalition", help="comma-separated node labels")
+    p.add_argument("--oracle", action="store_true", help="cross-check with the truth-table sweep")
+    p.add_argument("--grid", action="store_true", help="minimum colluders over paths x reach")
+    p.add_argument("--grid-paths", default="1,2,3")
+    p.add_argument("--grid-reach", default="1,2,3")
+
+
+def _rate_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--alpha", type=float, default=0.2, help="fiber loss in dB/km")
+    p.add_argument("--threshold", type=float, help="usefulness floor in bps")
+    p.add_argument("--params", help="rate config file overriding the calibration")
+    p.add_argument("--families", help="comma-separated curve families")
+    p.add_argument("--from-km", type=int, default=0)
+    p.add_argument("--to-km", type=int, default=2200)
+    p.add_argument("--step-km", type=int, default=10)
+    p.add_argument("--max-range-m", type=int, help="print the reach of the m-relay scheme")
+    p.add_argument("--output-dir", default=".")
+
+
+def _attack_flags(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
+    p.add_argument("--coalition", help="comma-separated node labels (default: none corrupted)")
+    p.add_argument("--active", action="store_true", help="active substitution leakage table")
+
+
+def _wire_flags(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
+    p.add_argument("--base-port", type=int, default=9000)
+    p.add_argument("--tamper", type=int, help="flip a bit in this hop's frame (test hook)")
+    p.add_argument("--timeout", type=float, default=10.0)
+    p.add_argument("--transcripts", action="store_true", help="print per-node transcripts")
+
+
+# command -> (help, flag adder, handler)
+_COMMANDS = {
+    "simulate": ("run a protocol and export the trace", _simulate_flags, cmd_simulate),
+    "analyze": ("coalition secrecy analysis", _analyze_flags, cmd_analyze),
+    "rate": ("rate-versus-distance curves and anchors", _rate_flags, cmd_rate),
+    "attack": ("demonstrate a concrete key recovery", _attack_flags, cmd_attack),
+    "wire": ("run the protocol over localhost TCP", _wire_flags, cmd_wire),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = _Parser(prog="keyhop", description=__doc__.split("\n\n")[1])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sim = sub.add_parser("simulate", help="run a protocol and export the trace")
-    _add_common(p_sim)
-    p_sim.add_argument("--hardware", action="store_true", help="print per-node hardware needs")
-    p_sim.set_defaults(fn=cmd_simulate)
-
-    p_an = sub.add_parser("analyze", help="coalition secrecy analysis")
-    _add_common(p_an)
-    p_an.add_argument("--coalition", help="comma-separated node labels")
-    p_an.add_argument("--oracle", action="store_true", help="cross-check with the truth-table sweep")
-    p_an.add_argument("--grid", action="store_true", help="minimum colluders over paths x reach")
-    p_an.add_argument("--grid-paths", default="1,2,3")
-    p_an.add_argument("--grid-reach", default="1,2,3")
-    p_an.set_defaults(fn=cmd_analyze)
-
-    p_rate = sub.add_parser("rate", help="rate-versus-distance curves and anchors")
-    p_rate.add_argument("--alpha", type=float, default=0.2, help="fiber loss in dB/km")
-    p_rate.add_argument("--threshold", type=float, help="usefulness floor in bps")
-    p_rate.add_argument("--params", help="rate config file overriding the calibration")
-    p_rate.add_argument("--families", help="comma-separated curve families")
-    p_rate.add_argument("--from-km", type=int, default=0)
-    p_rate.add_argument("--to-km", type=int, default=2200)
-    p_rate.add_argument("--step-km", type=int, default=10)
-    p_rate.add_argument("--max-range-m", type=int, help="print the reach of the m-relay scheme")
-    p_rate.add_argument("--output-dir", default=".")
-    p_rate.set_defaults(fn=cmd_rate)
-
-    p_atk = sub.add_parser("attack", help="demonstrate a concrete key recovery")
-    _add_common(p_atk)
-    p_atk.add_argument("--coalition", help="comma-separated node labels (default: none corrupted)")
-    p_atk.add_argument("--active", action="store_true", help="active substitution leakage table")
-    p_atk.set_defaults(fn=cmd_attack)
-
-    p_wire = sub.add_parser("wire", help="run the protocol over localhost TCP")
-    _add_common(p_wire)
-    p_wire.add_argument("--base-port", type=int, default=9000)
-    p_wire.add_argument("--tamper", type=int, help="flip a bit in this hop's frame (test hook)")
-    p_wire.add_argument("--timeout", type=float, default=10.0)
-    p_wire.add_argument("--transcripts", action="store_true", help="print per-node transcripts")
-    p_wire.set_defaults(fn=cmd_wire)
+    # Every command is listed, but only the one argparse will run gets its
+    # flags: the top-level parser takes no option values, so that is the
+    # first argument naming a command.
+    named = next((arg for arg in argv if arg in _COMMANDS), None)
+    for name, (help_text, add_flags, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == named:
+            add_flags(p)
 
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return _COMMANDS[args.command][2](args)
     except (ValueError, OSError) as exc:
         print(f"keyhop: error: {exc}", file=sys.stderr)
         return 3

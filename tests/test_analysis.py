@@ -17,6 +17,7 @@ from keyhop.analysis import (
     _view_blocks,
     active_attack_leakage,
     brute_force_secrecy,
+    coalition_audit,
     coalition_report_csv,
     coalition_rows,
     collusion_grid,
@@ -254,6 +255,26 @@ def test_truth_table_sweeps_chain_m21_at_24_secrets():
     wider = run(build_chain(22), Variant.CHAIN_M, 1, random.Random(0))
     with pytest.raises(ValueError, match="too many secrets for a full truth-table sweep"):
         brute_force_secrecy(wider, coal, final_key_expr(wider))
+
+
+@pytest.mark.parametrize(
+    "members, width",
+    [
+        ((1, 2, 3, 5, 7, 8, 10, 11, 12, 13, 15), 31),
+        ((1, 2, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15), 32),
+        ((1, 2, 3, 5, 6, 8, 9, 10, 11, 12, 13, 14, 15), 33),
+    ],
+)
+def test_truth_table_packs_views_on_either_side_of_32_bits(members, width):
+    # a table entry holds the target bit and one bit per view component, so
+    # 31 components fill 32 bits and 32 or more need 64
+    trace = run(build_chain(15), Variant.CHAIN_M, 1, random.Random(0))
+    coal = _coalition(trace, *(f"N{i}" for i in members))
+    ((_, components),) = _view_blocks(trace, view_of(trace, coal))
+    assert len(components) == width
+    target = final_key_expr(trace)
+    assert is_recoverable(view_of(trace, coal), target).status is Status.BROKEN
+    assert brute_force_secrecy(trace, coal, target) is Status.BROKEN
 
 
 def test_truth_table_sweeps_multipath_4444_at_48_secrets():
@@ -508,6 +529,10 @@ def test_coalition_rows_list_separators_once_and_never_eliminate(monkeypatch):
         assert len(calls) == len(topo.paths)
         assert len(coalition_rows(trace)) == 2 ** len(topo.intermediaries)
         assert len(calls) == 2 * len(topo.paths)
+        calls.clear()  # the audit reads both off one search
+        minimal, rows = coalition_audit(trace)
+        assert len(calls) == len(topo.paths)
+        assert (minimal, rows) == (min_breaking_coalitions(trace), coalition_rows(trace))
 
 
 def test_minimal_search_rejects_other_targets():
@@ -581,8 +606,9 @@ def test_coalition_rows_refuse_before_any_search(monkeypatch):
 
     trace = _trace(build_chain(ENUMERATION_CAP + 1), Variant.CHAIN_M, n=1)
     monkeypatch.setattr(analysis, "_minimal_masks", refuse)
-    with pytest.raises(ValueError, match="exceeds the exhaustive enumeration cap of 20"):
-        coalition_rows(trace)
+    for enumerate_all in (coalition_rows, coalition_audit):
+        with pytest.raises(ValueError, match="exceeds the exhaustive enumeration cap of 20"):
+            enumerate_all(trace)
 
 
 @pytest.mark.parametrize(

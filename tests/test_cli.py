@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 import keyhop
-from keyhop import cli
+from keyhop import analysis, cli
 from keyhop.cli import main
 
 from test_wire import _insider
@@ -127,6 +128,16 @@ def test_analyze_refuses_past_the_cap_before_building_the_layout(
     cap = "intermediaries exceeds the exhaustive enumeration cap of 20"
     assert err == f"keyhop: error: {count} {cap}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_analyze_searches_the_minimal_sets_once(tmp_path, monkeypatch, capsys):
+    # the printed minimal sets and coalitions.csv are read off one search
+    calls = []
+    search = analysis._minimal_masks
+    monkeypatch.setattr(analysis, "_minimal_masks", lambda *a: calls.append(a) or search(*a))
+    assert main(["analyze", "--shape", "chain", "--m", "6", "--output-dir", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    assert "  N1+N2 (2 nodes)\n" in capsys.readouterr().out
 
 
 def test_output_does_not_depend_on_the_hash_seed(tmp_path):
@@ -599,3 +610,93 @@ def test_bad_flag_exits_three(tmp_path, capsys):
         main(["simulate", "--shape", "hexagon", "--output-dir", str(tmp_path)])
     assert err.value.code == 3
     capsys.readouterr()
+
+
+# sha256 of stdout + NUL + stderr at COLUMNS=80, with the exit code, for the
+# top-level help, each command's help and a few usage errors: building only
+# the named command's flags must leave every one of these texts unchanged
+_USAGE_DIGESTS = [
+    ([], 3, "523be04f4fd47bd09a79bde5af241ed0f2fd3ea250ce46e2058d900bc8f5255a"),
+    (["--help"], 0, "65bc139eb6400a4ec52371a1e3eb368a10cf8378d04bf76c332d84df70b29f5f"),
+    (["bogus"], 3, "c7b24e7ce47ae977eb8d1b04e7031b6e169706f5d843141c21bbc503debd4c22"),
+    (["simulate", "--help"], 0, "230539d846c6f425c756764d1919a5eb6bd2e2abca33eb6fa8d4b56a42564964"),
+    (["analyze", "--help"], 0, "7ed4ea42f008f4e5ce96cac68b3de717cb511b44c02d8687953b0325e997c58b"),
+    (["rate", "--help"], 0, "29c8848622955d8ec5b9f449d96f61f9c267ca5a7d31f94aa46892333e88acdf"),
+    (["attack", "--help"], 0, "1272a8f6012489501672b665d959fe6ca01f5bd64171f6614dc58a09f9364b58"),
+    (["wire", "--help"], 0, "c9b880433820847c7161a43118f3e65c8bfcdcd1cd9927e90405755e89a40a71"),
+    (["analyze", "--bogus"], 3, "edd1652037a5d62dad0c2172e28fa3ca7bb2870226a32912197f03e9539c915b"),
+    # the command is the first argument naming one, not argv[0]
+    (
+        ["--bogus", "analyze", "--shape", "chain"],
+        3,
+        "edd1652037a5d62dad0c2172e28fa3ca7bb2870226a32912197f03e9539c915b",
+    ),
+    (["analyze", "--m", "x"], 3, "06faaa264fe62281a65e948aa4e0ef5da0ab794556259ff0703fb7d04d47e7df"),
+    (["wire", "--timeout"], 3, "02443c83757bdfc2d841ce92324147a13325d83fb9dfe337e2fe31df1cb13933"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest", _USAGE_DIGESTS, ids=[" ".join(argv) or "-" for argv, _, _ in _USAGE_DIGESTS]
+)
+def test_help_and_usage_text_is_pinned(argv, code, digest, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == code
+    assert hashlib.sha256(f"{out}\0{err}".encode()).hexdigest() == digest
+
+
+def test_a_command_builds_only_its_own_flags(tmp_path, monkeypatch, capsys):
+    def refuse(p):
+        raise AssertionError("built the layout flags for rate")
+
+    monkeypatch.setattr(cli, "_add_common", refuse)  # rate takes no layout flags
+    assert main(["rate", "--output-dir", str(tmp_path)]) == 0
+    monkeypatch.undo()
+
+    built = []
+    for name, (help_text, add_flags, handler) in cli._COMMANDS.items():
+        def record(p, name=name, add_flags=add_flags):
+            built.append(name)
+            add_flags(p)
+
+        monkeypatch.setitem(cli._COMMANDS, name, (help_text, record, handler))
+    assert main(["analyze", "--shape", "ring6", "--output-dir", str(tmp_path)]) == 0
+    assert built == ["analyze"]
+    for name in cli._COMMANDS:
+        built.clear()
+        with pytest.raises(SystemExit):
+            main([name, "--help"])
+        assert built == [name]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command", [["simulate"], ["attack"], ["analyze", "--coalition", "N1"]], ids=lambda c: c[0]
+)
+@pytest.mark.parametrize(
+    "layout, count",
+    [
+        (["--shape", "chain", "--m", "99999999999999999999"], 99999999999999999999),
+        (["--shape", "multipath", "--paths", "2," + "9" * 30], 2 + int("9" * 30)),
+        (["--config", "layout.cfg"], 1 << 70),
+    ],
+    ids=["chain", "multipath", "config"],
+)
+def test_every_command_refuses_an_oversized_layout_before_building_it(
+    tmp_path, monkeypatch, capsys, command, layout, count
+):
+    def refuse(*args):
+        raise AssertionError("built a layout past the wire's hop limit")
+
+    monkeypatch.setattr(cli, "build_topology", refuse)
+    (tmp_path / "layout.cfg").write_text(f"shape = chain\nm = {1 << 70}\n")
+    layout = [str(tmp_path / arg) if arg.endswith(".cfg") else arg for arg in layout]
+    code = main([*command, *layout, "--output-dir", str(tmp_path / "out")])
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"keyhop: error: {count} intermediaries exceed the wire limit of 65536 hops\n"
+    assert not (tmp_path / "out").exists()
