@@ -633,6 +633,30 @@ _USAGE_DIGESTS = [
     ),
     (["analyze", "--m", "x"], 3, "06faaa264fe62281a65e948aa4e0ef5da0ab794556259ff0703fb7d04d47e7df"),
     (["wire", "--timeout"], 3, "02443c83757bdfc2d841ce92324147a13325d83fb9dfe337e2fe31df1cb13933"),
+    # argv the command's own parser leaves extras in, or never sees: the
+    # listing parser reports them with the top-level usage
+    (
+        ["analyze", "--shape", "ring6", "stray"],
+        3,
+        "6f93d8f8b74875ea35c4c2aa2e0fec465fe7280ff310237a342d1a698d96063a",
+    ),
+    (
+        ["simulate", "--shape", "ring6", "--oracle"],
+        3,
+        "56ad5d6fa23d96b72e0e46fd3bf4caea722696ed3ff41f24f7c922b0e795a289",
+    ),
+    (["anal", "--shape", "ring6"], 3, "82a8fbaa22f43f8715d8027c48a55e8ee8923ece10ba5672ce7d394b26ee7ebe"),
+    (
+        ["analyze", "--", "--shape", "ring6"],
+        3,
+        "3bd06ba770f166c792a5bd63be2beaba82191afcd50083a5abc3e7dbd6e42cc3",
+    ),
+    (["wire", "-h", "--bogus"], 0, "c9b880433820847c7161a43118f3e65c8bfcdcd1cd9927e90405755e89a40a71"),
+    (
+        ["rate", "--alpha", "0.3", "analyze"],
+        3,
+        "f49e789a1045ef81945a4468256d0150b4a1608a6539e5406d40ae772c6ec678",
+    ),
 ]
 
 
