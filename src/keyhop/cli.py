@@ -19,11 +19,17 @@ import random
 import sys
 from collections.abc import Callable
 
-from . import analysis, ratemodel, wire
 from .bits import SymbolicExpr
 from .keyplan import Variant, cm_report, plan_keys
 from .protocol import run, trace_json, trace_text
-from .topology import Shape, Topology, build_topology, intermediary_count, parse_layout_config
+from .topology import (
+    Shape,
+    Topology,
+    build_topology,
+    check_runnable,
+    intermediary_count,
+    parse_layout_config,
+)
 
 __all__ = ["main"]
 
@@ -63,7 +69,7 @@ def _refuse_ignored(args: argparse.Namespace, mode: str, names: tuple[str, ...])
 
 
 def _layout(
-    args: argparse.Namespace, check: Callable[[int], None] = wire.check_runnable
+    args: argparse.Namespace, check: Callable[[int], None] = check_runnable
 ) -> tuple[Topology, Variant]:
     """The layout the flags or the config file name, and the variant to run
     on it: --variant, else the shape's default. check refuses the layout's
@@ -91,9 +97,11 @@ def _out_path(args: argparse.Namespace, name: str) -> str:
     return os.path.join(args.output_dir, name)
 
 
-def _parse_coalition(trace, text: str) -> analysis.Coalition:
+def _parse_coalition(trace, text: str):
+    from .analysis import Coalition
+
     labels = [part.strip() for part in text.split(",") if part.strip()]
-    return analysis.Coalition(frozenset(trace.topology.node(lab) for lab in labels))
+    return Coalition(frozenset(trace.topology.node(lab) for lab in labels))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -114,6 +122,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from . import analysis
+
     if args.grid:
         _refuse_ignored(args, "--grid", ("coalition", "oracle", *_LAYOUT_FLAGS))
         path_counts, reaches = _parse_int_list(args.grid_paths), _parse_int_list(args.grid_reach)
@@ -131,7 +141,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise ValueError("--oracle checks one coalition; give --coalition")
     # coalitions.csv has 2^m rows; refuse before the layout is built
     topo, variant = _layout(
-        args, analysis.check_enumerable if args.coalition is None else wire.check_runnable
+        args, analysis.check_enumerable if args.coalition is None else check_runnable
     )
     trace = run(topo, variant, args.n, random.Random(args.seed))
     target = analysis.final_key_expr(trace)
@@ -170,6 +180,8 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def cmd_rate(args: argparse.Namespace) -> int:
+    from . import ratemodel
+
     if args.from_km > args.to_km or args.step_km < 1:
         raise ValueError("rate needs --from-km <= --to-km and --step-km >= 1")
     if args.params:
@@ -215,6 +227,8 @@ def cmd_rate(args: argparse.Namespace) -> int:
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
+    from . import analysis
+
     if args.active:
         _refuse_ignored(args, "--active", ("coalition", *_LAYOUT_FLAGS))
         worst, per = analysis.max_active_attack_leakage()
@@ -249,6 +263,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 
 def cmd_wire(args: argparse.Namespace) -> int:
+    from . import wire
+
     topo, variant = _layout(args)
     result = wire.orchestrate(
         topo,
@@ -320,20 +336,39 @@ _COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+def _listing_parser(argv: list[str]) -> _Parser:
+    """The top-level parser. Every command is listed, but only the one
+    argparse will run gets its flags: the top-level parser takes no option
+    values, so that is the first argument naming a command."""
     parser = _Parser(prog="keyhop", description=__doc__.split("\n\n")[1])
     sub = parser.add_subparsers(dest="command", required=True)
-    # Every command is listed, but only the one argparse will run gets its
-    # flags: the top-level parser takes no option values, so that is the
-    # first argument naming a command.
     named = next((arg for arg in argv if arg in _COMMANDS), None)
     for name, (help_text, add_flags, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if name == named:
             add_flags(p)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    # When argv[0] names a command, the listing parser hands argv[1:] to
+    # that command's subparser, a _Parser with prog "keyhop <name>", and
+    # adds only the command's name. So that parser alone parses argv[1:],
+    # with the same help, usage and errors. Any other argv, and one that it
+    # leaves extras in, goes to the listing parser, which reports the extras
+    # with the top-level usage.
+    if argv and argv[0] in _COMMANDS:
+        p = _Parser(prog=f"keyhop {argv[0]}")
+        _COMMANDS[argv[0]][1](p)
+        args, extras = p.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return _listing_parser(argv).parse_args(argv)
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return _COMMANDS[args.command][2](args)
     except (ValueError, OSError) as exc:

@@ -22,6 +22,8 @@ __all__ = [
     "build_multipath",
     "build_topology",
     "intermediary_count",
+    "MAX_HOPS",
+    "check_runnable",
     "parse_kv",
     "parse_layout_config",
     "parse_topology_config",
@@ -251,6 +253,16 @@ def intermediary_count(shape: Shape, keys: dict[str, str]) -> int:
     if shape is Shape.MULTIPATH:
         return sum(int(v) for v in keys.get("paths", "0").split(","))
     return int(keys.get("m", "0"))
+
+
+MAX_HOPS = 1 << 16  # the wire numbers hops with a u16 index
+
+
+def check_runnable(count: int) -> None:
+    """Refuse a layout of more intermediaries than the wire's hop limit
+    before it is built; every command is bound by it."""
+    if count > MAX_HOPS:
+        raise ValueError(f"{count} intermediaries exceed the wire limit of {MAX_HOPS} hops")
 
 
 def parse_layout_config(text: str) -> tuple[Shape, dict[str, str], float]:

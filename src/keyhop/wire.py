@@ -8,6 +8,11 @@ Frame layout, integers big-endian:
     payload bytes raw bitstring bytes for RELAY, empty for DONE, UTF-8 text otherwise
     tag     32B   HMAC-SHA256 over type+index+payload with the link key
 
+Each link's key is 32 bytes drawn with `secrets` once per run, as a
+pre-shared authentication key would be: no public input (layout, variant,
+n, seed) derives it, so no outsider can tag a frame and no frame of one run
+is accepted in another.
+
 A frame's tag is verified before any payload byte is acted on. Each node
 walks the hops of the compiled Schedule the in-process engine executes that
 name it, in schedule order, holding only the secrets that name it as an end.
@@ -49,18 +54,18 @@ read. Once every node has finished, the run closes every listener and socket.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import hmac
 import math
 import os
 import random
+import secrets
 from dataclasses import dataclass, field
 from functools import partial
 
 from .bits import BitString, KeyStore, SecretId
 from .keyplan import Variant, plan_keys
 from .protocol import AbsorbRule, Hop, Schedule, compile_schedule, make_store
-from .topology import Topology
+from .topology import MAX_HOPS, Topology
 
 __all__ = [
     "FRAME_HELLO",
@@ -75,7 +80,6 @@ __all__ = [
     "NodeResult",
     "NodeMachine",
     "WireRun",
-    "check_runnable",
     "orchestrate",
 ]
 
@@ -89,7 +93,6 @@ TAG_LEN = 32
 _MIN_BODY = 3  # type + index
 MAX_FRAME = 1 << 22
 _MAX_PAYLOAD = MAX_FRAME - _MIN_BODY - TAG_LEN
-_MAX_HOPS = 1 << 16  # hop indices travel as u16
 
 
 class FrameError(Exception):
@@ -168,7 +171,7 @@ class NodeConfig:
     absorbs: tuple[AbsorbRule, ...]  # the schedule's absorbs at this node
     up: set[str]  # neighbours one step nearer A
     n: int
-    link_keys: dict[str, bytes]  # peer label -> HMAC key for that link
+    link_keys: dict[str, bytes]  # peer label -> that link's secret HMAC key
     descriptor: str  # run descriptor announced and expected in HELLO
     tamper_index: int | None = None
 
@@ -527,8 +530,8 @@ def _node_configs(
     hops: dict[str, list[Hop]] = {nd.label: [] for nd in nodes}
     for hop in schedule.hops:
         s, r = hop.sender.label, hop.receiver.label
-        key = hashlib.sha256(f"link|{descriptor}|{min(s, r)}|{max(s, r)}".encode()).digest()
-        link_keys[s][r] = link_keys[r][s] = key
+        if r not in link_keys[s]:  # a ring or reach link carries several hops
+            link_keys[s][r] = link_keys[r][s] = secrets.token_bytes(32)
         hops[s].append(hop)
         hops[r].append(hop)
     absorbs: dict[str, list[AbsorbRule]] = {nd.label: [] for nd in nodes}
@@ -564,12 +567,6 @@ class WireRun:
         return [line for label in sorted(self.results) for line in self.results[label].transcript]
 
 
-def check_runnable(count: int) -> None:
-    """Refuse a layout of more intermediaries than the hop limit before it is built."""
-    if count > _MAX_HOPS:
-        raise ValueError(f"{count} intermediaries exceed the wire limit of {_MAX_HOPS} hops")
-
-
 def orchestrate(
     topo: Topology,
     variant: Variant,
@@ -588,8 +585,8 @@ def orchestrate(
     """
     # hop indices are u16; refuse an oversized schedule before building it
     hops = sum(len(p) - 1 for p in topo.paths)
-    if hops > _MAX_HOPS:
-        raise ValueError(f"{hops} hops exceed the wire limit of {_MAX_HOPS}")
+    if hops > MAX_HOPS:
+        raise ValueError(f"{hops} hops exceed the wire limit of {MAX_HOPS}")
     last_port = base_port + len(topo.nodes) - 1
     if base_port < 1 or last_port > 65535:
         raise ValueError(f"ports {base_port}..{last_port} fall outside 1..65535")

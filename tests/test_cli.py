@@ -697,6 +697,75 @@ def test_a_command_builds_only_its_own_flags(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def _count_parsers(monkeypatch):
+    """The prog of every _Parser main builds from now on; the listing
+    parser's subparsers are built through type(self), so they count too."""
+    progs = []
+
+    class Counting(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", Counting)
+    return progs
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--shape", "ring6"],
+        ["simulate", "--shape", "chain", "--m", "3"],
+        ["rate", "--to-km", "0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_command_that_runs_builds_one_parser(tmp_path, monkeypatch, capsys, argv):
+    progs = _count_parsers(monkeypatch)
+    assert main([*argv, "--output-dir", str(tmp_path)]) == 0
+    assert progs == [f"keyhop {argv[0]}"]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["analyze", "--shape", "ring6", "stray"], ["rate", "--alpha", "0.3", "analyze"]],
+    ids=["help", "stray", "second-command"],
+)
+def test_other_argv_reaches_the_listing_parser(monkeypatch, capsys, argv):
+    progs = _count_parsers(monkeypatch)
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert "keyhop" in progs  # the listing parser, with every command's subparser
+    assert len(progs) - progs.index("keyhop") == 1 + len(cli._COMMANDS)
+    capsys.readouterr()
+
+
+# argv main runs successfully elsewhere in this file, output dirs aside
+_RUNNING_ARGV = [
+    ["simulate", "--shape", "ring6", "--variant", "ring-v1", "--n", "16", "--seed", "7"],
+    ["simulate", "--shape", "ring6", "--hardware", "--output-dir", "out"],
+    ["simulate", "--shape", "multipath", "--paths", "3,3,4", "--t", "2"],
+    ["simulate", "--config", "chain.cfg", "--output-dir", "out"],
+    ["analyze", "--shape", "ring6", "--variant", "ring-v2", "--output-dir", "out"],
+    ["analyze", "--coalition", "N1,N4", "--shape", "chain", "--m", "6"],
+    ["analyze", "--shape", "chain", "--m", "2", "--variant", "chain2", "--coalition", "N1,N2", "--oracle"],
+    ["analyze", "--grid", "--grid-paths", "1,2", "--grid-reach", "1", "--output-dir", "out"],
+    ["attack", "--shape", "ring6", "--variant", "ring-v1", "--output-dir", "out"],
+    ["attack", "--active"],
+    ["rate", "--to-km", "700", "--step-km", "100", "--output-dir", "out"],
+    ["rate", "--alpha", "50", "--params", "rate.cfg", "--to-km", "0"],
+    ["rate", "--threshold", "2e6", "--max-range-m", "2", "--to-km", "0"],
+    ["wire", "--shape", "chain", "--m", "2", "--n", "32", "--seed", "5", "--base-port", "23000"],
+    ["wire", "--shape", "chain", "--m", "2", "--tamper", "1", "--timeout", "5", "--transcripts"],
+]
+
+
+@pytest.mark.parametrize("argv", _RUNNING_ARGV, ids=lambda argv: " ".join(argv))
+def test_a_command_parser_alone_gives_the_listing_parsers_namespace(argv):
+    assert cli._parse_args(argv) == cli._listing_parser(argv).parse_args(argv)
+
+
 @pytest.mark.parametrize(
     "command", [["simulate"], ["attack"], ["analyze", "--coalition", "N1"]], ids=lambda c: c[0]
 )

@@ -22,13 +22,16 @@ def test_every_exported_name_resolves(name):
 
 def test_package_import_leaves_numpy_unloaded():
     # numpy is only needed by the truth-table oracle and asyncio only by a
-    # wire run; each loads on first use
-    code = "import sys, keyhop, keyhop.cli; print('numpy' in sys.modules, 'asyncio' in sys.modules)"
+    # wire run; each loads on first use. The CLI imports each command's
+    # modules in its handler, so importing it loads no wire code (nor hmac)
+    # and no analysis or rate model
+    late = ["numpy", "asyncio", "keyhop.wire", "hmac", "keyhop.analysis", "keyhop.ratemodel"]
+    code = f"import sys, keyhop, keyhop.cli; print([m for m in {late!r} if m in sys.modules])"
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(keyhop.__file__))}
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_no_module_imports_another_modules_private_names():

@@ -1,6 +1,7 @@
 import asyncio
 import dataclasses
 import gc
+import hashlib
 import random
 import socket
 import threading
@@ -278,6 +279,58 @@ def test_tampered_hop_aborts_everyone_without_keys(tmp_path):
     assert result.output_a is None and result.output_b is None
     assert _files(tmp_path) == []
     assert any("BAD_TAG" in line for line in result.transcript())
+
+
+def test_a_frame_tagged_under_a_public_link_key_is_refused():
+    # the wire once derived each link key from public inputs alone:
+    # sha256("link|<variant>|<topology>|<n>|<u>|<v>"), u and v in label order
+    topo = build_chain(4)
+    nodes = _machines(topo, Variant.CHAIN_M, 5)
+    public = f"link|{nodes['N1'].cfg.descriptor}|A|N1"
+    public_key = hashlib.sha256(public.encode()).digest()
+    key = nodes["A"].cfg.link_keys["N1"]
+    (_, hello), (_, relay), *_ = nodes["A"].dialled("N1")  # A greets N1, sends M0
+    assert (hello[4], relay[4]) == (FRAME_HELLO, FRAME_RELAY)
+    forged_hello, forged_relay = (
+        encode_frame(decode_frame(blob, key), public_key) for blob in (hello, relay)
+    )
+    with pytest.raises(FrameError) as err:
+        nodes["N1"].identify(forged_hello)
+    assert err.value.code == "BAD_TAG"
+    # on a link that came up with A's genuine HELLO, the forged M0 aborts N1
+    assert nodes["N1"].identify(hello) == "A"
+    nodes["N1"].feed("A", hello)
+    sends = nodes["N1"].feed("A", forged_relay)
+    assert nodes["N1"].code == 2 and nodes["N1"].output is None
+    assert nodes["N1"].transcript[-1] == "N1: ABORT BAD_TAG"
+    assert [(peer, blob[4]) for peer, blob in sends] == [("A", FRAME_ABORT)]
+
+
+def test_a_frame_replayed_from_another_run_is_refused(tmp_path, monkeypatch):
+    # both runs share the layout and seed, so they relay the same payloads;
+    # the link keys, drawn afresh per run, are all that tells them apart
+    topo = build_chain(4)
+    frames = []  # hop 1's frame as N1 sent it, one per run
+    relay = NodeMachine._relay
+
+    def replaying(self, hop):
+        relay(self, hop)
+        if hop.index == 1:
+            peer, blob = self._sends[-1]
+            frames.append(blob)
+            if len(frames) == 2:  # the second run sends the first run's frame
+                self._sends[-1] = (peer, frames[0])
+
+    monkeypatch.setattr(NodeMachine, "_relay", replaying)
+    first = _run(tmp_path / "one", topo, Variant.CHAIN_M, seed=5)
+    second = _run(tmp_path / "two", topo, Variant.CHAIN_M, seed=5, timeout=5.0)
+    assert first.code == 0
+    assert len(frames) == 2 and frames[0] != frames[1]
+    assert frames[0][4:-TAG_LEN] == frames[1][4:-TAG_LEN]  # only the tag differs
+    assert second.code == 2
+    assert second.output_a is None and second.output_b is None
+    assert "N2: ABORT BAD_TAG" in second.transcript()
+    assert _files(tmp_path / "two") == []
 
 
 def test_descriptor_mismatch_aborts_in_hello(tmp_path, monkeypatch):
