@@ -351,12 +351,11 @@ def _listing_parser(argv: list[str]) -> _Parser:
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    # When argv[0] names a command, the listing parser hands argv[1:] to
-    # that command's subparser, a _Parser with prog "keyhop <name>", and
-    # adds only the command's name. So that parser alone parses argv[1:],
-    # with the same help, usage and errors. Any other argv, and one that it
-    # leaves extras in, goes to the listing parser, which reports the extras
-    # with the top-level usage.
+    # argparse hands argv[1:] to the subparser of the command argv[0] names,
+    # a _Parser with prog "keyhop <name>", so that parser alone gives the
+    # same Namespace, help, usage and errors. Extras it leaves, and any other
+    # argv, go to the listing parser, which reports them with the top-level
+    # usage.
     if argv and argv[0] in _COMMANDS:
         p = _Parser(prog=f"keyhop {argv[0]}")
         _COMMANDS[argv[0]][1](p)
