@@ -46,6 +46,7 @@ LONG_CHAIN_PORT = 22800  # chain m=100 listens on 22800..22901
 GENERATED_PORTS = cycle(range(28000, 30000, 40))
 STRAY_PORT = 27000  # and 27040
 TIMEOUT_PORT = 27080
+REPLAY_PORT = 27120  # and 27160
 
 
 def test_frame_round_trip():
@@ -322,8 +323,10 @@ def test_a_frame_replayed_from_another_run_is_refused(tmp_path, monkeypatch):
                 self._sends[-1] = (peer, frames[0])
 
     monkeypatch.setattr(NodeMachine, "_relay", replaying)
-    first = _run(tmp_path / "one", topo, Variant.CHAIN_M, seed=5)
-    second = _run(tmp_path / "two", topo, Variant.CHAIN_M, seed=5, timeout=5.0)
+    first = orchestrate(topo, Variant.CHAIN_M, 64, 5, REPLAY_PORT, str(tmp_path / "one"))
+    second = orchestrate(
+        topo, Variant.CHAIN_M, 64, 5, REPLAY_PORT + 40, str(tmp_path / "two"), timeout=5.0
+    )
     assert first.code == 0
     assert len(frames) == 2 and frames[0] != frames[1]
     assert frames[0][4:-TAG_LEN] == frames[1][4:-TAG_LEN]  # only the tag differs
