@@ -633,8 +633,9 @@ _USAGE_DIGESTS = [
     ),
     (["analyze", "--m", "x"], 3, "06faaa264fe62281a65e948aa4e0ef5da0ab794556259ff0703fb7d04d47e7df"),
     (["wire", "--timeout"], 3, "02443c83757bdfc2d841ce92324147a13325d83fb9dfe337e2fe31df1cb13933"),
-    # argv the command's own parser leaves extras in, or never sees: the
-    # listing parser reports them with the top-level usage
+    # argv around the fallback to the listing parser: extras a command's own
+    # parser leaves (reported with the top-level usage), a name that is no
+    # command, and help that exits before an unknown flag is seen
     (
         ["analyze", "--shape", "ring6", "stray"],
         3,
