@@ -84,10 +84,6 @@ class Coalition:
 
     members: frozenset[NodeId]
 
-    @classmethod
-    def of(cls, *nodes: NodeId) -> Coalition:
-        return cls(frozenset(nodes))
-
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(sorted(nd.label for nd in self.members))

@@ -120,20 +120,6 @@ class BitString:
     def zeros(cls, n: int) -> BitString:
         return cls(0, n)
 
-    @classmethod
-    def from01(cls, text: str) -> BitString:
-        """Parse a string of 0/1 characters; the first character is bit 0."""
-        if not text or set(text) - {"0", "1"}:
-            raise ValueError("expected a nonempty string of 0s and 1s")
-        value = 0
-        for i, ch in enumerate(text):
-            if ch == "1":
-                value |= 1 << i
-        return cls(value, len(text))
-
-    def to01(self) -> str:
-        return "".join("1" if self.bit(i) else "0" for i in range(self.n))
-
     @property
     def nbytes(self) -> int:
         return (self.n + 7) // 8
@@ -150,20 +136,12 @@ class BitString:
     def to_hex(self) -> str:
         return self.to_bytes().hex()
 
-    def bit(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError("bit index out of range")
-        return (self.value >> i) & 1
-
     def __xor__(self, other: BitString) -> BitString:
         if not isinstance(other, BitString):
             return NotImplemented
         if self.n != other.n:
             raise ValueError("cannot XOR bitstrings of different lengths")
         return BitString(self.value ^ other.value, self.n)
-
-    def __str__(self) -> str:
-        return self.to01()
 
 
 _MAX_BITS = (1 << 31) - 1  # random.getrandbits takes a C int
@@ -204,9 +182,6 @@ class SymbolicExpr:
             return NotImplemented
         return SymbolicExpr(self.terms ^ other.terms)
 
-    def __str__(self) -> str:
-        return self.text()
-
 
 class KeyStore:
     """Insert-once mapping from secret ids to bitstrings of one shared length."""
@@ -231,17 +206,11 @@ class KeyStore:
         self.add(sid, value)
         return value
 
-    def __contains__(self, sid: SecretId) -> bool:
-        return sid in self._values
-
     def __getitem__(self, sid: SecretId) -> BitString:
         try:
             return self._values[sid]
         except KeyError:
             raise KeyError(f"unknown secret id: {sid}") from None
-
-    def __len__(self) -> int:
-        return len(self._values)
 
     def ids(self) -> tuple[SecretId, ...]:
         """All ids in insertion order."""

@@ -116,7 +116,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     print(f"K(A) == K(B): match ({trace.output_a.to_hex()})")  # execute checked it
     if args.hardware:
         print("hardware:")
-        for line in cm_report(plan_keys(topo, variant)).lines():
+        for line in cm_report(plan_keys(topo, variant)):
             print(f"  {line}")
     return 0
 

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .bits import KeyStore, SecretId, SecretKind, p2p_key, tf_key
+from .bits import KeyStore, SecretId, p2p_key, tf_key
 from .topology import NodeId, Shape, Topology
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "KeyPlan",
     "plan_keys",
     "establish",
-    "HardwareReport",
     "cm_report",
 ]
 
@@ -69,10 +68,6 @@ class PlanEntry:
     secret_id: SecretId
     measurer: NodeId
 
-    @property
-    def mechanism(self) -> str:
-        return "P2P" if self.secret_id.kind is SecretKind.P2P_KEY else "TF"
-
 
 @dataclass(frozen=True)
 class KeyPlan:
@@ -114,27 +109,9 @@ def establish(plan: KeyPlan, n: int, rng: random.Random) -> KeyStore:
     return store
 
 
-@dataclass(frozen=True)
-class HardwareReport:
-    """Per-node photonic requirements implied by a key plan."""
-
-    flags: tuple[tuple[str, bool, bool], ...]  # (label, needs_source, needs_measurement)
-
-    def needs_source(self, label: str) -> bool:
-        return any(src for lab, src, _ in self.flags if lab == label)
-
-    def needs_measurement(self, label: str) -> bool:
-        return any(meas for lab, _, meas in self.flags if lab == label)
-
-    def lines(self) -> list[str]:
-        return [
-            f"{label}: source={'yes' if src else 'no'} measurement={'yes' if meas else 'no'}"
-            for label, src, meas in self.flags
-        ]
-
-
-def cm_report(plan: KeyPlan) -> HardwareReport:
-    """Which nodes need a source and which need measurement hardware.
+def cm_report(plan: KeyPlan) -> list[str]:
+    """Which nodes need a source and which need measurement hardware, one
+    line per node in topology order.
 
     Every end of a key other than its measurer sends; the measurer measures.
     An endpoint in a measuring role is a planning error and is rejected.
@@ -152,5 +129,8 @@ def cm_report(plan: KeyPlan) -> HardwareReport:
             if label != entry.measurer.label:
                 source[label] = True
         meas[entry.measurer.label] = True
-    return HardwareReport(tuple((lab, source[lab], meas[lab]) for lab in source))
+    return [
+        f"{lab}: source={'yes' if source[lab] else 'no'} measurement={'yes' if meas[lab] else 'no'}"
+        for lab in source
+    ]
 

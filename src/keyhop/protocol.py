@@ -115,24 +115,28 @@ def compile_schedule(plan: KeyPlan) -> Schedule:
     return Schedule(plan, tuple(hops), tuple(absorbs))
 
 
-def make_store(
-    schedule: Schedule, n: int, rng: random.Random, payload: BitString | None = None
-) -> KeyStore:
-    """Establish all planned keys, then draw the nonces, in schedule order.
+# Bytes of n-bit values a run may hold: its keys, nonces and messages. At
+# this bound simulate, which also writes and prints every message in hex,
+# peaks at about 450 MiB on chain m=2, the layout with the largest share of
+# messages, so every command that passes runs within 1 GiB of address space.
+KEY_BUDGET = 1 << 26
 
-    A payload, when given, replaces the drawn value of the single nonce; the
-    trace's expression structure is unchanged.
-    """
+
+def make_store(schedule: Schedule, n: int, rng: random.Random) -> KeyStore:
+    """Establish all planned keys, then draw the nonces, in schedule order.
+    A run whose keys, nonces and messages would take more than KEY_BUDGET
+    bytes is refused before anything is drawn."""
+    nonce_ids = schedule.nonce_ids
+    values = len(schedule.plan.entries) + len(nonce_ids) + len(schedule.hops)
+    if values * ((n + 7) // 8) > KEY_BUDGET:
+        KeyStore(n)  # a length out of range is reported as such
+        raise ValueError(
+            f"{values} keys, nonces and messages of {n} bits exceed the"
+            f" {KEY_BUDGET}-byte key budget"
+        )
     store = establish(schedule.plan, n, rng)
-    if payload is not None and len(schedule.nonce_ids) != 1:
-        raise ValueError("payload delivery needs a single-nonce variant")
-    for nid in schedule.nonce_ids:
-        if payload is not None:
-            if payload.n != n:
-                raise ValueError("payload length must match the key length")
-            store.add(nid, payload)
-        else:
-            store.sample(nid, rng)
+    for nid in nonce_ids:
+        store.sample(nid, rng)
     return store
 
 
@@ -206,17 +210,11 @@ def execute(schedule: Schedule, store: KeyStore) -> ProtocolTrace:
     )
 
 
-def run(
-    topo: Topology,
-    variant: Variant,
-    n: int,
-    rng: random.Random,
-    payload: BitString | None = None,
-) -> ProtocolTrace:
-    """Plan, compile and execute one honest run; payload as in make_store."""
+def run(topo: Topology, variant: Variant, n: int, rng: random.Random) -> ProtocolTrace:
+    """Plan, compile and execute one honest run."""
     plan = plan_keys(topo, variant)
     schedule = compile_schedule(plan)
-    return execute(schedule, make_store(schedule, n, rng, payload))
+    return execute(schedule, make_store(schedule, n, rng))
 
 
 def trace_text(trace: ProtocolTrace) -> str:

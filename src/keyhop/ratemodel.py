@@ -31,7 +31,6 @@ __all__ = [
     "emit_curves",
     "curves_csv",
     "parse_rate_config",
-    "emit_rate_config",
     "DEFAULT_FAMILIES",
 ]
 
@@ -68,9 +67,9 @@ class RateParams:
                 raise ValueError(f"{name} must be positive and finite")
 
     @classmethod
-    def calibrated(cls, alpha_db_per_km: float = 0.2, threshold_bps: float = 1.0) -> RateParams:
+    def calibrated(cls, alpha_db_per_km: float = 0.2) -> RateParams:
         c = _calibrated_clock(alpha_db_per_km)
-        return cls(alpha_db_per_km, c, c, threshold_bps)
+        return cls(alpha_db_per_km, c, c)
 
 
 def eta(length_km: float, params: RateParams) -> float:
@@ -167,13 +166,4 @@ def parse_rate_config(text: str) -> RateParams:
         c_tf=float(kv.get("c_tf", defaults.c_tf)),
         c_p2p=float(kv.get("c_p2p", defaults.c_p2p)),
         threshold_bps=float(kv.get("threshold_bps", defaults.threshold_bps)),
-    )
-
-
-def emit_rate_config(params: RateParams) -> str:
-    return (
-        f"alpha_db_per_km = {params.alpha_db_per_km!r}\n"
-        f"c_tf = {params.c_tf!r}\n"
-        f"c_p2p = {params.c_p2p!r}\n"
-        f"threshold_bps = {params.threshold_bps!r}\n"
     )

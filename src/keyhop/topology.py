@@ -26,8 +26,6 @@ __all__ = [
     "check_runnable",
     "parse_kv",
     "parse_layout_config",
-    "parse_topology_config",
-    "emit_topology_config",
 ]
 
 
@@ -64,9 +62,6 @@ class NodeId:
         # pickle and copy rebuild through the constructor, so they return the
         # interned instance
         return NodeId, (self.label,)
-
-    def __str__(self) -> str:
-        return self.label
 
 
 @dataclass(frozen=True)
@@ -278,20 +273,3 @@ def parse_layout_config(text: str) -> tuple[Shape, dict[str, str], float]:
         raise ValueError(f"unknown shape {name!r}") from None
     link = float(kv.pop("link_length_km", "100"))
     return shape, kv, link
-
-
-def parse_topology_config(text: str) -> Topology:
-    return build_topology(*parse_layout_config(text))
-
-
-def emit_topology_config(topo: Topology) -> str:
-    lines = [f"shape = {topo.shape.value}", f"link_length_km = {topo.link_length_km}"]
-    if topo.shape in (Shape.CHAIN, Shape.REACH):
-        lines.append(f"m = {topo.m}")
-    if topo.shape is Shape.REACH:
-        lines.append(f"t = {topo.t}")
-    if topo.shape is Shape.MULTIPATH:
-        lines.append("paths = " + ",".join(str(v) for v in topo.path_lengths))
-        if topo.t != 1:
-            lines.append(f"t = {topo.t}")
-    return "\n".join(lines) + "\n"

@@ -95,7 +95,7 @@ def test_criterion_1_every_honest_run_agrees_on_the_nonce_fold():
 
 
 def _table(trace):
-    return [(f"{m.sender}->{m.receiver}", m.expr.text()) for m in trace.messages]
+    return [(f"{m.sender.label}->{m.receiver.label}", m.expr.text()) for m in trace.messages]
 
 
 def test_criterion_2_golden_message_tables():
@@ -191,7 +191,7 @@ def test_criterion_4_minimal_breaking_coalitions():
             )
 
         reach = run(build_reach_chain(3, 2), Variant.REACH_T, 1, random.Random(0))
-        pair = Coalition.of(reach.topology.node("N1"), reach.topology.node("N2"))
+        pair = Coalition(frozenset({reach.topology.node("N1"), reach.topology.node("N2")}))
         expect(
             "reach(t=2,m=3) adjacent pair",
             is_recoverable(view_of(reach, pair), final_key_expr(reach)).status,

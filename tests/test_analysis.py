@@ -630,7 +630,7 @@ def test_coalition_rows_name_members_in_label_order(topo, variant):
         minimal = [c.members for c in min_breaking_coalitions(trace, target)]
         status = {False: "SECURE", True: "BROKEN"}
         want = [
-            (*head, analysis._describe(map(str, c)), status[any(f <= {*c} for f in minimal)])
+            (*head, analysis._describe(nd.label for nd in c), status[any(f <= {*c} for f in minimal)])
             for size in range(len(inter) + 1)
             for c in combinations(inter, size)
         ]
@@ -650,5 +650,5 @@ def test_minimal_search_passes_the_enumeration_cap():
     trace = _trace(build_chain(m), Variant.CHAIN_M, n=1)
     inter = trace.topology.intermediaries
     pairs = combinations(range(m), 2)
-    want = [Coalition.of(inter[i], inter[j]) for i, j in pairs if (j - i) % 2]
+    want = [Coalition(frozenset({inter[i], inter[j]})) for i, j in pairs if (j - i) % 2]
     assert min_breaking_coalitions(trace) == want  # in combinations order

@@ -22,25 +22,26 @@ from keyhop.bits import (
 
 
 def test_xor_masks_and_unmasks():
-    x = BitString.from01("1011")
-    k = BitString.from01("0110")
-    assert (x ^ k).to01() == "1101"
+    x = BitString(0b1101, 4)
+    k = BitString(0b0110, 4)
+    assert (x ^ k) == BitString(0b1011, 4)
     assert (x ^ k ^ k) == x
 
 
 def test_xor_rejects_length_mismatch():
     with pytest.raises(ValueError):
-        BitString.from01("10") ^ BitString.from01("101")
+        BitString(0b01, 2) ^ BitString(0b101, 3)
 
 
 def test_bit_order_is_low_first():
-    b = BitString.from01("1000")
-    assert b.value == 1
-    assert b.bit(0) == 1 and b.bit(3) == 0
+    # bit i has weight 2**i, and its byte is byte i // 8 of the little-endian form
+    assert BitString(1, 16).to_bytes() == b"\x01\x00"
+    assert BitString(1 << 15, 16).to_bytes() == b"\x00\x80"
+    assert BitString(1 << 8, 12).to_hex() == "0001"
 
 
 def test_hex_round_trip():
-    b = BitString.from01("10110010011")
+    b = BitString(0b11001001101, 11)
     assert BitString.from_bytes(bytes.fromhex(b.to_hex()), 11) == b
     assert BitString.from_bytes(b.to_bytes(), 11) == b
 
@@ -52,7 +53,7 @@ def test_from_bytes_rejects_wrong_size():
 
 def test_random_bits_are_roughly_balanced():
     rng = random.Random(1234)
-    ones = sum(random_bits(1000, rng).to01().count("1") for _ in range(10))
+    ones = sum(bin(random_bits(1000, rng).value).count("1") for _ in range(10))
     assert abs(ones / 10_000 - 0.5) < 0.02
 
 
@@ -74,9 +75,9 @@ def test_expr_text_is_sorted_and_self_cancelling():
 def test_store_rejects_duplicates_and_names_missing_ids():
     store = KeyStore(4)
     sid = tf_key("A", "N2")
-    store.add(sid, BitString.from01("1010"))
+    store.add(sid, BitString(0b0101, 4))
     with pytest.raises(ValueError):
-        store.add(sid, BitString.from01("0000"))
+        store.add(sid, BitString(0, 4))
     with pytest.raises(KeyError, match=r"X\[A\]"):
         store[nonce("A")]
 
@@ -84,10 +85,18 @@ def test_store_rejects_duplicates_and_names_missing_ids():
 @pytest.mark.parametrize("n", [1, 16, 65536])
 def test_bitstring_range_is_zero_to_all_ones(n):
     assert BitString(0, n).value == 0
-    assert BitString((1 << n) - 1, n).bit(n - 1) == 1
+    assert BitString((1 << n) - 1, n).value >> (n - 1) == 1
     for bad in (-1, 1 << n):
         with pytest.raises(ValueError, match="out of range"):
             BitString(bad, n)
+
+
+def test_store_refuses_a_value_of_another_length():
+    store = KeyStore(4)
+    for value in (BitString(1, 3), BitString(1, 5)):
+        with pytest.raises(ValueError, match=r"K\[A,N2\] has length \d, store holds 4-bit secrets"):
+            store.add(tf_key("A", "N2"), value)
+    assert store.ids() == ()
 
 
 def test_bitstring_needs_at_least_one_bit():
@@ -119,7 +128,7 @@ def test_relay_and_link_keys_on_the_same_ends_stay_apart():
     store = KeyStore(4)
     store.add(tf, BitString(3, 4))
     store.add(p2p, BitString(12, 4))
-    assert len(store) == 2
+    assert store.ids() == (tf, p2p)
     assert store[tf] == BitString(3, 4) and store[p2p] == BitString(12, 4)
 
 

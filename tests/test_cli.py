@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import keyhop
-from keyhop import analysis, cli
+from keyhop import analysis, bits, cli
 from keyhop.cli import main
 
 from test_wire import _insider
@@ -275,6 +275,27 @@ def test_a_key_length_past_a_c_int_exits_three(tmp_path, capsys, command):
     assert "key length must be at most 2147483647 bits" in err
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze", "attack", "wire"])
+def test_key_material_over_the_budget_exits_three_before_a_draw(
+    tmp_path, monkeypatch, capsys, command
+):
+    # chain m=8 holds 10 keys, 1 nonce and 9 messages: 20 values of 4 MB are
+    # over the 64 MiB budget, and one value still fits in a wire frame
+    def refuse(*args):
+        raise AssertionError("drew key material over the budget")
+
+    monkeypatch.setattr(bits, "random_bits", refuse)
+    argv = [command, "--shape", "chain", "--m", "8", "--n", "32000000"]
+    assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "keyhop: error: 20 keys, nonces and messages of 32000000 bits exceed"
+        " the 67108864-byte key budget\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_attack_active_leakage_table(capsys):

@@ -121,3 +121,74 @@ def test_every_keyhop_name_the_benchmark_uses_resolves():
                 missing.append(f"{filename}:{node.lineno}: {ast.unparse(node)}")
         used += len(bound)
     assert used and missing == []
+
+
+def _loaded_names(folder):
+    """(file, line, name) for each name the folder's modules load, read as an
+    attribute or import."""
+    for filename in sorted(os.listdir(folder)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(folder, filename), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                yield filename, node.lineno, node.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                yield filename, node.lineno, node.attr
+            elif isinstance(node, ast.alias):
+                yield filename, node.lineno, node.name
+
+
+def _public_api():
+    """(name, file, first line, last line) of each module __all__ name and of
+    each public method and property a keyhop class defines itself, rather
+    than overriding one of a base class. Dunder names are left out."""
+    for name in MODULES:
+        module = importlib.import_module(name)
+        filename = os.path.basename(module.__file__)
+        with open(module.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        defined = {}  # top-level name -> its defining statement
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined[stmt.name] = stmt
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                for target in stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]:
+                    if isinstance(target, ast.Name):
+                        defined[target.id] = stmt
+        for export in module.__all__:
+            if not export.startswith("__"):
+                stmt = defined[export]
+                yield export, filename, stmt.lineno, stmt.end_lineno
+        for cls in (stmt for stmt in tree.body if isinstance(stmt, ast.ClassDef)):
+            if cls.name.startswith("_"):
+                continue
+            bases = getattr(module, cls.name).__mro__[1:]
+            for stmt in cls.body:
+                if (
+                    isinstance(stmt, ast.FunctionDef)
+                    and not stmt.name.startswith("_")
+                    and not any(hasattr(base, stmt.name) for base in bases)
+                ):
+                    yield f"{cls.name}.{stmt.name}", filename, stmt.lineno, stmt.end_lineno
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # API that only tests reach is dead weight: each exported name, method and
+    # property is used in src/keyhop outside its own definition, or by the
+    # benchmark. Names are matched by spelling alone, so a method shares its
+    # callers with every other attribute of that name
+    src = os.path.dirname(keyhop.__file__)
+    used = list(_loaded_names(src))
+    bench = {name for _, _, name in _loaded_names(PERFBENCH)}
+    unused = [
+        qualified
+        for qualified, filename, first, last in _public_api()
+        if (name := qualified.rsplit(".", 1)[-1]) not in bench
+        and not any(
+            ref == name and (where != filename or not first <= line <= last)
+            for where, line, ref in used
+        )
+    ]
+    assert unused == []

@@ -118,22 +118,32 @@ def test_establish_is_deterministic_and_plan_ordered():
     assert all(s1[sid] == s2[sid] for sid in plan.secret_ids)
 
 
+def _hardware(plan):
+    """cm_report's lines, read back as label -> (needs source, needs measurement)."""
+    flags = {}
+    for line in cm_report(plan):
+        label, source, measurement = line.replace(":", "").split()
+        flags[label] = (source == "source=yes", measurement == "measurement=yes")
+    return flags
+
+
 def test_hardware_report_ring():
-    report = cm_report(plan_keys(build_ring6(), Variant.RING_V2))
-    assert report.needs_source("A") and not report.needs_measurement("A")
-    assert report.needs_source("B") and not report.needs_measurement("B")
-    for lab in ("N1", "N2", "N3", "N4"):
-        assert report.needs_source(lab) and report.needs_measurement(lab)
+    assert _hardware(plan_keys(build_ring6(), Variant.RING_V2)) == {
+        "A": (True, False),
+        "B": (True, False),
+        **dict.fromkeys(("N1", "N2", "N3", "N4"), (True, True)),
+    }
 
 
 def test_hardware_report_reach_relays_measure():
-    report = cm_report(plan_keys(build_reach_chain(3, 2), Variant.REACH_T))
+    flags = _hardware(plan_keys(build_reach_chain(3, 2), Variant.REACH_T))
     # N2 relays both A..B-spanning pairs; N1 and N3 each relay one and
     # also source toward their endpoint link
-    for lab in ("N1", "N2", "N3"):
-        assert report.needs_measurement(lab)
-    assert not report.needs_measurement("A")
-    assert not report.needs_measurement("B")
+    assert {lab: meas for lab, (_, meas) in flags.items()} == {
+        "A": False,
+        "B": False,
+        **dict.fromkeys(("N1", "N2", "N3"), True),
+    }
 
 
 @pytest.mark.parametrize("key", [tf_key("A", "N2"), p2p_key("A", "N1"), p2p_key("N2", "B")], ids=str)
@@ -189,6 +199,7 @@ def test_generated_layouts_fold_nonces_and_measure_only_at_intermediaries(layout
     plan = plan_keys(topo, variant)
     measurers = {entry.measurer.label for entry in plan.entries}
     assert not {topo.endpoint_a.label, topo.endpoint_b.label} & measurers
-    report = cm_report(plan)
-    for nd in topo.nodes:
-        assert report.needs_measurement(nd.label) == (nd.label in measurers)
+    flags = _hardware(plan)
+    assert {lab: meas for lab, (_, meas) in flags.items()} == {
+        nd.label: nd.label in measurers for nd in topo.nodes
+    }

@@ -3,6 +3,8 @@ raises ValueError, and a generated layout survives its config text and its
 --shape flags unchanged."""
 
 import argparse
+import os
+import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,8 +18,6 @@ from keyhop.topology import (
     build_multipath,
     build_reach_chain,
     build_ring6,
-    emit_topology_config,
-    parse_topology_config,
 )
 
 # layout integers stay small: the builders would build a chain of 10^8 nodes
@@ -54,24 +54,53 @@ def _returns_or_value_error(parse, *args):
 
 @st.composite
 def layouts(draw):
+    """A generated layout, and the layout keys that name it beside its shape
+    and link length, valued as the --shape flags take them."""
     link = draw(st.sampled_from([100.0, 0.5, 37.25, 1e-3, 12345.678]))
     shape = draw(st.sampled_from(list(Shape)))
     if shape is Shape.RING6:
-        return build_ring6(link)
+        return build_ring6(link), {}
     if shape is Shape.CHAIN:
-        return build_chain(draw(st.integers(2, 9)), link)
+        m = draw(st.integers(2, 9))
+        return build_chain(m, link), {"m": m}
     t = draw(st.integers(2 if shape is Shape.REACH else 1, 4))
     if shape is Shape.REACH:
-        return build_reach_chain(draw(st.integers(t + 1, t + 5)), t, link)
+        m = draw(st.integers(t + 1, t + 5))
+        return build_reach_chain(m, t, link), {"m": m, "t": t}
     lengths = draw(st.lists(st.integers(max(2, t + 1), 6), min_size=1, max_size=4))
-    return build_multipath(lengths, link, t)
+    return build_multipath(lengths, link, t), {"paths": ",".join(map(str, lengths)), "t": t}
+
+
+def _config_text(topo, keys):
+    lines = [f"shape = {topo.shape.value}", f"link_length_km = {topo.link_length_km!r}"]
+    return "\n".join(lines + [f"{key} = {value}" for key, value in keys.items()]) + "\n"
+
+
+def _shape_flags(topo, keys):
+    """The Namespace argparse makes of the --shape flags naming the layout."""
+    return argparse.Namespace(
+        shape=topo.shape.value, link_km=topo.link_length_km, config=None, variant=None,
+        **{"m": None, "paths": None, "t": None, **keys},
+    )
+
+
+def _from_config(text):
+    """The layout cli._layout reads off a --config file holding text."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "layout.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        args = argparse.Namespace(
+            shape=None, m=None, paths=None, t=None, link_km=100.0, config=path, variant=None
+        )
+        return cli._layout(args)[0]
 
 
 @st.composite
 def _near_configs(draw):
     """A generated layout's config text with at most one line dropped,
     changed or added."""
-    lines = emit_topology_config(draw(layouts())).splitlines()
+    lines = _config_text(*draw(layouts())).splitlines()
     pos = draw(st.integers(0, len(lines)))
     if pos < len(lines):
         key = lines[pos].split(" = ")[0]
@@ -97,7 +126,7 @@ _TOPOLOGY_VALUES = {
 @settings(deadline=None)
 @given(text=st.one_of(_kv_text(_TOPOLOGY_VALUES), _near_configs()))
 def test_topology_config_parses_or_raises_value_error(text):
-    topo = _returns_or_value_error(parse_topology_config, text)
+    topo = _returns_or_value_error(_from_config, text)
     assert topo is None or isinstance(topo, Topology)
 
 
@@ -111,23 +140,9 @@ def test_rate_config_parses_or_raises_value_error(text):
     assert params is None or isinstance(params, RateParams)
 
 
-def _shape_flags(topo):
-    """The Namespace argparse makes of the --shape flags naming topo."""
-    args = argparse.Namespace(
-        shape=topo.shape.value, m=None, paths=None, t=None, link_km=topo.link_length_km,
-        config=None, variant=None,
-    )
-    if topo.shape in (Shape.CHAIN, Shape.REACH):
-        args.m = topo.m
-    if topo.shape in (Shape.REACH, Shape.MULTIPATH):
-        args.t = topo.t
-    if topo.shape is Shape.MULTIPATH:
-        args.paths = ",".join(map(str, topo.path_lengths))
-    return args
-
-
 @settings(deadline=None)
-@given(topo=layouts())
-def test_a_layout_survives_its_config_text_and_its_shape_flags(topo):
-    assert parse_topology_config(emit_topology_config(topo)) == topo
-    assert cli._layout(_shape_flags(topo))[0] == topo
+@given(layout=layouts())
+def test_a_layout_survives_its_config_text_and_its_shape_flags(layout):
+    topo, keys = layout
+    assert _from_config(_config_text(topo, keys)) == topo
+    assert cli._layout(_shape_flags(topo, keys))[0] == topo

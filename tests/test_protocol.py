@@ -11,8 +11,9 @@ import pytest
 
 from keyhop import bits, topology
 from keyhop.bits import BitString, KeyStore, nonce
-from keyhop.keyplan import KeyPlan, Variant, plan_keys
+from keyhop.keyplan import KeyPlan, Variant, establish, plan_keys
 from keyhop.protocol import (
+    KEY_BUDGET,
     AbsorbRule,
     compile_schedule,
     execute,
@@ -33,7 +34,7 @@ from keyhop.topology import (
 
 
 def _exprs(trace):
-    return [(f"{m.sender}->{m.receiver}", m.expr.text()) for m in trace.messages]
+    return [(f"{m.sender.label}->{m.receiver.label}", m.expr.text()) for m in trace.messages]
 
 
 def test_ring_v1_message_algebra():
@@ -199,15 +200,28 @@ def test_run_is_deterministic():
 
 
 def test_payload_delivery_over_chain():
-    topo = build_chain(3)
-    z = BitString.from01("1100101011110000")
-    trace = run(topo, Variant.CHAIN_M, 16, random.Random(6), payload=z)
+    # the nonce's value, whatever it is, is what both endpoints output
+    schedule = compile_schedule(plan_keys(build_chain(3), Variant.CHAIN_M))
+    store = establish(schedule.plan, 16, random.Random(6))
+    z = BitString(0b0000111101010011, 16)
+    (nid,) = schedule.nonce_ids
+    store.add(nid, z)
+    trace = execute(schedule, store)
     assert trace.output_a == trace.output_b == z
 
 
-def test_payload_needs_matching_length():
-    with pytest.raises(ValueError):
-        run(build_chain(2), Variant.CHAIN_M, 16, random.Random(0), payload=BitString.from01("101"))
+def test_make_store_refuses_a_run_over_the_key_budget_before_drawing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("drew key material")
+
+    # ring6 v2 holds 8 keys, 2 nonces and 6 messages: 16 values of n bits
+    monkeypatch.setattr(bits, "random_bits", refuse)
+    schedule = compile_schedule(plan_keys(build_ring6(), Variant.RING_V2))
+    at_budget = KEY_BUDGET // 16 * 8
+    with pytest.raises(AssertionError, match="drew"):  # the budget admits it
+        make_store(schedule, at_budget, random.Random(0))
+    with pytest.raises(ValueError, match=f"^16 keys, nonces and messages of {at_budget + 1} bits"):
+        make_store(schedule, at_budget + 1, random.Random(0))
 
 
 def test_shape_variant_mismatch_rejected():

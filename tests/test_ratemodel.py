@@ -12,7 +12,6 @@ from keyhop.ratemodel import (
     max_range,
     max_range_tf,
     parse_rate_config,
-    emit_rate_config,
     rate_p2p,
     rate_scheme,
     rate_tf,
@@ -119,9 +118,8 @@ def test_csv_rates_round_trip_exactly():
 
 
 def test_config_round_trip():
-    params = RateParams(0.17, 2.5e6, 1.1e6, 0.5)
-    again = parse_rate_config(emit_rate_config(params))
-    assert again == params
+    text = "alpha_db_per_km = 0.17\nc_tf = 2500000.0\nc_p2p = 1.1e6\nthreshold_bps = 0.5\n"
+    assert parse_rate_config(text) == RateParams(0.17, 2.5e6, 1.1e6, 0.5)
 
 
 def test_config_with_alpha_only_recalibrates():

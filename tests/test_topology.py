@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from keyhop.bits import SecretKind
 from keyhop.keyplan import Variant, plan_keys
 from keyhop.topology import (
     NodeId,
@@ -12,8 +13,8 @@ from keyhop.topology import (
     build_multipath,
     build_reach_chain,
     build_ring6,
-    emit_topology_config,
-    parse_topology_config,
+    build_topology,
+    parse_layout_config,
 )
 
 
@@ -111,28 +112,28 @@ def test_multipath_rejects_short_or_unreachable_paths():
 
 def test_ring_reachable_pairs():
     entries = plan_keys(build_ring6(), Variant.RING_V2).entries
-    pairs = {e.secret_id.ends: e.mechanism for e in entries}
+    pairs = {e.secret_id.ends: e.secret_id.kind for e in entries}
     assert pairs == {
-        ("A", "N1"): "P2P",
-        ("N2", "B"): "P2P",
-        ("A", "N3"): "P2P",
-        ("N4", "B"): "P2P",
-        ("A", "N2"): "TF",
-        ("N1", "B"): "TF",
-        ("A", "N4"): "TF",
-        ("N3", "B"): "TF",
+        ("A", "N1"): SecretKind.P2P_KEY,
+        ("N2", "B"): SecretKind.P2P_KEY,
+        ("A", "N3"): SecretKind.P2P_KEY,
+        ("N4", "B"): SecretKind.P2P_KEY,
+        ("A", "N2"): SecretKind.TF_KEY,
+        ("N1", "B"): SecretKind.TF_KEY,
+        ("A", "N4"): SecretKind.TF_KEY,
+        ("N3", "B"): SecretKind.TF_KEY,
     }
 
 
 def test_chain_reach_two_pairs_and_relays():
     entries = plan_keys(build_reach_chain(3, 2), Variant.REACH_T).entries
     by_labels = {e.secret_id.ends: e for e in entries}
-    tf = {lab for lab, p in by_labels.items() if p.mechanism == "TF"}
+    tf = {lab for lab, p in by_labels.items() if p.secret_id.kind is SecretKind.TF_KEY}
     assert tf == {("A", "N2"), ("N1", "N3"), ("N2", "B"), ("A", "N3"), ("N1", "B")}
     assert by_labels[("A", "N2")].measurer.label == "N1"
     assert by_labels[("A", "N3")].measurer.label == "N1"  # midpoint ties go low
     assert by_labels[("N1", "B")].measurer.label == "N2"
-    p2p = {lab for lab, p in by_labels.items() if p.mechanism == "P2P"}
+    p2p = {lab for lab, p in by_labels.items() if p.secret_id.kind is SecretKind.P2P_KEY}
     assert p2p == {("A", "N1"), ("N3", "B")}
 
 
@@ -143,24 +144,31 @@ def test_reachable_pairs_grow_with_reach():
     assert counts[0] < counts[1] < counts[2]
 
 
+_CONFIG_TEXTS = {
+    "ring6": "shape = ring6\nlink_length_km = 120.0\n",
+    "chain(m=4)": "shape = chain\nlink_length_km = 80\nm = 4\n",
+    "reach(m=4,t=3)": "shape = reach\nm = 4\nt = 3\n",
+    "multipath(2,2)": "shape = multipath\npaths = 2,2\n",
+}
+
+
 @pytest.mark.parametrize(
     "topo",
     [build_ring6(120.0), build_chain(4, 80.0), build_reach_chain(4, 3), build_multipath([2, 2], t=1)],
 )
 def test_config_round_trip(topo):
-    again = parse_topology_config(emit_topology_config(topo))
-    assert again.describe() == topo.describe()
-    assert again.link_length_km == topo.link_length_km
-    assert [n.label for n in again.nodes] == [n.label for n in topo.nodes]
+    # a config file naming the layout, with the defaults left out where they hold
+    text = _CONFIG_TEXTS[topo.describe()]
+    assert build_topology(*parse_layout_config(text)) == topo
 
 
 def test_config_rejects_unknown_shape_and_missing_keys():
-    with pytest.raises(ValueError):
-        parse_topology_config("shape = lattice\nlink_length_km = 100\n")
-    with pytest.raises(ValueError):
-        parse_topology_config("shape = chain\nlink_length_km = 100\n")
-    with pytest.raises(ValueError):
-        parse_topology_config("shape = chain\nm = 3\nlink_length_km = 100\nbogus = 1\n")
+    with pytest.raises(ValueError, match="unknown shape 'lattice'"):
+        parse_layout_config("shape = lattice\nlink_length_km = 100\n")
+    with pytest.raises(ValueError, match="requires 'm'"):
+        build_topology(*parse_layout_config("shape = chain\nlink_length_km = 100\n"))
+    with pytest.raises(ValueError, match="does not read"):
+        build_topology(*parse_layout_config("shape = chain\nm = 3\nbogus = 1\n"))
 
 
 def test_link_length_must_be_positive():
@@ -177,4 +185,4 @@ def test_link_length_must_be_positive():
 )
 def test_config_rejects_keys_its_shape_ignores(text):
     with pytest.raises(ValueError, match="does not read"):
-        parse_topology_config(text)
+        build_topology(*parse_layout_config(text))
