@@ -177,11 +177,6 @@ class SymbolicExpr:
             return "0"
         return "+".join(s.name for s in self.sorted_terms())
 
-    def __xor__(self, other: SymbolicExpr) -> SymbolicExpr:
-        if not isinstance(other, SymbolicExpr):
-            return NotImplemented
-        return SymbolicExpr(self.terms ^ other.terms)
-
 
 class KeyStore:
     """Insert-once mapping from secret ids to bitstrings of one shared length."""

@@ -193,7 +193,9 @@ def cmd_rate(args: argparse.Namespace) -> int:
         params = dataclasses.replace(params, threshold_bps=args.threshold)
     reach = None if args.max_range_m is None else ratemodel.max_range(args.max_range_m, params)
     families = (
-        [f.strip() for f in args.families.split(",")] if args.families else list(ratemodel.DEFAULT_FAMILIES)
+        [f.strip() for f in args.families.split(",")]
+        if args.families is not None
+        else list(ratemodel.DEFAULT_FAMILIES)
     )
     # counted by arithmetic, as len() of a range past sys.maxsize overflows
     count = ((args.to_km - args.from_km) // args.step_km + 1) * len(families)
@@ -336,17 +338,12 @@ _COMMANDS = {
 }
 
 
-def _listing_parser(argv: list[str]) -> _Parser:
-    """The top-level parser. Every command is listed, but only the one
-    argparse will run gets its flags: the top-level parser takes no option
-    values, so that is the first argument naming a command."""
+def _listing_parser() -> _Parser:
+    """The top-level parser: every command, with its help and its flags."""
     parser = _Parser(prog="keyhop", description=__doc__.split("\n\n")[1])
     sub = parser.add_subparsers(dest="command", required=True)
-    named = next((arg for arg in argv if arg in _COMMANDS), None)
     for name, (help_text, add_flags, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        if name == named:
-            add_flags(p)
+        add_flags(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -367,7 +364,7 @@ def main(argv: list[str] | None = None) -> int:
         args, extras = parser.parse_known_args(argv[1:])
         args.command = argv[0]
     if args is None or extras:
-        parser = _listing_parser(argv)
+        parser = _listing_parser()
         args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command][2](args)

@@ -22,8 +22,9 @@ reference rather than one shared code path against itself.
 
 Each node's protocol is a NodeMachine, which does no I/O: it takes one
 inbound event at a time (a frame, an end of stream, a read error, its
-deadline) and returns the frames to send. `orchestrate` runs every node of a
-run on one asyncio event loop. It binds every listener before any node
+deadline) and returns the frames to send. `orchestrate` builds every node's
+machine once, in one pass over the schedule and the key store, and runs
+them all on one asyncio event loop. It binds every listener before any node
 dials, then feeds each link's frames to its node as they arrive.
 
 Termination: every layout is a set of A-to-B paths, and two waves of DONE
@@ -59,7 +60,7 @@ import math
 import os
 import random
 import secrets
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 from .bits import BitString, KeyStore, SecretId
@@ -76,8 +77,6 @@ __all__ = [
     "FrameError",
     "encode_frame",
     "decode_frame",
-    "NodeConfig",
-    "NodeResult",
     "NodeMachine",
     "WireRun",
     "orchestrate",
@@ -161,29 +160,6 @@ async def _read_frame(reader) -> bytes | None:
         raise FrameError("BAD_LENGTH", "stream ended mid-frame") from None
 
 
-@dataclass(frozen=True)
-class NodeConfig:
-    """One node's part of the compiled schedule and its link keys; the run
-    owns the addresses, the files and the deadline."""
-
-    label: str
-    hops: tuple[Hop, ...]  # the schedule's hops that name this node, in order
-    absorbs: tuple[AbsorbRule, ...]  # the schedule's absorbs at this node
-    up: set[str]  # neighbours one step nearer A
-    n: int
-    link_keys: dict[str, bytes]  # peer label -> that link's secret HMAC key
-    descriptor: str  # run descriptor announced and expected in HELLO
-    tamper_index: int | None = None
-
-
-@dataclass
-class NodeResult:
-    label: str
-    code: int
-    transcript: list[str] = field(default_factory=list)
-    output: BitString | None = None  # an endpoint's key, after a success
-
-
 def _peer_abort_reason(payload: bytes) -> str:
     """Relabel a neighbour's abort as peer-caused without nesting the
     wrapper when the reason has already travelled several hops."""
@@ -211,16 +187,28 @@ class NodeMachine:
     configuration error (a key it needs is missing from values). After a
     success, `output` holds the key of a node that owns a nonce or absorbs
     a path, which is exactly an endpoint. Events that arrive after the node
-    finished are ignored.
+    finished are ignored. The machine is also the node's result: the run
+    reads its verdict off `code`, `transcript` and `output`.
     """
 
-    def __init__(self, cfg: NodeConfig, values: dict[SecretId, BitString]) -> None:
-        self.cfg = cfg
-        self.values = values  # the keys this node holds
+    def __init__(
+        self,
+        label: str,
+        hops: tuple[Hop, ...],  # the schedule's hops that name this node, in order
+        absorbs: tuple[AbsorbRule, ...],  # the schedule's absorbs at this node
+        up: set[str],  # neighbours one step nearer A
+        link_keys: dict[str, bytes],  # peer label -> that link's secret HMAC key
+        values: dict[SecretId, BitString],  # the keys this node holds
+        n: int,
+        descriptor: str,  # run descriptor announced and expected in HELLO
+        tamper_index: int | None = None,
+    ) -> None:
+        self.label, self.hops, self.absorbs, self.up = label, hops, absorbs, up
+        self.link_keys, self.values, self.n = link_keys, values, n
+        self.descriptor, self.tamper_index = descriptor, tamper_index
         self.transcript: list[str] = []
         self.code: int | None = None
         self.output: BitString | None = None
-        label, self.hops, self.up, self.absorbs = cfg.label, cfg.hops, cfg.up, cfg.absorbs
         inbound = [h for h in self.hops if h.receiver.label == label]
         outbound = [h for h in self.hops if h.sender.label == label]
         self.peers_in = tuple(sorted({h.sender.label for h in inbound}))
@@ -236,7 +224,7 @@ class NodeMachine:
         self._sends: Sends = []
 
     def log(self, line: str) -> None:
-        self.transcript.append(f"{self.cfg.label}: {line}")
+        self.transcript.append(f"{self.label}: {line}")
 
     # -- events -----------------------------------------------------------
 
@@ -245,7 +233,7 @@ class NodeMachine:
         frame of a new inbound link; FrameError(BAD_TAG) if none does."""
         for peer in self.peers_in:
             try:
-                decode_frame(blob, self.cfg.link_keys[peer])
+                decode_frame(blob, self.link_keys[peer])
             except FrameError:
                 continue
             return peer
@@ -275,7 +263,7 @@ class NodeMachine:
         return sends
 
     def _greet(self, peer: str) -> None:
-        hello = f"{self.cfg.descriptor}|{self.cfg.label}->{peer}"
+        hello = f"{self.descriptor}|{self.label}->{peer}"
         self._send(peer, Frame(FRAME_HELLO, 0, hello.encode()))
         self.log(f"HELLO -> {peer} sent")
         self._link_up(peer)
@@ -292,7 +280,7 @@ class NodeMachine:
             return
         assert peer is not None
         try:
-            frame = decode_frame(event, self.cfg.link_keys[peer])
+            frame = decode_frame(event, self.link_keys[peer])
         except FrameError as exc:
             raise _Abort(exc.code) from None
         if peer not in self.links:
@@ -309,7 +297,7 @@ class NodeMachine:
     # -- protocol ---------------------------------------------------------
 
     def _accept_hello(self, peer: str, frame: Frame) -> None:
-        want = f"{self.cfg.descriptor}|{peer}->{self.cfg.label}"
+        want = f"{self.descriptor}|{peer}->{self.label}"
         if frame.ftype != FRAME_HELLO or frame.payload.decode("utf-8", "replace") != want:
             self.links.add(peer)  # the HELLO authenticated, so the refusal can too
             raise _Abort("POSITION_MISMATCH")
@@ -322,7 +310,7 @@ class NodeMachine:
             return
         # the secrets this node's sends and absorbs use
         uses = {*self.nonces, *(sid for rule in self.absorbs for sid in rule.strip_ids)}
-        uses.update(sid for h in self.hops if h.sender.label == self.cfg.label for sid in h.xor_ids)
+        uses.update(sid for h in self.hops if h.sender.label == self.label for sid in h.xor_ids)
         if uses - self.values.keys():
             raise _Abort("MISSING_KEY", exit_code=3)
 
@@ -335,7 +323,7 @@ class NodeMachine:
             return
         while self.pc < len(self.hops):
             hop = self.hops[self.pc]
-            if hop.sender.label == self.cfg.label:
+            if hop.sender.label == self.label:
                 self._relay(hop)
             elif hop.index not in self.received:
                 return
@@ -356,8 +344,8 @@ class NodeMachine:
         for sid in hop.xor_ids:
             bits = bits ^ self.values[sid]
         peer = hop.receiver.label
-        blob = encode_frame(Frame(FRAME_RELAY, hop.index, bits.to_bytes()), self.cfg.link_keys[peer])
-        if hop.index == self.cfg.tamper_index:
+        blob = encode_frame(Frame(FRAME_RELAY, hop.index, bits.to_bytes()), self.link_keys[peer])
+        if hop.index == self.tamper_index:
             blob = blob[:7] + bytes((blob[7] ^ 0x01,)) + blob[8:]  # test hook
             self.log(f"TAMPER M{hop.index}")
         self._sends.append((peer, blob))
@@ -369,15 +357,15 @@ class NodeMachine:
         # from different paths may arrive in any relative order
         if (peer, frame.index) not in self.expected_relays or frame.index in self.received:
             raise _Abort("POSITION_MISMATCH")
-        if len(frame.payload) != (self.cfg.n + 7) // 8:
+        if len(frame.payload) != (self.n + 7) // 8:
             raise _Abort("POSITION_MISMATCH")
-        self.received[frame.index] = BitString.from_bytes(frame.payload, self.cfg.n)
+        self.received[frame.index] = BitString.from_bytes(frame.payload, self.n)
         self.log(f"RECV M{frame.index} <- {peer}")
 
     def _output(self) -> BitString | None:
         if not self.nonces and not self.absorbs:
             return None
-        acc = BitString.zeros(self.cfg.n)
+        acc = BitString.zeros(self.n)
         for nid in self.nonces:
             acc = acc ^ self.values[nid]
         for rule in self.absorbs:
@@ -388,7 +376,7 @@ class NodeMachine:
         return acc
 
     def _send(self, peer: str, frame: Frame) -> None:
-        self._sends.append((peer, encode_frame(frame, self.cfg.link_keys[peer])))
+        self._sends.append((peer, encode_frame(frame, self.link_keys[peer])))
 
     def _broadcast(self, peers: set[str], ftype: int, payload: bytes) -> None:
         for peer in sorted(peers):
@@ -396,24 +384,22 @@ class NodeMachine:
 
 
 async def _run_nodes(
-    cfgs: list[NodeConfig],
-    keys: dict[str, dict[SecretId, BitString]],
-    addrs: dict[str, tuple[str, int]],
-    timeout: float,
-) -> dict[str, NodeResult]:
-    """Run every node, with its keys, on the running event loop, and feed
-    each link's frames to its node. Every listener is bound before any node
-    dials. If one node's listener cannot bind, no node starts: the listeners
-    bound so far are closed and only that node's result comes back."""
+    machines: dict[str, NodeMachine], addrs: dict[str, tuple[str, int]], timeout: float
+) -> dict[str, NodeMachine]:
+    """Run every node on the running event loop, feed each link's frames to
+    its node, and return the machines. Every listener is bound before any
+    node dials. If one node's listener cannot bind, no node starts: the
+    listeners bound so far are closed and only that node comes back, with
+    exit code 3."""
     import asyncio
 
     loop = asyncio.get_running_loop()
-    machines = [NodeMachine(cfg, keys[cfg.label]) for cfg in cfgs]
+    nodes = machines.values()
     servers: dict[NodeMachine, asyncio.Server] = {}
-    routes: dict[NodeMachine, dict] = {m: {} for m in machines}  # peer label -> StreamWriter
-    writers: dict[NodeMachine, list] = {m: [] for m in machines}  # every link's, identified or not
+    routes: dict[NodeMachine, dict] = {m: {} for m in nodes}  # peer label -> StreamWriter
+    writers: dict[NodeMachine, list] = {m: [] for m in nodes}  # every link's, identified or not
     tasks: list[asyncio.Task] = []  # one reading task per link end
-    running = set(machines)
+    running = set(nodes)
     finished = loop.create_future()
 
     def emit(m: NodeMachine, sends: Sends) -> None:
@@ -474,22 +460,23 @@ async def _run_nodes(
             if not isinstance(event, bytes):
                 return
 
-    for m in machines:
+    for m in nodes:
         if m.peers_in:
             try:
-                servers[m] = await asyncio.start_server(partial(accept, m), *addrs[m.cfg.label])
+                servers[m] = await asyncio.start_server(partial(accept, m), *addrs[m.label])
             except OSError as exc:
                 for server in servers.values():
                     server.close()
-                label = m.cfg.label
-                return {label: NodeResult(label, 3, [f"{label}: CONFIG {exc}"])}
+                m.code = 3
+                m.log(f"CONFIG {exc}")
+                return {m.label: m}
 
     def expire() -> None:  # the run's one deadline; a finished node ignores it
-        for m in machines:
+        for m in nodes:
             emit(m, m.feed(None, TimeoutError()))
 
     timer = loop.call_later(timeout, expire)
-    tasks.extend(loop.create_task(dial(m, peer)) for m in machines for peer in m.peers_out)
+    tasks.extend(loop.create_task(dial(m, peer)) for m in nodes for peer in m.peers_out)
     await finished
     # no node reads any more, so no close can destroy a frame still wanted
     timer.cancel()
@@ -507,58 +494,57 @@ async def _run_nodes(
     for writer in links:
         with contextlib.suppress(OSError):  # the peer reset the link first
             await writer.wait_closed()
-    return {m.cfg.label: NodeResult(m.cfg.label, m.code, m.transcript, m.output) for m in machines}
+    return machines
 
 
-def _node_keys(topo: Topology, store: KeyStore) -> dict[str, dict[SecretId, BitString]]:
-    """Each node's keys: the secrets that name it as an end."""
-    keys: dict[str, dict[SecretId, BitString]] = {nd.label: {} for nd in topo.nodes}
-    for sid in store.ids():
-        for end in sid.ends:
-            keys[end][sid] = store[sid]
-    return keys
-
-
-def _node_configs(
-    schedule: Schedule, n: int, tamper_index: int | None = None
-) -> dict[str, NodeConfig]:
+def _machines(
+    schedule: Schedule, store: KeyStore, tamper_index: int | None = None
+) -> dict[str, NodeMachine]:
+    """Every node's NodeMachine, keyed by label: the schedule's hops and
+    absorbs that name it, its up peers, a fresh key for each of its links
+    and the secrets that name it as an end."""
     topo = schedule.plan.topology
-    nodes = topo.nodes
-    descriptor = f"{schedule.plan.variant.value}|{topo.describe()}|{n}"
+    labels = [nd.label for nd in topo.nodes]
+    descriptor = f"{schedule.plan.variant.value}|{topo.describe()}|{store.n}"
 
-    link_keys: dict[str, dict[str, bytes]] = {nd.label: {} for nd in nodes}
-    hops: dict[str, list[Hop]] = {nd.label: [] for nd in nodes}
+    link_keys: dict[str, dict[str, bytes]] = {lab: {} for lab in labels}
+    hops: dict[str, list[Hop]] = {lab: [] for lab in labels}
     for hop in schedule.hops:
         s, r = hop.sender.label, hop.receiver.label
         if r not in link_keys[s]:  # a ring or reach link carries several hops
             link_keys[s][r] = link_keys[r][s] = secrets.token_bytes(32)
         hops[s].append(hop)
         hops[r].append(hop)
-    absorbs: dict[str, list[AbsorbRule]] = {nd.label: [] for nd in nodes}
+    absorbs: dict[str, list[AbsorbRule]] = {lab: [] for lab in labels}
     for rule in schedule.absorbs:
         absorbs[schedule.hops[rule.hop_index].receiver.label].append(rule)
-    up: dict[str, set[str]] = {nd.label: set() for nd in nodes}
+    up: dict[str, set[str]] = {lab: set() for lab in labels}
     for u, v in topo.links:
         up[v.label].add(u.label)
+    values: dict[str, dict[SecretId, BitString]] = {lab: {} for lab in labels}
+    for sid in store.ids():
+        for end in sid.ends:
+            values[end][sid] = store[sid]
     return {
-        nd.label: NodeConfig(
-            label=nd.label,
-            hops=tuple(hops[nd.label]),
-            absorbs=tuple(absorbs[nd.label]),
-            up=up[nd.label],
-            n=n,
-            link_keys=link_keys[nd.label],
-            descriptor=descriptor,
-            tamper_index=tamper_index,
+        lab: NodeMachine(
+            lab,
+            tuple(hops[lab]),
+            tuple(absorbs[lab]),
+            up[lab],
+            link_keys[lab],
+            values[lab],
+            store.n,
+            descriptor,
+            tamper_index,
         )
-        for nd in nodes
+        for lab in labels
     }
 
 
 @dataclass
 class WireRun:
     code: int
-    results: dict[str, NodeResult]
+    results: dict[str, NodeMachine]
     output_a: BitString | None
     output_b: BitString | None
     report: str
@@ -600,30 +586,30 @@ def orchestrate(
     store = make_store(schedule, n, random.Random(seed))
 
     os.makedirs(out_dir, exist_ok=True)
-    cfgs = _node_configs(schedule, n, tamper_index)
+    machines = _machines(schedule, store, tamper_index)
     addrs = {nd.label: ("127.0.0.1", base_port + i) for i, nd in enumerate(topo.nodes)}
 
     import asyncio
 
-    results = asyncio.run(_run_nodes(list(cfgs.values()), _node_keys(topo, store), addrs, timeout))
-    outputs = {lab: res.output for lab, res in results.items()}  # None unless it succeeded
+    results = asyncio.run(_run_nodes(machines, addrs, timeout))
+    outputs = {lab: m.output for lab, m in results.items()}  # None unless it succeeded
     out_a, out_b = outputs.get(topo.endpoint_a.label), outputs.get(topo.endpoint_b.label)
-    codes = [res.code for res in results.values()]
+    codes = [m.code for m in results.values()]
     code = 3 if 3 in codes else (2 if any(c != 0 for c in codes) else 0)
     # a failed node's last transcript line is its ABORT or CONFIG line
     causes = [
-        f"{lab}: exit {res.code}, {res.transcript[-1]}"
-        for lab, res in sorted(results.items())
-        if res.code != 0
+        f"{lab}: exit {m.code}, {m.transcript[-1]}"
+        for lab, m in sorted(results.items())
+        if m.code != 0
     ]
     if code == 0 and (out_a is None or out_a != out_b):
         # every node succeeded, so a relay substituted a validly tagged payload
         code, causes = 2, ["endpoint keys differ"]
     if code != 0:
         return WireRun(code, results, out_a, out_b, f"run failed (exit {code}); " + "; ".join(causes))
-    for res in results.values():
-        if res.output is not None:
-            with open(f"{out_dir}/key_{res.label}.hex", "w", encoding="utf-8") as fh:
-                fh.write(res.output.to_hex() + "\n")
-            res.transcript.append(f"{res.label}: OUTPUT written ({n} bits)")
-    return WireRun(0, results, out_a, out_b, f"all {len(cfgs)} nodes completed; endpoint keys match")
+    for m in results.values():
+        if m.output is not None:
+            with open(f"{out_dir}/key_{m.label}.hex", "w", encoding="utf-8") as fh:
+                fh.write(m.output.to_hex() + "\n")
+            m.log(f"OUTPUT written ({n} bits)")
+    return WireRun(0, results, out_a, out_b, f"all {len(results)} nodes completed; endpoint keys match")

@@ -66,10 +66,11 @@ def test_key_names_preserve_end_order():
 
 def test_expr_text_is_sorted_and_self_cancelling():
     a, b = tf_key("A", "N2"), nonce("A")
-    expr = SymbolicExpr.of(b) ^ SymbolicExpr.of(a)
-    assert expr.text() == "K[A,N2]+X[A]"
-    assert (expr ^ expr).is_zero
-    assert (expr ^ expr).text() == "0"
+    assert SymbolicExpr.of(b, a).text() == "K[A,N2]+X[A]"
+    assert SymbolicExpr.of(b, a, b).text() == "K[A,N2]"
+    cancelled = SymbolicExpr.of(b, a, b, a)
+    assert cancelled.is_zero
+    assert cancelled.text() == "0"
 
 
 def test_store_rejects_duplicates_and_names_missing_ids():
@@ -220,18 +221,16 @@ def _store_over_pool(n):
 
 @given(st.lists(st.sampled_from(_POOL)), st.lists(st.sampled_from(_POOL)))
 def test_evaluate_is_a_xor_homomorphism(lhs, rhs):
+    # the expression over both id lists is the XOR of the two expressions
     store = _store_over_pool(8)
-    e1 = SymbolicExpr.of(*lhs)
-    e2 = SymbolicExpr.of(*rhs)
-    assert store.evaluate(e1 ^ e2) == store.evaluate(e1) ^ store.evaluate(e2)
+    both = SymbolicExpr.of(*lhs, *rhs)
+    assert store.evaluate(both) == store.evaluate(SymbolicExpr.of(*lhs)) ^ store.evaluate(SymbolicExpr.of(*rhs))
 
 
 @given(st.lists(st.sampled_from(_POOL)), st.lists(st.sampled_from(_POOL)))
 def test_expr_xor_is_commutative_and_involutive(lhs, rhs):
-    e1 = SymbolicExpr.of(*lhs)
-    e2 = SymbolicExpr.of(*rhs)
-    assert e1 ^ e2 == e2 ^ e1
-    assert (e1 ^ e2) ^ e2 == e1
+    assert SymbolicExpr.of(*lhs, *rhs) == SymbolicExpr.of(*rhs, *lhs)
+    assert SymbolicExpr.of(*lhs, *rhs, *rhs) == SymbolicExpr.of(*lhs)
 
 
 def test_evaluate_empty_expr_is_zero():

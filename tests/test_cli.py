@@ -316,6 +316,14 @@ def test_rate_anchors_and_csv(tmp_path, capsys):
     assert len(lines) == 1 + 8 * 7  # 8 distances, 7 default families
 
 
+def test_rate_refuses_an_empty_families_list_before_writing(tmp_path, capsys):
+    # an empty value names one empty family; it does not ask for the defaults
+    out_dir = tmp_path / "out"
+    assert main(["rate", "--families", "", "--to-km", "0", "--output-dir", str(out_dir)]) == 3
+    assert capsys.readouterr().err == "keyhop: error: unknown rate family ''\n"
+    assert not (out_dir / "rates.csv").exists()
+
+
 @pytest.mark.parametrize("to_km", ["150000", "1000000000"])
 def test_rate_refuses_a_sweep_past_the_row_cap_before_writing(tmp_path, capsys, to_km):
     # 150,001 distances x 7 families = 1,050,007 rows, just past 2^20
@@ -789,7 +797,7 @@ def test_a_command_parser_alone_gives_the_listing_parsers_namespace(monkeypatch,
     help_text, add_flags, _ = cli._COMMANDS[argv[0]]
     monkeypatch.setitem(cli._COMMANDS, argv[0], (help_text, add_flags, got.append))
     main(argv)
-    assert got == [cli._listing_parser(argv).parse_args(argv)]
+    assert got == [cli._listing_parser().parse_args(argv)]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,4 @@
 import asyncio
-import dataclasses
 import gc
 import hashlib
 import random
@@ -28,8 +27,6 @@ from keyhop.wire import (
     Frame,
     FrameError,
     NodeMachine,
-    _node_configs,
-    _node_keys,
     _read_frame,
     decode_frame,
     encode_frame,
@@ -47,6 +44,7 @@ GENERATED_PORTS = cycle(range(28000, 30000, 40))
 STRAY_PORT = 27000  # and 27040
 TIMEOUT_PORT = 27080
 REPLAY_PORT = 27120  # and 27160
+HALF_CLOSE_PORT = 27200
 
 
 def test_frame_round_trip():
@@ -202,27 +200,34 @@ def _run(tmp_path, topo, variant, seed=5, n=64, **kw):
     return orchestrate(topo, variant, n, seed, next(PORTS), str(tmp_path), **kw)
 
 
+def _patch_machine(monkeypatch, label, change):
+    """Apply change to node label's NodeMachine as the run builds it."""
+    machines = wire._machines
+
+    def patched(*args):
+        nodes = machines(*args)
+        change(nodes[label])
+        return nodes
+
+    monkeypatch.setattr(wire, "_machines", patched)
+
+
 def _mismatch_descriptor(monkeypatch, label):
     """Give node label a run descriptor no other node expects."""
-    configs = wire._node_configs
 
-    def mismatched(*args):
-        cfgs = configs(*args)
-        cfgs[label] = dataclasses.replace(cfgs[label], descriptor="mismatched|" + cfgs[label].descriptor)
-        return cfgs
+    def mismatch(node):
+        node.descriptor = "mismatched|" + node.descriptor
 
-    monkeypatch.setattr(wire, "_node_configs", mismatched)
+    _patch_machine(monkeypatch, label, mismatch)
 
 
 def _drop_key(monkeypatch, label, name):
-    """Delete the secret called name from the keys handed to node label."""
-    run_nodes = wire._run_nodes
+    """Delete the secret called name from the keys held by node label."""
 
-    def dropping(cfgs, keys, *args):
-        keys[label] = {sid: v for sid, v in keys[label].items() if sid.name != name}
-        return run_nodes(cfgs, keys, *args)
+    def drop(node):
+        node.values = {sid: v for sid, v in node.values.items() if sid.name != name}
 
-    monkeypatch.setattr(wire, "_run_nodes", dropping)
+    _patch_machine(monkeypatch, label, drop)
 
 
 def _files(out_dir):
@@ -238,7 +243,7 @@ def _insider(monkeypatch, index):
         relay(self, hop)
         if hop.index == index:
             peer, blob = self._sends[-1]
-            key = self.cfg.link_keys[peer]
+            key = self.link_keys[peer]
             payload = decode_frame(blob, key).payload
             frame = Frame(FRAME_RELAY, index, bytes((payload[0] ^ 0x01,)) + payload[1:])
             self._sends[-1] = (peer, encode_frame(frame, key))
@@ -287,9 +292,9 @@ def test_a_frame_tagged_under_a_public_link_key_is_refused():
     # sha256("link|<variant>|<topology>|<n>|<u>|<v>"), u and v in label order
     topo = build_chain(4)
     nodes = _machines(topo, Variant.CHAIN_M, 5)
-    public = f"link|{nodes['N1'].cfg.descriptor}|A|N1"
+    public = f"link|{nodes['N1'].descriptor}|A|N1"
     public_key = hashlib.sha256(public.encode()).digest()
-    key = nodes["A"].cfg.link_keys["N1"]
+    key = nodes["A"].link_keys["N1"]
     (_, hello), (_, relay), *_ = nodes["A"].dialled("N1")  # A greets N1, sends M0
     assert (hello[4], relay[4]) == (FRAME_HELLO, FRAME_RELAY)
     forged_hello, forged_relay = (
@@ -366,7 +371,10 @@ def test_missing_own_nonce_is_a_config_failure(tmp_path, monkeypatch):
 def test_a_port_in_use_ends_the_run_at_once(tmp_path):
     topo = build_chain(3)  # A, B, N1, N2, N3 listen on base .. base+4
     base = next(PORTS)
+    # SO_REUSEADDR lets both sockets bind over the TIME_WAIT links an
+    # earlier run on these ports left; Linux still lets only one listen
     with socket.socket() as held:
+        held.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         held.bind(("127.0.0.1", base + 4))
         held.listen()
         start = time.perf_counter()
@@ -377,6 +385,7 @@ def test_a_port_in_use_ends_the_run_at_once(tmp_path):
     assert elapsed < 0.5, f"took {elapsed:.3f} s"
     assert _files(tmp_path) == []
     with socket.socket() as again:  # the listeners bound before N3's are closed
+        again.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         again.bind(("127.0.0.1", base + 1))
 
 
@@ -418,6 +427,37 @@ def test_tampering_any_hop_of_a_long_chain_aborts_well_inside_the_timeout(tmp_pa
         assert elapsed < 0.5, f"hop {hop} took {elapsed:.3f} s"
 
 
+def test_a_finished_node_half_closes_so_a_slow_peer_still_reads_its_abort(tmp_path, monkeypatch):
+    # B aborts on path 1's tampered hop while path 2 lags: N2.2 reads its
+    # link from N1.2 slowly, so it relays M5 and DONE to B after B finished,
+    # and it reads its link to B later still. A node that closed its sockets
+    # fully when it finished would answer those frames with a reset, and the
+    # reset would destroy B's ABORT before N2.2 read it: N2.2 would abort
+    # with PEER_LOST instead of naming the tampering
+    topo = build_multipath([2, 2])  # A-N1.1-N2.1-B and A-N1.2-N2.2-B
+    port = {nd.label: HALF_CLOSE_PORT + i for i, nd in enumerate(topo.nodes)}
+    read_frame = wire._read_frame
+
+    async def slow_read(reader):
+        transport = reader._transport
+        if transport.get_extra_info("peername")[1] == port["B"]:  # N2.1's and N2.2's links to B
+            await asyncio.sleep(0.2)
+        elif transport.get_extra_info("sockname")[1] == port["N2.2"]:  # N2.2's link from N1.2
+            await asyncio.sleep(0.02)
+        return await read_frame(reader)
+
+    monkeypatch.setattr(wire, "_read_frame", slow_read)
+    result = orchestrate(
+        topo, Variant.MULTIPATH, 64, 5, HALF_CLOSE_PORT, str(tmp_path), tamper_index=2, timeout=2.0
+    )
+    causes = [
+        f"{lab}: exit 2, {lab}: ABORT {'BAD_TAG' if lab == 'B' else 'PEER_ABORT(BAD_TAG)'}"
+        for lab in sorted(port)
+    ]
+    assert result.report == "run failed (exit 2); " + "; ".join(causes)
+    assert _files(tmp_path) == []
+
+
 def _stray_run(out_dir, monkeypatch, base):
     """Chain m=4 at timeout=2 on ports base..base+5, with an idle socket
     connected to N1's listener as the first link comes up; the socket is
@@ -457,7 +497,7 @@ def test_a_stalled_run_times_out_at_the_deadline(tmp_path, monkeypatch):
     accept_relay = NodeMachine._accept_relay
 
     def dropping(self, peer, frame):
-        if self.cfg.label != "N2":
+        if self.label != "N2":
             accept_relay(self, peer, frame)
 
     monkeypatch.setattr(NodeMachine, "_accept_relay", dropping)
@@ -529,11 +569,7 @@ def test_a_run_matches_the_engine_on_the_calling_thread_alone(
 def _machines(topo, variant, seed, tamper_index=None, n=64):
     """Every node's NodeMachine, keyed by label, with its own keys."""
     schedule = compile_schedule(plan_keys(topo, variant))
-    keys = _node_keys(topo, make_store(schedule, n, random.Random(seed)))
-    return {
-        lab: NodeMachine(cfg, keys[lab])
-        for lab, cfg in _node_configs(schedule, n, tamper_index).items()
-    }
+    return wire._machines(schedule, make_store(schedule, n, random.Random(seed)), tamper_index)
 
 
 def _deliver(topo, variant, seed, order, tamper_index=None, n=64):
@@ -700,14 +736,10 @@ def test_a_peer_that_leaves_before_its_done_is_lost():
 
 
 def test_setting_up_a_long_chain_is_linear():
-    # plan, configs, every NodeMachine and the link-up key check, with no
+    # plan, store, every NodeMachine and the link-up key check, with no
     # sockets; a scan of the whole schedule per node makes this quadratic
     start = time.perf_counter()
-    topo = build_chain(4000)
-    schedule = compile_schedule(plan_keys(topo, Variant.CHAIN_M))
-    keys = _node_keys(topo, make_store(schedule, 64, random.Random(3)))
-    cfgs = _node_configs(schedule, 64)
-    nodes = {lab: NodeMachine(cfg, keys[lab]) for lab, cfg in cfgs.items()}
+    nodes = _machines(build_chain(4000), Variant.CHAIN_M, 3)
     for lab, node in nodes.items():
         for peer in node.peers_out:
             (_, hello), *_ = node.dialled(peer)
