@@ -19,7 +19,6 @@ __all__ = [
     "p2p_key",
     "nonce",
     "BitString",
-    "random_bits",
     "SymbolicExpr",
     "KeyStore",
 ]
@@ -31,6 +30,10 @@ class SecretKind(Enum):
     TF_KEY = "K"
     P2P_KEY = "P"
     NONCE = "X"
+
+    # members are singletons, so identity is equality; object's C-level hash
+    # spares every SecretId lookup Enum's Python-level one
+    __hash__ = object.__hash__
 
 
 # Every SecretId built in this process, keyed by its fields: one entry per
@@ -147,11 +150,6 @@ class BitString:
 _MAX_BITS = (1 << 31) - 1  # random.getrandbits takes a C int
 
 
-def random_bits(n: int, rng: random.Random) -> BitString:
-    """Draw n uniform bits from a seeded generator."""
-    return BitString(rng.getrandbits(n), n)
-
-
 @dataclass(frozen=True)
 class SymbolicExpr:
     """An XOR of named secrets, kept as the set of terms with odd multiplicity."""
@@ -179,7 +177,9 @@ class SymbolicExpr:
 
 
 class KeyStore:
-    """Insert-once mapping from secret ids to bitstrings of one shared length."""
+    """Insert-once mapping from secret ids to n-bit values of one shared
+    length. The values are held as plain ints; a lookup or an evaluation
+    builds the BitString its caller gets."""
 
     def __init__(self, n: int) -> None:
         if n < 1:
@@ -187,23 +187,24 @@ class KeyStore:
         if n > _MAX_BITS:
             raise ValueError(f"key length must be at most {_MAX_BITS} bits")
         self.n = n
-        self._values: dict[SecretId, BitString] = {}
+        self._values: dict[SecretId, int] = {}
 
     def add(self, sid: SecretId, value: BitString) -> None:
         if value.n != self.n:
             raise ValueError(f"{sid} has length {value.n}, store holds {self.n}-bit secrets")
         if sid in self._values:
             raise ValueError(f"duplicate secret id: {sid}")
-        self._values[sid] = value
+        self._values[sid] = value.value
 
-    def sample(self, sid: SecretId, rng: random.Random) -> BitString:
-        value = random_bits(self.n, rng)
-        self.add(sid, value)
-        return value
+    def sample(self, sid: SecretId, rng: random.Random) -> None:
+        """Draw n uniform bits from a seeded generator as sid's value."""
+        if sid in self._values:
+            raise ValueError(f"duplicate secret id: {sid}")
+        self._values[sid] = rng.getrandbits(self.n)
 
     def __getitem__(self, sid: SecretId) -> BitString:
         try:
-            return self._values[sid]
+            return BitString(self._values[sid], self.n)
         except KeyError:
             raise KeyError(f"unknown secret id: {sid}") from None
 
@@ -216,7 +217,7 @@ class KeyStore:
         acc = 0
         try:
             for sid in expr.terms:
-                acc ^= self._values[sid].value
+                acc ^= self._values[sid]
         except KeyError:
             raise KeyError(f"unknown secret id: {sid}") from None
         return BitString(acc, self.n)

@@ -75,10 +75,6 @@ class KeyPlan:
     variant: Variant
     entries: tuple[PlanEntry, ...]
 
-    @property
-    def secret_ids(self) -> tuple[SecretId, ...]:
-        return tuple(e.secret_id for e in self.entries)
-
 
 def plan_keys(topo: Topology, variant: Variant) -> KeyPlan:
     """Derive the key set the variant's schedule consumes.

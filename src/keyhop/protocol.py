@@ -87,7 +87,8 @@ def compile_schedule(plan: KeyPlan) -> Schedule:
     keys: list[dict[str, list[SecretId]]] = [{nd.label: [] for nd in seq} for seq, _ in runs]
     path_of = {nd.label: keys[p] for p, (seq, _) in enumerate(runs) for nd in seq[1:-1]}
     listed: set[SecretId] = set()
-    for sid in plan.secret_ids:
+    for entry in plan.entries:
+        sid = entry.secret_id
         # execute folds a hop's keys in as one set, which holds a key once
         if sid in listed:
             raise ValueError(f"key {sid.name} is listed twice")
@@ -102,15 +103,8 @@ def compile_schedule(plan: KeyPlan) -> Schedule:
     absorbs: list[AbsorbRule] = []
     for (seq, nonce_id), held in zip(runs, keys):
         for i, (sender, receiver) in enumerate(zip(seq, seq[1:])):
-            hops.append(
-                Hop(
-                    index=len(hops),
-                    sender=sender,
-                    receiver=receiver,
-                    origin=nonce_id if i == 0 else None,
-                    xor_ids=tuple(held[sender.label]),
-                )
-            )
+            origin = nonce_id if i == 0 else None
+            hops.append(Hop(len(hops), sender, receiver, origin, tuple(held[sender.label])))
         absorbs.append(AbsorbRule(hops[-1].index, tuple(held[seq[-1].label])))
     return Schedule(plan, tuple(hops), tuple(absorbs))
 
@@ -177,20 +171,24 @@ def execute(schedule: Schedule, store: KeyStore) -> ProtocolTrace:
     values = store._values
     outputs = {topo.endpoint_a.label: 0, topo.endpoint_b.label: 0}
     messages: list[Message] = []
+    nonce_ids: list[SecretId] = []
     acc, expr = 0, SymbolicExpr()
     for hop in schedule.hops:
-        if hop.origin is not None:
-            expr = SymbolicExpr.of(hop.origin)
         # compile_schedule lists each key once, so the hop's keys are one set
-        expr = SymbolicExpr(expr.terms ^ frozenset(hop.xor_ids))
+        keys = frozenset(hop.xor_ids)
+        if hop.origin is not None:
+            nonce_ids.append(hop.origin)
+            expr = SymbolicExpr(keys ^ {hop.origin})
+        else:
+            expr = SymbolicExpr(expr.terms ^ keys)
         # evaluated before the fold, so an id missing from the store is
         # reported by name
         bits = store.evaluate(expr)
         if hop.origin is not None:
-            acc = values[hop.origin].value
+            acc = values[hop.origin]
             outputs[hop.sender.label] ^= acc
         for sid in hop.xor_ids:
-            acc ^= values[sid].value
+            acc ^= values[sid]
         if bits.value != acc:
             raise AssertionError(f"emission {hop.index} disagrees with its expression")
         messages.append(Message(hop.index, hop.sender, hop.receiver, bits, expr))
@@ -198,7 +196,7 @@ def execute(schedule: Schedule, store: KeyStore) -> ProtocolTrace:
         msg = messages[rule.hop_index]
         share = msg.bits.value
         for sid in rule.strip_ids:
-            share ^= values[sid].value
+            share ^= values[sid]
         outputs[msg.receiver.label] ^= share
 
     out_a = BitString(outputs[topo.endpoint_a.label], store.n)
@@ -206,7 +204,7 @@ def execute(schedule: Schedule, store: KeyStore) -> ProtocolTrace:
     if out_a != out_b:
         raise AssertionError("honest run must agree on the final key")
     return ProtocolTrace(
-        schedule.plan.variant, topo, tuple(messages), out_a, out_b, schedule.nonce_ids, store
+        schedule.plan.variant, topo, tuple(messages), out_a, out_b, tuple(nonce_ids), store
     )
 
 

@@ -16,7 +16,6 @@ from keyhop.bits import (
     SymbolicExpr,
     nonce,
     p2p_key,
-    random_bits,
     tf_key,
 )
 
@@ -51,9 +50,11 @@ def test_from_bytes_rejects_wrong_size():
         BitString.from_bytes(b"\x00\x00", 4)
 
 
-def test_random_bits_are_roughly_balanced():
-    rng = random.Random(1234)
-    ones = sum(bin(random_bits(1000, rng).value).count("1") for _ in range(10))
+def test_sampled_bits_are_roughly_balanced():
+    store, rng = KeyStore(1000), random.Random(1234)
+    for i in range(10):
+        store.sample(nonce("A", i), rng)
+    ones = sum(bin(store[sid].value).count("1") for sid in store.ids())
     assert abs(ones / 10_000 - 0.5) < 0.02
 
 
@@ -206,6 +207,23 @@ def test_store_keeps_insertion_order():
     for sid in ids:
         store.sample(sid, rng)
     assert list(store.ids()) == ids
+
+
+def test_store_lookup_builds_the_drawn_value():
+    store = KeyStore(12)
+    store.sample(nonce("A"), random.Random(5))
+    got = store[nonce("A")]
+    assert isinstance(got, BitString) and got.n == 12
+    assert got.value == random.Random(5).getrandbits(12)
+
+
+def test_store_refuses_a_second_draw_of_one_id():
+    store, rng = KeyStore(8), random.Random(0)
+    store.sample(nonce("A"), rng)
+    first = store[nonce("A")]
+    with pytest.raises(ValueError, match=r"duplicate secret id: X\[A\]"):
+        store.sample(nonce("A"), rng)
+    assert store[nonce("A")] == first and store.ids() == (nonce("A"),)
 
 
 _POOL = [tf_key("A", "N2"), tf_key("N1", "B"), p2p_key("A", "N1"), nonce("A"), nonce("B")]

@@ -1,14 +1,22 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import keyhop
-from keyhop import analysis, bits, cli
+from keyhop import analysis, cli
+from keyhop.bits import KeyStore
 from keyhop.cli import main
+from keyhop.ratemodel import DEFAULT_FAMILIES
 
 from test_wire import _insider
 
@@ -286,7 +294,7 @@ def test_key_material_over_the_budget_exits_three_before_a_draw(
     def refuse(*args):
         raise AssertionError("drew key material over the budget")
 
-    monkeypatch.setattr(bits, "random_bits", refuse)
+    monkeypatch.setattr(KeyStore, "sample", refuse)
     argv = [command, "--shape", "chain", "--m", "8", "--n", "32000000"]
     assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 3
     out, err = capsys.readouterr()
@@ -827,3 +835,97 @@ def test_every_command_refuses_an_oversized_layout_before_building_it(
     assert out == ""
     assert err == f"keyhop: error: {count} intermediaries exceed the wire limit of 65536 hops\n"
     assert not (tmp_path / "out").exists()
+
+
+def _comma_list(elements, max_size=3):
+    return st.lists(elements, max_size=max_size).map(lambda items: ",".join(map(str, items)))
+
+
+_LINE = st.tuples(
+    st.sampled_from(
+        ["shape", "m", "t", "paths", "link_length_km", "alpha_db_per_km", "c_tf", "threshold_bps"]
+    ),
+    st.one_of(
+        st.sampled_from(["chain", "reach", "multipath", "ring6", "2,3"]),
+        st.integers(-2, 4),
+        st.floats(),
+    ),
+).map(lambda kv: f"{kv[0]} = {kv[1]}")
+
+# Values the fuzz draws for a flag, by flag; a flag not named here draws by
+# its type. A layout has at most 3 paths of at most 5 intermediaries and
+# reach 4, and a key at most 300 bits, so no example builds much and no
+# truth-table oracle check takes long.
+_FLAG_VALUES = {
+    "--m": st.integers(-2, 5),
+    "--t": st.integers(-2, 3),
+    "--n": st.integers(-2, 300),
+    "--paths": _comma_list(st.integers(-1, 4)),
+    "--coalition": _comma_list(st.sampled_from(["A", "B", "N1", "N2", "N3", "N1.1", "N2.2", ""])),
+    "--grid-paths": _comma_list(st.integers(-1, 3)),
+    "--grid-reach": _comma_list(st.integers(-1, 3)),
+    "--families": _comma_list(st.sampled_from([*DEFAULT_FAMILIES, "scheme(m=0)", "bogus"])),
+    "--from-km": st.integers(-100, 500),
+    "--to-km": st.integers(-100, 500),
+    "--step-km": st.integers(-2, 100),
+    "--max-range-m": st.integers(-2, 8),
+}
+_BY_TYPE = {int: st.integers(-3, 8), float: st.floats(), None: st.text(max_size=6)}
+# Chances in four that a flag is given. A layout needs --shape or --config,
+# so --shape has three; so do the layout flags the drawn shape reads. Any
+# other flag has one, as most of them refuse some other.
+_ODDS = {"--shape": 3}
+_READS = {"chain": ("--m",), "reach": ("--m", "--t"), "multipath": ("--paths", "--t")}
+
+
+@st.composite
+def _argv(draw, command):
+    """argv for one command, a draw of its own flags with a value of each
+    one's kind, and the drawn lines of the file that --config or --params
+    names, by argv position. --output-dir is left to the caller."""
+    parser = argparse.ArgumentParser(add_help=False)
+    cli._COMMANDS[command][1](parser)
+    argv, files, shape = [command], {}, None
+    for action in parser._actions:
+        flag = action.option_strings[-1]
+        odds = _ODDS.get(flag, 1)
+        if flag in ("--m", "--paths", "--t"):
+            odds = 3 if flag in _READS.get(shape, ()) else 1
+        if flag == "--output-dir" or draw(st.integers(0, 3)) >= odds:
+            continue
+        if action.nargs == 0:
+            argv.append(flag)
+            continue
+        if flag in ("--config", "--params"):
+            files[len(argv)] = "\n".join(draw(st.lists(_LINE, max_size=4)))
+            value = ""  # the file's path, once the test has a directory
+        elif action.choices:
+            value = draw(st.sampled_from([*action.choices, "bogus"]))
+            shape = value if flag == "--shape" else shape
+        else:
+            value = draw(_FLAG_VALUES.get(flag, _BY_TYPE[action.type]))
+        # one word, so that a value such as -inf is not taken for a flag
+        argv.append(f"{flag}={value}")
+    return argv, files
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["simulate", "analyze", "attack", "rate"]).flatmap(_argv))
+def test_fuzzed_argv_exits_cleanly(case):
+    # any argv a command's flags admit ends in an exit code of the contract,
+    # never in a traceback
+    argv, files = list(case[0]), case[1]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        for pos, text in files.items():
+            path = os.path.join(tmp, f"file{pos}")
+            argv[pos] += path
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv + ["--output-dir", os.path.join(tmp, "out")])
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -18,9 +18,13 @@ from keyhop.protocol import run
 from keyhop.topology import build_chain, build_multipath, build_reach_chain, build_ring6
 
 
+def _ids(plan):
+    return [entry.secret_id for entry in plan.entries]
+
+
 def test_ring_v1_plan_has_only_relay_keys():
     plan = plan_keys(build_ring6(), Variant.RING_V1)
-    assert set(plan.secret_ids) == {
+    assert set(_ids(plan)) == {
         tf_key("A", "N2"),
         tf_key("N1", "B"),
         tf_key("A", "N4"),
@@ -30,8 +34,8 @@ def test_ring_v1_plan_has_only_relay_keys():
 
 def test_ring_v2_plan_adds_endpoint_link_keys():
     plan = plan_keys(build_ring6(), Variant.RING_V2)
-    assert len(plan.secret_ids) == 8
-    assert set(plan.secret_ids) - set(plan_keys(build_ring6(), Variant.RING_V1).secret_ids) == {
+    assert len(_ids(plan)) == 8
+    assert set(_ids(plan)) - set(_ids(plan_keys(build_ring6(), Variant.RING_V1))) == {
         p2p_key("A", "N1"),
         p2p_key("N2", "B"),
         p2p_key("A", "N3"),
@@ -41,7 +45,7 @@ def test_ring_v2_plan_adds_endpoint_link_keys():
 
 def test_chain2_plan():
     plan = plan_keys(build_chain(2), Variant.CHAIN2)
-    assert set(plan.secret_ids) == {
+    assert set(_ids(plan)) == {
         tf_key("A", "N2"),
         tf_key("N1", "B"),
         p2p_key("A", "N1"),
@@ -52,12 +56,12 @@ def test_chain2_plan():
 def test_chain_key_count_is_m_plus_two():
     for m in range(2, 8):
         plan = plan_keys(build_chain(m), Variant.CHAIN_M)
-        assert len(plan.secret_ids) == m + 2
+        assert len(_ids(plan)) == m + 2
 
 
 def test_reach_plan_spans_distances_up_to_t_plus_one():
     plan = plan_keys(build_reach_chain(3, 2), Variant.REACH_T)
-    assert set(plan.secret_ids) == {
+    assert set(_ids(plan)) == {
         tf_key("A", "N2"),
         tf_key("N1", "N3"),
         tf_key("N2", "B"),
@@ -71,7 +75,7 @@ def test_reach_plan_spans_distances_up_to_t_plus_one():
 def test_multipath_plan_is_per_path_disjoint():
     plan = plan_keys(build_multipath([2, 2]), Variant.MULTIPATH)
     per_path = {0: set(), 1: set()}
-    for sid in plan.secret_ids:
+    for sid in _ids(plan):
         suffixes = {lab.split(".")[-1] for lab in sid.ends if "." in lab}
         assert len(suffixes) <= 1
         if suffixes:
@@ -114,8 +118,8 @@ def test_establish_is_deterministic_and_plan_ordered():
     plan = plan_keys(build_chain(3), Variant.CHAIN_M)
     s1 = establish(plan, 32, random.Random(5))
     s2 = establish(plan, 32, random.Random(5))
-    assert [sid.name for sid in s1.ids()] == [sid.name for sid in plan.secret_ids]
-    assert all(s1[sid] == s2[sid] for sid in plan.secret_ids)
+    assert [sid.name for sid in s1.ids()] == [sid.name for sid in _ids(plan)]
+    assert all(s1[sid] == s2[sid] for sid in _ids(plan))
 
 
 def _hardware(plan):

@@ -127,7 +127,7 @@ def test_compile_refuses_a_key_between_the_endpoints():
     # built by hand, past the builders' m >= t+1 check: reach 2 plans K[A,B]
     path = (NodeId("A"), NodeId("N1"), NodeId("B"))
     plan = plan_keys(Topology(Shape.CHAIN, (path,), 100.0, t=2), Variant.CHAIN_M)
-    assert "K[A,B]" in [sid.name for sid in plan.secret_ids]
+    assert "K[A,B]" in [entry.secret_id.name for entry in plan.entries]
     with pytest.raises(ValueError, match="K\\[A,B\\] does not join an intermediary"):
         compile_schedule(plan)
 
@@ -215,7 +215,7 @@ def test_make_store_refuses_a_run_over_the_key_budget_before_drawing(monkeypatch
         raise AssertionError("drew key material")
 
     # ring6 v2 holds 8 keys, 2 nonces and 6 messages: 16 values of n bits
-    monkeypatch.setattr(bits, "random_bits", refuse)
+    monkeypatch.setattr(KeyStore, "sample", refuse)
     schedule = compile_schedule(plan_keys(build_ring6(), Variant.RING_V2))
     at_budget = KEY_BUDGET // 16 * 8
     with pytest.raises(AssertionError, match="drew"):  # the budget admits it
@@ -243,8 +243,9 @@ def test_make_store_covers_plan_then_nonces():
     sched = compile_schedule(plan)
     store = make_store(sched, 8, random.Random(0))
     names = [sid.name for sid in store.ids()]
-    assert names[: len(plan.secret_ids)] == [sid.name for sid in plan.secret_ids]
-    assert set(names[len(plan.secret_ids) :]) == {"X[A]", "X[B]"}
+    keys = [entry.secret_id.name for entry in plan.entries]
+    assert names[: len(keys)] == keys
+    assert set(names[len(keys) :]) == {"X[A]", "X[B]"}
 
 
 def test_trace_text_shape():
