@@ -8,14 +8,15 @@ question; tests hold them against each other:
 - explain (view_of + is_recoverable): one coalition's view, reduced by the
   elimination core _eliminate with combination tracking, so a BROKEN verdict
   carries its recovery recipe. It is the reference for the other two.
-- decide (min_breaking_coalitions, coalition_rows): a graph search. A
-  path's key graph has one edge per key folded on the path. Its messages
-  span the nonce plus the origin's keys, and each other sender's keys. With
-  the held keys dropped, the nonce lies in that span iff no remaining key
-  leaves some node set that holds the origin but not the absorber (the last
-  receiver, which never sends): iff the coalition separates the two. Paths
-  share no keys, so the minimal breaking coalitions (of the final key or
-  one nonce) are the unions of one minimal separator per path.
+- decide (min_breaking_coalitions, coalition_rows, collusion_grid): a graph
+  search on the compiled schedule. A path's key graph has one edge per key
+  its hops fold. Its messages span the nonce plus the origin's keys, and
+  each other sender's keys. With the held keys dropped, the nonce lies in
+  that span iff no remaining key leaves some node set that holds the origin
+  but not the absorber (the last receiver, which never sends): iff the
+  coalition separates the two. Paths share no keys, so the minimal breaking
+  coalitions (of the final key or one nonce) are the unions of one minimal
+  separator per path, and the grid sums each path's smallest one.
   coalition_rows reads its 2^m rows off two tables indexed by coalition
   bitmask in label order: the names, built by doubling, and the verdicts,
   the minimal sets closed upward under superset by shifts of one int.
@@ -33,7 +34,6 @@ question; tests hold them against each other:
 
 from __future__ import annotations
 
-import random
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
@@ -42,8 +42,8 @@ from math import log2
 from typing import Callable, Iterable
 
 from .bits import BitString, SecretId, SymbolicExpr
-from .keyplan import Variant
-from .protocol import ProtocolTrace, run
+from .keyplan import Variant, plan_keys
+from .protocol import ProtocolTrace, Schedule, compile_schedule
 from .topology import NodeId, build_multipath
 
 __all__ = [
@@ -69,7 +69,7 @@ __all__ = [
 ]
 
 ENUMERATION_CAP = 20  # coalitions.csv lists 2^m rows; 2^20 is the most we allow
-GRID_CAP = 100  # intermediaries per grid cell; a 100-intermediary cell takes about 15 ms
+GRID_CAP = 100  # intermediaries per grid cell; a cell at the cap takes about 1-3 ms
 
 
 class Status(Enum):
@@ -228,22 +228,24 @@ def check_enumerable(count: int) -> None:
         )
 
 
-def _key_graphs(trace: ProtocolTrace, target: SymbolicExpr) -> list[tuple[dict, str, str]]:
+def _key_graphs(schedule: Schedule, target: SymbolicExpr) -> list[tuple[dict, str, str]]:
     """Per path whose nonce the target holds: its key graph (node label ->
-    neighbours, one edge per key in the messages holding the nonce), its
-    origin (the first such message's sender) and its absorber (the last
-    one's receiver). The target must be the final key or one nonce."""
-    nonces = [nid for nid in trace.nonce_ids if nid in target.terms]
-    if len(target.terms) != len(nonces) or len(nonces) not in {1, len(trace.nonce_ids)}:
+    neighbours, one edge per key its hops fold), its origin (the first hop's
+    sender) and its absorber (the last hop's receiver). The target must be
+    the final key or one nonce."""
+    nonce_ids = schedule.nonce_ids
+    nonces = [nid for nid in nonce_ids if nid in target.terms]
+    if len(target.terms) != len(nonces) or len(nonces) not in {1, len(nonce_ids)}:
         raise ValueError(f"target {target.text()} is neither the final key nor one nonce")
-    graphs = []
-    for nid in nonces:
-        messages = [msg for msg in trace.messages if nid in msg.expr.terms]
-        graph: dict[str, set[str]] = defaultdict(set)
-        for u, v in (sid.ends for msg in messages for sid in msg.expr.terms if sid != nid):
-            graph[u].add(v)
-            graph[v].add(u)
-        graphs.append((graph, messages[0].sender.label, messages[-1].receiver.label))
+    graphs, start = [], 0
+    for rule in schedule.absorbs:  # a path's hops end at its absorb's hop
+        path, start = schedule.hops[start : rule.hop_index + 1], rule.hop_index + 1
+        if path[0].origin in target.terms:
+            graph: dict[str, set[str]] = defaultdict(set)
+            for u, v in (sid.ends for hop in path for sid in hop.xor_ids):
+                graph[u].add(v)
+                graph[v].add(u)
+            graphs.append((graph, path[0].sender.label, path[-1].receiver.label))
     return graphs
 
 
@@ -283,7 +285,7 @@ def _minimal_masks(trace: ProtocolTrace, target: SymbolicExpr) -> list[int]:
     separator per key graph the target needs cut."""
     inter = trace.topology.intermediaries
     bit = {nd.label: 1 << i for i, nd in enumerate(inter)}
-    graphs = _key_graphs(trace, target)
+    graphs = _key_graphs(trace.schedule, target)
     per_path = [[sum(bit[v] for v in sep) for sep in _separators(*g)] for g in graphs]
     masks = [sum(combo) for combo in product(*per_path)]  # paths share no intermediary
     # among sets of one size, the one holding the lowest differing position
@@ -548,9 +550,9 @@ def collusion_grid(
 
     Each cell uses paths of m = t+1 intermediaries, the smallest chain where
     reach t keeps the endpoints out of direct range. Computed by search, not
-    by formula; a cell of more than GRID_CAP intermediaries is refused before
-    any cell is computed. Returns (M, t, m per path, minimum colluding nodes)
-    rows.
+    by formula, on each cell's compiled schedule: no key is drawn and nothing
+    runs. A cell of more than GRID_CAP intermediaries is refused before any
+    cell is built. Returns (M, t, m per path, minimum colluding nodes) rows.
     """
     cells = [(n_paths, t) for n_paths in path_counts for t in reaches]
     for n_paths, t in cells:
@@ -563,11 +565,16 @@ def collusion_grid(
     for n_paths, t in cells:
         m = t + 1
         topo = build_multipath([m] * n_paths, link_length_km, t)
-        trace = run(topo, Variant.MULTIPATH, 1, random.Random(0))
-        minimal = min_breaking_coalitions(trace)
-        best = min(len(c.members) for c in minimal)
-        rows.append((n_paths, t, m, best))
+        schedule = compile_schedule(plan_keys(topo, Variant.MULTIPATH))
+        rows.append((n_paths, t, m, _fewest_breaking(schedule)))
     return rows
+
+
+def _fewest_breaking(schedule: Schedule) -> int:
+    """The fewest colluders that recover the final key: paths share no
+    intermediary, so each path is cut at its smallest minimal separator."""
+    final = SymbolicExpr.of(*schedule.nonce_ids)
+    return sum(min(map(len, _separators(*g))) for g in _key_graphs(schedule, final))
 
 
 def grid_csv(rows: list[tuple[int, int, int, int]]) -> str:

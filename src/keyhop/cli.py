@@ -28,6 +28,7 @@ from .topology import (
     build_topology,
     check_runnable,
     intermediary_count,
+    parse_int,
     parse_layout_config,
 )
 
@@ -84,6 +85,9 @@ def _layout(
     else:
         shape, link_km = Shape(args.shape), args.link_km
         keys = {k: str(v) for k in _SHAPE_FLAGS if (v := getattr(args, k)) is not None}
+        if shape is Shape.MULTIPATH and args.paths is not None:
+            for item in args.paths.split(","):  # here, so that an error names the flag
+                parse_int(item, "--paths")
         if shape is Shape.REACH:
             keys.setdefault("t", "2")
     check(intermediary_count(shape, keys))
@@ -126,7 +130,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     if args.grid:
         _refuse_ignored(args, "--grid", ("coalition", "oracle", *_LAYOUT_FLAGS))
-        path_counts, reaches = _parse_int_list(args.grid_paths), _parse_int_list(args.grid_reach)
+        path_counts = _parse_int_list(args.grid_paths, "--grid-paths")
+        reaches = _parse_int_list(args.grid_reach, "--grid-reach")
         if not path_counts or not reaches:
             raise ValueError("--grid-paths and --grid-reach each need at least one number")
         rows = analysis.collusion_grid(path_counts, reaches, args.link_km)
@@ -175,8 +180,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+def _parse_int_list(text: str, flag: str) -> list[int]:
+    return [parse_int(v, flag) for v in text.split(",") if v.strip()]
 
 
 def cmd_rate(args: argparse.Namespace) -> int:

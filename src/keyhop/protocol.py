@@ -148,13 +148,23 @@ class Message:
 
 @dataclass(frozen=True)
 class ProtocolTrace:
-    variant: Variant
-    topology: Topology
+    schedule: Schedule
     messages: tuple[Message, ...]
     output_a: BitString
     output_b: BitString
-    nonce_ids: tuple[SecretId, ...]
     store: KeyStore
+
+    @property
+    def variant(self) -> Variant:
+        return self.schedule.plan.variant
+
+    @property
+    def topology(self) -> Topology:
+        return self.schedule.plan.topology
+
+    @property
+    def nonce_ids(self) -> tuple[SecretId, ...]:
+        return self.schedule.nonce_ids
 
     @property
     def n(self) -> int:
@@ -171,13 +181,11 @@ def execute(schedule: Schedule, store: KeyStore) -> ProtocolTrace:
     values = store._values
     outputs = {topo.endpoint_a.label: 0, topo.endpoint_b.label: 0}
     messages: list[Message] = []
-    nonce_ids: list[SecretId] = []
     acc, expr = 0, SymbolicExpr()
     for hop in schedule.hops:
         # compile_schedule lists each key once, so the hop's keys are one set
         keys = frozenset(hop.xor_ids)
         if hop.origin is not None:
-            nonce_ids.append(hop.origin)
             expr = SymbolicExpr(keys ^ {hop.origin})
         else:
             expr = SymbolicExpr(expr.terms ^ keys)
@@ -203,9 +211,7 @@ def execute(schedule: Schedule, store: KeyStore) -> ProtocolTrace:
     out_b = BitString(outputs[topo.endpoint_b.label], store.n)
     if out_a != out_b:
         raise AssertionError("honest run must agree on the final key")
-    return ProtocolTrace(
-        schedule.plan.variant, topo, tuple(messages), out_a, out_b, tuple(nonce_ids), store
-    )
+    return ProtocolTrace(schedule, tuple(messages), out_a, out_b, store)
 
 
 def run(topo: Topology, variant: Variant, n: int, rng: random.Random) -> ProtocolTrace:

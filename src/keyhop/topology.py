@@ -22,6 +22,7 @@ __all__ = [
     "build_multipath",
     "build_topology",
     "intermediary_count",
+    "parse_int",
     "MAX_HOPS",
     "check_runnable",
     "parse_kv",
@@ -217,6 +218,14 @@ _SHAPE_KEYS = {
 }
 
 
+def parse_int(text: str, name: str) -> int:
+    """text as an integer; an error names name, its flag or config key."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name}: {text.strip()!r} is not an integer") from None
+
+
 def build_topology(shape: Shape, keys: dict[str, str], link_length_km: float = 100.0) -> Topology:
     """The one dispatch from a shape and its layout keys (text values, as a
     config file states them) to the shape's builder."""
@@ -232,11 +241,12 @@ def build_topology(shape: Shape, keys: dict[str, str], link_length_km: float = 1
     if shape is Shape.RING6:
         return build_ring6(link_length_km)
     if shape is Shape.CHAIN:
-        return build_chain(int(need("m")), link_length_km)
+        return build_chain(parse_int(need("m"), "m"), link_length_km)
     if shape is Shape.REACH:
-        return build_reach_chain(int(need("m")), int(need("t")), link_length_km)
-    lengths = tuple(int(v) for v in need("paths").split(","))
-    return build_multipath(lengths, link_length_km, int(keys.get("t", "1")))
+        m, t = parse_int(need("m"), "m"), parse_int(need("t"), "t")
+        return build_reach_chain(m, t, link_length_km)
+    lengths = [parse_int(v, "paths") for v in need("paths").split(",")]
+    return build_multipath(lengths, link_length_km, parse_int(keys.get("t", "1"), "t"))
 
 
 def intermediary_count(shape: Shape, keys: dict[str, str]) -> int:
@@ -246,8 +256,8 @@ def intermediary_count(shape: Shape, keys: dict[str, str]) -> int:
     if shape is Shape.RING6:
         return 4
     if shape is Shape.MULTIPATH:
-        return sum(int(v) for v in keys.get("paths", "0").split(","))
-    return int(keys.get("m", "0"))
+        return sum(parse_int(v, "paths") for v in keys.get("paths", "0").split(","))
+    return parse_int(keys.get("m", "0"), "m")
 
 
 MAX_HOPS = 1 << 16  # the wire numbers hops with a u16 index

@@ -1,5 +1,6 @@
 import random
 import time
+from collections import defaultdict
 from itertools import combinations
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from keyhop import analysis
+from keyhop import analysis, protocol
 from keyhop.analysis import (
     ACTIVE_STRATEGIES,
     ENUMERATION_CAP,
@@ -29,10 +30,10 @@ from keyhop.analysis import (
     recover_bits,
     view_of,
 )
-from keyhop.bits import SecretKind, SymbolicExpr, nonce
+from keyhop.bits import KeyStore, SecretKind, SymbolicExpr, nonce
 from keyhop.keyplan import Variant
 from keyhop.protocol import run
-from keyhop.topology import build_chain, build_multipath, build_reach_chain, build_ring6
+from keyhop.topology import Shape, build_chain, build_multipath, build_reach_chain, build_ring6
 
 
 def _trace(builder, variant, seed=0, n=16):
@@ -459,10 +460,23 @@ def test_collusion_grid_passes_the_enumeration_cap(monkeypatch):
     ]
     assert max(paths * m for paths, _, m, _ in rows) == 25
     assert all(cost == paths * (t + 1) for paths, t, _, cost in rows)
-    # a cell past GRID_CAP is refused before any cell is computed
-    monkeypatch.setattr(analysis, "run", lambda *args: pytest.fail("a cell was computed"))
+    # a cell past GRID_CAP is refused before any cell is built
+    monkeypatch.setattr(
+        analysis, "compile_schedule", lambda *args: pytest.fail("a cell was computed")
+    )
     with pytest.raises(ValueError, match="paths=11, reach=9 has 110 intermediaries"):
         collusion_grid([1, 11], [9])
+
+
+def test_collusion_grid_draws_no_key_and_runs_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid must read each cell off its compiled schedule")
+
+    monkeypatch.setattr(KeyStore, "sample", refuse)
+    monkeypatch.setattr(protocol, "make_store", refuse)
+    monkeypatch.setattr(protocol, "execute", refuse)
+    rows = collusion_grid([1, 2, 3], [1, 2, 3])
+    assert [cost for *_, cost in rows] == [paths * (t + 1) for paths in (1, 2, 3) for t in (1, 2, 3)]
 
 
 @st.composite
@@ -652,3 +666,62 @@ def test_minimal_search_passes_the_enumeration_cap():
     pairs = combinations(range(m), 2)
     want = [Coalition(frozenset({inter[i], inter[j]})) for i, j in pairs if (j - i) % 2]
     assert min_breaking_coalitions(trace) == want  # in combinations order
+
+
+def _message_key_graphs(trace, target):
+    """The key graphs as the analyzer read them off a run's messages before
+    it read them off the schedule: per path whose nonce the target holds,
+    one edge per key in the messages holding the nonce, from the first such
+    message's sender to the last one's receiver."""
+    graphs = []
+    for nid in (nid for nid in trace.nonce_ids if nid in target.terms):
+        messages = [msg for msg in trace.messages if nid in msg.expr.terms]
+        graph = defaultdict(set)
+        for u, v in (sid.ends for msg in messages for sid in msg.expr.terms if sid != nid):
+            graph[u].add(v)
+            graph[v].add(u)
+        graphs.append((graph, messages[0].sender.label, messages[-1].receiver.label))
+    return graphs
+
+
+@st.composite
+def _any_variant(draw):
+    """A layout of each of the six variants, the variant drawn first."""
+    variant = draw(st.sampled_from(list(Variant)))
+    if variant.shape is Shape.RING6:
+        return build_ring6(), variant
+    if variant is Variant.CHAIN2:
+        return build_chain(2), variant
+    if variant is Variant.CHAIN_M:
+        return build_chain(draw(st.integers(2, 16))), variant
+    if variant is Variant.REACH_T:
+        t = draw(st.integers(2, 4))
+        return build_reach_chain(draw(st.integers(t + 1, 16)), t), variant
+    t = draw(st.integers(1, 3))
+    lengths = draw(st.lists(st.integers(t + 1, 8), min_size=1, max_size=4))
+    return build_multipath(lengths, 100.0, t), variant
+
+
+@settings(max_examples=60, deadline=None)
+@given(_any_variant(), st.integers(0, 3))
+def test_schedule_key_graphs_equal_the_message_key_graphs(layout, seed):
+    trace = _trace(*layout, seed=seed, n=1)
+    for target in (final_key_expr(trace), *(SymbolicExpr.of(nid) for nid in trace.nonce_ids)):
+        assert analysis._key_graphs(trace.schedule, target) == _message_key_graphs(trace, target)
+
+
+@st.composite
+def _grid_like(draw):
+    """Multipath layouts of up to 4 paths of up to 7 intermediaries, m
+    anywhere from t+1 to 7."""
+    t = draw(st.integers(1, 4))
+    lengths = draw(st.lists(st.integers(t + 1, 7), min_size=1, max_size=4))
+    return build_multipath(lengths, 100.0, t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_grid_like())
+def test_fewest_breaking_is_the_smallest_minimal_coalition(topo):
+    trace = _trace(topo, Variant.MULTIPATH, n=1)
+    want = min(len(c.members) for c in min_breaking_coalitions(trace))
+    assert analysis._fewest_breaking(trace.schedule) == want

@@ -7,13 +7,15 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import deque
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import keyhop
-from keyhop import analysis, cli
+from keyhop import analysis, cli, wire
 from keyhop.bits import KeyStore
 from keyhop.cli import main
 from keyhop.ratemodel import DEFAULT_FAMILIES
@@ -642,6 +644,29 @@ def test_usage_errors_exit_three(tmp_path, argv, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["simulate", "--shape", "multipath", "--paths="], None, "--paths: '' is not an integer"),
+        (["simulate", "--shape", "multipath", "--paths=2,a"], None, "--paths: 'a' is not an integer"),
+        (["analyze", "--grid", "--grid-paths=1,a"], None, "--grid-paths: 'a' is not an integer"),
+        (["analyze", "--grid", "--grid-reach=2,x"], None, "--grid-reach: 'x' is not an integer"),
+        (["simulate"], "shape = chain\nm = x\n", "m: 'x' is not an integer"),
+        (["simulate"], "shape = multipath\npaths = 2,,3\n", "paths: '' is not an integer"),
+        (["simulate"], "shape = reach\nm = 4\nt = 1.5\n", "t: '1.5' is not an integer"),
+    ],
+)
+def test_a_bad_integer_names_its_flag_or_config_key(tmp_path, capsys, argv, config, message):
+    if config is not None:
+        (tmp_path / "layout.cfg").write_text(config)
+        argv = [*argv, "--config", str(tmp_path / "layout.cfg")]
+    out_dir = tmp_path / "out"
+    assert main([*argv, "--output-dir", str(out_dir)]) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"keyhop: error: {message}\n")
+    assert not out_dir.exists()
+
+
 def test_bad_flag_exits_three(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["simulate", "--shape", "hexagon", "--output-dir", str(tmp_path)])
@@ -909,11 +934,28 @@ def _argv(draw, command):
     return argv, files
 
 
+async def _run_in_memory(machines, addrs, timeout):
+    """wire._run_nodes with no socket, thread or timer: every node dials its
+    links, then frames are delivered one at a time in the order they were
+    sent, which keeps each link's order. A node still unfinished when no
+    frame is left gets the deadline."""
+    frames = deque()
+    for label, machine in machines.items():
+        for peer in machine.peers_out:
+            frames.extend((label, *send) for send in machine.dialled(peer))
+    while frames:
+        sender, receiver, blob = frames.popleft()
+        frames.extend((receiver, *send) for send in machines[receiver].feed(sender, blob))
+    for machine in machines.values():
+        machine.feed(None, TimeoutError())
+    return machines
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from(["simulate", "analyze", "attack", "rate"]).flatmap(_argv))
+@given(st.sampled_from(["simulate", "analyze", "attack", "rate", "wire"]).flatmap(_argv))
 def test_fuzzed_argv_exits_cleanly(case):
     # any argv a command's flags admit ends in an exit code of the contract,
-    # never in a traceback
+    # never in a traceback, nor in int()'s bare message, which names no flag
     argv, files = list(case[0]), case[1]
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
@@ -922,10 +964,15 @@ def test_fuzzed_argv_exits_cleanly(case):
             argv[pos] += path
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with (
+            contextlib.redirect_stdout(io.StringIO()),
+            contextlib.redirect_stderr(err),
+            mock.patch.object(wire, "_run_nodes", _run_in_memory),
+        ):
             try:
                 code = main(argv + ["--output-dir", os.path.join(tmp, "out")])
             except SystemExit as exc:
                 code = exc.code
     assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    assert "invalid literal" not in err.getvalue()
