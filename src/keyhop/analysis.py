@@ -2,8 +2,11 @@
 
 A coalition of corrupted nodes sees every transmitted payload plus the keys
 its members hold. Over GF(2) a target expression is recoverable exactly when
-it lies in the span of those observations. Three routes answer that
-question; tests hold them against each other:
+it lies in the span of those observations. Each message's expression and
+each secret are facts of the compiled Schedule (its exprs and secret_ids),
+so every verdict is read off a schedule: no key is drawn and no hop runs.
+Only recover_bits reads a run, to XOR a recipe over its bits. Three routes
+answer the question; tests hold them against each other:
 
 - explain (view_of + is_recoverable): one coalition's view, reduced by the
   elimination core _eliminate with combination tracking, so a BROKEN verdict
@@ -23,13 +26,13 @@ question; tests hold them against each other:
 - brute_force_secrecy, the independent check: it splits the view into
   independent blocks (union-find over the secrets of each message and each
   held secret), sweeps the full truth table of each block that holds a
-  target term at n=1, and inspects the conditional distribution of that
-  block's part of the target given the block's view. Each entry packs the
-  target bit under the view bits; a table is built by doubling (each
-  secret's column is XORed onto the half of the table where it is set) and
-  sorted in place, so equal views sit together. It uses no rank,
-  elimination or graph search, and reads its blocks off the view alone, not
-  the layout.
+  target term, one bit per secret, and inspects the conditional
+  distribution of that block's part of the target given the block's view.
+  Each entry packs the target bit under the view bits; a table is built by
+  doubling (each secret's column is XORed onto the half of the table where
+  it is set) and sorted in place, so equal views sit together. It uses no
+  rank, elimination or graph search, and reads its blocks off the view
+  alone, not the layout.
 """
 
 from __future__ import annotations
@@ -119,13 +122,18 @@ class SecrecyVerdict:
         return tuple(f"M{item}" if isinstance(item, int) else item.name for item in self.recovery)
 
 
-def final_key_expr(trace: ProtocolTrace) -> SymbolicExpr:
+def _schedule(source: Schedule | ProtocolTrace) -> Schedule:
+    return getattr(source, "schedule", source)  # perfbench/layers.py passes traces
+
+
+def final_key_expr(schedule: Schedule) -> SymbolicExpr:
     """The key both endpoints output: the XOR of all path nonces."""
-    return SymbolicExpr.of(*trace.nonce_ids)
+    return SymbolicExpr.of(*_schedule(schedule).nonce_ids)
 
 
-def view_of(trace: ProtocolTrace, coalition: Coalition) -> AdversaryView:
-    topo = trace.topology
+def view_of(schedule: Schedule, coalition: Coalition) -> AdversaryView:
+    schedule = _schedule(schedule)
+    topo = schedule.plan.topology
     inter = set(topo.intermediaries)
     for nd in coalition.members:
         if nd in (topo.endpoint_a, topo.endpoint_b):
@@ -133,13 +141,12 @@ def view_of(trace: ProtocolTrace, coalition: Coalition) -> AdversaryView:
         if nd not in inter:
             raise ValueError(f"coalition member {nd.label} is not in this topology")
     member_labels = {nd.label for nd in coalition.members}
-    observed = tuple(msg.expr for msg in trace.messages)
     known = tuple(
         sid
-        for sid in sorted(trace.store.ids(), key=lambda s: s.name)
+        for sid in sorted(schedule.secret_ids, key=lambda s: s.name)
         if any(end in member_labels for end in sid.ends)
     )
-    return AdversaryView(observed, known)
+    return AdversaryView(schedule.exprs, known)
 
 
 def _eliminate(rows: list[int]) -> dict[int, tuple[int, int]]:
@@ -279,13 +286,13 @@ def _separators(graph: dict, origin: str, absorber: str) -> list[frozenset[str]]
     return found
 
 
-def _minimal_masks(trace: ProtocolTrace, target: SymbolicExpr) -> list[int]:
+def _minimal_masks(schedule: Schedule, target: SymbolicExpr) -> list[int]:
     """The minimal breaking coalitions as bitmasks over the intermediaries,
     smallest first, then by member positions: the unions of one minimal
     separator per key graph the target needs cut."""
-    inter = trace.topology.intermediaries
+    inter = schedule.plan.topology.intermediaries
     bit = {nd.label: 1 << i for i, nd in enumerate(inter)}
-    graphs = _key_graphs(trace.schedule, target)
+    graphs = _key_graphs(schedule, target)
     per_path = [[sum(bit[v] for v in sep) for sep in _separators(*g)] for g in graphs]
     masks = [sum(combo) for combo in product(*per_path)]  # paths share no intermediary
     # among sets of one size, the one holding the lowest differing position
@@ -304,43 +311,43 @@ def _members(items: tuple, coal: int) -> list:
     return out
 
 
-def _coalitions(trace: ProtocolTrace, minimal: list[int]) -> list[Coalition]:
+def _coalitions(schedule: Schedule, minimal: list[int]) -> list[Coalition]:
     """The bitmasks as coalitions of the intermediaries."""
-    inter = trace.topology.intermediaries
+    inter = schedule.plan.topology.intermediaries
     return [Coalition(frozenset(_members(inter, coal))) for coal in minimal]
 
 
 def min_breaking_coalitions(
-    trace: ProtocolTrace, target: SymbolicExpr | None = None
+    schedule: Schedule, target: SymbolicExpr | None = None
 ) -> list[Coalition]:
     """All minimal intermediary coalitions that recover the target
     (final key by default), smallest first, then by member position."""
-    target = target if target is not None else final_key_expr(trace)
-    return _coalitions(trace, _minimal_masks(trace, target))
+    schedule = _schedule(schedule)
+    target = target if target is not None else final_key_expr(schedule)
+    return _coalitions(schedule, _minimal_masks(schedule, target))
 
 
 def coalition_rows(
-    trace: ProtocolTrace, target: SymbolicExpr | None = None
+    schedule: Schedule, target: SymbolicExpr | None = None
 ) -> list[tuple[str, str, str, str]]:
     """One (variant, topology, coalition, status) row per intermediary
     coalition, smallest first, then by member positions; a row is BROKEN iff
     it contains a minimal breaking one."""
-    check_enumerable(len(trace.topology.intermediaries))  # before any 2^m table
-    target = target if target is not None else final_key_expr(trace)
-    return _rows(trace, _minimal_masks(trace, target))
+    return coalition_audit(schedule, target)[1]
 
 
 def coalition_audit(
-    trace: ProtocolTrace, target: SymbolicExpr | None = None
+    schedule: Schedule, target: SymbolicExpr | None = None
 ) -> tuple[list[Coalition], list[tuple[str, str, str, str]]]:
     """min_breaking_coalitions and coalition_rows from one search."""
-    check_enumerable(len(trace.topology.intermediaries))  # before any 2^m table
-    target = target if target is not None else final_key_expr(trace)
-    minimal = _minimal_masks(trace, target)
-    return _coalitions(trace, minimal), _rows(trace, minimal)
+    schedule = _schedule(schedule)
+    check_enumerable(len(schedule.plan.topology.intermediaries))  # before any 2^m table
+    target = target if target is not None else final_key_expr(schedule)
+    minimal = _minimal_masks(schedule, target)
+    return _coalitions(schedule, minimal), _rows(schedule, minimal)
 
 
-def _rows(trace: ProtocolTrace, minimal: list[int]) -> list[tuple[str, str, str, str]]:
+def _rows(schedule: Schedule, minimal: list[int]) -> list[tuple[str, str, str, str]]:
     """coalition_rows' rows, given the minimal breaking coalitions as
     bitmasks over the intermediaries.
 
@@ -349,7 +356,7 @@ def _rows(trace: ProtocolTrace, minimal: list[int]) -> list[tuple[str, str, str,
     label are the first 2^r names with it appended. The verdict bytes are 1
     at each minimal set, closed upward one bit at a time: the entries with
     bit r clear, moved up by 2^r entries, are ORed in."""
-    inter = trace.topology.intermediaries
+    inter = schedule.plan.topology.intermediaries
     m = len(inter)
     bit = [0] * m  # intermediary position -> its bit in label order
     names = [""]
@@ -369,7 +376,7 @@ def _rows(trace: ProtocolTrace, minimal: list[int]) -> list[tuple[str, str, str,
         acc |= (acc & low) << (8 << r)
     broken = acc.to_bytes(1 << m, "little")
 
-    head = (trace.variant.value, trace.topology.describe())
+    head = (schedule.plan.variant.value, schedule.plan.topology.describe())
     status = (Status.SECURE.value, Status.BROKEN.value)
     return [
         (*head, names[x], status[broken[x]])
@@ -387,11 +394,9 @@ def coalition_report_csv(rows: list[tuple[str, str, str, str]]) -> str:
     return "\n".join(out)
 
 
-def brute_force_secrecy(
-    trace: ProtocolTrace, coalition: Coalition, target: SymbolicExpr
-) -> Status:
-    """Independent oracle: sweep every assignment of every secret bit (n must
-    be 1), group assignments by the coalition's full view, and check the
+def brute_force_secrecy(schedule: Schedule, coalition: Coalition, target: SymbolicExpr) -> Status:
+    """Independent oracle: sweep every assignment of every secret bit (one
+    bit each), group assignments by the coalition's full view, and check the
     target's conditional distribution. BROKEN iff the view always determines
     it; SECURE iff it stays perfectly balanced in every group. Linearity
     guarantees one of the two holds.
@@ -414,9 +419,8 @@ def brute_force_secrecy(
     """
     import numpy as np  # the oracle is the package's only numpy user
 
-    if trace.n != 1:
-        raise ValueError("the truth-table oracle runs at n=1")
-    blocks = _view_blocks(trace, view_of(trace, coalition))
+    schedule = _schedule(schedule)
+    blocks = _view_blocks(schedule, view_of(schedule, coalition))
     for secrets, components in blocks:
         if len(secrets) > 24:
             raise ValueError(
@@ -444,7 +448,7 @@ def brute_force_secrecy(
 
 
 def _view_blocks(
-    trace: ProtocolTrace, view: AdversaryView
+    schedule: Schedule, view: AdversaryView
 ) -> list[tuple[list[SecretId], list[frozenset[SecretId]]]]:
     """The view's independent blocks: (secrets in name order, view
     components), blocks ordered by their first secret. A component is one
@@ -452,7 +456,7 @@ def _view_blocks(
     secrets of each component, so no component spans two blocks and the
     blocks' secrets, being uniform and independent, give independent block
     views. A secret in no component is a block of its own."""
-    ids = sorted(trace.store.ids(), key=lambda s: s.name)
+    ids = sorted(schedule.secret_ids, key=lambda s: s.name)
     index = {sid: i for i, sid in enumerate(ids)}
     parent = list(range(len(ids)))
 

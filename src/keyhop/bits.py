@@ -21,6 +21,7 @@ __all__ = [
     "BitString",
     "SymbolicExpr",
     "KeyStore",
+    "check_length",
 ]
 
 
@@ -176,16 +177,21 @@ class SymbolicExpr:
         return "+".join(s.name for s in self.sorted_terms())
 
 
+def check_length(n: int) -> None:
+    """Refuse a key length a KeyStore cannot hold."""
+    if n < 1:
+        raise ValueError("key length must be at least 1")
+    if n > _MAX_BITS:
+        raise ValueError(f"key length must be at most {_MAX_BITS} bits")
+
+
 class KeyStore:
     """Insert-once mapping from secret ids to n-bit values of one shared
     length. The values are held as plain ints; a lookup or an evaluation
     builds the BitString its caller gets."""
 
     def __init__(self, n: int) -> None:
-        if n < 1:
-            raise ValueError("key length must be at least 1")
-        if n > _MAX_BITS:
-            raise ValueError(f"key length must be at most {_MAX_BITS} bits")
+        check_length(n)
         self.n = n
         self._values: dict[SecretId, int] = {}
 

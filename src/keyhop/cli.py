@@ -21,7 +21,7 @@ from collections.abc import Callable
 
 from .bits import SymbolicExpr
 from .keyplan import Variant, cm_report, plan_keys
-from .protocol import run, trace_json, trace_text
+from .protocol import check_budget, compile_schedule, run, trace_json, trace_text
 from .topology import (
     Shape,
     Topology,
@@ -101,11 +101,11 @@ def _out_path(args: argparse.Namespace, name: str) -> str:
     return os.path.join(args.output_dir, name)
 
 
-def _parse_coalition(trace, text: str):
+def _parse_coalition(topo: Topology, text: str):
     from .analysis import Coalition
 
     labels = [part.strip() for part in text.split(",") if part.strip()]
-    return Coalition(frozenset(trace.topology.node(lab) for lab in labels))
+    return Coalition(frozenset(topo.node(lab) for lab in labels))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -148,14 +148,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     topo, variant = _layout(
         args, analysis.check_enumerable if args.coalition is None else check_runnable
     )
-    trace = run(topo, variant, args.n, random.Random(args.seed))
-    target = analysis.final_key_expr(trace)
+    schedule = compile_schedule(plan_keys(topo, variant))  # every answer is read off it
+    check_budget(schedule, args.n)  # refused as a run of these keys would be
+    target = analysis.final_key_expr(schedule)
     if args.coalition is not None:
-        coal = _parse_coalition(trace, args.coalition)
+        coal = _parse_coalition(topo, args.coalition)
         if args.oracle:  # sweep first, so a refused sweep prints nothing
-            check = run(topo, variant, 1, random.Random(args.seed))
-            oracle = analysis.brute_force_secrecy(check, coal, analysis.final_key_expr(check))
-        verdict = analysis.is_recoverable(analysis.view_of(trace, coal), target)
+            oracle = analysis.brute_force_secrecy(schedule, coal, target)
+        verdict = analysis.is_recoverable(analysis.view_of(schedule, coal), target)
         print(f"coalition {coal.describe()}: {verdict.status.value}")
         if verdict.recovery_labels:
             print("  recovery: " + " + ".join(verdict.recovery_labels))
@@ -165,7 +165,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             if oracle is not verdict.status:
                 return 1
         return 0
-    minimal, rows = analysis.coalition_audit(trace, target)
+    minimal, rows = analysis.coalition_audit(schedule, target)
     if minimal:
         smallest = min(len(c.members) for c in minimal)
         print(f"minimal breaking coalitions (size {smallest} minimum):")
@@ -246,12 +246,12 @@ def cmd_attack(args: argparse.Namespace) -> int:
     topo, variant = _layout(args)
     trace = run(topo, variant, args.n, random.Random(args.seed))
     coal = (
-        _parse_coalition(trace, args.coalition)
+        _parse_coalition(topo, args.coalition)
         if args.coalition is not None
         else analysis.Coalition(frozenset())
     )
-    view = analysis.view_of(trace, coal)
-    target = analysis.final_key_expr(trace)
+    view = analysis.view_of(trace.schedule, coal)
+    target = analysis.final_key_expr(trace.schedule)
     verdict = analysis.is_recoverable(view, target)
     if verdict.status is analysis.Status.SECURE:
         print(f"coalition {coal.describe()}: no attack exists against the final key")

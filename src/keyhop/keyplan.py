@@ -1,18 +1,17 @@
 """Key planning: which secrets each protocol variant consumes, and who holds them.
 
 plan_keys derives the exact key set from the protocol schedule for a
-(topology, variant) pair, establish draws the bits, and cm_report summarizes
+(topology, variant) pair, and cm_report summarizes
 which nodes need photon sources versus measurement hardware. Endpoints only
 ever send; each key's measuring node measures.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .bits import KeyStore, SecretId, p2p_key, tf_key
+from .bits import SecretId, p2p_key, tf_key
 from .topology import NodeId, Shape, Topology
 
 __all__ = [
@@ -20,7 +19,6 @@ __all__ = [
     "PlanEntry",
     "KeyPlan",
     "plan_keys",
-    "establish",
     "cm_report",
 ]
 
@@ -95,14 +93,6 @@ def plan_keys(topo: Topology, variant: Variant) -> KeyPlan:
             entries.append(PlanEntry(p2p_key(a.label, first.label), first))
             entries.append(PlanEntry(p2p_key(final.label, b.label), final))
     return KeyPlan(topo, variant, tuple(entries))
-
-
-def establish(plan: KeyPlan, n: int, rng: random.Random) -> KeyStore:
-    """Draw every planned key, in plan order, into a fresh store."""
-    store = KeyStore(n)
-    for entry in plan.entries:
-        store.sample(entry.secret_id, rng)
-    return store
 
 
 def cm_report(plan: KeyPlan) -> list[str]:

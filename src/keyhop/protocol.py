@@ -12,9 +12,10 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
-from .bits import BitString, KeyStore, SecretId, SymbolicExpr, nonce
-from .keyplan import KeyPlan, Variant, establish, plan_keys
+from .bits import BitString, KeyStore, SecretId, SymbolicExpr, check_length, nonce
+from .keyplan import KeyPlan, Variant, plan_keys
 from .topology import NodeId, Shape, Topology
 
 __all__ = [
@@ -24,6 +25,7 @@ __all__ = [
     "Message",
     "ProtocolTrace",
     "compile_schedule",
+    "check_budget",
     "make_store",
     "execute",
     "run",
@@ -63,6 +65,21 @@ class Schedule:
     def nonce_ids(self) -> tuple[SecretId, ...]:
         """Each path's nonce: the origin of its first hop."""
         return tuple(h.origin for h in self.hops if h.origin is not None)
+
+    @cached_property
+    def secret_ids(self) -> tuple[SecretId, ...]:
+        """The plan's keys, then the nonces: the order make_store draws them in."""
+        return (*(entry.secret_id for entry in self.plan.entries), *self.nonce_ids)
+
+    @cached_property
+    def exprs(self) -> tuple[SymbolicExpr, ...]:
+        """Each hop's payload: its path's nonce XOR the keys folded so far
+        (compile_schedule lists each key once, so a hop's keys are one set)."""
+        exprs, terms = [], frozenset()
+        for hop in self.hops:
+            terms = frozenset(hop.xor_ids) ^ ({hop.origin} if hop.origin is not None else terms)
+            exprs.append(SymbolicExpr(terms))
+        return tuple(exprs)
 
 
 def _path_runs(topo: Topology) -> list[tuple[tuple[NodeId, ...], SecretId]]:
@@ -116,21 +133,23 @@ def compile_schedule(plan: KeyPlan) -> Schedule:
 KEY_BUDGET = 1 << 26
 
 
-def make_store(schedule: Schedule, n: int, rng: random.Random) -> KeyStore:
-    """Establish all planned keys, then draw the nonces, in schedule order.
-    A run whose keys, nonces and messages would take more than KEY_BUDGET
-    bytes is refused before anything is drawn."""
-    nonce_ids = schedule.nonce_ids
-    values = len(schedule.plan.entries) + len(nonce_ids) + len(schedule.hops)
+def check_budget(schedule: Schedule, n: int) -> None:
+    """Refuse a key length out of range, then key material over KEY_BUDGET."""
+    check_length(n)
+    values = len(schedule.secret_ids) + len(schedule.hops)
     if values * ((n + 7) // 8) > KEY_BUDGET:
-        KeyStore(n)  # a length out of range is reported as such
         raise ValueError(
             f"{values} keys, nonces and messages of {n} bits exceed the"
             f" {KEY_BUDGET}-byte key budget"
         )
-    store = establish(schedule.plan, n, rng)
-    for nid in nonce_ids:
-        store.sample(nid, rng)
+
+
+def make_store(schedule: Schedule, n: int, rng: random.Random) -> KeyStore:
+    """Draw the schedule's secrets, in order, once check_budget admits the run."""
+    check_budget(schedule, n)
+    store = KeyStore(n)
+    for sid in schedule.secret_ids:
+        store.sample(sid, rng)
     return store
 
 
@@ -181,14 +200,8 @@ def execute(schedule: Schedule, store: KeyStore) -> ProtocolTrace:
     values = store._values
     outputs = {topo.endpoint_a.label: 0, topo.endpoint_b.label: 0}
     messages: list[Message] = []
-    acc, expr = 0, SymbolicExpr()
-    for hop in schedule.hops:
-        # compile_schedule lists each key once, so the hop's keys are one set
-        keys = frozenset(hop.xor_ids)
-        if hop.origin is not None:
-            expr = SymbolicExpr(keys ^ {hop.origin})
-        else:
-            expr = SymbolicExpr(expr.terms ^ keys)
+    acc = 0
+    for hop, expr in zip(schedule.hops, schedule.exprs):
         # evaluated before the fold, so an id missing from the store is
         # reported by name
         bits = store.evaluate(expr)

@@ -14,10 +14,10 @@ uses the same clock against the standard 1.44 * eta ceiling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
-from .topology import parse_kv
+from .topology import parse_float, parse_kv
 
 __all__ = [
     "RateParams",
@@ -158,12 +158,8 @@ def parse_rate_config(text: str) -> RateParams:
     unknown = set(kv) - _RATE_KEYS
     if unknown:
         raise ValueError(f"unknown rate keys: {sorted(unknown)}")
+    values = {key: parse_float(value, key) for key, value in kv.items()}
     defaults = RateParams()
-    if "alpha_db_per_km" in kv and "c_tf" not in kv:
-        defaults = RateParams.calibrated(float(kv["alpha_db_per_km"]))
-    return RateParams(
-        alpha_db_per_km=float(kv.get("alpha_db_per_km", defaults.alpha_db_per_km)),
-        c_tf=float(kv.get("c_tf", defaults.c_tf)),
-        c_p2p=float(kv.get("c_p2p", defaults.c_p2p)),
-        threshold_bps=float(kv.get("threshold_bps", defaults.threshold_bps)),
-    )
+    if "alpha_db_per_km" in values and "c_tf" not in values:
+        defaults = RateParams.calibrated(values["alpha_db_per_km"])
+    return replace(defaults, **values)

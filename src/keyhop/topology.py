@@ -23,6 +23,7 @@ __all__ = [
     "build_topology",
     "intermediary_count",
     "parse_int",
+    "parse_float",
     "MAX_HOPS",
     "check_runnable",
     "parse_kv",
@@ -226,6 +227,14 @@ def parse_int(text: str, name: str) -> int:
         raise ValueError(f"{name}: {text.strip()!r} is not an integer") from None
 
 
+def parse_float(text: str, name: str) -> float:
+    """text as a number; an error names name, its flag or config key."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{name}: {text.strip()!r} is not a number") from None
+
+
 def build_topology(shape: Shape, keys: dict[str, str], link_length_km: float = 100.0) -> Topology:
     """The one dispatch from a shape and its layout keys (text values, as a
     config file states them) to the shape's builder."""
@@ -281,5 +290,5 @@ def parse_layout_config(text: str) -> tuple[Shape, dict[str, str], float]:
         shape = Shape(name)
     except ValueError:
         raise ValueError(f"unknown shape {name!r}") from None
-    link = float(kv.pop("link_length_km", "100"))
+    link = parse_float(kv.pop("link_length_km", "100"), "link_length_km")
     return shape, kv, link

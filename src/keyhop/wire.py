@@ -59,6 +59,7 @@ import hmac
 import math
 import os
 import random
+import resource
 import secrets
 from dataclasses import dataclass
 from functools import partial
@@ -92,6 +93,9 @@ TAG_LEN = 32
 _MIN_BODY = 3  # type + index
 MAX_FRAME = 1 << 22
 _MAX_PAYLOAD = MAX_FRAME - _MIN_BODY - TAG_LEN
+# descriptors a run leaves free beside its sockets: the standard streams, the
+# event loop's selector and wake-up pair, a key file and the interpreter's own
+_FD_HEADROOM = 64
 
 
 class FrameError(Exception):
@@ -583,6 +587,17 @@ def orchestrate(
     if (n + 7) // 8 > _MAX_PAYLOAD:
         raise ValueError(f"n={n} bits exceed the wire's frame limit of {_MAX_PAYLOAD * 8} bits")
     schedule = compile_schedule(plan_keys(topo, variant))
+    # every listener and both ends of every link are descriptors of this
+    # process; past its open-file limit a bind, dial or accept fails midway
+    links = {(hop.sender, hop.receiver) for hop in schedule.hops}
+    sockets = len({receiver for _, receiver in links}) + 2 * len(links)
+    limit = resource.getrlimit(resource.RLIMIT_NOFILE)[0]
+    room = max(limit - _FD_HEADROOM, 0)
+    if limit != resource.RLIM_INFINITY and sockets > room:
+        raise ValueError(
+            f"the run needs {sockets} sockets, but the open-file limit of {limit}"
+            f" leaves room for {room}"
+        )
     store = make_store(schedule, n, random.Random(seed))
 
     os.makedirs(out_dir, exist_ok=True)

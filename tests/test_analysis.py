@@ -12,6 +12,7 @@ from keyhop import analysis, protocol
 from keyhop.analysis import (
     ACTIVE_STRATEGIES,
     ENUMERATION_CAP,
+    AdversaryView,
     Coalition,
     Status,
     _grouped_verdict,
@@ -34,6 +35,8 @@ from keyhop.bits import KeyStore, SecretKind, SymbolicExpr, nonce
 from keyhop.keyplan import Variant
 from keyhop.protocol import run
 from keyhop.topology import Shape, build_chain, build_multipath, build_reach_chain, build_ring6
+
+from test_keyplan import _layouts  # the generated layouts of at most 12 intermediaries
 
 
 def _trace(builder, variant, seed=0, n=16):
@@ -211,10 +214,14 @@ def test_linear_verdicts_agree_with_truth_table(builder, variant):
             assert linear is exhaustive
 
 
-def test_truth_table_needs_single_bit_traces():
-    trace = _trace(build_ring6(), Variant.RING_V1, n=2)
-    with pytest.raises(ValueError):
-        brute_force_secrecy(trace, Coalition(frozenset()), final_key_expr(trace))
+def test_truth_table_gives_an_n2_trace_the_n1_verdict():
+    # the oracle reads the trace's schedule, never its bits
+    wide = _trace(build_ring6(), Variant.RING_V1, n=2)
+    narrow = _trace(build_ring6(), Variant.RING_V1, n=1)
+    target = final_key_expr(narrow)
+    for labels in ([], ["N1"], ["N1", "N3"]):
+        coal = _coalition(narrow, *labels)
+        assert brute_force_secrecy(wide, coal, target) is brute_force_secrecy(narrow, coal, target)
 
 
 def test_truth_table_sweeps_multipath_444_at_21_secrets():
@@ -229,9 +236,10 @@ def test_truth_table_sweeps_multipath_444_at_21_secrets():
         coal = _coalition(trace, *labels)
         assert is_recoverable(view_of(trace, coal), target).status is want
         assert brute_force_secrecy(trace, coal, target) is want
+    # an n=2 trace gives the n=1 verdict
     wide = run(build_multipath([4, 4, 4]), Variant.MULTIPATH, 2, random.Random(0))
-    with pytest.raises(ValueError, match="the truth-table oracle runs at n=1"):
-        brute_force_secrecy(wide, Coalition(frozenset()), final_key_expr(wide))
+    for labels, want in cases:
+        assert brute_force_secrecy(wide, _coalition(wide, *labels), target) is want
 
 
 def test_truth_table_sweeps_multipath_3333_at_24_secrets():
@@ -240,7 +248,7 @@ def test_truth_table_sweeps_multipath_3333_at_24_secrets():
     assert len(trace.store.ids()) == 24
     target = final_key_expr(trace)
     coal = _coalition(trace, *(nd.label for nd in trace.topology.paths[0][1:-1]))
-    assert [len(secrets) for secrets, _ in _view_blocks(trace, view_of(trace, coal))] == [6] * 4
+    assert [len(secrets) for secrets, _ in _view_blocks(trace.schedule, view_of(trace, coal))] == [6] * 4
     assert is_recoverable(view_of(trace, coal), target).status is Status.SECURE
     assert brute_force_secrecy(trace, coal, target) is Status.SECURE
 
@@ -271,7 +279,7 @@ def test_truth_table_packs_views_on_either_side_of_32_bits(members, width):
     # 31 components fill 32 bits and 32 or more need 64
     trace = run(build_chain(15), Variant.CHAIN_M, 1, random.Random(0))
     coal = _coalition(trace, *(f"N{i}" for i in members))
-    ((_, components),) = _view_blocks(trace, view_of(trace, coal))
+    ((_, components),) = _view_blocks(trace.schedule, view_of(trace, coal))
     assert len(components) == width
     target = final_key_expr(trace)
     assert is_recoverable(view_of(trace, coal), target).status is Status.BROKEN
@@ -311,7 +319,7 @@ def test_truth_table_blocks_follow_the_layout(topo, variant, count):
     trace = run(topo, variant, 1, random.Random(0))
     inter = [nd.label for nd in topo.intermediaries]
     for labels in ([], inter[:1], inter):
-        blocks = _view_blocks(trace, view_of(trace, _coalition(trace, *labels)))
+        blocks = _view_blocks(trace.schedule, view_of(trace, _coalition(trace, *labels)))
         assert len(blocks) == count
         secrets = [sid for block, _ in blocks for sid in block]
         assert len(secrets) == len(set(secrets)) == len(trace.store.ids())
@@ -477,6 +485,47 @@ def test_collusion_grid_draws_no_key_and_runs_nothing(monkeypatch):
     monkeypatch.setattr(protocol, "execute", refuse)
     rows = collusion_grid([1, 2, 3], [1, 2, 3])
     assert [cost for *_, cost in rows] == [paths * (t + 1) for paths in (1, 2, 3) for t in (1, 2, 3)]
+
+
+def _run_view(trace, coalition):
+    """view_of as it read a run: the messages' expressions, and the store's
+    ids, by name, that name a member."""
+    labels = {nd.label for nd in coalition.members}
+    ids = sorted(trace.store.ids(), key=lambda s: s.name)
+    known = tuple(sid for sid in ids if any(end in labels for end in sid.ends))
+    return AdversaryView(tuple(msg.expr for msg in trace.messages), known)
+
+
+@pytest.mark.parametrize("n", [1, 16, 64])
+@settings(max_examples=40, deadline=None)
+@given(layout=_layouts(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_schedule_answers_equal_the_run_answers(n, layout, seed, data):
+    # every answer read off the schedule is the one a run of it gives
+    topo, variant = layout
+    trace = run(topo, variant, n, random.Random(seed))
+    schedule = trace.schedule
+    assert schedule.secret_ids == trace.store.ids()
+    inter = [nd.label for nd in topo.intermediaries]
+    coal = _coalition(trace, *data.draw(st.lists(st.sampled_from(inter), unique=True)))
+    reference = _run_view(trace, coal)
+    assert view_of(schedule, coal) == view_of(trace, coal) == reference
+    target = final_key_expr(schedule)
+    assert target == final_key_expr(trace) == SymbolicExpr.of(*trace.nonce_ids)
+    status = is_recoverable(reference, target).status
+
+    minimal = min_breaking_coalitions(schedule)
+    assert minimal == min_breaking_coalitions(trace)
+    for c in minimal:  # each breaks, and none breaks without any one member
+        assert is_recoverable(_run_view(trace, c), target).status is Status.BROKEN
+        for nd in c.members:
+            less = Coalition(c.members - {nd})
+            assert is_recoverable(_run_view(trace, less), target).status is Status.SECURE
+    rows = coalition_rows(schedule)
+    assert rows == coalition_rows(trace)
+    assert dict((row[2], row[3]) for row in rows)[coal.describe()] == status.value
+    if len(schedule.secret_ids) <= 18:  # a wider sweep costs up to 0.3 s
+        oracle = brute_force_secrecy(schedule, coal, target)
+        assert oracle is brute_force_secrecy(trace, coal, target) is status
 
 
 @st.composite

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import keyhop
-from keyhop import analysis, cli, wire
+from keyhop import analysis, cli, protocol, wire
 from keyhop.bits import KeyStore
 from keyhop.cli import main
 from keyhop.ratemodel import DEFAULT_FAMILIES
@@ -148,6 +149,49 @@ def test_analyze_searches_the_minimal_sets_once(tmp_path, monkeypatch, capsys):
     assert main(["analyze", "--shape", "chain", "--m", "6", "--output-dir", str(tmp_path)]) == 0
     assert len(calls) == 1
     assert "  N1+N2 (2 nodes)\n" in capsys.readouterr().out
+
+
+def test_analyze_answers_from_the_schedule_alone(tmp_path, monkeypatch, capsys):
+    # the answers are facts of the layout: no key is drawn and no hop runs,
+    # so --n and --seed, once in range, change nothing
+    def refuse(*args, **kwargs):
+        raise AssertionError("analyze drew a key or ran the protocol")
+
+    monkeypatch.setattr(KeyStore, "sample", refuse)
+    monkeypatch.setattr(cli, "run", refuse)
+    monkeypatch.setattr(protocol, "make_store", refuse)
+    monkeypatch.setattr(protocol, "execute", refuse)
+    cases = [
+        (
+            ["--shape", "chain", "--m", "4"],
+            "minimal breaking coalitions (size 2 minimum):\n"
+            "  N1+N2 (2 nodes)\n  N1+N4 (2 nodes)\n  N2+N3 (2 nodes)\n  N3+N4 (2 nodes)\n"
+            "wrote {out}/coalitions.csv (16 coalitions)\n",
+        ),
+        (
+            ["--shape", "chain", "--m", "4", "--coalition", "N1,N4"],
+            "coalition N1+N4: BROKEN\n  recovery: M2 + K[N1,N3] + K[N2,N4]\n",
+        ),
+        (
+            ["--shape", "ring6", "--variant", "ring-v1", "--coalition", "N1,N3", "--oracle"],
+            "coalition N1+N3: BROKEN\n  recovery: M0 + M1 + M2 + M3 + M4 + M5\n"
+            "  truth-table oracle: BROKEN (agree)\n",
+        ),
+        (
+            ["--shape", "multipath", "--paths", "2,3", "--coalition", "N1.1,N2.2", "--oracle"],
+            "coalition N1.1+N2.2: SECURE\n  truth-table oracle: SECURE (agree)\n",
+        ),
+    ]
+    for n, seed in (("1", "3"), ("64", "9"), ("4096", "77")):
+        out_dir = tmp_path / f"n{n}"
+        for layout, want in cases:
+            argv = ["analyze", *layout, "--n", n, "--seed", seed, "--output-dir", str(out_dir)]
+            assert main(argv) == 0
+            assert capsys.readouterr() == (want.format(out=out_dir), "")
+        csv = (out_dir / "coalitions.csv").read_bytes()
+        assert hashlib.sha256(csv).hexdigest() == (
+            "e39e532c3c97edc32d3b36db5ae8783a85ce24a402a653a12baf8bf52386edfe"
+        )
 
 
 def test_output_does_not_depend_on_the_hash_seed(tmp_path):
@@ -533,6 +577,33 @@ def test_wire_refuses_an_oversized_layout_before_building_it(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("limit, code", [(96, 3), (97, 0)])
+def test_wire_refuses_a_run_past_the_open_file_limit_before_any_node_starts(
+    tmp_path, monkeypatch, capsys, limit, code
+):
+    # chain m=10 has 11 listeners and 11 links of two ends each: 33 sockets,
+    # which a limit of 97 leaves room for beside the 64 the process keeps.
+    # An admitted run goes to the in-memory runner, so no socket is opened.
+    def getrlimit(which):
+        assert which == resource.RLIMIT_NOFILE
+        return limit, limit
+
+    monkeypatch.setattr(resource, "getrlimit", getrlimit)
+    monkeypatch.setattr(wire, "_run_nodes", _run_in_memory)
+    argv = ["wire", "--shape", "chain", "--m", "10", "--output-dir", str(tmp_path / "out")]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    if code == 3:
+        assert (out, err) == (
+            "",
+            "keyhop: error: the run needs 33 sockets, but the open-file limit of 96"
+            " leaves room for 32\n",
+        )
+        assert not (tmp_path / "out").exists()
+    else:
+        assert "endpoint keys match" in out
+
+
 @pytest.mark.parametrize("port", ["0", "65534"])
 def test_wire_refuses_ports_outside_the_tcp_range_before_any_node_starts(
     tmp_path, monkeypatch, capsys, port
@@ -664,6 +735,23 @@ def test_a_bad_integer_names_its_flag_or_config_key(tmp_path, capsys, argv, conf
     assert main([*argv, "--output-dir", str(out_dir)]) == 3
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"keyhop: error: {message}\n")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["analyze", "--config"], "shape = chain\nm = 3\nlink_length_km = x\n", "link_length_km: 'x'"),
+        (["rate", "--params"], "c_tf = abc\n", "c_tf: 'abc'"),
+        (["rate", "--params"], "threshold_bps = 2\nalpha_db_per_km = 0,2\n", "alpha_db_per_km: '0,2'"),
+    ],
+)
+def test_a_bad_config_number_names_its_key(tmp_path, capsys, argv, text, message):
+    (tmp_path / "file.cfg").write_text(text)
+    out_dir = tmp_path / "out"
+    assert main([*argv, str(tmp_path / "file.cfg"), "--output-dir", str(out_dir)]) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"keyhop: error: {message} is not a number\n")
     assert not out_dir.exists()
 
 
@@ -955,7 +1043,8 @@ async def _run_in_memory(machines, addrs, timeout):
 @given(st.sampled_from(["simulate", "analyze", "attack", "rate", "wire"]).flatmap(_argv))
 def test_fuzzed_argv_exits_cleanly(case):
     # any argv a command's flags admit ends in an exit code of the contract,
-    # never in a traceback, nor in int()'s bare message, which names no flag
+    # never in a traceback, nor in int()'s or float()'s bare message, which
+    # names no flag or config key
     argv, files = list(case[0]), case[1]
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
@@ -976,3 +1065,4 @@ def test_fuzzed_argv_exits_cleanly(case):
     assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
     assert "invalid literal" not in err.getvalue()
+    assert "could not convert" not in err.getvalue()

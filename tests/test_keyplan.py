@@ -11,10 +11,9 @@ from keyhop.keyplan import (
     Variant,
     check_compatible,
     cm_report,
-    establish,
     plan_keys,
 )
-from keyhop.protocol import run
+from keyhop.protocol import compile_schedule, make_store, run
 from keyhop.topology import build_chain, build_multipath, build_reach_chain, build_ring6
 
 
@@ -115,11 +114,13 @@ def test_variant_topology_compatibility(topo, variant):
 
 
 def test_establish_is_deterministic_and_plan_ordered():
-    plan = plan_keys(build_chain(3), Variant.CHAIN_M)
-    s1 = establish(plan, 32, random.Random(5))
-    s2 = establish(plan, 32, random.Random(5))
-    assert [sid.name for sid in s1.ids()] == [sid.name for sid in _ids(plan)]
-    assert all(s1[sid] == s2[sid] for sid in _ids(plan))
+    # make_store establishes the plan's keys in plan order, before the nonces
+    schedule = compile_schedule(plan_keys(build_chain(3), Variant.CHAIN_M))
+    s1 = make_store(schedule, 32, random.Random(5))
+    s2 = make_store(schedule, 32, random.Random(5))
+    keys = _ids(schedule.plan)
+    assert [sid.name for sid in s1.ids()[: len(keys)]] == [sid.name for sid in keys]
+    assert all(s1[sid] == s2[sid] for sid in s1.ids())
 
 
 def _hardware(plan):

@@ -11,7 +11,7 @@ import pytest
 
 from keyhop import bits, topology
 from keyhop.bits import BitString, KeyStore, nonce
-from keyhop.keyplan import KeyPlan, Variant, establish, plan_keys
+from keyhop.keyplan import KeyPlan, Variant, plan_keys
 from keyhop.protocol import (
     KEY_BUDGET,
     AbsorbRule,
@@ -202,7 +202,9 @@ def test_run_is_deterministic():
 def test_payload_delivery_over_chain():
     # the nonce's value, whatever it is, is what both endpoints output
     schedule = compile_schedule(plan_keys(build_chain(3), Variant.CHAIN_M))
-    store = establish(schedule.plan, 16, random.Random(6))
+    store, rng = KeyStore(16), random.Random(6)
+    for entry in schedule.plan.entries:
+        store.sample(entry.secret_id, rng)
     z = BitString(0b0000111101010011, 16)
     (nid,) = schedule.nonce_ids
     store.add(nid, z)
