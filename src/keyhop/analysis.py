@@ -42,12 +42,12 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, product
 from math import log2
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .bits import BitString, SecretId, SymbolicExpr
 from .keyplan import Variant, plan_keys
 from .protocol import ProtocolTrace, Schedule, compile_schedule
-from .topology import NodeId, build_multipath
+from .topology import ROW_CAP, NodeId, build_multipath
 
 __all__ = [
     "Status",
@@ -71,7 +71,7 @@ __all__ = [
     "grid_csv",
 ]
 
-ENUMERATION_CAP = 20  # coalitions.csv lists 2^m rows; 2^20 is the most we allow
+ENUMERATION_CAP = ROW_CAP.bit_length() - 1  # coalitions.csv lists 2^m rows, at most ROW_CAP
 GRID_CAP = 100  # intermediaries per grid cell; a cell at the cap takes about 1-3 ms
 
 
@@ -548,16 +548,20 @@ def max_active_attack_leakage() -> tuple[float, dict[str, float]]:
 
 
 def collusion_grid(
-    path_counts: Iterable[int], reaches: Iterable[int], link_length_km: float = 100.0
+    path_counts: Sequence[int], reaches: Sequence[int], link_length_km: float = 100.0
 ) -> list[tuple[int, int, int, int]]:
     """Minimum breaking-coalition size over (number of paths, reach) cells.
 
     Each cell uses paths of m = t+1 intermediaries, the smallest chain where
     reach t keeps the endpoints out of direct range. Computed by search, not
     by formula, on each cell's compiled schedule: no key is drawn and nothing
-    runs. A cell of more than GRID_CAP intermediaries is refused before any
-    cell is built. Returns (M, t, m per path, minimum colluding nodes) rows.
+    runs. A grid of more than ROW_CAP cells, or with a cell of more than
+    GRID_CAP intermediaries, is refused before any cell is built. Returns
+    (M, t, m per path, minimum colluding nodes) rows.
     """
+    count = len(path_counts) * len(reaches)
+    if count > ROW_CAP:
+        raise ValueError(f"the grid has {count} cells; collusion_grid.csv holds at most {ROW_CAP}")
     cells = [(n_paths, t) for n_paths in path_counts for t in reaches]
     for n_paths, t in cells:
         if n_paths * (t + 1) > GRID_CAP:

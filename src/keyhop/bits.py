@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 __all__ = [
     "SecretKind",
@@ -151,8 +152,7 @@ class BitString:
 _MAX_BITS = (1 << 31) - 1  # random.getrandbits takes a C int
 
 
-@dataclass(frozen=True)
-class SymbolicExpr:
+class SymbolicExpr(NamedTuple):
     """An XOR of named secrets, kept as the set of terms with odd multiplicity."""
 
     terms: frozenset[SecretId] = frozenset()

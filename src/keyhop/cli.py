@@ -23,6 +23,7 @@ from .bits import SymbolicExpr
 from .keyplan import Variant, cm_report, plan_keys
 from .protocol import check_budget, compile_schedule, run, trace_json, trace_text
 from .topology import (
+    ROW_CAP,
     Shape,
     Topology,
     build_topology,
@@ -33,8 +34,6 @@ from .topology import (
 )
 
 __all__ = ["main"]
-
-RATE_ROW_CAP = 1 << 20  # rows of rates.csv, the bound coalitions.csv has too
 
 
 class _Parser(argparse.ArgumentParser):
@@ -204,8 +203,8 @@ def cmd_rate(args: argparse.Namespace) -> int:
     )
     # counted by arithmetic, as len() of a range past sys.maxsize overflows
     count = ((args.to_km - args.from_km) // args.step_km + 1) * len(families)
-    if count > RATE_ROW_CAP:
-        raise ValueError(f"the sweep has {count} rows; rates.csv holds at most {RATE_ROW_CAP}")
+    if count > ROW_CAP:
+        raise ValueError(f"the sweep has {count} rows; rates.csv holds at most {ROW_CAP}")
     distances = [float(d) for d in range(args.from_km, args.to_km + 1, args.step_km)]
     rows = ratemodel.emit_curves(distances, families, params)
     path = _out_path(args, "rates.csv")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .bits import SecretId, p2p_key, tf_key
 from .topology import NodeId, Shape, Topology
@@ -58,8 +59,7 @@ def check_compatible(topo: Topology, variant: Variant) -> None:
         raise ValueError(f"{variant.value} runs on exactly {variant.m} intermediaries")
 
 
-@dataclass(frozen=True)
-class PlanEntry:
+class PlanEntry(NamedTuple):
     """One key to establish: its id and the node that measures it. Every
     other end of the key sends."""
 

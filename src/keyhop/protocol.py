@@ -13,6 +13,7 @@ import json
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .bits import BitString, KeyStore, SecretId, SymbolicExpr, check_length, nonce
 from .keyplan import KeyPlan, Variant, plan_keys
@@ -34,8 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Hop:
+class Hop(NamedTuple):
     """One message emission: sender folds xor_ids into the running payload.
     A path's hops are consecutive, so a hop without an origin continues the
     payload of the hop just before it."""
@@ -47,8 +47,7 @@ class Hop:
     xor_ids: tuple[SecretId, ...]
 
 
-@dataclass(frozen=True)
-class AbsorbRule:
+class AbsorbRule(NamedTuple):
     """Final reception on one path: strip these keys from that hop's payload."""
 
     hop_index: int
@@ -153,8 +152,7 @@ def make_store(schedule: Schedule, n: int, rng: random.Random) -> KeyStore:
     return store
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """One transmitted payload with its algebraic form; bits always equal
     the store's evaluation of expr."""
 

@@ -25,6 +25,7 @@ __all__ = [
     "parse_int",
     "parse_float",
     "MAX_HOPS",
+    "ROW_CAP",
     "check_runnable",
     "parse_kv",
     "parse_layout_config",
@@ -270,6 +271,7 @@ def intermediary_count(shape: Shape, keys: dict[str, str]) -> int:
 
 
 MAX_HOPS = 1 << 16  # the wire numbers hops with a u16 index
+ROW_CAP = 1 << 20  # rows of any CSV: coalitions.csv, rates.csv, collusion_grid.csv
 
 
 def check_runnable(count: int) -> None:

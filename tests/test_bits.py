@@ -200,6 +200,16 @@ def test_a_repeated_term_cancels_in_pairs():
     assert SymbolicExpr.of(a, b, a, a) == SymbolicExpr.of(b, a)
 
 
+def test_an_empty_expr_is_zero_and_cancelled_terms_leave_one():
+    a = tf_key("A", "N2")
+    assert SymbolicExpr._fields == ("terms",)
+    assert SymbolicExpr().is_zero and SymbolicExpr().terms == frozenset()
+    assert SymbolicExpr.of(a, a) == SymbolicExpr()
+    assert repr(SymbolicExpr()) == "SymbolicExpr(terms=frozenset())"
+    with pytest.raises(AttributeError):
+        SymbolicExpr.of(a).terms = frozenset()
+
+
 def test_store_keeps_insertion_order():
     store = KeyStore(2)
     rng = random.Random(0)

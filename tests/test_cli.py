@@ -301,6 +301,31 @@ def test_analyze_grid(tmp_path, capsys):
     assert "2,1,2,4" in text
 
 
+def test_analyze_grid_default_output_is_pinned(tmp_path, capsys):
+    assert main(["analyze", "--grid", "--output-dir", str(tmp_path)]) == 0
+    csv = (tmp_path / "collusion_grid.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest() == (
+        "aab44ad8721f101ad6ca46fe3cabe0fe230f68fc3503769f0583477801e82f74"
+    )
+    out, _ = capsys.readouterr()
+    assert out == f"{csv.decode()}wrote {tmp_path / 'collusion_grid.csv'}\n"
+
+
+def test_analyze_grid_refuses_more_cells_than_a_csv_holds_before_any_cell(
+    tmp_path, capsys, monkeypatch
+):
+    def built(*args):
+        raise AssertionError("a cell was built")
+
+    monkeypatch.setattr(analysis, "build_multipath", built)
+    paths, reaches = ",".join(["1"] * 1025), ",".join(["1"] * 1024)
+    argv = ["analyze", "--grid", "--grid-paths", paths, "--grid-reach", reaches]
+    assert main([*argv, "--output-dir", str(tmp_path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and list(tmp_path.iterdir()) == []
+    assert "the grid has 1049600 cells; collusion_grid.csv holds at most 1048576" in err
+
+
 def test_attack_demonstrates_wiretap_recovery(tmp_path, capsys):
     code = main(
         ["attack", "--shape", "ring6", "--variant", "ring-v1", "--output-dir", str(tmp_path)]

@@ -160,6 +160,14 @@ def test_hardware_report_rejects_an_endpoint_measurer(key):
         cm_report(plan)
 
 
+def test_plan_entries_keep_their_field_order_and_refuse_assignment():
+    assert PlanEntry._fields == ("secret_id", "measurer")
+    entry = plan_keys(build_ring6(), Variant.RING_V2).entries[0]
+    for name in PlanEntry._fields:
+        with pytest.raises(AttributeError):
+            setattr(entry, name, None)
+
+
 @st.composite
 def _layouts(draw):
     """ring6 v1/v2, chain, reach or multipath, with at most 12 intermediaries."""

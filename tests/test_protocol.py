@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -10,11 +11,13 @@ import time
 import pytest
 
 from keyhop import bits, topology
-from keyhop.bits import BitString, KeyStore, nonce
+from keyhop.bits import BitString, KeyStore, SymbolicExpr, nonce
 from keyhop.keyplan import KeyPlan, Variant, plan_keys
 from keyhop.protocol import (
     KEY_BUDGET,
     AbsorbRule,
+    Hop,
+    Message,
     compile_schedule,
     execute,
     make_store,
@@ -64,6 +67,51 @@ def test_ring_v2_message_algebra():
         ("N3->A", "K[A,N4]+P[A,N3]+X[B]"),
     ]
     assert trace.output_a == trace.output_b
+
+
+def _ring_v1_records():
+    trace = run(build_ring6(), Variant.RING_V1, 16, random.Random(0))
+    return trace.schedule.hops[0], trace.schedule.absorbs[0], trace.messages[0]
+
+
+def test_engine_records_keep_their_field_order():
+    assert Hop._fields == ("index", "sender", "receiver", "origin", "xor_ids")
+    assert AbsorbRule._fields == ("hop_index", "strip_ids")
+    assert Message._fields == ("index", "sender", "receiver", "bits", "expr")
+
+
+def test_engine_records_refuse_assignment_and_survive_pickling():
+    for record in _ring_v1_records():
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and hash(copy) == hash(record)
+
+
+def test_ring6_hop_and_message_reprs_are_the_dataclass_reprs():
+    hop, _, msg = _ring_v1_records()
+    assert repr(hop) == (
+        "Hop(index=0, sender=NodeId(label='A'), receiver=NodeId(label='N1'),"
+        " origin=SecretId(kind=<SecretKind.NONCE: 'X'>, ends=('A',), path_index=None),"
+        " xor_ids=(SecretId(kind=<SecretKind.TF_KEY: 'K'>, ends=('A', 'N2'), path_index=None),))"
+    )
+    # the expression's terms are a set of identity-hashed ids, whose order
+    # varies between processes
+    assert repr(msg) == (
+        "Message(index=0, sender=NodeId(label='A'), receiver=NodeId(label='N1'),"
+        f" bits=BitString(value=45958, n=16), expr={msg.expr!r})"
+    )
+    assert repr(SymbolicExpr.of(nonce("A"))) == (
+        "SymbolicExpr(terms=frozenset({SecretId(kind=<SecretKind.NONCE: 'X'>,"
+        " ends=('A',), path_index=None)}))"
+    )
+
+
+def test_index_reads_the_field_not_the_tuple_method():
+    trace = run(build_ring6(), Variant.RING_V2, 16, random.Random(0))
+    assert [hop.index for hop in trace.schedule.hops] == list(range(6))
+    assert [msg.index for msg in trace.messages] == list(range(6))
 
 
 def test_chain2_message_algebra():
