@@ -216,13 +216,10 @@ def recover_bits(trace: ProtocolTrace, verdict: SecrecyVerdict) -> BitString:
     target's value whenever the verdict is BROKEN."""
     if verdict.recovery is None:
         raise ValueError("nothing to recover from a SECURE verdict")
-    acc = BitString.zeros(trace.n)
+    acc = 0
     for item in verdict.recovery:
-        if isinstance(item, int):
-            acc = acc ^ trace.messages[item].bits
-        else:
-            acc = acc ^ trace.store[item]
-    return acc
+        acc ^= (trace.messages[item].bits if isinstance(item, int) else trace.store[item]).value
+    return BitString(acc, trace.n)
 
 
 def check_enumerable(count: int) -> None:

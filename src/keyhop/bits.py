@@ -1,9 +1,10 @@
 """Bitstrings, secret identities, and symbolic XOR expressions.
 
 Every message the relay protocols exchange is an XOR of secret bitstrings.
-This module keeps both layers in sync: concrete bits (BitString, KeyStore)
-and their algebraic shadow (SymbolicExpr over SecretId terms), related by
-KeyStore.evaluate.
+This module keeps both layers in sync: concrete bits (KeyStore) and their
+algebraic shadow (SymbolicExpr over SecretId terms), related by
+KeyStore.evaluate. Every fold is done on plain ints; a BitString is the type
+a value leaves a fold in, as a message, an output or a store lookup.
 """
 
 from __future__ import annotations
@@ -110,7 +111,8 @@ def nonce(owner: str, path_index: int | None = None) -> SecretId:
 
 @dataclass(frozen=True)
 class BitString:
-    """An n-bit string, n >= 1, stored as an int with bit i at weight 2**i."""
+    """An n-bit string, n >= 1, stored as an int with bit i at weight 2**i:
+    the range-checked, encodable form of a value that leaves a fold."""
 
     value: int
     n: int
@@ -121,10 +123,6 @@ class BitString:
         if not (self.value >= 0 and self.value.bit_length() <= self.n):
             raise ValueError("value out of range for bit length")
 
-    @classmethod
-    def zeros(cls, n: int) -> BitString:
-        return cls(0, n)
-
     @property
     def nbytes(self) -> int:
         return (self.n + 7) // 8
@@ -132,21 +130,8 @@ class BitString:
     def to_bytes(self) -> bytes:
         return self.value.to_bytes(self.nbytes, "little")
 
-    @classmethod
-    def from_bytes(cls, data: bytes, n: int) -> BitString:
-        if len(data) != (n + 7) // 8:
-            raise ValueError("byte length does not match bit length")
-        return cls(int.from_bytes(data, "little"), n)
-
     def to_hex(self) -> str:
         return self.to_bytes().hex()
-
-    def __xor__(self, other: BitString) -> BitString:
-        if not isinstance(other, BitString):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError("cannot XOR bitstrings of different lengths")
-        return BitString(self.value ^ other.value, self.n)
 
 
 _MAX_BITS = (1 << 31) - 1  # random.getrandbits takes a C int
@@ -194,13 +179,6 @@ class KeyStore:
         check_length(n)
         self.n = n
         self._values: dict[SecretId, int] = {}
-
-    def add(self, sid: SecretId, value: BitString) -> None:
-        if value.n != self.n:
-            raise ValueError(f"{sid} has length {value.n}, store holds {self.n}-bit secrets")
-        if sid in self._values:
-            raise ValueError(f"duplicate secret id: {sid}")
-        self._values[sid] = value.value
 
     def sample(self, sid: SecretId, rng: random.Random) -> None:
         """Draw n uniform bits from a seeded generator as sid's value."""

@@ -186,6 +186,11 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 def cmd_rate(args: argparse.Namespace) -> int:
     from . import ratemodel
 
+    # each distance and the reach's m become floats; refuse an int past their range
+    for flag in ("--from-km", "--to-km", "--step-km", "--max-range-m"):
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and abs(value) > sys.float_info.max:
+            raise ValueError(f"{flag}: the value exceeds the float range of {sys.float_info.max:g}")
     if args.from_km > args.to_km or args.step_km < 1:
         raise ValueError("rate needs --from-km <= --to-km and --step-km >= 1")
     if args.params:

@@ -5,7 +5,7 @@ Frame layout, integers big-endian:
     length  u32   byte count of everything after this field
     type    u8    0x01 HELLO, 0x02 RELAY, 0x03 DONE, 0x04 ABORT
     index   u16   hop index (0 for HELLO/DONE/ABORT)
-    payload bytes raw bitstring bytes for RELAY, empty for DONE, UTF-8 text otherwise
+    payload bytes n-bit value for RELAY, empty for DONE, UTF-8 text otherwise
     tag     32B   HMAC-SHA256 over type+index+payload with the link key
 
 Each link's key is 32 bytes drawn with `secrets` once per run, as a
@@ -13,12 +13,15 @@ pre-shared authentication key would be: no public input (layout, variant,
 n, seed) derives it, so no outsider can tag a frame and no frame of one run
 is accepted in another.
 
-A frame's tag is verified before any payload byte is acted on. Each node
-walks the hops of the compiled Schedule the in-process engine executes that
-name it, in schedule order, holding only the secrets that name it as an end.
-Its XOR fold and output fold stay separate code from the engine's, so
+A frame's tag is verified before any payload byte is acted on. A RELAY
+payload is one n-bit value, ceil(n/8) bytes little-endian; a node refuses one
+of another length or with a bit at or above n. Each node walks the hops of
+the compiled Schedule the in-process engine executes that name it, in
+schedule order, holding only the secrets that name it as an end, as plain
+ints. Its XOR fold and output fold stay separate code from the engine's, so
 wire-versus-engine equivalence checks the transport against the engine as a
-reference rather than one shared code path against itself.
+reference rather than one shared code path against itself; only a node's
+output becomes a BitString.
 
 Each node's protocol is a NodeMachine, which does no I/O: it takes one
 inbound event at a time (a frame, an end of stream, a read error, its
@@ -202,7 +205,7 @@ class NodeMachine:
         absorbs: tuple[AbsorbRule, ...],  # the schedule's absorbs at this node
         up: set[str],  # neighbours one step nearer A
         link_keys: dict[str, bytes],  # peer label -> that link's secret HMAC key
-        values: dict[SecretId, BitString],  # the keys this node holds
+        values: dict[SecretId, int],  # the keys this node holds
         n: int,
         descriptor: str,  # run descriptor announced and expected in HELLO
         tamper_index: int | None = None,
@@ -222,7 +225,7 @@ class NodeMachine:
         self.nonces = tuple(h.origin for h in outbound if h.origin is not None)
         self.links: set[str] = set()  # peers greeted by us or by an authentic HELLO
         self.pc = 0  # index of the next hop in self.hops
-        self.received: dict[int, BitString] = {}
+        self.received: dict[int, int] = {}
         self.done: set[str] = set()  # peers whose DONE arrived
         self.announced = False  # wave 1 sent
         self._sends: Sends = []
@@ -344,11 +347,12 @@ class NodeMachine:
 
     def _relay(self, hop: Hop) -> None:
         # a path's hops are consecutive, so hop index - 1 carried its payload here
-        bits = self.values[hop.origin] if hop.origin is not None else self.received[hop.index - 1]
+        acc = self.values[hop.origin] if hop.origin is not None else self.received[hop.index - 1]
         for sid in hop.xor_ids:
-            bits = bits ^ self.values[sid]
+            acc ^= self.values[sid]
         peer = hop.receiver.label
-        blob = encode_frame(Frame(FRAME_RELAY, hop.index, bits.to_bytes()), self.link_keys[peer])
+        payload = acc.to_bytes((self.n + 7) // 8, "little")
+        blob = encode_frame(Frame(FRAME_RELAY, hop.index, payload), self.link_keys[peer])
         if hop.index == self.tamper_index:
             blob = blob[:7] + bytes((blob[7] ^ 0x01,)) + blob[8:]  # test hook
             self.log(f"TAMPER M{hop.index}")
@@ -361,23 +365,24 @@ class NodeMachine:
         # from different paths may arrive in any relative order
         if (peer, frame.index) not in self.expected_relays or frame.index in self.received:
             raise _Abort("POSITION_MISMATCH")
-        if len(frame.payload) != (self.n + 7) // 8:
+        value = int.from_bytes(frame.payload, "little")
+        if len(frame.payload) != (self.n + 7) // 8 or value >> self.n:  # not an n-bit value
             raise _Abort("POSITION_MISMATCH")
-        self.received[frame.index] = BitString.from_bytes(frame.payload, self.n)
+        self.received[frame.index] = value
         self.log(f"RECV M{frame.index} <- {peer}")
 
     def _output(self) -> BitString | None:
         if not self.nonces and not self.absorbs:
             return None
-        acc = BitString.zeros(self.n)
+        acc = 0
         for nid in self.nonces:
-            acc = acc ^ self.values[nid]
+            acc ^= self.values[nid]
         for rule in self.absorbs:
             share = self.received[rule.hop_index]
             for sid in rule.strip_ids:
-                share = share ^ self.values[sid]
-            acc = acc ^ share
-        return acc
+                share ^= self.values[sid]
+            acc ^= share
+        return BitString(acc, self.n)
 
     def _send(self, peer: str, frame: Frame) -> None:
         self._sends.append((peer, encode_frame(frame, self.link_keys[peer])))
@@ -525,10 +530,10 @@ def _machines(
     up: dict[str, set[str]] = {lab: set() for lab in labels}
     for u, v in topo.links:
         up[v.label].add(u.label)
-    values: dict[str, dict[SecretId, BitString]] = {lab: {} for lab in labels}
+    values: dict[str, dict[SecretId, int]] = {lab: {} for lab in labels}
     for sid in store.ids():
         for end in sid.ends:
-            values[end][sid] = store[sid]
+            values[end][sid] = store[sid].value
     return {
         lab: NodeMachine(
             lab,

@@ -8,6 +8,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import time
 from collections import deque
 from unittest import mock
 
@@ -424,6 +425,28 @@ def test_rate_counts_a_sweep_past_sys_maxsize_without_overflow(tmp_path, capsys)
 
 
 @pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--max-range-m", str(10**400)], "--max-range-m"),
+        (["--from-km", "0", "--to-km", str(10**400), "--step-km", str(10**400)], "--to-km"),
+    ],
+)
+def test_rate_refuses_an_int_past_the_float_range_before_any_curve(
+    tmp_path, monkeypatch, capsys, flags, named
+):
+    # each value becomes a float, and float() of an int past its range raises OverflowError
+    def refuse(*args):
+        raise AssertionError("computed a curve or a reach")
+
+    monkeypatch.setattr("keyhop.ratemodel.emit_curves", refuse)
+    monkeypatch.setattr("keyhop.ratemodel.max_range", refuse)
+    assert main(["rate", *flags, "--output-dir", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err == f"keyhop: error: {named}: the value exceeds the float range of 1.79769e+308\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "source, alpha, message",
     [
         ("flag", "50", "too lossy to calibrate"),
@@ -559,6 +582,21 @@ def test_wire_with_an_insider_exits_two_and_prints_no_key(tmp_path, monkeypatch,
     assert out.splitlines()[0] == "run failed (exit 2); endpoint keys differ"
     assert "K(A) == K(B)" not in out
     assert "OUTPUT written" not in out
+    assert not list(tmp_path.glob("key_*.hex"))
+
+
+def test_wire_refuses_a_relay_payload_with_a_bit_at_or_above_n_at_once(
+    tmp_path, monkeypatch, capsys
+):
+    # N1 of chain m=2 sets bits 12-15 of M1, at n = 12, under its genuine link key
+    _insider(monkeypatch, 1, lambda payload: payload[:-1] + bytes((payload[-1] | 0xF0,)))
+    argv = ["wire", "--shape", "chain", "--m", "2", "--n", "12", "--base-port", str(next(PORTS))]
+    start = time.perf_counter()
+    code = main(argv + ["--transcripts", "--output-dir", str(tmp_path)])
+    elapsed = time.perf_counter() - start
+    assert code == 2 and elapsed < 1.0, (code, elapsed)
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("N2: ")][-1] == "N2: ABORT POSITION_MISMATCH"
     assert not list(tmp_path.glob("key_*.hex"))
 
 
@@ -994,6 +1032,7 @@ _LINE = st.tuples(
 # its type. A layout has at most 3 paths of at most 5 intermediaries and
 # reach 4, and a key at most 300 bits, so no example builds much and no
 # truth-table oracle check takes long.
+_PAST_FLOATS = st.sampled_from([-(10**400), 10**400])  # ints that no float holds
 _FLAG_VALUES = {
     "--m": st.integers(-2, 5),
     "--t": st.integers(-2, 3),
@@ -1003,10 +1042,10 @@ _FLAG_VALUES = {
     "--grid-paths": _comma_list(st.integers(-1, 3)),
     "--grid-reach": _comma_list(st.integers(-1, 3)),
     "--families": _comma_list(st.sampled_from([*DEFAULT_FAMILIES, "scheme(m=0)", "bogus"])),
-    "--from-km": st.integers(-100, 500),
-    "--to-km": st.integers(-100, 500),
-    "--step-km": st.integers(-2, 100),
-    "--max-range-m": st.integers(-2, 8),
+    "--from-km": st.integers(-100, 500) | _PAST_FLOATS,
+    "--to-km": st.integers(-100, 500) | _PAST_FLOATS,
+    "--step-km": st.integers(-2, 100) | _PAST_FLOATS,
+    "--max-range-m": st.integers(-2, 8) | _PAST_FLOATS,
 }
 _BY_TYPE = {int: st.integers(-3, 8), float: st.floats(), None: st.text(max_size=6)}
 # Chances in four that a flag is given. A layout needs --shape or --config,

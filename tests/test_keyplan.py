@@ -204,10 +204,10 @@ def test_generated_layouts_name_every_secret_distinctly(layout):
 def test_generated_layouts_fold_nonces_and_measure_only_at_intermediaries(layout, seed):
     topo, variant = layout
     trace = run(topo, variant, 24, random.Random(seed))
-    fold = BitString.zeros(24)
+    fold = 0
     for nid in trace.nonce_ids:
-        fold = fold ^ trace.store[nid]
-    assert trace.output_a == trace.output_b == fold
+        fold ^= trace.store[nid].value
+    assert trace.output_a == trace.output_b == BitString(fold, 24)
 
     plan = plan_keys(topo, variant)
     measurers = {entry.measurer.label for entry in plan.entries}

@@ -51,7 +51,7 @@ def test_ring_v1_message_algebra():
         ("N3->A", "K[A,N4]+X[B]"),
     ]
     assert trace.output_a == trace.output_b
-    assert trace.output_a == trace.store[nonce("A")] ^ trace.store[nonce("B")]
+    assert trace.output_a.value == trace.store[nonce("A")].value ^ trace.store[nonce("B")].value
 
 
 def test_ring_v2_message_algebra():
@@ -145,7 +145,7 @@ def test_reach_message_algebra():
 def test_multipath_final_key_folds_every_path_nonce():
     trace = run(build_multipath([2, 3]), Variant.MULTIPATH, 16, random.Random(1))
     assert [s.name for s in trace.nonce_ids] == ["X[A@1]", "X[A@2]"]
-    assert trace.output_a == trace.store[nonce("A", 1)] ^ trace.store[nonce("A", 2)]
+    assert trace.output_a.value == trace.store[nonce("A", 1)].value ^ trace.store[nonce("A", 2)].value
     senders = [m.sender.label for m in trace.messages]
     assert senders == ["A", "N1.1", "N2.1", "A", "N1.2", "N2.2", "N3.2"]
 
@@ -253,11 +253,10 @@ def test_payload_delivery_over_chain():
     store, rng = KeyStore(16), random.Random(6)
     for entry in schedule.plan.entries:
         store.sample(entry.secret_id, rng)
-    z = BitString(0b0000111101010011, 16)
     (nid,) = schedule.nonce_ids
-    store.add(nid, z)
+    store.sample(nid, rng)
     trace = execute(schedule, store)
-    assert trace.output_a == trace.output_b == z
+    assert trace.output_a == trace.output_b == store[nid]
 
 
 def test_make_store_refuses_a_run_over_the_key_budget_before_drawing(monkeypatch):

@@ -234,9 +234,14 @@ def _files(out_dir):
     return sorted(path.name for path in out_dir.iterdir())
 
 
-def _insider(monkeypatch, index):
-    """The sender of hop index flips one bit of the payload it relays and
-    tags the frame with its genuine link key, so every check passes."""
+def _flip_the_low_bit(payload):
+    return bytes((payload[0] ^ 0x01,)) + payload[1:]
+
+
+def _insider(monkeypatch, index, substitute=_flip_the_low_bit):
+    """The sender of hop index relays substitute(payload) in place of its
+    payload and tags the frame with its genuine link key, so the tag check
+    passes. The default flips bit 0, which passes every check."""
     relay = NodeMachine._relay
 
     def substituting(self, hop):
@@ -244,8 +249,7 @@ def _insider(monkeypatch, index):
         if hop.index == index:
             peer, blob = self._sends[-1]
             key = self.link_keys[peer]
-            payload = decode_frame(blob, key).payload
-            frame = Frame(FRAME_RELAY, index, bytes((payload[0] ^ 0x01,)) + payload[1:])
+            frame = Frame(FRAME_RELAY, index, substitute(decode_frame(blob, key).payload))
             self._sends[-1] = (peer, encode_frame(frame, key))
 
     monkeypatch.setattr(NodeMachine, "_relay", substituting)
@@ -718,6 +722,29 @@ def test_any_delivery_order_aborts_every_node_on_a_tampered_relay(topo, variant,
     nodes, _ = _deliver(topo, variant, 7, order, tamper_index=tamper)
     assert {lab: node.code for lab, node in nodes.items()} == {lab: 2 for lab in nodes}
     assert all(node.output is None for node in nodes.values())
+
+
+@settings(max_examples=300)
+@given(
+    n=st.sampled_from([1, 12, 16]),
+    peer=st.sampled_from(["A", "N2"]),
+    ftype=st.sampled_from(KNOWN_TYPES),
+    index=st.just(0) | st.integers(0, 0xFFFF),  # M0 is the relay N1 expects
+    data=st.data(),
+)
+def test_an_authentic_frame_leaves_a_linked_node_running_or_aborted(n, peer, ftype, index, data):
+    # whatever an authenticated peer sends, feed answers with frames: a
+    # payload that is no n-bit value is a protocol abort, never an exception
+    nodes = _machines(build_chain(2), Variant.CHAIN2, 7, n=n)
+    n1 = nodes["N1"]
+    (_, hello), *_ = nodes["A"].dialled("N1")
+    n1.feed("A", hello)
+    n1.dialled("N2")
+    assert n1.links == n1.peers and n1.code is None
+    payload = data.draw(st.binary(max_size=(n + 7) // 8 + 1), label="payload")
+    sends = n1.feed(peer, encode_frame(Frame(ftype, index, payload), n1.link_keys[peer]))
+    assert isinstance(sends, list)
+    assert n1.code in (None, 2)
 
 
 def test_a_peer_that_leaves_before_its_done_is_lost():
