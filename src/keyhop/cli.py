@@ -28,7 +28,6 @@ from .topology import (
     Topology,
     build_topology,
     check_runnable,
-    intermediary_count,
     parse_int,
     parse_layout_config,
 )
@@ -89,8 +88,7 @@ def _layout(
                 parse_int(item, "--paths")
         if shape is Shape.REACH:
             keys.setdefault("t", "2")
-    check(intermediary_count(shape, keys))
-    topo = build_topology(shape, keys, link_km)
+    topo = build_topology(shape, keys, link_km, check)
     variant = Variant(args.variant) if args.variant else Variant.default_for(topo.shape)
     return topo, variant
 
@@ -201,6 +199,10 @@ def cmd_rate(args: argparse.Namespace) -> int:
     if args.threshold is not None:
         params = dataclasses.replace(params, threshold_bps=args.threshold)
     reach = None if args.max_range_m is None else ratemodel.max_range(args.max_range_m, params)
+    if reach is not None and not math.isfinite(reach):
+        raise ValueError(
+            f"--max-range-m: the reach of m={args.max_range_m} at these rate parameters is not finite"
+        )
     families = (
         [f.strip() for f in args.families.split(",")]
         if args.families is not None

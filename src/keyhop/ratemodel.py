@@ -14,10 +14,11 @@ uses the same clock against the standard 1.44 * eta ceiling.
 from __future__ import annotations
 
 import math
+import sys
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
-from typing import Iterable
 
-from .topology import parse_float, parse_kv
+from .topology import parse_float, parse_int, parse_kv
 
 __all__ = [
     "RateParams",
@@ -123,13 +124,20 @@ def max_range(m: int, params: RateParams) -> float:
 DEFAULT_FAMILIES = ("p2p", "tf", "scheme(m=2)", "scheme(m=3)", "scheme(m=4)", "scheme(m=5)", "scheme(m=6)")
 
 
-def _family_rate(family: str, distance_km: float, params: RateParams) -> float:
+def _family_rate(family: str) -> Callable[[float, RateParams], float]:
+    """The rate function a family names; one whose name or m cannot be read
+    is refused here, naming the family."""
     if family == "p2p":
-        return rate_p2p(distance_km, params)
+        return rate_p2p
     if family == "tf":
-        return rate_tf(distance_km, params)
+        return rate_tf
     if family.startswith("scheme(m=") and family.endswith(")"):
-        return rate_scheme(distance_km, int(family[len("scheme(m=") : -1]), params)
+        m = parse_int(family[len("scheme(m=") : -1], f"rate family {family!r}")
+        if m + 1 > sys.float_info.max:  # 2D/(m+1) makes m+1 a float
+            raise ValueError(
+                f"rate family {family!r}: m exceeds the float range of {sys.float_info.max:g}"
+            )
+        return lambda d, params: rate_scheme(d, m, params)
     raise ValueError(f"unknown rate family {family!r}")
 
 
@@ -140,7 +148,8 @@ def emit_curves(
     distances = sorted(distances_km)
     if any(d < 0 for d in distances):
         raise ValueError("distances cannot be negative")
-    return [(d, fam, _family_rate(fam, d, params)) for fam in families for d in distances]
+    rates = [(fam, _family_rate(fam)) for fam in families]  # each read before any row
+    return [(d, fam, rate(d, params)) for fam, rate in rates for d in distances]
 
 
 def curves_csv(rows: list[tuple[float, str, float]]) -> str:

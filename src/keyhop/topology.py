@@ -9,6 +9,7 @@ all protocol scheduling works from the path lists.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -21,7 +22,6 @@ __all__ = [
     "build_reach_chain",
     "build_multipath",
     "build_topology",
-    "intermediary_count",
     "parse_int",
     "parse_float",
     "MAX_HOPS",
@@ -210,13 +210,13 @@ def parse_kv(text: str) -> dict[str, str]:
     return out
 
 
-# the layout keys each shape reads, beside shape and link_length_km; the
-# config file and the CLI's layout flags share them
-_SHAPE_KEYS = {
-    Shape.RING6: (),
-    Shape.CHAIN: ("m",),
-    Shape.REACH: ("m", "t"),
-    Shape.MULTIPATH: ("paths", "t"),
+# each shape's layout keys beside shape and link_length_km, with defaults
+# (None: required); the config file and the CLI's layout flags share them
+_SHAPE_KEYS: dict[Shape, dict[str, str | None]] = {
+    Shape.RING6: {},
+    Shape.CHAIN: {"m": None},
+    Shape.REACH: {"m": None, "t": None},
+    Shape.MULTIPATH: {"paths": None, "t": "1"},
 }
 
 
@@ -236,40 +236,6 @@ def parse_float(text: str, name: str) -> float:
         raise ValueError(f"{name}: {text.strip()!r} is not a number") from None
 
 
-def build_topology(shape: Shape, keys: dict[str, str], link_length_km: float = 100.0) -> Topology:
-    """The one dispatch from a shape and its layout keys (text values, as a
-    config file states them) to the shape's builder."""
-    ignored = set(keys) - set(_SHAPE_KEYS[shape])
-    if ignored:
-        raise ValueError(f"shape {shape.value!r} does not read {sorted(ignored)}")
-
-    def need(key: str) -> str:
-        if key not in keys:
-            raise ValueError(f"shape {shape.value!r} requires {key!r}")
-        return keys[key]
-
-    if shape is Shape.RING6:
-        return build_ring6(link_length_km)
-    if shape is Shape.CHAIN:
-        return build_chain(parse_int(need("m"), "m"), link_length_km)
-    if shape is Shape.REACH:
-        m, t = parse_int(need("m"), "m"), parse_int(need("t"), "t")
-        return build_reach_chain(m, t, link_length_km)
-    lengths = [parse_int(v, "paths") for v in need("paths").split(",")]
-    return build_multipath(lengths, link_length_km, parse_int(keys.get("t", "1"), "t"))
-
-
-def intermediary_count(shape: Shape, keys: dict[str, str]) -> int:
-    """The intermediaries the layout keys ask for, read without building a
-    node, so a caller can refuse a layout before it is built. A missing key
-    counts 0; build_topology reports it."""
-    if shape is Shape.RING6:
-        return 4
-    if shape is Shape.MULTIPATH:
-        return sum(parse_int(v, "paths") for v in keys.get("paths", "0").split(","))
-    return parse_int(keys.get("m", "0"), "m")
-
-
 MAX_HOPS = 1 << 16  # the wire numbers hops with a u16 index
 ROW_CAP = 1 << 20  # rows of any CSV: coalitions.csv, rates.csv, collusion_grid.csv
 
@@ -279,6 +245,37 @@ def check_runnable(count: int) -> None:
     before it is built; every command is bound by it."""
     if count > MAX_HOPS:
         raise ValueError(f"{count} intermediaries exceed the wire limit of {MAX_HOPS} hops")
+
+
+def build_topology(
+    shape: Shape,
+    keys: dict[str, str],
+    link_length_km: float = 100.0,
+    check: Callable[[int], None] = check_runnable,
+) -> Topology:
+    """The one dispatch from a shape and its layout keys (text values, as a
+    config file states them) to the shape's builder. The intermediary
+    count they ask for (a missing key counts 0) goes to check first."""
+    if shape is Shape.MULTIPATH:
+        lengths = [parse_int(v, "paths") for v in keys.get("paths", "0").split(",")]
+    else:
+        lengths = [2, 2] if shape is Shape.RING6 else [parse_int(keys.get("m", "0"), "m")]
+    check(sum(lengths))
+    ignored = set(keys) - set(_SHAPE_KEYS[shape])
+    if ignored:
+        raise ValueError(f"shape {shape.value!r} does not read {sorted(ignored)}")
+    given = {**_SHAPE_KEYS[shape], **keys}
+    for key, value in given.items():
+        if value is None:
+            raise ValueError(f"shape {shape.value!r} requires {key!r}")
+    if shape is Shape.RING6:
+        return build_ring6(link_length_km)
+    if shape is Shape.CHAIN:
+        return build_chain(lengths[0], link_length_km)
+    t = parse_int(given["t"], "t")
+    if shape is Shape.REACH:
+        return build_reach_chain(lengths[0], t, link_length_km)
+    return build_multipath(lengths, link_length_km, t)
 
 
 def parse_layout_config(text: str) -> tuple[Shape, dict[str, str], float]:

@@ -520,8 +520,7 @@ def _machines(
     hops: dict[str, list[Hop]] = {lab: [] for lab in labels}
     for hop in schedule.hops:
         s, r = hop.sender.label, hop.receiver.label
-        if r not in link_keys[s]:  # a ring or reach link carries several hops
-            link_keys[s][r] = link_keys[r][s] = secrets.token_bytes(32)
+        link_keys[s][r] = link_keys[r][s] = secrets.token_bytes(32)
         hops[s].append(hop)
         hops[r].append(hop)
     absorbs: dict[str, list[AbsorbRule]] = {lab: [] for lab in labels}

@@ -13,7 +13,7 @@ from collections import deque
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import keyhop
@@ -22,6 +22,7 @@ from keyhop.bits import KeyStore
 from keyhop.cli import main
 from keyhop.ratemodel import DEFAULT_FAMILIES
 
+from test_topology import _refuse_building
 from test_wire import _insider
 
 PORTS = iter(range(23000, 26000, 40))
@@ -127,10 +128,7 @@ def test_analyze_refuses_past_the_cap_before_the_engine_runs(tmp_path, monkeypat
 def test_analyze_refuses_past_the_cap_before_building_the_layout(
     tmp_path, monkeypatch, capsys, layout, count
 ):
-    def refuse(*args):
-        raise AssertionError("built a layout past the enumeration cap")
-
-    monkeypatch.setattr(cli, "build_topology", refuse)
+    _refuse_building(monkeypatch, "built a layout past the enumeration cap")
     (tmp_path / "layout.cfg").write_text(f"shape = chain\nm = {1 << 70}\n")
     layout = [str(tmp_path / arg) if arg.endswith(".cfg") else arg for arg in layout]
     code = main(["analyze", *layout, "--output-dir", str(tmp_path / "out")])
@@ -425,6 +423,42 @@ def test_rate_counts_a_sweep_past_sys_maxsize_without_overflow(tmp_path, capsys)
 
 
 @pytest.mark.parametrize(
+    "family, message",
+    [
+        ("scheme(m=x)", "rate family 'scheme(m=x)': 'x' is not an integer"),
+        (
+            f"scheme(m={10**400})",
+            f"rate family 'scheme(m={10**400})': m exceeds the float range of 1.79769e+308",
+        ),
+    ],
+    ids=["not-an-int", "past-the-float-range"],
+)
+def test_rate_refuses_a_family_it_cannot_read_before_writing(tmp_path, capsys, family, message):
+    # each family is read once, before the first row, and an error names it
+    out_dir = tmp_path / "out"
+    assert main(["rate", "--families", f"tf,{family}", "--output-dir", str(out_dir)]) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"keyhop: error: {message}\n")
+    assert not (out_dir / "rates.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flags", [["--max-range-m", str(10**308)], ["--alpha", "1e-320", "--max-range-m", "5"]]
+)
+def test_rate_refuses_a_reach_that_is_not_finite_before_writing(tmp_path, capsys, flags):
+    # (m+1)/2 overflows at m = 10**308; 20/alpha does at alpha = 1e-320
+    out_dir = tmp_path / "out"
+    assert main(["rate", *flags, "--output-dir", str(out_dir)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"keyhop: error: --max-range-m: the reach of m={flags[-1]} at these rate"
+        " parameters is not finite\n"
+    )
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
     "flags, named",
     [
         (["--max-range-m", str(10**400)], "--max-range-m"),
@@ -626,10 +660,7 @@ def test_wire_refuses_an_oversized_schedule_before_any_node_starts(
 def test_wire_refuses_an_oversized_layout_before_building_it(
     tmp_path, monkeypatch, capsys, layout, count
 ):
-    def refuse(*args):
-        raise AssertionError("built a layout past the wire's hop limit")
-
-    monkeypatch.setattr(cli, "build_topology", refuse)
+    _refuse_building(monkeypatch, "built a layout past the wire's hop limit")
     (tmp_path / "layout.cfg").write_text(f"shape = chain\nm = {1 << 70}\n")
     layout = [str(tmp_path / arg) if arg.endswith(".cfg") else arg for arg in layout]
     code = main(["wire", *layout, "--output-dir", str(tmp_path / "out")])
@@ -999,10 +1030,7 @@ def test_a_command_parser_alone_gives_the_listing_parsers_namespace(monkeypatch,
 def test_every_command_refuses_an_oversized_layout_before_building_it(
     tmp_path, monkeypatch, capsys, command, layout, count
 ):
-    def refuse(*args):
-        raise AssertionError("built a layout past the wire's hop limit")
-
-    monkeypatch.setattr(cli, "build_topology", refuse)
+    _refuse_building(monkeypatch, "built a layout past the wire's hop limit")
     (tmp_path / "layout.cfg").write_text(f"shape = chain\nm = {1 << 70}\n")
     layout = [str(tmp_path / arg) if arg.endswith(".cfg") else arg for arg in layout]
     code = main([*command, *layout, "--output-dir", str(tmp_path / "out")])
@@ -1041,11 +1069,16 @@ _FLAG_VALUES = {
     "--coalition": _comma_list(st.sampled_from(["A", "B", "N1", "N2", "N3", "N1.1", "N2.2", ""])),
     "--grid-paths": _comma_list(st.integers(-1, 3)),
     "--grid-reach": _comma_list(st.integers(-1, 3)),
-    "--families": _comma_list(st.sampled_from([*DEFAULT_FAMILIES, "scheme(m=0)", "bogus"])),
+    "--families": _comma_list(
+        st.sampled_from(
+            [*DEFAULT_FAMILIES, "scheme(m=0)", "scheme(m=x)", f"scheme(m={10**400})"]
+            + [f"scheme(m={-(10**400)})", "bogus"]
+        )
+    ),
     "--from-km": st.integers(-100, 500) | _PAST_FLOATS,
     "--to-km": st.integers(-100, 500) | _PAST_FLOATS,
     "--step-km": st.integers(-2, 100) | _PAST_FLOATS,
-    "--max-range-m": st.integers(-2, 8) | _PAST_FLOATS,
+    "--max-range-m": st.integers(-2, 8) | _PAST_FLOATS | st.just(10**308),
 }
 _BY_TYPE = {int: st.integers(-3, 8), float: st.floats(), None: st.text(max_size=6)}
 # Chances in four that a flag is given. A layout needs --shape or --config,
@@ -1105,12 +1138,16 @@ async def _run_in_memory(machines, addrs, timeout):
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(["simulate", "analyze", "attack", "rate", "wire"]).flatmap(_argv))
+@example((["rate", "--families=scheme(m=x)"], {}))
+@example((["rate", f"--families=p2p,scheme(m={10**400})"], {}))
+@example((["rate", f"--max-range-m={10**308}"], {}))
+@example((["rate", "--from-km=0", f"--to-km={10**400}", f"--step-km={10**400}"], {}))
 def test_fuzzed_argv_exits_cleanly(case):
     # any argv a command's flags admit ends in an exit code of the contract,
     # never in a traceback, nor in int()'s or float()'s bare message, which
-    # names no flag or config key
+    # names no flag or config key, nor in a reach of infinite km
     argv, files = list(case[0]), case[1]
-    err = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         for pos, text in files.items():
             path = os.path.join(tmp, f"file{pos}")
@@ -1118,7 +1155,7 @@ def test_fuzzed_argv_exits_cleanly(case):
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         with (
-            contextlib.redirect_stdout(io.StringIO()),
+            contextlib.redirect_stdout(out),
             contextlib.redirect_stderr(err),
             mock.patch.object(wire, "_run_nodes", _run_in_memory),
         ):
@@ -1130,3 +1167,4 @@ def test_fuzzed_argv_exits_cleanly(case):
     assert "Traceback" not in err.getvalue()
     assert "invalid literal" not in err.getvalue()
     assert "could not convert" not in err.getvalue()
+    assert "inf km" not in out.getvalue()

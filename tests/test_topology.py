@@ -4,6 +4,8 @@ import pickle
 
 import pytest
 
+from keyhop import topology
+from keyhop.analysis import check_enumerable
 from keyhop.bits import SecretKind
 from keyhop.keyplan import Variant, plan_keys
 from keyhop.topology import (
@@ -186,3 +188,48 @@ def test_link_length_must_be_positive():
 def test_config_rejects_keys_its_shape_ignores(text):
     with pytest.raises(ValueError, match="does not read"):
         build_topology(*parse_layout_config(text))
+
+
+def _refuse_building(monkeypatch, why):
+    """Make each of the four layout builders fail the test if it is called."""
+
+    def refuse(*args):
+        raise AssertionError(why)
+
+    for name in ("build_ring6", "build_chain", "build_reach_chain", "build_multipath"):
+        monkeypatch.setattr(topology, name, refuse)
+
+
+def test_build_topology_refuses_an_oversized_layout_before_building_it(monkeypatch):
+    _refuse_building(monkeypatch, "built a layout past its bound")
+    with pytest.raises(ValueError, match=rf"^{10**20} intermediaries exceed the wire limit of 65536"):
+        build_topology(Shape.CHAIN, {"m": str(10**20)})
+    cap = "^21 intermediaries exceeds the exhaustive enumeration cap of 20$"
+    with pytest.raises(ValueError, match=cap):
+        build_topology(Shape.CHAIN, {"m": "21"}, check=check_enumerable)
+    # the count is refused before a key the shape ignores
+    with pytest.raises(ValueError, match=cap):
+        build_topology(Shape.CHAIN, {"m": "21", "t": "3"}, check=check_enumerable)
+
+
+@pytest.mark.parametrize(
+    "shape, keys, count, missing",
+    [
+        (Shape.RING6, {}, 4, None),
+        (Shape.CHAIN, {"m": "5"}, 5, None),
+        (Shape.CHAIN, {}, 0, "m"),
+        (Shape.REACH, {"m": "6", "t": "2"}, 6, None),
+        (Shape.REACH, {"m": "6"}, 6, "t"),
+        (Shape.MULTIPATH, {"paths": "2,3,4"}, 9, None),
+        (Shape.MULTIPATH, {"t": "2"}, 0, "paths"),
+    ],
+)
+def test_build_topology_passes_the_intermediary_count_to_check(shape, keys, count, missing):
+    # a missing key counts 0, and is reported once the count has passed
+    seen = []
+    if missing:
+        with pytest.raises(ValueError, match=f"requires '{missing}'"):
+            build_topology(shape, keys, check=seen.append)
+    else:
+        assert len(build_topology(shape, keys, check=seen.append).intermediaries) == count
+    assert seen == [count]

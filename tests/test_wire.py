@@ -45,6 +45,7 @@ STRAY_PORT = 27000  # and 27040
 TIMEOUT_PORT = 27080
 REPLAY_PORT = 27120  # and 27160
 HALF_CLOSE_PORT = 27200
+JUNK_PORT = 27240  # and 27280, 27320
 
 
 def test_frame_round_trip():
@@ -462,10 +463,11 @@ def test_a_finished_node_half_closes_so_a_slow_peer_still_reads_its_abort(tmp_pa
     assert _files(tmp_path) == []
 
 
-def _stray_run(out_dir, monkeypatch, base):
-    """Chain m=4 at timeout=2 on ports base..base+5, with an idle socket
-    connected to N1's listener as the first link comes up; the socket is
-    closed after the run. Returns the run and its wall time."""
+def _stray_run(out_dir, monkeypatch, base, junk=None):
+    """Chain m=4 at timeout=2 on ports base..base+5, with a socket connected
+    to N1's listener as the first link comes up. The socket stays idle, or
+    sends junk and ends its side of the stream; it is closed after the run.
+    Returns the run and its wall time."""
     topo = build_chain(4)
     n1_port = base + [nd.label for nd in topo.nodes].index("N1")
     strays = []
@@ -474,6 +476,9 @@ def _stray_run(out_dir, monkeypatch, base):
     def dialled_with_a_stray(self, peer):
         if not strays:
             strays.append(socket.create_connection(("127.0.0.1", n1_port)))
+            if junk is not None:
+                strays[0].sendall(junk)
+                strays[0].shutdown(socket.SHUT_WR)
         return dialled(self, peer)
 
     monkeypatch.setattr(NodeMachine, "dialled", dialled_with_a_stray)
@@ -493,6 +498,34 @@ def test_a_stray_connection_does_not_delay_the_run(tmp_path, monkeypatch):
     result, elapsed = _stray_run(tmp_path, monkeypatch, STRAY_PORT)
     assert result.code == 0, result.report
     assert _files(tmp_path) == ["key_A.hex", "key_B.hex"]
+    assert elapsed < 0.5, f"took {elapsed:.3f} s"
+
+
+@pytest.mark.parametrize(
+    "junk, reason, port",
+    [
+        (encode_frame(Frame(FRAME_HELLO, 0, b"stray"), bytes(TAG_LEN)), "BAD_TAG", JUNK_PORT),
+        ((1 << 30).to_bytes(4, "big"), "BAD_LENGTH", JUNK_PORT + 40),
+        (b"\x00\x00", "BAD_LENGTH", JUNK_PORT + 80),
+    ],
+    ids=["wrong-key", "length-2^30", "two-bytes-then-eof"],
+)
+def test_a_stray_that_sends_junk_aborts_the_run(tmp_path, monkeypatch, junk, reason, port):
+    # an inbound link whose first frame cannot be read or authenticated
+    # aborts N1, and the abort floods to A, N2, N3 and N4. Wave 1 of DONE
+    # has reached B by the time N1 reads the junk, so B alone succeeds; the
+    # run fails all the same and writes no key
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        result, elapsed = _stray_run(tmp_path, monkeypatch, port, junk)
+        gc.collect()
+    ends = {lab: f"PEER_ABORT({reason})" for lab in ["A", "N1", "N2", "N3", "N4"]}
+    ends["N1"] = reason
+    causes = "; ".join(f"{lab}: exit 2, {lab}: ABORT {end}" for lab, end in ends.items())
+    assert (result.code, result.report) == (2, f"run failed (exit 2); {causes}")
+    assert result.results["B"].code == 0
+    assert _files(tmp_path) == []
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
     assert elapsed < 0.5, f"took {elapsed:.3f} s"
 
 
