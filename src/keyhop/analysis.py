@@ -111,7 +111,6 @@ class AdversaryView:
 
 @dataclass(frozen=True)
 class SecrecyVerdict:
-    target: SymbolicExpr
     status: Status
     recovery: tuple[int | SecretId, ...] | None = None  # message indices, then secrets
 
@@ -205,10 +204,10 @@ def is_recoverable(view: AdversaryView, target: SymbolicExpr) -> SecrecyVerdict:
     rows += [1 << order[sid] for sid in view.known]
     combo = _reduce(_eliminate(rows), _mask(order, target.terms))
     if combo is None:
-        return SecrecyVerdict(target, Status.SECURE)
+        return SecrecyVerdict(Status.SECURE)
     items = (*range(len(view.observed)), *view.known)
     recovery = tuple(item for pos, item in enumerate(items) if combo >> pos & 1)
-    return SecrecyVerdict(target, Status.BROKEN, recovery)
+    return SecrecyVerdict(Status.BROKEN, recovery)
 
 
 def recover_bits(trace: ProtocolTrace, verdict: SecrecyVerdict) -> BitString:
@@ -219,7 +218,7 @@ def recover_bits(trace: ProtocolTrace, verdict: SecrecyVerdict) -> BitString:
     acc = 0
     for item in verdict.recovery:
         acc ^= (trace.messages[item].bits if isinstance(item, int) else trace.store[item]).value
-    return BitString(acc, trace.n)
+    return BitString(acc, trace.store.n)
 
 
 def check_enumerable(count: int) -> None:

@@ -117,7 +117,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     print(f"K(A) == K(B): match ({trace.output_a.to_hex()})")  # execute checked it
     if args.hardware:
         print("hardware:")
-        for line in cm_report(plan_keys(topo, variant)):
+        for line in cm_report(trace.schedule.plan):
             print(f"  {line}")
     return 0
 
@@ -162,14 +162,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             if oracle is not verdict.status:
                 return 1
         return 0
+    # compile_schedule refuses a key between A and B, so some coalition
+    # cuts every path and minimal is never empty
     minimal, rows = analysis.coalition_audit(schedule, target)
-    if minimal:
-        smallest = min(len(c.members) for c in minimal)
-        print(f"minimal breaking coalitions (size {smallest} minimum):")
-        for coal in minimal:
-            print(f"  {coal.describe()} ({len(coal.members)} nodes)")
-    else:
-        print("no intermediary coalition breaks this run")
+    smallest = min(len(c.members) for c in minimal)
+    print(f"minimal breaking coalitions (size {smallest} minimum):")
+    for coal in minimal:
+        print(f"  {coal.describe()} ({len(coal.members)} nodes)")
     path = _out_path(args, "coalitions.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(analysis.coalition_report_csv(rows))

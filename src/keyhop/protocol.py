@@ -153,12 +153,9 @@ def make_store(schedule: Schedule, n: int, rng: random.Random) -> KeyStore:
 
 
 class Message(NamedTuple):
-    """One transmitted payload with its algebraic form; bits always equal
-    the store's evaluation of expr."""
+    """The payload of the schedule's hop at the same position, with its
+    algebraic form; bits always equal the store's evaluation of expr."""
 
-    index: int
-    sender: NodeId
-    receiver: NodeId
     bits: BitString
     expr: SymbolicExpr
 
@@ -172,20 +169,12 @@ class ProtocolTrace:
     store: KeyStore
 
     @property
-    def variant(self) -> Variant:
-        return self.schedule.plan.variant
-
-    @property
     def topology(self) -> Topology:
         return self.schedule.plan.topology
 
     @property
     def nonce_ids(self) -> tuple[SecretId, ...]:
         return self.schedule.nonce_ids
-
-    @property
-    def n(self) -> int:
-        return self.store.n
 
 
 def execute(schedule: Schedule, store: KeyStore) -> ProtocolTrace:
@@ -210,13 +199,12 @@ def execute(schedule: Schedule, store: KeyStore) -> ProtocolTrace:
             acc ^= values[sid]
         if bits.value != acc:
             raise AssertionError(f"emission {hop.index} disagrees with its expression")
-        messages.append(Message(hop.index, hop.sender, hop.receiver, bits, expr))
+        messages.append(Message(bits, expr))
     for rule in schedule.absorbs:
-        msg = messages[rule.hop_index]
-        share = msg.bits.value
+        share = messages[rule.hop_index].bits.value
         for sid in rule.strip_ids:
             share ^= values[sid]
-        outputs[msg.receiver.label] ^= share
+        outputs[schedule.hops[rule.hop_index].receiver.label] ^= share
 
     out_a = BitString(outputs[topo.endpoint_a.label], store.n)
     out_b = BitString(outputs[topo.endpoint_b.label], store.n)
@@ -234,11 +222,12 @@ def run(topo: Topology, variant: Variant, n: int, rng: random.Random) -> Protoco
 
 def trace_text(trace: ProtocolTrace) -> str:
     lines = [
-        f"# variant={trace.variant.value} topology={trace.topology.describe()} n={trace.n}"
+        f"# variant={trace.schedule.plan.variant.value}"
+        f" topology={trace.topology.describe()} n={trace.store.n}"
     ]
-    for msg in trace.messages:
+    for hop, msg in zip(trace.schedule.hops, trace.messages):
         lines.append(
-            f"M{msg.index} {msg.sender.label}->{msg.receiver.label}"
+            f"M{hop.index} {hop.sender.label}->{hop.receiver.label}"
             f" {msg.bits.to_hex()} {msg.expr.text()}"
         )
     lines.append(f"K(A) {trace.output_a.to_hex()}")
@@ -248,18 +237,18 @@ def trace_text(trace: ProtocolTrace) -> str:
 
 def trace_json(trace: ProtocolTrace) -> str:
     doc = {
-        "variant": trace.variant.value,
+        "variant": trace.schedule.plan.variant.value,
         "topology": trace.topology.describe(),
-        "n": trace.n,
+        "n": trace.store.n,
         "messages": [
             {
-                "index": msg.index,
-                "sender": msg.sender.label,
-                "receiver": msg.receiver.label,
+                "index": hop.index,
+                "sender": hop.sender.label,
+                "receiver": hop.receiver.label,
                 "hex": msg.bits.to_hex(),
                 "expr": msg.expr.text(),
             }
-            for msg in trace.messages
+            for hop, msg in zip(trace.schedule.hops, trace.messages)
         ],
         "output_a": trace.output_a.to_hex(),
         "output_b": trace.output_b.to_hex(),

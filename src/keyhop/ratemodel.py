@@ -133,6 +133,8 @@ def _family_rate(family: str) -> Callable[[float, RateParams], float]:
         return rate_tf
     if family.startswith("scheme(m=") and family.endswith(")"):
         m = parse_int(family[len("scheme(m=") : -1], f"rate family {family!r}")
+        if m < 2:
+            raise ValueError(f"rate family {family!r}: the scheme needs at least 2 intermediaries")
         if m + 1 > sys.float_info.max:  # 2D/(m+1) makes m+1 a float
             raise ValueError(
                 f"rate family {family!r}: m exceeds the float range of {sys.float_info.max:g}"

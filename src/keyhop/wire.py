@@ -28,7 +28,11 @@ inbound event at a time (a frame, an end of stream, a read error, its
 deadline) and returns the frames to send. `orchestrate` builds every node's
 machine once, in one pass over the schedule and the key store, and runs
 them all on one asyncio event loop. It binds every listener before any node
-dials, then feeds each link's frames to its node as they arrive.
+dials, then feeds each link's frames to its node as they arrive. An inbound
+connection whose first frame cannot be read or authenticated is no peer's,
+and is closed unfed; one that ends before its first frame reads as a lost
+peer, as that is how a node that aborted before its dial completed tells
+its acceptor.
 
 Termination: every layout is a set of A-to-B paths, and two waves of DONE
 frames run along them, one per link direction. A node's up peers are its
@@ -37,10 +41,14 @@ heard DONE from every up peer sends DONE to its other peers. Wave 2: a node
 that has heard DONE from every peer sends DONE to its up peers and
 succeeds. B, with no peer nearer B, succeeds first, once every node has
 finished; A succeeds last. Any abort floods ABORT frames instead and stops
-the waves, so both endpoints abort. This matters on chains, where the
-origin endpoint finishes sending long before downstream tampering is
-detected. The run has one deadline: every node that has not finished
-`timeout` seconds after the run started aborts with TIMEOUT.
+the waves, so every node that has not yet succeeded aborts. A RELAY that
+fails its checks aborts its receiver before that node sends DONE on, so B
+cannot have succeeded and both endpoints abort. This matters on chains,
+where the origin endpoint finishes sending long before downstream tampering
+is detected. The run has one deadline: every node that has not finished
+`timeout` seconds after the run started aborts with TIMEOUT. That deadline,
+or a link lost once wave 1 has reached B, can still land after B has
+succeeded; the run fails all the same.
 
 Nodes write nothing. The run writes each endpoint's key file only when
 every node succeeded and the two endpoint keys agree. The protocol has no
@@ -254,7 +262,7 @@ class NodeMachine:
         """Take one inbound event: a whole frame from peer, None for peer's
         end of stream, the FrameError that stopped a read, or TimeoutError
         for the run's deadline. peer is None for the deadline and for an
-        inbound link whose first frame did not authenticate."""
+        inbound link that ended or reset before its first frame."""
         return self._step(self._dispatch, peer, event)
 
     def _step(self, handler, *args) -> Sends:
@@ -454,7 +462,8 @@ async def _run_nodes(
 
     async def link(m: NodeMachine, reader, writer, peer: str | None) -> None:
         """Feed the link's events to m until its stream ends. An inbound
-        link (peer None) is identified by its first frame."""
+        link (peer None) is identified by its first frame, and closed unfed
+        if that frame cannot be read or authenticated."""
         while True:
             try:
                 event = await _read_frame(reader)
@@ -462,6 +471,9 @@ async def _run_nodes(
                     peer = m.identify(event)
                     routes[m].setdefault(peer, writer)
             except FrameError as exc:
+                if peer is None:
+                    writer.close()
+                    return
                 event = exc
             except OSError:  # a reset reads as the peer leaving
                 event = None

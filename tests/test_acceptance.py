@@ -95,7 +95,10 @@ def test_criterion_1_every_honest_run_agrees_on_the_nonce_fold():
 
 
 def _table(trace):
-    return [(f"{m.sender.label}->{m.receiver.label}", m.expr.text()) for m in trace.messages]
+    return [
+        (f"{hop.sender.label}->{hop.receiver.label}", msg.expr.text())
+        for hop, msg in zip(trace.schedule.hops, trace.messages, strict=True)
+    ]
 
 
 def test_criterion_2_golden_message_tables():

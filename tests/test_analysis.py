@@ -1,6 +1,7 @@
 import random
 import time
 from collections import defaultdict
+from dataclasses import fields
 from itertools import combinations
 
 import numpy as np
@@ -32,8 +33,8 @@ from keyhop.analysis import (
     view_of,
 )
 from keyhop.bits import KeyStore, SecretKind, SymbolicExpr, nonce
-from keyhop.keyplan import Variant
-from keyhop.protocol import run
+from keyhop.keyplan import KeyPlan, Variant
+from keyhop.protocol import compile_schedule, run
 from keyhop.topology import Shape, build_chain, build_multipath, build_reach_chain, build_ring6
 
 from test_keyplan import _layouts  # the generated layouts of at most 12 intermediaries
@@ -80,6 +81,7 @@ def test_view_rejects_endpoints_and_strangers():
 def test_passive_wiretap_breaks_ring_v1():
     trace = _trace(build_ring6(), Variant.RING_V1)
     verdict = is_recoverable(view_of(trace, Coalition(frozenset())), final_key_expr(trace))
+    assert [f.name for f in fields(verdict)] == ["status", "recovery"]  # the caller holds the target
     assert verdict.status is Status.BROKEN
     assert verdict.recovery_labels == ("M0", "M1", "M2", "M3", "M4", "M5")
     assert recover_bits(trace, verdict) == trace.output_a
@@ -191,6 +193,9 @@ def test_recovered_bits_match_for_every_breaking_coalition():
     for coal in min_breaking_coalitions(trace):
         verdict = is_recoverable(view_of(trace, coal), target)
         assert recover_bits(trace, verdict) == trace.output_a
+    secure = is_recoverable(view_of(trace, Coalition(frozenset())), target)
+    with pytest.raises(ValueError, match="nothing to recover from a SECURE verdict"):
+        recover_bits(trace, secure)
 
 
 @pytest.mark.parametrize(
@@ -264,6 +269,11 @@ def test_truth_table_sweeps_chain_m21_at_24_secrets():
     wider = run(build_chain(22), Variant.CHAIN_M, 1, random.Random(0))
     with pytest.raises(ValueError, match="too many secrets for a full truth-table sweep"):
         brute_force_secrecy(wider, coal, final_key_expr(wider))
+    # with no keys, each of chain m=70's 71 messages is the nonce alone: one
+    # secret, but 71 view components, more than a packed entry holds
+    bare = compile_schedule(KeyPlan(build_chain(70), Variant.CHAIN_M, ()))
+    with pytest.raises(ValueError, match="view too wide to pack"):
+        brute_force_secrecy(bare, coal, final_key_expr(bare))
 
 
 @pytest.mark.parametrize(
@@ -337,13 +347,16 @@ def test_truth_table_uses_no_elimination_or_rank(monkeypatch):
     cases = []
     for topo, variant in layouts:
         trace = run(topo, variant, 1, random.Random(0))
-        target = final_key_expr(trace)
+        # a one-nonce target on multipath leaves the other paths' blocks
+        # without a target term
+        targets = {final_key_expr(trace), *(SymbolicExpr.of(nid) for nid in trace.nonce_ids)}
         inter = [nd.label for nd in trace.topology.intermediaries]
         for size in range(len(inter) + 1):
             for c in combinations(inter, size):
                 coal = _coalition(trace, *c)
-                want = is_recoverable(view_of(trace, coal), target).status
-                cases.append((trace, coal, target, want))
+                for target in targets:
+                    want = is_recoverable(view_of(trace, coal), target).status
+                    cases.append((trace, coal, target, want))
 
     def refuse(*args, **kwargs):
         raise AssertionError("the truth-table oracle must stay independent of the analyzer")
@@ -720,16 +733,17 @@ def test_minimal_search_passes_the_enumeration_cap():
 def _message_key_graphs(trace, target):
     """The key graphs as the analyzer read them off a run's messages before
     it read them off the schedule: per path whose nonce the target holds,
-    one edge per key in the messages holding the nonce, from the first such
-    message's sender to the last one's receiver."""
+    one edge per key in the messages holding the nonce, from the sender of
+    the first such message's hop to the receiver of the last one's."""
     graphs = []
+    sent = list(zip(trace.schedule.hops, trace.messages, strict=True))
     for nid in (nid for nid in trace.nonce_ids if nid in target.terms):
-        messages = [msg for msg in trace.messages if nid in msg.expr.terms]
+        held = [(hop, msg) for hop, msg in sent if nid in msg.expr.terms]
         graph = defaultdict(set)
-        for u, v in (sid.ends for msg in messages for sid in msg.expr.terms if sid != nid):
+        for u, v in (sid.ends for _, msg in held for sid in msg.expr.terms if sid != nid):
             graph[u].add(v)
             graph[v].add(u)
-        graphs.append((graph, messages[0].sender.label, messages[-1].receiver.label))
+        graphs.append((graph, held[0][0].sender.label, held[-1][0].receiver.label))
     return graphs
 
 

@@ -252,6 +252,16 @@ def test_analyze_single_coalition_with_oracle(tmp_path, capsys):
     assert "truth-table oracle: BROKEN (agree)" in out
 
 
+def test_analyze_oracle_that_disagrees_exits_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(analysis, "brute_force_secrecy", lambda *args: analysis.Status.SECURE)
+    argv = ["analyze", "--shape", "ring6", "--variant", "ring-v1", "--coalition", "N1,N3", "--oracle"]
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().out == (
+        "coalition N1+N3: BROKEN\n  recovery: M0 + M1 + M2 + M3 + M4 + M5\n"
+        "  truth-table oracle: SECURE (DISAGREE)\n"
+    )
+
+
 def test_analyze_oracle_without_a_coalition_is_a_usage_error(tmp_path, capsys):
     out_dir = tmp_path / "out"
     argv = ["analyze", "--shape", "ring6", "--oracle", "--output-dir", str(out_dir)]
@@ -430,8 +440,12 @@ def test_rate_counts_a_sweep_past_sys_maxsize_without_overflow(tmp_path, capsys)
             f"scheme(m={10**400})",
             f"rate family 'scheme(m={10**400})': m exceeds the float range of 1.79769e+308",
         ),
+        *(
+            (f"scheme(m={m})", f"rate family 'scheme(m={m})': the scheme needs at least 2 intermediaries")
+            for m in (1, 0, -(10**400))
+        ),
     ],
-    ids=["not-an-int", "past-the-float-range"],
+    ids=["not-an-int", "past-the-float-range", "one-intermediary", "none", "far-below-two"],
 )
 def test_rate_refuses_a_family_it_cannot_read_before_writing(tmp_path, capsys, family, message):
     # each family is read once, before the first row, and an error names it
@@ -797,6 +811,7 @@ _CONFIGS = {
         ["simulate", "--config", "ring6-inf.cfg"],
         ["wire", "--shape", "chain", "--m", "2", "--n", "33554153"],  # RELAY above MAX_FRAME
         ["rate", "--max-range-m", "1"],  # the scheme needs 2 intermediaries
+        ["analyze", "--shape", "multipath", "--paths", "3", "--t", "0"],  # reach below 1
     ],
 )
 def test_usage_errors_exit_three(tmp_path, argv, capsys):
@@ -1140,6 +1155,7 @@ async def _run_in_memory(machines, addrs, timeout):
 @given(st.sampled_from(["simulate", "analyze", "attack", "rate", "wire"]).flatmap(_argv))
 @example((["rate", "--families=scheme(m=x)"], {}))
 @example((["rate", f"--families=p2p,scheme(m={10**400})"], {}))
+@example((["rate", "--families=p2p,scheme(m=1)"], {}))
 @example((["rate", f"--max-range-m={10**308}"], {}))
 @example((["rate", "--from-km=0", f"--to-km={10**400}", f"--step-km={10**400}"], {}))
 def test_fuzzed_argv_exits_cleanly(case):
@@ -1168,3 +1184,7 @@ def test_fuzzed_argv_exits_cleanly(case):
     assert "invalid literal" not in err.getvalue()
     assert "could not convert" not in err.getvalue()
     assert "inf km" not in out.getvalue()
+    # a scheme family below m=2 is refused by name; only a --max-range-m
+    # below 2, read before the families, still gets the bare message
+    if "error: the scheme needs" in err.getvalue():
+        assert any(arg.startswith("--max-range-m") for arg in argv), err.getvalue()

@@ -18,6 +18,7 @@ from keyhop.protocol import (
     AbsorbRule,
     Hop,
     Message,
+    ProtocolTrace,
     compile_schedule,
     execute,
     make_store,
@@ -37,7 +38,10 @@ from keyhop.topology import (
 
 
 def _exprs(trace):
-    return [(f"{m.sender.label}->{m.receiver.label}", m.expr.text()) for m in trace.messages]
+    return [
+        (f"{hop.sender.label}->{hop.receiver.label}", msg.expr.text())
+        for hop, msg in zip(trace.schedule.hops, trace.messages, strict=True)
+    ]
 
 
 def test_ring_v1_message_algebra():
@@ -77,7 +81,10 @@ def _ring_v1_records():
 def test_engine_records_keep_their_field_order():
     assert Hop._fields == ("index", "sender", "receiver", "origin", "xor_ids")
     assert AbsorbRule._fields == ("hop_index", "strip_ids")
-    assert Message._fields == ("index", "sender", "receiver", "bits", "expr")
+    # a message is its hop's payload: the hop names its index and ends
+    assert Message._fields == ("bits", "expr")
+    # a trace holds what the run computed and reads its layout off its schedule
+    assert not hasattr(ProtocolTrace, "variant") and not hasattr(ProtocolTrace, "n")
 
 
 def test_engine_records_refuse_assignment_and_survive_pickling():
@@ -98,10 +105,7 @@ def test_ring6_hop_and_message_reprs_are_the_dataclass_reprs():
     )
     # the expression's terms are a set of identity-hashed ids, whose order
     # varies between processes
-    assert repr(msg) == (
-        "Message(index=0, sender=NodeId(label='A'), receiver=NodeId(label='N1'),"
-        f" bits=BitString(value=45958, n=16), expr={msg.expr!r})"
-    )
+    assert repr(msg) == f"Message(bits=BitString(value=45958, n=16), expr={msg.expr!r})"
     assert repr(SymbolicExpr.of(nonce("A"))) == (
         "SymbolicExpr(terms=frozenset({SecretId(kind=<SecretKind.NONCE: 'X'>,"
         " ends=('A',), path_index=None)}))"
@@ -111,7 +115,9 @@ def test_ring6_hop_and_message_reprs_are_the_dataclass_reprs():
 def test_index_reads_the_field_not_the_tuple_method():
     trace = run(build_ring6(), Variant.RING_V2, 16, random.Random(0))
     assert [hop.index for hop in trace.schedule.hops] == list(range(6))
-    assert [msg.index for msg in trace.messages] == list(range(6))
+    # with no index field, msg.index would read tuple.index without raising
+    assert "index" not in Message._fields
+    assert len(trace.messages) == len(trace.schedule.hops)
 
 
 def test_chain2_message_algebra():
@@ -146,7 +152,7 @@ def test_multipath_final_key_folds_every_path_nonce():
     trace = run(build_multipath([2, 3]), Variant.MULTIPATH, 16, random.Random(1))
     assert [s.name for s in trace.nonce_ids] == ["X[A@1]", "X[A@2]"]
     assert trace.output_a.value == trace.store[nonce("A", 1)].value ^ trace.store[nonce("A", 2)].value
-    senders = [m.sender.label for m in trace.messages]
+    senders = [hop.sender.label for hop in trace.schedule.hops]
     assert senders == ["A", "N1.1", "N2.1", "A", "N1.2", "N2.2", "N3.2"]
 
 

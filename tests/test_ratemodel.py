@@ -70,6 +70,8 @@ def test_more_intermediaries_extend_reach_by_half_a_link_each():
         assert max_range(m, PARAMS) == pytest.approx(base * (m + 1) / 2)
     with pytest.raises(ValueError):
         max_range(1, PARAMS)
+    with pytest.raises(ValueError, match="at least 2 intermediaries"):
+        rate_scheme(600, 1, PARAMS)
 
 
 @pytest.mark.parametrize(

@@ -99,6 +99,8 @@ def test_multipath_paths_are_node_disjoint():
     topo = build_multipath([2, 3, 2])
     assert topo.describe() == "multipath(2,3,2)"
     assert topo.path_lengths == (2, 3, 2)
+    with pytest.raises(ValueError, match="paths have differing lengths"):
+        topo.m
     labels = [n.label for n in topo.intermediaries]
     assert len(labels) == len(set(labels)) == 7
     shared = set(topo.paths[0]) & set(topo.paths[1])
@@ -106,6 +108,8 @@ def test_multipath_paths_are_node_disjoint():
 
 
 def test_multipath_rejects_short_or_unreachable_paths():
+    with pytest.raises(ValueError, match="need at least one path"):
+        build_multipath([])
     with pytest.raises(ValueError):
         build_multipath([2, 1])
     with pytest.raises(ValueError):

@@ -46,6 +46,7 @@ TIMEOUT_PORT = 27080
 REPLAY_PORT = 27120  # and 27160
 HALF_CLOSE_PORT = 27200
 JUNK_PORT = 27240  # and 27280, 27320
+LOST_PORT = 27360  # and 27400, 27440, 27480
 
 
 def test_frame_round_trip():
@@ -502,30 +503,103 @@ def test_a_stray_connection_does_not_delay_the_run(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "junk, reason, port",
+    "junk, port",
     [
-        (encode_frame(Frame(FRAME_HELLO, 0, b"stray"), bytes(TAG_LEN)), "BAD_TAG", JUNK_PORT),
-        ((1 << 30).to_bytes(4, "big"), "BAD_LENGTH", JUNK_PORT + 40),
-        (b"\x00\x00", "BAD_LENGTH", JUNK_PORT + 80),
+        (encode_frame(Frame(FRAME_HELLO, 0, b"stray"), bytes(TAG_LEN)), JUNK_PORT),
+        ((1 << 30).to_bytes(4, "big"), JUNK_PORT + 40),
+        (b"\x00\x00", JUNK_PORT + 80),
     ],
     ids=["wrong-key", "length-2^30", "two-bytes-then-eof"],
 )
-def test_a_stray_that_sends_junk_aborts_the_run(tmp_path, monkeypatch, junk, reason, port):
+def test_a_stray_that_sends_junk_is_dropped(tmp_path, monkeypatch, junk, port):
     # an inbound link whose first frame cannot be read or authenticated
-    # aborts N1, and the abort floods to A, N2, N3 and N4. Wave 1 of DONE
-    # has reached B by the time N1 reads the junk, so B alone succeeds; the
-    # run fails all the same and writes no key
+    # comes from no peer: N1 closes it unfed, and the run completes
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
         result, elapsed = _stray_run(tmp_path, monkeypatch, port, junk)
         gc.collect()
-    ends = {lab: f"PEER_ABORT({reason})" for lab in ["A", "N1", "N2", "N3", "N4"]}
-    ends["N1"] = reason
-    causes = "; ".join(f"{lab}: exit 2, {lab}: ABORT {end}" for lab, end in ends.items())
-    assert (result.code, result.report) == (2, f"run failed (exit 2); {causes}")
-    assert result.results["B"].code == 0
-    assert _files(tmp_path) == []
+    assert result.code == 0, result.report
+    assert {lab: m.code for lab, m in result.results.items()} == dict.fromkeys(
+        ["A", "B", "N1", "N2", "N3", "N4"], 0
+    )
+    assert _files(tmp_path) == ["key_A.hex", "key_B.hex"]
     assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert elapsed < 0.5, f"took {elapsed:.3f} s"
+
+
+def _chain4_port(base, label):
+    return base + [nd.label for nd in build_chain(4).nodes].index(label)
+
+
+def _chain4_lost(out_dir, monkeypatch, base, **kw):
+    """Chain m=4 at timeout=2 on ports base..base+5, with N1's dial to N2
+    held back 0.1 s. Returns the run, each node's last transcript line and
+    the wall time."""
+    open_connection = asyncio.open_connection
+
+    async def held_back(host, port, *args, **kwargs):
+        if port == _chain4_port(base, "N2"):  # only N1 dials N2
+            await asyncio.sleep(0.1)
+        return await open_connection(host, port, *args, **kwargs)
+
+    monkeypatch.setattr(asyncio, "open_connection", held_back)
+    start = time.perf_counter()
+    result = orchestrate(build_chain(4), Variant.CHAIN_M, 64, 5, base, str(out_dir), timeout=2.0, **kw)
+    elapsed = time.perf_counter() - start
+    last = {lab: m.transcript[-1].split(": ", 1)[1] for lab, m in result.results.items()}
+    return result, last, elapsed
+
+
+def test_a_dialer_that_aborted_before_its_dial_completed_tells_its_acceptor(tmp_path, monkeypatch):
+    # N1 aborts on the tampered hop 0 while its dial to N2 is held back; the
+    # dial then completes onto a finished node, which half-closes it, and
+    # N2 reads that hang-up before any frame as its peer leaving
+    result, last, elapsed = _chain4_lost(tmp_path, monkeypatch, LOST_PORT, tamper_index=0)
+    assert result.code == 2, result.report
+    assert last["N2"] == "ABORT PEER_LOST"
+    assert _files(tmp_path) == []
+    assert elapsed < 0.5, f"took {elapsed:.3f} s"
+
+
+def test_a_dial_refused_by_a_node_that_already_aborted_ends_the_run(tmp_path, monkeypatch):
+    # N2 aborts on N3's refusal of its descriptor and closes its listener,
+    # so N1's held-back dial is refused: the peer is gone
+    _mismatch_descriptor(monkeypatch, "N2")
+    result, last, elapsed = _chain4_lost(tmp_path, monkeypatch, LOST_PORT + 40)
+    assert result.code == 2, result.report
+    assert last["N1"] == "ABORT PEER_LOST"
+    assert _files(tmp_path) == []
+    assert elapsed < 0.5, f"took {elapsed:.3f} s"
+
+
+@pytest.mark.parametrize(
+    "error, reason, port",
+    [
+        (ConnectionResetError(), "PEER_LOST", LOST_PORT + 80),
+        (FrameError("BAD_LENGTH", "stream ended mid-frame"), "BAD_LENGTH", LOST_PORT + 120),
+    ],
+    ids=["reset", "mid-frame"],
+)
+def test_a_link_that_breaks_after_its_first_frame_aborts_the_node(
+    tmp_path, monkeypatch, error, reason, port
+):
+    # N2's link from N1 delivers N1's HELLO, then its next read fails: a
+    # reset reads as the peer leaving, a broken frame as that frame's fault
+    read_frame = wire._read_frame
+    reads = []
+
+    async def breaking(reader):
+        if reader._transport.get_extra_info("sockname")[1] == _chain4_port(port, "N2"):
+            reads.append(reader)
+            if len(reads) == 2:
+                raise error
+        return await read_frame(reader)
+
+    monkeypatch.setattr(wire, "_read_frame", breaking)
+    result, last, elapsed = _chain4_lost(tmp_path, monkeypatch, port)
+    assert result.code == 2, result.report
+    assert last["N2"] == f"ABORT {reason}"
+    assert _files(tmp_path) == []
     assert elapsed < 0.5, f"took {elapsed:.3f} s"
 
 
