@@ -23,9 +23,10 @@ answer the question; tests hold them against each other:
   coalition_rows reads its 2^m rows off two tables indexed by coalition
   bitmask in label order: the names, built by doubling, and the verdicts,
   the minimal sets closed upward under superset by shifts of one int.
-- brute_force_secrecy, the independent check: it splits the view into
-  independent blocks (union-find over the secrets of each message and each
-  held secret), sweeps the full truth table of each block that holds a
+- brute_force_secrecy, the independent check: it conditions on the held
+  secrets (XORs them out of every message and the target, and drops them),
+  splits the rest into independent blocks (union-find over the secrets of
+  each message), sweeps the full truth table of each block that holds a
   target term, one bit per secret, and inspects the conditional
   distribution of that block's part of the target given the block's view.
   Each entry packs the target bit under the view bits; a table is built by
@@ -391,19 +392,24 @@ def coalition_report_csv(rows: list[tuple[str, str, str, str]]) -> str:
 
 
 def brute_force_secrecy(schedule: Schedule, coalition: Coalition, target: SymbolicExpr) -> Status:
-    """Independent oracle: sweep every assignment of every secret bit (one
-    bit each), group assignments by the coalition's full view, and check the
-    target's conditional distribution. BROKEN iff the view always determines
-    it; SECURE iff it stays perfectly balanced in every group. Linearity
-    guarantees one of the two holds.
+    """Independent oracle: sweep every assignment of every secret bit the
+    coalition does not hold (one bit each), group assignments by the
+    coalition's view, and check the target's conditional distribution.
+    BROKEN iff the view always determines it; SECURE iff it stays perfectly
+    balanced in every group. Linearity guarantees one of the two holds.
 
-    The view splits into independent blocks (_view_blocks), so the target is
-    the XOR of one part per block, and each part depends only on its block's
-    secrets and view. A block with no target term has its part fixed at 0.
-    Every other block is swept on its own: BROKEN iff every swept part is
-    fixed by its block's view, SECURE iff some part is balanced. The limits of
-    24 secrets and 63 view components apply per block, and are checked for
-    every block before any is swept.
+    The held secrets are part of the view, so the sweep conditions on them:
+    XORing each out of every message and out of the target maps the view
+    groups one to one (the target stays fixed or balanced), after which
+    they are independent of the rest and leave the table. What remains
+    splits into independent blocks (_view_blocks), so the target's other
+    terms are the XOR of one part per block, each depending only on its
+    block's secrets and view. A block with no target term has its part
+    fixed at 0. Every other block is swept on its own: BROKEN iff every
+    swept part is fixed by its block's view (so also when the coalition
+    holds every target term), SECURE iff some part is balanced. The limits
+    of 24 secrets and 63 view components apply per block, and are checked
+    for every block before any is swept.
 
     Assignment a sets a block's secret i (in name order) to bit i of a. Entry
     a of the block's packed table holds its target bit in bit 0 and its view
@@ -428,6 +434,7 @@ def brute_force_secrecy(schedule: Schedule, coalition: Coalition, target: Symbol
 
     verdicts = []
     for secrets, components in blocks:
+        # no block holds a held secret, so the target's held terms drop out
         if target.terms.isdisjoint(secrets):
             continue
         # 31 components and the target bit fit 32 bits, which halves the table
@@ -446,13 +453,15 @@ def brute_force_secrecy(schedule: Schedule, coalition: Coalition, target: Symbol
 def _view_blocks(
     schedule: Schedule, view: AdversaryView
 ) -> list[tuple[list[SecretId], list[frozenset[SecretId]]]]:
-    """The view's independent blocks: (secrets in name order, view
-    components), blocks ordered by their first secret. A component is one
-    observed message's terms or one held secret; union-find joins the
-    secrets of each component, so no component spans two blocks and the
-    blocks' secrets, being uniform and independent, give independent block
-    views. A secret in no component is a block of its own."""
-    ids = sorted(schedule.secret_ids, key=lambda s: s.name)
+    """The view's independent blocks once the held secrets are XORed out:
+    (secrets not held, in name order; view components), blocks ordered by
+    their first secret. A component is one observed message's terms less
+    the held secrets; an empty one is dropped. Union-find joins the secrets
+    of each component, so no component spans two blocks and the blocks'
+    secrets, being uniform and independent, give independent block views.
+    A secret in no component is a block of its own."""
+    held = set(view.known)
+    ids = sorted((sid for sid in schedule.secret_ids if sid not in held), key=lambda s: s.name)
     index = {sid: i for i, sid in enumerate(ids)}
     parent = list(range(len(ids)))
 
@@ -462,8 +471,7 @@ def _view_blocks(
             i = parent[i]
         return i
 
-    components = [expr.terms for expr in view.observed]
-    components += [frozenset((sid,)) for sid in view.known]
+    components = [comp for comp in (expr.terms - held for expr in view.observed) if comp]
     for comp in components:
         pos = [index[sid] for sid in comp]
         for i in pos[1:]:
@@ -472,8 +480,7 @@ def _view_blocks(
     for i, sid in enumerate(ids):
         blocks.setdefault(root(i), ([], []))[0].append(sid)
     for comp in components:
-        if comp:
-            blocks[root(index[next(iter(comp))])][1].append(comp)
+        blocks[root(index[next(iter(comp))])][1].append(comp)
     return list(blocks.values())
 
 

@@ -190,6 +190,8 @@ def cmd_rate(args: argparse.Namespace) -> int:
             raise ValueError(f"{flag}: the value exceeds the float range of {sys.float_info.max:g}")
     if args.from_km > args.to_km or args.step_km < 1:
         raise ValueError("rate needs --from-km <= --to-km and --step-km >= 1")
+    if args.max_range_m is not None and args.max_range_m < 2:
+        raise ValueError("--max-range-m: the scheme needs at least 2 intermediaries")
     if args.params:
         with open(args.params, encoding="utf-8") as fh:
             params = ratemodel.parse_rate_config(fh.read())

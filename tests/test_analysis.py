@@ -1,6 +1,6 @@
 import random
 import time
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import fields
 from itertools import combinations
 
@@ -33,7 +33,7 @@ from keyhop.analysis import (
     view_of,
 )
 from keyhop.bits import KeyStore, SecretKind, SymbolicExpr, nonce
-from keyhop.keyplan import KeyPlan, Variant
+from keyhop.keyplan import KeyPlan, Variant, plan_keys
 from keyhop.protocol import compile_schedule, run
 from keyhop.topology import Shape, build_chain, build_multipath, build_reach_chain, build_ring6
 
@@ -248,12 +248,14 @@ def test_truth_table_sweeps_multipath_444_at_21_secrets():
 
 
 def test_truth_table_sweeps_multipath_3333_at_24_secrets():
-    # 24 secrets in all, but each path is its own block of 6, swept alone
+    # 24 secrets in all, but each path is its own block of 6, swept alone;
+    # the coalition holds the first path's five keys, which leaves its nonce
     trace = run(build_multipath([3, 3, 3, 3]), Variant.MULTIPATH, 1, random.Random(0))
     assert len(trace.store.ids()) == 24
     target = final_key_expr(trace)
     coal = _coalition(trace, *(nd.label for nd in trace.topology.paths[0][1:-1]))
-    assert [len(secrets) for secrets, _ in _view_blocks(trace.schedule, view_of(trace, coal))] == [6] * 4
+    blocks = _view_blocks(trace.schedule, view_of(trace, coal))
+    assert [len(secrets) for secrets, _ in blocks] == [6, 6, 6, 1]
     assert is_recoverable(view_of(trace, coal), target).status is Status.SECURE
     assert brute_force_secrecy(trace, coal, target) is Status.SECURE
 
@@ -266,6 +268,8 @@ def test_truth_table_sweeps_chain_m21_at_24_secrets():
     coal = Coalition(frozenset())
     assert is_recoverable(view_of(trace, coal), target).status is Status.SECURE
     assert brute_force_secrecy(trace, coal, target) is Status.SECURE
+    # the empty coalition holds nothing to condition on, so chain m=22 is
+    # one block of 25 secrets and stays refused
     wider = run(build_chain(22), Variant.CHAIN_M, 1, random.Random(0))
     with pytest.raises(ValueError, match="too many secrets for a full truth-table sweep"):
         brute_force_secrecy(wider, coal, final_key_expr(wider))
@@ -276,24 +280,29 @@ def test_truth_table_sweeps_chain_m21_at_24_secrets():
         brute_force_secrecy(bare, coal, final_key_expr(bare))
 
 
-@pytest.mark.parametrize(
-    "members, width",
-    [
-        ((1, 2, 3, 5, 7, 8, 10, 11, 12, 13, 15), 31),
-        ((1, 2, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15), 32),
-        ((1, 2, 3, 5, 6, 8, 9, 10, 11, 12, 13, 14, 15), 33),
-    ],
-)
-def test_truth_table_packs_views_on_either_side_of_32_bits(members, width):
+def _record_tables(monkeypatch):
+    """The (entries, dtype) of every table the oracle allocates from now on."""
+    tables, zeros = [], np.zeros
+    monkeypatch.setattr(
+        np, "zeros", lambda size, dtype: tables.append((size, dtype)) or zeros(size, dtype)
+    )
+    return tables
+
+
+@pytest.mark.parametrize("m, width", [(30, 31), (31, 32), (32, 33)])
+def test_truth_table_packs_views_on_either_side_of_32_bits(monkeypatch, m, width):
     # a table entry holds the target bit and one bit per view component, so
-    # 31 components fill 32 bits and 32 or more need 64
-    trace = run(build_chain(15), Variant.CHAIN_M, 1, random.Random(0))
-    coal = _coalition(trace, *(f"N{i}" for i in members))
-    ((_, components),) = _view_blocks(trace.schedule, view_of(trace, coal))
+    # 31 components fill 32 bits and 32 or more need 64. With no keys, each of
+    # chain m's m+1 messages is the nonce alone: one block, m+1 components
+    bare = compile_schedule(KeyPlan(build_chain(m), Variant.CHAIN_M, ()))
+    coal = Coalition(frozenset())
+    ((_, components),) = _view_blocks(bare, view_of(bare, coal))
     assert len(components) == width
-    target = final_key_expr(trace)
-    assert is_recoverable(view_of(trace, coal), target).status is Status.BROKEN
-    assert brute_force_secrecy(trace, coal, target) is Status.BROKEN
+    tables = _record_tables(monkeypatch)
+    target = final_key_expr(bare)
+    assert is_recoverable(view_of(bare, coal), target).status is Status.BROKEN
+    assert brute_force_secrecy(bare, coal, target) is Status.BROKEN
+    assert tables == [(2, np.uint32 if width < 32 else np.uint64)]
 
 
 def test_truth_table_sweeps_multipath_4444_at_48_secrets():
@@ -328,18 +337,37 @@ def test_truth_table_blocks_follow_the_layout(topo, variant, count):
     # the oracle finds its blocks in the view; the layout says what they must be
     trace = run(topo, variant, 1, random.Random(0))
     inter = [nd.label for nd in topo.intermediaries]
-    for labels in ([], inter[:1], inter):
-        blocks = _view_blocks(trace.schedule, view_of(trace, _coalition(trace, *labels)))
-        assert len(blocks) == count
-        secrets = [sid for block, _ in blocks for sid in block]
-        assert len(secrets) == len(set(secrets)) == len(trace.store.ids())
+    path_of = {nd.label: p for p, path in enumerate(topo.paths, 1) for nd in path[1:-1]}
+
+    def paths(block):
+        """The paths a block's secrets lie on: a nonce's own, a key's
+        intermediary end's."""
+        return {
+            sid.path_index
+            if sid.kind is SecretKind.NONCE
+            else next(path_of[end] for end in sid.ends if end in path_of)
+            for sid in block
+        }
+
+    blocks = _view_blocks(trace.schedule, view_of(trace, Coalition(frozenset())))
+    assert len(blocks) == count
+    secrets = [sid for block, _ in blocks for sid in block]
+    assert len(secrets) == len(set(secrets)) == len(trace.store.ids())
     if variant is Variant.MULTIPATH:
         # each block is one path: its nonce and the keys of its intermediaries
-        path_of = {nd.label: p for p, path in enumerate(topo.paths) for nd in path[1:-1]}
         for block, _ in blocks:
             keys = [sid for sid in block if sid.kind is not SecretKind.NONCE]
             assert len(block) - len(keys) == 1
-            assert len({path_of[end] for sid in keys for end in sid.ends if end in path_of}) == 1
+            assert len(paths(block)) == 1
+    # a coalition's held secrets leave the sweep: the blocks partition the rest
+    for labels in (inter[:1], inter):
+        view = view_of(trace, _coalition(trace, *labels))
+        blocks = _view_blocks(trace.schedule, view)
+        secrets = [sid for block, _ in blocks for sid in block]
+        assert len(secrets) == len(set(secrets))
+        assert set(secrets) == set(trace.store.ids()) - set(view.known)
+        if variant is Variant.MULTIPATH:
+            assert all(len(paths(block)) == 1 for block, _ in blocks)
 
 
 def test_truth_table_uses_no_elimination_or_rank(monkeypatch):
@@ -367,6 +395,37 @@ def test_truth_table_uses_no_elimination_or_rank(monkeypatch):
     monkeypatch.setattr(np.linalg, "matrix_rank", refuse)
     for trace, coal, target, want in cases:
         assert brute_force_secrecy(trace, coal, target) is want
+
+
+@settings(max_examples=100, deadline=None)
+@given(_layouts(), st.data())
+def test_conditioned_truth_table_equals_elimination(layout, data):
+    # the oracle drops the coalition's held secrets from its sweep; whatever
+    # the layout, coalition or target, its verdict stays the reference's
+    schedule = compile_schedule(plan_keys(*layout))
+    inter = list(schedule.plan.topology.intermediaries)
+    coal = Coalition(frozenset(data.draw(st.lists(st.sampled_from(inter), max_size=4, unique=True))))
+    view = view_of(schedule, coal)
+    assume(len(schedule.secret_ids) - len(view.known) <= 20)  # a wider sweep costs up to 0.3 s
+    for target in {final_key_expr(schedule), *(SymbolicExpr.of(nid) for nid in schedule.nonce_ids)}:
+        assert brute_force_secrecy(schedule, coal, target) is is_recoverable(view, target).status
+
+
+def test_truth_table_sweeps_the_benchmark_chain_checks_at_14_secrets(monkeypatch):
+    # the benchmark's chain m=15 oracle check draws two interior nodes an odd
+    # distance apart, which hold four of the layout's 18 secrets; every such
+    # coalition sweeps one block of the other 14
+    schedule = compile_schedule(plan_keys(build_chain(15), Variant.CHAIN_M))
+    topo, target = schedule.plan.topology, final_key_expr(schedule)
+    tables = _record_tables(monkeypatch)
+    pairs = [(i, j) for i in range(2, 15) for j in range(i + 1, 15) if (j - i) % 2]
+    assert len(pairs) == 42
+    for i, j in pairs:
+        coal = Coalition(frozenset((topo.node(f"N{i}"), topo.node(f"N{j}"))))
+        tables.clear()
+        want = is_recoverable(view_of(schedule, coal), target).status
+        assert brute_force_secrecy(schedule, coal, target) is want
+        assert [size.bit_length() - 1 for size, _ in tables] == [14], (i, j)
 
 
 def _packed(*entries):
@@ -788,3 +847,86 @@ def test_fewest_breaking_is_the_smallest_minimal_coalition(topo):
     trace = _trace(topo, Variant.MULTIPATH, n=1)
     want = min(len(c.members) for c in min_breaking_coalitions(trace))
     assert analysis._fewest_breaking(trace.schedule) == want
+
+
+def _disjoint_paths(graph, origin, absorber):
+    """The most internally vertex-disjoint origin-absorber paths in graph, by
+    augmenting paths on the node-split graph (Menger, Fund. Math. 10, 1927;
+    Even and Tarjan, SIAM J. Comput. 4, 1975): each node v other than the
+    ends becomes an arc (v, 0) -> (v, 1) of capacity 1, and each edge u-v
+    the arcs (u, 1) -> (v, 0) and (v, 1) -> (u, 0), which no flow fills."""
+    residual = defaultdict(dict)  # node -> {successor: capacity left}
+
+    def arc(u, v, capacity):
+        residual[u][v] = capacity
+        residual[v].setdefault(u, 0)
+
+    for v in list(graph):
+        if v not in (origin, absorber):
+            arc((v, 0), (v, 1), 1)
+        for w in graph[v]:
+            arc((v, 1), (w, 0), len(graph))
+    source, sink = (origin, 1), (absorber, 0)
+    flow = 0
+    while True:
+        prev, queue = {source: None}, deque([source])
+        while queue and sink not in prev:
+            u = queue.popleft()
+            for v, left in residual[u].items():
+                if left and v not in prev:
+                    prev[v] = u
+                    queue.append(v)
+        if sink not in prev:
+            return flow
+        v = sink
+        while prev[v] is not None:
+            u = prev[v]
+            residual[u][v] -= 1
+            residual[v][u] += 1
+            v = u
+        flow += 1
+
+
+def _check_menger(topo, variant):
+    """Per path, the disjoint-path count equals the smallest listed separator,
+    and over the paths they sum to the fewest breaking colluders."""
+    schedule = compile_schedule(plan_keys(topo, variant))
+    graphs = analysis._key_graphs(schedule, final_key_expr(schedule))
+    flows = [_disjoint_paths(*g) for g in graphs]
+    assert flows == [min(map(len, analysis._separators(*g))) for g in graphs]
+    assert sum(flows) == analysis._fewest_breaking(schedule)
+    return sum(flows)
+
+
+@pytest.mark.parametrize(
+    "m, variant",
+    [(2, Variant.CHAIN2), *((m, Variant.CHAIN_M) for m in (2, 3, 4, 9, 40, 99, 160))],
+)
+def test_disjoint_key_paths_certify_the_chain_minimum(m, variant):
+    # a chain's key graph holds two disjoint paths from A to B and no third,
+    # so two colluders are needed and two suffice
+    assert _check_menger(build_chain(m), variant) == 2
+
+
+@pytest.mark.parametrize("variant", [Variant.RING_V1, Variant.RING_V2])
+def test_disjoint_key_paths_certify_the_ring_minimum(variant):
+    _check_menger(build_ring6(), variant)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 10).flatmap(lambda t: st.tuples(st.integers(t + 1, 40), st.just(t))))
+def test_disjoint_key_paths_certify_the_reach_minimum(layout):
+    m, t = layout
+    _check_menger(build_reach_chain(m, t), Variant.REACH_T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_grid_like())
+def test_disjoint_key_paths_certify_the_multipath_minimum(topo):
+    _check_menger(topo, Variant.MULTIPATH)
+
+
+def test_disjoint_key_paths_certify_every_grid_cell():
+    rows = collusion_grid([1, 2, 3], range(1, 11))
+    for paths, t, m, fewest in rows:
+        assert _check_menger(build_multipath([m] * paths, 100.0, t), Variant.MULTIPATH) == fewest

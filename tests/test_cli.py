@@ -282,7 +282,19 @@ def test_analyze_grid_with_no_numbers_exits_three(tmp_path, capsys, flag):
     assert not out_dir.exists()
 
 
+def test_analyze_oracle_checks_a_chain_the_held_keys_narrow(tmp_path, capsys):
+    # chain m=22 has 25 secrets; N4 and N7 hold four, so the sweep is one
+    # block of 21, within the 24 a sweep allows
+    argv = ["analyze", "--shape", "chain", "--m", "22", "--coalition", "N4,N7", "--oracle"]
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    assert out.endswith("  truth-table oracle: BROKEN (agree)\n")
+    assert err == ""
+
+
 def test_analyze_oracle_refuses_a_chain_too_wide_to_sweep(tmp_path, capsys):
+    # chain m=30 has 33 secrets; N1 and N2 hold four, which leaves one block
+    # of 29, past the 24 a sweep allows
     argv = ["analyze", "--shape", "chain", "--m", "30", "--coalition", "N1,N2", "--oracle"]
     assert main(argv + ["--output-dir", str(tmp_path)]) == 3
     out, err = capsys.readouterr()
@@ -560,6 +572,16 @@ def test_rate_anchor_with_no_rate_left_fails_instead_of_crashing(tmp_path, capsy
     assert main(["rate", "--alpha", "8", "--to-km", "0", "--output-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "FAIL single relay link at 500 km close to 6 bps: 0 bps (reference 6, factor inf)" in out
+
+
+@pytest.mark.parametrize("m", ["1", "0", "-3"])
+def test_rate_refuses_a_max_range_m_below_2_by_name(tmp_path, capsys, m):
+    out_dir = tmp_path / "out"
+    assert main(["rate", "--max-range-m", m, "--output-dir", str(out_dir)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "keyhop: error: --max-range-m: the scheme needs at least 2 intermediaries\n"
+    assert not out_dir.exists()
 
 
 def test_rate_max_range(tmp_path, capsys):
@@ -1157,6 +1179,7 @@ async def _run_in_memory(machines, addrs, timeout):
 @example((["rate", f"--families=p2p,scheme(m={10**400})"], {}))
 @example((["rate", "--families=p2p,scheme(m=1)"], {}))
 @example((["rate", f"--max-range-m={10**308}"], {}))
+@example((["rate", "--max-range-m=1"], {}))
 @example((["rate", "--from-km=0", f"--to-km={10**400}", f"--step-km={10**400}"], {}))
 def test_fuzzed_argv_exits_cleanly(case):
     # any argv a command's flags admit ends in an exit code of the contract,
@@ -1184,7 +1207,5 @@ def test_fuzzed_argv_exits_cleanly(case):
     assert "invalid literal" not in err.getvalue()
     assert "could not convert" not in err.getvalue()
     assert "inf km" not in out.getvalue()
-    # a scheme family below m=2 is refused by name; only a --max-range-m
-    # below 2, read before the families, still gets the bare message
-    if "error: the scheme needs" in err.getvalue():
-        assert any(arg.startswith("--max-range-m") for arg in argv), err.getvalue()
+    # a scheme family or a --max-range-m below m=2 is refused by name
+    assert "error: the scheme needs" not in err.getvalue()
