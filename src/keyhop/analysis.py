@@ -89,11 +89,11 @@ class Coalition:
     members: frozenset[NodeId]
 
     @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(sorted(nd.label for nd in self.members))
+    def labels(self) -> tuple[NodeId, ...]:
+        return tuple(sorted(self.members))
 
     def describe(self) -> str:
-        return _describe(nd.label for nd in self.members)
+        return _describe(self.members)
 
 
 def _describe(labels: Iterable[str]) -> str:
@@ -135,16 +135,15 @@ def view_of(schedule: Schedule, coalition: Coalition) -> AdversaryView:
     schedule = _schedule(schedule)
     topo = schedule.plan.topology
     inter = set(topo.intermediaries)
-    for nd in coalition.members:
+    for nd in sorted(coalition.members):  # the first bad member in label order is named
         if nd in (topo.endpoint_a, topo.endpoint_b):
-            raise ValueError(f"{nd.label} is an endpoint, not a corruptible intermediary")
+            raise ValueError(f"{nd} is an endpoint, not a corruptible intermediary")
         if nd not in inter:
-            raise ValueError(f"coalition member {nd.label} is not in this topology")
-    member_labels = {nd.label for nd in coalition.members}
+            raise ValueError(f"coalition member {nd} is not in this topology")
     known = tuple(
         sid
         for sid in sorted(schedule.secret_ids, key=lambda s: s.name)
-        if any(end in member_labels for end in sid.ends)
+        if any(end in coalition.members for end in sid.ends)
     )
     return AdversaryView(schedule.exprs, known)
 
@@ -232,8 +231,8 @@ def check_enumerable(count: int) -> None:
         )
 
 
-def _key_graphs(schedule: Schedule, target: SymbolicExpr) -> list[tuple[dict, str, str]]:
-    """Per path whose nonce the target holds: its key graph (node label ->
+def _key_graphs(schedule: Schedule, target: SymbolicExpr) -> list[tuple[dict, NodeId, NodeId]]:
+    """Per path whose nonce the target holds: its key graph (node ->
     neighbours, one edge per key its hops fold), its origin (the first hop's
     sender) and its absorber (the last hop's receiver). The target must be
     the final key or one nonce."""
@@ -245,15 +244,15 @@ def _key_graphs(schedule: Schedule, target: SymbolicExpr) -> list[tuple[dict, st
     for rule in schedule.absorbs:  # a path's hops end at its absorb's hop
         path, start = schedule.hops[start : rule.hop_index + 1], rule.hop_index + 1
         if path[0].origin in target.terms:
-            graph: dict[str, set[str]] = defaultdict(set)
+            graph: dict[NodeId, set[NodeId]] = defaultdict(set)
             for u, v in (sid.ends for hop in path for sid in hop.xor_ids):
                 graph[u].add(v)
                 graph[v].add(u)
-            graphs.append((graph, path[0].sender.label, path[-1].receiver.label))
+            graphs.append((graph, path[0].sender, path[-1].receiver))
     return graphs
 
 
-def _separators(graph: dict, origin: str, absorber: str) -> list[frozenset[str]]:
+def _separators(graph: dict, origin: NodeId, absorber: NodeId) -> list[frozenset[NodeId]]:
     """Every minimal origin-absorber vertex separator of the graph, by the
     closure of Kloks and Kratsch (SIAM J. Comput. 1998) in the form of Berry,
     Bordat and Cogis (IJFCS 2000): start from the separator closest to the
@@ -263,7 +262,7 @@ def _separators(graph: dict, origin: str, absorber: str) -> list[frozenset[str]]
     between the endpoints); disconnected ends have one separator, the empty
     set."""
 
-    def border(removed: set[str]) -> frozenset[str]:
+    def border(removed: set[NodeId]) -> frozenset[NodeId]:
         """The neighbourhood of the absorber's component in G - removed."""
         seen, stack = {absorber}, [absorber]
         while stack:
@@ -288,7 +287,7 @@ def _minimal_masks(schedule: Schedule, target: SymbolicExpr) -> list[int]:
     smallest first, then by member positions: the unions of one minimal
     separator per key graph the target needs cut."""
     inter = schedule.plan.topology.intermediaries
-    bit = {nd.label: 1 << i for i, nd in enumerate(inter)}
+    bit = {nd: 1 << i for i, nd in enumerate(inter)}
     graphs = _key_graphs(schedule, target)
     per_path = [[sum(bit[v] for v in sep) for sep in _separators(*g)] for g in graphs]
     masks = [sum(combo) for combo in product(*per_path)]  # paths share no intermediary
@@ -357,11 +356,10 @@ def _rows(schedule: Schedule, minimal: list[int]) -> list[tuple[str, str, str, s
     m = len(inter)
     bit = [0] * m  # intermediary position -> its bit in label order
     names = [""]
-    for r, i in enumerate(sorted(range(m), key=lambda i: inter[i].label)):
+    for r, i in enumerate(sorted(range(m), key=inter.__getitem__)):
         bit[i] = 1 << r
-        label = inter[i].label
-        plus = "+" + label
-        names += [n + plus if n else label for n in names]
+        plus = "+" + inter[i]
+        names += [n + plus if n else inter[i] for n in names]
     names[0] = _describe(())
 
     table = bytearray(1 << m)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
+from .topology import NodeId
+
 __all__ = [
     "SecretKind",
     "SecretId",
@@ -50,13 +52,13 @@ class SecretId:
     """Identity of one secret bitstring, interned: constructing it again
     returns the first instance built with the same fields.
 
-    Relay and adjacent-link keys name the two nodes that hold them, in path
-    order. Nonces name their single owner, plus a path index when one owner
-    draws a nonce per path.
+    Relay and adjacent-link keys name the two nodes (as NodeIds) that hold
+    them, in path order. Nonces name their single owner, plus a path index
+    when one owner draws a nonce per path.
     """
 
     kind: SecretKind
-    ends: tuple[str, ...]
+    ends: tuple[NodeId, ...]
     path_index: int | None = None
 
     def __new__(
@@ -75,7 +77,7 @@ class SecretId:
                     raise ValueError("path_index is reserved for nonces")
             sid = object.__new__(cls)
             object.__setattr__(sid, "kind", kind)
-            object.__setattr__(sid, "ends", ends)
+            object.__setattr__(sid, "ends", tuple(map(NodeId, ends)))
             object.__setattr__(sid, "path_index", path_index)
             _SECRET_IDS[key] = sid
         return sid

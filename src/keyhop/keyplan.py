@@ -87,11 +87,11 @@ def plan_keys(topo: Topology, variant: Variant) -> KeyPlan:
         last = len(path) - 1
         for i in range(last + 1):
             for j in range(i + 2, min(i + topo.t + 1, last) + 1):
-                entries.append(PlanEntry(tf_key(path[i].label, path[j].label), path[(i + j) // 2]))
+                entries.append(PlanEntry(tf_key(path[i], path[j]), path[(i + j) // 2]))
         if variant.endpoint_links:  # each endpoint link's intermediary end measures
             a, first, final, b = path[0], path[1], path[last - 1], path[last]
-            entries.append(PlanEntry(p2p_key(a.label, first.label), first))
-            entries.append(PlanEntry(p2p_key(final.label, b.label), final))
+            entries.append(PlanEntry(p2p_key(a, first), first))
+            entries.append(PlanEntry(p2p_key(final, b), final))
     return KeyPlan(topo, variant, tuple(entries))
 
 
@@ -103,20 +103,19 @@ def cm_report(plan: KeyPlan) -> list[str]:
     An endpoint in a measuring role is a planning error and is rejected.
     """
     topo = plan.topology
-    source: dict[str, bool] = {nd.label: False for nd in topo.nodes}
-    meas: dict[str, bool] = {nd.label: False for nd in topo.nodes}
+    source: dict[NodeId, bool] = {nd: False for nd in topo.nodes}
+    meas: dict[NodeId, bool] = {nd: False for nd in topo.nodes}
     for entry in plan.entries:
         if entry.measurer in (topo.endpoint_a, topo.endpoint_b):
             raise ValueError(
-                f"endpoint {entry.measurer.label} may not measure in the establishment"
+                f"endpoint {entry.measurer} may not measure in the establishment"
                 f" of {entry.secret_id}"
             )
-        for label in entry.secret_id.ends:
-            if label != entry.measurer.label:
-                source[label] = True
-        meas[entry.measurer.label] = True
+        for end in entry.secret_id.ends:
+            if end != entry.measurer:
+                source[end] = True
+        meas[entry.measurer] = True
     return [
-        f"{lab}: source={'yes' if source[lab] else 'no'} measurement={'yes' if meas[lab] else 'no'}"
-        for lab in source
+        f"{nd}: source={'yes' if source[nd] else 'no'} measurement={'yes' if meas[nd] else 'no'}"
+        for nd in source
     ]
-

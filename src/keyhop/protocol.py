@@ -87,12 +87,10 @@ def _path_runs(topo: Topology) -> list[tuple[tuple[NodeId, ...], SecretId]]:
     a, b = topo.endpoint_a, topo.endpoint_b
     if topo.shape is Shape.RING6:
         upper, lower = topo.paths
-        return [(upper, nonce(a.label)), (tuple(reversed(lower)), nonce(b.label))]
+        return [(upper, nonce(a)), (tuple(reversed(lower)), nonce(b))]
     if topo.shape is Shape.MULTIPATH:
-        return [
-            (path, nonce(a.label, p)) for p, path in enumerate(topo.paths, start=1)
-        ]
-    return [(topo.paths[0], nonce(a.label))]
+        return [(path, nonce(a, p)) for p, path in enumerate(topo.paths, start=1)]
+    return [(topo.paths[0], nonce(a))]
 
 
 def compile_schedule(plan: KeyPlan) -> Schedule:
@@ -100,8 +98,8 @@ def compile_schedule(plan: KeyPlan) -> Schedule:
     # each node's keys on each path, in plan order, from one pass over the
     # plan: a key lies on the path of its intermediary end, and both its
     # ends must be on that path (every builder keeps A and B out of range)
-    keys: list[dict[str, list[SecretId]]] = [{nd.label: [] for nd in seq} for seq, _ in runs]
-    path_of = {nd.label: keys[p] for p, (seq, _) in enumerate(runs) for nd in seq[1:-1]}
+    keys: list[dict[NodeId, list[SecretId]]] = [{nd: [] for nd in seq} for seq, _ in runs]
+    path_of = {nd: keys[p] for p, (seq, _) in enumerate(runs) for nd in seq[1:-1]}
     listed: set[SecretId] = set()
     for entry in plan.entries:
         sid = entry.secret_id
@@ -120,8 +118,8 @@ def compile_schedule(plan: KeyPlan) -> Schedule:
     for (seq, nonce_id), held in zip(runs, keys):
         for i, (sender, receiver) in enumerate(zip(seq, seq[1:])):
             origin = nonce_id if i == 0 else None
-            hops.append(Hop(len(hops), sender, receiver, origin, tuple(held[sender.label])))
-        absorbs.append(AbsorbRule(hops[-1].index, tuple(held[seq[-1].label])))
+            hops.append(Hop(len(hops), sender, receiver, origin, tuple(held[sender])))
+        absorbs.append(AbsorbRule(hops[-1].index, tuple(held[seq[-1]])))
     return Schedule(plan, tuple(hops), tuple(absorbs))
 
 
@@ -185,7 +183,7 @@ def execute(schedule: Schedule, store: KeyStore) -> ProtocolTrace:
     table; each message and each output becomes one BitString."""
     topo = schedule.plan.topology
     values = store._values
-    outputs = {topo.endpoint_a.label: 0, topo.endpoint_b.label: 0}
+    outputs = {topo.endpoint_a: 0, topo.endpoint_b: 0}
     messages: list[Message] = []
     acc = 0
     for hop, expr in zip(schedule.hops, schedule.exprs):
@@ -194,7 +192,7 @@ def execute(schedule: Schedule, store: KeyStore) -> ProtocolTrace:
         bits = store.evaluate(expr)
         if hop.origin is not None:
             acc = values[hop.origin]
-            outputs[hop.sender.label] ^= acc
+            outputs[hop.sender] ^= acc
         for sid in hop.xor_ids:
             acc ^= values[sid]
         if bits.value != acc:
@@ -204,10 +202,10 @@ def execute(schedule: Schedule, store: KeyStore) -> ProtocolTrace:
         share = messages[rule.hop_index].bits.value
         for sid in rule.strip_ids:
             share ^= values[sid]
-        outputs[schedule.hops[rule.hop_index].receiver.label] ^= share
+        outputs[schedule.hops[rule.hop_index].receiver] ^= share
 
-    out_a = BitString(outputs[topo.endpoint_a.label], store.n)
-    out_b = BitString(outputs[topo.endpoint_b.label], store.n)
+    out_a = BitString(outputs[topo.endpoint_a], store.n)
+    out_b = BitString(outputs[topo.endpoint_b], store.n)
     if out_a != out_b:
         raise AssertionError("honest run must agree on the final key")
     return ProtocolTrace(schedule, tuple(messages), out_a, out_b, store)
@@ -227,7 +225,7 @@ def trace_text(trace: ProtocolTrace) -> str:
     ]
     for hop, msg in zip(trace.schedule.hops, trace.messages):
         lines.append(
-            f"M{hop.index} {hop.sender.label}->{hop.receiver.label}"
+            f"M{hop.index} {hop.sender}->{hop.receiver}"
             f" {msg.bits.to_hex()} {msg.expr.text()}"
         )
     lines.append(f"K(A) {trace.output_a.to_hex()}")
@@ -243,8 +241,8 @@ def trace_json(trace: ProtocolTrace) -> str:
         "messages": [
             {
                 "index": hop.index,
-                "sender": hop.sender.label,
-                "receiver": hop.receiver.label,
+                "sender": hop.sender,
+                "receiver": hop.receiver,
                 "hex": msg.bits.to_hex(),
                 "expr": msg.expr.text(),
             }

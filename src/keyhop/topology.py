@@ -40,31 +40,29 @@ class Shape(Enum):
 
 
 # Every NodeId built in this process, keyed by its label: one entry per
-# distinct label built, never evicted. Equal nodes are one object, so
-# equality and hashing are object's identity versions.
+# distinct label built, never evicted. Equal nodes are one object.
 _NODE_IDS: dict[str, NodeId] = {}
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class NodeId:
-    """A node is its label, interned: constructing it again returns the
-    first instance built with that label. The endpoints are the ends of
-    every path; positions along a path always come from Topology.paths."""
+class NodeId(str):
+    """A node is its label: a str, interned, so constructing it again
+    returns the first instance built with that label. Hashing and equality
+    are str's, so a node equals its plain label. The endpoints are the ends
+    of every path; positions along a path always come from Topology.paths."""
 
-    label: str
+    __slots__ = ()
 
     def __new__(cls, label: str) -> NodeId:
         node = _NODE_IDS.get(label)
         if node is None:
-            node = object.__new__(cls)
-            object.__setattr__(node, "label", label)
-            _NODE_IDS[label] = node
+            node = _NODE_IDS[label] = str.__new__(cls, label)
         return node
 
-    def __reduce__(self) -> tuple:
-        # pickle and copy rebuild through the constructor, so they return the
-        # interned instance
-        return NodeId, (self.label,)
+    @property
+    def label(self) -> NodeId:
+        # the node itself; kept because perfbench/common.py and
+        # perfbench/layers.py read nd.label
+        return self
 
 
 @dataclass(frozen=True)
@@ -83,7 +81,7 @@ class Topology:
 
     def node(self, label: str) -> NodeId:
         for nd in self.nodes:
-            if nd.label == label:
+            if nd == label:
                 return nd
         raise ValueError(f"no node labeled {label!r}")
 

@@ -224,12 +224,12 @@ class NodeMachine:
         self.transcript: list[str] = []
         self.code: int | None = None
         self.output: BitString | None = None
-        inbound = [h for h in self.hops if h.receiver.label == label]
-        outbound = [h for h in self.hops if h.sender.label == label]
-        self.peers_in = tuple(sorted({h.sender.label for h in inbound}))
-        self.peers_out = tuple(sorted({h.receiver.label for h in outbound}))
+        inbound = [h for h in self.hops if h.receiver == label]
+        outbound = [h for h in self.hops if h.sender == label]
+        self.peers_in = tuple(sorted({h.sender for h in inbound}))
+        self.peers_out = tuple(sorted({h.receiver for h in outbound}))
         self.peers = {*self.peers_in, *self.peers_out}
-        self.expected_relays = {(h.sender.label, h.index) for h in inbound}
+        self.expected_relays = {(h.sender, h.index) for h in inbound}
         self.nonces = tuple(h.origin for h in outbound if h.origin is not None)
         self.links: set[str] = set()  # peers greeted by us or by an authentic HELLO
         self.pc = 0  # index of the next hop in self.hops
@@ -325,7 +325,7 @@ class NodeMachine:
             return
         # the secrets this node's sends and absorbs use
         uses = {*self.nonces, *(sid for rule in self.absorbs for sid in rule.strip_ids)}
-        uses.update(sid for h in self.hops if h.sender.label == self.label for sid in h.xor_ids)
+        uses.update(sid for h in self.hops if h.sender == self.label for sid in h.xor_ids)
         if uses - self.values.keys():
             raise _Abort("MISSING_KEY", exit_code=3)
 
@@ -338,7 +338,7 @@ class NodeMachine:
             return
         while self.pc < len(self.hops):
             hop = self.hops[self.pc]
-            if hop.sender.label == self.label:
+            if hop.sender == self.label:
                 self._relay(hop)
             elif hop.index not in self.received:
                 return
@@ -358,7 +358,7 @@ class NodeMachine:
         acc = self.values[hop.origin] if hop.origin is not None else self.received[hop.index - 1]
         for sid in hop.xor_ids:
             acc ^= self.values[sid]
-        peer = hop.receiver.label
+        peer = hop.receiver
         payload = acc.to_bytes((self.n + 7) // 8, "little")
         blob = encode_frame(Frame(FRAME_RELAY, hop.index, payload), self.link_keys[peer])
         if hop.index == self.tamper_index:
@@ -525,39 +525,39 @@ def _machines(
     absorbs that name it, its up peers, a fresh key for each of its links
     and the secrets that name it as an end."""
     topo = schedule.plan.topology
-    labels = [nd.label for nd in topo.nodes]
+    nodes = topo.nodes
     descriptor = f"{schedule.plan.variant.value}|{topo.describe()}|{store.n}"
 
-    link_keys: dict[str, dict[str, bytes]] = {lab: {} for lab in labels}
-    hops: dict[str, list[Hop]] = {lab: [] for lab in labels}
+    link_keys: dict[str, dict[str, bytes]] = {nd: {} for nd in nodes}
+    hops: dict[str, list[Hop]] = {nd: [] for nd in nodes}
     for hop in schedule.hops:
-        s, r = hop.sender.label, hop.receiver.label
+        s, r = hop.sender, hop.receiver
         link_keys[s][r] = link_keys[r][s] = secrets.token_bytes(32)
         hops[s].append(hop)
         hops[r].append(hop)
-    absorbs: dict[str, list[AbsorbRule]] = {lab: [] for lab in labels}
+    absorbs: dict[str, list[AbsorbRule]] = {nd: [] for nd in nodes}
     for rule in schedule.absorbs:
-        absorbs[schedule.hops[rule.hop_index].receiver.label].append(rule)
-    up: dict[str, set[str]] = {lab: set() for lab in labels}
+        absorbs[schedule.hops[rule.hop_index].receiver].append(rule)
+    up: dict[str, set[str]] = {nd: set() for nd in nodes}
     for u, v in topo.links:
-        up[v.label].add(u.label)
-    values: dict[str, dict[SecretId, int]] = {lab: {} for lab in labels}
+        up[v].add(u)
+    values: dict[str, dict[SecretId, int]] = {nd: {} for nd in nodes}
     for sid in store.ids():
         for end in sid.ends:
             values[end][sid] = store[sid].value
     return {
-        lab: NodeMachine(
-            lab,
-            tuple(hops[lab]),
-            tuple(absorbs[lab]),
-            up[lab],
-            link_keys[lab],
-            values[lab],
+        nd: NodeMachine(
+            nd,
+            tuple(hops[nd]),
+            tuple(absorbs[nd]),
+            up[nd],
+            link_keys[nd],
+            values[nd],
             store.n,
             descriptor,
             tamper_index,
         )
-        for lab in labels
+        for nd in nodes
     }
 
 
@@ -618,13 +618,13 @@ def orchestrate(
 
     os.makedirs(out_dir, exist_ok=True)
     machines = _machines(schedule, store, tamper_index)
-    addrs = {nd.label: ("127.0.0.1", base_port + i) for i, nd in enumerate(topo.nodes)}
+    addrs = {nd: ("127.0.0.1", base_port + i) for i, nd in enumerate(topo.nodes)}
 
     import asyncio
 
     results = asyncio.run(_run_nodes(machines, addrs, timeout))
     outputs = {lab: m.output for lab, m in results.items()}  # None unless it succeeded
-    out_a, out_b = outputs.get(topo.endpoint_a.label), outputs.get(topo.endpoint_b.label)
+    out_a, out_b = outputs.get(topo.endpoint_a), outputs.get(topo.endpoint_b)
     codes = [m.code for m in results.values()]
     code = 3 if 3 in codes else (2 if any(c != 0 for c in codes) else 0)
     # a failed node's last transcript line is its ABORT or CONFIG line

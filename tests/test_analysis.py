@@ -78,6 +78,25 @@ def test_view_rejects_endpoints_and_strangers():
         view_of(trace, _coalition(chain, "N5"))
 
 
+class _Ordered(frozenset):
+    """A member set that iterates in the order its members were given."""
+
+    def __new__(cls, members):
+        self = super().__new__(cls, members)
+        self.order = tuple(members)
+        return self
+
+    def __iter__(self):
+        return iter(self.order)
+
+
+def test_view_names_the_first_bad_member_in_label_order():
+    trace = _trace(build_chain(4), Variant.CHAIN_M)
+    members = _Ordered([trace.topology.node(lab) for lab in ("N1", "B", "A")])
+    with pytest.raises(ValueError, match="^A is an endpoint"):
+        view_of(trace, Coalition(members))
+
+
 def test_passive_wiretap_breaks_ring_v1():
     trace = _trace(build_ring6(), Variant.RING_V1)
     verdict = is_recoverable(view_of(trace, Coalition(frozenset())), final_key_expr(trace))

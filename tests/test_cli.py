@@ -194,14 +194,18 @@ def test_analyze_answers_from_the_schedule_alone(tmp_path, monkeypatch, capsys):
 
 
 def test_output_does_not_depend_on_the_hash_seed(tmp_path):
-    # ids hash by identity, so by address, and strings by the per-process
-    # seed; neither may reach stdout or a written file
+    # secret ids hash by identity, so by address, and nodes as the strings
+    # they are, by the per-process seed; neither may reach stdout, stderr, an
+    # exit code or a written file. The last two commands name the first bad
+    # coalition member in label order, whatever order its set iterates in
     commands = [
         ["simulate", "--shape", "ring6", "--variant", "ring-v2"],
         ["simulate", "--shape", "multipath", "--paths", "3,3,4", "--t", "2"],
         ["analyze", "--coalition", "N1,N4", "--shape", "chain", "--m", "6"],
         ["analyze", "--shape", "chain", "--m", "6"],
         ["attack", "--shape", "chain", "--m", "4", "--coalition", "N1,N4"],
+        ["attack", "--shape", "chain", "--m", "4", "--coalition", "B,N1,A"],
+        ["analyze", "--shape", "chain", "--m", "4", "--coalition", "A,B"],
     ]
     script = (
         "import json, sys\n"
@@ -211,7 +215,7 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
     )
     src = os.path.dirname(os.path.dirname(keyhop.__file__))
     runs = {}
-    for seed in ("0", "12345"):
+    for seed in ("0", "1", "3", "12345"):
         cwd = tmp_path / seed
         cwd.mkdir()
         env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
@@ -220,13 +224,15 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
             cwd=cwd, capture_output=True, text=True, check=True, env=env,
         )
         files = {p.relative_to(cwd).as_posix(): p.read_bytes() for p in cwd.rglob("*.*")}
-        runs[seed] = out.stdout, files
-    assert runs["0"][0].count("exit 0") == len(commands)
-    assert sorted(runs["0"][1]) == [
+        runs[seed] = out.stdout, out.stderr, files
+    codes = [line for line in runs["0"][0].splitlines() if line.startswith("exit ")]
+    assert codes == ["exit 0"] * 5 + ["exit 3"] * 2
+    assert runs["0"][1] == "keyhop: error: A is an endpoint, not a corruptible intermediary\n" * 2
+    assert sorted(runs["0"][2]) == [
         "out0/trace.json", "out0/trace.txt", "out1/trace.json", "out1/trace.txt",
         "out3/coalitions.csv",
     ]
-    assert runs["0"] == runs["12345"]
+    assert all(run == runs["0"] for run in runs.values())
 
 
 def test_analyze_single_coalition_with_oracle(tmp_path, capsys):

@@ -3,12 +3,14 @@ import importlib
 import inspect
 import os
 import pkgutil
+import random
 import subprocess
 import sys
 
 import pytest
 
 import keyhop
+from keyhop.protocol import run
 
 MODULES = [info.name for info in pkgutil.iter_modules(keyhop.__path__, "keyhop.")]
 
@@ -121,6 +123,30 @@ def test_every_keyhop_name_the_benchmark_uses_resolves():
                 missing.append(f"{filename}:{node.lineno}: {ast.unparse(node)}")
         used += len(bound)
     assert used and missing == []
+
+
+def test_the_benchmark_input_generators_run(monkeypatch):
+    # the names resolving is not enough: what they return must still suit
+    # the benchmark's seeded inputs and its checks of a run
+    monkeypatch.syspath_prepend(PERFBENCH)
+    common = importlib.import_module("common")
+    assert common.analyze_inputs(1).oracle_coalitions == (
+        "N1.1,N2.1,N3.1", "N11,N14", "N1.1,N2.1,N3.1,N4.1",
+    )
+    for _, _, spec in (*common.AUDIT_LAYOUTS, *common.ORACLE_LAYOUTS):
+        common.build(spec)
+    for seed in (1, 2, 3):
+        assert len(common.analyze_inputs(seed).oracle_coalitions) == len(common.ORACLE_LAYOUTS)
+        honest = common.honest_inputs(seed)
+        built = [common.build(item.spec)[0] for item in honest]
+        for topo, item in list(zip(built, honest))[:: len(honest) // 8]:
+            trace = run(topo, item.variant, common.N_SMALL, random.Random(item.seed))
+            assert common.fold_ok(trace)
+        wire_runs, ports = common.wire_inputs(seed)
+        tampered = [item.tamper for item in wire_runs if item.tamper is not None]
+        assert sorted(set(tampered)) == list(range(common.WIRE_M + 1))
+        assert common.wire_argv(wire_runs[0], ports.take(), "out")[0] == "wire"
+    assert common.engine_key_hex(5) == "4b5e119e7ec0e071665c6f207889da21"
 
 
 def _loaded_names(folder):

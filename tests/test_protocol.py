@@ -99,7 +99,7 @@ def test_engine_records_refuse_assignment_and_survive_pickling():
 def test_ring6_hop_and_message_reprs_are_the_dataclass_reprs():
     hop, _, msg = _ring_v1_records()
     assert repr(hop) == (
-        "Hop(index=0, sender=NodeId(label='A'), receiver=NodeId(label='N1'),"
+        "Hop(index=0, sender='A', receiver='N1',"
         " origin=SecretId(kind=<SecretKind.NONCE: 'X'>, ends=('A',), path_index=None),"
         " xor_ids=(SecretId(kind=<SecretKind.TF_KEY: 'K'>, ends=('A', 'N2'), path_index=None),))"
     )

@@ -6,7 +6,7 @@ import pytest
 
 from keyhop import topology
 from keyhop.analysis import check_enumerable
-from keyhop.bits import SecretKind
+from keyhop.bits import SecretKind, tf_key
 from keyhop.keyplan import Variant, plan_keys
 from keyhop.topology import (
     NodeId,
@@ -40,9 +40,23 @@ def test_node_ids_are_interned():
     topo = build_chain(3)
     assert NodeId("N2") is topo.node("N2") is topo.paths[0][2]
     assert build_ring6().endpoint_a is NodeId("A") is topo.endpoint_a
-    assert "__hash__" not in vars(NodeId) and "__eq__" not in vars(NodeId)
-    assert NodeId.__hash__ is object.__hash__ and NodeId.__eq__ is object.__eq__
+    assert not {"__hash__", "__eq__", "__reduce__"} & set(vars(NodeId))
+    assert NodeId.__hash__ is str.__hash__ and NodeId.__eq__ is str.__eq__
     assert NodeId.__init__ is object.__init__
+
+
+def test_a_node_is_its_label():
+    nd = NodeId("N1")
+    assert nd == "N1" and hash(nd) == hash("N1") and nd.label is nd
+    assert isinstance(nd, str) and not dataclasses.is_dataclass(NodeId)
+    assert build_chain(3).node("N1") is nd
+    # a plan's keys name the very nodes of the layout's paths, also when an
+    # id with the same labels was first built from plain strings
+    tf_key("A", "N2.1")
+    topo = build_multipath([3, 3], 100.0, 2)
+    on_path = {id(node) for path in topo.paths for node in path}
+    plan = plan_keys(topo, Variant.MULTIPATH)
+    assert all(id(end) in on_path for entry in plan.entries for end in entry.secret_id.ends)
 
 
 @pytest.mark.parametrize(
@@ -51,14 +65,12 @@ def test_node_ids_are_interned():
         lambda nd: pickle.loads(pickle.dumps(nd)),
         copy.copy,
         copy.deepcopy,
-        dataclasses.replace,
     ],
-    ids=["pickle", "copy", "deepcopy", "replace"],
+    ids=["pickle", "copy", "deepcopy"],
 )
 def test_copies_of_a_node_id_are_the_interned_id(how):
     node = build_multipath([2, 3]).node("N3.2")
     assert how(node) is node
-    assert dataclasses.replace(node, label="N1.2") is NodeId("N1.2")
 
 
 def test_ring_adjacency_follows_both_arcs():
