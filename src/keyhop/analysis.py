@@ -119,7 +119,7 @@ class SecrecyVerdict:
     def recovery_labels(self) -> tuple[str, ...] | None:
         if self.recovery is None:
             return None
-        return tuple(f"M{item}" if isinstance(item, int) else item.name for item in self.recovery)
+        return tuple(f"M{item}" if isinstance(item, int) else item for item in self.recovery)
 
 
 def _schedule(source: Schedule | ProtocolTrace) -> Schedule:
@@ -142,7 +142,7 @@ def view_of(schedule: Schedule, coalition: Coalition) -> AdversaryView:
             raise ValueError(f"coalition member {nd} is not in this topology")
     known = tuple(
         sid
-        for sid in sorted(schedule.secret_ids, key=lambda s: s.name)
+        for sid in sorted(schedule.secret_ids)
         if any(end in coalition.members for end in sid.ends)
     )
     return AdversaryView(schedule.exprs, known)
@@ -197,7 +197,7 @@ def is_recoverable(view: AdversaryView, target: SymbolicExpr) -> SecrecyVerdict:
     secrets (by name), pivoting on the lowest remaining column.
     """
     atoms = {*target.terms, *view.known}.union(*(expr.terms for expr in view.observed))
-    order = {sid: i for i, sid in enumerate(sorted(atoms, key=lambda s: s.name))}
+    order = {sid: i for i, sid in enumerate(sorted(atoms))}
     # rows sit in recipe order, so the recovery set is the combination's
     # set bits read from the lowest up
     rows = [_mask(order, expr.terms) for expr in view.observed]
@@ -459,7 +459,7 @@ def _view_blocks(
     secrets, being uniform and independent, give independent block views.
     A secret in no component is a block of its own."""
     held = set(view.known)
-    ids = sorted((sid for sid in schedule.secret_ids if sid not in held), key=lambda s: s.name)
+    ids = sorted(sid for sid in schedule.secret_ids if sid not in held)
     index = {sid: i for i, sid in enumerate(ids)}
     parent = list(range(len(ids)))
 

@@ -1,23 +1,23 @@
-"""Bitstrings, secret identities, and symbolic XOR expressions.
+"""Bitstrings, secrets, and symbolic XOR expressions.
 
 Every message the relay protocols exchange is an XOR of secret bitstrings.
 This module keeps both layers in sync: concrete bits (KeyStore) and their
 algebraic shadow (SymbolicExpr over SecretId terms), related by
-KeyStore.evaluate. Every fold is done on plain ints; a BitString is the type
-a value leaves a fold in, as a message, an output or a store lookup.
+KeyStore.evaluate. A secret is its name, as the paper writes it: a str
+that hashes, compares and sorts as that name. Every fold is done on plain
+ints; a BitString is the type a value leaves a fold in, as a message, an
+output or a store lookup.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 from .topology import NodeId
 
 __all__ = [
-    "SecretKind",
     "SecretId",
     "tf_key",
     "p2p_key",
@@ -29,86 +29,53 @@ __all__ = [
 ]
 
 
-class SecretKind(Enum):
-    """Relay-established key, adjacent-link key, or endpoint nonce."""
-
-    TF_KEY = "K"
-    P2P_KEY = "P"
-    NONCE = "X"
-
-    # members are singletons, so identity is equality; object's C-level hash
-    # spares every SecretId lookup Enum's Python-level one
-    __hash__ = object.__hash__
+# Every SecretId built in this process, keyed by its name: one entry per
+# distinct key and nonce built, never evicted.
+_SECRET_IDS: dict[str, SecretId] = {}
 
 
-# Every SecretId built in this process, keyed by its fields: one entry per
-# distinct key and nonce built, never evicted. Equal ids are one object, so
-# equality and hashing are object's identity versions.
-_SECRET_IDS: dict[tuple[SecretKind, tuple[str, ...], int | None], SecretId] = {}
+class SecretId(str):
+    """A secret is its name, interned: constructing it again returns the
+    first instance built with that name. Hashing and equality are str's, so
+    a secret equals its plain name.
 
-
-@dataclass(frozen=True, eq=False, init=False)
-class SecretId:
-    """Identity of one secret bitstring, interned: constructing it again
-    returns the first instance built with the same fields.
-
-    Relay and adjacent-link keys name the two nodes (as NodeIds) that hold
-    them, in path order. Nonces name their single owner, plus a path index
-    when one owner draws a nonce per path.
+    K[a,b] is a relay-established key and P[a,b] an adjacent-link key, held
+    by the two nodes a and b in path order; X[a] is a nonce of endpoint a,
+    X[a@p] its nonce for path p. ends holds those nodes as NodeIds.
     """
 
-    kind: SecretKind
     ends: tuple[NodeId, ...]
-    path_index: int | None = None
 
-    def __new__(
-        cls, kind: SecretKind, ends: tuple[str, ...], path_index: int | None = None
-    ) -> SecretId:
-        key = (kind, ends, path_index)
-        sid = _SECRET_IDS.get(key)
+    def __new__(cls, name: str, ends: tuple[str, ...]) -> SecretId:
+        sid = _SECRET_IDS.get(name)
         if sid is None:
-            if kind is SecretKind.NONCE:
-                if len(ends) != 1:
-                    raise ValueError("a nonce has exactly one owner")
-            else:
-                if len(ends) != 2 or ends[0] == ends[1]:
-                    raise ValueError("a key joins two distinct nodes")
-                if path_index is not None:
-                    raise ValueError("path_index is reserved for nonces")
-            sid = object.__new__(cls)
-            object.__setattr__(sid, "kind", kind)
-            object.__setattr__(sid, "ends", tuple(map(NodeId, ends)))
-            object.__setattr__(sid, "path_index", path_index)
-            _SECRET_IDS[key] = sid
+            if len(ends) == 2 and ends[0] == ends[1]:
+                raise ValueError("a key joins two distinct nodes")
+            sid = str.__new__(cls, name)
+            sid.ends = tuple(map(NodeId, ends))
+            _SECRET_IDS[name] = sid
         return sid
 
     def __reduce__(self) -> tuple:
         # pickle and copy rebuild through the constructor, so they return the
         # interned instance
-        return SecretId, (self.kind, self.ends, self.path_index)
-
-    @property
-    def name(self) -> str:
-        if self.kind is SecretKind.NONCE:
-            if self.path_index is None:
-                return f"X[{self.ends[0]}]"
-            return f"X[{self.ends[0]}@{self.path_index}]"
-        return f"{self.kind.value}[{self.ends[0]},{self.ends[1]}]"
-
-    def __str__(self) -> str:
-        return self.name
+        return SecretId, (str(self), self.ends)
 
 
+# The names are built with %, not f-strings: a NodeId is a str subclass, so
+# an f-string formats it through __format__, at twice the cost.
 def tf_key(a: str, b: str) -> SecretId:
-    return SecretId(SecretKind.TF_KEY, (a, b))
+    return SecretId("K[%s,%s]" % (a, b), (a, b))
 
 
 def p2p_key(a: str, b: str) -> SecretId:
-    return SecretId(SecretKind.P2P_KEY, (a, b))
+    return SecretId("P[%s,%s]" % (a, b), (a, b))
 
 
 def nonce(owner: str, path_index: int | None = None) -> SecretId:
-    return SecretId(SecretKind.NONCE, (owner,), path_index)
+    if path_index is None:
+        return SecretId("X[%s]" % owner, (owner,))
+    return SecretId("X[%s@%d]" % (owner, path_index), (owner,))
 
 
 @dataclass(frozen=True)
@@ -155,13 +122,10 @@ class SymbolicExpr(NamedTuple):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def sorted_terms(self) -> list[SecretId]:
-        return sorted(self.terms, key=lambda s: s.name)
-
     def text(self) -> str:
         if self.is_zero:
             return "0"
-        return "+".join(s.name for s in self.sorted_terms())
+        return "+".join(sorted(self.terms))
 
 
 def check_length(n: int) -> None:

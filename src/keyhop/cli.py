@@ -264,10 +264,10 @@ def cmd_attack(args: argparse.Namespace) -> int:
         print(f"coalition {coal.describe()}: no attack exists against the final key")
         return 1
     print(f"coalition {coal.describe()} recovers the final key:")
-    for nid in trace.nonce_ids:
+    for nid in trace.schedule.nonce_ids:
         sub = analysis.is_recoverable(view, SymbolicExpr.of(nid))
         if sub.status is analysis.Status.BROKEN and sub.recovery_labels:
-            print(f"  {nid.name} = " + " + ".join(sub.recovery_labels))
+            print(f"  {nid} = " + " + ".join(sub.recovery_labels))
     assert verdict.recovery_labels is not None
     print("  final key = " + " + ".join(verdict.recovery_labels))
     got = analysis.recover_bits(trace, verdict)

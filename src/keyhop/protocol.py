@@ -105,12 +105,12 @@ def compile_schedule(plan: KeyPlan) -> Schedule:
         sid = entry.secret_id
         # execute folds a hop's keys in as one set, which holds a key once
         if sid in listed:
-            raise ValueError(f"key {sid.name} is listed twice")
+            raise ValueError(f"key {sid} is listed twice")
         listed.add(sid)
         u, v = sid.ends
         held = path_of.get(u) or path_of.get(v)
         if held is None or u not in held or v not in held:
-            raise ValueError(f"key {sid.name} does not join an intermediary to a node of its path")
+            raise ValueError(f"key {sid} does not join an intermediary to a node of its path")
         held[u].append(sid)
         held[v].append(sid)
     hops: list[Hop] = []
@@ -166,6 +166,8 @@ class ProtocolTrace:
     output_b: BitString
     store: KeyStore
 
+    # the schedule's; kept because perfbench/layers.py:239,305 reads
+    # trace.topology and perfbench/common.py:219 reads trace.nonce_ids
     @property
     def topology(self) -> Topology:
         return self.schedule.plan.topology
@@ -221,7 +223,7 @@ def run(topo: Topology, variant: Variant, n: int, rng: random.Random) -> Protoco
 def trace_text(trace: ProtocolTrace) -> str:
     lines = [
         f"# variant={trace.schedule.plan.variant.value}"
-        f" topology={trace.topology.describe()} n={trace.store.n}"
+        f" topology={trace.schedule.plan.topology.describe()} n={trace.store.n}"
     ]
     for hop, msg in zip(trace.schedule.hops, trace.messages):
         lines.append(
@@ -236,7 +238,7 @@ def trace_text(trace: ProtocolTrace) -> str:
 def trace_json(trace: ProtocolTrace) -> str:
     doc = {
         "variant": trace.schedule.plan.variant.value,
-        "topology": trace.topology.describe(),
+        "topology": trace.schedule.plan.topology.describe(),
         "n": trace.store.n,
         "messages": [
             {
@@ -250,6 +252,6 @@ def trace_json(trace: ProtocolTrace) -> str:
         ],
         "output_a": trace.output_a.to_hex(),
         "output_b": trace.output_b.to_hex(),
-        "nonces": [nid.name for nid in trace.nonce_ids],
+        "nonces": list(trace.schedule.nonce_ids),
     }
     return json.dumps(doc, indent=2) + "\n"

@@ -149,7 +149,7 @@ def test_criterion_3_unpatched_ring_falls_to_a_passive_wiretap():
             assert recover_bits(trace, x_b) == trace.store[nonce("B")]
 
             # two consecutive public messages cancel down to one naked link key
-            k_n1b = next(s for s in trace.store.ids() if s.name == "K[N1,B]")
+            k_n1b = next(s for s in trace.store.ids() if s == "K[N1,B]")
             m0, m1 = trace.messages[0].bits.value, trace.messages[1].bits.value
             assert m0 ^ m1 == trace.store[k_n1b].value
         note["detail"] = "20 seeds, key and both nonces recovered bit-exact from public messages"

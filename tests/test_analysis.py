@@ -32,7 +32,7 @@ from keyhop.analysis import (
     recover_bits,
     view_of,
 )
-from keyhop.bits import KeyStore, SecretKind, SymbolicExpr, nonce
+from keyhop.bits import KeyStore, SymbolicExpr, nonce
 from keyhop.keyplan import KeyPlan, Variant, plan_keys
 from keyhop.protocol import compile_schedule, run
 from keyhop.topology import Shape, build_chain, build_multipath, build_reach_chain, build_ring6
@@ -65,7 +65,7 @@ def test_empty_coalition_view_is_just_the_traffic():
 def test_view_includes_each_members_keys():
     trace = _trace(build_ring6(), Variant.RING_V2)
     view = view_of(trace, _coalition(trace, "N1"))
-    assert {sid.name for sid in view.known} == {"K[N1,B]", "P[A,N1]"}
+    assert set(view.known) == {"K[N1,B]", "P[A,N1]"}
 
 
 def test_view_rejects_endpoints_and_strangers():
@@ -359,11 +359,11 @@ def test_truth_table_blocks_follow_the_layout(topo, variant, count):
     path_of = {nd.label: p for p, path in enumerate(topo.paths, 1) for nd in path[1:-1]}
 
     def paths(block):
-        """The paths a block's secrets lie on: a nonce's own, a key's
-        intermediary end's."""
+        """The paths a block's secrets lie on: a nonce's own (the p of
+        X[A@p]), a key's intermediary end's."""
         return {
-            sid.path_index
-            if sid.kind is SecretKind.NONCE
+            int(sid.partition("@")[2][:-1])
+            if sid.startswith("X[")
             else next(path_of[end] for end in sid.ends if end in path_of)
             for sid in block
         }
@@ -375,7 +375,7 @@ def test_truth_table_blocks_follow_the_layout(topo, variant, count):
     if variant is Variant.MULTIPATH:
         # each block is one path: its nonce and the keys of its intermediaries
         for block, _ in blocks:
-            keys = [sid for sid in block if sid.kind is not SecretKind.NONCE]
+            keys = [sid for sid in block if not sid.startswith("X[")]
             assert len(block) - len(keys) == 1
             assert len(paths(block)) == 1
     # a coalition's held secrets leave the sweep: the blocks partition the rest
@@ -582,7 +582,7 @@ def _run_view(trace, coalition):
     """view_of as it read a run: the messages' expressions, and the store's
     ids, by name, that name a member."""
     labels = {nd.label for nd in coalition.members}
-    ids = sorted(trace.store.ids(), key=lambda s: s.name)
+    ids = sorted(trace.store.ids())
     known = tuple(sid for sid in ids if any(end in labels for end in sid.ends))
     return AdversaryView(tuple(msg.expr for msg in trace.messages), known)
 
@@ -692,7 +692,7 @@ def test_coalition_rows_list_separators_once_and_never_eliminate(monkeypatch):
 def test_minimal_search_rejects_other_targets():
     trace = _trace(build_multipath([2, 2, 2]), Variant.MULTIPATH, n=1)
     x1, x2, _ = trace.nonce_ids
-    key = next(sid for sid in trace.store.ids() if sid.kind is not SecretKind.NONCE)
+    key = next(sid for sid in trace.store.ids() if not sid.startswith("X["))
     for target in (SymbolicExpr.of(x1, x2), SymbolicExpr.of(x1, key), SymbolicExpr.of(key)):
         with pytest.raises(ValueError, match="neither the final key nor one nonce"):
             min_breaking_coalitions(trace, target)

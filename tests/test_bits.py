@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import pickle
 import random
 
@@ -12,7 +11,6 @@ from keyhop.bits import (
     BitString,
     KeyStore,
     SecretId,
-    SecretKind,
     SymbolicExpr,
     nonce,
     p2p_key,
@@ -43,8 +41,8 @@ def test_sampled_bits_are_roughly_balanced():
 
 def test_key_names_preserve_end_order():
     # ends are stored in path order; the name reflects it
-    assert tf_key("A", "N2").name == "K[A,N2]"
-    assert tf_key("N2", "A").name == "K[N2,A]"
+    assert tf_key("A", "N2") == "K[A,N2]" and tf_key("A", "N2").ends == ("A", "N2")
+    assert tf_key("N2", "A") == "K[N2,A]" and tf_key("N2", "A").ends == ("N2", "A")
     assert tf_key("N2", "A") != tf_key("A", "N2")
 
 
@@ -93,10 +91,10 @@ def test_equal_ids_hash_equal_and_share_a_store_entry():
     store.sample(nonce("A", 2), rng)
     draws = random.Random(3)
     key, nid = BitString(draws.getrandbits(8), 8), BitString(draws.getrandbits(8), 8)
-    for built in (tf_key("A", "N1"), SecretId(SecretKind.TF_KEY, ("A", "N1"))):
+    for built in (tf_key("A", "N1"), SecretId("K[A,N1]", ("A", "N1"))):
         assert built == tf_key("A", "N1") and hash(built) == hash(tf_key("A", "N1"))
         assert store[built] == key
-    for built in (nonce("A", 2), SecretId(SecretKind.NONCE, ("A",), 2)):
+    for built in (nonce("A", 2), SecretId("X[A@2]", ("A",))):
         assert hash(built) == hash(nonce("A", 2))
         assert store[built] == nid
 
@@ -113,10 +111,10 @@ def test_relay_and_link_keys_on_the_same_ends_stay_apart():
 
 
 def test_secret_ids_are_interned():
-    assert tf_key("A", "N1") is SecretId(SecretKind.TF_KEY, ("A", "N1"))
-    assert p2p_key("A", "N1") is SecretId(SecretKind.P2P_KEY, ("A", "N1"))
-    assert nonce("A", 2) is SecretId(SecretKind.NONCE, ("A",), 2)
-    assert nonce("B") is SecretId(SecretKind.NONCE, ("B",))
+    assert tf_key("A", "N1") is SecretId("K[A,N1]", ("A", "N1"))
+    assert p2p_key("A", "N1") is SecretId("P[A,N1]", ("A", "N1"))
+    assert nonce("A", 2) is SecretId("X[A@2]", ("A",))
+    assert nonce("B") is SecretId("X[B]", ("B",))
     assert nonce("A", 2) is not nonce("A", 3) and nonce("A") is not nonce("A", 1)
 
 
@@ -125,42 +123,39 @@ def test_relay_and_link_keys_on_the_same_ends_are_distinct_objects():
     assert len({tf_key("A", "N1"), p2p_key("A", "N1"), tf_key("A", "N1")}) == 2
 
 
-def test_secret_ids_compare_and_hash_by_identity():
+def test_secret_ids_compare_and_hash_as_their_names():
     assert "__hash__" not in vars(SecretId) and "__eq__" not in vars(SecretId)
-    assert SecretId.__hash__ is object.__hash__ and SecretId.__eq__ is object.__eq__
+    assert SecretId.__hash__ is str.__hash__ and SecretId.__eq__ is str.__eq__
+    assert SecretId.__lt__ is str.__lt__
     # a repeat construction returns the interned id without running an
     # initialiser again
     assert SecretId.__init__ is object.__init__ and not hasattr(SecretId, "__post_init__")
+    sid = tf_key("A", "N1")
+    assert sid == "K[A,N1]" and hash(sid) == hash("K[A,N1]")
+    assert type(str(sid)) is str and repr(sid) == "'K[A,N1]'"
 
 
 _COPIES = {
     "pickle": lambda sid: pickle.loads(pickle.dumps(sid)),
     "copy": copy.copy,
     "deepcopy": copy.deepcopy,
-    "replace": dataclasses.replace,
 }
 
 
 @pytest.mark.parametrize("how", sorted(_COPIES))
-@pytest.mark.parametrize("sid", [tf_key("N1", "N3"), p2p_key("N4", "B"), nonce("A"), nonce("A", 3)])
+@pytest.mark.parametrize(
+    "sid",
+    [tf_key("N1", "N3"), p2p_key("N4", "B"), nonce("A"), nonce("A", 3)],
+    ids=["sid0", "sid1", "sid2", "sid3"],
+)
 def test_copies_of_a_secret_id_are_the_interned_id(how, sid):
     assert _COPIES[how](sid) is sid
-
-
-def test_replacing_a_field_returns_the_interned_id():
-    assert dataclasses.replace(tf_key("A", "N1"), ends=("A", "N2")) is tf_key("A", "N2")
-    assert dataclasses.replace(nonce("A", 1), path_index=2) is nonce("A", 2)
-    assert dataclasses.replace(tf_key("A", "N1"), kind=SecretKind.P2P_KEY) is p2p_key("A", "N1")
 
 
 @pytest.mark.parametrize(
     "build, message",
     [
         (lambda: tf_key("A", "A"), "two distinct nodes"),
-        (lambda: SecretId(SecretKind.NONCE, ("A", "B")), "exactly one owner"),
-        (lambda: SecretId(SecretKind.NONCE, ("A", "B"), 1), "exactly one owner"),
-        (lambda: SecretId(SecretKind.TF_KEY, ("A", "N1", "B")), "two distinct nodes"),
-        (lambda: SecretId(SecretKind.P2P_KEY, ("A", "N1"), 1), "reserved for nonces"),
     ],
 )
 def test_an_invalid_secret_id_raises_every_time_and_is_never_interned(build, message):

@@ -194,10 +194,12 @@ def test_analyze_answers_from_the_schedule_alone(tmp_path, monkeypatch, capsys):
 
 
 def test_output_does_not_depend_on_the_hash_seed(tmp_path):
-    # secret ids hash by identity, so by address, and nodes as the strings
-    # they are, by the per-process seed; neither may reach stdout, stderr, an
-    # exit code or a written file. The last two commands name the first bad
-    # coalition member in label order, whatever order its set iterates in
+    # secret ids and nodes hash as the strings they are, by the per-process
+    # seed, which may reach no stdout, stderr, exit code or written file.
+    # Two commands name the first bad coalition member in label order,
+    # whatever order its set iterates in; the last three order the oracle's
+    # union-find blocks, its table columns and the minimal-set search over
+    # sets of ids
     commands = [
         ["simulate", "--shape", "ring6", "--variant", "ring-v2"],
         ["simulate", "--shape", "multipath", "--paths", "3,3,4", "--t", "2"],
@@ -206,6 +208,12 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
         ["attack", "--shape", "chain", "--m", "4", "--coalition", "N1,N4"],
         ["attack", "--shape", "chain", "--m", "4", "--coalition", "B,N1,A"],
         ["analyze", "--shape", "chain", "--m", "4", "--coalition", "A,B"],
+        [
+            "analyze", "--shape", "multipath", "--paths", "3,3,4", "--t", "2",
+            "--coalition", "N1.1,N2.2", "--oracle",
+        ],
+        ["analyze", "--shape", "chain", "--m", "15", "--coalition", "N4,N7", "--oracle"],
+        ["analyze", "--grid"],
     ]
     script = (
         "import json, sys\n"
@@ -226,11 +234,11 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
         files = {p.relative_to(cwd).as_posix(): p.read_bytes() for p in cwd.rglob("*.*")}
         runs[seed] = out.stdout, out.stderr, files
     codes = [line for line in runs["0"][0].splitlines() if line.startswith("exit ")]
-    assert codes == ["exit 0"] * 5 + ["exit 3"] * 2
+    assert codes == ["exit 0"] * 5 + ["exit 3"] * 2 + ["exit 0"] * 3
     assert runs["0"][1] == "keyhop: error: A is an endpoint, not a corruptible intermediary\n" * 2
     assert sorted(runs["0"][2]) == [
         "out0/trace.json", "out0/trace.txt", "out1/trace.json", "out1/trace.txt",
-        "out3/coalitions.csv",
+        "out3/coalitions.csv", "out9/collusion_grid.csv",
     ]
     assert all(run == runs["0"] for run in runs.values())
 

@@ -119,7 +119,7 @@ def test_establish_is_deterministic_and_plan_ordered():
     s1 = make_store(schedule, 32, random.Random(5))
     s2 = make_store(schedule, 32, random.Random(5))
     keys = _ids(schedule.plan)
-    assert [sid.name for sid in s1.ids()[: len(keys)]] == [sid.name for sid in keys]
+    assert list(s1.ids()[: len(keys)]) == list(keys)
     assert all(s1[sid] == s2[sid] for sid in s1.ids())
 
 
@@ -193,10 +193,12 @@ def _layouts(draw):
 @settings(max_examples=60, deadline=None)
 @given(_layouts())
 def test_generated_layouts_name_every_secret_distinctly(layout):
-    # names label secrets in traces and views, so two ids must never share one
+    # an id is its name, which labels it in traces and views: two secrets
+    # must never share one, and each name spells the ends the id holds
     topo, variant = layout
     ids = run(topo, variant, 8, random.Random(0)).store.ids()
-    assert len({sid.name for sid in ids}) == len(ids)
+    assert len(set(ids)) == len(ids)
+    assert all(sid[2:-1].partition("@")[0].split(",") == list(sid.ends) for sid in ids)
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from keyhop import bits, topology
-from keyhop.bits import BitString, KeyStore, SymbolicExpr, nonce
+from keyhop.bits import BitString, KeyStore, SymbolicExpr, nonce, tf_key
 from keyhop.keyplan import KeyPlan, Variant, plan_keys
 from keyhop.protocol import (
     KEY_BUDGET,
@@ -100,16 +100,46 @@ def test_ring6_hop_and_message_reprs_are_the_dataclass_reprs():
     hop, _, msg = _ring_v1_records()
     assert repr(hop) == (
         "Hop(index=0, sender='A', receiver='N1',"
-        " origin=SecretId(kind=<SecretKind.NONCE: 'X'>, ends=('A',), path_index=None),"
-        " xor_ids=(SecretId(kind=<SecretKind.TF_KEY: 'K'>, ends=('A', 'N2'), path_index=None),))"
+        " origin='X[A]', xor_ids=('K[A,N2]',))"
     )
-    # the expression's terms are a set of identity-hashed ids, whose order
-    # varies between processes
+    # the expression's terms are a set of ids hashed as their names, whose
+    # order varies with the hash seed
     assert repr(msg) == f"Message(bits=BitString(value=45958, n=16), expr={msg.expr!r})"
-    assert repr(SymbolicExpr.of(nonce("A"))) == (
-        "SymbolicExpr(terms=frozenset({SecretId(kind=<SecretKind.NONCE: 'X'>,"
-        " ends=('A',), path_index=None)}))"
-    )
+    assert repr(SymbolicExpr.of(nonce("A"))) == "SymbolicExpr(terms=frozenset({'X[A]'}))"
+
+
+_SIX_VARIANTS = (
+    (build_ring6(), Variant.RING_V1),
+    (build_ring6(), Variant.RING_V2),
+    (build_chain(2), Variant.CHAIN2),
+    (build_chain(10), Variant.CHAIN_M),
+    (build_reach_chain(7, 3), Variant.REACH_T),
+    (build_multipath([2, 3], 100.0, 1), Variant.MULTIPATH),
+)
+
+
+def test_a_secret_is_its_name_and_sorts_as_it():
+    assert tf_key("A", "N1") == "K[A,N1]" and hash(tf_key("A", "N1")) == hash("K[A,N1]")
+    for topo, variant in _SIX_VARIANTS:
+        trace = run(topo, variant, 8, random.Random(0))
+        lines = trace_text(trace).splitlines()[1 : 1 + len(trace.schedule.hops)]
+        for line, expr in zip(lines, trace.schedule.exprs, strict=True):
+            assert line.split()[-1] == "+".join(sorted(expr.terms))
+            assert sorted(expr.terms) == sorted(map(str, expr.terms))
+        nodes = [nd for path in topo.paths for nd in path]
+        for sid in trace.schedule.secret_ids:
+            assert all(any(end is nd for nd in nodes) for end in sid.ends)
+    # ids sort by the code points of their names, as views and traces list them
+    chain10 = compile_schedule(plan_keys(build_chain(10), Variant.CHAIN_M))
+    assert sorted(chain10.secret_ids) == [
+        "K[A,N2]", "K[N1,N3]", "K[N2,N4]", "K[N3,N5]", "K[N4,N6]", "K[N5,N7]", "K[N6,N8]",
+        "K[N7,N9]", "K[N8,N10]", "K[N9,B]", "P[A,N1]", "P[N10,B]", "X[A]",
+    ]
+    mp23 = compile_schedule(plan_keys(build_multipath([2, 3], 100.0, 1), Variant.MULTIPATH))
+    assert sorted(mp23.secret_ids) == [
+        "K[A,N2.1]", "K[A,N2.2]", "K[N1.1,B]", "K[N1.2,N3.2]", "K[N2.2,B]",
+        "P[A,N1.1]", "P[A,N1.2]", "P[N2.1,B]", "P[N3.2,B]", "X[A@1]", "X[A@2]",
+    ]
 
 
 def test_index_reads_the_field_not_the_tuple_method():
@@ -150,7 +180,7 @@ def test_reach_message_algebra():
 
 def test_multipath_final_key_folds_every_path_nonce():
     trace = run(build_multipath([2, 3]), Variant.MULTIPATH, 16, random.Random(1))
-    assert [s.name for s in trace.nonce_ids] == ["X[A@1]", "X[A@2]"]
+    assert trace.schedule.nonce_ids == ("X[A@1]", "X[A@2]")
     assert trace.output_a.value == trace.store[nonce("A", 1)].value ^ trace.store[nonce("A", 2)].value
     senders = [hop.sender.label for hop in trace.schedule.hops]
     assert senders == ["A", "N1.1", "N2.1", "A", "N1.2", "N2.2", "N3.2"]
@@ -181,7 +211,7 @@ def test_compile_refuses_a_key_between_the_endpoints():
     # built by hand, past the builders' m >= t+1 check: reach 2 plans K[A,B]
     path = (NodeId("A"), NodeId("N1"), NodeId("B"))
     plan = plan_keys(Topology(Shape.CHAIN, (path,), 100.0, t=2), Variant.CHAIN_M)
-    assert "K[A,B]" in [entry.secret_id.name for entry in plan.entries]
+    assert "K[A,B]" in [entry.secret_id for entry in plan.entries]
     with pytest.raises(ValueError, match="K\\[A,B\\] does not join an intermediary"):
         compile_schedule(plan)
 
@@ -241,8 +271,10 @@ def test_every_message_evaluates_to_its_expr():
 def test_intermediaries_never_touch_nonces():
     trace = run(build_chain(4), Variant.CHAIN_M, 8, random.Random(0))
     sched = compile_schedule(plan_keys(trace.topology, Variant.CHAIN_M))
+    origins = {hop.origin for hop in sched.hops} - {None}
+    assert origins == {"X[A]"}
     for hop in sched.hops:
-        assert all(sid.kind.value != "X" for sid in hop.xor_ids)
+        assert origins.isdisjoint(hop.xor_ids)
 
 
 def test_run_is_deterministic():
@@ -297,8 +329,8 @@ def test_make_store_covers_plan_then_nonces():
     plan = plan_keys(build_ring6(), Variant.RING_V1)
     sched = compile_schedule(plan)
     store = make_store(sched, 8, random.Random(0))
-    names = [sid.name for sid in store.ids()]
-    keys = [entry.secret_id.name for entry in plan.entries]
+    names = list(store.ids())
+    keys = [entry.secret_id for entry in plan.entries]
     assert names[: len(keys)] == keys
     assert set(names[len(keys) :]) == {"X[A]", "X[B]"}
 

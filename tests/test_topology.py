@@ -6,7 +6,7 @@ import pytest
 
 from keyhop import topology
 from keyhop.analysis import check_enumerable
-from keyhop.bits import SecretKind, tf_key
+from keyhop.bits import tf_key
 from keyhop.keyplan import Variant, plan_keys
 from keyhop.topology import (
     NodeId,
@@ -130,28 +130,28 @@ def test_multipath_rejects_short_or_unreachable_paths():
 
 def test_ring_reachable_pairs():
     entries = plan_keys(build_ring6(), Variant.RING_V2).entries
-    pairs = {e.secret_id.ends: e.secret_id.kind for e in entries}
+    pairs = {e.secret_id.ends: e.secret_id[0] for e in entries}  # P: adjacent link, K: relay
     assert pairs == {
-        ("A", "N1"): SecretKind.P2P_KEY,
-        ("N2", "B"): SecretKind.P2P_KEY,
-        ("A", "N3"): SecretKind.P2P_KEY,
-        ("N4", "B"): SecretKind.P2P_KEY,
-        ("A", "N2"): SecretKind.TF_KEY,
-        ("N1", "B"): SecretKind.TF_KEY,
-        ("A", "N4"): SecretKind.TF_KEY,
-        ("N3", "B"): SecretKind.TF_KEY,
+        ("A", "N1"): "P",
+        ("N2", "B"): "P",
+        ("A", "N3"): "P",
+        ("N4", "B"): "P",
+        ("A", "N2"): "K",
+        ("N1", "B"): "K",
+        ("A", "N4"): "K",
+        ("N3", "B"): "K",
     }
 
 
 def test_chain_reach_two_pairs_and_relays():
     entries = plan_keys(build_reach_chain(3, 2), Variant.REACH_T).entries
     by_labels = {e.secret_id.ends: e for e in entries}
-    tf = {lab for lab, p in by_labels.items() if p.secret_id.kind is SecretKind.TF_KEY}
+    tf = {lab for lab, p in by_labels.items() if p.secret_id.startswith("K[")}
     assert tf == {("A", "N2"), ("N1", "N3"), ("N2", "B"), ("A", "N3"), ("N1", "B")}
     assert by_labels[("A", "N2")].measurer.label == "N1"
     assert by_labels[("A", "N3")].measurer.label == "N1"  # midpoint ties go low
     assert by_labels[("N1", "B")].measurer.label == "N2"
-    p2p = {lab for lab, p in by_labels.items() if p.secret_id.kind is SecretKind.P2P_KEY}
+    p2p = {lab for lab, p in by_labels.items() if p.secret_id.startswith("P[")}
     assert p2p == {("A", "N1"), ("N3", "B")}
 
 

@@ -227,7 +227,7 @@ def _drop_key(monkeypatch, label, name):
     """Delete the secret called name from the keys held by node label."""
 
     def drop(node):
-        node.values = {sid: v for sid, v in node.values.items() if sid.name != name}
+        node.values = {sid: v for sid, v in node.values.items() if sid != name}
 
     _patch_machine(monkeypatch, label, drop)
 
@@ -356,7 +356,7 @@ def test_descriptor_mismatch_aborts_in_hello(tmp_path, monkeypatch):
     assert _files(tmp_path) == []
 
 
-def test_missing_oracle_entry_is_a_config_failure(tmp_path, monkeypatch):
+def test_a_node_lacking_a_key_it_folds_is_a_config_failure(tmp_path, monkeypatch):
     topo = build_chain(2)
     _drop_key(monkeypatch, "N1", "K[N1,B]")
     result = _run(tmp_path, topo, Variant.CHAIN2, seed=3, timeout=5.0)
