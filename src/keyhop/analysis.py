@@ -1,12 +1,13 @@
 """Coalition secrecy analysis.
 
 A coalition of corrupted nodes sees every transmitted payload plus the keys
-its members hold. Over GF(2) a target expression is recoverable exactly when
-it lies in the span of those observations. Each message's expression and
-each secret are facts of the compiled Schedule (its exprs and secret_ids),
-so every verdict is read off a schedule: no key is drawn and no hop runs.
-Only recover_bits reads a run, to XOR a recipe over its bits. Three routes
-answer the question; tests hold them against each other:
+its members hold. An expression is the frozenset of the secrets it XORs;
+over GF(2) a target expression is recoverable exactly when it lies in the
+span of those observations. Each message's expression and each secret are
+facts of the compiled Schedule (its exprs and secret_ids), so every verdict
+is read off a schedule: no key is drawn and no hop runs. Only recover_bits
+reads a run, to XOR a recipe over its bits. Three routes answer the
+question; tests hold them against each other:
 
 - explain (view_of + is_recoverable): one coalition's view, reduced by the
   elimination core _eliminate with combination tracking, so a BROKEN verdict
@@ -45,7 +46,7 @@ from itertools import combinations, product
 from math import log2
 from typing import Callable, Iterable, Sequence
 
-from .bits import BitString, SecretId, SymbolicExpr
+from .bits import BitString, SecretId
 from .keyplan import Variant, plan_keys
 from .protocol import ProtocolTrace, Schedule, compile_schedule
 from .topology import ROW_CAP, NodeId, build_multipath
@@ -106,7 +107,7 @@ class AdversaryView:
     """What a coalition sees: all payload expressions, plus the secrets its
     members hold (keys they are an end of, nonces they own)."""
 
-    observed: tuple[SymbolicExpr, ...]  # message i's expression at position i
+    observed: tuple[frozenset[SecretId], ...]  # message i's terms at position i
     known: tuple[SecretId, ...]  # sorted by name
 
 
@@ -126,9 +127,9 @@ def _schedule(source: Schedule | ProtocolTrace) -> Schedule:
     return getattr(source, "schedule", source)  # perfbench/layers.py passes traces
 
 
-def final_key_expr(schedule: Schedule) -> SymbolicExpr:
+def final_key_expr(schedule: Schedule) -> frozenset[SecretId]:
     """The key both endpoints output: the XOR of all path nonces."""
-    return SymbolicExpr.of(*_schedule(schedule).nonce_ids)
+    return frozenset(_schedule(schedule).nonce_ids)
 
 
 def view_of(schedule: Schedule, coalition: Coalition) -> AdversaryView:
@@ -189,20 +190,23 @@ def _mask(order: dict[SecretId, int], terms: Iterable[SecretId]) -> int:
     return mask
 
 
-def is_recoverable(view: AdversaryView, target: SymbolicExpr) -> SecrecyVerdict:
+def is_recoverable(view: AdversaryView, target: frozenset[SecretId]) -> SecrecyVerdict:
     """Decide whether the view linearly determines the target.
 
-    BROKEN comes with the deterministic recovery set: the unique combination
-    found by reducing messages first (in transmission order), then held
-    secrets (by name), pivoting on the lowest remaining column.
+    BROKEN comes with the deterministic recovery set: the target's unique
+    expansion over the greedy basis of the rows, messages first (in
+    transmission order), then held secrets (by name). That basis is the rows
+    independent of every row before them. _eliminate makes a row a pivot
+    exactly when it is independent, and each pivot's combination involves
+    only earlier pivots, so the set does not depend on the column order.
     """
-    atoms = {*target.terms, *view.known}.union(*(expr.terms for expr in view.observed))
-    order = {sid: i for i, sid in enumerate(sorted(atoms))}
+    atoms = target.union(view.known, *view.observed)
+    order = {sid: i for i, sid in enumerate(atoms)}
     # rows sit in recipe order, so the recovery set is the combination's
     # set bits read from the lowest up
-    rows = [_mask(order, expr.terms) for expr in view.observed]
+    rows = [_mask(order, expr) for expr in view.observed]
     rows += [1 << order[sid] for sid in view.known]
-    combo = _reduce(_eliminate(rows), _mask(order, target.terms))
+    combo = _reduce(_eliminate(rows), _mask(order, target))
     if combo is None:
         return SecrecyVerdict(Status.SECURE)
     items = (*range(len(view.observed)), *view.known)
@@ -231,19 +235,22 @@ def check_enumerable(count: int) -> None:
         )
 
 
-def _key_graphs(schedule: Schedule, target: SymbolicExpr) -> list[tuple[dict, NodeId, NodeId]]:
+def _key_graphs(
+    schedule: Schedule, target: frozenset[SecretId]
+) -> list[tuple[dict, NodeId, NodeId]]:
     """Per path whose nonce the target holds: its key graph (node ->
     neighbours, one edge per key its hops fold), its origin (the first hop's
     sender) and its absorber (the last hop's receiver). The target must be
     the final key or one nonce."""
     nonce_ids = schedule.nonce_ids
-    nonces = [nid for nid in nonce_ids if nid in target.terms]
-    if len(target.terms) != len(nonces) or len(nonces) not in {1, len(nonce_ids)}:
-        raise ValueError(f"target {target.text()} is neither the final key nor one nonce")
+    nonces = [nid for nid in nonce_ids if nid in target]
+    if len(target) != len(nonces) or len(nonces) not in {1, len(nonce_ids)}:
+        text = "+".join(sorted(target)) or "0"
+        raise ValueError(f"target {text} is neither the final key nor one nonce")
     graphs, start = [], 0
     for rule in schedule.absorbs:  # a path's hops end at its absorb's hop
         path, start = schedule.hops[start : rule.hop_index + 1], rule.hop_index + 1
-        if path[0].origin in target.terms:
+        if path[0].origin in target:
             graph: dict[NodeId, set[NodeId]] = defaultdict(set)
             for u, v in (sid.ends for hop in path for sid in hop.xor_ids):
                 graph[u].add(v)
@@ -282,7 +289,7 @@ def _separators(graph: dict, origin: NodeId, absorber: NodeId) -> list[frozenset
     return found
 
 
-def _minimal_masks(schedule: Schedule, target: SymbolicExpr) -> list[int]:
+def _minimal_masks(schedule: Schedule, target: frozenset[SecretId]) -> list[int]:
     """The minimal breaking coalitions as bitmasks over the intermediaries,
     smallest first, then by member positions: the unions of one minimal
     separator per key graph the target needs cut."""
@@ -314,7 +321,7 @@ def _coalitions(schedule: Schedule, minimal: list[int]) -> list[Coalition]:
 
 
 def min_breaking_coalitions(
-    schedule: Schedule, target: SymbolicExpr | None = None
+    schedule: Schedule, target: frozenset[SecretId] | None = None
 ) -> list[Coalition]:
     """All minimal intermediary coalitions that recover the target
     (final key by default), smallest first, then by member position."""
@@ -324,7 +331,7 @@ def min_breaking_coalitions(
 
 
 def coalition_rows(
-    schedule: Schedule, target: SymbolicExpr | None = None
+    schedule: Schedule, target: frozenset[SecretId] | None = None
 ) -> list[tuple[str, str, str, str]]:
     """One (variant, topology, coalition, status) row per intermediary
     coalition, smallest first, then by member positions; a row is BROKEN iff
@@ -333,7 +340,7 @@ def coalition_rows(
 
 
 def coalition_audit(
-    schedule: Schedule, target: SymbolicExpr | None = None
+    schedule: Schedule, target: frozenset[SecretId] | None = None
 ) -> tuple[list[Coalition], list[tuple[str, str, str, str]]]:
     """min_breaking_coalitions and coalition_rows from one search."""
     schedule = _schedule(schedule)
@@ -389,7 +396,9 @@ def coalition_report_csv(rows: list[tuple[str, str, str, str]]) -> str:
     return "\n".join(out)
 
 
-def brute_force_secrecy(schedule: Schedule, coalition: Coalition, target: SymbolicExpr) -> Status:
+def brute_force_secrecy(
+    schedule: Schedule, coalition: Coalition, target: frozenset[SecretId]
+) -> Status:
     """Independent oracle: sweep every assignment of every secret bit the
     coalition does not hold (one bit each), group assignments by the
     coalition's view, and check the target's conditional distribution.
@@ -433,14 +442,14 @@ def brute_force_secrecy(schedule: Schedule, coalition: Coalition, target: Symbol
     verdicts = []
     for secrets, components in blocks:
         # no block holds a held secret, so the target's held terms drop out
-        if target.terms.isdisjoint(secrets):
+        if target.isdisjoint(secrets):
             continue
         # 31 components and the target bit fit 32 bits, which halves the table
         dtype = np.uint32 if len(components) < 32 else np.uint64
         table = np.zeros(1 << len(secrets), dtype=dtype)
         for i, sid in enumerate(secrets):
             column = sum(2 << k for k, comp in enumerate(components) if sid in comp)
-            column |= sid in target.terms
+            column |= sid in target
             low, high = 1 << i, 2 << i
             np.bitwise_xor(table[:low], dtype(column), out=table[low:high])
         table.sort()
@@ -469,7 +478,7 @@ def _view_blocks(
             i = parent[i]
         return i
 
-    components = [comp for comp in (expr.terms - held for expr in view.observed) if comp]
+    components = [comp for comp in (expr - held for expr in view.observed) if comp]
     for comp in components:
         pos = [index[sid] for sid in comp]
         for i in pos[1:]:
@@ -582,7 +591,7 @@ def collusion_grid(
 def _fewest_breaking(schedule: Schedule) -> int:
     """The fewest colluders that recover the final key: paths share no
     intermediary, so each path is cut at its smallest minimal separator."""
-    final = SymbolicExpr.of(*schedule.nonce_ids)
+    final = frozenset(schedule.nonce_ids)
     return sum(min(map(len, _separators(*g))) for g in _key_graphs(schedule, final))
 
 

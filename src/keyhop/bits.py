@@ -2,18 +2,17 @@
 
 Every message the relay protocols exchange is an XOR of secret bitstrings.
 This module keeps both layers in sync: concrete bits (KeyStore) and their
-algebraic shadow (SymbolicExpr over SecretId terms), related by
-KeyStore.evaluate. A secret is its name, as the paper writes it: a str
-that hashes, compares and sorts as that name. Every fold is done on plain
-ints; a BitString is the type a value leaves a fold in, as a message, an
-output or a store lookup.
+algebraic shadow, related by KeyStore.evaluate. A secret is its name, as
+the paper writes it: a str that hashes, compares and sorts as that name.
+An expression is its terms: over GF(2) an XOR of distinct secrets is the
+frozenset of them. Every fold is done on plain ints; a BitString is the
+type a value leaves a fold in, as a message, an output or a store lookup.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .topology import NodeId
 
@@ -23,7 +22,6 @@ __all__ = [
     "p2p_key",
     "nonce",
     "BitString",
-    "SymbolicExpr",
     "KeyStore",
     "check_length",
 ]
@@ -106,28 +104,6 @@ class BitString:
 _MAX_BITS = (1 << 31) - 1  # random.getrandbits takes a C int
 
 
-class SymbolicExpr(NamedTuple):
-    """An XOR of named secrets, kept as the set of terms with odd multiplicity."""
-
-    terms: frozenset[SecretId] = frozenset()
-
-    @classmethod
-    def of(cls, *ids: SecretId) -> SymbolicExpr:
-        terms = frozenset(ids)
-        if len(terms) != len(ids):  # a repeated id cancels in pairs
-            terms = frozenset(sid for sid in terms if ids.count(sid) % 2)
-        return cls(terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def text(self) -> str:
-        if self.is_zero:
-            return "0"
-        return "+".join(sorted(self.terms))
-
-
 def check_length(n: int) -> None:
     """Refuse a key length a KeyStore cannot hold."""
     if n < 1:
@@ -162,11 +138,11 @@ class KeyStore:
         """All ids in insertion order."""
         return tuple(self._values)
 
-    def evaluate(self, expr: SymbolicExpr) -> BitString:
-        """XOR the stored values of every term; the empty expression is all zeros."""
+    def evaluate(self, terms: frozenset[SecretId]) -> BitString:
+        """XOR the stored values of every term; the empty set is all zeros."""
         acc = 0
         try:
-            for sid in expr.terms:
+            for sid in terms:
                 acc ^= self._values[sid]
         except KeyError:
             raise KeyError(f"unknown secret id: {sid}") from None

@@ -19,7 +19,6 @@ import random
 import sys
 from collections.abc import Callable
 
-from .bits import SymbolicExpr
 from .keyplan import Variant, cm_report, plan_keys
 from .protocol import check_budget, compile_schedule, run, trace_json, trace_text
 from .topology import (
@@ -265,7 +264,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
         return 1
     print(f"coalition {coal.describe()} recovers the final key:")
     for nid in trace.schedule.nonce_ids:
-        sub = analysis.is_recoverable(view, SymbolicExpr.of(nid))
+        sub = analysis.is_recoverable(view, frozenset({nid}))
         if sub.status is analysis.Status.BROKEN and sub.recovery_labels:
             print(f"  {nid} = " + " + ".join(sub.recovery_labels))
     assert verdict.recovery_labels is not None

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .bits import BitString, KeyStore, SecretId, SymbolicExpr, check_length, nonce
+from .bits import BitString, KeyStore, SecretId, check_length, nonce
 from .keyplan import KeyPlan, Variant, plan_keys
 from .topology import NodeId, Shape, Topology
 
@@ -71,13 +71,14 @@ class Schedule:
         return (*(entry.secret_id for entry in self.plan.entries), *self.nonce_ids)
 
     @cached_property
-    def exprs(self) -> tuple[SymbolicExpr, ...]:
-        """Each hop's payload: its path's nonce XOR the keys folded so far
-        (compile_schedule lists each key once, so a hop's keys are one set)."""
+    def exprs(self) -> tuple[frozenset[SecretId], ...]:
+        """Each hop's payload as its set of terms: its path's nonce XOR the
+        keys folded so far (compile_schedule lists each key once, so a hop's
+        keys are one set). Every set holds its path's nonce, so none is empty."""
         exprs, terms = [], frozenset()
         for hop in self.hops:
             terms = frozenset(hop.xor_ids) ^ ({hop.origin} if hop.origin is not None else terms)
-            exprs.append(SymbolicExpr(terms))
+            exprs.append(terms)
         return tuple(exprs)
 
 
@@ -152,10 +153,10 @@ def make_store(schedule: Schedule, n: int, rng: random.Random) -> KeyStore:
 
 class Message(NamedTuple):
     """The payload of the schedule's hop at the same position, with its
-    algebraic form; bits always equal the store's evaluation of expr."""
+    terms; bits always equal the store's evaluation of expr."""
 
     bits: BitString
-    expr: SymbolicExpr
+    expr: frozenset[SecretId]
 
 
 @dataclass(frozen=True)
@@ -228,7 +229,7 @@ def trace_text(trace: ProtocolTrace) -> str:
     for hop, msg in zip(trace.schedule.hops, trace.messages):
         lines.append(
             f"M{hop.index} {hop.sender}->{hop.receiver}"
-            f" {msg.bits.to_hex()} {msg.expr.text()}"
+            f" {msg.bits.to_hex()} {'+'.join(sorted(msg.expr))}"
         )
     lines.append(f"K(A) {trace.output_a.to_hex()}")
     lines.append(f"K(B) {trace.output_b.to_hex()}")
@@ -246,7 +247,7 @@ def trace_json(trace: ProtocolTrace) -> str:
                 "sender": hop.sender,
                 "receiver": hop.receiver,
                 "hex": msg.bits.to_hex(),
-                "expr": msg.expr.text(),
+                "expr": "+".join(sorted(msg.expr)),
             }
             for hop, msg in zip(trace.schedule.hops, trace.messages)
         ],

@@ -2,7 +2,9 @@ import random
 import time
 from collections import defaultdict, deque
 from dataclasses import fields
+from functools import reduce
 from itertools import combinations
+from operator import xor
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ from keyhop.analysis import (
     recover_bits,
     view_of,
 )
-from keyhop.bits import KeyStore, SymbolicExpr, nonce
+from keyhop.bits import KeyStore, nonce
 from keyhop.keyplan import KeyPlan, Variant, plan_keys
 from keyhop.protocol import compile_schedule, run
 from keyhop.topology import Shape, build_chain, build_multipath, build_reach_chain, build_ring6
@@ -50,7 +52,7 @@ def _coalition(trace, *labels):
 
 def _min_sets(trace):
     return sorted(
-        (tuple(sorted(m.label for m in c.members)) for c in min_breaking_coalitions(trace)),
+        (tuple(sorted(c.members)) for c in min_breaking_coalitions(trace)),
         key=lambda s: (len(s), s),
     )
 
@@ -109,8 +111,8 @@ def test_passive_wiretap_breaks_ring_v1():
 def test_ring_v1_nonce_recovery_splits_by_arc():
     trace = _trace(build_ring6(), Variant.RING_V1)
     view = view_of(trace, Coalition(frozenset()))
-    va = is_recoverable(view, SymbolicExpr.of(nonce("A")))
-    vb = is_recoverable(view, SymbolicExpr.of(nonce("B")))
+    va = is_recoverable(view, frozenset({nonce("A")}))
+    vb = is_recoverable(view, frozenset({nonce("B")}))
     assert va.recovery_labels == ("M0", "M1", "M2")
     assert vb.recovery_labels == ("M3", "M4", "M5")
 
@@ -158,7 +160,7 @@ def test_chain_minimal_coalitions_are_the_odd_distance_pairs():
     """
     for m in (*range(4, 25), 40):
         trace = _trace(build_chain(m), Variant.CHAIN_M)
-        got = {frozenset(nd.label for nd in c.members) for c in min_breaking_coalitions(trace)}
+        got = {c.members for c in min_breaking_coalitions(trace)}
         pairs = combinations(range(1, m + 1), 2)
         assert got == {frozenset((f"N{i}", f"N{j}")) for i, j in pairs if (j - i) % 2}
 
@@ -229,7 +231,7 @@ def test_recovered_bits_match_for_every_breaking_coalition():
 def test_linear_verdicts_agree_with_truth_table(builder, variant):
     trace = run(builder, variant, 1, random.Random(0))
     target = final_key_expr(trace)
-    inter = [node.label for node in trace.topology.intermediaries]
+    inter = trace.topology.intermediaries
     for size in range(len(inter) + 1):
         for combo in combinations(inter, size):
             coal = _coalition(trace, *combo)
@@ -253,7 +255,7 @@ def test_truth_table_sweeps_multipath_444_at_21_secrets():
     trace = run(build_multipath([4, 4, 4]), Variant.MULTIPATH, 1, random.Random(0))
     assert len(trace.store.ids()) == 21
     target = final_key_expr(trace)
-    whole_paths = [[nd.label for nd in path[1:-1]] for path in trace.topology.paths]
+    whole_paths = [path[1:-1] for path in trace.topology.paths]
     adjacent_per_path = [label for path in whole_paths for label in path[:2]]
     cases = [(path, Status.SECURE) for path in whole_paths] + [(adjacent_per_path, Status.BROKEN)]
     for labels, want in cases:
@@ -272,7 +274,7 @@ def test_truth_table_sweeps_multipath_3333_at_24_secrets():
     trace = run(build_multipath([3, 3, 3, 3]), Variant.MULTIPATH, 1, random.Random(0))
     assert len(trace.store.ids()) == 24
     target = final_key_expr(trace)
-    coal = _coalition(trace, *(nd.label for nd in trace.topology.paths[0][1:-1]))
+    coal = _coalition(trace, *trace.topology.paths[0][1:-1])
     blocks = _view_blocks(trace.schedule, view_of(trace, coal))
     assert [len(secrets) for secrets, _ in blocks] == [6, 6, 6, 1]
     assert is_recoverable(view_of(trace, coal), target).status is Status.SECURE
@@ -330,7 +332,7 @@ def test_truth_table_sweeps_multipath_4444_at_48_secrets():
     trace = run(build_multipath([4, 4, 4, 4], 100.0, 3), Variant.MULTIPATH, 1, random.Random(0))
     assert len(trace.store.ids()) == 48
     target = final_key_expr(trace)
-    whole_paths = [[nd.label for nd in path[1:-1]] for path in trace.topology.paths]
+    whole_paths = [path[1:-1] for path in trace.topology.paths]
     adjacent_per_path = [label for path in whole_paths for label in path]
     cases = [(path, Status.SECURE) for path in whole_paths]
     cases += [(adjacent_per_path[:-1], Status.SECURE), (adjacent_per_path, Status.BROKEN)]
@@ -355,8 +357,8 @@ def test_truth_table_sweeps_multipath_4444_at_48_secrets():
 def test_truth_table_blocks_follow_the_layout(topo, variant, count):
     # the oracle finds its blocks in the view; the layout says what they must be
     trace = run(topo, variant, 1, random.Random(0))
-    inter = [nd.label for nd in topo.intermediaries]
-    path_of = {nd.label: p for p, path in enumerate(topo.paths, 1) for nd in path[1:-1]}
+    inter = topo.intermediaries
+    path_of = {nd: p for p, path in enumerate(topo.paths, 1) for nd in path[1:-1]}
 
     def paths(block):
         """The paths a block's secrets lie on: a nonce's own (the p of
@@ -396,8 +398,8 @@ def test_truth_table_uses_no_elimination_or_rank(monkeypatch):
         trace = run(topo, variant, 1, random.Random(0))
         # a one-nonce target on multipath leaves the other paths' blocks
         # without a target term
-        targets = {final_key_expr(trace), *(SymbolicExpr.of(nid) for nid in trace.nonce_ids)}
-        inter = [nd.label for nd in trace.topology.intermediaries]
+        targets = {final_key_expr(trace), *(frozenset({nid}) for nid in trace.nonce_ids)}
+        inter = trace.topology.intermediaries
         for size in range(len(inter) + 1):
             for c in combinations(inter, size):
                 coal = _coalition(trace, *c)
@@ -426,7 +428,7 @@ def test_conditioned_truth_table_equals_elimination(layout, data):
     coal = Coalition(frozenset(data.draw(st.lists(st.sampled_from(inter), max_size=4, unique=True))))
     view = view_of(schedule, coal)
     assume(len(schedule.secret_ids) - len(view.known) <= 20)  # a wider sweep costs up to 0.3 s
-    for target in {final_key_expr(schedule), *(SymbolicExpr.of(nid) for nid in schedule.nonce_ids)}:
+    for target in {final_key_expr(schedule), *(frozenset({nid}) for nid in schedule.nonce_ids)}:
         assert brute_force_secrecy(schedule, coal, target) is is_recoverable(view, target).status
 
 
@@ -476,7 +478,7 @@ def test_grouped_verdict_rejects_a_group_neither_fixed_nor_balanced(entries):
 
 def _largest_path_secrets(trace):
     """The most secrets one path holds: its intermediaries' keys and a nonce."""
-    inners = ({nd.label for nd in path[1:-1]} for path in trace.topology.paths)
+    inners = (set(path[1:-1]) for path in trace.topology.paths)
     return max(1 + sum(not inner.isdisjoint(sid.ends) for sid in trace.store.ids()) for inner in inners)
 
 
@@ -503,7 +505,7 @@ def _oracle_cases(draw):
         topo, variant = build_multipath(lengths, 100.0, t), Variant.MULTIPATH
     trace = run(topo, variant, 1, random.Random(draw(st.integers(0, 2**32 - 1))))
     assume(_largest_path_secrets(trace) <= 18)
-    labels = [nd.label for nd in topo.intermediaries]
+    labels = topo.intermediaries
     return trace, _coalition(trace, *draw(st.sets(st.sampled_from(labels))))
 
 
@@ -581,9 +583,8 @@ def test_collusion_grid_draws_no_key_and_runs_nothing(monkeypatch):
 def _run_view(trace, coalition):
     """view_of as it read a run: the messages' expressions, and the store's
     ids, by name, that name a member."""
-    labels = {nd.label for nd in coalition.members}
     ids = sorted(trace.store.ids())
-    known = tuple(sid for sid in ids if any(end in labels for end in sid.ends))
+    known = tuple(sid for sid in ids if any(end in coalition.members for end in sid.ends))
     return AdversaryView(tuple(msg.expr for msg in trace.messages), known)
 
 
@@ -596,12 +597,12 @@ def test_schedule_answers_equal_the_run_answers(n, layout, seed, data):
     trace = run(topo, variant, n, random.Random(seed))
     schedule = trace.schedule
     assert schedule.secret_ids == trace.store.ids()
-    inter = [nd.label for nd in topo.intermediaries]
+    inter = topo.intermediaries
     coal = _coalition(trace, *data.draw(st.lists(st.sampled_from(inter), unique=True)))
     reference = _run_view(trace, coal)
     assert view_of(schedule, coal) == view_of(trace, coal) == reference
     target = final_key_expr(schedule)
-    assert target == final_key_expr(trace) == SymbolicExpr.of(*trace.nonce_ids)
+    assert target == final_key_expr(trace) == frozenset(trace.nonce_ids)
     status = is_recoverable(reference, target).status
 
     minimal = min_breaking_coalitions(schedule)
@@ -654,7 +655,7 @@ def test_fast_decider_agrees_with_the_reference_analyzer(layout, seed):
     inter = trace.topology.intermediaries
     subsets = [frozenset(c) for size in range(len(inter) + 1) for c in combinations(inter, size)]
     views = [view_of(trace, Coalition(members)) for members in subsets]
-    for target in (final_key_expr(trace), *(SymbolicExpr.of(nid) for nid in trace.nonce_ids)):
+    for target in (final_key_expr(trace), *(frozenset({nid}) for nid in trace.nonce_ids)):
         statuses = [is_recoverable(view, target).status for view in views]
         assert [row[3] for row in coalition_rows(trace, target)] == [s.value for s in statuses]
         breaking = {m for m, s in zip(subsets, statuses) if s is Status.BROKEN}
@@ -693,11 +694,13 @@ def test_minimal_search_rejects_other_targets():
     trace = _trace(build_multipath([2, 2, 2]), Variant.MULTIPATH, n=1)
     x1, x2, _ = trace.nonce_ids
     key = next(sid for sid in trace.store.ids() if not sid.startswith("X["))
-    for target in (SymbolicExpr.of(x1, x2), SymbolicExpr.of(x1, key), SymbolicExpr.of(key)):
+    for target in (frozenset({x1, x2}), frozenset({x1, key}), frozenset({key})):
         with pytest.raises(ValueError, match="neither the final key nor one nonce"):
             min_breaking_coalitions(trace, target)
         with pytest.raises(ValueError, match="neither the final key nor one nonce"):
             coalition_rows(trace, target)
+    with pytest.raises(ValueError, match="^target 0 is neither"):  # the empty XOR
+        min_breaking_coalitions(trace, frozenset())
 
 
 @pytest.mark.parametrize(
@@ -736,7 +739,7 @@ def test_minimal_sets_are_sound_and_minimal_on_large_layouts(layout):
     """Every reported set breaks under is_recoverable, and dropping any one
     member leaves it SECURE."""
     trace = _trace(*layout, n=1)
-    for target in (final_key_expr(trace), *(SymbolicExpr.of(nid) for nid in trace.nonce_ids)):
+    for target in (final_key_expr(trace), *(frozenset({nid}) for nid in trace.nonce_ids)):
         for coal in min_breaking_coalitions(trace, target):
             assert is_recoverable(view_of(trace, coal), target).status is Status.BROKEN
             for member in coal.members:
@@ -778,13 +781,13 @@ def test_coalition_rows_name_members_in_label_order(topo, variant):
     the combinations of the intermediaries themselves."""
     trace = _trace(topo, variant, n=1)
     inter = topo.intermediaries
-    assert [nd.label for nd in inter] != sorted(nd.label for nd in inter)
+    assert list(inter) != sorted(inter)
     head = (variant.value, topo.describe())
-    for target in (final_key_expr(trace), *(SymbolicExpr.of(nid) for nid in trace.nonce_ids)):
+    for target in (final_key_expr(trace), *(frozenset({nid}) for nid in trace.nonce_ids)):
         minimal = [c.members for c in min_breaking_coalitions(trace, target)]
         status = {False: "SECURE", True: "BROKEN"}
         want = [
-            (*head, analysis._describe(nd.label for nd in c), status[any(f <= {*c} for f in minimal)])
+            (*head, analysis._describe(c), status[any(f <= {*c} for f in minimal)])
             for size in range(len(inter) + 1)
             for c in combinations(inter, size)
         ]
@@ -815,13 +818,13 @@ def _message_key_graphs(trace, target):
     the first such message's hop to the receiver of the last one's."""
     graphs = []
     sent = list(zip(trace.schedule.hops, trace.messages, strict=True))
-    for nid in (nid for nid in trace.nonce_ids if nid in target.terms):
-        held = [(hop, msg) for hop, msg in sent if nid in msg.expr.terms]
+    for nid in (nid for nid in trace.nonce_ids if nid in target):
+        held = [(hop, msg) for hop, msg in sent if nid in msg.expr]
         graph = defaultdict(set)
-        for u, v in (sid.ends for _, msg in held for sid in msg.expr.terms if sid != nid):
+        for u, v in (sid.ends for _, msg in held for sid in msg.expr if sid != nid):
             graph[u].add(v)
             graph[v].add(u)
-        graphs.append((graph, held[0][0].sender.label, held[-1][0].receiver.label))
+        graphs.append((graph, held[0][0].sender, held[-1][0].receiver))
     return graphs
 
 
@@ -847,8 +850,48 @@ def _any_variant(draw):
 @given(_any_variant(), st.integers(0, 3))
 def test_schedule_key_graphs_equal_the_message_key_graphs(layout, seed):
     trace = _trace(*layout, seed=seed, n=1)
-    for target in (final_key_expr(trace), *(SymbolicExpr.of(nid) for nid in trace.nonce_ids)):
+    for target in (final_key_expr(trace), *(frozenset({nid}) for nid in trace.nonce_ids)):
         assert analysis._key_graphs(trace.schedule, target) == _message_key_graphs(trace, target)
+
+
+def _independent_rows(rows):
+    """The positions of the rows (term sets) outside the span of the rows
+    before them, by a basis pivoting on each row's largest term: a column
+    order the analyzer does not use."""
+    basis, independent = {}, []
+    for pos, row in enumerate(rows):
+        while row and max(row) in basis:
+            row ^= basis[max(row)]
+        if row:
+            basis[max(row)] = row
+            independent.append(pos)
+    return independent
+
+
+@settings(max_examples=40, deadline=None)
+@given(_layouts().filter(lambda layout: len(layout[0].intermediaries) <= 8))
+def test_a_recovery_set_is_the_targets_expansion_over_the_independent_rows(layout):
+    """On every coalition, a BROKEN recovery set XORs to the target, and
+    each of its rows is independent of every row before it in recipe order
+    (messages, then held secrets by name). The target's expansion over those
+    rows is unique, so no column order can change the set."""
+    schedule = compile_schedule(plan_keys(*layout))
+    inter = schedule.plan.topology.intermediaries
+    targets = (final_key_expr(schedule), *(frozenset({nid}) for nid in schedule.nonce_ids))
+    for size in range(len(inter) + 1):
+        for members in combinations(inter, size):
+            view = view_of(schedule, Coalition(frozenset(members)))
+            rows = [*view.observed, *(frozenset({sid}) for sid in view.known)]
+            # a held secret's row follows the messages'
+            position = {sid: len(view.observed) + i for i, sid in enumerate(view.known)}
+            independent = set(_independent_rows(rows))
+            for target in targets:
+                verdict = is_recoverable(view, target)
+                if verdict.status is Status.SECURE:
+                    continue
+                picked = [position.get(item, item) for item in verdict.recovery]
+                assert picked == sorted(picked) and set(picked) <= independent
+                assert reduce(xor, (rows[pos] for pos in picked)) == target
 
 
 @st.composite

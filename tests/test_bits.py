@@ -11,7 +11,6 @@ from keyhop.bits import (
     BitString,
     KeyStore,
     SecretId,
-    SymbolicExpr,
     nonce,
     p2p_key,
     tf_key,
@@ -46,15 +45,6 @@ def test_key_names_preserve_end_order():
     assert tf_key("N2", "A") != tf_key("A", "N2")
 
 
-def test_expr_text_is_sorted_and_self_cancelling():
-    a, b = tf_key("A", "N2"), nonce("A")
-    assert SymbolicExpr.of(b, a).text() == "K[A,N2]+X[A]"
-    assert SymbolicExpr.of(b, a, b).text() == "K[A,N2]"
-    cancelled = SymbolicExpr.of(b, a, b, a)
-    assert cancelled.is_zero
-    assert cancelled.text() == "0"
-
-
 def test_store_rejects_duplicates_and_names_missing_ids():
     store, rng = KeyStore(4), random.Random(0)
     sid = tf_key("A", "N2")
@@ -82,7 +72,7 @@ def test_bitstring_needs_at_least_one_bit():
 def test_evaluate_names_an_unknown_id():
     store = _store_over_pool(8)
     with pytest.raises(KeyError, match=r"K\[N1,N2\]"):
-        store.evaluate(SymbolicExpr.of(tf_key("A", "N2"), tf_key("N1", "N2")))
+        store.evaluate(frozenset((tf_key("A", "N2"), tf_key("N1", "N2"))))
 
 
 def test_equal_ids_hash_equal_and_share_a_store_entry():
@@ -166,23 +156,6 @@ def test_an_invalid_secret_id_raises_every_time_and_is_never_interned(build, mes
         assert len(bits._SECRET_IDS) == size
 
 
-def test_a_repeated_term_cancels_in_pairs():
-    a, b = tf_key("A", "N2"), nonce("A")
-    assert SymbolicExpr.of(a, a).is_zero
-    assert SymbolicExpr.of(a, b, a) == SymbolicExpr.of(b)
-    assert SymbolicExpr.of(a, b, a, a) == SymbolicExpr.of(b, a)
-
-
-def test_an_empty_expr_is_zero_and_cancelled_terms_leave_one():
-    a = tf_key("A", "N2")
-    assert SymbolicExpr._fields == ("terms",)
-    assert SymbolicExpr().is_zero and SymbolicExpr().terms == frozenset()
-    assert SymbolicExpr.of(a, a) == SymbolicExpr()
-    assert repr(SymbolicExpr()) == "SymbolicExpr(terms=frozenset())"
-    with pytest.raises(AttributeError):
-        SymbolicExpr.of(a).terms = frozenset()
-
-
 def test_store_keeps_insertion_order():
     store = KeyStore(2)
     rng = random.Random(0)
@@ -220,21 +193,14 @@ def _store_over_pool(n):
     return store
 
 
-@given(st.lists(st.sampled_from(_POOL)), st.lists(st.sampled_from(_POOL)))
+@given(st.frozensets(st.sampled_from(_POOL)), st.frozensets(st.sampled_from(_POOL)))
 def test_evaluate_is_a_xor_homomorphism(lhs, rhs):
-    # the expression over both id lists is the XOR of the two expressions
+    # the symmetric difference of two term sets evaluates to the XOR of the two
     store = _store_over_pool(8)
-    both = SymbolicExpr.of(*lhs, *rhs)
-    folded = store.evaluate(SymbolicExpr.of(*lhs)).value ^ store.evaluate(SymbolicExpr.of(*rhs)).value
-    assert store.evaluate(both) == BitString(folded, 8)
-
-
-@given(st.lists(st.sampled_from(_POOL)), st.lists(st.sampled_from(_POOL)))
-def test_expr_xor_is_commutative_and_involutive(lhs, rhs):
-    assert SymbolicExpr.of(*lhs, *rhs) == SymbolicExpr.of(*rhs, *lhs)
-    assert SymbolicExpr.of(*lhs, *rhs, *rhs) == SymbolicExpr.of(*lhs)
+    folded = store.evaluate(lhs).value ^ store.evaluate(rhs).value
+    assert store.evaluate(lhs ^ rhs) == BitString(folded, 8)
 
 
 def test_evaluate_empty_expr_is_zero():
     store = _store_over_pool(6)
-    assert store.evaluate(SymbolicExpr.of()) == BitString(0, 6)
+    assert store.evaluate(frozenset()) == BitString(0, 6)

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib
 import inspect
 import os
@@ -10,6 +11,8 @@ import sys
 import pytest
 
 import keyhop
+from keyhop import analysis
+from keyhop.keyplan import Variant
 from keyhop.protocol import run
 
 MODULES = [info.name for info in pkgutil.iter_modules(keyhop.__path__, "keyhop.")]
@@ -147,6 +150,32 @@ def test_the_benchmark_input_generators_run(monkeypatch):
         assert sorted(set(tampered)) == list(range(common.WIRE_M + 1))
         assert common.wire_argv(wire_runs[0], ports.take(), "out")[0] == "wire"
     assert common.engine_key_hex(5) == "4b5e119e7ec0e071665c6f207889da21"
+
+
+def test_the_benchmark_checks_pass_on_the_library_values(monkeypatch):
+    # the library calls perfbench/layers.py makes, on ring6-v1 and chain6,
+    # held to the checks it makes of what they return
+    monkeypatch.syspath_prepend(PERFBENCH)
+    common = importlib.import_module("common")
+    expected = common.load_expected()
+    for key, spec in (("ring6-v1", ("ring6", Variant.RING_V1)), ("chain6", ("chain", 6))):
+        trace = run(*common.build(spec), 16, random.Random(0))
+        assert all(trace.store.evaluate(msg.expr) == msg.bits for msg in trace.messages)
+        target = analysis.final_key_expr(trace)
+        minimal = analysis.min_breaking_coalitions(trace, target)
+        assert [c.describe() for c in minimal] == expected["minimal"][key]
+        if key in expected["coalitions_sha256"]:
+            text = analysis.coalition_report_csv(analysis.coalition_rows(trace, target))
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            assert digest == expected["coalitions_sha256"][key]
+    _, _, spec = common.ORACLE_LAYOUTS[0]
+    topo, variant = common.build(spec)
+    labels = common.analyze_inputs(1).oracle_coalitions[0].split(",")
+    coal = analysis.Coalition(frozenset(topo.node(lab) for lab in labels))
+    trace = run(topo, variant, 16, random.Random(0))
+    verdict = analysis.is_recoverable(analysis.view_of(trace, coal), analysis.final_key_expr(trace))
+    check = run(topo, variant, 1, random.Random(0))
+    assert analysis.brute_force_secrecy(check, coal, analysis.final_key_expr(check)) is verdict.status
 
 
 def _loaded_names(folder):

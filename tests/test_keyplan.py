@@ -212,9 +212,9 @@ def test_generated_layouts_fold_nonces_and_measure_only_at_intermediaries(layout
     assert trace.output_a == trace.output_b == BitString(fold, 24)
 
     plan = plan_keys(topo, variant)
-    measurers = {entry.measurer.label for entry in plan.entries}
-    assert not {topo.endpoint_a.label, topo.endpoint_b.label} & measurers
+    measurers = {entry.measurer for entry in plan.entries}
+    assert not {topo.endpoint_a, topo.endpoint_b} & measurers
     flags = _hardware(plan)
     assert {lab: meas for lab, (_, meas) in flags.items()} == {
-        nd.label: nd.label in measurers for nd in topo.nodes
+        nd: nd in measurers for nd in topo.nodes
     }

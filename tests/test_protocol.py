@@ -11,7 +11,7 @@ import time
 import pytest
 
 from keyhop import bits, topology
-from keyhop.bits import BitString, KeyStore, SymbolicExpr, nonce, tf_key
+from keyhop.bits import BitString, KeyStore, nonce, tf_key
 from keyhop.keyplan import KeyPlan, Variant, plan_keys
 from keyhop.protocol import (
     KEY_BUDGET,
@@ -39,7 +39,7 @@ from keyhop.topology import (
 
 def _exprs(trace):
     return [
-        (f"{hop.sender.label}->{hop.receiver.label}", msg.expr.text())
+        (f"{hop.sender}->{hop.receiver}", "+".join(sorted(msg.expr)))
         for hop, msg in zip(trace.schedule.hops, trace.messages, strict=True)
     ]
 
@@ -105,7 +105,9 @@ def test_ring6_hop_and_message_reprs_are_the_dataclass_reprs():
     # the expression's terms are a set of ids hashed as their names, whose
     # order varies with the hash seed
     assert repr(msg) == f"Message(bits=BitString(value=45958, n=16), expr={msg.expr!r})"
-    assert repr(SymbolicExpr.of(nonce("A"))) == "SymbolicExpr(terms=frozenset({'X[A]'}))"
+    # an expression is a plain frozenset of secrets
+    one_term = Message(msg.bits, frozenset({nonce("A")}))
+    assert repr(one_term) == "Message(bits=BitString(value=45958, n=16), expr=frozenset({'X[A]'}))"
 
 
 _SIX_VARIANTS = (
@@ -124,8 +126,8 @@ def test_a_secret_is_its_name_and_sorts_as_it():
         trace = run(topo, variant, 8, random.Random(0))
         lines = trace_text(trace).splitlines()[1 : 1 + len(trace.schedule.hops)]
         for line, expr in zip(lines, trace.schedule.exprs, strict=True):
-            assert line.split()[-1] == "+".join(sorted(expr.terms))
-            assert sorted(expr.terms) == sorted(map(str, expr.terms))
+            assert line.split()[-1] == "+".join(sorted(expr))
+            assert sorted(expr) == sorted(map(str, expr))
         nodes = [nd for path in topo.paths for nd in path]
         for sid in trace.schedule.secret_ids:
             assert all(any(end is nd for nd in nodes) for end in sid.ends)
@@ -182,7 +184,7 @@ def test_multipath_final_key_folds_every_path_nonce():
     trace = run(build_multipath([2, 3]), Variant.MULTIPATH, 16, random.Random(1))
     assert trace.schedule.nonce_ids == ("X[A@1]", "X[A@2]")
     assert trace.output_a.value == trace.store[nonce("A", 1)].value ^ trace.store[nonce("A", 2)].value
-    senders = [hop.sender.label for hop in trace.schedule.hops]
+    senders = [hop.sender for hop in trace.schedule.hops]
     assert senders == ["A", "N1.1", "N2.1", "A", "N1.2", "N2.2", "N3.2"]
 
 

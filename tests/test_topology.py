@@ -25,7 +25,7 @@ def test_ring_has_six_nodes_and_six_links():
     assert len(topo.nodes) == 6
     assert len(topo.links) == 6
     assert topo.describe() == "ring6"
-    assert [n.label for n in topo.intermediaries] == ["N1", "N2", "N3", "N4"]
+    assert topo.intermediaries == ("N1", "N2", "N3", "N4")
     assert topo.path_lengths == (2, 2)
 
 
@@ -113,10 +113,10 @@ def test_multipath_paths_are_node_disjoint():
     assert topo.path_lengths == (2, 3, 2)
     with pytest.raises(ValueError, match="paths have differing lengths"):
         topo.m
-    labels = [n.label for n in topo.intermediaries]
+    labels = topo.intermediaries
     assert len(labels) == len(set(labels)) == 7
     shared = set(topo.paths[0]) & set(topo.paths[1])
-    assert {n.label for n in shared} == {"A", "B"}
+    assert shared == {"A", "B"}
 
 
 def test_multipath_rejects_short_or_unreachable_paths():
@@ -148,9 +148,9 @@ def test_chain_reach_two_pairs_and_relays():
     by_labels = {e.secret_id.ends: e for e in entries}
     tf = {lab for lab, p in by_labels.items() if p.secret_id.startswith("K[")}
     assert tf == {("A", "N2"), ("N1", "N3"), ("N2", "B"), ("A", "N3"), ("N1", "B")}
-    assert by_labels[("A", "N2")].measurer.label == "N1"
-    assert by_labels[("A", "N3")].measurer.label == "N1"  # midpoint ties go low
-    assert by_labels[("N1", "B")].measurer.label == "N2"
+    assert by_labels[("A", "N2")].measurer == "N1"
+    assert by_labels[("A", "N3")].measurer == "N1"  # midpoint ties go low
+    assert by_labels[("N1", "B")].measurer == "N2"
     p2p = {lab for lab, p in by_labels.items() if p.secret_id.startswith("P[")}
     assert p2p == {("A", "N1"), ("N3", "B")}
 

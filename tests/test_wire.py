@@ -441,7 +441,7 @@ def test_a_finished_node_half_closes_so_a_slow_peer_still_reads_its_abort(tmp_pa
     # reset would destroy B's ABORT before N2.2 read it: N2.2 would abort
     # with PEER_LOST instead of naming the tampering
     topo = build_multipath([2, 2])  # A-N1.1-N2.1-B and A-N1.2-N2.2-B
-    port = {nd.label: HALF_CLOSE_PORT + i for i, nd in enumerate(topo.nodes)}
+    port = {nd: HALF_CLOSE_PORT + i for i, nd in enumerate(topo.nodes)}
     read_frame = wire._read_frame
 
     async def slow_read(reader):
@@ -470,7 +470,7 @@ def _stray_run(out_dir, monkeypatch, base, junk=None):
     sends junk and ends its side of the stream; it is closed after the run.
     Returns the run and its wall time."""
     topo = build_chain(4)
-    n1_port = base + [nd.label for nd in topo.nodes].index("N1")
+    n1_port = base + topo.nodes.index("N1")
     strays = []
     dialled = NodeMachine.dialled
 
@@ -528,7 +528,7 @@ def test_a_stray_that_sends_junk_is_dropped(tmp_path, monkeypatch, junk, port):
 
 
 def _chain4_port(base, label):
-    return base + [nd.label for nd in build_chain(4).nodes].index(label)
+    return base + build_chain(4).nodes.index(label)
 
 
 def _chain4_lost(out_dir, monkeypatch, base, **kw):
@@ -744,8 +744,8 @@ def test_any_delivery_order_gives_both_endpoints_the_engine_key(topo, variant, o
     assert {lab: node.code for lab, node in nodes.items()} == {lab: 0 for lab in nodes}
     assert dones == dict.fromkeys(dones, 1)
     key = run(topo, variant, 64, random.Random(seed)).output_a
-    assert nodes[topo.endpoint_a.label].output == key
-    assert nodes[topo.endpoint_b.label].output == key
+    assert nodes[topo.endpoint_a].output == key
+    assert nodes[topo.endpoint_b].output == key
 
 
 @settings(max_examples=40, deadline=None)
@@ -756,9 +756,9 @@ def test_generated_layouts_give_the_engine_key_in_any_delivery_order(layout, ord
     assert {lab: node.code for lab, node in nodes.items()} == {lab: 0 for lab in nodes}
     assert dones == dict.fromkeys(dones, 1)
     key = run(topo, variant, 64, random.Random(seed)).output_a
-    assert nodes[topo.endpoint_a.label].output == key
-    assert nodes[topo.endpoint_b.label].output == key
-    assert all(nodes[nd.label].output is None for nd in topo.intermediaries)
+    assert nodes[topo.endpoint_a].output == key
+    assert nodes[topo.endpoint_b].output == key
+    assert all(nodes[nd].output is None for nd in topo.intermediaries)
 
 
 @settings(max_examples=6, deadline=None)
@@ -772,7 +772,7 @@ def test_generated_layouts_over_sockets_match_the_engine_and_abort_on_tampering(
     assert honest.code == 0, honest.report
     key = run(topo, variant, 64, random.Random(seed)).output_a.to_hex()
     for end in (topo.endpoint_a, topo.endpoint_b):
-        assert (honest_dir / f"key_{end.label}.hex").read_text().strip() == key
+        assert (honest_dir / f"key_{end}.hex").read_text().strip() == key
     assert _files(honest_dir) == ["key_A.hex", "key_B.hex"]
 
     hops = sum(len(path) - 1 for path in topo.paths)
@@ -782,7 +782,7 @@ def test_generated_layouts_over_sockets_match_the_engine_and_abort_on_tampering(
         topo, variant, 64, seed, next(GENERATED_PORTS), str(tampered_dir), tamper_index=tamper
     )
     assert {lab: res.code for lab, res in tampered.results.items()} == {
-        nd.label: 2 for nd in topo.nodes
+        nd: 2 for nd in topo.nodes
     }, tampered.report
     assert _files(tampered_dir) == []
 
@@ -797,7 +797,7 @@ def test_an_insider_at_any_hop_passes_every_node_and_splits_the_keys(layout, ord
             _insider(mp, index)
             nodes, _ = _deliver(topo, variant, seed, order)
         assert {lab: node.code for lab, node in nodes.items()} == {lab: 0 for lab in nodes}
-        assert nodes[topo.endpoint_a.label].output != nodes[topo.endpoint_b.label].output
+        assert nodes[topo.endpoint_a].output != nodes[topo.endpoint_b].output
 
 
 @settings(max_examples=6, deadline=None)
@@ -813,7 +813,7 @@ def test_an_insider_on_generated_layouts_over_sockets_fails_the_run_keyless(
         _insider(mp, index)
         result = orchestrate(topo, variant, 64, seed, next(GENERATED_PORTS), str(out))
     assert {lab: res.code for lab, res in result.results.items()} == {
-        nd.label: 0 for nd in topo.nodes
+        nd: 0 for nd in topo.nodes
     }
     assert (result.code, result.report) == (2, "run failed (exit 2); endpoint keys differ")
     assert _files(out) == []
