@@ -1,17 +1,19 @@
 """Coalition secrecy analysis.
 
-A coalition of corrupted nodes sees every transmitted payload plus the keys
-its members hold. An expression is the frozenset of the secrets it XORs;
-over GF(2) a target expression is recoverable exactly when it lies in the
-span of those observations. Each message's expression and each secret are
-facts of the compiled Schedule (its exprs and secret_ids), so every verdict
-is read off a schedule: no key is drawn and no hop runs. Only recover_bits
-reads a run, to XOR a recipe over its bits. Three routes answer the
-question; tests hold them against each other:
+A coalition is a frozenset of corrupted intermediaries, printed by describe.
+It sees every transmitted payload plus the keys its members hold (its
+held_secrets). An expression is the frozenset of the secrets it XORs; over
+GF(2) a target expression is recoverable exactly when it lies in the span of
+those observations. Each message's expression and each secret are facts of
+the compiled Schedule (its exprs and secret_ids), so every verdict is read
+off a schedule: no key is drawn and no hop runs. Only recover_bits reads a
+run, to XOR a recipe over its bits. Three routes answer the question; tests
+hold them against each other:
 
-- explain (view_of + is_recoverable): one coalition's view, reduced by the
-  elimination core _eliminate with combination tracking, so a BROKEN verdict
-  carries its recovery recipe. It is the reference for the other two.
+- explain (is_recoverable): one coalition's view, every message plus its
+  held_secrets, reduced by the elimination core _eliminate with combination
+  tracking, so a BROKEN verdict carries its recovery recipe. It is the
+  reference for the other two.
 - decide (min_breaking_coalitions, coalition_rows, collusion_grid): a graph
   search on the compiled schedule. A path's key graph has one edge per key
   its hops fold. Its messages span the nonce plus the origin's keys, and
@@ -53,11 +55,10 @@ from .topology import ROW_CAP, NodeId, build_multipath
 
 __all__ = [
     "Status",
-    "Coalition",
-    "AdversaryView",
     "SecrecyVerdict",
+    "describe",
     "final_key_expr",
-    "view_of",
+    "held_secrets",
     "is_recoverable",
     "recover_bits",
     "min_breaking_coalitions",
@@ -82,33 +83,27 @@ class Status(Enum):
     BROKEN = "BROKEN"
 
 
-@dataclass(frozen=True)
-class Coalition:
-    """A set of corrupted nodes. Non-collaborating corruption is modeled by
-    evaluating each member as its own singleton coalition."""
+def describe(coalition: Iterable[str]) -> str:
+    """A coalition's printed name, as in coalitions.csv and on stdout."""
+    return "+".join(sorted(coalition)) or "(empty)"
 
-    members: frozenset[NodeId]
+
+class Coalition(frozenset):
+    """Kept only for perfbench/ (ROADMAP item 6), which builds its coalitions
+    with it and reads each minimal set's labels and describe(); keyhop's own
+    coalitions are plain frozensets of nodes."""
+
+    __slots__ = ()
+
+    def __new__(cls, members: Iterable[NodeId] = ()) -> Coalition:
+        return super().__new__(cls, members)  # frozenset.__new__ has no signature to inspect
 
     @property
     def labels(self) -> tuple[NodeId, ...]:
-        return tuple(sorted(self.members))
+        return tuple(sorted(self))
 
     def describe(self) -> str:
-        return _describe(self.members)
-
-
-def _describe(labels: Iterable[str]) -> str:
-    """A coalition's printed name, as in coalitions.csv and on stdout."""
-    return "+".join(sorted(labels)) or "(empty)"
-
-
-@dataclass(frozen=True)
-class AdversaryView:
-    """What a coalition sees: all payload expressions, plus the secrets its
-    members hold (keys they are an end of, nonces they own)."""
-
-    observed: tuple[frozenset[SecretId], ...]  # message i's terms at position i
-    known: tuple[SecretId, ...]  # sorted by name
+        return describe(self)
 
 
 @dataclass(frozen=True)
@@ -124,7 +119,7 @@ class SecrecyVerdict:
 
 
 def _schedule(source: Schedule | ProtocolTrace) -> Schedule:
-    return getattr(source, "schedule", source)  # perfbench/layers.py passes traces
+    return getattr(source, "schedule", source)  # perfbench/layers.py passes traces (item 6)
 
 
 def final_key_expr(schedule: Schedule) -> frozenset[SecretId]:
@@ -132,21 +127,25 @@ def final_key_expr(schedule: Schedule) -> frozenset[SecretId]:
     return frozenset(_schedule(schedule).nonce_ids)
 
 
-def view_of(schedule: Schedule, coalition: Coalition) -> AdversaryView:
-    schedule = _schedule(schedule)
+def held_secrets(schedule: Schedule, coalition: frozenset[NodeId]) -> tuple[SecretId, ...]:
+    """The secrets the coalition's members hold (keys they are an end of,
+    nonces they own), sorted by name. A member that is an endpoint or not in
+    the layout is refused."""
     topo = schedule.plan.topology
     inter = set(topo.intermediaries)
-    for nd in sorted(coalition.members):  # the first bad member in label order is named
+    for nd in sorted(coalition):  # the first bad member in label order is named
         if nd in (topo.endpoint_a, topo.endpoint_b):
             raise ValueError(f"{nd} is an endpoint, not a corruptible intermediary")
         if nd not in inter:
             raise ValueError(f"coalition member {nd} is not in this topology")
-    known = tuple(
-        sid
-        for sid in sorted(schedule.secret_ids)
-        if any(end in coalition.members for end in sid.ends)
-    )
-    return AdversaryView(schedule.exprs, known)
+    return tuple(sid for sid in sorted(schedule.secret_ids) if not coalition.isdisjoint(sid.ends))
+
+
+def view_of(trace: ProtocolTrace, coalition: frozenset[NodeId]) -> tuple:
+    """Kept only for perfbench/ (item 6), which times this held_secrets call
+    and then calls is_recoverable(view_of(trace, coalition), target)."""
+    held_secrets(trace.schedule, coalition)
+    return trace.schedule, coalition
 
 
 def _eliminate(rows: list[int]) -> dict[int, tuple[int, int]]:
@@ -190,8 +189,11 @@ def _mask(order: dict[SecretId, int], terms: Iterable[SecretId]) -> int:
     return mask
 
 
-def is_recoverable(view: AdversaryView, target: frozenset[SecretId]) -> SecrecyVerdict:
-    """Decide whether the view linearly determines the target.
+def is_recoverable(
+    schedule: Schedule, coalition: frozenset[NodeId], target: frozenset[SecretId] | None = None
+) -> SecrecyVerdict:
+    """Decide whether the coalition's view, every message's expression plus
+    its held secrets, linearly determines the target.
 
     BROKEN comes with the deterministic recovery set: the target's unique
     expansion over the greedy basis of the rows, messages first (in
@@ -200,16 +202,19 @@ def is_recoverable(view: AdversaryView, target: frozenset[SecretId]) -> SecrecyV
     exactly when it is independent, and each pivot's combination involves
     only earlier pivots, so the set does not depend on the column order.
     """
-    atoms = target.union(view.known, *view.observed)
+    if target is None:  # perfbench/ calls is_recoverable(view_of(trace, coal), target)
+        (schedule, coalition), target = schedule, coalition
+    observed, held = schedule.exprs, held_secrets(schedule, coalition)
+    atoms = target.union(held, *observed)
     order = {sid: i for i, sid in enumerate(atoms)}
     # rows sit in recipe order, so the recovery set is the combination's
     # set bits read from the lowest up
-    rows = [_mask(order, expr) for expr in view.observed]
-    rows += [1 << order[sid] for sid in view.known]
+    rows = [_mask(order, expr) for expr in observed]
+    rows += [1 << order[sid] for sid in held]
     combo = _reduce(_eliminate(rows), _mask(order, target))
     if combo is None:
         return SecrecyVerdict(Status.SECURE)
-    items = (*range(len(view.observed)), *view.known)
+    items = (*range(len(observed)), *held)
     recovery = tuple(item for pos, item in enumerate(items) if combo >> pos & 1)
     return SecrecyVerdict(Status.BROKEN, recovery)
 
@@ -314,18 +319,19 @@ def _members(items: tuple, coal: int) -> list:
     return out
 
 
-def _coalitions(schedule: Schedule, minimal: list[int]) -> list[Coalition]:
+def _coalitions(schedule: Schedule, minimal: list[int]) -> list[frozenset[NodeId]]:
     """The bitmasks as coalitions of the intermediaries."""
     inter = schedule.plan.topology.intermediaries
-    return [Coalition(frozenset(_members(inter, coal))) for coal in minimal]
+    return [frozenset(_members(inter, coal)) for coal in minimal]
 
 
 def min_breaking_coalitions(
     schedule: Schedule, target: frozenset[SecretId] | None = None
-) -> list[Coalition]:
+) -> list[frozenset[NodeId]]:
     """All minimal intermediary coalitions that recover the target
     (final key by default), smallest first, then by member position."""
-    schedule = _schedule(schedule)
+    if isinstance(schedule, ProtocolTrace):  # perfbench/ reads each set's labels
+        return list(map(Coalition, min_breaking_coalitions(schedule.schedule, target)))
     target = target if target is not None else final_key_expr(schedule)
     return _coalitions(schedule, _minimal_masks(schedule, target))
 
@@ -336,14 +342,13 @@ def coalition_rows(
     """One (variant, topology, coalition, status) row per intermediary
     coalition, smallest first, then by member positions; a row is BROKEN iff
     it contains a minimal breaking one."""
-    return coalition_audit(schedule, target)[1]
+    return coalition_audit(_schedule(schedule), target)[1]
 
 
 def coalition_audit(
     schedule: Schedule, target: frozenset[SecretId] | None = None
-) -> tuple[list[Coalition], list[tuple[str, str, str, str]]]:
+) -> tuple[list[frozenset[NodeId]], list[tuple[str, str, str, str]]]:
     """min_breaking_coalitions and coalition_rows from one search."""
-    schedule = _schedule(schedule)
     check_enumerable(len(schedule.plan.topology.intermediaries))  # before any 2^m table
     target = target if target is not None else final_key_expr(schedule)
     minimal = _minimal_masks(schedule, target)
@@ -367,7 +372,7 @@ def _rows(schedule: Schedule, minimal: list[int]) -> list[tuple[str, str, str, s
         bit[i] = 1 << r
         plus = "+" + inter[i]
         names += [n + plus if n else inter[i] for n in names]
-    names[0] = _describe(())
+    names[0] = describe(())
 
     table = bytearray(1 << m)
     for coal in minimal:
@@ -397,7 +402,7 @@ def coalition_report_csv(rows: list[tuple[str, str, str, str]]) -> str:
 
 
 def brute_force_secrecy(
-    schedule: Schedule, coalition: Coalition, target: frozenset[SecretId]
+    schedule: Schedule, coalition: frozenset[NodeId], target: frozenset[SecretId]
 ) -> Status:
     """Independent oracle: sweep every assignment of every secret bit the
     coalition does not hold (one bit each), group assignments by the
@@ -429,7 +434,7 @@ def brute_force_secrecy(
     import numpy as np  # the oracle is the package's only numpy user
 
     schedule = _schedule(schedule)
-    blocks = _view_blocks(schedule, view_of(schedule, coalition))
+    blocks = _view_blocks(schedule, held_secrets(schedule, coalition))
     for secrets, components in blocks:
         if len(secrets) > 24:
             raise ValueError(
@@ -458,16 +463,16 @@ def brute_force_secrecy(
 
 
 def _view_blocks(
-    schedule: Schedule, view: AdversaryView
+    schedule: Schedule, held: Iterable[SecretId]
 ) -> list[tuple[list[SecretId], list[frozenset[SecretId]]]]:
     """The view's independent blocks once the held secrets are XORed out:
     (secrets not held, in name order; view components), blocks ordered by
-    their first secret. A component is one observed message's terms less
-    the held secrets; an empty one is dropped. Union-find joins the secrets
+    their first secret. A component is one message's terms less the held
+    secrets; an empty one is dropped. Union-find joins the secrets
     of each component, so no component spans two blocks and the blocks'
     secrets, being uniform and independent, give independent block views.
     A secret in no component is a block of its own."""
-    held = set(view.known)
+    held = set(held)
     ids = sorted(sid for sid in schedule.secret_ids if sid not in held)
     index = {sid: i for i, sid in enumerate(ids)}
     parent = list(range(len(ids)))
@@ -478,7 +483,7 @@ def _view_blocks(
             i = parent[i]
         return i
 
-    components = [comp for comp in (expr - held for expr in view.observed) if comp]
+    components = [comp for comp in (expr - held for expr in schedule.exprs) if comp]
     for comp in components:
         pos = [index[sid] for sid in comp]
         for i in pos[1:]:

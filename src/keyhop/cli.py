@@ -23,6 +23,7 @@ from .keyplan import Variant, cm_report, plan_keys
 from .protocol import check_budget, compile_schedule, run, trace_json, trace_text
 from .topology import (
     ROW_CAP,
+    NodeId,
     Shape,
     Topology,
     build_topology,
@@ -97,11 +98,9 @@ def _out_path(args: argparse.Namespace, name: str) -> str:
     return os.path.join(args.output_dir, name)
 
 
-def _parse_coalition(topo: Topology, text: str):
-    from .analysis import Coalition
-
+def _parse_coalition(topo: Topology, text: str) -> frozenset[NodeId]:
     labels = [part.strip() for part in text.split(",") if part.strip()]
-    return Coalition(frozenset(topo.node(lab) for lab in labels))
+    return frozenset(topo.node(lab) for lab in labels)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -151,8 +150,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         coal = _parse_coalition(topo, args.coalition)
         if args.oracle:  # sweep first, so a refused sweep prints nothing
             oracle = analysis.brute_force_secrecy(schedule, coal, target)
-        verdict = analysis.is_recoverable(analysis.view_of(schedule, coal), target)
-        print(f"coalition {coal.describe()}: {verdict.status.value}")
+        verdict = analysis.is_recoverable(schedule, coal, target)
+        print(f"coalition {analysis.describe(coal)}: {verdict.status.value}")
         if verdict.recovery_labels:
             print("  recovery: " + " + ".join(verdict.recovery_labels))
         if args.oracle:
@@ -164,10 +163,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     # compile_schedule refuses a key between A and B, so some coalition
     # cuts every path and minimal is never empty
     minimal, rows = analysis.coalition_audit(schedule, target)
-    smallest = min(len(c.members) for c in minimal)
+    smallest = min(map(len, minimal))
     print(f"minimal breaking coalitions (size {smallest} minimum):")
     for coal in minimal:
-        print(f"  {coal.describe()} ({len(coal.members)} nodes)")
+        print(f"  {analysis.describe(coal)} ({len(coal)} nodes)")
     path = _out_path(args, "coalitions.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(analysis.coalition_report_csv(rows))
@@ -251,20 +250,15 @@ def cmd_attack(args: argparse.Namespace) -> int:
         return 0
     topo, variant = _layout(args)
     trace = run(topo, variant, args.n, random.Random(args.seed))
-    coal = (
-        _parse_coalition(topo, args.coalition)
-        if args.coalition is not None
-        else analysis.Coalition(frozenset())
-    )
-    view = analysis.view_of(trace.schedule, coal)
-    target = analysis.final_key_expr(trace.schedule)
-    verdict = analysis.is_recoverable(view, target)
+    schedule = trace.schedule
+    coal = frozenset() if args.coalition is None else _parse_coalition(topo, args.coalition)
+    verdict = analysis.is_recoverable(schedule, coal, analysis.final_key_expr(schedule))
     if verdict.status is analysis.Status.SECURE:
-        print(f"coalition {coal.describe()}: no attack exists against the final key")
+        print(f"coalition {analysis.describe(coal)}: no attack exists against the final key")
         return 1
-    print(f"coalition {coal.describe()} recovers the final key:")
-    for nid in trace.schedule.nonce_ids:
-        sub = analysis.is_recoverable(view, frozenset({nid}))
+    print(f"coalition {analysis.describe(coal)} recovers the final key:")
+    for nid in schedule.nonce_ids:
+        sub = analysis.is_recoverable(schedule, coal, frozenset({nid}))
         if sub.status is analysis.Status.BROKEN and sub.recovery_labels:
             print(f"  {nid} = " + " + ".join(sub.recovery_labels))
     assert verdict.recovery_labels is not None

@@ -15,15 +15,14 @@ from itertools import combinations, count
 import conftest
 
 from keyhop.analysis import (
-    Coalition,
     Status,
     brute_force_secrecy,
+    describe,
     final_key_expr,
     is_recoverable,
     max_active_attack_leakage,
     min_breaking_coalitions,
     recover_bits,
-    view_of,
 )
 from keyhop.bits import BitString, nonce
 from keyhop.keyplan import Variant, plan_keys
@@ -135,16 +134,16 @@ def test_criterion_3_unpatched_ring_falls_to_a_passive_wiretap():
     with _criterion(3, "passive wiretap recovery on the unpatched ring") as note:
         for seed in range(20):
             trace = run(build_ring6(), Variant.RING_V1, 16, random.Random(seed))
-            eavesdropper = Coalition(frozenset())
-            key = is_recoverable(view_of(trace, eavesdropper), final_key_expr(trace))
+            schedule, eavesdropper = trace.schedule, frozenset()
+            key = is_recoverable(schedule, eavesdropper, final_key_expr(schedule))
             assert key.status is Status.BROKEN
             assert key.recovery_labels == ("M0", "M1", "M2", "M3", "M4", "M5")
             assert recover_bits(trace, key) == trace.output_a
 
-            x_a = is_recoverable(view_of(trace, eavesdropper), frozenset({nonce("A")}))
+            x_a = is_recoverable(schedule, eavesdropper, frozenset({nonce("A")}))
             assert x_a.recovery_labels == ("M0", "M1", "M2")
             assert recover_bits(trace, x_a) == trace.store[nonce("A")]
-            x_b = is_recoverable(view_of(trace, eavesdropper), frozenset({nonce("B")}))
+            x_b = is_recoverable(schedule, eavesdropper, frozenset({nonce("B")}))
             assert x_b.recovery_labels == ("M3", "M4", "M5")
             assert recover_bits(trace, x_b) == trace.store[nonce("B")]
 
@@ -156,7 +155,7 @@ def test_criterion_3_unpatched_ring_falls_to_a_passive_wiretap():
 
 
 def _coalition_sets(minimal):
-    return sorted(tuple(sorted(c.labels)) for c in minimal)
+    return sorted(tuple(sorted(c)) for c in minimal)
 
 
 def test_criterion_4_minimal_breaking_coalitions():
@@ -171,34 +170,34 @@ def test_criterion_4_minimal_breaking_coalitions():
         ring = run(build_ring6(), Variant.RING_V2, 1, random.Random(0))
         expect(
             "patched ring",
-            _coalition_sets(min_breaking_coalitions(ring)),
+            _coalition_sets(min_breaking_coalitions(ring.schedule)),
             [("N1", "N2", "N3", "N4")],
         )
 
         chain2 = run(build_chain(2), Variant.CHAIN2, 1, random.Random(0))
-        expect("chain2", _coalition_sets(min_breaking_coalitions(chain2)), [("N1", "N2")])
+        expect("chain2", _coalition_sets(min_breaking_coalitions(chain2.schedule)), [("N1", "N2")])
 
         for m in range(2, 7):
             trace = run(build_chain(m), Variant.CHAIN_M, 1, random.Random(0))
-            minimal = min_breaking_coalitions(trace)
-            expect(f"chain m={m} minimum size", min(len(c.members) for c in minimal), 2)
+            minimal = min_breaking_coalitions(trace.schedule)
+            expect(f"chain m={m} minimum size", min(map(len, minimal)), 2)
             adjacent = sorted((f"N{i}", f"N{i + 1}") for i in range(1, m))
             expect(f"chain m={m} exact minimal sets", _coalition_sets(minimal), adjacent)
 
         for paths, want in (([2], 2), ([2, 2], 4), ([2, 2, 2], 6)):
             trace = run(build_multipath(paths), Variant.MULTIPATH, 1, random.Random(0))
-            minimal = min_breaking_coalitions(trace)
+            minimal = min_breaking_coalitions(trace.schedule)
             expect(
                 f"multipath {paths} minimum size",
-                min(len(c.members) for c in minimal),
+                min(map(len, minimal)),
                 2 * len(paths),
             )
 
         reach = run(build_reach_chain(3, 2), Variant.REACH_T, 1, random.Random(0))
-        pair = Coalition(frozenset({reach.topology.node("N1"), reach.topology.node("N2")}))
+        pair = frozenset({reach.topology.node("N1"), reach.topology.node("N2")})
         expect(
             "reach(t=2,m=3) adjacent pair",
-            is_recoverable(view_of(reach, pair), final_key_expr(reach)).status,
+            is_recoverable(reach.schedule, pair, final_key_expr(reach.schedule)).status,
             Status.SECURE,
         )
 
@@ -221,37 +220,39 @@ def test_criterion_5_eliminator_matches_the_truth_table_oracle():
             if variant is Variant.RING_V1:
                 continue
             for seed in (0, 1, 2):
-                trace = run(topo, variant, 1, random.Random(seed))
-                target = final_key_expr(trace)
-                inter = trace.topology.intermediaries
+                schedule = run(topo, variant, 1, random.Random(seed)).schedule
+                target = final_key_expr(schedule)
+                inter = topo.intermediaries
                 for size in range(len(inter) + 1):
                     for combo in combinations(inter, size):
-                        coal = Coalition(frozenset(combo))
-                        gf = is_recoverable(view_of(trace, coal), target).status
-                        bf = brute_force_secrecy(trace, coal, target)
+                        coal = frozenset(combo)
+                        gf = is_recoverable(schedule, coal, target).status
+                        bf = brute_force_secrecy(schedule, coal, target)
                         checks += 1
                         if gf is not bf:
                             disagreements.append(
-                                f"{variant.value} seed={seed} {coal.describe()}: "
+                                f"{variant.value} seed={seed} {describe(coal)}: "
                                 f"eliminator={gf.value} oracle={bf.value}"
                             )
         # multipath (4,4,4,4; t=3) has 48 secrets in four blocks of 12, each
         # swept alone: a fixed, seeded sample of its 2^16 coalitions
-        trace = run(build_multipath([4, 4, 4, 4], 100.0, 3), Variant.MULTIPATH, 1, random.Random(0))
-        target = final_key_expr(trace)
-        inter = trace.topology.intermediaries
+        topo = build_multipath([4, 4, 4, 4], 100.0, 3)
+        schedule = run(topo, Variant.MULTIPATH, 1, random.Random(0)).schedule
+        target = final_key_expr(schedule)
+        inter = topo.intermediaries
         rng = random.Random(5)
-        sample = [Coalition(frozenset(rng.sample(inter, rng.randint(0, len(inter))))) for _ in range(55)]
+        sample = [frozenset(rng.sample(inter, rng.randint(0, len(inter)))) for _ in range(55)]
         # only all 16 together break it, so the sample holds them and 8 sets one short
         full = frozenset(inter)
-        sample += [Coalition(full)] + [Coalition(full - {nd}) for nd in inter[::2]]
+        sample += [full] + [full - {nd} for nd in inter[::2]]
         for coal in sample:
-            gf = is_recoverable(view_of(trace, coal), target).status
-            bf = brute_force_secrecy(trace, coal, target)
+            gf = is_recoverable(schedule, coal, target).status
+            bf = brute_force_secrecy(schedule, coal, target)
             checks += 1
             if gf is not bf:
                 disagreements.append(
-                    f"multipath(4,4,4,4;t=3) {coal.describe()}: eliminator={gf.value} oracle={bf.value}"
+                    f"multipath(4,4,4,4;t=3) {describe(coal)}:"
+                    f" eliminator={gf.value} oracle={bf.value}"
                 )
         assert checks >= 500 + len(sample)
         assert not disagreements, "\n".join(disagreements)

@@ -15,8 +15,6 @@ from keyhop import analysis, protocol
 from keyhop.analysis import (
     ACTIVE_STRATEGIES,
     ENUMERATION_CAP,
-    AdversaryView,
-    Coalition,
     Status,
     _grouped_verdict,
     _view_blocks,
@@ -26,13 +24,14 @@ from keyhop.analysis import (
     coalition_report_csv,
     coalition_rows,
     collusion_grid,
+    describe,
     final_key_expr,
     grid_csv,
+    held_secrets,
     is_recoverable,
     max_active_attack_leakage,
     min_breaking_coalitions,
     recover_bits,
-    view_of,
 )
 from keyhop.bits import KeyStore, nonce
 from keyhop.keyplan import KeyPlan, Variant, plan_keys
@@ -47,37 +46,35 @@ def _trace(builder, variant, seed=0, n=16):
 
 
 def _coalition(trace, *labels):
-    return Coalition(frozenset(trace.topology.node(lab) for lab in labels))
+    return frozenset(trace.topology.node(lab) for lab in labels)
 
 
 def _min_sets(trace):
     return sorted(
-        (tuple(sorted(c.members)) for c in min_breaking_coalitions(trace)),
+        (tuple(sorted(c)) for c in min_breaking_coalitions(trace.schedule)),
         key=lambda s: (len(s), s),
     )
 
 
 def test_empty_coalition_view_is_just_the_traffic():
-    trace = _trace(build_ring6(), Variant.RING_V1)
-    view = view_of(trace, Coalition(frozenset()))
-    assert len(view.observed) == 6
-    assert view.known == ()
+    schedule = _trace(build_ring6(), Variant.RING_V1).schedule
+    assert len(schedule.exprs) == 6
+    assert held_secrets(schedule, frozenset()) == ()
 
 
 def test_view_includes_each_members_keys():
     trace = _trace(build_ring6(), Variant.RING_V2)
-    view = view_of(trace, _coalition(trace, "N1"))
-    assert set(view.known) == {"K[N1,B]", "P[A,N1]"}
+    assert held_secrets(trace.schedule, _coalition(trace, "N1")) == ("K[N1,B]", "P[A,N1]")
 
 
 def test_view_rejects_endpoints_and_strangers():
     trace = _trace(build_ring6(), Variant.RING_V1)
     for end in ("A", "B"):
         with pytest.raises(ValueError, match=f"{end} is an endpoint"):
-            view_of(trace, _coalition(trace, end))
+            held_secrets(trace.schedule, _coalition(trace, end))
     chain = _trace(build_chain(5), Variant.CHAIN_M)
     with pytest.raises(ValueError, match="not in this topology"):
-        view_of(trace, _coalition(chain, "N5"))
+        held_secrets(trace.schedule, _coalition(chain, "N5"))
 
 
 class _Ordered(frozenset):
@@ -96,12 +93,31 @@ def test_view_names_the_first_bad_member_in_label_order():
     trace = _trace(build_chain(4), Variant.CHAIN_M)
     members = _Ordered([trace.topology.node(lab) for lab in ("N1", "B", "A")])
     with pytest.raises(ValueError, match="^A is an endpoint"):
-        view_of(trace, Coalition(members))
+        held_secrets(trace.schedule, members)
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        held_secrets,
+        lambda schedule, coal: is_recoverable(schedule, coal, final_key_expr(schedule)),
+        lambda schedule, coal: brute_force_secrecy(schedule, coal, final_key_expr(schedule)),
+    ],
+    ids=["held_secrets", "is_recoverable", "brute_force_secrecy"],
+)
+def test_every_route_refuses_a_bad_coalition_alike(route):
+    schedule = compile_schedule(plan_keys(build_chain(4), Variant.CHAIN_M))
+    members = _Ordered([schedule.plan.topology.node(lab) for lab in ("N1", "B", "A")])
+    with pytest.raises(ValueError, match="^A is an endpoint, not a corruptible intermediary$"):
+        route(schedule, members)
+    stranger = frozenset({build_chain(5).node("N5")})
+    with pytest.raises(ValueError, match="^coalition member N5 is not in this topology$"):
+        route(schedule, stranger)
 
 
 def test_passive_wiretap_breaks_ring_v1():
     trace = _trace(build_ring6(), Variant.RING_V1)
-    verdict = is_recoverable(view_of(trace, Coalition(frozenset())), final_key_expr(trace))
+    verdict = is_recoverable(trace.schedule, frozenset(), final_key_expr(trace.schedule))
     assert [f.name for f in fields(verdict)] == ["status", "recovery"]  # the caller holds the target
     assert verdict.status is Status.BROKEN
     assert verdict.recovery_labels == ("M0", "M1", "M2", "M3", "M4", "M5")
@@ -109,10 +125,9 @@ def test_passive_wiretap_breaks_ring_v1():
 
 
 def test_ring_v1_nonce_recovery_splits_by_arc():
-    trace = _trace(build_ring6(), Variant.RING_V1)
-    view = view_of(trace, Coalition(frozenset()))
-    va = is_recoverable(view, frozenset({nonce("A")}))
-    vb = is_recoverable(view, frozenset({nonce("B")}))
+    schedule = _trace(build_ring6(), Variant.RING_V1).schedule
+    va = is_recoverable(schedule, frozenset(), frozenset({nonce("A")}))
+    vb = is_recoverable(schedule, frozenset(), frozenset({nonce("B")}))
     assert va.recovery_labels == ("M0", "M1", "M2")
     assert vb.recovery_labels == ("M3", "M4", "M5")
 
@@ -124,9 +139,9 @@ def test_ring_v2_needs_all_four_intermediaries():
 
 def test_ring_v2_three_corrupt_nodes_learn_nothing():
     trace = _trace(build_ring6(), Variant.RING_V2)
-    target = final_key_expr(trace)
+    target = final_key_expr(trace.schedule)
     for combo in combinations(("N1", "N2", "N3", "N4"), 3):
-        verdict = is_recoverable(view_of(trace, _coalition(trace, *combo)), target)
+        verdict = is_recoverable(trace.schedule, _coalition(trace, *combo), target)
         assert verdict.status is Status.SECURE
 
 
@@ -160,7 +175,7 @@ def test_chain_minimal_coalitions_are_the_odd_distance_pairs():
     """
     for m in (*range(4, 25), 40):
         trace = _trace(build_chain(m), Variant.CHAIN_M)
-        got = {c.members for c in min_breaking_coalitions(trace)}
+        got = set(min_breaking_coalitions(trace.schedule))
         pairs = combinations(range(1, m + 1), 2)
         assert got == {frozenset((f"N{i}", f"N{j}")) for i, j in pairs if (j - i) % 2}
 
@@ -168,38 +183,37 @@ def test_chain_minimal_coalitions_are_the_odd_distance_pairs():
 def test_chain_minimum_size_stays_two():
     for m in range(2, 7):
         trace = _trace(build_chain(m), Variant.CHAIN_M)
-        sizes = {len(c.members) for c in min_breaking_coalitions(trace)}
+        sizes = {len(c) for c in min_breaking_coalitions(trace.schedule)}
         assert min(sizes) == 2
         for left, right in combinations(range(1, m + 1), 2):
             if right == left + 1:
                 coal = _coalition(trace, f"N{left}", f"N{right}")
-                assert is_recoverable(
-                    view_of(trace, coal), final_key_expr(trace)
-                ).status is Status.BROKEN
+                target = final_key_expr(trace.schedule)
+                assert is_recoverable(trace.schedule, coal, target).status is Status.BROKEN
 
 
 def test_reach_needs_t_plus_one_consecutive():
     trace = _trace(build_reach_chain(3, 2), Variant.REACH_T)
     assert _min_sets(trace) == [("N1", "N2", "N3")]
     trace = _trace(build_reach_chain(4, 2), Variant.REACH_T)
-    sizes = {len(c.members) for c in min_breaking_coalitions(trace)}
+    sizes = {len(c) for c in min_breaking_coalitions(trace.schedule)}
     assert min(sizes) == 3
 
 
 def test_multipath_requires_breaking_every_path():
     trace = _trace(build_multipath([2, 2]), Variant.MULTIPATH)
-    assert min(len(c.members) for c in min_breaking_coalitions(trace)) == 4
+    assert min(len(c) for c in min_breaking_coalitions(trace.schedule)) == 4
     trace = _trace(build_multipath([2, 2, 2]), Variant.MULTIPATH)
-    assert min(len(c.members) for c in min_breaking_coalitions(trace)) == 6
+    assert min(len(c) for c in min_breaking_coalitions(trace.schedule)) == 6
 
 
 def test_breaking_is_monotone_under_superset():
     trace = _trace(build_ring6(), Variant.RING_V1, seed=3)
-    target = final_key_expr(trace)
+    target = final_key_expr(trace.schedule)
     base = _coalition(trace, "N1", "N2")
-    assert is_recoverable(view_of(trace, base), target).status is Status.BROKEN
+    assert is_recoverable(trace.schedule, base, target).status is Status.BROKEN
     bigger = _coalition(trace, "N1", "N2", "N3")
-    assert is_recoverable(view_of(trace, bigger), target).status is Status.BROKEN
+    assert is_recoverable(trace.schedule, bigger, target).status is Status.BROKEN
 
 
 def test_verdicts_do_not_depend_on_key_length_or_seed():
@@ -210,11 +224,11 @@ def test_verdicts_do_not_depend_on_key_length_or_seed():
 
 def test_recovered_bits_match_for_every_breaking_coalition():
     trace = _trace(build_chain(4), Variant.CHAIN_M, seed=11, n=32)
-    target = final_key_expr(trace)
-    for coal in min_breaking_coalitions(trace):
-        verdict = is_recoverable(view_of(trace, coal), target)
+    target = final_key_expr(trace.schedule)
+    for coal in min_breaking_coalitions(trace.schedule):
+        verdict = is_recoverable(trace.schedule, coal, target)
         assert recover_bits(trace, verdict) == trace.output_a
-    secure = is_recoverable(view_of(trace, Coalition(frozenset())), target)
+    secure = is_recoverable(trace.schedule, frozenset(), target)
     with pytest.raises(ValueError, match="nothing to recover from a SECURE verdict"):
         recover_bits(trace, secure)
 
@@ -230,13 +244,13 @@ def test_recovered_bits_match_for_every_breaking_coalition():
 )
 def test_linear_verdicts_agree_with_truth_table(builder, variant):
     trace = run(builder, variant, 1, random.Random(0))
-    target = final_key_expr(trace)
+    target = final_key_expr(trace.schedule)
     inter = trace.topology.intermediaries
     for size in range(len(inter) + 1):
         for combo in combinations(inter, size):
             coal = _coalition(trace, *combo)
-            linear = is_recoverable(view_of(trace, coal), target).status
-            exhaustive = brute_force_secrecy(trace, coal, target)
+            linear = is_recoverable(trace.schedule, coal, target).status
+            exhaustive = brute_force_secrecy(trace.schedule, coal, target)
             assert linear is exhaustive
 
 
@@ -244,28 +258,29 @@ def test_truth_table_gives_an_n2_trace_the_n1_verdict():
     # the oracle reads the trace's schedule, never its bits
     wide = _trace(build_ring6(), Variant.RING_V1, n=2)
     narrow = _trace(build_ring6(), Variant.RING_V1, n=1)
-    target = final_key_expr(narrow)
+    target = final_key_expr(narrow.schedule)
     for labels in ([], ["N1"], ["N1", "N3"]):
         coal = _coalition(narrow, *labels)
-        assert brute_force_secrecy(wide, coal, target) is brute_force_secrecy(narrow, coal, target)
+        want = brute_force_secrecy(narrow.schedule, coal, target)
+        assert brute_force_secrecy(wide.schedule, coal, target) is want
 
 
 def test_truth_table_sweeps_multipath_444_at_21_secrets():
     # the widest layout the benchmark's oracle check runs
     trace = run(build_multipath([4, 4, 4]), Variant.MULTIPATH, 1, random.Random(0))
     assert len(trace.store.ids()) == 21
-    target = final_key_expr(trace)
+    target = final_key_expr(trace.schedule)
     whole_paths = [path[1:-1] for path in trace.topology.paths]
     adjacent_per_path = [label for path in whole_paths for label in path[:2]]
     cases = [(path, Status.SECURE) for path in whole_paths] + [(adjacent_per_path, Status.BROKEN)]
     for labels, want in cases:
         coal = _coalition(trace, *labels)
-        assert is_recoverable(view_of(trace, coal), target).status is want
-        assert brute_force_secrecy(trace, coal, target) is want
+        assert is_recoverable(trace.schedule, coal, target).status is want
+        assert brute_force_secrecy(trace.schedule, coal, target) is want
     # an n=2 trace gives the n=1 verdict
     wide = run(build_multipath([4, 4, 4]), Variant.MULTIPATH, 2, random.Random(0))
     for labels, want in cases:
-        assert brute_force_secrecy(wide, _coalition(wide, *labels), target) is want
+        assert brute_force_secrecy(wide.schedule, _coalition(wide, *labels), target) is want
 
 
 def test_truth_table_sweeps_multipath_3333_at_24_secrets():
@@ -273,27 +288,27 @@ def test_truth_table_sweeps_multipath_3333_at_24_secrets():
     # the coalition holds the first path's five keys, which leaves its nonce
     trace = run(build_multipath([3, 3, 3, 3]), Variant.MULTIPATH, 1, random.Random(0))
     assert len(trace.store.ids()) == 24
-    target = final_key_expr(trace)
+    target = final_key_expr(trace.schedule)
     coal = _coalition(trace, *trace.topology.paths[0][1:-1])
-    blocks = _view_blocks(trace.schedule, view_of(trace, coal))
+    blocks = _view_blocks(trace.schedule, held_secrets(trace.schedule, coal))
     assert [len(secrets) for secrets, _ in blocks] == [6, 6, 6, 1]
-    assert is_recoverable(view_of(trace, coal), target).status is Status.SECURE
-    assert brute_force_secrecy(trace, coal, target) is Status.SECURE
+    assert is_recoverable(trace.schedule, coal, target).status is Status.SECURE
+    assert brute_force_secrecy(trace.schedule, coal, target) is Status.SECURE
 
 
 def test_truth_table_sweeps_chain_m21_at_24_secrets():
     # the widest sweep the oracle accepts: one block of 24 secrets, 2^24 assignments
     trace = run(build_chain(21), Variant.CHAIN_M, 1, random.Random(0))
     assert len(trace.store.ids()) == 24
-    target = final_key_expr(trace)
-    coal = Coalition(frozenset())
-    assert is_recoverable(view_of(trace, coal), target).status is Status.SECURE
-    assert brute_force_secrecy(trace, coal, target) is Status.SECURE
+    target = final_key_expr(trace.schedule)
+    coal = frozenset()
+    assert is_recoverable(trace.schedule, coal, target).status is Status.SECURE
+    assert brute_force_secrecy(trace.schedule, coal, target) is Status.SECURE
     # the empty coalition holds nothing to condition on, so chain m=22 is
     # one block of 25 secrets and stays refused
     wider = run(build_chain(22), Variant.CHAIN_M, 1, random.Random(0))
     with pytest.raises(ValueError, match="too many secrets for a full truth-table sweep"):
-        brute_force_secrecy(wider, coal, final_key_expr(wider))
+        brute_force_secrecy(wider.schedule, coal, final_key_expr(wider.schedule))
     # with no keys, each of chain m=70's 71 messages is the nonce alone: one
     # secret, but 71 view components, more than a packed entry holds
     bare = compile_schedule(KeyPlan(build_chain(70), Variant.CHAIN_M, ()))
@@ -316,12 +331,12 @@ def test_truth_table_packs_views_on_either_side_of_32_bits(monkeypatch, m, width
     # 31 components fill 32 bits and 32 or more need 64. With no keys, each of
     # chain m's m+1 messages is the nonce alone: one block, m+1 components
     bare = compile_schedule(KeyPlan(build_chain(m), Variant.CHAIN_M, ()))
-    coal = Coalition(frozenset())
-    ((_, components),) = _view_blocks(bare, view_of(bare, coal))
+    coal = frozenset()
+    ((_, components),) = _view_blocks(bare, ())
     assert len(components) == width
     tables = _record_tables(monkeypatch)
     target = final_key_expr(bare)
-    assert is_recoverable(view_of(bare, coal), target).status is Status.BROKEN
+    assert is_recoverable(bare, coal, target).status is Status.BROKEN
     assert brute_force_secrecy(bare, coal, target) is Status.BROKEN
     assert tables == [(2, np.uint32 if width < 32 else np.uint64)]
 
@@ -331,15 +346,15 @@ def test_truth_table_sweeps_multipath_4444_at_48_secrets():
     # path, so on 4-node paths only every path whole breaks the key
     trace = run(build_multipath([4, 4, 4, 4], 100.0, 3), Variant.MULTIPATH, 1, random.Random(0))
     assert len(trace.store.ids()) == 48
-    target = final_key_expr(trace)
+    target = final_key_expr(trace.schedule)
     whole_paths = [path[1:-1] for path in trace.topology.paths]
     adjacent_per_path = [label for path in whole_paths for label in path]
     cases = [(path, Status.SECURE) for path in whole_paths]
     cases += [(adjacent_per_path[:-1], Status.SECURE), (adjacent_per_path, Status.BROKEN)]
     for labels, want in cases:
         coal = _coalition(trace, *labels)
-        assert is_recoverable(view_of(trace, coal), target).status is want
-        assert brute_force_secrecy(trace, coal, target) is want
+        assert is_recoverable(trace.schedule, coal, target).status is want
+        assert brute_force_secrecy(trace.schedule, coal, target) is want
 
 
 @pytest.mark.parametrize(
@@ -370,7 +385,7 @@ def test_truth_table_blocks_follow_the_layout(topo, variant, count):
             for sid in block
         }
 
-    blocks = _view_blocks(trace.schedule, view_of(trace, Coalition(frozenset())))
+    blocks = _view_blocks(trace.schedule, ())
     assert len(blocks) == count
     secrets = [sid for block, _ in blocks for sid in block]
     assert len(secrets) == len(set(secrets)) == len(trace.store.ids())
@@ -382,11 +397,11 @@ def test_truth_table_blocks_follow_the_layout(topo, variant, count):
             assert len(paths(block)) == 1
     # a coalition's held secrets leave the sweep: the blocks partition the rest
     for labels in (inter[:1], inter):
-        view = view_of(trace, _coalition(trace, *labels))
-        blocks = _view_blocks(trace.schedule, view)
+        held = held_secrets(trace.schedule, _coalition(trace, *labels))
+        blocks = _view_blocks(trace.schedule, held)
         secrets = [sid for block, _ in blocks for sid in block]
         assert len(secrets) == len(set(secrets))
-        assert set(secrets) == set(trace.store.ids()) - set(view.known)
+        assert set(secrets) == set(trace.store.ids()) - set(held)
         if variant is Variant.MULTIPATH:
             assert all(len(paths(block)) == 1 for block, _ in blocks)
 
@@ -398,13 +413,13 @@ def test_truth_table_uses_no_elimination_or_rank(monkeypatch):
         trace = run(topo, variant, 1, random.Random(0))
         # a one-nonce target on multipath leaves the other paths' blocks
         # without a target term
-        targets = {final_key_expr(trace), *(frozenset({nid}) for nid in trace.nonce_ids)}
+        targets = {final_key_expr(trace.schedule), *(frozenset({nid}) for nid in trace.nonce_ids)}
         inter = trace.topology.intermediaries
         for size in range(len(inter) + 1):
             for c in combinations(inter, size):
                 coal = _coalition(trace, *c)
                 for target in targets:
-                    want = is_recoverable(view_of(trace, coal), target).status
+                    want = is_recoverable(trace.schedule, coal, target).status
                     cases.append((trace, coal, target, want))
 
     def refuse(*args, **kwargs):
@@ -415,7 +430,7 @@ def test_truth_table_uses_no_elimination_or_rank(monkeypatch):
         monkeypatch.setattr(analysis, name, refuse)
     monkeypatch.setattr(np.linalg, "matrix_rank", refuse)
     for trace, coal, target, want in cases:
-        assert brute_force_secrecy(trace, coal, target) is want
+        assert brute_force_secrecy(trace.schedule, coal, target) is want
 
 
 @settings(max_examples=100, deadline=None)
@@ -425,11 +440,12 @@ def test_conditioned_truth_table_equals_elimination(layout, data):
     # the layout, coalition or target, its verdict stays the reference's
     schedule = compile_schedule(plan_keys(*layout))
     inter = list(schedule.plan.topology.intermediaries)
-    coal = Coalition(frozenset(data.draw(st.lists(st.sampled_from(inter), max_size=4, unique=True))))
-    view = view_of(schedule, coal)
-    assume(len(schedule.secret_ids) - len(view.known) <= 20)  # a wider sweep costs up to 0.3 s
+    coal = frozenset(data.draw(st.lists(st.sampled_from(inter), max_size=4, unique=True)))
+    held = held_secrets(schedule, coal)
+    assume(len(schedule.secret_ids) - len(held) <= 20)  # a wider sweep costs up to 0.3 s
     for target in {final_key_expr(schedule), *(frozenset({nid}) for nid in schedule.nonce_ids)}:
-        assert brute_force_secrecy(schedule, coal, target) is is_recoverable(view, target).status
+        want = is_recoverable(schedule, coal, target).status
+        assert brute_force_secrecy(schedule, coal, target) is want
 
 
 def test_truth_table_sweeps_the_benchmark_chain_checks_at_14_secrets(monkeypatch):
@@ -442,9 +458,9 @@ def test_truth_table_sweeps_the_benchmark_chain_checks_at_14_secrets(monkeypatch
     pairs = [(i, j) for i in range(2, 15) for j in range(i + 1, 15) if (j - i) % 2]
     assert len(pairs) == 42
     for i, j in pairs:
-        coal = Coalition(frozenset((topo.node(f"N{i}"), topo.node(f"N{j}"))))
+        coal = frozenset((topo.node(f"N{i}"), topo.node(f"N{j}")))
         tables.clear()
-        want = is_recoverable(view_of(schedule, coal), target).status
+        want = is_recoverable(schedule, coal, target).status
         assert brute_force_secrecy(schedule, coal, target) is want
         assert [size.bit_length() - 1 for size, _ in tables] == [14], (i, j)
 
@@ -513,13 +529,14 @@ def _oracle_cases(draw):
 @given(_oracle_cases())
 def test_generated_layouts_analyzer_agrees_with_truth_table(case):
     trace, coal = case
-    target = final_key_expr(trace)
-    assert is_recoverable(view_of(trace, coal), target).status is brute_force_secrecy(trace, coal, target)
+    target = final_key_expr(trace.schedule)
+    want = brute_force_secrecy(trace.schedule, coal, target)
+    assert is_recoverable(trace.schedule, coal, target).status is want
 
 
 def test_coalition_csv_covers_the_powerset():
     trace = _trace(build_chain(2), Variant.CHAIN2)
-    rows = coalition_rows(trace)
+    rows = coalition_rows(trace.schedule)
     assert len(rows) == 4
     text = coalition_report_csv(rows)
     lines = text.splitlines()
@@ -580,44 +597,38 @@ def test_collusion_grid_draws_no_key_and_runs_nothing(monkeypatch):
     assert [cost for *_, cost in rows] == [paths * (t + 1) for paths in (1, 2, 3) for t in (1, 2, 3)]
 
 
-def _run_view(trace, coalition):
-    """view_of as it read a run: the messages' expressions, and the store's
-    ids, by name, that name a member."""
-    ids = sorted(trace.store.ids())
-    known = tuple(sid for sid in ids if any(end in coalition.members for end in sid.ends))
-    return AdversaryView(tuple(msg.expr for msg in trace.messages), known)
+def _run_held(trace, coalition):
+    """held_secrets as it read a run: the store's ids, by name, that name a
+    member."""
+    return tuple(sid for sid in sorted(trace.store.ids()) if not coalition.isdisjoint(sid.ends))
 
 
 @pytest.mark.parametrize("n", [1, 16, 64])
 @settings(max_examples=40, deadline=None)
 @given(layout=_layouts(), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_schedule_answers_equal_the_run_answers(n, layout, seed, data):
-    # every answer read off the schedule is the one a run of it gives
+    # every answer read off the schedule is the one a run of it gives: the
+    # view is the messages' expressions and the store's ids a member holds
     topo, variant = layout
     trace = run(topo, variant, n, random.Random(seed))
     schedule = trace.schedule
     assert schedule.secret_ids == trace.store.ids()
+    assert schedule.exprs == tuple(msg.expr for msg in trace.messages)
     inter = topo.intermediaries
     coal = _coalition(trace, *data.draw(st.lists(st.sampled_from(inter), unique=True)))
-    reference = _run_view(trace, coal)
-    assert view_of(schedule, coal) == view_of(trace, coal) == reference
+    assert held_secrets(schedule, coal) == _run_held(trace, coal)
     target = final_key_expr(schedule)
-    assert target == final_key_expr(trace) == frozenset(trace.nonce_ids)
-    status = is_recoverable(reference, target).status
+    assert target == frozenset(trace.nonce_ids)
+    status = is_recoverable(schedule, coal, target).status
 
-    minimal = min_breaking_coalitions(schedule)
-    assert minimal == min_breaking_coalitions(trace)
-    for c in minimal:  # each breaks, and none breaks without any one member
-        assert is_recoverable(_run_view(trace, c), target).status is Status.BROKEN
-        for nd in c.members:
-            less = Coalition(c.members - {nd})
-            assert is_recoverable(_run_view(trace, less), target).status is Status.SECURE
+    for c in min_breaking_coalitions(schedule):  # each breaks, and none without any one member
+        assert is_recoverable(schedule, c, target).status is Status.BROKEN
+        for nd in c:
+            assert is_recoverable(schedule, c - {nd}, target).status is Status.SECURE
     rows = coalition_rows(schedule)
-    assert rows == coalition_rows(trace)
-    assert dict((row[2], row[3]) for row in rows)[coal.describe()] == status.value
+    assert dict((row[2], row[3]) for row in rows)[describe(coal)] == status.value
     if len(schedule.secret_ids) <= 18:  # a wider sweep costs up to 0.3 s
-        oracle = brute_force_secrecy(schedule, coal, target)
-        assert oracle is brute_force_secrecy(trace, coal, target) is status
+        assert brute_force_secrecy(schedule, coal, target) is status
 
 
 @st.composite
@@ -650,17 +661,16 @@ LAYOUTS = st.one_of(
 @given(LAYOUTS, st.integers(0, 3))
 def test_fast_decider_agrees_with_the_reference_analyzer(layout, seed):
     """coalition_rows and min_breaking_coalitions read the key graphs;
-    view_of + is_recoverable is the reference they must match."""
-    trace = _trace(*layout, seed=seed, n=1)
-    inter = trace.topology.intermediaries
+    is_recoverable is the reference they must match."""
+    schedule = _trace(*layout, seed=seed, n=1).schedule
+    inter = schedule.plan.topology.intermediaries
     subsets = [frozenset(c) for size in range(len(inter) + 1) for c in combinations(inter, size)]
-    views = [view_of(trace, Coalition(members)) for members in subsets]
-    for target in (final_key_expr(trace), *(frozenset({nid}) for nid in trace.nonce_ids)):
-        statuses = [is_recoverable(view, target).status for view in views]
-        assert [row[3] for row in coalition_rows(trace, target)] == [s.value for s in statuses]
+    for target in (final_key_expr(schedule), *(frozenset({nid}) for nid in schedule.nonce_ids)):
+        statuses = [is_recoverable(schedule, members, target).status for members in subsets]
+        assert [row[3] for row in coalition_rows(schedule, target)] == [s.value for s in statuses]
         breaking = {m for m, s in zip(subsets, statuses) if s is Status.BROKEN}
         minimal = [m for m in subsets if m in breaking and not any(m - {x} in breaking for x in m)]
-        assert [c.members for c in min_breaking_coalitions(trace, target)] == minimal
+        assert min_breaking_coalitions(schedule, target) == minimal
 
 
 def test_coalition_rows_list_separators_once_and_never_eliminate(monkeypatch):
@@ -680,14 +690,15 @@ def test_coalition_rows_list_separators_once_and_never_eliminate(monkeypatch):
     for topo, variant in layouts:
         trace = _trace(topo, variant, n=1)
         calls.clear()
-        min_breaking_coalitions(trace)
+        min_breaking_coalitions(trace.schedule)
         assert len(calls) == len(topo.paths)
-        assert len(coalition_rows(trace)) == 2 ** len(topo.intermediaries)
+        assert len(coalition_rows(trace.schedule)) == 2 ** len(topo.intermediaries)
         assert len(calls) == 2 * len(topo.paths)
         calls.clear()  # the audit reads both off one search
-        minimal, rows = coalition_audit(trace)
+        minimal, rows = coalition_audit(trace.schedule)
         assert len(calls) == len(topo.paths)
-        assert (minimal, rows) == (min_breaking_coalitions(trace), coalition_rows(trace))
+        assert minimal == min_breaking_coalitions(trace.schedule)
+        assert rows == coalition_rows(trace.schedule)
 
 
 def test_minimal_search_rejects_other_targets():
@@ -696,11 +707,11 @@ def test_minimal_search_rejects_other_targets():
     key = next(sid for sid in trace.store.ids() if not sid.startswith("X["))
     for target in (frozenset({x1, x2}), frozenset({x1, key}), frozenset({key})):
         with pytest.raises(ValueError, match="neither the final key nor one nonce"):
-            min_breaking_coalitions(trace, target)
+            min_breaking_coalitions(trace.schedule, target)
         with pytest.raises(ValueError, match="neither the final key nor one nonce"):
-            coalition_rows(trace, target)
+            coalition_rows(trace.schedule, target)
     with pytest.raises(ValueError, match="^target 0 is neither"):  # the empty XOR
-        min_breaking_coalitions(trace, frozenset())
+        min_breaking_coalitions(trace.schedule, frozenset())
 
 
 @pytest.mark.parametrize(
@@ -713,7 +724,7 @@ def test_minimal_search_rejects_other_targets():
 def test_minimal_search_cost_follows_the_answer(topo, variant, count):
     trace = _trace(topo, variant, n=1)
     start = time.perf_counter()
-    minimal = min_breaking_coalitions(trace)
+    minimal = min_breaking_coalitions(trace.schedule)
     elapsed = time.perf_counter() - start
     assert len(minimal) == count
     assert elapsed < 1.0, f"search took {elapsed:.2f} s"
@@ -738,20 +749,20 @@ def _large_layouts(draw):
 def test_minimal_sets_are_sound_and_minimal_on_large_layouts(layout):
     """Every reported set breaks under is_recoverable, and dropping any one
     member leaves it SECURE."""
-    trace = _trace(*layout, n=1)
-    for target in (final_key_expr(trace), *(frozenset({nid}) for nid in trace.nonce_ids)):
-        for coal in min_breaking_coalitions(trace, target):
-            assert is_recoverable(view_of(trace, coal), target).status is Status.BROKEN
-            for member in coal.members:
-                smaller = Coalition(coal.members - {member})
-                assert is_recoverable(view_of(trace, smaller), target).status is Status.SECURE
+    schedule = _trace(*layout, n=1).schedule
+    for target in (final_key_expr(schedule), *(frozenset({nid}) for nid in schedule.nonce_ids)):
+        for coal in min_breaking_coalitions(schedule, target):
+            assert is_recoverable(schedule, coal, target).status is Status.BROKEN
+            for member in coal:
+                smaller = coal - {member}
+                assert is_recoverable(schedule, smaller, target).status is Status.SECURE
 
 
 def test_enumeration_cap_refuses_chain_m21():
     trace = _trace(build_chain(ENUMERATION_CAP + 1), Variant.CHAIN_M, n=1)
     message = "21 intermediaries exceeds the exhaustive enumeration cap of 20"
     with pytest.raises(ValueError, match=message):
-        coalition_rows(trace)
+        coalition_rows(trace.schedule)
 
 
 def test_coalition_rows_refuse_before_any_search(monkeypatch):
@@ -765,7 +776,7 @@ def test_coalition_rows_refuse_before_any_search(monkeypatch):
     monkeypatch.setattr(analysis, "_minimal_masks", refuse)
     for enumerate_all in (coalition_rows, coalition_audit):
         with pytest.raises(ValueError, match="exceeds the exhaustive enumeration cap of 20"):
-            enumerate_all(trace)
+            enumerate_all(trace.schedule)
 
 
 @pytest.mark.parametrize(
@@ -783,15 +794,15 @@ def test_coalition_rows_name_members_in_label_order(topo, variant):
     inter = topo.intermediaries
     assert list(inter) != sorted(inter)
     head = (variant.value, topo.describe())
-    for target in (final_key_expr(trace), *(frozenset({nid}) for nid in trace.nonce_ids)):
-        minimal = [c.members for c in min_breaking_coalitions(trace, target)]
+    for target in (final_key_expr(trace.schedule), *(frozenset({nid}) for nid in trace.nonce_ids)):
+        minimal = [c for c in min_breaking_coalitions(trace.schedule, target)]
         status = {False: "SECURE", True: "BROKEN"}
         want = [
-            (*head, analysis._describe(c), status[any(f <= {*c} for f in minimal)])
+            (*head, describe(c), status[any(f <= {*c} for f in minimal)])
             for size in range(len(inter) + 1)
             for c in combinations(inter, size)
         ]
-        assert coalition_rows(trace, target) == want
+        assert coalition_rows(trace.schedule, target) == want
 
 
 def test_coalition_csv_joins_every_line_across_blocks():
@@ -807,8 +818,8 @@ def test_minimal_search_passes_the_enumeration_cap():
     trace = _trace(build_chain(m), Variant.CHAIN_M, n=1)
     inter = trace.topology.intermediaries
     pairs = combinations(range(m), 2)
-    want = [Coalition(frozenset({inter[i], inter[j]})) for i, j in pairs if (j - i) % 2]
-    assert min_breaking_coalitions(trace) == want  # in combinations order
+    want = [frozenset({inter[i], inter[j]}) for i, j in pairs if (j - i) % 2]
+    assert min_breaking_coalitions(trace.schedule) == want  # in combinations order
 
 
 def _message_key_graphs(trace, target):
@@ -850,7 +861,7 @@ def _any_variant(draw):
 @given(_any_variant(), st.integers(0, 3))
 def test_schedule_key_graphs_equal_the_message_key_graphs(layout, seed):
     trace = _trace(*layout, seed=seed, n=1)
-    for target in (final_key_expr(trace), *(frozenset({nid}) for nid in trace.nonce_ids)):
+    for target in (final_key_expr(trace.schedule), *(frozenset({nid}) for nid in trace.nonce_ids)):
         assert analysis._key_graphs(trace.schedule, target) == _message_key_graphs(trace, target)
 
 
@@ -880,13 +891,13 @@ def test_a_recovery_set_is_the_targets_expansion_over_the_independent_rows(layou
     targets = (final_key_expr(schedule), *(frozenset({nid}) for nid in schedule.nonce_ids))
     for size in range(len(inter) + 1):
         for members in combinations(inter, size):
-            view = view_of(schedule, Coalition(frozenset(members)))
-            rows = [*view.observed, *(frozenset({sid}) for sid in view.known)]
+            held = held_secrets(schedule, frozenset(members))
+            rows = [*schedule.exprs, *(frozenset({sid}) for sid in held)]
             # a held secret's row follows the messages'
-            position = {sid: len(view.observed) + i for i, sid in enumerate(view.known)}
+            position = {sid: len(schedule.exprs) + i for i, sid in enumerate(held)}
             independent = set(_independent_rows(rows))
             for target in targets:
-                verdict = is_recoverable(view, target)
+                verdict = is_recoverable(schedule, frozenset(members), target)
                 if verdict.status is Status.SECURE:
                     continue
                 picked = [position.get(item, item) for item in verdict.recovery]
@@ -907,7 +918,7 @@ def _grid_like(draw):
 @given(_grid_like())
 def test_fewest_breaking_is_the_smallest_minimal_coalition(topo):
     trace = _trace(topo, Variant.MULTIPATH, n=1)
-    want = min(len(c.members) for c in min_breaking_coalitions(trace))
+    want = min(len(c) for c in min_breaking_coalitions(trace.schedule))
     assert analysis._fewest_breaking(trace.schedule) == want
 
 

@@ -380,6 +380,77 @@ def test_attack_returns_one_when_secure(tmp_path, capsys):
     assert "no attack exists" in capsys.readouterr().out
 
 
+# one coalition per variant that recovers the final key, named out of order
+# where the printed name sorts it
+_RECIPE_LAYOUTS = [
+    (["--shape", "ring6", "--variant", "ring-v1"], "N3,N1"),
+    (["--shape", "ring6", "--variant", "ring-v2"], "N1,N2,N3,N4"),
+    (["--shape", "chain", "--m", "2", "--variant", "chain2"], "N1,N2"),
+    (["--shape", "chain", "--m", "6"], "N4,N1"),
+    (["--shape", "reach", "--m", "5", "--t", "2"], "N2,N3,N4"),
+    (
+        ["--shape", "multipath", "--paths", "3,3,4", "--t", "2"],
+        "N1.1,N1.2,N2.1,N2.2,N2.3,N3.1,N3.2,N3.3,N4.3",
+    ),
+]
+_SECURE = "042365cf134ca856e777e809235509491e12871fe52f9aebc98c4d74ea51bd97"
+# sha256 of stdout + NUL + stderr, with the exit code, per layout: attack with
+# no coalition, attack with the coalition, analyze --coalition --oracle
+_RECIPE_DIGESTS = [
+    (
+        (0, "7cb52e3a41091fc1841d4f7d4b79a7181458ec9e8b0546b50972a24b96e29098"),
+        (0, "92c6816b20a2ac252dfabfd6240ad3f3b8e29f4d19a8f35062a86cfac76969c1"),
+        (0, "2bc9949cca6d1082a8946a3f8c2a436f3ef712d832880e7d6a256bae7e9205cd"),
+    ),
+    (
+        (1, _SECURE),
+        (0, "d7f4a075cd18e30e6feffb30adc3b3d051761abc3e5adfdb8d9247f4d108c1db"),
+        (0, "dd3aab65f94782b0a3998aa096bfacd428ccc533b78b39ab53f32fc126735c25"),
+    ),
+    (
+        (1, _SECURE),
+        (0, "cd7269fe5620a0c9c7578fb00c4c8aa78f2d8eb22480684c806ae3d01640b1ae"),
+        (0, "71411964fbce3997de448232d25a2c05ee963fa72822fbf0119b58bc3ec7493c"),
+    ),
+    (
+        (1, _SECURE),
+        (0, "4de415a743e44a0e2ff38e39ad5493df89ea612d7075361335d2812203e61e7c"),
+        (0, "102420a4877e8431f3430f813a7b1815d31d3834761a07046813773c2c907c58"),
+    ),
+    (
+        (1, _SECURE),
+        (0, "cf4f7d4c8c42fa81ffcc7a12fa84aae89c00422a0fd7cda502dc192334857122"),
+        (0, "3f058dce1134a5d710088d3560a2ef0bfc46386255b67a3d971592c1637904af"),
+    ),
+    (
+        (1, _SECURE),
+        (0, "56d4537fc6efcde8ef0deb9d7f0e48b921d8371e0193b331e718c074c0bb6a1c"),
+        (0, "01309580e895784b8a89811244c20b2f104572f2c8d3a62c93e0d59b0db0a147"),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "layout, coalition, want",
+    [(*layout, want) for layout, want in zip(_RECIPE_LAYOUTS, _RECIPE_DIGESTS)],
+    ids=[" ".join(layout) for layout, _ in _RECIPE_LAYOUTS],
+)
+def test_attack_and_oracle_recipes_are_pinned(tmp_path, capsys, layout, coalition, want):
+    # the verdicts, recovery recipes, recovered key and oracle line of each
+    # variant, byte for byte, SECURE and BROKEN
+    got = []
+    for argv in (
+        ["attack", *layout],
+        ["attack", *layout, "--coalition", coalition],
+        ["analyze", *layout, "--coalition", coalition, "--oracle"],
+    ):
+        code = main([*argv, "--output-dir", str(tmp_path)])
+        out, err = capsys.readouterr()
+        got.append((code, hashlib.sha256(f"{out}\0{err}".encode()).hexdigest()))
+    assert tuple(got) == want
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["simulate", "analyze", "attack"])
 def test_a_key_length_past_a_c_int_exits_three(tmp_path, capsys, command):
     # random.getrandbits takes a C int, so 2^31 bits would end in an OverflowError

@@ -164,6 +164,7 @@ def test_the_benchmark_checks_pass_on_the_library_values(monkeypatch):
         target = analysis.final_key_expr(trace)
         minimal = analysis.min_breaking_coalitions(trace, target)
         assert [c.describe() for c in minimal] == expected["minimal"][key]
+        assert {lab for c in minimal for lab in c.labels} <= set(trace.topology.intermediaries)
         if key in expected["coalitions_sha256"]:
             text = analysis.coalition_report_csv(analysis.coalition_rows(trace, target))
             digest = hashlib.sha256(text.encode()).hexdigest()
