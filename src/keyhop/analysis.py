@@ -88,24 +88,6 @@ def describe(coalition: Iterable[str]) -> str:
     return "+".join(sorted(coalition)) or "(empty)"
 
 
-class Coalition(frozenset):
-    """Kept only for perfbench/ (ROADMAP item 6), which builds its coalitions
-    with it and reads each minimal set's labels and describe(); keyhop's own
-    coalitions are plain frozensets of nodes."""
-
-    __slots__ = ()
-
-    def __new__(cls, members: Iterable[NodeId] = ()) -> Coalition:
-        return super().__new__(cls, members)  # frozenset.__new__ has no signature to inspect
-
-    @property
-    def labels(self) -> tuple[NodeId, ...]:
-        return tuple(sorted(self))
-
-    def describe(self) -> str:
-        return describe(self)
-
-
 @dataclass(frozen=True)
 class SecrecyVerdict:
     status: Status
@@ -116,10 +98,6 @@ class SecrecyVerdict:
         if self.recovery is None:
             return None
         return tuple(f"M{item}" if isinstance(item, int) else item for item in self.recovery)
-
-
-def _schedule(source: Schedule | ProtocolTrace) -> Schedule:
-    return getattr(source, "schedule", source)  # perfbench/layers.py passes traces (item 6)
 
 
 def final_key_expr(schedule: Schedule) -> frozenset[SecretId]:
@@ -139,13 +117,6 @@ def held_secrets(schedule: Schedule, coalition: frozenset[NodeId]) -> tuple[Secr
         if nd not in inter:
             raise ValueError(f"coalition member {nd} is not in this topology")
     return tuple(sid for sid in sorted(schedule.secret_ids) if not coalition.isdisjoint(sid.ends))
-
-
-def view_of(trace: ProtocolTrace, coalition: frozenset[NodeId]) -> tuple:
-    """Kept only for perfbench/ (item 6), which times this held_secrets call
-    and then calls is_recoverable(view_of(trace, coalition), target)."""
-    held_secrets(trace.schedule, coalition)
-    return trace.schedule, coalition
 
 
 def _eliminate(rows: list[int]) -> dict[int, tuple[int, int]]:
@@ -193,7 +164,8 @@ def is_recoverable(
     schedule: Schedule, coalition: frozenset[NodeId], target: frozenset[SecretId] | None = None
 ) -> SecrecyVerdict:
     """Decide whether the coalition's view, every message's expression plus
-    its held secrets, linearly determines the target.
+    its held secrets, linearly determines the target (left out only in
+    is_recoverable(view_of(trace, coalition), target); see view_of).
 
     BROKEN comes with the deterministic recovery set: the target's unique
     expansion over the greedy basis of the rows, messages first (in
@@ -202,9 +174,13 @@ def is_recoverable(
     exactly when it is independent, and each pivot's combination involves
     only earlier pivots, so the set does not depend on the column order.
     """
-    if target is None:  # perfbench/ calls is_recoverable(view_of(trace, coal), target)
-        (schedule, coalition), target = schedule, coalition
-    observed, held = schedule.exprs, held_secrets(schedule, coalition)
+    if isinstance(schedule, tuple):  # view_of's (schedule, held)
+        (schedule, held), target = schedule, coalition
+    elif target is None:
+        raise TypeError("is_recoverable() missing required argument: 'target'")
+    else:
+        held = held_secrets(schedule, coalition)
+    observed = schedule.exprs
     atoms = target.union(held, *observed)
     order = {sid: i for i, sid in enumerate(atoms)}
     # rows sit in recipe order, so the recovery set is the combination's
@@ -330,7 +306,7 @@ def min_breaking_coalitions(
 ) -> list[frozenset[NodeId]]:
     """All minimal intermediary coalitions that recover the target
     (final key by default), smallest first, then by member position."""
-    if isinstance(schedule, ProtocolTrace):  # perfbench/ reads each set's labels
+    if isinstance(schedule, ProtocolTrace):  # perfbench/ only, see the end of this module
         return list(map(Coalition, min_breaking_coalitions(schedule.schedule, target)))
     target = target if target is not None else final_key_expr(schedule)
     return _coalitions(schedule, _minimal_masks(schedule, target))
@@ -604,3 +580,24 @@ def grid_csv(rows: list[tuple[int, int, int, int]]) -> str:
     out = ["paths,reach,m_per_path,min_colluding_nodes"]
     out += [f"{m},{t},{mp},{c}" for m, t, mp, c in rows]
     return "\n".join(out) + "\n"
+
+
+# Kept only for perfbench/ until ROADMAP item 6 ports its call sites: it
+# builds Coalitions, reads their labels and describe(), passes traces where a
+# Schedule is taken and calls is_recoverable(view_of(trace, coal), target).
+
+
+def _schedule(source: Schedule | ProtocolTrace) -> Schedule:
+    return getattr(source, "schedule", source)
+
+
+class Coalition(frozenset):
+    def __new__(cls, members: Iterable[NodeId] = ()) -> Coalition:
+        return super().__new__(cls, members)  # frozenset.__new__ has no signature to inspect
+
+    labels = property(sorted)
+    describe = describe
+
+
+def view_of(trace: ProtocolTrace, coalition: frozenset[NodeId]) -> tuple:
+    return trace.schedule, held_secrets(trace.schedule, coalition)

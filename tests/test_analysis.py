@@ -115,6 +115,12 @@ def test_every_route_refuses_a_bad_coalition_alike(route):
         route(schedule, stranger)
 
 
+def test_is_recoverable_names_a_missing_target():
+    schedule = compile_schedule(plan_keys(build_chain(4), Variant.CHAIN_M))
+    with pytest.raises(TypeError, match="missing required argument: 'target'"):
+        is_recoverable(schedule, frozenset())
+
+
 def test_passive_wiretap_breaks_ring_v1():
     trace = _trace(build_ring6(), Variant.RING_V1)
     verdict = is_recoverable(trace.schedule, frozenset(), final_key_expr(trace.schedule))

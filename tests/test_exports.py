@@ -2,6 +2,7 @@ import ast
 import hashlib
 import importlib
 import inspect
+import itertools
 import os
 import pkgutil
 import random
@@ -14,6 +15,7 @@ import keyhop
 from keyhop import analysis
 from keyhop.keyplan import Variant
 from keyhop.protocol import run
+from keyhop.topology import build_ring6
 
 MODULES = [info.name for info in pkgutil.iter_modules(keyhop.__path__, "keyhop.")]
 
@@ -153,30 +155,55 @@ def test_the_benchmark_input_generators_run(monkeypatch):
 
 
 def test_the_benchmark_checks_pass_on_the_library_values(monkeypatch):
-    # the library calls perfbench/layers.py makes, on ring6-v1 and chain6,
-    # held to the checks it makes of what they return
+    # the values perfbench/layers.py checks, on ring6-v1, chain6 and the first
+    # oracle layout, held to its expectations
     monkeypatch.syspath_prepend(PERFBENCH)
     common = importlib.import_module("common")
     expected = common.load_expected()
     for key, spec in (("ring6-v1", ("ring6", Variant.RING_V1)), ("chain6", ("chain", 6))):
         trace = run(*common.build(spec), 16, random.Random(0))
         assert all(trace.store.evaluate(msg.expr) == msg.bits for msg in trace.messages)
-        target = analysis.final_key_expr(trace)
-        minimal = analysis.min_breaking_coalitions(trace, target)
-        assert [c.describe() for c in minimal] == expected["minimal"][key]
-        assert {lab for c in minimal for lab in c.labels} <= set(trace.topology.intermediaries)
+        schedule = trace.schedule
+        target = analysis.final_key_expr(schedule)
+        minimal = analysis.min_breaking_coalitions(schedule, target)
+        assert list(map(analysis.describe, minimal)) == expected["minimal"][key]
         if key in expected["coalitions_sha256"]:
-            text = analysis.coalition_report_csv(analysis.coalition_rows(trace, target))
+            text = analysis.coalition_report_csv(analysis.coalition_rows(schedule, target))
             digest = hashlib.sha256(text.encode()).hexdigest()
             assert digest == expected["coalitions_sha256"][key]
     _, _, spec = common.ORACLE_LAYOUTS[0]
     topo, variant = common.build(spec)
     labels = common.analyze_inputs(1).oracle_coalitions[0].split(",")
-    coal = analysis.Coalition(frozenset(topo.node(lab) for lab in labels))
+    coal = frozenset(topo.node(lab) for lab in labels)
+    schedule = run(topo, variant, 16, random.Random(0)).schedule
+    target = analysis.final_key_expr(schedule)
+    verdict = analysis.is_recoverable(schedule, coal, target)
+    assert analysis.brute_force_secrecy(schedule, coal, target) is verdict.status
+
+
+def test_the_old_analysis_calls_the_benchmark_makes_agree_with_the_new():
+    # perfbench/layers.py still passes traces, builds analysis.Coalition,
+    # reads each minimal set's labels and describe() and calls
+    # is_recoverable(view_of(trace, coal), target); each answers as the
+    # schedule API does
+    topo, variant = build_ring6(), Variant.RING_V1
     trace = run(topo, variant, 16, random.Random(0))
-    verdict = analysis.is_recoverable(analysis.view_of(trace, coal), analysis.final_key_expr(trace))
-    check = run(topo, variant, 1, random.Random(0))
-    assert analysis.brute_force_secrecy(check, coal, analysis.final_key_expr(check)) is verdict.status
+    schedule = trace.schedule
+    target = analysis.final_key_expr(trace)
+    assert target == analysis.final_key_expr(schedule)
+    minimal = analysis.min_breaking_coalitions(trace, target)
+    assert [(c.describe(), c.labels) for c in minimal] == [
+        (analysis.describe(c), sorted(c)) for c in analysis.min_breaking_coalitions(schedule)
+    ]
+    assert analysis.coalition_rows(trace, target) == analysis.coalition_rows(schedule)
+    for size in range(len(topo.intermediaries) + 1):
+        for combo in itertools.combinations(topo.intermediaries, size):
+            coal = analysis.Coalition(frozenset(combo))
+            old = analysis.is_recoverable(analysis.view_of(trace, coal), target)
+            assert old == analysis.is_recoverable(schedule, coal, target)
+            assert analysis.brute_force_secrecy(trace, coal, target) is old.status
+    with pytest.raises(ValueError, match="^A is an endpoint"):
+        analysis.view_of(trace, analysis.Coalition({topo.endpoint_a}))
 
 
 def _loaded_names(folder):
