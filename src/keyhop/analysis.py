@@ -539,7 +539,7 @@ def max_active_attack_leakage() -> tuple[float, dict[str, float]]:
 
 
 def collusion_grid(
-    path_counts: Sequence[int], reaches: Sequence[int], link_length_km: float = 100.0
+    path_counts: Sequence[int], reaches: Sequence[int]
 ) -> list[tuple[int, int, int, int]]:
     """Minimum breaking-coalition size over (number of paths, reach) cells.
 
@@ -563,7 +563,7 @@ def collusion_grid(
     rows = []
     for n_paths, t in cells:
         m = t + 1
-        topo = build_multipath([m] * n_paths, link_length_km, t)
+        topo = build_multipath([m] * n_paths, t=t)
         schedule = compile_schedule(plan_keys(topo, Variant.MULTIPATH))
         rows.append((n_paths, t, m, _fewest_breaking(schedule)))
     return rows

@@ -48,7 +48,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, help="intermediaries on a chain")
     p.add_argument("--paths", help="comma-separated intermediary counts, one per path")
     p.add_argument("--t", type=int, help="relay reach in links minus one")
-    p.add_argument("--link-km", type=float, default=100.0)
     p.add_argument("--config", help="topology config file (key = value lines)")
     p.add_argument("--variant", choices=[v.value for v in Variant])
     p.add_argument("--n", type=int, default=16, help="key length in bits")
@@ -77,18 +76,18 @@ def _layout(
     if args.config:
         _refuse_ignored(args, "--config", ("shape", *_SHAPE_FLAGS))
         with open(args.config, encoding="utf-8") as fh:
-            shape, keys, link_km = parse_layout_config(fh.read())
+            shape, keys = parse_layout_config(fh.read())
     elif not args.shape:
         raise ValueError("give --shape or --config")
     else:
-        shape, link_km = Shape(args.shape), args.link_km
+        shape = Shape(args.shape)
         keys = {k: str(v) for k in _SHAPE_FLAGS if (v := getattr(args, k)) is not None}
         if shape is Shape.MULTIPATH and args.paths is not None:
             for item in args.paths.split(","):  # here, so that an error names the flag
                 parse_int(item, "--paths")
         if shape is Shape.REACH:
             keys.setdefault("t", "2")
-    topo = build_topology(shape, keys, link_km, check)
+    topo = build_topology(shape, keys, check)
     variant = Variant(args.variant) if args.variant else Variant.default_for(topo.shape)
     return topo, variant
 
@@ -129,7 +128,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         reaches = _parse_int_list(args.grid_reach, "--grid-reach")
         if not path_counts or not reaches:
             raise ValueError("--grid-paths and --grid-reach each need at least one number")
-        rows = analysis.collusion_grid(path_counts, reaches, args.link_km)
+        rows = analysis.collusion_grid(path_counts, reaches)
         csv_text = analysis.grid_csv(rows)
         path = _out_path(args, "collusion_grid.csv")
         with open(path, "w", encoding="utf-8") as fh:

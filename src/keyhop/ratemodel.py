@@ -164,7 +164,10 @@ _RATE_KEYS = {"alpha_db_per_km", "c_tf", "c_p2p", "threshold_bps"}
 
 
 def parse_rate_config(text: str) -> RateParams:
-    """Same key = value format the topology configs use."""
+    """Same key = value format the topology configs use. A key the file
+    leaves out takes the 0.2 dB/km calibration (c_tf = c_p2p = 1e6), except
+    that a file setting alpha_db_per_km but not c_tf calibrates both clocks
+    at its alpha; with c_tf set, an unset c_p2p stays 1e6."""
     kv = parse_kv(text)
     unknown = set(kv) - _RATE_KEYS
     if unknown:

@@ -8,7 +8,6 @@ all protocol scheduling works from the path lists.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
@@ -71,7 +70,6 @@ class Topology:
 
     shape: Shape
     paths: tuple[tuple[NodeId, ...], ...]
-    link_length_km: float
     t: int = 1
 
     @property
@@ -131,30 +129,23 @@ def _endpoints() -> tuple[NodeId, NodeId]:
     return NodeId("A"), NodeId("B")
 
 
-def _check_link_length(link_length_km: float) -> None:
-    if not 0 < link_length_km < math.inf:
-        raise ValueError("link length must be positive and finite")
-
-
-def build_ring6(link_length_km: float = 100.0) -> Topology:
+def build_ring6() -> Topology:
     """Six nodes, six links: endpoints joined by two 2-intermediary branches."""
-    _check_link_length(link_length_km)
     a, b = _endpoints()
     n1, n2, n3, n4 = (NodeId(f"N{i}") for i in range(1, 5))
-    return Topology(Shape.RING6, ((a, n1, n2, b), (a, n3, n4, b)), link_length_km)
+    return Topology(Shape.RING6, ((a, n1, n2, b), (a, n3, n4, b)))
 
 
-def build_chain(m: int, link_length_km: float = 100.0) -> Topology:
+def build_chain(m: int) -> Topology:
     """A single path with m >= 2 intermediaries."""
     if m < 2:
         raise ValueError("a chain needs at least 2 intermediaries")
-    _check_link_length(link_length_km)
     a, b = _endpoints()
     inner = tuple(NodeId(f"N{i}") for i in range(1, m + 1))
-    return Topology(Shape.CHAIN, ((a, *inner, b),), link_length_km)
+    return Topology(Shape.CHAIN, ((a, *inner, b),))
 
 
-def build_reach_chain(m: int, t: int, link_length_km: float = 100.0) -> Topology:
+def build_reach_chain(m: int, t: int) -> Topology:
     """A chain whose relay keys may span up to t+1 links, t >= 2.
 
     Requires m >= t+1, else the endpoints would be within direct relay reach
@@ -164,14 +155,16 @@ def build_reach_chain(m: int, t: int, link_length_km: float = 100.0) -> Topology
         raise ValueError("extended reach needs t >= 2")
     if m < t + 1:
         raise ValueError("need m >= t+1 intermediaries for reach t")
-    base = build_chain(m, link_length_km)
-    return Topology(Shape.REACH, base.paths, link_length_km, t)
+    return Topology(Shape.REACH, build_chain(m).paths, t)
 
 
 def build_multipath(
     path_lengths: tuple[int, ...] | list[int], link_length_km: float = 100.0, t: int = 1
 ) -> Topology:
-    """M node-disjoint paths sharing only the endpoints; path p's nodes are Nj.p."""
+    """M node-disjoint paths sharing only the endpoints; path p's nodes are Nj.p.
+
+    link_length_km is ignored: no layout has a link length. The slot stays
+    only for perfbench/common.py, which passes 100.0 in it."""
     lengths = tuple(path_lengths)
     if not lengths:
         raise ValueError("need at least one path")
@@ -182,13 +175,12 @@ def build_multipath(
             raise ValueError("every path needs at least 2 intermediaries")
         if m < t + 1:
             raise ValueError("need m >= t+1 intermediaries on every path for reach t")
-    _check_link_length(link_length_km)
     a, b = _endpoints()
     paths = tuple(
         (a, *(NodeId(f"N{j}.{p}") for j in range(1, m + 1)), b)
         for p, m in enumerate(lengths, start=1)
     )
-    return Topology(Shape.MULTIPATH, paths, link_length_km, t)
+    return Topology(Shape.MULTIPATH, paths, t)
 
 
 def parse_kv(text: str) -> dict[str, str]:
@@ -208,7 +200,7 @@ def parse_kv(text: str) -> dict[str, str]:
     return out
 
 
-# each shape's layout keys beside shape and link_length_km, with defaults
+# each shape's layout keys beside shape, with defaults
 # (None: required); the config file and the CLI's layout flags share them
 _SHAPE_KEYS: dict[Shape, dict[str, str | None]] = {
     Shape.RING6: {},
@@ -246,10 +238,7 @@ def check_runnable(count: int) -> None:
 
 
 def build_topology(
-    shape: Shape,
-    keys: dict[str, str],
-    link_length_km: float = 100.0,
-    check: Callable[[int], None] = check_runnable,
+    shape: Shape, keys: dict[str, str], check: Callable[[int], None] = check_runnable
 ) -> Topology:
     """The one dispatch from a shape and its layout keys (text values, as a
     config file states them) to the shape's builder. The intermediary
@@ -267,18 +256,17 @@ def build_topology(
         if value is None:
             raise ValueError(f"shape {shape.value!r} requires {key!r}")
     if shape is Shape.RING6:
-        return build_ring6(link_length_km)
+        return build_ring6()
     if shape is Shape.CHAIN:
-        return build_chain(lengths[0], link_length_km)
+        return build_chain(lengths[0])
     t = parse_int(given["t"], "t")
     if shape is Shape.REACH:
-        return build_reach_chain(lengths[0], t, link_length_km)
-    return build_multipath(lengths, link_length_km, t)
+        return build_reach_chain(lengths[0], t)
+    return build_multipath(lengths, t=t)
 
 
-def parse_layout_config(text: str) -> tuple[Shape, dict[str, str], float]:
-    """A config file's shape, layout keys and link length, as build_topology
-    takes them."""
+def parse_layout_config(text: str) -> tuple[Shape, dict[str, str]]:
+    """A config file's shape and layout keys, as build_topology takes them."""
     kv = parse_kv(text)
     name = kv.pop("shape", None)
     if name is None:
@@ -287,5 +275,4 @@ def parse_layout_config(text: str) -> tuple[Shape, dict[str, str], float]:
         shape = Shape(name)
     except ValueError:
         raise ValueError(f"unknown shape {name!r}") from None
-    link = parse_float(kv.pop("link_length_km", "100"), "link_length_km")
-    return shape, kv, link
+    return shape, kv

@@ -236,7 +236,7 @@ def test_criterion_5_eliminator_matches_the_truth_table_oracle():
                             )
         # multipath (4,4,4,4; t=3) has 48 secrets in four blocks of 12, each
         # swept alone: a fixed, seeded sample of its 2^16 coalitions
-        topo = build_multipath([4, 4, 4, 4], 100.0, 3)
+        topo = build_multipath([4, 4, 4, 4], t=3)
         schedule = run(topo, Variant.MULTIPATH, 1, random.Random(0)).schedule
         target = final_key_expr(schedule)
         inter = topo.intermediaries

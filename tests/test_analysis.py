@@ -350,7 +350,7 @@ def test_truth_table_packs_views_on_either_side_of_32_bits(monkeypatch, m, width
 def test_truth_table_sweeps_multipath_4444_at_48_secrets():
     # four blocks of 12 secrets; with reach 3, t+1 = 4 adjacent nodes break a
     # path, so on 4-node paths only every path whole breaks the key
-    trace = run(build_multipath([4, 4, 4, 4], 100.0, 3), Variant.MULTIPATH, 1, random.Random(0))
+    trace = run(build_multipath([4, 4, 4, 4], t=3), Variant.MULTIPATH, 1, random.Random(0))
     assert len(trace.store.ids()) == 48
     target = final_key_expr(trace.schedule)
     whole_paths = [path[1:-1] for path in trace.topology.paths]
@@ -371,8 +371,8 @@ def test_truth_table_sweeps_multipath_4444_at_48_secrets():
         (build_chain(9), Variant.CHAIN_M, 1),
         (build_reach_chain(8, 3), Variant.REACH_T, 1),
         (build_multipath([4]), Variant.MULTIPATH, 1),
-        (build_multipath([2, 5, 3], 100.0, 1), Variant.MULTIPATH, 3),
-        (build_multipath([4, 4, 4, 4], 100.0, 3), Variant.MULTIPATH, 4),
+        (build_multipath([2, 5, 3], t=1), Variant.MULTIPATH, 3),
+        (build_multipath([4, 4, 4, 4], t=3), Variant.MULTIPATH, 4),
     ],
 )
 def test_truth_table_blocks_follow_the_layout(topo, variant, count):
@@ -524,7 +524,7 @@ def _oracle_cases(draw):
         lengths = draw(
             st.lists(st.integers(t + 1, 8), min_size=1, max_size=5).filter(lambda ls: sum(ls) <= 20)
         )
-        topo, variant = build_multipath(lengths, 100.0, t), Variant.MULTIPATH
+        topo, variant = build_multipath(lengths, t=t), Variant.MULTIPATH
     trace = run(topo, variant, 1, random.Random(draw(st.integers(0, 2**32 - 1))))
     assume(_largest_path_secrets(trace) <= 18)
     labels = topo.intermediaries
@@ -644,7 +644,7 @@ def _multipath(draw):
     lengths = draw(
         st.lists(st.integers(t + 1, 4), min_size=1, max_size=3).filter(lambda ls: sum(ls) <= 9)
     )
-    return build_multipath(lengths, 100.0, t), Variant.MULTIPATH
+    return build_multipath(lengths, t=t), Variant.MULTIPATH
 
 
 @st.composite
@@ -724,7 +724,7 @@ def test_minimal_search_rejects_other_targets():
     "topo,variant,count",
     [
         (build_reach_chain(24, 3), Variant.REACH_T, 38),
-        (build_multipath([6] * 6, 100.0, 2), Variant.MULTIPATH, 15_625),
+        (build_multipath([6] * 6, t=2), Variant.MULTIPATH, 15_625),
     ],
 )
 def test_minimal_search_cost_follows_the_answer(topo, variant, count):
@@ -747,7 +747,7 @@ def _large_layouts(draw):
     lengths = draw(
         st.lists(st.integers(t + 1, 8), min_size=1, max_size=5).filter(lambda ls: sum(ls) <= 14)
     )
-    return build_multipath(lengths, 100.0, t), Variant.MULTIPATH
+    return build_multipath(lengths, t=t), Variant.MULTIPATH
 
 
 @settings(max_examples=20, deadline=None)
@@ -860,7 +860,7 @@ def _any_variant(draw):
         return build_reach_chain(draw(st.integers(t + 1, 16)), t), variant
     t = draw(st.integers(1, 3))
     lengths = draw(st.lists(st.integers(t + 1, 8), min_size=1, max_size=4))
-    return build_multipath(lengths, 100.0, t), variant
+    return build_multipath(lengths, t=t), variant
 
 
 @settings(max_examples=60, deadline=None)
@@ -917,7 +917,7 @@ def _grid_like(draw):
     anywhere from t+1 to 7."""
     t = draw(st.integers(1, 4))
     lengths = draw(st.lists(st.integers(t + 1, 7), min_size=1, max_size=4))
-    return build_multipath(lengths, 100.0, t)
+    return build_multipath(lengths, t=t)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1008,4 +1008,4 @@ def test_disjoint_key_paths_certify_the_multipath_minimum(topo):
 def test_disjoint_key_paths_certify_every_grid_cell():
     rows = collusion_grid([1, 2, 3], range(1, 11))
     for paths, t, m, fewest in rows:
-        assert _check_menger(build_multipath([m] * paths, 100.0, t), Variant.MULTIPATH) == fewest
+        assert _check_menger(build_multipath([m] * paths, t=t), Variant.MULTIPATH) == fewest

@@ -871,7 +871,7 @@ def test_each_shape_has_a_default_variant(tmp_path, capsys, layout, variant):
 
 def test_config_file_round_trip(tmp_path, capsys):
     cfg = tmp_path / "topo.cfg"
-    cfg.write_text("shape = chain\nm = 3\nlink_length_km = 50\n")
+    cfg.write_text("shape = chain\nm = 3\n")
     code = main(["simulate", "--config", str(cfg), "--output-dir", str(tmp_path)])
     assert code == 0
     assert "chain(m=3)" in capsys.readouterr().out
@@ -926,8 +926,52 @@ def test_usage_errors_exit_three(tmp_path, argv, capsys):
         (tmp_path / name).write_text(text)
     argv = [str(tmp_path / arg) if arg in _CONFIGS else arg for arg in argv]
     out_dir = tmp_path / "out"
-    assert main(argv + ["--output-dir", str(out_dir)]) == 3
+    try:
+        code = main(argv + ["--output-dir", str(out_dir)])
+    except SystemExit as exc:  # argparse refuses a flag no command takes
+        code = exc.code
+    assert code == 3
     assert "Traceback" not in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--shape", "ring6"],
+        ["analyze", "--shape", "ring6"],
+        ["analyze", "--grid"],
+        ["attack", "--shape", "ring6"],
+        ["wire", "--shape", "chain", "--m", "2"],
+    ],
+    ids=["simulate", "analyze", "grid", "attack", "wire"],
+)
+def test_no_command_takes_a_link_length(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--link-km", "50", "--output-dir", str(out_dir)])
+    assert exc.value.code == 3
+    assert capsys.readouterr() == (
+        "",
+        "usage: keyhop [-h] {simulate,analyze,rate,attack,wire} ...\n"
+        "keyhop: error: unrecognized arguments: --link-km 50\n",
+    )
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "shape, keys",
+    [("ring6", ""), ("chain", "m = 3\n"), ("reach", "m = 4\nt = 2\n"), ("multipath", "paths = 2,2\n")],
+    ids=["ring6", "chain", "reach", "multipath"],
+)
+def test_no_shape_reads_a_link_length(tmp_path, capsys, shape, keys):
+    cfg = tmp_path / "layout.cfg"
+    cfg.write_text(f"shape = {shape}\n{keys}link_length_km = 50\n")
+    out_dir = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--output-dir", str(out_dir)]) == 3
+    error = f"keyhop: error: shape '{shape}' does not read ['link_length_km']\n"
+    assert capsys.readouterr() == ("", error)
     assert not out_dir.exists()
 
 
@@ -957,7 +1001,7 @@ def test_a_bad_integer_names_its_flag_or_config_key(tmp_path, capsys, argv, conf
 @pytest.mark.parametrize(
     "argv, text, message",
     [
-        (["analyze", "--config"], "shape = chain\nm = 3\nlink_length_km = x\n", "link_length_km: 'x'"),
+        (["rate", "--params"], "c_p2p = 1e\n", "c_p2p: '1e'"),
         (["rate", "--params"], "c_tf = abc\n", "c_tf: 'abc'"),
         (["rate", "--params"], "threshold_bps = 2\nalpha_db_per_km = 0,2\n", "alpha_db_per_km: '0,2'"),
     ],
@@ -985,11 +1029,11 @@ _USAGE_DIGESTS = [
     ([], 3, "523be04f4fd47bd09a79bde5af241ed0f2fd3ea250ce46e2058d900bc8f5255a"),
     (["--help"], 0, "65bc139eb6400a4ec52371a1e3eb368a10cf8378d04bf76c332d84df70b29f5f"),
     (["bogus"], 3, "c7b24e7ce47ae977eb8d1b04e7031b6e169706f5d843141c21bbc503debd4c22"),
-    (["simulate", "--help"], 0, "230539d846c6f425c756764d1919a5eb6bd2e2abca33eb6fa8d4b56a42564964"),
-    (["analyze", "--help"], 0, "7ed4ea42f008f4e5ce96cac68b3de717cb511b44c02d8687953b0325e997c58b"),
+    (["simulate", "--help"], 0, "d5e654014f3e17a18aed66e4a9c85d8dfb61b21d1c65dbb27c3af9ced34b7257"),
+    (["analyze", "--help"], 0, "4088559ee5cd7502e3c88e768ff230cdc2b4aa20101d01da75877b7c72821e10"),
     (["rate", "--help"], 0, "29c8848622955d8ec5b9f449d96f61f9c267ca5a7d31f94aa46892333e88acdf"),
-    (["attack", "--help"], 0, "1272a8f6012489501672b665d959fe6ca01f5bd64171f6614dc58a09f9364b58"),
-    (["wire", "--help"], 0, "c9b880433820847c7161a43118f3e65c8bfcdcd1cd9927e90405755e89a40a71"),
+    (["attack", "--help"], 0, "f3565a43eabe0f1cc1539037bbb82350f2b3116d9544950275c9fe491c64a44a"),
+    (["wire", "--help"], 0, "4e42bb43fd2b301f039dbddf6ec442b8162f86741fe0d7304cbf5456842b1ec2"),
     (["analyze", "--bogus"], 3, "edd1652037a5d62dad0c2172e28fa3ca7bb2870226a32912197f03e9539c915b"),
     # the command is the first argument naming one, not argv[0]
     (
@@ -997,8 +1041,8 @@ _USAGE_DIGESTS = [
         3,
         "edd1652037a5d62dad0c2172e28fa3ca7bb2870226a32912197f03e9539c915b",
     ),
-    (["analyze", "--m", "x"], 3, "06faaa264fe62281a65e948aa4e0ef5da0ab794556259ff0703fb7d04d47e7df"),
-    (["wire", "--timeout"], 3, "02443c83757bdfc2d841ce92324147a13325d83fb9dfe337e2fe31df1cb13933"),
+    (["analyze", "--m", "x"], 3, "5a54c8cda4a905629dd8a443dfd2c4527e35be5e3b14d5ec0ef34315b7d1a965"),
+    (["wire", "--timeout"], 3, "e471835f87667c1519e7d58f3de804b913bc8a1c89d8247bc5cf41534dcaf5f6"),
     # argv around the fallback to the listing parser: extras a command's own
     # parser leaves (reported with the top-level usage), a name that is no
     # command, and help that exits before an unknown flag is seen
@@ -1018,7 +1062,7 @@ _USAGE_DIGESTS = [
         3,
         "3bd06ba770f166c792a5bd63be2beaba82191afcd50083a5abc3e7dbd6e42cc3",
     ),
-    (["wire", "-h", "--bogus"], 0, "c9b880433820847c7161a43118f3e65c8bfcdcd1cd9927e90405755e89a40a71"),
+    (["wire", "-h", "--bogus"], 0, "4e42bb43fd2b301f039dbddf6ec442b8162f86741fe0d7304cbf5456842b1ec2"),
     (
         ["rate", "--alpha", "0.3", "analyze"],
         3,

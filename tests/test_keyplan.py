@@ -187,7 +187,7 @@ def _layouts(draw):
             lambda ls: sum(ls) <= 12
         )
     )
-    return build_multipath(lengths, 100.0, t), Variant.MULTIPATH
+    return build_multipath(lengths, t=t), Variant.MULTIPATH
 
 
 @settings(max_examples=60, deadline=None)

@@ -54,32 +54,31 @@ def _returns_or_value_error(parse, *args):
 
 @st.composite
 def layouts(draw):
-    """A generated layout, and the layout keys that name it beside its shape
-    and link length, valued as the --shape flags take them."""
-    link = draw(st.sampled_from([100.0, 0.5, 37.25, 1e-3, 12345.678]))
+    """A generated layout, and the layout keys that name it beside its
+    shape, valued as the --shape flags take them."""
     shape = draw(st.sampled_from(list(Shape)))
     if shape is Shape.RING6:
-        return build_ring6(link), {}
+        return build_ring6(), {}
     if shape is Shape.CHAIN:
         m = draw(st.integers(2, 9))
-        return build_chain(m, link), {"m": m}
+        return build_chain(m), {"m": m}
     t = draw(st.integers(2 if shape is Shape.REACH else 1, 4))
     if shape is Shape.REACH:
         m = draw(st.integers(t + 1, t + 5))
-        return build_reach_chain(m, t, link), {"m": m, "t": t}
+        return build_reach_chain(m, t), {"m": m, "t": t}
     lengths = draw(st.lists(st.integers(max(2, t + 1), 6), min_size=1, max_size=4))
-    return build_multipath(lengths, link, t), {"paths": ",".join(map(str, lengths)), "t": t}
+    return build_multipath(lengths, t=t), {"paths": ",".join(map(str, lengths)), "t": t}
 
 
 def _config_text(topo, keys):
-    lines = [f"shape = {topo.shape.value}", f"link_length_km = {topo.link_length_km!r}"]
+    lines = [f"shape = {topo.shape.value}"]
     return "\n".join(lines + [f"{key} = {value}" for key, value in keys.items()]) + "\n"
 
 
 def _shape_flags(topo, keys):
     """The Namespace argparse makes of the --shape flags naming the layout."""
     return argparse.Namespace(
-        shape=topo.shape.value, link_km=topo.link_length_km, config=None, variant=None,
+        shape=topo.shape.value, config=None, variant=None,
         **{"m": None, "paths": None, "t": None, **keys},
     )
 
@@ -91,7 +90,7 @@ def _from_config(text):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         args = argparse.Namespace(
-            shape=None, m=None, paths=None, t=None, link_km=100.0, config=path, variant=None
+            shape=None, m=None, paths=None, t=None, config=path, variant=None
         )
         return cli._layout(args)[0]
 
@@ -128,6 +127,8 @@ _TOPOLOGY_VALUES = {
 def test_topology_config_parses_or_raises_value_error(text):
     topo = _returns_or_value_error(_from_config, text)
     assert topo is None or isinstance(topo, Topology)
+    # no shape reads a link length
+    assert topo is None or "link_length_km" not in text
 
 
 _RATE_VALUES = dict.fromkeys(["alpha_db_per_km", "c_tf", "c_p2p", "threshold_bps"], _NUMBERS)

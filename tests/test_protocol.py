@@ -116,7 +116,7 @@ _SIX_VARIANTS = (
     (build_chain(2), Variant.CHAIN2),
     (build_chain(10), Variant.CHAIN_M),
     (build_reach_chain(7, 3), Variant.REACH_T),
-    (build_multipath([2, 3], 100.0, 1), Variant.MULTIPATH),
+    (build_multipath([2, 3], t=1), Variant.MULTIPATH),
 )
 
 
@@ -137,7 +137,7 @@ def test_a_secret_is_its_name_and_sorts_as_it():
         "K[A,N2]", "K[N1,N3]", "K[N2,N4]", "K[N3,N5]", "K[N4,N6]", "K[N5,N7]", "K[N6,N8]",
         "K[N7,N9]", "K[N8,N10]", "K[N9,B]", "P[A,N1]", "P[N10,B]", "X[A]",
     ]
-    mp23 = compile_schedule(plan_keys(build_multipath([2, 3], 100.0, 1), Variant.MULTIPATH))
+    mp23 = compile_schedule(plan_keys(build_multipath([2, 3], t=1), Variant.MULTIPATH))
     assert sorted(mp23.secret_ids) == [
         "K[A,N2.1]", "K[A,N2.2]", "K[N1.1,B]", "K[N1.2,N3.2]", "K[N2.2,B]",
         "P[A,N1.1]", "P[A,N1.2]", "P[N2.1,B]", "P[N3.2,B]", "X[A@1]", "X[A@2]",
@@ -201,7 +201,7 @@ def test_ring_v2_matches_two_by_two_multipath():
 
 def test_compiling_many_paths_is_linear():
     # a scan of every planned key per path makes this quadratic (about 5 s)
-    plan = plan_keys(build_multipath([2] * 1000, 100.0, 1), Variant.MULTIPATH)
+    plan = plan_keys(build_multipath([2] * 1000, t=1), Variant.MULTIPATH)
     start = time.perf_counter()
     schedule = compile_schedule(plan)
     elapsed = time.perf_counter() - start
@@ -212,7 +212,7 @@ def test_compiling_many_paths_is_linear():
 def test_compile_refuses_a_key_between_the_endpoints():
     # built by hand, past the builders' m >= t+1 check: reach 2 plans K[A,B]
     path = (NodeId("A"), NodeId("N1"), NodeId("B"))
-    plan = plan_keys(Topology(Shape.CHAIN, (path,), 100.0, t=2), Variant.CHAIN_M)
+    plan = plan_keys(Topology(Shape.CHAIN, (path,), t=2), Variant.CHAIN_M)
     assert "K[A,B]" in [entry.secret_id for entry in plan.entries]
     with pytest.raises(ValueError, match="K\\[A,B\\] does not join an intermediary"):
         compile_schedule(plan)
@@ -236,7 +236,7 @@ def _layout_mix(seed):
         mix.append((build_reach_chain(rng.randint(5, 12), rng.randint(2, 4)), Variant.REACH_T))
     for _ in range(4):
         lengths = [rng.randint(3, 6) for _ in range(rng.randint(1, 4))]
-        mix.append((build_multipath(lengths, 100.0, rng.randint(1, 2)), Variant.MULTIPATH))
+        mix.append((build_multipath(lengths, t=rng.randint(1, 2)), Variant.MULTIPATH))
     return mix
 
 
@@ -366,7 +366,7 @@ _GOLDEN_LAYOUTS = {
     "chain2": (build_chain, (2,), Variant.CHAIN2),
     "chain7": (build_chain, (7,), Variant.CHAIN_M),
     "reach9t3": (build_reach_chain, (9, 3), Variant.REACH_T),
-    "multipath": (build_multipath, ((2, 3, 4), 100.0, 1), Variant.MULTIPATH),
+    "multipath": (build_multipath, ((2, 3, 4),), Variant.MULTIPATH),
 }
 
 # sha256 of trace_json for every variant at n = 1, 16 and 65536, key seed

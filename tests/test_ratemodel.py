@@ -131,6 +131,20 @@ def test_config_with_alpha_only_recalibrates():
     assert params.c_tf != PARAMS.c_tf
 
 
+@pytest.mark.parametrize(
+    "text, c_tf, c_p2p",
+    [
+        ("", 1e6, 1e6),
+        ("alpha_db_per_km = 0.3\n", 10**7.5, 10**7.5),  # both clocks calibrated at 0.3
+        ("alpha_db_per_km = 0.3\nc_tf = 5e5\n", 5e5, 1e6),  # c_p2p keeps the 0.2 clock
+    ],
+    ids=["empty", "alpha", "alpha-and-c_tf"],
+)
+def test_config_clock_defaults(text, c_tf, c_p2p):
+    params = parse_rate_config(text)
+    assert (params.c_tf, params.c_p2p) == (pytest.approx(c_tf), pytest.approx(c_p2p))
+
+
 def test_params_reject_nonpositive_values():
     with pytest.raises(ValueError):
         RateParams(0.0, 1e6, 1e6, 1.0)

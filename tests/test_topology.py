@@ -53,7 +53,7 @@ def test_a_node_is_its_label():
     # a plan's keys name the very nodes of the layout's paths, also when an
     # id with the same labels was first built from plain strings
     tf_key("A", "N2.1")
-    topo = build_multipath([3, 3], 100.0, 2)
+    topo = build_multipath([3, 3], t=2)
     on_path = {id(node) for path in topo.paths for node in path}
     plan = plan_keys(topo, Variant.MULTIPATH)
     assert all(id(end) in on_path for entry in plan.entries for end in entry.secret_id.ends)
@@ -163,8 +163,8 @@ def test_reachable_pairs_grow_with_reach():
 
 
 _CONFIG_TEXTS = {
-    "ring6": "shape = ring6\nlink_length_km = 120.0\n",
-    "chain(m=4)": "shape = chain\nlink_length_km = 80\nm = 4\n",
+    "ring6": "shape = ring6\n",
+    "chain(m=4)": "shape = chain\nm = 4\n",
     "reach(m=4,t=3)": "shape = reach\nm = 4\nt = 3\n",
     "multipath(2,2)": "shape = multipath\npaths = 2,2\n",
 }
@@ -172,7 +172,7 @@ _CONFIG_TEXTS = {
 
 @pytest.mark.parametrize(
     "topo",
-    [build_ring6(120.0), build_chain(4, 80.0), build_reach_chain(4, 3), build_multipath([2, 2], t=1)],
+    [build_ring6(), build_chain(4), build_reach_chain(4, 3), build_multipath([2, 2], t=1)],
 )
 def test_config_round_trip(topo):
     # a config file naming the layout, with the defaults left out where they hold
@@ -182,18 +182,11 @@ def test_config_round_trip(topo):
 
 def test_config_rejects_unknown_shape_and_missing_keys():
     with pytest.raises(ValueError, match="unknown shape 'lattice'"):
-        parse_layout_config("shape = lattice\nlink_length_km = 100\n")
+        parse_layout_config("shape = lattice\n")
     with pytest.raises(ValueError, match="requires 'm'"):
-        build_topology(*parse_layout_config("shape = chain\nlink_length_km = 100\n"))
+        build_topology(*parse_layout_config("shape = chain\n"))
     with pytest.raises(ValueError, match="does not read"):
         build_topology(*parse_layout_config("shape = chain\nm = 3\nbogus = 1\n"))
-
-
-def test_link_length_must_be_positive():
-    with pytest.raises(ValueError):
-        build_chain(2, 0.0)
-    with pytest.raises(ValueError):
-        build_ring6(-5.0)
 
 
 @pytest.mark.parametrize(
