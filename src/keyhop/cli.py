@@ -20,7 +20,7 @@ import sys
 from collections.abc import Callable
 
 from .keyplan import Variant, cm_report, plan_keys
-from .protocol import check_budget, compile_schedule, run, trace_json, trace_text
+from .protocol import compile_schedule, run, trace_json, trace_text
 from .topology import (
     ROW_CAP,
     NodeId,
@@ -43,16 +43,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_layout_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--shape", choices=[s.value for s in Shape])
     p.add_argument("--m", type=int, help="intermediaries on a chain")
     p.add_argument("--paths", help="comma-separated intermediary counts, one per path")
     p.add_argument("--t", type=int, help="relay reach in links minus one")
     p.add_argument("--config", help="topology config file (key = value lines)")
     p.add_argument("--variant", choices=[v.value for v in Variant])
+
+
+def _add_key_flags(p: argparse.ArgumentParser) -> None:
+    """The flags of a command that draws keys: their length and the seed."""
     p.add_argument("--n", type=int, default=16, help="key length in bits")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output-dir", default=".")
 
 
 _SHAPE_FLAGS = ("m", "paths", "t")  # the layout keys build_topology reads
@@ -85,8 +88,6 @@ def _layout(
         if shape is Shape.MULTIPATH and args.paths is not None:
             for item in args.paths.split(","):  # here, so that an error names the flag
                 parse_int(item, "--paths")
-        if shape is Shape.REACH:
-            keys.setdefault("t", "2")
     topo = build_topology(shape, keys, check)
     variant = Variant(args.variant) if args.variant else Variant.default_for(topo.shape)
     return topo, variant
@@ -143,7 +144,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         args, analysis.check_enumerable if args.coalition is None else check_runnable
     )
     schedule = compile_schedule(plan_keys(topo, variant))  # every answer is read off it
-    check_budget(schedule, args.n)  # refused as a run of these keys would be
     target = analysis.final_key_expr(schedule)
     if args.coalition is not None:
         coal = _parse_coalition(topo, args.coalition)
@@ -293,12 +293,15 @@ def cmd_wire(args: argparse.Namespace) -> int:
 
 
 def _simulate_flags(p: argparse.ArgumentParser) -> None:
-    _add_common(p)
+    _add_layout_flags(p)
+    _add_key_flags(p)
+    p.add_argument("--output-dir", default=".")
     p.add_argument("--hardware", action="store_true", help="print per-node hardware needs")
 
 
 def _analyze_flags(p: argparse.ArgumentParser) -> None:
-    _add_common(p)
+    _add_layout_flags(p)
+    p.add_argument("--output-dir", default=".")
     p.add_argument("--coalition", help="comma-separated node labels")
     p.add_argument("--oracle", action="store_true", help="cross-check with the truth-table sweep")
     p.add_argument("--grid", action="store_true", help="minimum colluders over paths x reach")
@@ -319,13 +322,16 @@ def _rate_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _attack_flags(p: argparse.ArgumentParser) -> None:
-    _add_common(p)
+    _add_layout_flags(p)
+    _add_key_flags(p)
     p.add_argument("--coalition", help="comma-separated node labels (default: none corrupted)")
     p.add_argument("--active", action="store_true", help="active substitution leakage table")
 
 
 def _wire_flags(p: argparse.ArgumentParser) -> None:
-    _add_common(p)
+    _add_layout_flags(p)
+    _add_key_flags(p)
+    p.add_argument("--output-dir", default=".")
     p.add_argument("--base-port", type=int, default=9000)
     p.add_argument("--tamper", type=int, help="flip a bit in this hop's frame (test hook)")
     p.add_argument("--timeout", type=float, default=10.0)

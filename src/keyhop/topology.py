@@ -205,7 +205,7 @@ def parse_kv(text: str) -> dict[str, str]:
 _SHAPE_KEYS: dict[Shape, dict[str, str | None]] = {
     Shape.RING6: {},
     Shape.CHAIN: {"m": None},
-    Shape.REACH: {"m": None, "t": None},
+    Shape.REACH: {"m": None, "t": "2"},
     Shape.MULTIPATH: {"paths": None, "t": "1"},
 }
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import keyhop
 from keyhop import analysis, cli, protocol, wire
-from keyhop.bits import KeyStore
+from keyhop.bits import BitString, KeyStore
 from keyhop.cli import main
 from keyhop.ratemodel import DEFAULT_FAMILIES
 
@@ -26,6 +26,11 @@ from test_topology import _refuse_building
 from test_wire import _insider
 
 PORTS = iter(range(23000, 26000, 40))
+
+
+def _output_dir(command, path):
+    """The --output-dir flag for command; attack writes no file and takes none."""
+    return [] if command == "attack" else ["--output-dir", str(path)]
 
 
 def test_simulate_writes_trace_files(tmp_path, capsys):
@@ -151,8 +156,7 @@ def test_analyze_searches_the_minimal_sets_once(tmp_path, monkeypatch, capsys):
 
 
 def test_analyze_answers_from_the_schedule_alone(tmp_path, monkeypatch, capsys):
-    # the answers are facts of the layout: no key is drawn and no hop runs,
-    # so --n and --seed, once in range, change nothing
+    # the answers are facts of the layout: no key is drawn and no hop runs
     def refuse(*args, **kwargs):
         raise AssertionError("analyze drew a key or ran the protocol")
 
@@ -181,16 +185,13 @@ def test_analyze_answers_from_the_schedule_alone(tmp_path, monkeypatch, capsys):
             "coalition N1.1+N2.2: SECURE\n  truth-table oracle: SECURE (agree)\n",
         ),
     ]
-    for n, seed in (("1", "3"), ("64", "9"), ("4096", "77")):
-        out_dir = tmp_path / f"n{n}"
-        for layout, want in cases:
-            argv = ["analyze", *layout, "--n", n, "--seed", seed, "--output-dir", str(out_dir)]
-            assert main(argv) == 0
-            assert capsys.readouterr() == (want.format(out=out_dir), "")
-        csv = (out_dir / "coalitions.csv").read_bytes()
-        assert hashlib.sha256(csv).hexdigest() == (
-            "e39e532c3c97edc32d3b36db5ae8783a85ce24a402a653a12baf8bf52386edfe"
-        )
+    for layout, want in cases:
+        assert main(["analyze", *layout, "--output-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr() == (want.format(out=tmp_path), "")
+    csv = (tmp_path / "coalitions.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest() == (
+        "e39e532c3c97edc32d3b36db5ae8783a85ce24a402a653a12baf8bf52386edfe"
+    )
 
 
 def test_output_does_not_depend_on_the_hash_seed(tmp_path):
@@ -219,7 +220,8 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
         "import json, sys\n"
         "from keyhop.cli import main\n"
         "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
-        "    print('exit', main([*argv, '--output-dir', f'out{i}']))\n"
+        "    out = [] if argv[0] == 'attack' else ['--output-dir', f'out{i}']\n"
+        "    print('exit', main([*argv, *out]))\n"
     )
     src = os.path.dirname(os.path.dirname(keyhop.__file__))
     runs = {}
@@ -361,10 +363,8 @@ def test_analyze_grid_refuses_more_cells_than_a_csv_holds_before_any_cell(
     assert "the grid has 1049600 cells; collusion_grid.csv holds at most 1048576" in err
 
 
-def test_attack_demonstrates_wiretap_recovery(tmp_path, capsys):
-    code = main(
-        ["attack", "--shape", "ring6", "--variant", "ring-v1", "--output-dir", str(tmp_path)]
-    )
+def test_attack_demonstrates_wiretap_recovery(capsys):
+    code = main(["attack", "--shape", "ring6", "--variant", "ring-v1"])
     assert code == 0
     out = capsys.readouterr().out
     assert "X[A] = M0 + M1 + M2" in out
@@ -372,10 +372,8 @@ def test_attack_demonstrates_wiretap_recovery(tmp_path, capsys):
     assert "matches the honest endpoints' key" in out
 
 
-def test_attack_returns_one_when_secure(tmp_path, capsys):
-    code = main(
-        ["attack", "--shape", "ring6", "--variant", "ring-v2", "--output-dir", str(tmp_path)]
-    )
+def test_attack_returns_one_when_secure(capsys):
+    code = main(["attack", "--shape", "ring6", "--variant", "ring-v2"])
     assert code == 1
     assert "no attack exists" in capsys.readouterr().out
 
@@ -442,27 +440,28 @@ def test_attack_and_oracle_recipes_are_pinned(tmp_path, capsys, layout, coalitio
     for argv in (
         ["attack", *layout],
         ["attack", *layout, "--coalition", coalition],
-        ["analyze", *layout, "--coalition", coalition, "--oracle"],
+        ["analyze", *layout, "--coalition", coalition, "--oracle", "--output-dir", str(tmp_path)],
     ):
-        code = main([*argv, "--output-dir", str(tmp_path)])
+        code = main(argv)
         out, err = capsys.readouterr()
         got.append((code, hashlib.sha256(f"{out}\0{err}".encode()).hexdigest()))
     assert tuple(got) == want
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", ["simulate", "analyze", "attack"])
-def test_a_key_length_past_a_c_int_exits_three(tmp_path, capsys, command):
+@pytest.mark.parametrize("command", ["simulate", "attack"])
+def test_a_key_length_past_a_c_int_exits_three(tmp_path, monkeypatch, capsys, command):
     # random.getrandbits takes a C int, so 2^31 bits would end in an OverflowError
+    monkeypatch.chdir(tmp_path)
     argv = [command, "--shape", "chain", "--m", "2", "--n", "2147483648"]
-    assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 3
+    assert main(argv + _output_dir(command, "out")) == 3
     err = capsys.readouterr().err
     assert "key length must be at most 2147483647 bits" in err
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", ["simulate", "analyze", "attack", "wire"])
+@pytest.mark.parametrize("command", ["simulate", "attack", "wire"])
 def test_key_material_over_the_budget_exits_three_before_a_draw(
     tmp_path, monkeypatch, capsys, command
 ):
@@ -472,15 +471,16 @@ def test_key_material_over_the_budget_exits_three_before_a_draw(
         raise AssertionError("drew key material over the budget")
 
     monkeypatch.setattr(KeyStore, "sample", refuse)
+    monkeypatch.chdir(tmp_path)
     argv = [command, "--shape", "chain", "--m", "8", "--n", "32000000"]
-    assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 3
+    assert main(argv + _output_dir(command, "out")) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err == (
         "keyhop: error: 20 keys, nonces and messages of 32000000 bits exceed"
         " the 67108864-byte key budget\n"
     )
-    assert not (tmp_path / "out").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_attack_active_leakage_table(capsys):
@@ -927,11 +927,14 @@ def test_usage_errors_exit_three(tmp_path, argv, capsys):
     argv = [str(tmp_path / arg) if arg in _CONFIGS else arg for arg in argv]
     out_dir = tmp_path / "out"
     try:
-        code = main(argv + ["--output-dir", str(out_dir)])
+        code = main(argv + _output_dir(argv[0], out_dir))
     except SystemExit as exc:  # argparse refuses a flag no command takes
         code = exc.code
     assert code == 3
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if argv[0] == "attack":  # its own refusal, not argparse's
+        assert err.startswith("keyhop: error: --active ignores --")
     assert not out_dir.exists()
 
 
@@ -948,16 +951,40 @@ def test_usage_errors_exit_three(tmp_path, argv, capsys):
 )
 def test_no_command_takes_a_link_length(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.setenv("COLUMNS", "80")
-    out_dir = tmp_path / "out"
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--link-km", "50", "--output-dir", str(out_dir)])
+        main([*argv, "--link-km", "50", *_output_dir(argv[0], "out")])
     assert exc.value.code == 3
     assert capsys.readouterr() == (
         "",
         "usage: keyhop [-h] {simulate,analyze,rate,attack,wire} ...\n"
         "keyhop: error: unrecognized arguments: --link-km 50\n",
     )
-    assert not out_dir.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["analyze", "--shape", "ring6"], "--n 16"),
+        (["analyze", "--shape", "ring6"], "--seed 1"),
+        (["attack", "--shape", "ring6"], "--output-dir D"),
+    ],
+    ids=["analyze-n", "analyze-seed", "attack-output-dir"],
+)
+def test_a_command_refuses_a_flag_it_does_not_read(tmp_path, monkeypatch, capsys, argv, flag):
+    # analyze answers from the schedule and draws no key; attack writes no file
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *flag.split()])
+    assert exc.value.code == 3
+    assert capsys.readouterr() == (
+        "",
+        "usage: keyhop [-h] {simulate,analyze,rate,attack,wire} ...\n"
+        f"keyhop: error: unrecognized arguments: {flag}\n",
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -1015,6 +1042,22 @@ def test_a_bad_config_number_names_its_key(tmp_path, capsys, argv, text, message
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["simulate", "--config"], "shape = chain\nm = 3\nm = 4\n", "line 3: duplicate key 'm'"),
+        (["rate", "--params"], "c_tf = 1e6\nc_tf = 2e6\n", "line 2: duplicate key 'c_tf'"),
+    ],
+    ids=["layout", "rate"],
+)
+def test_a_config_key_given_twice_exits_three(tmp_path, capsys, argv, text, message):
+    (tmp_path / "file.cfg").write_text(text)
+    out_dir = tmp_path / "out"
+    assert main([*argv, str(tmp_path / "file.cfg"), "--output-dir", str(out_dir)]) == 3
+    assert capsys.readouterr() == ("", f"keyhop: error: {message}\n")
+    assert not out_dir.exists()
+
+
 def test_bad_flag_exits_three(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["simulate", "--shape", "hexagon", "--output-dir", str(tmp_path)])
@@ -1030,9 +1073,9 @@ _USAGE_DIGESTS = [
     (["--help"], 0, "65bc139eb6400a4ec52371a1e3eb368a10cf8378d04bf76c332d84df70b29f5f"),
     (["bogus"], 3, "c7b24e7ce47ae977eb8d1b04e7031b6e169706f5d843141c21bbc503debd4c22"),
     (["simulate", "--help"], 0, "d5e654014f3e17a18aed66e4a9c85d8dfb61b21d1c65dbb27c3af9ced34b7257"),
-    (["analyze", "--help"], 0, "4088559ee5cd7502e3c88e768ff230cdc2b4aa20101d01da75877b7c72821e10"),
+    (["analyze", "--help"], 0, "63300a2445e30be60e59750331d57c43254375f5596fe51bbe5b359481aaa5c9"),
     (["rate", "--help"], 0, "29c8848622955d8ec5b9f449d96f61f9c267ca5a7d31f94aa46892333e88acdf"),
-    (["attack", "--help"], 0, "f3565a43eabe0f1cc1539037bbb82350f2b3116d9544950275c9fe491c64a44a"),
+    (["attack", "--help"], 0, "75ec846514c31ce84b019bada8a7bd932f6ac4d378f9db99f8ce37a843c59f6c"),
     (["wire", "--help"], 0, "4e42bb43fd2b301f039dbddf6ec442b8162f86741fe0d7304cbf5456842b1ec2"),
     (["analyze", "--bogus"], 3, "edd1652037a5d62dad0c2172e28fa3ca7bb2870226a32912197f03e9539c915b"),
     # the command is the first argument naming one, not argv[0]
@@ -1041,7 +1084,7 @@ _USAGE_DIGESTS = [
         3,
         "edd1652037a5d62dad0c2172e28fa3ca7bb2870226a32912197f03e9539c915b",
     ),
-    (["analyze", "--m", "x"], 3, "5a54c8cda4a905629dd8a443dfd2c4527e35be5e3b14d5ec0ef34315b7d1a965"),
+    (["analyze", "--m", "x"], 3, "b48840e938f786b389c2b72e5f7f16ddd6c6ffcca5e37d1f03715c481002ca48"),
     (["wire", "--timeout"], 3, "e471835f87667c1519e7d58f3de804b913bc8a1c89d8247bc5cf41534dcaf5f6"),
     # argv around the fallback to the listing parser: extras a command's own
     # parser leaves (reported with the top-level usage), a name that is no
@@ -1085,9 +1128,10 @@ def test_help_and_usage_text_is_pinned(argv, code, digest, monkeypatch, capsys):
 
 def test_a_command_builds_only_its_own_flags(tmp_path, monkeypatch, capsys):
     def refuse(p):
-        raise AssertionError("built the layout flags for rate")
+        raise AssertionError("built the layout or key flags for rate")
 
-    monkeypatch.setattr(cli, "_add_common", refuse)  # rate takes no layout flags
+    monkeypatch.setattr(cli, "_add_layout_flags", refuse)  # rate takes no layout
+    monkeypatch.setattr(cli, "_add_key_flags", refuse)  # and draws no key
     assert main(["rate", "--output-dir", str(tmp_path)]) == 0
     monkeypatch.undo()
 
@@ -1106,6 +1150,56 @@ def test_a_command_builds_only_its_own_flags(tmp_path, monkeypatch, capsys):
             main([name, "--help"])
         assert built == [name]
     capsys.readouterr()
+
+
+# argv per command that together run every mode of its handler
+_MODES = {
+    "simulate": [["--shape", "ring6", "--hardware"]],
+    "analyze": [
+        ["--shape", "ring6"],
+        ["--shape", "ring6", "--variant", "ring-v1", "--coalition", "N1,N3", "--oracle"],
+        ["--grid", "--grid-paths", "1", "--grid-reach", "1"],
+    ],
+    "rate": [
+        ["--to-km", "0"],
+        ["--to-km", "0", "--params", "rate.cfg"],
+        ["--to-km", "0", "--families", "tf"],
+        ["--to-km", "0", "--threshold", "2e6"],
+        ["--to-km", "0", "--max-range-m", "2"],
+    ],
+    "attack": [["--shape", "ring6", "--variant", "ring-v1", "--coalition", "N1,N3"], ["--active"]],
+    "wire": [["--shape", "chain", "--m", "2", "--tamper", "1", "--transcripts"]],
+}
+
+
+def test_every_flag_is_read_by_its_command(tmp_path, monkeypatch, capsys):
+    # a command offers only the flags its handler reads in some mode
+    read = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    stub = wire.WireRun(0, {}, BitString(0, 16), BitString(0, 16), "stub run")
+    monkeypatch.setattr(wire, "orchestrate", lambda *args, **kwargs: stub)  # opens no socket
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rate.cfg").write_text("c_tf = 1e6\n")
+    assert set(_MODES) == set(cli._COMMANDS)
+    unread = []
+    for command, (_, add_flags, handler) in cli._COMMANDS.items():
+        parser = cli._Parser(prog=f"keyhop {command}")
+        add_flags(parser)
+        dests = {action.dest for action in parser._actions} - {"help"}
+        seen = set()
+        for argv in _MODES[command]:
+            args = parser.parse_args(argv, namespace=Recording())
+            read.clear()  # argparse reads the namespace as it fills it
+            assert handler(args) in (0, 1)
+            seen |= read
+        unread += [f"{command}: {dest}" for dest in sorted(dests - seen)]
+    capsys.readouterr()
+    assert unread == []
 
 
 def _count_parsers(monkeypatch):
@@ -1162,7 +1256,7 @@ _RUNNING_ARGV = [
     ["analyze", "--coalition", "N1,N4", "--shape", "chain", "--m", "6"],
     ["analyze", "--shape", "chain", "--m", "2", "--variant", "chain2", "--coalition", "N1,N2", "--oracle"],
     ["analyze", "--grid", "--grid-paths", "1,2", "--grid-reach", "1", "--output-dir", "out"],
-    ["attack", "--shape", "ring6", "--variant", "ring-v1", "--output-dir", "out"],
+    ["attack", "--shape", "ring6", "--variant", "ring-v1"],
     ["attack", "--active"],
     ["rate", "--to-km", "700", "--step-km", "100", "--output-dir", "out"],
     ["rate", "--alpha", "50", "--params", "rate.cfg", "--to-km", "0"],
@@ -1199,12 +1293,13 @@ def test_every_command_refuses_an_oversized_layout_before_building_it(
     _refuse_building(monkeypatch, "built a layout past the wire's hop limit")
     (tmp_path / "layout.cfg").write_text(f"shape = chain\nm = {1 << 70}\n")
     layout = [str(tmp_path / arg) if arg.endswith(".cfg") else arg for arg in layout]
-    code = main([*command, *layout, "--output-dir", str(tmp_path / "out")])
+    monkeypatch.chdir(tmp_path)
+    code = main([*command, *layout, *_output_dir(command[0], "out")])
     assert code == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"keyhop: error: {count} intermediaries exceed the wire limit of 65536 hops\n"
-    assert not (tmp_path / "out").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["layout.cfg"]
 
 
 def _comma_list(elements, max_size=3):
@@ -1328,7 +1423,7 @@ def test_fuzzed_argv_exits_cleanly(case):
             mock.patch.object(wire, "_run_nodes", _run_in_memory),
         ):
             try:
-                code = main(argv + ["--output-dir", os.path.join(tmp, "out")])
+                code = main(argv + _output_dir(argv[0], os.path.join(tmp, "out")))
             except SystemExit as exc:
                 code = exc.code
     assert code in (0, 1, 2, 3), (argv, code, err.getvalue())

@@ -6,7 +6,7 @@ import argparse
 import os
 import tempfile
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from keyhop import cli
@@ -141,9 +141,19 @@ def test_rate_config_parses_or_raises_value_error(text):
     assert params is None or isinstance(params, RateParams)
 
 
+_DEFAULT_T = {Shape.REACH: 2, Shape.MULTIPATH: 1}
+
+
 @settings(deadline=None)
 @given(layout=layouts())
+@example(layout=(build_reach_chain(4, 2), {"m": 4, "t": 2}))
+@example(layout=(build_multipath([2, 3]), {"paths": "2,3", "t": 1}))
 def test_a_layout_survives_its_config_text_and_its_shape_flags(layout):
     topo, keys = layout
     assert _from_config(_config_text(topo, keys)) == topo
     assert cli._layout(_shape_flags(topo, keys))[0] == topo
+    # a t equal to its shape's default may go unstated in either form
+    if "t" in keys and keys["t"] == _DEFAULT_T[topo.shape]:
+        rest = {key: value for key, value in keys.items() if key != "t"}
+        assert _from_config(_config_text(topo, rest)) == topo
+        assert cli._layout(_shape_flags(topo, rest))[0] == topo

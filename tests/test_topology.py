@@ -228,7 +228,7 @@ def test_build_topology_refuses_an_oversized_layout_before_building_it(monkeypat
         (Shape.CHAIN, {"m": "5"}, 5, None),
         (Shape.CHAIN, {}, 0, "m"),
         (Shape.REACH, {"m": "6", "t": "2"}, 6, None),
-        (Shape.REACH, {"m": "6"}, 6, "t"),
+        (Shape.REACH, {"m": "6"}, 6, None),  # t defaults to 2
         (Shape.MULTIPATH, {"paths": "2,3,4"}, 9, None),
         (Shape.MULTIPATH, {"t": "2"}, 0, "paths"),
     ],
