@@ -42,11 +42,10 @@ hold them against each other:
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, product
 from math import log2
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .bits import BitString, SecretId
 from .keyplan import Variant, plan_keys
@@ -60,6 +59,7 @@ __all__ = [
     "final_key_expr",
     "held_secrets",
     "is_recoverable",
+    "recovery_verdicts",
     "recover_bits",
     "min_breaking_coalitions",
     "coalition_rows",
@@ -88,8 +88,7 @@ def describe(coalition: Iterable[str]) -> str:
     return "+".join(sorted(coalition)) or "(empty)"
 
 
-@dataclass(frozen=True)
-class SecrecyVerdict:
+class SecrecyVerdict(NamedTuple):
     status: Status
     recovery: tuple[int | SecretId, ...] | None = None  # message indices, then secrets
 
@@ -174,25 +173,45 @@ def is_recoverable(
     exactly when it is independent, and each pivot's combination involves
     only earlier pivots, so the set does not depend on the column order.
     """
-    if isinstance(schedule, tuple):  # view_of's (schedule, held)
+    # type, not isinstance: a ProtocolTrace is a tuple too, and is no view
+    if type(schedule) is tuple:  # view_of's (schedule, held)
         (schedule, held), target = schedule, coalition
     elif target is None:
         raise TypeError("is_recoverable() missing required argument: 'target'")
     else:
         held = held_secrets(schedule, coalition)
+    return _verdicts(schedule, held, (target,))[0]
+
+
+def recovery_verdicts(
+    schedule: Schedule, coalition: frozenset[NodeId], targets: Sequence[frozenset[SecretId]]
+) -> list[SecrecyVerdict]:
+    """is_recoverable's verdict on each target, from one elimination of the
+    coalition's view."""
+    return _verdicts(schedule, held_secrets(schedule, coalition), targets)
+
+
+def _verdicts(
+    schedule: Schedule, held: tuple[SecretId, ...], targets: Sequence[frozenset[SecretId]]
+) -> list[SecrecyVerdict]:
     observed = schedule.exprs
-    atoms = target.union(held, *observed)
+    atoms = frozenset().union(held, *observed, *targets)
     order = {sid: i for i, sid in enumerate(atoms)}
-    # rows sit in recipe order, so the recovery set is the combination's
-    # set bits read from the lowest up
+    # rows sit in recipe order, so a recovery set is its combination's set
+    # bits read from the lowest up
     rows = [_mask(order, expr) for expr in observed]
     rows += [1 << order[sid] for sid in held]
-    combo = _reduce(_eliminate(rows), _mask(order, target))
-    if combo is None:
-        return SecrecyVerdict(Status.SECURE)
+    pivots = _eliminate(rows)
     items = (*range(len(observed)), *held)
-    recovery = tuple(item for pos, item in enumerate(items) if combo >> pos & 1)
-    return SecrecyVerdict(Status.BROKEN, recovery)
+    verdicts = []
+    for target in targets:
+        combo = _reduce(pivots, _mask(order, target))
+        if combo is None:
+            verdicts.append(SecrecyVerdict(Status.SECURE))
+        else:
+            recovery = tuple(item for pos, item in enumerate(items) if combo >> pos & 1)
+            verdicts.append(SecrecyVerdict(Status.BROKEN, recovery))
+    return verdicts
 
 
 def recover_bits(trace: ProtocolTrace, verdict: SecrecyVerdict) -> BitString:

@@ -12,7 +12,6 @@ type a value leaves a fold in, as a message, an output or a store lookup.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .topology import NodeId
 
@@ -76,19 +75,45 @@ def nonce(owner: str, path_index: int | None = None) -> SecretId:
     return SecretId("X[%s@%d]" % (owner, path_index), (owner,))
 
 
-@dataclass(frozen=True)
 class BitString:
     """An n-bit string, n >= 1, stored as an int with bit i at weight 2**i:
-    the range-checked, encodable form of a value that leaves a fold."""
+    the range-checked, encodable form of a value that leaves a fold.
 
+    Immutable, hashable and compared by value against BitStrings alone. It
+    is a slotted class, not a NamedTuple, so it has no +, < or len."""
+
+    __slots__ = ("value", "n")
     value: int
     n: int
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, value: int, n: int) -> None:
+        if n < 1:
             raise ValueError("bit length must be at least 1")
-        if not (self.value >= 0 and self.value.bit_length() <= self.n):
+        if not (value >= 0 and value.bit_length() <= n):
             raise ValueError("value out of range for bit length")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "n", n)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"BitString(value={self.value!r}, n={self.n!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not BitString:
+            return NotImplemented
+        return self.value == other.value and self.n == other.n
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.n))
+
+    def __reduce__(self) -> tuple:
+        # pickle and copy rebuild through the constructor, as __setattr__ refuses
+        return BitString, (self.value, self.n)
 
     @property
     def nbytes(self) -> int:

@@ -12,7 +12,6 @@ abort on the wire; 3 usage or configuration error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import random
@@ -178,6 +177,8 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 
 
 def cmd_rate(args: argparse.Namespace) -> int:
+    import dataclasses  # RateParams is the package's only dataclass
+
     from . import ratemodel
 
     # each distance and the reach's m become floats; refuse an int past their range
@@ -251,13 +252,13 @@ def cmd_attack(args: argparse.Namespace) -> int:
     trace = run(topo, variant, args.n, random.Random(args.seed))
     schedule = trace.schedule
     coal = frozenset() if args.coalition is None else _parse_coalition(topo, args.coalition)
-    verdict = analysis.is_recoverable(schedule, coal, analysis.final_key_expr(schedule))
+    targets = [analysis.final_key_expr(schedule), *(frozenset({nid}) for nid in schedule.nonce_ids)]
+    verdict, *subs = analysis.recovery_verdicts(schedule, coal, targets)
     if verdict.status is analysis.Status.SECURE:
         print(f"coalition {analysis.describe(coal)}: no attack exists against the final key")
         return 1
     print(f"coalition {analysis.describe(coal)} recovers the final key:")
-    for nid in schedule.nonce_ids:
-        sub = analysis.is_recoverable(schedule, coal, frozenset({nid}))
+    for nid, sub in zip(schedule.nonce_ids, subs):
         if sub.status is analysis.Status.BROKEN and sub.recovery_labels:
             print(f"  {nid} = " + " + ".join(sub.recovery_labels))
     assert verdict.recovery_labels is not None

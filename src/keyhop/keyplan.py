@@ -8,7 +8,6 @@ ever send; each key's measuring node measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -67,8 +66,7 @@ class PlanEntry(NamedTuple):
     measurer: NodeId
 
 
-@dataclass(frozen=True)
-class KeyPlan:
+class KeyPlan(NamedTuple):
     topology: Topology
     variant: Variant
     entries: tuple[PlanEntry, ...]

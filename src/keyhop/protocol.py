@@ -9,9 +9,7 @@ execute the same schedule, so they cannot drift apart.
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -54,11 +52,31 @@ class AbsorbRule(NamedTuple):
     strip_ids: tuple[SecretId, ...]
 
 
-@dataclass(frozen=True)
 class Schedule:
+    """A plan's hops and absorb rules, with the symbolic facts read off them.
+
+    It refuses assignment and deletion, so a cached secret_ids or exprs
+    cannot go stale, and compares by identity. It is a plain class, not a
+    NamedTuple, because cached_property keeps its values in the instance
+    __dict__."""
+
     plan: KeyPlan
     hops: tuple[Hop, ...]
     absorbs: tuple[AbsorbRule, ...]  # one per path, at its last hop's receiver
+
+    def __init__(
+        self, plan: KeyPlan, hops: tuple[Hop, ...], absorbs: tuple[AbsorbRule, ...]
+    ) -> None:
+        self.__dict__.update(plan=plan, hops=hops, absorbs=absorbs)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"Schedule(plan={self.plan!r}, hops={self.hops!r}, absorbs={self.absorbs!r})"
 
     @property
     def nonce_ids(self) -> tuple[SecretId, ...]:
@@ -159,8 +177,7 @@ class Message(NamedTuple):
     expr: frozenset[SecretId]
 
 
-@dataclass(frozen=True)
-class ProtocolTrace:
+class ProtocolTrace(NamedTuple):
     schedule: Schedule
     messages: tuple[Message, ...]
     output_a: BitString
@@ -237,6 +254,8 @@ def trace_text(trace: ProtocolTrace) -> str:
 
 
 def trace_json(trace: ProtocolTrace) -> str:
+    import json  # only simulate writes JSON, so no other command loads it
+
     doc = {
         "variant": trace.schedule.plan.variant.value,
         "topology": trace.schedule.plan.topology.describe(),

@@ -9,8 +9,8 @@ all protocol scheduling works from the path lists.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 __all__ = [
     "Shape",
@@ -64,8 +64,7 @@ class NodeId(str):
         return self
 
 
-@dataclass(frozen=True)
-class Topology:
+class Topology(NamedTuple):
     """A layout as its A-to-B paths; every node fact is read off them."""
 
     shape: Shape

@@ -72,8 +72,8 @@ import os
 import random
 import resource
 import secrets
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .bits import BitString, KeyStore, SecretId
 from .keyplan import Variant, plan_keys
@@ -117,8 +117,7 @@ class FrameError(Exception):
         self.code = code
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     ftype: int
     index: int
     payload: bytes
@@ -561,8 +560,7 @@ def _machines(
     }
 
 
-@dataclass
-class WireRun:
+class WireRun(NamedTuple):
     code: int
     results: dict[str, NodeMachine]
     output_a: BitString | None

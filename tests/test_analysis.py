@@ -1,7 +1,6 @@
 import random
 import time
 from collections import defaultdict, deque
-from dataclasses import fields
 from functools import reduce
 from itertools import combinations
 from operator import xor
@@ -15,6 +14,7 @@ from keyhop import analysis, protocol
 from keyhop.analysis import (
     ACTIVE_STRATEGIES,
     ENUMERATION_CAP,
+    SecrecyVerdict,
     Status,
     _grouped_verdict,
     _view_blocks,
@@ -124,7 +124,7 @@ def test_is_recoverable_names_a_missing_target():
 def test_passive_wiretap_breaks_ring_v1():
     trace = _trace(build_ring6(), Variant.RING_V1)
     verdict = is_recoverable(trace.schedule, frozenset(), final_key_expr(trace.schedule))
-    assert [f.name for f in fields(verdict)] == ["status", "recovery"]  # the caller holds the target
+    assert SecrecyVerdict._fields == ("status", "recovery")  # the caller holds the target
     assert verdict.status is Status.BROKEN
     assert verdict.recovery_labels == ("M0", "M1", "M2", "M3", "M4", "M5")
     assert recover_bits(trace, verdict) == trace.output_a

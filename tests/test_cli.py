@@ -363,6 +363,42 @@ def test_analyze_grid_refuses_more_cells_than_a_csv_holds_before_any_cell(
     assert "the grid has 1049600 cells; collusion_grid.csv holds at most 1048576" in err
 
 
+def test_analyze_attack_and_simulate_load_neither_dataclasses_nor_inspect(tmp_path):
+    # every command runs as a fresh process and pays for each module keyhop
+    # imports: dataclasses brings inspect, ast, dis, tokenize and linecache,
+    # about 6 ms, and json, which only simulate's trace.json needs, 1.7 ms
+    readers = [
+        ["analyze", "--shape", "chain", "--m", "6", "--output-dir", "audit"],
+        ["analyze", "--shape", "chain", "--m", "4", "--coalition", "N1,N4"],
+        ["attack", "--shape", "chain", "--m", "4", "--coalition", "N1,N4"],
+    ]
+    simulate = ["simulate", "--shape", "chain", "--m", "10", "--output-dir", "sim"]
+    script = (
+        "import sys\n"
+        "bare = set(sys.modules)  # what a bare interpreter has loaded\n"
+        "from keyhop.cli import main\n"
+        f"codes = [main(argv) for argv in {readers!r}]\n"
+        "print('@readers', *sorted(set(sys.modules) - bare))\n"
+        f"codes.append(main({simulate!r}))\n"
+        "print('@all', *sorted(set(sys.modules) - bare))\n"
+        "print('@codes', *codes)\n"
+    )
+    src = os.path.dirname(os.path.dirname(keyhop.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path, capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    added = {
+        line.split()[0]: line.split()[1:] for line in out.stdout.splitlines() if line[:1] == "@"
+    }
+    assert added["@codes"] == ["0"] * 4 and out.stderr == ""
+    assert "keyhop.analysis" in added["@readers"] and "keyhop.bits" in added["@readers"]
+    assert [name for name in ("dataclasses", "inspect") if name in added["@all"]] == []
+    assert "json" not in added["@readers"] and "json" in added["@all"]
+    assert sorted(p.name for p in (tmp_path / "sim").iterdir()) == ["trace.json", "trace.txt"]
+
+
 def test_attack_demonstrates_wiretap_recovery(capsys):
     code = main(["attack", "--shape", "ring6", "--variant", "ring-v1"])
     assert code == 0
@@ -433,18 +469,26 @@ _RECIPE_DIGESTS = [
     [(*layout, want) for layout, want in zip(_RECIPE_LAYOUTS, _RECIPE_DIGESTS)],
     ids=[" ".join(layout) for layout, _ in _RECIPE_LAYOUTS],
 )
-def test_attack_and_oracle_recipes_are_pinned(tmp_path, capsys, layout, coalition, want):
+def test_attack_and_oracle_recipes_are_pinned(
+    tmp_path, monkeypatch, capsys, layout, coalition, want
+):
     # the verdicts, recovery recipes, recovered key and oracle line of each
-    # variant, byte for byte, SECURE and BROKEN
+    # variant, byte for byte, SECURE and BROKEN. Each command eliminates
+    # once: attack reads the final key and every nonce off one reduction
+    calls = []
+    eliminate = analysis._eliminate
+    monkeypatch.setattr(analysis, "_eliminate", lambda rows: calls.append(rows) or eliminate(rows))
     got = []
     for argv in (
         ["attack", *layout],
         ["attack", *layout, "--coalition", coalition],
         ["analyze", *layout, "--coalition", coalition, "--oracle", "--output-dir", str(tmp_path)],
     ):
+        calls.clear()
         code = main(argv)
         out, err = capsys.readouterr()
         got.append((code, hashlib.sha256(f"{out}\0{err}".encode()).hexdigest()))
+        assert len(calls) == 1, argv
     assert tuple(got) == want
     assert list(tmp_path.iterdir()) == []
 

@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 import hashlib
 import json
 import os
@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from keyhop import bits, topology
+from keyhop import analysis, bits, topology, wire
 from keyhop.bits import BitString, KeyStore, nonce, tf_key
 from keyhop.keyplan import KeyPlan, Variant, plan_keys
 from keyhop.protocol import (
@@ -19,6 +19,7 @@ from keyhop.protocol import (
     Hop,
     Message,
     ProtocolTrace,
+    Schedule,
     compile_schedule,
     execute,
     make_store,
@@ -78,6 +79,16 @@ def _ring_v1_records():
     return trace.schedule.hops[0], trace.schedule.absorbs[0], trace.messages[0]
 
 
+def _value_records():
+    """The engine records, then one of each other record that compares by
+    value: ring6 v1's layout, plan, final-key verdict and key, and a frame."""
+    trace = run(build_ring6(), Variant.RING_V1, 16, random.Random(0))
+    schedule = trace.schedule
+    verdict = analysis.is_recoverable(schedule, frozenset(), analysis.final_key_expr(schedule))
+    frame = wire.Frame(wire.FRAME_RELAY, 7, b"\x01\x02")
+    return (*_ring_v1_records(), schedule.plan.topology, schedule.plan, verdict, trace.output_a, frame)
+
+
 def test_engine_records_keep_their_field_order():
     assert Hop._fields == ("index", "sender", "receiver", "origin", "xor_ids")
     assert AbsorbRule._fields == ("hop_index", "strip_ids")
@@ -85,19 +96,52 @@ def test_engine_records_keep_their_field_order():
     assert Message._fields == ("bits", "expr")
     # a trace holds what the run computed and reads its layout off its schedule
     assert not hasattr(ProtocolTrace, "variant") and not hasattr(ProtocolTrace, "n")
+    assert ProtocolTrace._fields == ("schedule", "messages", "output_a", "output_b", "store")
+    assert Topology._fields == ("shape", "paths", "t") and Topology._field_defaults == {"t": 1}
+    assert KeyPlan._fields == ("topology", "variant", "entries")
+    assert analysis.SecrecyVerdict._fields == ("status", "recovery")
+    assert analysis.SecrecyVerdict._field_defaults == {"recovery": None}
+    assert BitString.__slots__ == ("value", "n")
+    assert wire.Frame._fields == ("ftype", "index", "payload")
+    assert wire.WireRun._fields == ("code", "results", "output_a", "output_b", "report")
 
 
 def test_engine_records_refuse_assignment_and_survive_pickling():
-    for record in _ring_v1_records():
-        for name in record._fields:
+    for record in _value_records():
+        for name in getattr(record, "_fields", BitString.__slots__):
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
-        copy = pickle.loads(pickle.dumps(record))
-        assert copy == record and hash(copy) == hash(record)
+        for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+            assert twin == record and hash(twin) == hash(record)
+    key = BitString(1, 8)
+    with pytest.raises(AttributeError):
+        del key.value
+    with pytest.raises(AttributeError):
+        key.extra = 1
+    # a BitString equals BitStrings alone, and checks its range as it did
+    assert key != (1, 8) and (1, 8) != key
+    with pytest.raises(ValueError, match="^bit length must be at least 1$"):
+        BitString(0, 0)
+    with pytest.raises(ValueError, match="^value out of range for bit length$"):
+        BitString(256, 8)
+    # a wire run's summary holds its nodes in a dict, so it never hashed
+    stub = wire.WireRun(0, {}, key, key, "stub run")
+    with pytest.raises(AttributeError):
+        stub.code = 1
+    with pytest.raises(TypeError):
+        hash(stub)
+    assert pickle.loads(pickle.dumps(stub)) == stub == copy.deepcopy(stub)
+    # a schedule refuses assignment, so its cached facts cannot go stale
+    schedule = compile_schedule(plan_keys(build_ring6(), Variant.RING_V1))
+    with pytest.raises(AttributeError):
+        schedule.hops = ()
+    with pytest.raises(AttributeError):
+        del schedule.plan
+    assert schedule.exprs is schedule.exprs and schedule.secret_ids is schedule.secret_ids
 
 
 def test_ring6_hop_and_message_reprs_are_the_dataclass_reprs():
-    hop, _, msg = _ring_v1_records()
+    hop, _, msg, topo, plan, verdict, key, frame = _value_records()
     assert repr(hop) == (
         "Hop(index=0, sender='A', receiver='N1',"
         " origin='X[A]', xor_ids=('K[A,N2]',))"
@@ -108,6 +152,28 @@ def test_ring6_hop_and_message_reprs_are_the_dataclass_reprs():
     # an expression is a plain frozenset of secrets
     one_term = Message(msg.bits, frozenset({nonce("A")}))
     assert repr(one_term) == "Message(bits=BitString(value=45958, n=16), expr=frozenset({'X[A]'}))"
+    assert repr(topo) == (
+        "Topology(shape=<Shape.RING6: 'ring6'>,"
+        " paths=(('A', 'N1', 'N2', 'B'), ('A', 'N3', 'N4', 'B')), t=1)"
+    )
+    assert repr(plan) == (
+        f"KeyPlan(topology={topo!r}, variant=<Variant.RING_V1: 'ring-v1'>,"
+        " entries=(PlanEntry(secret_id='K[A,N2]', measurer='N1'),"
+        " PlanEntry(secret_id='K[N1,B]', measurer='N2'),"
+        " PlanEntry(secret_id='K[A,N4]', measurer='N3'),"
+        " PlanEntry(secret_id='K[N3,B]', measurer='N4')))"
+    )
+    assert repr(verdict) == "SecrecyVerdict(status=<Status.BROKEN: 'BROKEN'>, recovery=(0, 1, 2, 3, 4, 5))"
+    assert repr(key) == "BitString(value=25079, n=16)"
+    assert repr(frame) == "Frame(ftype=2, index=7, payload=b'\\x01\\x02')"
+    assert repr(wire.WireRun(0, {}, key, key, "stub run")) == (
+        "WireRun(code=0, results={}, output_a=BitString(value=25079, n=16),"
+        " output_b=BitString(value=25079, n=16), report='stub run')"
+    )
+    schedule = compile_schedule(plan)
+    assert repr(schedule) == (
+        f"Schedule(plan={plan!r}, hops={schedule.hops!r}, absorbs={schedule.absorbs!r})"
+    )
 
 
 _SIX_VARIANTS = (
@@ -425,7 +491,7 @@ def _unstripped():
     for it: B keeps the link keys in its share, so the endpoints disagree."""
     schedule = compile_schedule(plan_keys(build_chain(2), Variant.CHAIN2))
     absorbs = tuple(AbsorbRule(rule.hop_index, ()) for rule in schedule.absorbs)
-    schedule = dataclasses.replace(schedule, absorbs=absorbs)
+    schedule = Schedule(schedule.plan, schedule.hops, absorbs)
     return schedule, make_store(schedule, 16, random.Random(0))
 
 
