@@ -37,6 +37,12 @@ hold them against each other:
   it is set) and sorted in place, so equal views sit together. It uses no
   rank, elimination or graph search, and reads its blocks off the view
   alone, not the layout.
+
+active_attack_leakage is the active sweep: the member that sends one hop
+replaces the payload it received with a function of it before folding its
+keys. The coalition sees every message, as substituted, and its held
+secrets. Sweeping one bit per secret, exact at n = 1, it returns the mutual
+information between that view and the final key.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .bits import BitString, SecretId
 from .keyplan import Variant, plan_keys
 from .protocol import ProtocolTrace, Schedule, compile_schedule
-from .topology import ROW_CAP, NodeId, build_multipath
+from .topology import ROW_CAP, NodeId, build_chain, build_multipath
 
 __all__ = [
     "Status",
@@ -508,52 +514,45 @@ def _grouped_verdict(table) -> Status:
     raise AssertionError("conditional distribution is neither fixed nor balanced")
 
 
-def _identity(x: int) -> int:
-    return x
-
-
-def _negate(x: int) -> int:
-    return x ^ 1
-
 ACTIVE_STRATEGIES: dict[str, Callable[[int], int]] = {
-    "identity": _identity,
-    "negate": _negate,
+    "identity": lambda x: x,
+    "negate": lambda x: x ^ 1,
     "const0": lambda x: 0,
     "const1": lambda x: 1,
 }
 
 
-def active_attack_leakage(strategy: Callable[[int], int]) -> float:
-    """Mutual information, in bits, between Alice's nonce and what a corrupt
-    first relay learns when it substitutes f(M0) for M0 on a 2-intermediary
-    chain and watches the replayed payload come back masked.
-
-    The corrupt node sees M0 and Z = f(M0) xor K(B,N1) xor P(A,N1); the sweep
-    is exact over the four underlying secret bits.
-    """
-    counts: dict[tuple[tuple[int, int], int], int] = {}
-    total = 0
-    for x_a, k_a2, p_a1, k_b1 in product((0, 1), repeat=4):
-        m0 = x_a ^ k_a2 ^ p_a1
-        z = (strategy(m0) & 1) ^ k_b1 ^ p_a1
-        key = ((m0, z), x_a)
-        counts[key] = counts.get(key, 0) + 1
-        total += 1
-    p_view: dict[tuple[int, int], float] = {}
-    p_x: dict[int, float] = {}
-    for (view, x), c in counts.items():
-        p_view[view] = p_view.get(view, 0.0) + c / total
-        p_x[x] = p_x.get(x, 0.0) + c / total
-    info = 0.0
-    for (view, x), c in counts.items():
-        p_joint = c / total
-        info += p_joint * log2(p_joint / (p_view[view] * p_x[x]))
-    return info
+def active_attack_leakage(
+    schedule: Schedule, coalition: frozenset[NodeId], hop_index: int, strategy: Callable[[int], int]
+) -> float:
+    """The active sweep's leakage, in bits, when the member sending hop
+    hop_index substitutes strategy(payload) & 1 for the payload it received."""
+    held = held_secrets(schedule, coalition)  # refuses an endpoint member
+    if not 0 <= hop_index < len(schedule.hops) or schedule.hops[hop_index].sender not in coalition:
+        raise ValueError(f"no member of {describe(coalition)} sends hop {hop_index}")
+    order = {sid: i for i, sid in enumerate(schedule.secret_ids)}
+    steps = [(order.get(hop.origin), _mask(order, hop.xor_ids)) for hop in schedule.hops]
+    width, held_mask, key_mask = len(order), _mask(order, held), _mask(order, schedule.nonce_ids)
+    counts: dict[int, list[int]] = defaultdict(lambda: [0, 0])  # view -> assignments per key bit
+    total = 1 << width
+    for a in range(total):  # bit i of a is the value of secret i
+        view = acc = 0
+        for i, (origin, fold) in enumerate(steps):
+            acc = acc if origin is None else a >> origin & 1  # a path starts from its nonce
+            acc = strategy(acc) & 1 if i == hop_index else acc
+            acc ^= (a & fold).bit_count() & 1
+            view = view << 1 | acc
+        counts[view << width | a & held_mask][(a & key_mask).bit_count() & 1] += 1
+    # the final key is a uniform bit, as each nonce is: p(key) = 1/2
+    return sum(c / total * log2(2 * c / sum(row)) for row in counts.values() for c in row if c)
 
 
 def max_active_attack_leakage() -> tuple[float, dict[str, float]]:
-    """Leakage of every deterministic single-bit substitution strategy."""
-    per = {name: active_attack_leakage(fn) for name, fn in ACTIVE_STRATEGIES.items()}
+    """Leakage of every deterministic single-bit substitution strategy, by
+    chain2's first relay N1 at the hop it sends (hop 1)."""
+    schedule = compile_schedule(plan_keys(build_chain(2), Variant.CHAIN2))
+    n1 = frozenset({schedule.plan.topology.node("N1")})
+    per = {name: active_attack_leakage(schedule, n1, 1, f) for name, f in ACTIVE_STRATEGIES.items()}
     return max(per.values()), per
 
 
@@ -601,7 +600,7 @@ def grid_csv(rows: list[tuple[int, int, int, int]]) -> str:
     return "\n".join(out) + "\n"
 
 
-# Kept only for perfbench/ until ROADMAP item 6 ports its call sites: it
+# Kept only for perfbench/ until ROADMAP item 20 ports its call sites: it
 # builds Coalitions, reads their labels and describe(), passes traces where a
 # Schedule is taken and calls is_recoverable(view_of(trace, coal), target).
 

@@ -52,9 +52,15 @@ def _add_layout_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_key_flags(p: argparse.ArgumentParser) -> None:
-    """The flags of a command that draws keys: their length and the seed."""
-    p.add_argument("--n", type=int, default=16, help="key length in bits")
-    p.add_argument("--seed", type=int, default=0)
+    """The flags of a command that draws keys: their length and the seed.
+    Each is None unless given, so a mode that draws no key can refuse it."""
+    p.add_argument("--n", type=int, help="key length in bits")
+    p.add_argument("--seed", type=int)
+
+
+def _key_args(args: argparse.Namespace) -> tuple[int, int]:
+    """--n and --seed, or their defaults 16 and 0."""
+    return 16 if args.n is None else args.n, 0 if args.seed is None else args.seed
 
 
 _SHAPE_FLAGS = ("m", "paths", "t")  # the layout keys build_topology reads
@@ -104,7 +110,8 @@ def _parse_coalition(topo: Topology, text: str) -> frozenset[NodeId]:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     topo, variant = _layout(args)
-    trace = run(topo, variant, args.n, random.Random(args.seed))
+    n, seed = _key_args(args)
+    trace = run(topo, variant, n, random.Random(seed))
     text = trace_text(trace)
     with open(_out_path(args, "trace.txt"), "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -242,14 +249,15 @@ def cmd_attack(args: argparse.Namespace) -> int:
     from . import analysis
 
     if args.active:
-        _refuse_ignored(args, "--active", ("coalition", *_LAYOUT_FLAGS))
+        _refuse_ignored(args, "--active", ("coalition", *_LAYOUT_FLAGS, "n", "seed"))
         worst, per = analysis.max_active_attack_leakage()
         for name, bits in sorted(per.items()):
             print(f"substitution {name}: leakage {bits:.6g} bits")
         print(f"max leakage over deterministic substitutions: {worst:.6g} bits")
         return 0
     topo, variant = _layout(args)
-    trace = run(topo, variant, args.n, random.Random(args.seed))
+    n, seed = _key_args(args)
+    trace = run(topo, variant, n, random.Random(seed))
     schedule = trace.schedule
     coal = frozenset() if args.coalition is None else _parse_coalition(topo, args.coalition)
     targets = [analysis.final_key_expr(schedule), *(frozenset({nid}) for nid in schedule.nonce_ids)]
@@ -276,8 +284,7 @@ def cmd_wire(args: argparse.Namespace) -> int:
     result = wire.orchestrate(
         topo,
         variant,
-        args.n,
-        args.seed,
+        *_key_args(args),
         args.base_port,
         args.output_dir,
         tamper_index=args.tamper,

@@ -264,7 +264,10 @@ def test_criterion_6_active_tampering_learns_nothing():
         worst, per_strategy = max_active_attack_leakage()
         assert worst == 0.0
         assert all(bits == 0.0 for bits in per_strategy.values())
-        note["detail"] = f"max over {len(per_strategy)} deterministic strategies is exactly 0.0 bits"
+        note["detail"] = (
+            f"chain2, coalition N1 substituting at hop 1: max over {len(per_strategy)}"
+            " deterministic strategies is exactly 0.0 bits"
+        )
 
 
 def test_criterion_7_rate_anchors_and_identities():

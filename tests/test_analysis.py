@@ -551,12 +551,56 @@ def test_coalition_csv_covers_the_powerset():
     assert "chain2,chain(m=2),(empty),SECURE" in lines
 
 
+def _chain2():
+    return compile_schedule(plan_keys(build_chain(2), Variant.CHAIN2))
+
+
 def test_active_substitutions_leak_nothing():
+    # the first relay substitutes the payload it received (M0) at the hop it
+    # sends (M1), and sees M2 and the two keys it holds as well
     worst, per = max_active_attack_leakage()
     assert set(per) == set(ACTIVE_STRATEGIES)
     assert worst == 0.0
-    for fn in ACTIVE_STRATEGIES.values():
-        assert active_attack_leakage(fn) == 0.0
+    schedule = _chain2()
+    n1 = frozenset({schedule.plan.topology.node("N1")})
+    assert schedule.hops[1].sender == "N1"
+    for name, fn in ACTIVE_STRATEGIES.items():
+        assert active_attack_leakage(schedule, n1, 1, fn) == per[name] == 0.0
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    _layouts()
+    .map(lambda layout: compile_schedule(plan_keys(*layout)))
+    .filter(lambda schedule: len(schedule.secret_ids) <= 8)  # at most 2^8 assignments a sweep
+)
+def test_a_substitution_leaks_exactly_what_the_passive_view_recovers(schedule):
+    # every later message on the substituting member's path is the honest one
+    # XOR a function of the payload it received, which the coalition sees: its
+    # active view and its passive view determine each other, so the final key
+    # leaks in full when is_recoverable says BROKEN and not at all otherwise
+    target = final_key_expr(schedule)
+    inter = schedule.plan.topology.intermediaries
+    for size in range(1, len(inter) + 1):
+        for members in combinations(inter, size):
+            coal = frozenset(members)
+            want = float(is_recoverable(schedule, coal, target).status is Status.BROKEN)
+            for hop in schedule.hops:
+                if hop.sender in coal:
+                    for name, fn in ACTIVE_STRATEGIES.items():
+                        got = active_attack_leakage(schedule, coal, hop.index, fn)
+                        assert got == want, (describe(coal), hop.index, name, got)
+
+
+def test_a_substitution_needs_a_member_sending_the_hop():
+    schedule = _chain2()
+    node = schedule.plan.topology.node
+    with pytest.raises(ValueError, match="no member of N1 sends hop 2"):
+        active_attack_leakage(schedule, frozenset({node("N1")}), 2, ACTIVE_STRATEGIES["identity"])
+    with pytest.raises(ValueError, match="no member of N1\\+N2 sends hop 3"):
+        active_attack_leakage(schedule, frozenset({node("N1"), node("N2")}), 3, lambda x: x)
+    with pytest.raises(ValueError, match="A is an endpoint"):  # A sends hop 0
+        active_attack_leakage(schedule, frozenset({node("A")}), 0, lambda x: x)
 
 
 def test_collusion_grid_scales_with_paths_and_reach():

@@ -198,7 +198,8 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
     # secret ids and nodes hash as the strings they are, by the per-process
     # seed, which may reach no stdout, stderr, exit code or written file.
     # Two commands name the first bad coalition member in label order,
-    # whatever order its set iterates in; the last three order the oracle's
+    # whatever order its set iterates in; attack --active groups its sweep by
+    # views packed in secret order; the last three order the oracle's
     # union-find blocks, its table columns and the minimal-set search over
     # sets of ids
     commands = [
@@ -209,6 +210,7 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
         ["attack", "--shape", "chain", "--m", "4", "--coalition", "N1,N4"],
         ["attack", "--shape", "chain", "--m", "4", "--coalition", "B,N1,A"],
         ["analyze", "--shape", "chain", "--m", "4", "--coalition", "A,B"],
+        ["attack", "--active"],
         [
             "analyze", "--shape", "multipath", "--paths", "3,3,4", "--t", "2",
             "--coalition", "N1.1,N2.2", "--oracle",
@@ -236,11 +238,11 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
         files = {p.relative_to(cwd).as_posix(): p.read_bytes() for p in cwd.rglob("*.*")}
         runs[seed] = out.stdout, out.stderr, files
     codes = [line for line in runs["0"][0].splitlines() if line.startswith("exit ")]
-    assert codes == ["exit 0"] * 5 + ["exit 3"] * 2 + ["exit 0"] * 3
+    assert codes == ["exit 0"] * 5 + ["exit 3"] * 2 + ["exit 0"] * 4
     assert runs["0"][1] == "keyhop: error: A is an endpoint, not a corruptible intermediary\n" * 2
     assert sorted(runs["0"][2]) == [
         "out0/trace.json", "out0/trace.txt", "out1/trace.json", "out1/trace.txt",
-        "out3/coalitions.csv", "out9/collusion_grid.csv",
+        "out10/collusion_grid.csv", "out3/coalitions.csv",
     ]
     assert all(run == runs["0"] for run in runs.values())
 
@@ -371,6 +373,7 @@ def test_analyze_attack_and_simulate_load_neither_dataclasses_nor_inspect(tmp_pa
         ["analyze", "--shape", "chain", "--m", "6", "--output-dir", "audit"],
         ["analyze", "--shape", "chain", "--m", "4", "--coalition", "N1,N4"],
         ["attack", "--shape", "chain", "--m", "4", "--coalition", "N1,N4"],
+        ["attack", "--active"],
     ]
     simulate = ["simulate", "--shape", "chain", "--m", "10", "--output-dir", "sim"]
     script = (
@@ -392,8 +395,9 @@ def test_analyze_attack_and_simulate_load_neither_dataclasses_nor_inspect(tmp_pa
     added = {
         line.split()[0]: line.split()[1:] for line in out.stdout.splitlines() if line[:1] == "@"
     }
-    assert added["@codes"] == ["0"] * 4 and out.stderr == ""
+    assert added["@codes"] == ["0"] * 5 and out.stderr == ""
     assert "keyhop.analysis" in added["@readers"] and "keyhop.bits" in added["@readers"]
+    assert "numpy" not in added["@readers"]  # only the oracle loads it; the active sweep is pure
     assert [name for name in ("dataclasses", "inspect") if name in added["@all"]] == []
     assert "json" not in added["@readers"] and "json" in added["@all"]
     assert sorted(p.name for p in (tmp_path / "sim").iterdir()) == ["trace.json", "trace.txt"]
@@ -528,10 +532,18 @@ def test_key_material_over_the_budget_exits_three_before_a_draw(
 
 
 def test_attack_active_leakage_table(capsys):
+    # chain2's first relay N1 substitutes at the hop it sends; the table
+    # lists the strategies by name, then their maximum
     code = main(["attack", "--active"])
     assert code == 0
-    out = capsys.readouterr().out
-    assert "max leakage over deterministic substitutions: 0 bits" in out
+    assert capsys.readouterr() == (
+        "substitution const0: leakage 0 bits\n"
+        "substitution const1: leakage 0 bits\n"
+        "substitution identity: leakage 0 bits\n"
+        "substitution negate: leakage 0 bits\n"
+        "max leakage over deterministic substitutions: 0 bits\n",
+        "",
+    )
 
 
 def test_rate_anchors_and_csv(tmp_path, capsys):
@@ -945,6 +957,8 @@ _CONFIGS = {
         ["analyze", "--grid", "--grid-paths", "1,9", "--grid-reach", "1,11"],
         ["attack", "--active", "--coalition", "N1"],  # flags --active ignores
         ["attack", "--active", "--shape", "chain", "--m", "3"],
+        ["attack", "--active", "--n", "5"],  # the sweep is exact at one bit
+        ["attack", "--active", "--seed", "9"],  # and draws no key
         ["rate", "--from-km", "10", "--to-km", "0"],  # no distances
         ["rate", "--step-km", "0"],
         ["wire", "--shape", "chain", "--m", "2", "--tamper", "999"],  # hops are 0..2
