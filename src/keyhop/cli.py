@@ -69,9 +69,10 @@ _LAYOUT_FLAGS = ("shape", "config", *_SHAPE_FLAGS, "variant")
 
 def _refuse_ignored(args: argparse.Namespace, mode: str, names: tuple[str, ...]) -> None:
     """A usage error for each flag in names that was given but mode ignores."""
-    given = [f"--{n}" for n in names if (v := getattr(args, n)) is not None and v is not False]
+    given = [n for n in names if (v := getattr(args, n)) is not None and v is not False]
     if given:
-        raise ValueError(f"{mode} ignores {', '.join(given)}")
+        flags = ", ".join(f"--{n.replace('_', '-')}" for n in given)
+        raise ValueError(f"{mode} ignores {flags}")
 
 
 def _layout(
@@ -131,8 +132,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     if args.grid:
         _refuse_ignored(args, "--grid", ("coalition", "oracle", *_LAYOUT_FLAGS))
-        path_counts = _parse_int_list(args.grid_paths, "--grid-paths")
-        reaches = _parse_int_list(args.grid_reach, "--grid-reach")
+        path_counts = _grid_axis(args.grid_paths, "--grid-paths")
+        reaches = _grid_axis(args.grid_reach, "--grid-reach")
         if not path_counts or not reaches:
             raise ValueError("--grid-paths and --grid-reach each need at least one number")
         rows = analysis.collusion_grid(path_counts, reaches)
@@ -143,6 +144,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(csv_text, end="")
         print(f"wrote {path}")
         return 0
+    _refuse_ignored(args, "analyze without --grid", ("grid_paths", "grid_reach"))
     if args.oracle and args.coalition is None:
         raise ValueError("--oracle checks one coalition; give --coalition")
     # coalitions.csv has 2^m rows; refuse before the layout is built
@@ -179,8 +181,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    return [parse_int(v, flag) for v in text.split(",") if v.strip()]
+def _grid_axis(text: str | None, flag: str) -> list[int]:
+    """A --grid axis: the flag's comma-separated numbers, else 1, 2 and 3."""
+    return [1, 2, 3] if text is None else [parse_int(v, flag) for v in text.split(",") if v.strip()]
 
 
 def cmd_rate(args: argparse.Namespace) -> int:
@@ -198,8 +201,11 @@ def cmd_rate(args: argparse.Namespace) -> int:
     if args.max_range_m is not None and args.max_range_m < 2:
         raise ValueError("--max-range-m: the scheme needs at least 2 intermediaries")
     if args.params:
+        _refuse_ignored(args, "--params", ("alpha",))
         with open(args.params, encoding="utf-8") as fh:
             params = ratemodel.parse_rate_config(fh.read())
+    elif args.alpha is None:
+        params = ratemodel.RateParams.calibrated()
     else:
         params = ratemodel.RateParams.calibrated(args.alpha)
     if args.threshold is not None:
@@ -313,12 +319,12 @@ def _analyze_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--coalition", help="comma-separated node labels")
     p.add_argument("--oracle", action="store_true", help="cross-check with the truth-table sweep")
     p.add_argument("--grid", action="store_true", help="minimum colluders over paths x reach")
-    p.add_argument("--grid-paths", default="1,2,3")
-    p.add_argument("--grid-reach", default="1,2,3")
+    p.add_argument("--grid-paths")
+    p.add_argument("--grid-reach")
 
 
 def _rate_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=0.2, help="fiber loss in dB/km")
+    p.add_argument("--alpha", type=float, help="fiber loss in dB/km")
     p.add_argument("--threshold", type=float, help="usefulness floor in bps")
     p.add_argument("--params", help="rate config file overriding the calibration")
     p.add_argument("--families", help="comma-separated curve families")

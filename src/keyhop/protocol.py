@@ -10,7 +10,6 @@ execute the same schedule, so they cannot drift apart.
 from __future__ import annotations
 
 import random
-from functools import cached_property
 from typing import NamedTuple
 
 from .bits import BitString, KeyStore, SecretId, check_length, nonce
@@ -52,43 +51,24 @@ class AbsorbRule(NamedTuple):
     strip_ids: tuple[SecretId, ...]
 
 
-class Schedule:
-    """A plan's hops and absorb rules, with the symbolic facts read off them.
-
-    It refuses assignment and deletion, so a cached secret_ids or exprs
-    cannot go stale, and compares by identity. It is a plain class, not a
-    NamedTuple, because cached_property keeps its values in the instance
-    __dict__."""
+class Schedule(NamedTuple):
+    """A plan's hops and absorb rules, with the symbolic facts read off them."""
 
     plan: KeyPlan
     hops: tuple[Hop, ...]
     absorbs: tuple[AbsorbRule, ...]  # one per path, at its last hop's receiver
-
-    def __init__(
-        self, plan: KeyPlan, hops: tuple[Hop, ...], absorbs: tuple[AbsorbRule, ...]
-    ) -> None:
-        self.__dict__.update(plan=plan, hops=hops, absorbs=absorbs)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        return f"Schedule(plan={self.plan!r}, hops={self.hops!r}, absorbs={self.absorbs!r})"
 
     @property
     def nonce_ids(self) -> tuple[SecretId, ...]:
         """Each path's nonce: the origin of its first hop."""
         return tuple(h.origin for h in self.hops if h.origin is not None)
 
-    @cached_property
+    @property
     def secret_ids(self) -> tuple[SecretId, ...]:
         """The plan's keys, then the nonces: the order make_store draws them in."""
         return (*(entry.secret_id for entry in self.plan.entries), *self.nonce_ids)
 
-    @cached_property
+    @property
     def exprs(self) -> tuple[frozenset[SecretId], ...]:
         """Each hop's payload as its set of terms: its path's nonce XOR the
         keys folded so far (compile_schedule lists each key once, so a hop's

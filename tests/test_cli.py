@@ -670,11 +670,15 @@ def test_rate_refuses_a_fiber_loss_it_cannot_calibrate(tmp_path, capsys, source,
     assert not out_dir.exists()
 
 
-def test_rate_params_file_replaces_the_alpha_flag(tmp_path, capsys):
+def test_rate_params_file_refuses_the_alpha_flag(tmp_path, capsys):
+    # the file replaces the calibration that --alpha sets, so rate refuses it
     cfg = tmp_path / "rate.cfg"
     cfg.write_text("alpha_db_per_km = 0.2\n")
-    argv = ["rate", "--alpha", "50", "--params", str(cfg), "--to-km", "0"]
-    assert main(argv + ["--output-dir", str(tmp_path)]) == 0
+    argv = ["rate", "--params", str(cfg), "--to-km", "0", "--output-dir", str(tmp_path / "out")]
+    assert main([*argv, "--alpha", "50"]) == 3
+    assert capsys.readouterr() == ("", "keyhop: error: --params ignores --alpha\n")
+    assert not (tmp_path / "out").exists()
+    assert main(argv) == 0
     assert capsys.readouterr().out.count("PASS") == 5
 
 
@@ -938,6 +942,7 @@ _CONFIGS = {
     "ring6-m5.cfg": "shape = ring6\nm = 5\n",
     "ring6-inf.cfg": "shape = ring6\nlink_length_km = inf\n",
     "rate-inf.cfg": "c_tf = inf\n",
+    "rate.cfg": "c_tf = 1e6\n",
 }
 
 
@@ -977,6 +982,11 @@ _CONFIGS = {
         ["wire", "--shape", "chain", "--m", "2", "--n", "33554153"],  # RELAY above MAX_FRAME
         ["rate", "--max-range-m", "1"],  # the scheme needs 2 intermediaries
         ["analyze", "--shape", "multipath", "--paths", "3", "--t", "0"],  # reach below 1
+        ["rate", "--params", "rate.cfg", "--alpha", "0.3"],  # a file replaces --alpha
+        ["analyze", "--shape", "ring6", "--grid-paths", "2"],  # grid axes outside --grid
+        ["analyze", "--shape", "ring6", "--grid-reach", "2"],
+        ["analyze", "--shape", "ring6", "--coalition", "N1", "--grid-paths", "2"],
+        ["analyze", "--shape", "ring6", "--coalition", "N1,N3", "--oracle", "--grid-reach", "2"],
     ],
 )
 def test_usage_errors_exit_three(tmp_path, argv, capsys):
@@ -994,6 +1004,22 @@ def test_usage_errors_exit_three(tmp_path, argv, capsys):
     if argv[0] == "attack":  # its own refusal, not argparse's
         assert err.startswith("keyhop: error: --active ignores --")
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        ("--shape ring6 --grid-paths 1,2,3", "--grid-paths"),
+        ("--shape ring6 --coalition N1 --oracle --grid-paths 1 --grid-reach 1", "--grid-paths, --grid-reach"),
+    ],
+    ids=["audit", "oracle"],
+)
+def test_analyze_refuses_grid_axes_outside_the_grid(tmp_path, monkeypatch, capsys, argv, flags):
+    # even at the grid's own default, an axis the mode ignores is an error
+    monkeypatch.chdir(tmp_path)
+    assert main(["analyze", *argv.split(), "--output-dir", "out"]) == 3
+    assert capsys.readouterr() == ("", f"keyhop: error: analyze without --grid ignores {flags}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -1230,8 +1256,37 @@ _MODES = {
 }
 
 
+# a valid value for each flag that takes one, to add to any mode's argv
+_SAMPLES = {
+    "--shape": "chain",
+    "--m": "2",
+    "--paths": "2,2",
+    "--t": "1",
+    "--config": "chain.cfg",
+    "--variant": "chain-m",
+    "--n": "8",
+    "--seed": "1",
+    "--output-dir": "out",
+    "--coalition": "N1",
+    "--grid-paths": "1",
+    "--grid-reach": "1",
+    "--alpha": "0.3",
+    "--threshold": "2e6",
+    "--params": "rate.cfg",
+    "--families": "tf",
+    "--from-km": "0",
+    "--to-km": "0",
+    "--step-km": "10",
+    "--max-range-m": "2",
+    "--base-port": "9000",
+    "--tamper": "1",
+    "--timeout": "5",
+}
+
+
 def test_every_flag_is_read_by_its_command(tmp_path, monkeypatch, capsys):
-    # a command offers only the flags its handler reads in some mode
+    # in every mode, the handler reads each flag its argv gives, and each
+    # other flag of the command once it is added; a refusal reads the flag
     read = set()
 
     class Recording(argparse.Namespace):
@@ -1243,21 +1298,39 @@ def test_every_flag_is_read_by_its_command(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(wire, "orchestrate", lambda *args, **kwargs: stub)  # opens no socket
     monkeypatch.chdir(tmp_path)
     (tmp_path / "rate.cfg").write_text("c_tf = 1e6\n")
+    (tmp_path / "chain.cfg").write_text("shape = chain\nm = 2\n")
+
+    def handle(parser, handler, argv):
+        """The handler's exit code on argv; the names it read are in read."""
+        args = parser.parse_args(argv, namespace=Recording())
+        read.clear()  # argparse reads the namespace as it fills it
+        try:
+            return handler(args)
+        except (ValueError, OSError):  # main's exit 3
+            return 3
+
     assert set(_MODES) == set(cli._COMMANDS)
     unread = []
     for command, (_, add_flags, handler) in cli._COMMANDS.items():
         parser = cli._Parser(prog=f"keyhop {command}")
         add_flags(parser)
-        dests = {action.dest for action in parser._actions} - {"help"}
-        seen = set()
+        actions = [action for action in parser._actions if action.dest != "help"]
         for argv in _MODES[command]:
-            args = parser.parse_args(argv, namespace=Recording())
-            read.clear()  # argparse reads the namespace as it fills it
-            assert handler(args) in (0, 1)
-            seen |= read
-        unread += [f"{command}: {dest}" for dest in sorted(dests - seen)]
+            assert handle(parser, handler, argv) in (0, 1)
+            given = set(read)
+            for action in actions:
+                flag = action.option_strings[0]
+                if flag not in argv:
+                    sample = [] if action.nargs == 0 else [_SAMPLES[flag]]
+                    handle(parser, handler, [*argv, flag, *sample])
+                if action.dest not in (given if flag in argv else read):
+                    unread.append(f"{command} {' '.join(argv)} + {flag}")
     capsys.readouterr()
-    assert unread == []
+    # the one exception: a --coalition answer is printed and writes no file,
+    # but the benchmark's oracle argv in perfbench/workloads.py passes
+    # --output-dir, so refusing it waits for a change to the benchmark
+    oracle = " ".join(_MODES["analyze"][1])
+    assert unread == [f"analyze {oracle} + --output-dir"]
 
 
 def _count_parsers(monkeypatch):

@@ -169,24 +169,25 @@ def test_plan_entries_keep_their_field_order_and_refuse_assignment():
 
 
 @st.composite
-def _layouts(draw):
-    """ring6 v1/v2, chain, reach or multipath, with at most 12 intermediaries."""
+def _layouts(draw, most=12):
+    """ring6 v1/v2, chain, reach or multipath, with at most `most` (>= 4)
+    intermediaries. Each family is drawn within that bound rather than
+    filtered to it: a filter's redraws end on an already drawn layout."""
     kind = draw(st.sampled_from(("ring6", "chain", "reach", "multipath")))
     if kind == "ring6":
         return build_ring6(), draw(st.sampled_from((Variant.RING_V1, Variant.RING_V2)))
     if kind == "chain":
-        m = draw(st.integers(2, 12))
+        m = draw(st.integers(2, most))
         variants = (Variant.CHAIN2, Variant.CHAIN_M) if m == 2 else (Variant.CHAIN_M,)
         return build_chain(m), draw(st.sampled_from(variants))
     if kind == "reach":
-        t = draw(st.integers(2, 5))
-        return build_reach_chain(draw(st.integers(t + 1, 12)), t), Variant.REACH_T
+        t = draw(st.integers(2, min(5, most - 1)))
+        return build_reach_chain(draw(st.integers(t + 1, most)), t), Variant.REACH_T
     t = draw(st.integers(1, 3))
-    lengths = draw(
-        st.lists(st.integers(max(2, t + 1), 6), min_size=1, max_size=4).filter(
-            lambda ls: sum(ls) <= 12
-        )
-    )
+    low = max(2, t + 1)
+    lengths = [draw(st.integers(low, min(6, most)))]
+    while len(lengths) < 4 and sum(lengths) + low <= most and draw(st.booleans()):
+        lengths.append(draw(st.integers(low, min(6, most - sum(lengths)))))
     return build_multipath(lengths, t=t), Variant.MULTIPATH
 
 

@@ -81,12 +81,21 @@ def _ring_v1_records():
 
 def _value_records():
     """The engine records, then one of each other record that compares by
-    value: ring6 v1's layout, plan, final-key verdict and key, and a frame."""
+    value: ring6 v1's layout, plan, final-key verdict and key, a frame and
+    the compiled schedule."""
     trace = run(build_ring6(), Variant.RING_V1, 16, random.Random(0))
     schedule = trace.schedule
     verdict = analysis.is_recoverable(schedule, frozenset(), analysis.final_key_expr(schedule))
     frame = wire.Frame(wire.FRAME_RELAY, 7, b"\x01\x02")
-    return (*_ring_v1_records(), schedule.plan.topology, schedule.plan, verdict, trace.output_a, frame)
+    return (
+        *_ring_v1_records(),
+        schedule.plan.topology,
+        schedule.plan,
+        verdict,
+        trace.output_a,
+        frame,
+        schedule,
+    )
 
 
 def test_engine_records_keep_their_field_order():
@@ -99,6 +108,7 @@ def test_engine_records_keep_their_field_order():
     assert ProtocolTrace._fields == ("schedule", "messages", "output_a", "output_b", "store")
     assert Topology._fields == ("shape", "paths", "t") and Topology._field_defaults == {"t": 1}
     assert KeyPlan._fields == ("topology", "variant", "entries")
+    assert Schedule._fields == ("plan", "hops", "absorbs")
     assert analysis.SecrecyVerdict._fields == ("status", "recovery")
     assert analysis.SecrecyVerdict._field_defaults == {"recovery": None}
     assert BitString.__slots__ == ("value", "n")
@@ -131,17 +141,16 @@ def test_engine_records_refuse_assignment_and_survive_pickling():
     with pytest.raises(TypeError):
         hash(stub)
     assert pickle.loads(pickle.dumps(stub)) == stub == copy.deepcopy(stub)
-    # a schedule refuses assignment, so its cached facts cannot go stale
-    schedule = compile_schedule(plan_keys(build_ring6(), Variant.RING_V1))
-    with pytest.raises(AttributeError):
-        schedule.hops = ()
-    with pytest.raises(AttributeError):
-        del schedule.plan
-    assert schedule.exprs is schedule.exprs and schedule.secret_ids is schedule.secret_ids
+    # a schedule is its plan, hops and absorbs: two compiles of one plan are
+    # one value, and its facts are read off those fields alike every time
+    plan = plan_keys(build_ring6(), Variant.RING_V1)
+    schedule, twin = compile_schedule(plan), compile_schedule(plan)
+    assert schedule == twin and hash(schedule) == hash(twin)
+    assert schedule.exprs == schedule.exprs and schedule.secret_ids == schedule.secret_ids
 
 
 def test_ring6_hop_and_message_reprs_are_the_dataclass_reprs():
-    hop, _, msg, topo, plan, verdict, key, frame = _value_records()
+    hop, _, msg, topo, plan, verdict, key, frame, schedule = _value_records()
     assert repr(hop) == (
         "Hop(index=0, sender='A', receiver='N1',"
         " origin='X[A]', xor_ids=('K[A,N2]',))"
@@ -170,7 +179,6 @@ def test_ring6_hop_and_message_reprs_are_the_dataclass_reprs():
         "WireRun(code=0, results={}, output_a=BitString(value=25079, n=16),"
         " output_b=BitString(value=25079, n=16), report='stub run')"
     )
-    schedule = compile_schedule(plan)
     assert repr(schedule) == (
         f"Schedule(plan={plan!r}, hops={schedule.hops!r}, absorbs={schedule.absorbs!r})"
     )
@@ -491,7 +499,7 @@ def _unstripped():
     for it: B keeps the link keys in its share, so the endpoints disagree."""
     schedule = compile_schedule(plan_keys(build_chain(2), Variant.CHAIN2))
     absorbs = tuple(AbsorbRule(rule.hop_index, ()) for rule in schedule.absorbs)
-    schedule = Schedule(schedule.plan, schedule.hops, absorbs)
+    schedule = schedule._replace(absorbs=absorbs)
     return schedule, make_store(schedule, 16, random.Random(0))
 
 
