@@ -300,6 +300,29 @@ def test_analyze_grid_with_no_numbers_exits_three(tmp_path, capsys, flag):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "axes, message",
+    [
+        (["--grid-paths", "0"], "need at least one path"),
+        (["--grid-paths", "-1"], "need at least one path"),
+        (["--grid-reach", "0"], "reach parameter must be at least 1"),
+        (["--grid-paths", "1,0", "--grid-reach", "0"], "reach parameter must be at least 1"),
+        (["--grid-paths", "0,1", "--grid-reach", "0"], "need at least one path"),
+        (["--grid-paths", "2", "--grid-reach", "0"], "reach parameter must be at least 1"),
+        (  # the cap is checked over every cell before any cell's own refusal
+            ["--grid-paths", "0,11", "--grid-reach", "9"],
+            "grid cell paths=11, reach=9 has 110 intermediaries; the grid allows at most 100",
+        ),
+    ],
+)
+def test_analyze_grid_refuses_a_cell_without_a_path_or_a_reach(tmp_path, capsys, axes, message):
+    # the first refused cell in row order names what build_multipath refuses
+    out_dir = tmp_path / "out"
+    assert main(["analyze", "--grid", *axes, "--output-dir", str(out_dir)]) == 3
+    assert capsys.readouterr() == ("", f"keyhop: error: {message}\n")
+    assert not out_dir.exists()
+
+
 def test_analyze_oracle_checks_a_chain_the_held_keys_narrow(tmp_path, capsys):
     # chain m=22 has 25 secrets; N4 and N7 hold four, so the sweep is one
     # block of 21, within the 24 a sweep allows
