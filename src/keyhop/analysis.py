@@ -561,12 +561,16 @@ def collusion_grid(
 ) -> list[tuple[int, int, int, int]]:
     """Minimum breaking-coalition size over (number of paths, reach) cells.
 
-    Each cell uses paths of m = t+1 intermediaries, the smallest chain where
-    reach t keeps the endpoints out of direct range. Computed by search, not
-    by formula, on each cell's compiled schedule: no key is drawn and nothing
-    runs. A grid of more than ROW_CAP cells, or with a cell of more than
-    GRID_CAP intermediaries, is refused before any cell is built. Returns
-    (M, t, m per path, minimum colluding nodes) rows.
+    Each cell uses M paths of m = t+1 intermediaries, the smallest chain
+    where reach t keeps the endpoints out of direct range. The paths share
+    no intermediary and no key, so each is cut on its own, and a cell needs
+    M times what one path of its reach needs. That is computed by search,
+    not by formula, on one compiled one-path schedule per distinct reach:
+    no key is drawn and nothing runs. A grid of more than ROW_CAP cells, or
+    with a cell of more than GRID_CAP intermediaries, is refused before any
+    cell is checked; then the first cell in row order that build_multipath
+    refuses is refused with its message, before any search. Returns (M, t,
+    m per path, minimum colluding nodes) rows.
     """
     count = len(path_counts) * len(reaches)
     if count > ROW_CAP:
@@ -578,13 +582,15 @@ def collusion_grid(
                 f"grid cell paths={n_paths}, reach={t} has {n_paths * (t + 1)}"
                 f" intermediaries; the grid allows at most {GRID_CAP}"
             )
-    rows = []
     for n_paths, t in cells:
-        m = t + 1
-        topo = build_multipath([m] * n_paths, t=t)
-        schedule = compile_schedule(plan_keys(topo, Variant.MULTIPATH))
-        rows.append((n_paths, t, m, _fewest_breaking(schedule)))
-    return rows
+        if n_paths < 1 or t < 1:
+            build_multipath([t + 1] * n_paths, t=t)  # raises the cell's refusal
+    fewest = {}
+    for _, t in cells:
+        if t not in fewest:
+            topo = build_multipath([t + 1], t=t)
+            fewest[t] = _fewest_breaking(compile_schedule(plan_keys(topo, Variant.MULTIPATH)))
+    return [(n_paths, t, t + 1, n_paths * fewest[t]) for n_paths, t in cells]
 
 
 def _fewest_breaking(schedule: Schedule) -> int:

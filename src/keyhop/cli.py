@@ -187,8 +187,6 @@ def _grid_axis(text: str | None, flag: str) -> list[int]:
 
 
 def cmd_rate(args: argparse.Namespace) -> int:
-    import dataclasses  # RateParams is the package's only dataclass
-
     from . import ratemodel
 
     # each distance and the reach's m become floats; refuse an int past their range
@@ -209,7 +207,7 @@ def cmd_rate(args: argparse.Namespace) -> int:
     else:
         params = ratemodel.RateParams.calibrated(args.alpha)
     if args.threshold is not None:
-        params = dataclasses.replace(params, threshold_bps=args.threshold)
+        params = params._replace(threshold_bps=args.threshold)
     reach = None if args.max_range_m is None else ratemodel.max_range(args.max_range_m, params)
     if reach is not None and not math.isfinite(reach):
         raise ValueError(

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .topology import parse_float, parse_int, parse_kv
 
@@ -52,20 +52,30 @@ def _calibrated_clock(alpha_db_per_km: float) -> float:
     return CALIBRATION_BPS / math.sqrt(eta_cal)
 
 
-@dataclass(frozen=True)
-class RateParams:
-    """Fiber loss and clock constants. Defaults reproduce the reference
-    calibration: alpha 0.2 dB/km gives c_tf = c_p2p = 1e6."""
-
+class _RateFields(NamedTuple):
     alpha_db_per_km: float = 0.2
     c_tf: float = _calibrated_clock(0.2)
     c_p2p: float = _calibrated_clock(0.2)
     threshold_bps: float = 1.0
 
-    def __post_init__(self) -> None:
-        for name in ("alpha_db_per_km", "c_tf", "c_p2p", "threshold_bps"):
-            if not 0 < getattr(self, name) < math.inf:
+
+class RateParams(_RateFields):
+    """Fiber loss and clock constants. Defaults reproduce the reference
+    calibration: alpha 0.2 dB/km gives c_tf = c_p2p = 1e6. Every
+    construction checks the range, _replace and unpickling included."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> RateParams:
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
+            if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable[float]) -> RateParams:  # _replace builds through it
+        return cls(*iterable)
 
     @classmethod
     def calibrated(cls, alpha_db_per_km: float = 0.2) -> RateParams:
@@ -176,4 +186,4 @@ def parse_rate_config(text: str) -> RateParams:
     defaults = RateParams()
     if "alpha_db_per_km" in values and "c_tf" not in values:
         defaults = RateParams.calibrated(values["alpha_db_per_km"])
-    return replace(defaults, **values)
+    return defaults._replace(**values)

@@ -39,6 +39,7 @@ from keyhop.protocol import compile_schedule, run
 from keyhop.topology import Shape, build_chain, build_multipath, build_reach_chain, build_ring6
 
 from test_keyplan import _layouts  # the generated layouts of at most 12 intermediaries
+from test_keyplan import _path_lengths
 
 
 def _trace(builder, variant, seed=0, n=16):
@@ -521,10 +522,7 @@ def _oracle_cases(draw):
         topo, variant = build_reach_chain(draw(st.integers(t + 1, 8)), t), Variant.REACH_T
     else:
         t = draw(st.integers(1, 3))
-        lengths = draw(
-            st.lists(st.integers(t + 1, 8), min_size=1, max_size=5).filter(lambda ls: sum(ls) <= 20)
-        )
-        topo, variant = build_multipath(lengths, t=t), Variant.MULTIPATH
+        topo, variant = build_multipath(_path_lengths(draw, t + 1, 8, 5, 20), t=t), Variant.MULTIPATH
     trace = run(topo, variant, 1, random.Random(draw(st.integers(0, 2**32 - 1))))
     assume(_largest_path_secrets(trace) <= 18)
     labels = topo.intermediaries
@@ -638,7 +636,7 @@ def test_collusion_grid_passes_the_enumeration_cap(monkeypatch):
 
 def test_collusion_grid_draws_no_key_and_runs_nothing(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the grid must read each cell off its compiled schedule")
+        raise AssertionError("the grid must read each reach off its compiled one-path schedule")
 
     monkeypatch.setattr(KeyStore, "sample", refuse)
     monkeypatch.setattr(protocol, "make_store", refuse)
@@ -646,6 +644,60 @@ def test_collusion_grid_draws_no_key_and_runs_nothing(monkeypatch):
     rows = collusion_grid([1, 2, 3], [1, 2, 3])
     assert [cost for *_, cost in rows] == [paths * (t + 1) for paths in (1, 2, 3) for t in (1, 2, 3)]
 
+
+
+def _grid_reference(path_counts, reaches):
+    """collusion_grid's rows as it once searched them: every cell's whole
+    layout, compiled, then _fewest_breaking over all of its paths."""
+    rows = []
+    for n_paths in path_counts:
+        for t in reaches:
+            topo = build_multipath([t + 1] * n_paths, t=t)
+            schedule = compile_schedule(plan_keys(topo, Variant.MULTIPATH))
+            rows.append((n_paths, t, t + 1, analysis._fewest_breaking(schedule)))
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(  # repeated and unsorted values; at most 6 * (6 + 1) intermediaries a cell
+    st.lists(st.integers(1, 6), max_size=4), st.lists(st.integers(1, 6), max_size=4)
+)
+def test_collusion_grid_equals_a_search_of_every_cell(path_counts, reaches):
+    assert collusion_grid(path_counts, reaches) == _grid_reference(path_counts, reaches)
+
+
+@pytest.mark.parametrize(
+    "path_counts, reaches",
+    [([0], [1, 2]), ([-1], [3]), ([2], [0]), ([1, 0], [0]), ([0, 1], [0]), ([3, 2], [2, -4])],
+)
+def test_collusion_grid_refuses_the_first_cell_a_search_of_every_cell_refuses(
+    path_counts, reaches
+):
+    with pytest.raises(ValueError) as want:
+        _grid_reference(path_counts, reaches)
+    with pytest.raises(ValueError) as got:
+        collusion_grid(path_counts, reaches)
+    assert str(got.value) == str(want.value)
+
+
+def test_collusion_grid_compiles_one_path_per_distinct_reach(monkeypatch):
+    compiled = []
+
+    def counted(plan):
+        compiled.append(plan.topology.paths)
+        return compile_schedule(plan)
+
+    monkeypatch.setattr(analysis, "compile_schedule", counted)
+    assert collusion_grid([3, 1, 3, 2], [2, 2, 1, 3, 1]) == _grid_reference(
+        [3, 1, 3, 2], [2, 2, 1, 3, 1]
+    )
+    assert sorted(len(paths[0]) - 2 for paths in compiled) == [2, 3, 4]  # m = t+1 per reach
+    assert all(len(paths) == 1 for paths in compiled)
+    assert collusion_grid([], [0, 5]) == [] and collusion_grid([2], []) == []
+    for refused in (([1, 0], [1]), ([2], [1, 0]), ([1, 11], [9])):
+        with pytest.raises(ValueError):
+            collusion_grid(*refused)
+    assert len(compiled) == 3
 
 def _run_held(trace, coalition):
     """held_secrets as it read a run: the store's ids, by name, that name a
@@ -685,10 +737,7 @@ def test_schedule_answers_equal_the_run_answers(n, layout, seed, data):
 def _multipath(draw):
     t = draw(st.sampled_from((1, 2)))
     # at most 9 intermediaries: the reference sweep over 12 takes about 3 s
-    lengths = draw(
-        st.lists(st.integers(t + 1, 4), min_size=1, max_size=3).filter(lambda ls: sum(ls) <= 9)
-    )
-    return build_multipath(lengths, t=t), Variant.MULTIPATH
+    return build_multipath(_path_lengths(draw, t + 1, 4, 3, 9), t=t), Variant.MULTIPATH
 
 
 @st.composite
@@ -788,10 +837,7 @@ def _large_layouts(draw):
         t = draw(st.integers(2, 4))
         return build_reach_chain(draw(st.integers(t + 1, 16)), t), Variant.REACH_T
     t = draw(st.integers(1, 3))
-    lengths = draw(
-        st.lists(st.integers(t + 1, 8), min_size=1, max_size=5).filter(lambda ls: sum(ls) <= 14)
-    )
-    return build_multipath(lengths, t=t), Variant.MULTIPATH
+    return build_multipath(_path_lengths(draw, t + 1, 8, 5, 14), t=t), Variant.MULTIPATH
 
 
 @settings(max_examples=20, deadline=None)

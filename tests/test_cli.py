@@ -426,6 +426,25 @@ def test_analyze_attack_and_simulate_load_neither_dataclasses_nor_inspect(tmp_pa
     assert sorted(p.name for p in (tmp_path / "sim").iterdir()) == ["trace.json", "trace.txt"]
 
 
+def test_rate_loads_neither_dataclasses_nor_inspect(tmp_path):
+    # RateParams is a NamedTuple record, so rate pays for neither module
+    script = (
+        "import sys\n"
+        "from keyhop.cli import main\n"
+        "code = main(['rate', '--threshold', '2', '--output-dir', 'out'])\n"
+        "print('@loaded', *[name for name in ('dataclasses', 'inspect') if name in sys.modules])\n"
+        "print('@code', code)\n"
+    )
+    src = os.path.dirname(os.path.dirname(keyhop.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path, capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.splitlines()[-2:] == ["@loaded", "@code 0"] and out.stderr == ""
+    assert (tmp_path / "out" / "rates.csv").is_file()
+
+
 def test_attack_demonstrates_wiretap_recovery(capsys):
     code = main(["attack", "--shape", "ring6", "--variant", "ring-v1"])
     assert code == 0

@@ -184,11 +184,16 @@ def _layouts(draw, most=12):
         t = draw(st.integers(2, min(5, most - 1)))
         return build_reach_chain(draw(st.integers(t + 1, most)), t), Variant.REACH_T
     t = draw(st.integers(1, 3))
-    low = max(2, t + 1)
-    lengths = [draw(st.integers(low, min(6, most)))]
-    while len(lengths) < 4 and sum(lengths) + low <= most and draw(st.booleans()):
-        lengths.append(draw(st.integers(low, min(6, most - sum(lengths)))))
-    return build_multipath(lengths, t=t), Variant.MULTIPATH
+    return build_multipath(_path_lengths(draw, max(2, t + 1), 6, 4, most), t=t), Variant.MULTIPATH
+
+
+def _path_lengths(draw, low, high, paths, most):
+    """1 to `paths` path lengths in low..high that sum to at most `most`
+    (>= low), each drawn within what the ones before it leave."""
+    lengths = [draw(st.integers(low, min(high, most)))]
+    while len(lengths) < paths and sum(lengths) + low <= most and draw(st.booleans()):
+        lengths.append(draw(st.integers(low, min(high, most - sum(lengths)))))
+    return lengths
 
 
 @settings(max_examples=60, deadline=None)

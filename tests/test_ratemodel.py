@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 
@@ -152,6 +154,48 @@ def test_params_reject_nonpositive_values():
         RateParams(0.2, -1e6, 1e6, 1.0)
     with pytest.raises(ValueError):
         RateParams(0.2, 1e6, 1e6, 0.0)
+
+
+@pytest.mark.parametrize("value", [0.0, -1e6, math.inf, math.nan])
+@pytest.mark.parametrize("field", ["alpha_db_per_km", "c_tf", "c_p2p", "threshold_bps"])
+def test_every_construction_checks_each_field(field, value):
+    # by position, by keyword and through _replace, which parse_rate_config
+    # and rate --threshold build with
+    message = f"^{field} must be positive and finite$"
+    values = [value if name == field else got for name, got in zip(PARAMS._fields, PARAMS)]
+    for build in (
+        lambda: RateParams(*values),
+        lambda: RateParams(**{field: value}),
+        lambda: PARAMS._replace(**{field: value}),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
+def test_params_are_an_immutable_record():
+    params = RateParams(0.17, 2.5e6, 1.1e6, 0.5)
+    assert params == RateParams(alpha_db_per_km=0.17, c_tf=2.5e6, c_p2p=1.1e6, threshold_bps=0.5)
+    assert repr(params) == (
+        "RateParams(alpha_db_per_km=0.17, c_tf=2500000.0, c_p2p=1100000.0, threshold_bps=0.5)"
+    )
+    for twin in (pickle.loads(pickle.dumps(params)), copy.copy(params), copy.deepcopy(params)):
+        assert type(twin) is RateParams and twin == params
+    with pytest.raises(AttributeError):
+        params.c_tf = 1.0
+    assert not hasattr(params, "__dict__")
+
+
+def test_calibrated_params_put_the_anchor_at_300km():
+    assert RateParams.calibrated() == RateParams() == RateParams(0.2, 1e6, 1e6, 1.0)
+    params = RateParams.calibrated(0.3)
+    assert params.alpha_db_per_km == 0.3 and params.threshold_bps == 1.0
+    assert params.c_tf == params.c_p2p == pytest.approx(10**7.5)
+    assert rate_tf(300, params) == pytest.approx(1000.0)
+    for alpha in (0.0, -0.2):
+        with pytest.raises(ValueError, match="^alpha_db_per_km must be positive$"):
+            RateParams.calibrated(alpha)
+    with pytest.raises(ValueError, match="^alpha_db_per_km 100 is too lossy to calibrate"):
+        RateParams.calibrated(100.0)
 
 
 def test_rate_at_zero_distance_is_the_clock():
