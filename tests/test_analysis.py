@@ -38,8 +38,8 @@ from keyhop.keyplan import KeyPlan, Variant, plan_keys
 from keyhop.protocol import compile_schedule, run
 from keyhop.topology import Shape, build_chain, build_multipath, build_reach_chain, build_ring6
 
-from test_keyplan import _layouts  # the generated layouts of at most 12 intermediaries
-from test_keyplan import _path_lengths
+# the generated layouts of at most 12 intermediaries, and the multipath lengths they draw
+from test_keyplan import _layouts, _path_lengths
 
 
 def _trace(builder, variant, seed=0, n=16):
@@ -645,7 +645,6 @@ def test_collusion_grid_draws_no_key_and_runs_nothing(monkeypatch):
     assert [cost for *_, cost in rows] == [paths * (t + 1) for paths in (1, 2, 3) for t in (1, 2, 3)]
 
 
-
 def _grid_reference(path_counts, reaches):
     """collusion_grid's rows as it once searched them: every cell's whole
     layout, compiled, then _fewest_breaking over all of its paths."""
@@ -698,6 +697,7 @@ def test_collusion_grid_compiles_one_path_per_distinct_reach(monkeypatch):
         with pytest.raises(ValueError):
             collusion_grid(*refused)
     assert len(compiled) == 3
+
 
 def _run_held(trace, coalition):
     """held_secrets as it read a run: the store's ids, by name, that name a
